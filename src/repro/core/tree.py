@@ -243,7 +243,9 @@ class MVPBT:
         #: P_N mutations flow into the write-ahead log
         self._durability: DurabilityController | None = None
         #: per-transaction mutation buffers awaiting their commit-time WAL
-        #: append (txid -> records, insertion order)
+        #: append (txid -> records, insertion order).  A key stays until
+        #: its transaction ends, even once an eviction emptied the buffer:
+        #: its presence is the evidence that the transaction logged here
         self._wal_pending: dict[int, list[MVPBTRecord]] = {}
         partition_buffer.register(self)
 
@@ -1023,10 +1025,17 @@ class MVPBT:
         """Take (and forget) one transaction's unflushed ``P_N`` records."""
         return self._wal_pending.pop(txid, [])
 
+    def logged_by(self, txid: int) -> bool:
+        """Did the still-open transaction ``txid`` log a record here
+        (whether or not an eviction has since made it partition-durable)?"""
+        return txid in self._wal_pending
+
     def clear_wal_pending(self) -> None:
-        """Drop all pending buffers — the records just became
-        partition-durable through an eviction."""
-        self._wal_pending.clear()
+        """Empty all pending buffers — the records just became
+        partition-durable through an eviction.  The keys stay: their
+        transactions still owe a COMMIT marker (:meth:`logged_by`)."""
+        for records in self._wal_pending.values():
+            records.clear()
 
     @classmethod
     def recover(cls, name: str, file: PageFile, pool: BufferPool,

@@ -9,7 +9,9 @@ hooks:
   all registered trees plus a COMMIT marker are appended to the WAL in one
   call — the commit is acknowledged only after the log pages are durable,
   and a crash mid-append leaves the marker unwritten, keeping the
-  transaction invisible.  **Abort** just drops the pending buffers.
+  transaction invisible.  A commit that wrote nothing
+  (:meth:`DurabilityController.wrote_nothing`) has nothing to make durable
+  and issues no I/O at all.  **Abort** just drops the pending buffers.
 - **Eviction** makes the evicted records partition-durable, so the tree's
   WAL floor advances to ``end_lsn``, the manifest flips, pending buffers
   for records now living in the partition are dropped, and fully-covered
@@ -77,6 +79,10 @@ class DurabilityController:
             registry = obs.registry
             self._m_wal_appends = registry.counter("wal.appends")
             self._m_wal_entries = registry.counter("wal.entries")
+            self._m_wal_bytes = registry.counter("wal.bytes_appended")
+            self._m_commits_elided = registry.counter("wal.commits_elided")
+            self._m_markers_deferred = registry.counter(
+                "wal.markers_deferred")
             self._m_wal_pages_freed = registry.counter("wal.pages_freed")
             self._m_manifest_flips = registry.counter("manifest.flips")
         manager.add_commit_hook(self._on_commit)
@@ -101,17 +107,48 @@ class DurabilityController:
 
     # ------------------------------------------------------------- txn hooks
 
+    def wrote_nothing(self, txn: "Transaction") -> bool:
+        """May ``txn`` commit without WAL I/O?  (DESIGN.md §11.3)
+
+        True only when the transaction changed no base table and logged no
+        record on any registered tree.  Two record-less transactions are
+        *not* covered and keep their COMMIT marker: one that only touched
+        base tables (``txn.writes``), and one whose index records a
+        mid-transaction eviction already made partition-durable — the tree
+        remembers that it logged (:meth:`MVPBT.logged_by`) even though its
+        pending buffer is empty.  Must run before the drain, inside the
+        engine slot.
+        """
+        if txn.writes:
+            return False
+        txid = txn.id
+        return not any(tree.logged_by(txid) for tree in self._trees.values())
+
     def _on_commit(self, txn: "Transaction") -> None:
+        if self.wrote_nothing(txn):
+            if self._obs is not None:
+                self._m_commits_elided.inc()
+            return
         records = self.drain_commit_records(txn)
-        # marker written for EVERY commit: outcomes of record-less
-        # transactions (base-table only, or records already evicted) must
-        # survive a restart too
+        mark = self._wal_mark()
         self.wal.log(records, commit_txid=txn.id)
         if self._obs is not None:
-            self._m_wal_appends.inc()
-            self._m_wal_entries.inc(len(records) + 1)
-            self._obs.tracer.emit("wal.append", txid=txn.id,
-                                  entries=len(records) + 1)
+            self._note_append("wal.append", mark, txid=txn.id)
+
+    def _wal_mark(self) -> tuple[int, int]:
+        return self.wal.entries_appended, self.wal.bytes_written
+
+    def _note_append(self, event: str, mark: tuple[int, int],
+                     **fields: object) -> None:
+        """Mirror one durable append (everything since ``mark``) into the
+        registry and the trace.  Callers guard on ``self._obs``."""
+        assert self._obs is not None
+        entries = self.wal.entries_appended - mark[0]
+        nbytes = self.wal.bytes_written - mark[1]
+        self._m_wal_appends.inc()
+        self._m_wal_entries.inc(entries)
+        self._m_wal_bytes.inc(nbytes)
+        self._obs.tracer.emit(event, entries=entries, bytes=nbytes, **fields)
 
     def drain_commit_records(
             self, txn: "Transaction") -> list[tuple[str, MVPBTRecord]]:
@@ -145,15 +182,12 @@ class DurabilityController:
         unacknowledged, and recovery commits exactly the durable-marker
         prefix.
         """
+        mark = self._wal_mark()
         self.wal.log_group(
             [(records, txn.id) for txn, records in batch])
         if self._obs is not None:
-            entries = sum(len(records) + 1 for _txn, records in batch)
-            self._m_wal_appends.inc()
-            self._m_wal_entries.inc(entries)
-            self._obs.tracer.emit(
-                "wal.append_group", txids=[t.id for t, _r in batch],
-                entries=entries)
+            self._note_append("wal.append_group", mark,
+                              txids=[t.id for t, _r in batch])
 
     # ----------------------------------------------------- sharded 2PC hooks
 
@@ -167,23 +201,25 @@ class DurabilityController:
         decision) as aborted.
         """
         records = self.drain_commit_records(txn)
+        mark = self._wal_mark()
         self.wal.log_prepare(records, txn.id)
         if self._obs is not None:
-            self._m_wal_appends.inc()
-            self._m_wal_entries.inc(len(records) + 1)
-            self._obs.tracer.emit("wal.prepare", txid=txn.id,
-                                  entries=len(records) + 1)
+            self._note_append("wal.prepare", mark, txid=txn.id)
         return len(records)
 
     def append_commit_marker(self, txid: int) -> None:
-        """Append a bare COMMIT marker (shard-commit phase two: the
-        coordinator already decided; this makes the decision locally
-        durable so later recoveries need not consult the coordinator)."""
-        self.wal.log([], commit_txid=txid)
+        """Shard-commit phase two: stage a COMMIT marker, no I/O.
+
+        The coordinator's decision append already made the outcome
+        durable, and sharded recovery unions that never-truncated log
+        with every shard's markers (DESIGN.md §16.5) — so the local
+        marker is a convenience that rides on this shard's next durable
+        append instead of costing an fsync of its own."""
+        self.wal.stage_commit_marker(txid)
         if self._obs is not None:
-            self._m_wal_appends.inc()
-            self._m_wal_entries.inc(1)
-            self._obs.tracer.emit("wal.commit_marker", txid=txid)
+            self._m_markers_deferred.inc()
+            self._obs.tracer.emit("wal.commit_marker", txid=txid,
+                                  deferred=True)
 
     def _on_abort(self, txn: "Transaction") -> None:
         for tree in self._trees.values():
@@ -196,12 +232,10 @@ class DurabilityController:
         entries = [(tree.name, record) for record in records]
         if not entries:
             return
+        mark = self._wal_mark()
         self.wal.log(entries)
         if self._obs is not None:
-            self._m_wal_appends.inc()
-            self._m_wal_entries.inc(len(entries))
-            self._obs.tracer.emit("wal.append", txid=None,
-                                  entries=len(entries))
+            self._note_append("wal.append", mark, txid=None)
 
     # ------------------------------------------------------- reorganisations
 

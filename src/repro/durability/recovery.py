@@ -46,8 +46,10 @@ def read_durable_state(manifest_file: PageFile, wal_file: PageFile,
     manifest flip recorded as decided-committed (below its watermark,
     neither aborted nor still active at the flip — their WAL markers may
     have been truncated since), plus txids with a surviving WAL COMMIT
-    marker.  Everything else is aborted: a transaction whose marker never
-    became durable was never acknowledged.
+    marker.  Everything else is aborted: a transaction without a durable
+    marker was either never acknowledged or committed having written
+    nothing (an elided commit, DESIGN.md §11.3) — and a transaction with
+    no effects reads the same committed or aborted.
     """
     store, state = ManifestStore.attach(manifest_file, slot_pages)
     wal, entries = WriteAheadLog.recover(wal_file)

@@ -4,11 +4,14 @@ Committed mutations of the in-memory partition are the only MV-PBT state
 not covered by the partition manifest; they are logged here at commit time
 and replayed into a fresh ``P_N`` during recovery.
 
-Layout: entries are packed back-to-back into page-sized byte images and
-appended through the ordinary cost model (the tail page is re-written as
-it fills — an *append-only* image, so a torn tail write can only corrupt
-the suffix holding not-yet-acknowledged entries).  Each entry carries its
-own LSN and CRC32::
+Layout: entries are packed back-to-back into page-sized byte images.  An
+append writes only the 512-byte sectors of the tail page it changed, so
+its device cost follows the bytes appended, not the page size; the image
+is *append-only*, so a torn tail write can only corrupt the suffix holding
+not-yet-acknowledged entries.  An append that fits a page never straddles
+two: if the tail's remaining space is too small the tail is sealed first,
+making the common commit one device write.  Each entry carries its own
+LSN and CRC32::
 
     u16  payload length
     u64  LSN            (1-based, monotonically increasing)
@@ -18,8 +21,8 @@ own LSN and CRC32::
 
 RECORD payload: u16 index-name length + name + one MV-PBT record in the
 :mod:`repro.core.serialization` wire format.  COMMIT payload: u64 txid.
-A COMMIT marker is appended for *every* commit (even record-less ones), so
-transaction outcomes survive a restart.
+Every commit that made something durable gets a COMMIT marker; a commit
+that wrote nothing is never logged (DESIGN.md §11.3).
 
 Two marker kinds serve the sharding layer (DESIGN.md §16): a PREPARE
 marker (u64 txid, like COMMIT) makes one shard's slice of a cross-shard
@@ -73,23 +76,13 @@ def _encode_entry(lsn: int, kind: int, payload: bytes) -> bytes:
     return body + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
 
 
-def encode_record_entry(lsn: int, index_name: str,
-                        record: MVPBTRecord) -> bytes:
+def _record_entry(index_name: str, record: MVPBTRecord) -> tuple[int, bytes]:
     name = index_name.encode("utf-8")
-    payload = _U16.pack(len(name)) + name + encode_record(record)
-    return _encode_entry(lsn, KIND_RECORD, payload)
+    return KIND_RECORD, _U16.pack(len(name)) + name + encode_record(record)
 
 
-def encode_commit_entry(lsn: int, txid: int) -> bytes:
-    return _encode_entry(lsn, KIND_COMMIT, _U64.pack(txid))
-
-
-def encode_prepare_entry(lsn: int, txid: int) -> bytes:
-    return _encode_entry(lsn, KIND_PREPARE, _U64.pack(txid))
-
-
-def encode_note_entry(lsn: int, payload: bytes) -> bytes:
-    return _encode_entry(lsn, KIND_NOTE, payload)
+def _marker_entry(kind: int, txid: int) -> tuple[int, bytes]:
+    return kind, _U64.pack(txid)
 
 
 def parse_entries(data: bytes) -> list[WALEntry]:
@@ -144,11 +137,21 @@ class WriteAheadLog:
         #: pages whose last_lsn falls below every index's replay floor
         self._pages: list[tuple[int, int, int]] = []
         self._tail_no: int | None = None
-        self._tail = bytearray()
+        #: bytes of the tail page already durable (its image lives in the
+        #: page file; the next append lands at this offset)
+        self._tail_len = 0
         self._tail_first = 0
         self._tail_last = 0
+        #: txids of COMMIT markers staged by :meth:`stage_commit_marker`,
+        #: waiting to ride on the next durable append
+        self._staged: list[int] = []
         self.entries_appended = 0
+        #: COMMIT markers written (a staged one counts when it rides out)
+        self.commit_markers = 0
+        #: page touches (one per page an append wrote into)
         self.pages_written = 0
+        #: device bytes those touches actually wrote (whole sectors)
+        self.bytes_written = 0
         self.pages_freed = 0
         #: durable append calls — the simulated fsync count.  Group commit
         #: divides this by the mean group size (fsyncs/commit < 1)
@@ -161,7 +164,7 @@ class WriteAheadLog:
         """Append RECORD entries (plus an optional COMMIT marker) durably.
 
         Pages are written in LSN order; the call returns only once every
-        touched page image hit the device, so a normal return *is* the
+        touched sector hit the device, so a normal return *is* the
         durability acknowledgement.  A crash mid-call persists an entry
         prefix — replay's contiguous-LSN rule keeps exactly that prefix,
         and the missing COMMIT marker keeps the transaction invisible.
@@ -186,15 +189,13 @@ class WriteAheadLog:
         One call is one simulated fsync regardless of how many
         transactions it covers — the entire point of group commit.
         """
-        blobs: list[bytes] = []
+        entries: list[tuple[int, bytes]] = []
         for records, commit_txid in groups:
-            for name, record in records:
-                blobs.append(encode_record_entry(self.end_lsn + len(blobs),
-                                                 name, record))
+            entries.extend(_record_entry(name, record)
+                           for name, record in records)
             if commit_txid is not None:
-                blobs.append(encode_commit_entry(self.end_lsn + len(blobs),
-                                                 commit_txid))
-        self._append_blobs(blobs)
+                entries.append(_marker_entry(KIND_COMMIT, commit_txid))
+        self._append(entries)
 
     def log_prepare(self, records: Iterable[tuple[str, MVPBTRecord]],
                     txid: int) -> None:
@@ -205,49 +206,85 @@ class WriteAheadLog:
         recovery that finds the PREPARE without a matching COMMIT (here or
         in the coordinator's decision log) aborts the transaction.
         """
-        blobs: list[bytes] = []
-        for name, record in records:
-            blobs.append(encode_record_entry(self.end_lsn + len(blobs),
-                                             name, record))
-        blobs.append(encode_prepare_entry(self.end_lsn + len(blobs), txid))
-        self._append_blobs(blobs)
+        entries = [_record_entry(name, record) for name, record in records]
+        entries.append(_marker_entry(KIND_PREPARE, txid))
+        self._append(entries)
 
     def log_note(self, payload: bytes) -> None:
         """Append one opaque NOTE entry durably (coordinator layout log)."""
-        self._append_blobs([encode_note_entry(self.end_lsn, payload)])
+        self._append([(KIND_NOTE, payload)])
 
-    def _append_blobs(self, blobs: list[bytes]) -> None:
-        """Pack encoded entries into tail pages and write them durably."""
-        if not blobs:
+    def stage_commit_marker(self, txid: int) -> None:
+        """Queue a COMMIT marker to ride on the next durable append.
+
+        No device I/O: for an outcome that is already durable elsewhere
+        (shard-commit phase two — the coordinator's decision log is the
+        authority, DESIGN.md §16.3).  A crash before the next append
+        loses the marker, never the outcome.
+        """
+        self._staged.append(txid)
+
+    def _append(self, entries: list[tuple[int, bytes]]) -> None:
+        """Encode entries and write them durably behind the tail."""
+        if self._staged:
+            entries = [_marker_entry(KIND_COMMIT, txid)
+                       for txid in self._staged] + entries
+        if not entries:
             return
-        self.appends += 1
-
         capacity = self.file.page_size
-        touched: list[tuple[int, bytearray]] = []
-        touched_nos: set[int] = set()
+        blobs = [_encode_entry(lsn, kind, payload)
+                 for lsn, (kind, payload) in enumerate(entries, self.end_lsn)]
+        largest = max(map(len, blobs))
+        if largest > capacity:
+            raise StorageError(
+                f"WAL entry of {largest} bytes exceeds the "
+                f"{capacity}-byte log page")
+        total = sum(map(len, blobs))
+        self._staged.clear()
+        self.commit_markers += sum(kind == KIND_COMMIT
+                                   for kind, _payload in entries)
+        self.appends += 1
+        if total <= capacity < self._tail_len + total:
+            # fits a page but not the tail's remainder: seal first, so the
+            # append is one device write instead of two
+            self._seal_tail()
+
         lsn = self.end_lsn
+        chunk: list[bytes] = []     # blobs bound for the current tail page
+        chunk_len = 0
         for blob in blobs:
-            if (self._tail_no is not None and self._tail
-                    and len(self._tail) + len(blob) > capacity):
-                self._pages.append((self._tail_no, self._tail_first,
-                                    self._tail_last))
-                self._tail_no = None
+            if self._tail_len + chunk_len + len(blob) > capacity:
+                self._write_tail(chunk, lsn - 1)
+                self._seal_tail()
+                chunk, chunk_len = [], 0
             if self._tail_no is None:
                 self._tail_no = self.file.allocate_page()
-                self._tail = bytearray()
                 self._tail_first = lsn
-            if self._tail_no not in touched_nos:
-                touched_nos.add(self._tail_no)
-                touched.append((self._tail_no, self._tail))
-            self._tail += blob
-            self._tail_last = lsn
+            chunk.append(blob)
+            chunk_len += len(blob)
             lsn += 1
-
-        for page_no, buf in touched:
-            self.file.write_page(page_no, bytes(buf))
-            self.pages_written += 1
+        self._write_tail(chunk, lsn - 1)
         self.end_lsn = lsn
         self.entries_appended += len(blobs)
+
+    def _write_tail(self, chunk: list[bytes], last_lsn: int) -> None:
+        """Write one page's share of an append: only the changed sectors."""
+        if not chunk:
+            return
+        assert self._tail_no is not None
+        data = b"".join(chunk)
+        self.bytes_written += self.file.write_page(
+            self._tail_no, data, offset=self._tail_len)
+        self.pages_written += 1
+        self._tail_len += len(data)
+        self._tail_last = last_lsn
+
+    def _seal_tail(self) -> None:
+        if self._tail_no is not None:
+            self._pages.append((self._tail_no, self._tail_first,
+                                self._tail_last))
+            self._tail_no = None
+            self._tail_len = 0
 
     # -------------------------------------------------------------- truncate
 

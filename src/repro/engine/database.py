@@ -468,9 +468,11 @@ class Database:
             result = vacuum_delta(info.store, self.txn)
         else:
             result = vacuum_sias(info.store, self.txn)
-        for vid in result.dropped_vids:
-            if info.indirection is not None:
+        if info.indirection is not None:
+            for vid in result.dropped_vids:
                 info.indirection.remove(vid)
+            for vid, rid in result.repointed.items():
+                info.indirection.set(vid, rid)
 
         if result.removed_rids or result.dropped_vids:
             removed = set(result.removed_rids)

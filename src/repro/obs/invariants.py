@@ -10,7 +10,11 @@ Validity note: call this on instances that have **not** been through
 transaction manager and trees from durable state (``committed_count`` is
 *restored*, tree stats restart at zero) while the obs registry deliberately
 keeps counting across the crash — the cumulative totals diverge from the
-rebuilt engine counters by design.
+rebuilt engine counters by design.  The commit-accounting identity
+(every commit either appended a COMMIT marker or was elided) is that of a
+standalone :class:`~repro.engine.database.Database`; a shard behind a
+router has its untouched and two-phase commits flipped by the router, so
+do not call this on a shard either.
 """
 
 from __future__ import annotations
@@ -76,6 +80,15 @@ def check_invariants(db: "Database") -> list[str]:
                    db.txn.committed_count)
         elif db.txn.committed_count:
             violations.append("txn.commit.latency_us histogram missing")
+
+        if db.durability is not None:
+            wal = db.durability.wal
+            expect("wal.appends", cv("wal.appends"), wal.appends)
+            expect("wal.bytes_appended", cv("wal.bytes_appended"),
+                   wal.bytes_written)
+            expect("txn.commit.count (== COMMIT markers + elided)",
+                   cv("txn.commit.count"),
+                   wal.commit_markers + cv("wal.commits_elided"))
 
         trees = [ix.mvpbt for ix in db.catalog.indexes if ix.is_mvpbt]
         expect("mvpbt.search.count", cv("mvpbt.search.count"),

@@ -8,7 +8,10 @@ append:
 
 1. a committing session drains its pending index records inside an engine
    slot (tree state is slot-confined), then enqueues a *pending commit*
-   on the group queue — releasing the engine slot first;
+   on the group queue — releasing the engine slot first.  A transaction
+   that wrote nothing never gets here: it has nothing to make durable, so
+   its session flips it inside that same slot and a group only ever
+   covers transactions that owe the log something;
 2. the first enqueuer becomes the **leader**; later arrivals are
    **followers** and simply wait on their pending's event;
 3. the leader (optionally waits for the group to fill, then) requests the

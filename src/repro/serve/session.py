@@ -32,6 +32,7 @@ from ..storage.recordid import RecordID
 from ..types import JSONDict, Key
 
 if TYPE_CHECKING:
+    from ..core.records import MVPBTRecord
     from ..engine.executor import RowHit
     from ..txn.transaction import Transaction
     from .server import Server
@@ -71,7 +72,8 @@ class Session:
 
         With group commit enabled the drain happens in this session's
         engine slot, but the WAL append is batched with concurrently
-        committing sessions by the group-commit leader.
+        committing sessions by the group-commit leader.  A transaction
+        that wrote nothing bypasses the group queue and does no I/O.
         """
         with self._guard():
             txn = self._require_txn()
@@ -80,19 +82,21 @@ class Session:
             # reprolint: disable-next=R10 -- monotonic sim-clock read; latency must span the whole commit, not just the slot
             t0 = clock.now
             committer = server.committer
-            if committer is not None:
-                with server.scheduler.slot("oltp"):
-                    txn.require_active()
-                    records = self._db.durability.drain_commit_records(txn)
-                try:
-                    committer.commit(txn, records)
-                except BaseException:
-                    # still ACTIVE (append failed before any flip): the
-                    # session stays usable and the caller decides
-                    raise
-            else:
-                with server.scheduler.slot("oltp"):
+            durability = self._db.durability
+            records: "list[tuple[str, MVPBTRecord]] | None" = None
+            with server.scheduler.slot("oltp"):
+                txn.require_active()
+                if (committer is None or durability is None
+                        or durability.wrote_nothing(txn)):
+                    # nothing to batch: the plain path, whose hook elides
+                    # the WAL append of a commit that wrote nothing
                     self._db.txn.commit(txn)
+                else:
+                    records = durability.drain_commit_records(txn)
+            if committer is not None and records is not None:
+                # a failed append leaves the transaction ACTIVE: the
+                # session stays usable and the caller decides
+                committer.commit(txn, records)
             self._txn = None
             self.commits += 1
             # reprolint: disable-next=R10 -- monotonic sim-clock read

@@ -15,7 +15,7 @@ txid authority, with its own durable decision/layout log).  The router:
   commit appends records + COMMIT marker in one fsync) or a two-phase
   flow for multi-shard writes (per-shard PREPARE appends, one coordinator
   decision append — the atomic commit point — then per-shard COMMIT
-  markers);
+  markers, staged in memory to ride on each shard's next append);
 * filters every per-shard read through the **ownership filter**: a hit
   whose row's shard key no longer maps to the answering shard is residue
   from an incomplete or historical rebalance and is dropped — which is
@@ -293,8 +293,9 @@ class ShardedDatabase:
             self.coordinator.log_decision(txn.id)
             if self.obs is not None:
                 self._m_decisions.inc()
-            # phase two: local COMMIT markers (recovery convenience; the
-            # decision above already settled the outcome)
+            # phase two: local COMMIT markers, staged without I/O — the
+            # decision above already made the outcome durable, and
+            # recovery unions that log with every shard's markers
             for k in touched:
                 durability = self.shards[k].durability
                 assert durability is not None

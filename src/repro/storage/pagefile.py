@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..errors import DeviceCrashError, PageNotFoundError
-from ..sim.device import SimulatedDevice
+from ..errors import DeviceCrashError, PageNotFoundError, StorageError
+from ..sim.device import SECTOR_BYTES, SimulatedDevice
 
 
 class TornPage:
@@ -110,14 +110,31 @@ class PageFile:
         self.physical_reads += 1
         return self._contents[page_no]
 
-    def write_page(self, page_no: int, payload: object) -> None:
-        """Physically write one page (random 8 KiB write).
+    def write_page(self, page_no: int, payload: object,
+                   offset: int | None = None) -> int:
+        """Physically write one page (random 8 KiB write); returns the
+        device bytes written.
 
         Contents are installed only once the device accepts the write; an
         injected crash leaves the old contents (clean crash) or a torn
         sector-prefix image (torn-write fault) — never the full new payload.
+
+        With ``offset`` the page is a byte image and ``payload`` the bytes
+        to lay down at that offset (the log-tail append): the device
+        request covers only the whole sectors around
+        ``[offset, offset + len(payload))``.  The bytes it re-writes in
+        front of ``offset`` are the image's own, so only the *delta* can
+        change the page: a clean crash leaves the old image, a torn or
+        partial one splices the persisted prefix of the delta over it —
+        bytes below ``offset`` are never damaged.
         """
         self._require_allocated(page_no)
+        if offset is not None:
+            if not isinstance(payload, (bytes, bytearray)):
+                raise StorageError(
+                    f"{self.name}: a ranged write needs a byte payload, "
+                    f"not {type(payload).__name__}")
+            return self._write_range(page_no, offset, payload)
         try:
             self.device.write(self._addresses[page_no], self.page_size)
         except DeviceCrashError as exc:
@@ -125,6 +142,22 @@ class PageFile:
             raise
         self.physical_writes += 1
         self._contents[page_no] = payload
+        return self.page_size
+
+    def _write_range(self, page_no: int, offset: int,
+                     data: bytes | bytearray) -> int:
+        start = offset - offset % SECTOR_BYTES
+        end = -(-(offset + len(data)) // SECTOR_BYTES) * SECTOR_BYTES
+        try:
+            self.device.write(self._addresses[page_no] + start, end - start)
+        except DeviceCrashError as exc:
+            persisted = start + exc.bytes_persisted - offset
+            if persisted > 0:
+                self._splice(page_no, offset, data[:persisted])
+            raise
+        self.physical_writes += 1
+        self._splice(page_no, offset, data)
+        return end - start
 
     def put_page_nocost(self, page_no: int, payload: object) -> None:
         """Install page contents without device I/O.
@@ -235,6 +268,18 @@ class PageFile:
             self._contents[page_no] = bytes(payload[:nbytes]) + bytes(tail)
         else:
             self._contents[page_no] = TornPage(nbytes)
+
+    def _splice(self, page_no: int, offset: int,
+                data: bytes | bytearray) -> None:
+        """Overlay ``data`` at ``offset`` of a page's byte image, in place
+        (the file owns the image; a gap below ``offset`` reads as zeros)."""
+        image = self._contents.get(page_no)
+        if not isinstance(image, bytearray):
+            image = bytearray(image if isinstance(image, bytes) else b"")
+            self._contents[page_no] = image
+        if len(image) < offset:
+            image.extend(bytes(offset - len(image)))
+        image[offset:offset + len(data)] = data
 
     def _install_extent_prefix(self, page_nos: Sequence[int],
                                payloads: Sequence[object],

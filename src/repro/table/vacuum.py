@@ -28,6 +28,8 @@ class VacuumResult:
     removed_rids: list[RecordID] = field(default_factory=list)
     #: vids whose whole chain is gone (deleted tuples below the cutoff)
     dropped_vids: list[int] = field(default_factory=list)
+    #: vids whose chain entry point moved off an aborted head version
+    repointed: dict[int, RecordID] = field(default_factory=dict)
 
 
 def _heap_version_dead(version: TupleVersion, cutoff: int,
@@ -149,9 +151,11 @@ def vacuum_sias(table: SIASTable, manager: TransactionManager) -> VacuumResult:
 
     Walking each chain from its entry point, everything below the newest
     version whose timestamp is under the cutoff is dead; a committed
-    tombstone under the cutoff kills its whole chain.  Because SIAS pages are
-    immutable, space is reclaimed only when *every* version on a page is
-    dead — then the page is freed and dropped from the buffer pool.
+    tombstone under the cutoff kills its whole chain; aborted versions at
+    the head of a chain are dead too, and the entry point is repointed past
+    them (or the chain dropped when nothing else is left).  Because SIAS
+    pages are immutable, space is reclaimed only when *every* version on a
+    page is dead — then the page is freed and dropped from the buffer pool.
     """
     cutoff = manager.cutoff_txid()
     log = manager.commit_log
@@ -169,14 +173,30 @@ def vacuum_sias(table: SIASTable, manager: TransactionManager) -> VacuumResult:
             chain.append((rid, version))
             rid = version.prev_rid
 
-        # find the newest decided version at or below the cutoff horizon
+        # aborted versions sit at the head of a chain (a later writer
+        # re-points the entry past them).  They are dead, and their page
+        # may be freed below — so the entry point must stop naming them
+        # first: repoint it at the newest version that is not aborted
+        head = 0
+        while (head < len(chain)
+               and log.is_aborted(chain[head][1].ts_create)):
+            dead.add(chain[head][0])
+            result.removed_rids.append(chain[head][0])
+            head += 1
+        if head == len(chain):
+            if head:
+                table.drop_chain(vid)
+                result.dropped_vids.append(vid)
+            continue
+        if head:
+            table.register_chain(vid, chain[head][0])
+            result.repointed[vid] = chain[head][0]
+            chain = chain[head:]
+
+        # find the newest committed version below the cutoff horizon
         keep_from: int | None = None
         for idx, (_, version) in enumerate(chain):
             ts = version.ts_create
-            if log.is_aborted(ts):
-                dead.add(chain[idx][0])
-                result.removed_rids.append(chain[idx][0])
-                continue
             if log.is_committed(ts) and ts < cutoff:
                 keep_from = idx
                 break

@@ -15,7 +15,8 @@ can interpose between them:
 
 * the **hook phase** (:meth:`commit`) runs the registered durability hooks
   while the transaction is still ACTIVE — single-caller path, one WAL
-  append per commit;
+  append per commit that wrote something (the durability hook does no
+  I/O for one that did not, DESIGN.md §11.3);
 * the **flip phase** (:meth:`finish_commit`) removes the transaction from
   the active set and publishes COMMITTED in the commit log.  The serve
   layer's group-commit leader calls it directly for every transaction of a

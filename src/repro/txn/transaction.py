@@ -27,7 +27,7 @@ class Transaction:
     """
 
     __slots__ = ("id", "snapshot", "state", "_manager", "begin_time",
-                 "writes", "reads")
+                 "writes")
 
     def __init__(self, txid: int, snapshot: Snapshot,
                  manager: "TransactionManager") -> None:
@@ -36,8 +36,9 @@ class Transaction:
         self.state = TxnState.ACTIVE
         self._manager = manager
         self.begin_time = manager.clock.now if manager.clock else 0.0
+        #: base-table DML statements so far (the durability controller's
+        #: wrote-nothing predicate reads it at commit)
         self.writes = 0
-        self.reads = 0
 
     @property
     def is_active(self) -> bool:

@@ -63,7 +63,7 @@ def make_db(storage: str = "sias", obs: bool = False) -> Database:
 
 #: one workload operation:
 #: ("insert", id, val) / ("update", id, val) / ("move", id, new_id) /
-#: ("delete", id)
+#: ("delete", id) / ("read", id) — the last writes nothing
 Op: TypeAlias = tuple[Any, ...]
 #: one transaction: ("commit" | "abort", [ops])
 Script: TypeAlias = "list[tuple[str, list[Op]]]"
@@ -102,6 +102,8 @@ def apply_db_op(db: Database, txn: Transaction, op: Op) -> None:
         db.update_by_key(txn, INDEX, (op[1],), {"id": op[2]})
     elif kind == "delete":
         db.delete_by_key(txn, INDEX, (op[1],))
+    elif kind == "read":
+        db.select(txn, INDEX, (op[1],))
     else:
         raise ValueError(f"unknown op {op!r}")
 

@@ -247,6 +247,46 @@ class TestWriteAheadLog:
         committed = {e.txid for e in entries if e.kind == KIND_COMMIT}
         assert 6 not in committed or len(entries) >= 5
 
+    def test_staged_marker_rides_on_the_next_append(self,
+                                                    clock: SimClock) -> None:
+        device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
+        file = make_file(device)
+        wal = WriteAheadLog(file)
+        wal.stage_commit_marker(7)
+        wal.stage_commit_marker(8)
+        assert device.io_count == 0 and wal.appends == 0
+        assert wal.end_lsn == 1
+        wal.log([("ix", rec(1, 9, 0))], commit_txid=9)
+        assert wal.appends == 1 and device.io_count == 1
+        _, entries = WriteAheadLog.recover(file)
+        assert [(e.kind, e.txid) for e in entries] == [
+            (KIND_COMMIT, 7), (KIND_COMMIT, 8), (KIND_RECORD, 0),
+            (KIND_COMMIT, 9)]
+        assert wal.commit_markers == 3
+
+    def test_append_that_fits_a_page_never_straddles(self,
+                                                     clock: SimClock) -> None:
+        device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
+        file = make_file(device)
+        wal = WriteAheadLog(file)
+        while wal._tail_len < 400:           # leave < 112 bytes in the page
+            wal.log([("ix", rec(1, 1, 0))], commit_txid=1)
+        assert wal._tail_no == 0
+        before = device.io_count
+        wal.log([("ix", rec(i, 2, i)) for i in range(4)], commit_txid=2)
+        # sealed first: the whole append is ONE write on the fresh page
+        assert device.io_count == before + 1
+        assert wal._tail_no == 1 and wal._pages[-1][0] == 0
+
+    def test_entry_larger_than_a_page_is_rejected(self,
+                                                  clock: SimClock) -> None:
+        from repro.errors import StorageError
+        device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
+        wal = WriteAheadLog(make_file(device))
+        with pytest.raises(StorageError):
+            wal.log_note(bytes(600))
+        assert device.io_count == 0 and wal.end_lsn == 1
+
     def test_parse_entries_rejects_garbage(self) -> None:
         assert parse_entries(b"") == []
         assert parse_entries(b"\x00" * 64) == []

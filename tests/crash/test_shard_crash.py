@@ -24,6 +24,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import EngineConfig
+from repro.engine.database import Database
 from repro.errors import DeviceCrashError
 from repro.shard import ShardConfig, ShardedDatabase, ShardTransaction
 from repro.sim.device import FaultPlan
@@ -325,6 +326,88 @@ def test_recovered_router_keeps_working(
     txn.commit()
     assert len(txn.touched) > 1, "fresh inserts should span shards"
     assert_sharded_state(recovered, txn.id, state, context="post-recovery")
+
+
+# --------------------------------------------- staged phase-two markers
+
+def _cross_shard_commit(sdb: ShardedDatabase) -> tuple[int, OracleState]:
+    txn = sdb.begin()
+    state: OracleState = {}
+    for i in range(12):
+        sdb.insert(txn, TABLE, (i, f"v{i}"))
+        state[i] = f"v{i}"
+    txn.commit()
+    assert len(txn.touched) == SHARDS
+    return txn.id, state
+
+
+def test_cross_shard_commit_is_prepares_plus_one_decision() -> None:
+    """Phase two costs no I/O: the markers are staged, and ride on each
+    shard's next durable append."""
+    sdb = make_sharded()
+    assert sdb.coordinator.log is not None
+    shard_appends = [db.durability.wal.appends for db in sdb.shards]
+    coord_appends = sdb.coordinator.log.appends
+    txid, _state = _cross_shard_commit(sdb)
+    assert [db.durability.wal.appends - before
+            for db, before in zip(sdb.shards, shard_appends)] == [1] * SHARDS
+    assert sdb.coordinator.log.appends == coord_appends + 1
+    assert all(db.durability.wal._staged == [txid] for db in sdb.shards)
+
+    follow = sdb.begin()
+    sdb.insert(follow, TABLE, (50, "w"))
+    follow.commit()
+    (k,) = follow.touched
+    wal = sdb.shards[k].durability.wal
+    assert wal._staged == [] and wal.appends == shard_appends[k] + 2
+    assert sdb.shards[1 - k].durability.wal._staged == [txid]
+
+
+@pytest.mark.parametrize("target", ["shard0", "shard1", "coord"])
+def test_kill_after_decision_before_marker_rides(target: str) -> None:
+    """The decision append returned, every phase-two marker is still in
+    memory, one device dies at its next I/O: the coordinator's log alone
+    must recover the transaction committed on every shard."""
+    sdb = make_sharded()
+    txid, state = _cross_shard_commit(sdb)
+    assert txid in sdb.coordinator.decisions
+    device = (sdb.coordinator_device if target == "coord"
+              else sdb.shards[int(target.removeprefix("shard"))].device)
+    assert device is not None
+    device.set_fault_plan(FaultPlan(fail_at=device.io_count))
+
+    history = [(txid, dict(state))]
+    inflight: tuple[int | None, OracleState | None] = (None, None)
+    for key in (50, 51, 52, 53):        # single-shard commits on both shards
+        follow = sdb.begin()
+        pending = {**state, key: "w"}
+        try:
+            sdb.insert(follow, TABLE, (key, "w"))
+            follow.commit()
+        except DeviceCrashError:
+            inflight = (follow.id, pending)
+            break
+        state = pending
+        history.append((follow.id, dict(state)))
+    assert (inflight[0] is None) == (target == "coord")
+    run = ShardedRun(sdb, history, state, True, *inflight)
+    recovered = recover_and_check_sharded(run, context=f"staged {target}")
+    assert all(db.txn.status_of(txid) is TxnStatus.COMMITTED
+               for db in recovered.shards)
+
+
+def test_single_shard_recovery_needs_the_decision() -> None:
+    """A shard recovered on its own sees PREPARE without COMMIT: the
+    outcome is the coordinator's to give (``extra_committed``)."""
+    sdb = make_sharded()
+    txid, _state = _cross_shard_commit(sdb)
+    alone = Database.recover(sdb.shards[0])
+    assert alone.txn.status_of(txid) is TxnStatus.ABORTED
+    told = Database.recover(sdb.shards[0],
+                            extra_committed=sdb.coordinator.decisions)
+    assert told.txn.status_of(txid) is TxnStatus.COMMITTED
+    whole = ShardedDatabase.recover(sdb)
+    assert whole.shards[0].txn.status_of(txid) is TxnStatus.COMMITTED
 
 
 # ------------------------------------------------------- rebalance crashes

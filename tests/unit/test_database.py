@@ -212,6 +212,47 @@ class TestVacuumIntegration:
         assert db.select(r, "idx_a", (1,)) == []
 
 
+    def test_vacuum_after_a_rollback_keeps_the_table_readable(self, db):
+        """bench/README.md finding 1: an aborted bulk insert, a committed
+        one, vacuum — the scan must return exactly the committed rows
+        (it raised PageNotFoundError: the chains of the rolled-back rows
+        still named the pages vacuum had just freed)."""
+        setup_table(db)
+        t = db.begin()
+        for i in range(2000):
+            db.insert(t, "r", (i, "rolled back", 0.0))
+        t.abort()
+        t2 = db.begin()
+        for i in range(100):
+            db.insert(t2, "r", (10_000 + i, "kept", 1.0))
+        t2.commit()
+        db.flush_all()
+        result = db.vacuum("r")
+        assert result.pages_freed > 0
+        r = db.begin()
+        rows = db.seq_scan(r, "r")
+        assert sorted(rows) == [(10_000 + i, "kept", 1.0) for i in range(100)]
+        assert db.select(r, "idx_a", (10_050,)) == [(10_050, "kept", 1.0)]
+        assert db.select(r, "idx_a", (5,)) == []
+
+    def test_vacuum_repoints_indirection_past_an_aborted_update(self, db):
+        setup_table(db, kind="btree", reference="logical")
+        t = db.begin()
+        db.insert(t, "r", (1, "v" * 4000, 0.0))
+        t.commit()
+        t2 = db.begin()
+        db.update_by_key(t2, "idx_a", (1,), {"b": "x" * 7000})  # own page
+        t2.abort()
+        t3 = db.begin()
+        db.insert(t3, "r", (2, "y" * 7000, 0.0))
+        t3.commit()
+        db.flush_all()
+        result = db.vacuum("r")
+        assert result.repointed and result.pages_freed == 1
+        r = db.begin()
+        assert db.select(r, "idx_a", (1,)) == [(1, "v" * 4000, 0.0)]
+
+
 class TestIntrospection:
     def test_stats_snapshot(self, db):
         setup_table(db)

@@ -296,6 +296,43 @@ class TestInvariants:
         txn.commit()
         assert check_invariants(db) == []
 
+    def test_commit_path_accounting_on_a_durable_instance(self):
+        """Every commit either appended a COMMIT marker or was elided, and
+        the registry's append/byte totals are the log's own."""
+        db = obs_db(durability=True)
+        load_rows(db, 150, evict_every=40)
+        for key in (3, 4, 5):
+            txn = db.begin()            # wrote nothing: elided
+            db.select(txn, "ix", (key,))
+            txn.commit()
+        assert check_invariants(db) == []
+        cv = db.obs.registry.counter_value
+        wal = db.durability.wal
+        assert cv("wal.commits_elided") == 3
+        assert cv("wal.appends") == wal.appends == wal.commit_markers
+        assert cv("wal.bytes_appended") == wal.bytes_written > 0
+        appended = [e for e in db.obs.tracer.events()
+                    if e["name"] == "wal.append"]
+        assert len(appended) == wal.appends
+        assert sum(e["attrs"]["bytes"] for e in appended) \
+            == wal.bytes_written
+        db.obs.registry.counter("wal.commits_elided").inc()
+        assert any("COMMIT markers + elided" in p
+                   for p in check_invariants(db))
+
+    def test_served_group_commits_keep_the_accounting(self):
+        db = obs_db(durability=True)
+        with db.serve() as server, server.session() as s:
+            for i in range(4):
+                s.begin()
+                s.insert("t", (i, i))
+                s.commit()
+                s.begin()
+                s.select("ix", (i,))
+                s.commit()
+        assert check_invariants(db) == []
+        assert db.obs.registry.counter_value("wal.commits_elided") == 4
+
     def test_disabled_db_reports_why(self):
         db = Database(EngineConfig())
         problems = check_invariants(db)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import PageNotFoundError
+from repro.errors import (DeviceCrashError, PageNotFoundError,
+                          StorageError)
 from repro.sim.clock import SimClock
-from repro.sim.device import SimulatedDevice
+from repro.sim.device import FaultPlan, SimulatedDevice
 from repro.sim.profiles import INTEL_DC_P3600
 from repro.storage.pagefile import PageFile
 
@@ -85,6 +86,77 @@ class TestReadWrite:
         f.put_page_nocost(p, "x")
         assert clock.now == before
         assert f.peek(p) == "x"
+
+
+class TestWriteRange:
+    """Sector-granular writes into a byte-image page (the log tail)."""
+
+    def test_charges_only_the_covered_sectors(self, setup):
+        _c, d, f = setup
+        no = f.allocate_page()
+        assert f.write_page(no, b"a" * 100, offset=0) == 512
+        # 600..700 lies inside the second sector
+        assert f.write_page(no, b"b" * 100, offset=600) == 512
+        # 1000..1100 straddles sectors two and three
+        assert f.write_page(no, b"c" * 100, offset=1000) == 1024
+        assert d.stats.bytes_written == 2048 and d.stats.writes == 3
+        assert f.physical_writes == 3
+
+    def test_addresses_the_sector_inside_the_page(self, setup):
+        _c, d, f = setup
+        f.allocate_page()
+        no = f.allocate_page()
+        d.trace.enable()
+        f.write_page(no, b"x" * 10, offset=1300)
+        (entry,) = d.trace.entries("W")
+        assert entry.lba * 512 == f._addresses[no] + 1024
+        assert entry.sectors == 1
+
+    def test_splices_in_place_and_zero_fills_gaps(self, setup):
+        _c, _d, f = setup
+        no = f.allocate_page()
+        f.write_page(no, b"abc", offset=0)
+        f.write_page(no, b"def", offset=3)
+        f.write_page(no, b"z", offset=8)
+        assert bytes(f.read_page(no)) == b"abcdef\0\0z"
+
+    def test_clean_crash_keeps_the_old_image(self, setup):
+        _c, d, f = setup
+        no = f.allocate_page()
+        f.write_page(no, b"old", offset=0)
+        d.set_fault_plan(FaultPlan(fail_at=d.io_count))
+        with pytest.raises(DeviceCrashError):
+            f.write_page(no, b"new", offset=3)
+        assert bytes(f.peek(no)) == b"old"
+
+    def test_torn_crash_persists_a_sector_prefix_of_the_delta(self, setup):
+        _c, d, f = setup
+        no = f.allocate_page()
+        f.write_page(no, b"o" * 700, offset=0)
+        # the request covers sectors 1..3 (512..2048); two of them persist
+        d.set_fault_plan(FaultPlan(fail_at=d.io_count, mode="torn",
+                                   fraction=0.7))
+        with pytest.raises(DeviceCrashError):
+            f.write_page(no, b"n" * 1300, offset=700)
+        assert bytes(f.peek(no)) == b"o" * 700 + b"n" * (1536 - 700)
+
+    def test_torn_inside_the_first_sector_changes_nothing(self, setup):
+        _c, d, f = setup
+        no = f.allocate_page()
+        f.write_page(no, b"o" * 700, offset=0)
+        d.set_fault_plan(FaultPlan(fail_at=d.io_count, mode="torn",
+                                   fraction=0.1))
+        with pytest.raises(DeviceCrashError):
+            f.write_page(no, b"n" * 1300, offset=700)
+        assert bytes(f.peek(no)) == b"o" * 700
+
+
+    def test_ranged_write_rejects_object_payloads(self, setup):
+        _c, d, f = setup
+        no = f.allocate_page()
+        with pytest.raises(StorageError):
+            f.write_page(no, ["not", "bytes"], offset=0)
+        assert d.stats.writes == 0
 
 
 class TestAppendExtents:

@@ -263,6 +263,37 @@ class TestGroupCommitDurability:
         assert got == [(i, f"v{i}") for i in range(5)]
         txn.abort()
 
+    def test_commits_that_wrote_nothing_never_join_a_group(self):
+        """k reading sessions + one writer: the group covers the writer
+        alone and costs one append; the readers alone cost none."""
+        db = make_db()
+        with db.serve() as server:
+            with server.session() as s:
+                s.begin()
+                s.insert("t", (1, "a"))
+                s.commit()
+            wal, stats = db.durability.wal, server.committer.stats
+            appends, groups = wal.appends, stats.groups
+            sessions = [server.session() for _ in range(5)]
+            for s in sessions:
+                s.begin()
+                assert s.select("ix", (1,)) == [(1, "a")]
+            sessions[0].insert("t", (2, "b"))
+            for s in sessions:
+                s.commit()
+            assert wal.appends == appends + 1
+            assert (stats.groups, stats.commits) == (groups + 1, groups + 1)
+            assert db.txn.committed_count == 6
+
+            for s in sessions:
+                s.begin()
+                s.select("ix", (2,))
+                s.commit()
+            assert wal.appends == appends + 1
+            assert stats.groups == groups + 1
+            assert db.txn.committed_count == 11
+            assert not db.txn.active_transactions
+
     def test_group_commit_disabled_uses_hook_path(self):
         db = make_db()
         with db.serve(ServeConfig(group_commit=False)) as server:

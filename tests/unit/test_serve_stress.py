@@ -231,3 +231,33 @@ class TestGroupFormation:
         assert stats.max_group_size >= 2
         assert stats.groups < stats.commits
         server.close()
+
+    def test_reading_sessions_stay_out_of_the_group(self):
+        """Seven sessions commit at once behind a barrier; only one of
+        them wrote.  Whatever the schedule, the log sees one append
+        covering one transaction."""
+        db = Database(EngineConfig(durability=True))
+        db.create_table("t", [("k", "int"), ("v", "str")])
+        db.create_index("ix", "t", ["k"], kind="mvpbt",
+                        index_only_visibility=True)
+        server = db.serve(ServeConfig(
+            max_sessions=8, group_size_target=8, group_window_s=0.004))
+        barrier = threading.Barrier(7, timeout=30)
+
+        def client_for(slot: int):
+            def client(session):
+                session.begin()
+                session.select("ix", (slot,))
+                if slot == 0:
+                    session.insert("t", (1, "x"))
+                barrier.wait()
+                session.commit()
+            return client
+
+        SessionExecutor(server, workers=7).run(
+            [client_for(i) for i in range(7)])
+        stats = server.committer.stats
+        assert (stats.groups, stats.commits) == (1, 1)
+        assert db.durability.wal.appends == 1
+        assert db.txn.committed_count == 7
+        server.close()

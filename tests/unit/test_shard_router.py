@@ -315,6 +315,11 @@ class TestRouterBehavior:
         assert reg.counter_value("shard.2pc.decisions") == 1
         assert reg.counter_value("shard.2pc.prepares") == 4
         assert len(sdb.coordinator.decisions) == 1
+        # phase two wrote nothing: four markers staged, four prepare
+        # appends plus the single-shard commit's one on the shards
+        shard_cv = [db.obs.registry.counter_value for db in sdb.shards]
+        assert sum(cv("wal.markers_deferred") for cv in shard_cv) == 4
+        assert sum(cv("wal.appends") for cv in shard_cv) == 5
 
     def test_cross_shard_move_changes_owner(self):
         sdb = make_router(2, "range", range_cuts=[(50,)])

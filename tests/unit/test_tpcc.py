@@ -6,6 +6,8 @@ from repro.config import EngineConfig
 from repro.engine import Database
 from repro.errors import WorkloadError
 from repro.index.base import TOP
+from repro.workloads.backend import as_backend
+from repro.workloads.invariants import assert_tpcc_consistent
 from repro.workloads.tpcc import (TPCCConfig, TPCCRunner, customer_last_name)
 
 
@@ -145,3 +147,21 @@ class TestRun:
             runner.load()
             result = runner.run(60)
             assert result.committed > 40, kind
+
+
+class TestVacuumUnderRollbacks:
+    def test_consistency_holds_with_vacuum_on(self):
+        """TPC-C rolls 1 % of new-orders back; with vacuum running every
+        25 commits the run must stay C1-C4 consistent (it failed C4, or
+        raised PageNotFoundError, while vacuum freed pages that aborted
+        chain heads still named)."""
+        # 2 KiB pages: a rolled-back new-order fills whole pages, which
+        # is what makes them freeable
+        db = Database(EngineConfig(buffer_pool_pages=256, page_size=2048))
+        runner = TPCCRunner(db, small_config(vacuum_every=25, seed=7),
+                            index_kind="mvpbt")
+        runner.load()
+        result = runner.run(600)
+        assert result.aborted > 0, "the run must include rollbacks"
+        assert result.committed > 500
+        assert_tpcc_consistent(as_backend(db), context="vacuum on")

@@ -258,3 +258,50 @@ class TestVacuumStatsPaths:
         result = vacuum_sias(table, mgr)
         assert result.versions_removed == len(result.removed_rids)
         assert result.versions_removed == 5
+
+    def test_aborted_head_is_repointed_before_its_page_is_freed(self, env):
+        """An aborted update leaves the entry point naming a dead version;
+        vacuum must move the entry to the committed predecessor before it
+        frees the page the aborted version sits on."""
+        mgr, device, pool = env
+        table = SIASTable("s", PageFile("s", device, 8192, 8), pool,
+                          flush_extent_pages=1)
+        t = mgr.begin()
+        vid, rid = table.insert(t, (1, "keep"))
+        t.commit()
+        table.flush_tail()
+        t2 = mgr.begin()
+        aborted_rid = table.update(t2, rid, (1, "x" * 7000))  # its own page
+        t2.abort()
+        assert aborted_rid.page != rid.page
+        t3 = mgr.begin()
+        table.insert(t3, (2, "y" * 7000))    # push the aborted page out
+        t3.commit()
+        table.flush_tail()
+
+        result = vacuum_sias(table, mgr)
+        assert result.repointed == {vid: rid}
+        assert aborted_rid in result.removed_rids
+        assert result.pages_freed == 1
+        assert table.entry_point(vid) == rid
+        reader = mgr.begin()
+        assert [row for _rid, row in table.scan_visible(reader)] \
+            == [(1, "keep"), (2, "y" * 7000)]
+
+    def test_chain_of_only_aborted_versions_is_dropped(self, env):
+        mgr, device, pool = env
+        table = SIASTable("s", PageFile("s", device, 8192, 8), pool,
+                          flush_extent_pages=1)
+        t = mgr.begin()
+        vid, _rid = table.insert(t, (1, "x" * 7000))
+        t.abort()
+        t2 = mgr.begin()
+        table.insert(t2, (2, "k" * 7000))    # lands on the next page
+        t2.commit()
+        table.flush_tail()
+        result = vacuum_sias(table, mgr)
+        assert result.dropped_vids == [vid] and result.pages_freed == 1
+        assert not table.has_chain(vid)
+        reader = mgr.begin()
+        assert [row for _rid, row in table.scan_visible(reader)] \
+            == [(2, "k" * 7000)]
