@@ -11,7 +11,8 @@ hooks:
   and a crash mid-append leaves the marker unwritten, keeping the
   transaction invisible.  A commit that wrote nothing
   (:meth:`DurabilityController.wrote_nothing`) has nothing to make durable
-  and issues no I/O at all.  **Abort** just drops the pending buffers.
+  and issues no I/O at all — but for every :data:`HORIZON_STRIDE`-th
+  txid, which keeps its marker.  **Abort** just drops the pending buffers.
 - **Eviction** makes the evicted records partition-durable, so the tree's
   WAL floor advances to ``end_lsn``, the manifest flips, pending buffers
   for records now living in the partition are dropped, and fully-covered
@@ -39,6 +40,10 @@ if TYPE_CHECKING:
     from ..obs.core import Observability
     from ..txn.manager import TransactionManager
     from ..txn.transaction import Transaction
+
+#: a commit whose txid is a multiple of this keeps its COMMIT marker even
+#: when it wrote nothing (the horizon marker, DESIGN.md §11.3)
+HORIZON_STRIDE = 32
 
 
 def partition_meta(partition: "PersistedPartition") -> PartitionMeta:
@@ -111,17 +116,19 @@ class DurabilityController:
         """May ``txn`` commit without WAL I/O?  (DESIGN.md §11.3)
 
         True only when the transaction changed no base table and logged no
-        record on any registered tree.  Two record-less transactions are
+        record on any registered tree.  Three record-less transactions are
         *not* covered and keep their COMMIT marker: one that only touched
-        base tables (``txn.writes``), and one whose index records a
+        base tables (``txn.writes``), one whose index records a
         mid-transaction eviction already made partition-durable — the tree
         remembers that it logged (:meth:`MVPBT.logged_by`) even though its
-        pending buffer is empty.  Must run before the drain, inside the
-        engine slot.
+        pending buffer is empty — and the horizon marker, every
+        :data:`HORIZON_STRIDE`-th txid.  Must run before the drain, inside
+        the engine slot; a pure function of the transaction, so asking
+        twice (session, then hook) gives one answer.
         """
-        if txn.writes:
-            return False
         txid = txn.id
+        if txn.writes or txid % HORIZON_STRIDE == 0:
+            return False
         return not any(tree.logged_by(txid) for tree in self._trees.values())
 
     def _on_commit(self, txn: "Transaction") -> None:

@@ -22,7 +22,8 @@ LSN and CRC32::
 RECORD payload: u16 index-name length + name + one MV-PBT record in the
 :mod:`repro.core.serialization` wire format.  COMMIT payload: u64 txid.
 Every commit that made something durable gets a COMMIT marker; a commit
-that wrote nothing is never logged (DESIGN.md §11.3).
+that wrote nothing is not logged, but for one txid in 32 (the horizon
+marker, DESIGN.md §11.3).
 
 Two marker kinds serve the sharding layer (DESIGN.md §16): a PREPARE
 marker (u64 txid, like COMMIT) makes one shard's slice of a cross-shard

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import EngineConfig
+from repro.durability.controller import HORIZON_STRIDE
 from repro.durability.wal import (_CRC, _HEAD, KIND_COMMIT, KIND_RECORD,
                                   WriteAheadLog)
 from repro.engine.database import Database
@@ -89,6 +90,31 @@ def test_commits_that_wrote_nothing_do_no_io() -> None:
     assert registry.counter_value("wal.commits_elided") == len(ELIDED_STEPS)
     assert registry.counter_value("txn.commit.count") \
         == writers + len(ELIDED_STEPS)
+
+
+def test_every_stride_th_txid_keeps_its_marker() -> None:
+    """The horizon marker: of 2 * HORIZON_STRIDE read-only commits exactly
+    the ones whose txid is a multiple of the stride append (a lone COMMIT
+    marker, one sector), and recovery knows those ids as committed."""
+    db = make_db(obs=True)
+    wal = db.durability.wal
+    appends, written = wal.appends, wal.bytes_written
+    ids = []
+    for _ in range(2 * HORIZON_STRIDE):
+        txn = db.begin()
+        apply_db_op(db, txn, ("read", 1))
+        txn.commit()
+        ids.append(txn.id)
+    horizon = [txid for txid in ids if txid % HORIZON_STRIDE == 0]
+    assert len(horizon) == 2
+    assert wal.appends - appends == wal.commit_markers == 2
+    assert wal.bytes_written - written == 2 * SECTOR_BYTES
+    assert db.obs.registry.counter_value("wal.commits_elided") \
+        == len(ids) - 2
+    recovered = Database.recover(db)
+    status = recovered.txn.commit_log.status
+    assert [txid for txid in ids if status(txid) is TxnStatus.COMMITTED] \
+        == horizon
 
 
 @pytest.mark.parametrize("mode", ("clean", "torn"))

@@ -294,6 +294,23 @@ class TestGroupCommitDurability:
             assert db.txn.committed_count == 11
             assert not db.txn.active_transactions
 
+    def test_horizon_marker_commit_joins_the_group_queue(self):
+        """A reading session whose txid is a multiple of HORIZON_STRIDE is
+        the one read-only commit that queues: a group of one, one append."""
+        from repro.durability.controller import HORIZON_STRIDE
+        db = make_db()
+        with db.serve() as server, server.session() as s:
+            wal, stats = db.durability.wal, server.committer.stats
+            for _ in range(HORIZON_STRIDE):
+                before = (wal.appends, stats.commits)
+                txid = s.begin()
+                s.select("ix", (1,))
+                s.commit()
+                queued = int(txid % HORIZON_STRIDE == 0)
+                assert (wal.appends, stats.commits) \
+                    == (before[0] + queued, before[1] + queued)
+            assert wal.commit_markers == 1
+
     def test_group_commit_disabled_uses_hook_path(self):
         db = make_db()
         with db.serve(ServeConfig(group_commit=False)) as server:
