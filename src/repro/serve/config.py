@@ -7,6 +7,14 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 
 
+def check_slice_rows(rows: int) -> int:
+    """A sliced scan needs >= 1 row per slice to make progress; guards
+    both ``ServeConfig`` and a per-call ``batch_scan(slice_rows=...)``."""
+    if rows < 1:
+        raise ConfigError(f"scan_slice_rows must be >= 1, got {rows}")
+    return rows
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Knobs of the multi-session serving layer.
@@ -46,9 +54,7 @@ class ServeConfig:
         if self.max_sessions < 1:
             raise ConfigError(
                 f"max_sessions must be >= 1, got {self.max_sessions}")
-        if self.scan_slice_rows < 1:
-            raise ConfigError(
-                f"scan_slice_rows must be >= 1, got {self.scan_slice_rows}")
+        check_slice_rows(self.scan_slice_rows)
         if self.group_size_target < 0 or self.group_window_s < 0:
             raise ConfigError(
                 "group_size_target and group_window_s must be >= 0")

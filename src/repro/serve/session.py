@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 from ..errors import SessionError, TransactionStateError
 from ..storage.recordid import RecordID
 from ..types import JSONDict, Key
+from .config import check_slice_rows
 
 if TYPE_CHECKING:
     from ..core.records import MVPBTRecord
@@ -259,8 +260,9 @@ class Session:
                                                  hi_incl=hi_incl)
             yield from rows
             return
-        limit = (slice_rows if slice_rows is not None
-                 else self._server.config.scan_slice_rows)
+        limit = check_slice_rows(
+            self._server.config.scan_slice_rows if slice_rows is None
+            else slice_rows)
         tree = info.mvpbt
         # reprolint: disable-next=R10 -- catalog is frozen after setup
         table = self._db.catalog.table(info.table)

@@ -15,34 +15,83 @@ batching across *different shards'* WALs would couple devices the
 sharding exists to decouple.
 
 :meth:`ShardSession.batch_scan` is the scatter-gather analogue of the
-single-node sliced scan: each slice pulls a bounded run of index-only
-hits from EVERY shard's cursor under one scheduler slot, k-way-merges
-them on the encoded index key, and emits only keys strictly below the
-merge boundary — the smallest upper bound every shard's unpulled tail is
-known to lie above — so the concatenation of slices equals one
-monolithic snapshot scan: no duplicates, no skips, regardless of
-interleaved commits, evictions or rebalance residue (the ownership
-filter runs on every fetched row).
+single-node sliced scan, built so that a hit crosses the router once:
+
+* **Owner set.**  The router's ``plan_scan`` names the shards that can
+  own a row of the range (one, for a prefix-pinned range); only those
+  are ever asked.
+* **Buffers and the refill rule.**  Each asked shard has a session-local
+  buffer of index-only hits and a *resume key*: every hit of the shard
+  below the resume key is either emitted or in the buffer.  A refill —
+  one scheduler slot, one ``gather`` — pulls a bounded cursor run
+  (``slice_rows + 1`` hits) for exactly the shards whose buffer is empty.
+* **Duplicate-run trim.**  A pull's trailing run of equal keys is cut off
+  and becomes the resume key, so a key is never split between two pulls
+  (a pull that is one key throughout doubles until the run fits).
+* **Emit bound.**  Everything buffered below the *smallest* resume key of
+  the shards not yet exhausted is safe to emit — no unpulled tail can
+  sort before it — and is emitted in merged ``(key, shard)`` order, rows
+  fetched in chunks of ``slice_rows`` (one slot each; the ownership
+  filter runs on every fetched row, so rebalance residue never shows).
+* **Tuple order is encoded order.**  The trees bisect on key tuples and
+  ``encode_key`` is order-preserving by construction, so each shard's
+  run already arrives in the merge order; nothing is re-encoded.
+* **Own writes and layout changes.**  Buffered hits are a pure function
+  of (snapshot, own writes, layout).  The snapshot is fixed; when the
+  session's ``ShardTransaction.writes`` or the partitioner changed since
+  the buffers were pulled they are dropped and the scan re-plans from
+  its frontier — just past the last materialised key — so a session
+  sees its own writes ahead of the scan exactly as a fresh cursor would.
+
+The concatenation of slices therefore equals one monolithic snapshot
+scan: no duplicates, no skips, regardless of interleaved commits or
+evictions.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from operator import attrgetter
 from types import TracebackType
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from ..errors import SessionError, TransactionStateError
 from ..obs.registry import LATENCY_BUCKETS_US
-from ..storage.keycodec import encode_key
 from ..storage.recordid import RecordID
 from ..types import JSONDict, Key
-from .config import ServeConfig
+from .config import ServeConfig, check_slice_rows
 from .scheduler import FairScheduler
 
 if TYPE_CHECKING:
     from ..core.tree import SearchHit
-    from ..shard.router import ShardedDatabase
+    from ..shard.router import ScanLeg, ShardedDatabase
     from ..shard.txn import ShardTransaction
+
+#: one hit cleared to emit: (index key, merge rank, shard, hit) — sorts on
+#: the first two, the rank being unique
+_Ready = tuple[Key, int, int, "SearchHit"]
+
+#: a range: (lo, lo_incl, hi, hi_incl)
+_Bounds = tuple[Key | None, bool, Key | None, bool]
+
+_hit_key = attrgetter("key")
+
+
+class _Run:
+    """One asked shard's side of a sliced scan — plain session-local
+    state, never engine state."""
+
+    __slots__ = ("leg", "hits", "resume")
+
+    def __init__(self, leg: "ScanLeg") -> None:
+        #: what is left to ask the shard for
+        self.leg = leg
+        #: pulled and not yet emitted, in key order, all below ``resume``
+        self.hits: "list[SearchHit]" = []
+        #: every hit of the shard below this key has been pulled (``()``
+        #: sorts before every key: nothing yet); None = shard exhausted
+        self.resume: Key | None = ()
 
 
 class ShardServer:
@@ -182,6 +231,8 @@ class ShardSession:
         self.commits = 0
         #: simulated seconds the last commit spent inside the slot
         self.last_commit_latency_s = 0.0
+        #: what the latest sliced scan asked (for :meth:`explain`)
+        self._scan_plan: JSONDict | None = None
 
     # ------------------------------------------------------------- lifecycle
 
@@ -348,13 +399,17 @@ class ShardSession:
                    slice_rows: int | None = None) -> Iterator[Key]:
         """Sliced scatter-gather scan: global key order, slot per slice.
 
-        Every slice pulls a bounded cursor run from each shard with the
-        session's fixed snapshot, merges on the encoded index key and
-        continues at the merge boundary; ownership filtering runs on the
-        fetched rows, so rebalance residue is never emitted.
+        Asks only the shards that can own a row of the range, keeps one
+        buffer per asked shard, refills only the empty ones and emits —
+        in merged ``(key, shard)`` order — what lies below every unpulled
+        tail (module docstring); ownership filtering runs on the fetched
+        rows, so rebalance residue is never emitted.
         """
         txn = self._require_txn()
         router = self._router
+        limit = check_slice_rows(
+            self._server.config.scan_slice_rows if slice_rows is None
+            else slice_rows)
         # reprolint: disable-next=R10 -- catalog is frozen after setup (no DDL during serving); plan-time read needs no slot
         info = router.shards[0].catalog.index(index)
         if not (info.is_mvpbt and info.mvpbt.index_only_visibility):
@@ -366,36 +421,33 @@ class ShardSession:
                                                hi_incl=hi_incl)
             yield from rows
             return
-        limit = (slice_rows if slice_rows is not None
-                 else self._server.config.scan_slice_rows)
-        cur_lo, cur_incl = lo, lo_incl
+        #: what is left of the range; its low end is the frontier — no
+        #: key at or past it has been materialised
+        rest: _Bounds = (lo, lo_incl, hi, hi_incl)
+        runs: list[_Run] = []
+        stamp: object = None
         while True:
-            want = limit
-            while True:
-                pulled = self._pull_slice(txn, index, cur_lo, hi,
-                                          cur_incl, hi_incl, want)
-                merged = sorted(
-                    ((encode_key(hit.key), shard, hit)
-                     for shard, hits in enumerate(pulled)
-                     for hit in hits),
-                    key=lambda item: (item[0], item[1]))
-                if all(len(hits) <= want for hits in pulled):
-                    # every shard is exhausted: the final slice
-                    for row in self._rows_for(txn, index, merged):
-                        yield row
-                    return
-                # boundary: (want+1)-th smallest key overall — every
-                # shard's unpulled tail is provably >= it
-                boundary = merged[want][2].key
-                emit = [item for item in merged if item[2].key < boundary]
-                if emit:
+            stamp, runs = self._refill(txn, index, stamp, runs, rest, limit)
+            resumes = [run.resume for run in runs
+                       if run.resume is not None]
+            ready = _take_below(runs, min(resumes) if resumes else None)
+            start = 0
+            while start < len(ready):
+                end = min(start + limit, len(ready))
+                while end < len(ready) and ready[end][0] == ready[end - 1][0]:
+                    end += 1    # the frontier never splits a key
+                rows = self._rows_for(txn, index, ready[start:end])
+                rest = (ready[end - 1][0], False, hi, hi_incl)
+                start = end
+                yield from rows
+                if (txn.writes, router.partitioner) != stamp:
+                    # the consumer wrote (or rebalanced) between two
+                    # next() calls: every hit not yet materialised is
+                    # stale — the next refill re-plans from the frontier
                     break
-                # one key's duplicate run exceeds the slice: grow and
-                # retry so the key is never split across slices
-                want *= 2
-            for row in self._rows_for(txn, index, emit):
-                yield row
-            cur_lo, cur_incl = boundary, True
+            else:
+                if not resumes:
+                    return
 
     def count_range(self, index: str, lo: Key | None,
                     hi: Key | None) -> int:
@@ -404,26 +456,42 @@ class ShardSession:
 
     # -------------------------------------------------------------- plumbing
 
-    def _pull_slice(self, txn: "ShardTransaction", index: str,
-                    lo: Key | None, hi: Key | None, lo_incl: bool,
-                    hi_incl: bool, want: int) -> "list[list[SearchHit]]":
-        """One bounded cursor pull (``want + 1`` hits) per shard, in one
-        scheduler slot.  A shard returning ``<= want`` hits is exhausted
-        for this range.  The per-shard pulls go through the router's
+    def _refill(self, txn: "ShardTransaction", index: str, stamp: object,
+                runs: list[_Run], rest: _Bounds,
+                want: int) -> tuple[object, list[_Run]]:
+        """One scheduler slot: (re)plan over ``rest`` — the range from the
+        frontier on — when the buffers' stamp (own writes, layout) no
+        longer holds, then pull one bounded cursor run for every asked
+        shard whose buffer is empty.  The pulls go through the router's
         ``gather`` hook, so a parallel-configured server overlaps them."""
+        router = self._router
         with self._guard():
             with self._server.scheduler.slot("scan"):
-                self._server.note_scan_slice()
-                return self._router.pull_index_slices(
-                    txn, index, lo, hi, lo_incl, hi_incl, want)
+                now = (txn.writes, router.partitioner)
+                if now != stamp:
+                    lo, lo_incl, hi, hi_incl = rest
+                    plan = router.plan_scan(index, lo, hi, lo_incl=lo_incl,
+                                            hi_incl=hi_incl)
+                    runs = [_Run(leg) for leg in plan.legs]
+                    self._scan_plan = {"index": index, "plan": plan.name,
+                                       "shards": plan.shards}
+                empty = [run for run in runs
+                         if not run.hits and run.resume is not None]
+                if empty:
+                    self._server.note_scan_slice()
+                    pulled = router.pull_index_slices(
+                        txn, index, [run.leg for run in empty], want)
+                    for run, (hits, resume) in zip(empty, pulled):
+                        run.hits, run.resume = hits, resume
+                        if resume is not None:
+                            run.leg = run.leg._replace(lo=resume,
+                                                       lo_incl=True)
+                return now, runs
 
     def _rows_for(self, txn: "ShardTransaction", index: str,
-                  merged: "list[tuple[bytes, int, SearchHit]]"
-                  ) -> list[Key]:
+                  merged: list[_Ready]) -> list[Key]:
         """Materialise one slice's rows in merged order: per-shard batch
         fetches (engine state — own slot), then the ownership filter."""
-        if not merged:
-            return []
         router = self._router
         # reprolint: disable-next=R10 -- catalog is frozen after setup
         info = router.shards[0].catalog.index(index)
@@ -431,7 +499,7 @@ class ShardSession:
         positions = router.shard_key_positions(info.table)
         partitioner = router.partitioner
         by_shard: dict[int, list["SearchHit"]] = {}
-        for _enc, shard, hit in merged:
+        for _key, _rank, shard, hit in merged:
             by_shard.setdefault(shard, []).append(hit)
         # _fetch_hits is 1:1 on heap/SIAS stores (the only kinds sharded
         # tables allow), so per-shard streams stay aligned with `merged`;
@@ -450,7 +518,7 @@ class ShardSession:
                         else None
                         for rh in row_hits])
         rows: list[Key] = []
-        for _enc, shard, _hit in merged:
+        for _key, _rank, shard, _hit in merged:
             row_hit = next(fetched[shard])
             if row_hit is not None:
                 rows.append(row_hit.row)
@@ -471,7 +539,8 @@ class ShardSession:
 
     def explain(self) -> JSONDict:
         return {"session": self.id, "in_txn": self.in_txn,
-                "commits": self.commits, "closed": self._closed}
+                "commits": self.commits, "closed": self._closed,
+                "scan": self._scan_plan}
 
     def __enter__(self) -> "ShardSession":
         return self
@@ -485,6 +554,24 @@ class ShardSession:
         state = "closed" if self._closed else (
             f"txn={self._txn.id}" if self._txn else "idle")
         return f"ShardSession(id={self.id}, {state})"
+
+
+def _take_below(runs: list[_Run], bound: Key | None) -> list[_Ready]:
+    """Move every buffered hit below ``bound`` (None: everything) out of
+    the runs, merged on ``(key, shard)``: each buffer is in key order and
+    the rank — position in the run-by-run concatenation — breaks ties
+    towards the lower shard, then cursor order."""
+    ready: list[_Ready] = []
+    for run in runs:
+        hits = run.hits
+        cut = (len(hits) if bound is None
+               else bisect_left(hits, bound, key=_hit_key))
+        shard, base = run.leg.shard, len(ready)
+        ready += [(hit.key, base + i, shard, hit)
+                  for i, hit in enumerate(hits[:cut])]
+        del hits[:cut]
+    ready.sort()
+    return ready
 
 
 class _BusyGuard:

@@ -22,11 +22,23 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
+from functools import lru_cache
 from typing import Sequence, TypeAlias
 
 from ..errors import ConfigError
 from ..storage.keycodec import encode_key
 from ..types import JSONDict, Key
+
+
+@lru_cache(maxsize=1 << 16, typed=True)
+def _crc_slot(slots: int, *key: object) -> int:
+    """``crc32(encode_key(key)) % slots``, memoised: placement is a pure
+    function of the key and the slot count (owner tables live on the
+    immutable partitioner, not here), and the ownership filter asks for
+    the same few shard keys once per fetched row.  ``typed`` keeps keys
+    that compare equal but encode apart (``1`` / ``1.0``) in separate
+    entries."""
+    return zlib.crc32(encode_key(key)) % slots
 
 
 class HashPartitioner:
@@ -53,7 +65,11 @@ class HashPartitioner:
             raise ConfigError(f"slot owner out of range [0, {shards})")
 
     def slot_of(self, key: Key) -> int:
-        return zlib.crc32(encode_key(tuple(key))) % self.slots
+        if 0.0 in key and float in map(type, key):
+            # -0.0 == 0.0 (same type, same hash) but the codec tells
+            # them apart: such keys must not share a memo entry
+            return _crc_slot.__wrapped__(self.slots, *key)
+        return _crc_slot(self.slots, *key)
 
     def shard_of(self, key: Key) -> int:
         return self._owners[self.slot_of(key)]

@@ -6,11 +6,14 @@ simulated device, buffer pool, partition buffer, WAL, manifest and
 durability controller — plus one :class:`ShardCoordinator` (the global
 txid authority, with its own durable decision/layout log).  The router:
 
-* fans point lookups and DML to the owning shard (the partitioner is a
-  pure function of the table's shard key);
-* scatter-gathers range scans — range partitioning concatenates per-span
-  owner queries in key order, hash partitioning k-way-merges every
-  shard's already-ordered hits on the encoded index key;
+* sends a read or keyed DML statement only to shards that can own a
+  matching row (:meth:`ShardedDatabase.plan_scan`): an index whose key
+  covers the table's shard key routes a point key — and any range whose
+  bounds share a prefix holding every shard-key column — to the one
+  owner; range partitioning on the exact shard-key index concatenates
+  per-span owner queries in key order; only what is left scatters to
+  every shard and merges the already-ordered per-shard hits on the
+  ``(index key tuple, shard)`` order;
 * commits with a single-shard fast path (the touched shard's ordinary
   commit appends records + COMMIT marker in one fsync) or a two-phase
   flow for multi-shard writes (per-shard PREPARE appends, one coordinator
@@ -36,10 +39,11 @@ confines router + shards + coordinator to one thread at a time.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, NamedTuple,
+                    Sequence)
 
 from ..config import EngineConfig
 from ..engine.database import Database
@@ -51,7 +55,6 @@ from ..sim.clock import SimClock
 from ..sim.device import SimulatedDevice
 from ..sim.profiles import INTEL_DC_P3600, DeviceProfile
 from ..sim.trace import IOTrace
-from ..storage.keycodec import encode_key
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
 from ..types import JSONDict, Key, Row
@@ -80,9 +83,34 @@ def serial_gather(tasks: Sequence[Callable[[], Any]]) -> list[Any]:
     return [task() for task in tasks]
 
 
-def _thunk(fn: Callable[[int], Any], k: int) -> Callable[[], Any]:
-    """Bind a per-shard function to shard ``k`` (late-binding-safe)."""
-    return lambda: fn(k)
+def _thunk(fn: Callable[[Any], Any], arg: Any) -> Callable[[], Any]:
+    """Bind a per-shard function to its shard / leg (late-binding-safe)."""
+    return lambda: fn(arg)
+
+
+class ScanLeg(NamedTuple):
+    """One shard's share of a planned range read: the (possibly
+    span-clipped) bounds it is asked for."""
+
+    shard: int
+    lo: Key | None
+    lo_incl: bool
+    hi: Key | None
+    hi_incl: bool
+
+
+class ScanPlan(NamedTuple):
+    """Which shards a range read asks, and how their answers combine:
+    ``span-concatenation`` legs are disjoint and in key order,
+    ``single-slot`` is one leg, ``scatter-merge`` is one leg per shard
+    (shard order) merged on ``(index key, shard)``."""
+
+    name: str
+    legs: tuple[ScanLeg, ...]
+
+    @property
+    def shards(self) -> list[int]:
+        return sorted({leg.shard for leg in self.legs})
 
 
 @dataclass
@@ -141,6 +169,9 @@ class ShardedDatabase:
                                             log_file=log_file, obs=self.obs)
         #: table -> shard-key column positions
         self._tables: dict[str, tuple[int, ...]] = {}
+        #: index -> offset of each shard-key column inside the index key
+        #: (shard-key order); None when the key does not cover them all
+        self._key_offsets: dict[str, tuple[int, ...] | None] = {}
         #: scatter-gather executor for per-shard read thunks; replaceable
         #: (ShardServer installs a threaded one when configured)
         self.gather: GatherFn = serial_gather
@@ -179,6 +210,8 @@ class ShardedDatabase:
         self._m_fanout = registry.counter("shard.queries.fanout")
         self._m_slot_routed = registry.counter("shard.queries.slot_routed")
         self._m_residue = registry.counter("shard.hits.residue_filtered")
+        self._m_hits_pulled = registry.counter("shard.scan.hits_pulled")
+        self._m_runs_pulled = registry.counter("shard.scan.runs_pulled")
         self._m_rebalances = registry.counter("shard.rebalance.count")
         self._m_moved_records = registry.counter(
             "shard.rebalance.records_moved")
@@ -245,6 +278,10 @@ class ShardedDatabase:
         for db in self.shards:
             db.create_index(name, table, columns, kind=kind, unique=unique,
                             reference=reference, **options)
+        shard_key = self._tables[table]
+        self._key_offsets[name] = (
+            tuple(positions.index(p) for p in shard_key)
+            if set(shard_key) <= set(positions) else None)
 
     # ------------------------------------------------------------ txn control
 
@@ -373,7 +410,7 @@ class ShardedDatabase:
         # row (own writes are visible) on a shard this loop may not have
         # scanned yet, and must not be updated twice
         gathered: list[tuple[int, "RowHit"]] = []
-        for k in self._read_shards(info, key):
+        for k in self._point_shards(info, key):
             db = self.shards[k]
             gathered.extend((k, hit) for hit in self._owned(
                 k, db.executor.lookup(
@@ -398,7 +435,7 @@ class ShardedDatabase:
                       key: Key) -> int:
         info = self._index(index_name)
         count = 0
-        for k in self._read_shards(info, key):
+        for k in self._point_shards(info, key):
             db = self.shards[k]
             hits = self._owned(k, db.executor.lookup(
                 txn.on(k), db.catalog.index(index_name), key), info.table)
@@ -454,7 +491,7 @@ class ShardedDatabase:
         makes the hit a valid handle for :meth:`update_hit` /
         :meth:`delete_hit`."""
         info = self._index(index_name)
-        shards = self._read_shards(info, key)
+        shards = self._point_shards(info, key)
 
         def lookup(k: int) -> "list[RowHit]":
             db = self.shards[k]
@@ -489,71 +526,40 @@ class ShardedDatabase:
                           lo: Key | None, hi: Key | None, *,
                           lo_incl: bool = True, hi_incl: bool = True
                           ) -> "list[tuple[int, RowHit]]":
-        """Scatter-gather range scan in global index-key order, each hit
-        tagged with its shard (a valid :meth:`update_hit` handle).
+        """Range scan in global index-key order, each hit tagged with its
+        shard (a valid :meth:`update_hit` handle).
 
-        Range partitioning on the routing index visits each consecutive
-        same-owner span group once and concatenates (cut order IS key
-        order); a hash-partitioned range whose bounds pin one complete
-        shard key maps to a single slot and routes to its owner only
-        (bounded fan-out); every other case scans all shards through
-        :attr:`gather` and k-way-merges their already-ordered hits on the
-        encoded index key (stable: equal keys keep shard order).
+        :meth:`plan_scan` names the shards to ask.  A single owner, or
+        key-ordered disjoint span legs, concatenate; scatter legs run
+        through :attr:`gather` and merge on ``(index key tuple, shard)``
+        — every shard's run already arrives in key-tuple order, the
+        order its tree keeps (stable: equal keys keep shard order).
         """
         info = self._index(index_name)
-        partitioner = self.partitioner
-        out: "list[tuple[int, RowHit]]"
+        plan = self.plan_scan(index_name, lo, hi, lo_incl=lo_incl,
+                              hi_incl=hi_incl)
 
-        def scan(k: int, q_lo: Key | None, q_hi: Key | None,
-                 q_lo_incl: bool, q_hi_incl: bool) -> "list[RowHit]":
-            db = self.shards[k]
-            return db.executor.scan(txn.on(k),
+        def scan(leg: ScanLeg) -> "list[RowHit]":
+            db = self.shards[leg.shard]
+            return db.executor.scan(txn.on(leg.shard),
                                     db.catalog.index(index_name),
-                                    q_lo, q_hi, lo_incl=q_lo_incl,
-                                    hi_incl=q_hi_incl)
+                                    leg.lo, leg.hi, lo_incl=leg.lo_incl,
+                                    hi_incl=leg.hi_incl)
 
-        slot_owner = self._single_slot_shard(info, lo, hi, lo_incl, hi_incl)
-        if (isinstance(partitioner, RangePartitioner)
-                and self._is_routing_index(info)):
-            out = []
-            fanout = 0
-            for span_lo, span_hi, owner in partitioner.owner_groups():
-                bounds = _intersect(lo, lo_incl, hi, hi_incl,
-                                    span_lo, span_hi)
-                if bounds is None:
-                    continue
-                q_lo, q_incl, q_hi, q_hi_incl = bounds
-                fanout += 1
-                out.extend((owner, hit) for hit in self._owned(
-                    owner, scan(owner, q_lo, q_hi, q_incl, q_hi_incl),
-                    info.table))
-        elif slot_owner is not None:
-            # bounded fan-out: the bounds pin one hash slot — ask only
-            # the shard that owns it instead of scattering to all N
-            fanout = 1
-            out = [(slot_owner, hit) for hit in self._owned(
-                slot_owner, scan(slot_owner, lo, hi, lo_incl, hi_incl),
-                info.table)]
-            if self.obs is not None:
-                self._m_slot_routed.inc()
-        else:
-            gathered = self.gather([
-                _thunk(lambda k: scan(k, lo, hi, lo_incl, hi_incl), k)
-                for k in range(len(self.shards))])
-            per_shard: "list[list[tuple[int, RowHit]]]" = [
-                [(k, hit) for hit in self._owned(k, hits, info.table)]
-                for k, hits in enumerate(gathered)]
-            fanout = len(self.shards)
-            positions = info.positions
-
-            def merge_key(item: "tuple[int, RowHit]") -> tuple[bytes, int]:
-                return (encode_key(tuple(item[1].version.data[p]
-                                         for p in positions)), item[0])
-
-            out = list(heapq.merge(*per_shard, key=merge_key))
+        scatter = plan.name == "scatter-merge"
+        runs = (self.gather([_thunk(scan, leg) for leg in plan.legs])
+                if scatter else [scan(leg) for leg in plan.legs])
+        out = [(leg.shard, hit) for leg, hits in zip(plan.legs, runs)
+               for hit in self._owned(leg.shard, hits, info.table)]
+        if scatter and len(runs) > 1:
+            key_of = itemgetter(*info.positions)
+            out.sort(key=lambda item: (key_of(item[1].version.data),
+                                       item[0]))
         if self.obs is not None:
             self._m_scan.inc()
-            self._m_fanout.inc(fanout)
+            self._m_fanout.inc(len(plan.legs))
+            if plan.name == "single-slot":
+                self._m_slot_routed.inc()
         return out
 
     def count_range(self, txn: ShardTransaction, index_name: str,
@@ -582,26 +588,49 @@ class ShardedDatabase:
         return rows
 
     def pull_index_slices(self, txn: ShardTransaction, index_name: str,
-                          lo: Key | None, hi: Key | None, lo_incl: bool,
-                          hi_incl: bool, want: int
-                          ) -> "list[list[SearchHit]]":
-        """One bounded index-only cursor pull (``want + 1`` hits) per
-        shard, through :attr:`gather`.  The sliced scatter-gather scan
-        (:meth:`repro.serve.shard_server.ShardSession.batch_scan`) merges
-        the per-shard runs; a shard returning ``<= want`` hits is
-        exhausted for this range."""
+                          legs: Sequence[ScanLeg], want: int
+                          ) -> "list[tuple[list[SearchHit], Key | None]]":
+        """One bounded index-only cursor run per leg, through
+        :attr:`gather`: ``(hits, resume)`` per leg.  ``resume`` is None
+        when the leg's range is exhausted; otherwise every returned hit
+        lies strictly below it and the leg continues at ``resume``
+        inclusive.  A run is ``want + 1`` hits with the trailing
+        duplicate-key run trimmed off, so a key is never split between
+        two pulls; a run that is ONE key throughout is re-pulled at
+        double the size until it fits.  The sliced scatter-gather scan
+        (:meth:`repro.serve.shard_server.ShardSession.batch_scan`)
+        buffers and merges the runs."""
 
-        def pull(k: int) -> "list[SearchHit]":
-            tree = self.shards[k].catalog.index(index_name).mvpbt
-            cursor = tree.cursor(txn.on(k), lo, hi, lo_incl=lo_incl,
-                                 hi_incl=hi_incl)
-            try:
-                return list(islice(cursor, want + 1))
-            finally:
-                cursor.close()
+        def pull(leg: ScanLeg
+                 ) -> "tuple[list[SearchHit], Key | None, int, int]":
+            tree = self.shards[leg.shard].catalog.index(index_name).mvpbt
+            size, pulled, runs = want, 0, 0
+            while True:
+                cursor = tree.cursor(txn.on(leg.shard), leg.lo, leg.hi,
+                                     lo_incl=leg.lo_incl,
+                                     hi_incl=leg.hi_incl)
+                try:
+                    hits = list(islice(cursor, size + 1))
+                finally:
+                    cursor.close()
+                pulled += len(hits)
+                runs += 1
+                if len(hits) <= size:
+                    return hits, None, pulled, runs
+                resume = hits[-1].key
+                keep = len(hits) - 1
+                while keep and hits[keep - 1].key == resume:
+                    keep -= 1
+                if keep:
+                    del hits[keep:]
+                    return hits, resume, pulled, runs
+                size *= 2
 
-        return self.gather([_thunk(pull, k)
-                            for k in range(len(self.shards))])
+        gathered = self.gather([_thunk(pull, leg) for leg in legs])
+        if self.obs is not None:
+            self._m_hits_pulled.inc(sum(g[2] for g in gathered))
+            self._m_runs_pulled.inc(sum(g[3] for g in gathered))
+        return [(hits, resume) for hits, resume, _n, _r in gathered]
 
     # ------------------------------------------------------------ maintenance
 
@@ -715,6 +744,7 @@ class ShardedDatabase:
             Database.recover(db, extra_committed=committed, txid_floor=floor)
             for db in crashed.shards]
         router._tables = dict(crashed._tables)
+        router._key_offsets = dict(crashed._key_offsets)
         router.gather = serial_gather
         router._bind_metrics()
         return router
@@ -725,8 +755,7 @@ class ShardedDatabase:
                        key: Key) -> JSONDict:
         """Point-lookup profile: routing decision + per-shard profiles."""
         self._require_obs()
-        info = self._index(index_name)
-        shards = self._read_shards(info, key)
+        shards = self._point_shards(self._index(index_name), key)
         return {
             "query": {"index": index_name, "key": list(key)},
             "routing": {"partitioning": self.partitioner.kind,
@@ -741,34 +770,26 @@ class ShardedDatabase:
                      lo: Key | None, hi: Key | None, *,
                      lo_incl: bool = True,
                      hi_incl: bool = True) -> JSONDict:
-        """Range-scan profile: scatter plan + per-shard profiles."""
+        """Range-scan profile: the :meth:`plan_scan` plan a materialising
+        range read AND a sliced ``batch_scan`` over these bounds execute
+        (``legs`` = what each owner is asked) + per-shard profiles."""
         self._require_obs()
-        info = self._index(index_name)
-        partitioner = self.partitioner
-        slot_owner = self._single_slot_shard(info, lo, hi, lo_incl, hi_incl)
-        if (isinstance(partitioner, RangePartitioner)
-                and self._is_routing_index(info)):
-            plan = "span-concatenation"
-            shards = sorted({owner for _lo, _hi, owner
-                             in partitioner.owner_groups()
-                             if _intersect(lo, lo_incl, hi, hi_incl,
-                                           _lo, _hi) is not None})
-        elif slot_owner is not None:
-            plan = "single-slot"
-            shards = [slot_owner]
-        else:
-            plan = "scatter-merge"
-            shards = list(range(len(self.shards)))
+        plan = self.plan_scan(index_name, lo, hi, lo_incl=lo_incl,
+                              hi_incl=hi_incl)
         return {
-            "query": {"index": index_name,
-                      "lo": list(lo) if lo is not None else None,
-                      "hi": list(hi) if hi is not None else None},
-            "routing": {"partitioning": partitioner.kind, "plan": plan,
-                        "fanout": len(shards), "shards": shards},
+            "query": {"index": index_name, "lo": _bound_list(lo),
+                      "hi": _bound_list(hi)},
+            "routing": {"partitioning": self.partitioner.kind,
+                        "plan": plan.name, "fanout": len(plan.legs),
+                        "shards": plan.shards,
+                        "legs": [{"shard": leg.shard,
+                                  "lo": _bound_list(leg.lo),
+                                  "hi": _bound_list(leg.hi)}
+                                 for leg in plan.legs]},
             "per_shard": {k: profile_query(self.shards[k], txn.on(k),
                                            index_name, lo=lo, hi=hi,
                                            lo_incl=lo_incl, hi_incl=hi_incl)
-                          for k in shards},
+                          for k in plan.shards},
         }
 
     def metrics_snapshot(self) -> JSONDict:
@@ -817,34 +838,64 @@ class ShardedDatabase:
     def _index(self, index_name: str) -> "IndexInfo":
         return self.shards[0].catalog.index(index_name)
 
+    def plan_scan(self, index_name: str, lo: Key | None, hi: Key | None,
+                  *, lo_incl: bool = True,
+                  hi_incl: bool = True) -> ScanPlan:
+        """THE routing decision for a range read — executed by
+        :meth:`range_hits_tagged` and the sliced scan, reported by
+        :meth:`explain_scan`: ask a shard only if it can own a matching
+        row.  Whatever comes back still passes the ownership filter."""
+        info = self._index(index_name)
+        partitioner = self.partitioner
+        if (isinstance(partitioner, RangePartitioner)
+                and self._is_routing_index(info)):
+            # cut order IS key order: one clipped query per consecutive
+            # same-owner span group the range touches
+            legs = []
+            for span_lo, span_hi, owner in partitioner.owner_groups():
+                bounds = _intersect(lo, lo_incl, hi, hi_incl,
+                                    span_lo, span_hi)
+                if bounds is not None:
+                    legs.append(ScanLeg(owner, *bounds))
+            return ScanPlan("span-concatenation", tuple(legs))
+        owner = self._pinned_owner(info, lo, hi)
+        if owner is not None:
+            return ScanPlan("single-slot",
+                            (ScanLeg(owner, lo, lo_incl, hi, hi_incl),))
+        return ScanPlan("scatter-merge", tuple(
+            ScanLeg(k, lo, lo_incl, hi, hi_incl)
+            for k in range(len(self.shards))))
+
     def _is_routing_index(self, info: "IndexInfo") -> bool:
-        """Does the index key equal the table's shard key?  If so a point
-        lookup routes to exactly one shard and a range span maps to its
-        owner."""
+        """Does the index key EQUAL the table's shard key?  Only then do
+        a range partitioner's cut points order the index, which the
+        span-concatenation plan needs."""
         return tuple(info.positions) == self._tables[info.table]
 
-    def _single_slot_shard(self, info: "IndexInfo", lo: Key | None,
-                           hi: Key | None, lo_incl: bool,
-                           hi_incl: bool) -> int | None:
-        """Bounded fan-out for hash range scans: when both bounds are the
-        SAME complete shard key (a closed point range on the routing
-        index), every matching row hashes to one slot — its owner is the
-        only shard that can answer.  Any prefix or true range spans many
-        slots and must scatter."""
-        if not isinstance(self.partitioner, HashPartitioner):
-            return None
-        if not self._is_routing_index(info):
-            return None
-        if lo is None or hi is None or not (lo_incl and hi_incl):
-            return None
-        key = tuple(lo)
-        if key != tuple(hi) or len(key) != len(info.positions):
-            return None
-        return self.partitioner.shard_of(key)
+    def _pinned_owner(self, info: "IndexInfo", lo: Key | None,
+                      hi: Key | None) -> int | None:
+        """The one shard that can own a row whose index key lies between
+        ``lo`` and ``hi`` (either bound inclusive or not), or None.
 
-    def _read_shards(self, info: "IndexInfo", key: Key) -> list[int]:
-        if self._is_routing_index(info):
-            return [self.partitioner.shard_of(key)]
+        When the index key covers every shard-key column and the two
+        bounds agree component-wise on a prefix holding all of them
+        (``(w, d) … (w, d, TOP)``; a point key is ``lo == hi``), every key
+        in between extends that prefix — tuple order is lexicographic —
+        so every matching row carries the same shard key and has exactly
+        one owner, under either partitioner."""
+        offsets = self._key_offsets[info.name]
+        if offsets is None or lo is None or hi is None:
+            return None
+        need = max(offsets, default=-1) + 1
+        if len(lo) < need or len(hi) < need or lo[:need] != hi[:need]:
+            return None
+        return self.partitioner.shard_of(tuple(lo[c] for c in offsets))
+
+    def _point_shards(self, info: "IndexInfo", key: Key) -> list[int]:
+        """Shards a point key (read or keyed DML) is sent to."""
+        owner = self._pinned_owner(info, key, key)
+        if owner is not None:
+            return [owner]
         return list(range(len(self.shards)))
 
     def _owned(self, shard: int, hits: "list[RowHit]",
@@ -871,6 +922,10 @@ class ShardedDatabase:
         return (f"ShardedDatabase(shards={len(self.shards)}, "
                 f"partitioning={self.partitioner.kind}, "
                 f"tables={len(self._tables)})")
+
+
+def _bound_list(bound: Key | None) -> list[object] | None:
+    return list(bound) if bound is not None else None
 
 
 def _intersect(lo: Key | None, lo_incl: bool, hi: Key | None, hi_incl: bool,

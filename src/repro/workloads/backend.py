@@ -45,7 +45,6 @@ from ..engine.database import Database
 from ..engine.executor import RowHit
 from ..errors import WorkloadError
 from ..shard.router import ShardedDatabase
-from ..storage.keycodec import encode_key
 from ..types import Key, Row
 
 if TYPE_CHECKING:
@@ -401,9 +400,9 @@ def _sharded_scan_limit(router: ShardedDatabase, txn: "ShardTransaction",
             if partitioner.shard_of(shard_key) == k:
                 yield hit
 
-    def merge_key(hit: RowHit) -> bytes:
-        return encode_key(tuple(hit.version.data[p]
-                                for p in info.positions))
+    def merge_key(hit: RowHit) -> Key:
+        # key-tuple order: the order every shard's stream arrives in
+        return tuple(hit.version.data[p] for p in info.positions)
 
     merged = heapq.merge(*(owned_stream(k)
                            for k in range(len(router.shards))),

@@ -1,0 +1,91 @@
+"""Exact-count gates on the sharded read path (DESIGN.md §16.1, §16.6).
+
+Two deterministic invariants of "a statement is sent to a shard only if
+that shard can own a matching row, and a hit crosses the router once":
+
+* **fan-out** — every TPC-C index starts with the warehouse shard key, so
+  every TPC-C statement has exactly one possible owner: the router's
+  fan-out counter equals its query counter, and four shards together do
+  no more index searches than one shard does for the same transactions;
+* **over-pull** — a sliced scatter-gather scan pulls each index hit once,
+  plus at most the one look-ahead hit that ends a cursor run.
+
+Counts, not timings: they repeat exactly, so they gate hard.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.config import EngineConfig
+from repro.obs.config import ObsConfig
+from repro.shard import ShardConfig, ShardedDatabase
+from repro.workloads import CHBenchmark, TPCCConfig, TPCCRunner
+from repro.workloads.backend import (ShardServerBackend, _ShardSessionTxn,
+                                     shard_served_backend)
+
+pytestmark = [pytest.mark.shard, pytest.mark.workload]
+
+OBS = EngineConfig(obs=ObsConfig(enabled=True))
+SCALE = TPCCConfig(warehouses=4, districts_per_warehouse=3,
+                   customers_per_district=8, items=40,
+                   initial_orders_per_district=6, seed=13)
+
+
+def served(shards: int) -> ShardServerBackend:
+    return shard_served_backend(
+        ShardedDatabase(OBS, ShardConfig(shards=shards)))
+
+
+def index_searches(router: ShardedDatabase) -> int:
+    return sum(info.mvpbt.stats.searches
+               for db in router.shards for info in db.catalog.indexes)
+
+
+def test_every_tpcc_statement_asks_one_shard() -> None:
+    searches = {}
+    for shards in (1, 4):
+        backend = served(shards)
+        runner = TPCCRunner(backend, SCALE)
+        runner.load()
+        reg = backend.router.obs.registry
+        before = {name: reg.counter_value(f"shard.queries.{name}")
+                  for name in ("point", "scan", "fanout")}
+        searched = index_searches(backend.router)
+        result = runner.run(200)
+        assert result.committed > 150
+        point, scan, fanout = (
+            reg.counter_value(f"shard.queries.{name}") - before[name]
+            for name in ("point", "scan", "fanout"))
+        assert point > 0 and scan > 0
+        assert fanout == point + scan, (
+            f"{shards} shards: {fanout} shard queries for "
+            f"{point + scan} statements")
+        searches[shards] = index_searches(backend.router) - searched
+        backend.close()
+    assert 0 < searches[4] <= searches[1]
+
+
+def test_ch_round_pulls_each_hit_once(monkeypatch) -> None:
+    backend = served(4)
+    ch = CHBenchmark(backend, SCALE)
+    ch.load()
+    emitted = 0
+    analytic_rows = _ShardSessionTxn.analytic_rows
+
+    def counting(self, index, lo, hi):
+        nonlocal emitted
+        rows = analytic_rows(self, index, lo, hi)
+        emitted += len(rows)
+        return rows
+
+    monkeypatch.setattr(_ShardSessionTxn, "analytic_rows", counting)
+    reg = backend.router.obs.registry
+    result = ch.run_mixed(rounds=1, oltp_slice=60)
+    assert result.olap_queries == len(ch.QUERIES)
+    pulled = reg.counter_value("shard.scan.hits_pulled")
+    runs = reg.counter_value("shard.scan.runs_pulled")
+    assert emitted > 1000 and runs > 0
+    assert emitted <= pulled <= emitted + runs, (
+        f"{pulled} hits pulled in {runs} runs for {emitted} rows")
+    backend.close()

@@ -7,6 +7,8 @@ scans, group-commit equivalence and durability — must hold without any
 real concurrency.  The interleaving-under-contention properties live in
 ``test_serve_stress.py`` / ``test_serve_fairness.py``."""
 
+import threading
+
 import pytest
 
 from repro.config import EngineConfig
@@ -14,6 +16,27 @@ from repro.engine.database import Database
 from repro.errors import (ConcurrencyError, ConfigError, SessionError,
                           TransactionStateError)
 from repro.serve import ServeConfig, SessionExecutor
+
+
+def batch_scan_outcome(session, index, slice_rows, timeout=10.0):
+    """Drain ``session.batch_scan(index, slice_rows=...)`` on a watchdog
+    thread: the row count or the ConfigError it raised.  A scan that
+    never returns fails the test instead of hanging the suite."""
+    outcome: list[BaseException | int] = []
+
+    def drive() -> None:
+        try:
+            outcome.append(len(list(
+                session.batch_scan(index, slice_rows=slice_rows))))
+        except ConfigError as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=drive, daemon=True)
+    worker.start()
+    worker.join(timeout=timeout)
+    assert not worker.is_alive(), (
+        f"batch_scan(slice_rows={slice_rows}) never returns")
+    return outcome[0]
 
 
 def make_db(durability: bool = True, **kwargs) -> Database:
@@ -230,6 +253,20 @@ class TestBatchScan:
             scanner.abort()
             writer.close()
             scanner.close()
+
+    @pytest.mark.parametrize("slice_rows", [0, -3])
+    def test_slice_rows_below_one_is_rejected_not_spun_on(self, slice_rows):
+        """A per-call ``slice_rows`` bypassed ServeConfig's check: with 0
+        the slice loop could never advance (a livelock that also took a
+        scheduler slot per spin)."""
+        db = make_db()
+        with db.serve() as server, server.session() as s:
+            s.begin()
+            for i in range(5):
+                s.insert("t", (i, "v"))
+            outcome = batch_scan_outcome(s, "ix", slice_rows)
+            assert isinstance(outcome, ConfigError)
+            assert "scan_slice_rows must be >= 1" in str(outcome)
 
     def test_version_oblivious_index_falls_back(self):
         db = Database(EngineConfig(durability=False))

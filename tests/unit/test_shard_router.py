@@ -68,6 +68,24 @@ class TestPartitioners:
         assert [p.shard_of((k,)) for k in range(50)] == \
             [q.shard_of((k,)) for k in range(50)]
 
+    def test_memoised_slot_is_the_crc_of_the_encoded_key(self):
+        """The ``slot_of`` memo must never move a placement: keys that
+        compare (and hash) equal but encode apart — 1 / 1.0, 0 / 0.0 /
+        -0.0 — keep their own slots whichever was asked first, and the
+        slot count is part of the memo key."""
+        import zlib
+
+        from repro.storage.keycodec import encode_key
+
+        keys = [(1,), (1.0,), (True,), (0,), (0.0,), (-0.0,), (2, -0.0),
+                (2, 0.0), ("a", 7), (None,), (7, "a", 1.5)]
+        for order in (keys, keys[::-1]):
+            for slots in (8, 64):
+                p = HashPartitioner(4, slots=slots)
+                for key in order * 2:
+                    assert p.slot_of(key) == \
+                        zlib.crc32(encode_key(key)) % slots, (key, slots)
+
     def test_hash_move_slot(self):
         p = HashPartitioner(2, slots=8)
         key = (7,)

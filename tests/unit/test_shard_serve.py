@@ -14,9 +14,13 @@ import threading
 import pytest
 
 from repro.config import EngineConfig
+from repro.errors import ConfigError
+from repro.index.base import TOP
 from repro.obs.config import ObsConfig
 from repro.serve import ServeConfig
 from repro.shard import ShardConfig, ShardedDatabase
+
+from .test_serve import batch_scan_outcome
 
 pytestmark = [pytest.mark.concurrency, pytest.mark.shard]
 
@@ -187,6 +191,146 @@ class TestSnapshotExactScans:
         assert after == before == [(k, "v0") for k in range(40)]
         reader.abort()
         reader.close()
+        server.close()
+
+
+class TestBufferedScan:
+    """The sliced scan's buffer/refill/emit rules (DESIGN.md §16.6),
+    single-threaded and exact."""
+
+    def seeded(self, keys, **serve_kw):
+        server = make_server(**serve_kw)
+        with server.session() as session:
+            session.run(lambda s: [s.insert(TABLE, (k, f"v{k}"))
+                                   for k in keys])
+        return server
+
+    def counters(self, server):
+        reg = server.router.obs.registry
+        return {name: reg.counter_value(name) for name in (
+            "shard.scan.hits_pulled", "shard.scan.runs_pulled",
+            "serve.scan.slices")}
+
+    @pytest.mark.parametrize("slice_rows", [0, -1])
+    def test_slice_rows_below_one_is_rejected_not_spun_on(self, slice_rows):
+        """Same livelock as the single-node session: ``want = 0`` pulled
+        one hit per shard forever."""
+        server = self.seeded(range(8))
+        with server.session() as session:
+            session.begin()
+            outcome = batch_scan_outcome(session, INDEX, slice_rows)
+        assert isinstance(outcome, ConfigError)
+        assert self.counters(server)["shard.scan.runs_pulled"] == 0
+        server.close()
+
+    @pytest.mark.parametrize("slice_rows", [1, 2, 7, 256])
+    def test_each_hit_is_pulled_once(self, slice_rows):
+        """hits pulled = rows emitted + the look-ahead hit of every run
+        that did not exhaust its shard (at the parent: 2-4x the output)."""
+        server = self.seeded(range(200))
+        with server.session() as session:
+            session.begin()
+            rows = list(session.batch_scan(INDEX, slice_rows=slice_rows))
+            session.abort()
+        assert rows == [(k, f"v{k}") for k in range(200)]
+        c = self.counters(server)
+        assert 200 <= c["shard.scan.hits_pulled"] <= (
+            200 + c["shard.scan.runs_pulled"])
+        # a refill slot pulls at least one run; no slot pulls nothing
+        assert 1 <= c["serve.scan.slices"] <= c["shard.scan.runs_pulled"]
+        server.close()
+
+    def test_duplicate_runs_longer_than_the_slice_are_never_split(self):
+        server = make_server()
+        router = server.router
+        router.create_index("by_val", TABLE, ["val"], kind="mvpbt",
+                            enable_gc=False, index_only_visibility=True)
+        rows = [(k, "dup" if k % 3 else f"u{k:03d}") for k in range(90)]
+        with server.session() as session:
+            session.run(lambda s: [s.insert(TABLE, row) for row in rows])
+            session.begin()
+            want = sorted(session.range_select("by_val", None, None))
+            for slice_rows in (1, 2, 7, 256):
+                got = list(session.batch_scan("by_val",
+                                              slice_rows=slice_rows))
+                assert [v for _k, v in got] == sorted(v for _k, v in got)
+                assert sorted(got) == want == sorted(rows)
+            session.abort()
+        server.close()
+
+    def test_own_writes_between_next_calls(self):
+        """A session that writes between two ``next()`` calls of its own
+        scan: rows already materialised stay as they were, everything
+        past them is read with the writes applied — what re-opening the
+        cursors per slice gave at the parent."""
+        server = self.seeded(range(60))
+        with server.session() as session:
+            session.begin()
+            scan = session.batch_scan(INDEX, slice_rows=4)
+            seen = [next(scan) for _ in range(3)]       # 0, 1, 2
+            session.insert(TABLE, (-5, "behind"))       # behind: never seen
+            session.update_by_key(INDEX, (3,), {"val": "late"})
+            session.update_by_key(INDEX, (40,), {"val": "changed"})
+            session.delete_by_key(INDEX, (50,))
+            session.insert(TABLE, (1000, "ahead"))
+            session.update_by_key(INDEX, (1,), {"id": 500})  # moves ahead
+            seen.extend(scan)
+            session.abort()
+        expect = [(k, f"v{k}") for k in range(60) if k != 50]
+        expect[40] = (40, "changed")
+        expect += [(500, "v1"), (1000, "ahead")]
+        # key 3 sat in the slice materialised before the writes
+        assert seen == expect
+        server.close()
+
+    def test_pinned_range_asks_one_shard(self):
+        server = make_server()
+        router = server.router
+        router.create_table("o", [("w", "int"), ("d", "int"), ("o", "int"),
+                                  ("n", "int")], "sias", shard_key=["w"])
+        router.create_index("o_ix", "o", ["w", "d", "o", "n"], kind="mvpbt",
+                            enable_gc=False, index_only_visibility=True)
+        rows = [(w, d, o, n) for w in range(1, 5) for d in range(3)
+                for o in range(4) for n in range(3)]
+        with server.session() as session:
+            session.run(lambda s: [s.insert("o", row) for row in rows])
+            session.begin()
+            before = self.counters(server)
+            got = list(session.batch_scan("o_ix", (2, 1, 3), (2, 1, 3, TOP),
+                                          slice_rows=256))
+            after = self.counters(server)
+            assert got == [(2, 1, 3, n) for n in range(3)]
+            assert after["shard.scan.runs_pulled"] - before[
+                "shard.scan.runs_pulled"] == 1
+            owner = router.partitioner.shard_of((2,))
+            assert session.explain()["scan"] == {
+                "index": "o_ix", "plan": "single-slot", "shards": [owner]}
+            plan = router.explain_scan(session.txn, "o_ix", (2, 1),
+                                       (2, 1, TOP))["routing"]
+            assert (plan["plan"], plan["shards"]) == ("single-slot", [owner])
+            assert plan["legs"] == [
+                {"shard": owner, "lo": [2, 1], "hi": [2, 1, TOP]}]
+            # an unpinned range asks, and reports, every shard
+            list(session.batch_scan("o_ix", (2, 1), (3, 1)))
+            assert session.explain()["scan"]["plan"] == "scatter-merge"
+            assert session.explain()["scan"]["shards"] == [0, 1, 2, 3]
+            session.abort()
+        server.close()
+
+    def test_layout_change_mid_scan_replans(self):
+        """A rebalance between two ``next()`` calls drops the buffers
+        (their rids may have moved) and re-plans from the frontier."""
+        server = self.seeded(range(80))
+        router = server.router
+        with server.session() as session:
+            session.begin()
+            scan = session.batch_scan(INDEX, slice_rows=5)
+            seen = [next(scan) for _ in range(7)]
+            for slot in range(router.shard_config.hash_slots):
+                router.move_slot(slot, (slot * 7 + 3) % SHARDS)
+            seen.extend(scan)
+            session.abort()
+        assert seen == [(k, f"v{k}") for k in range(80)]
         server.close()
 
 

@@ -254,9 +254,14 @@ class TestSingleSlotRouting:
         exclusive = router.explain_scan(txn, "ix", (9,), (9,),
                                         hi_incl=False)
         router.commit(txn)
-        for plan in (scatter, unbounded, exclusive):
+        for plan in (scatter, unbounded):
             assert plan["routing"]["plan"] == "scatter-merge"
             assert plan["routing"]["fanout"] == 4
+        # an exclusive (empty) range between equal bounds still pins one
+        # shard key: its owner is the only shard worth asking
+        assert exclusive["routing"]["plan"] == "single-slot"
+        assert exclusive["routing"]["shards"] == [
+            router.partitioner.shard_of((9,))]
 
     def test_slot_routed_metric_and_results(self):
         router, backend = self.make()
