@@ -80,22 +80,10 @@ class BufferPool:
     def get(self, file: PageFile, page_no: int) -> object:
         """Return page contents, reading from the device on a miss."""
         key = (file.file_id, page_no)
-        stats = self._file_stats(file)
-        stats.requests += 1
-        self._charge_cpu()
-        obs = self._obs
-        if obs is not None:
-            self._m_lookups.inc()
-        if key in self._frames:
-            stats.hits += 1
-            if obs is not None:
-                self._m_hits.inc()
-            self._policy.touch(key)
-            return self._frames[key]
-        if obs is not None:
-            self._m_misses.inc()
-        payload = file.read_page(page_no)
-        self._admit(file, key, payload)
+        payload = self._request(file, key)
+        if payload is None:
+            payload = file.read_page(page_no)
+            self._admit(file, key, payload)
         return payload
 
     def get_or_create(self, file: PageFile, page_no: int,
@@ -106,25 +94,13 @@ class BufferPool:
         factory builds the empty in-memory page without device I/O.
         """
         key = (file.file_id, page_no)
-        stats = self._file_stats(file)
-        stats.requests += 1
-        self._charge_cpu()
-        obs = self._obs
-        if obs is not None:
-            self._m_lookups.inc()
-        if key in self._frames:
-            stats.hits += 1
-            if obs is not None:
-                self._m_hits.inc()
-            self._policy.touch(key)
-            return self._frames[key]
-        if obs is not None:
-            self._m_misses.inc()
-        if file.has_contents(page_no):
-            payload = file.read_page(page_no)
-        else:
-            payload = factory()
-        self._admit(file, key, payload)
+        payload = self._request(file, key)
+        if payload is None:
+            if file.has_contents(page_no):
+                payload = file.read_page(page_no)
+            else:
+                payload = factory()
+            self._admit(file, key, payload)
         return payload
 
     # ----------------------------------------------------------------- writes
@@ -203,9 +179,30 @@ class BufferPool:
 
     # --------------------------------------------------------------- internal
 
-    def _charge_cpu(self) -> None:
+    def _request(self, file: PageFile,
+                 key: tuple[int, int]) -> object | None:
+        """What one page request costs, hit or miss: a per-file request
+        count, ``page_cpu`` on the simulated clock and the obs counters;
+        a hit also touches the replacement policy.  Returns the resident
+        page, or None on a miss (the caller reads or builds it, then
+        admits it)."""
+        stats = self._file_stats(file)
+        stats.requests += 1
         if self._clock is not None and self._page_cpu:
             self._clock.advance(self._page_cpu)
+        obs = self._obs
+        if obs is not None:
+            self._m_lookups.inc()
+        payload = self._frames.get(key)
+        if payload is None:
+            if obs is not None:
+                self._m_misses.inc()
+            return None
+        stats.hits += 1
+        if obs is not None:
+            self._m_hits.inc()
+        self._policy.touch(key)
+        return payload
 
     def _file_stats(self, file: PageFile) -> FileBufferStats:
         self._files[file.file_id] = file

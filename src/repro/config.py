@@ -32,8 +32,7 @@ class CostModel:
     compare: float = 50e-9          #: one key comparison
     visibility_step: float = 80e-9  #: one visibility-check evaluation
     hash_op: float = 120e-9         #: one bloom-filter hash probe
-    record_copy: float = 60e-9      #: materialising one record into a result
-    page_cpu: float = 2e-6          #: fixed CPU overhead per page (de)serialisation
+    page_cpu: float = 2e-6          #: fixed CPU overhead per buffered page request
     txn_overhead: float = 5e-6      #: begin/commit bookkeeping per transaction
     indirection_lookup: float = 150e-9  #: one VID -> recordID resolution
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from itertools import islice
+from itertools import chain
 from typing import (TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence,
                     TypeAlias)
 
@@ -67,9 +67,11 @@ _MergeItem: TypeAlias = \
 #: every timestamp lies below the snapshot's committed-visible watermark —
 #: it holds the page's pre-materialised :class:`SearchHit` rows (cached on
 #: the :class:`RunPage` for its buffer residency), so visibility degrades
-#: to an anti-matter probe over ready-made rows, or a bare list slice
+#: to an anti-matter probe over ready-made rows, or a bare list slice.
+#: ``records`` None marks a *promise*: ``keys`` is the lone fence key of a
+#: page not loaded yet, and the source's next segment is that page
 _Batch: TypeAlias = (
-    "tuple[list[Key], list[MVPBTRecord], int, int, MemLeaf | None,"
+    "tuple[list[Key], list[MVPBTRecord] | None, int, int, MemLeaf | None,"
     " list[SearchHit] | None]")
 
 
@@ -418,103 +420,102 @@ class MVPBT:
         self.stats.hits_returned += len(hits)
         return hits
 
-    def cursor(self, txn: Transaction, lo: Key | None = None,
-               hi: Key | None = None, *, lo_incl: bool = True,
-               hi_incl: bool = True) -> Iterator[SearchHit]:
-        """Streaming index-only range scan: yield visible entries lazily.
+    def scan_chunks(self, txn: Transaction, lo: Key | None = None,
+                    hi: Key | None = None, *, lo_incl: bool = True,
+                    hi_incl: bool = True, limit: int | None = None
+                    ) -> Iterator[list[SearchHit]]:
+        """Index-only range scan as a stream of hit *chunks* in key order —
+        the one scan entry point; :meth:`cursor`, :meth:`range_scan` and
+        :meth:`scan_limit` are views of it.
 
         All partitions are k-way heap-merged on the §4.3 composite order —
         search key ascending, then partition number and timestamp/sequence
         *descending* — so per key the records arrive in exactly the §4.4
         processing order (newest partition first, newest change first) the
         anti-matter cascade requires, while hits stream out in global key
-        order without materialising or re-sorting the range.
+        order without materialising or re-sorting the range.  A chunk is
+        the visible part of one merged page slice (one hit on the
+        per-record path, all candidates when version-oblivious).
 
         Partition filters (range keys, minimum timestamp, prefix bloom) are
-        applied when the cursor starts; each surviving partition contributes
-        one lazy source, so abandoning the cursor early leaves the tail of
-        every partition unread.  The cursor borrows the partitions it
-        iterates: consume it before further modifications of this tree
-        (like any unlatched database cursor).
+        applied when the stream starts; each surviving partition is one
+        lazy source, so a consumer that stops early — or a ``limit``, which
+        ends the stream inside the chunk that reaches it — leaves the pages
+        the merge never got to unread.  ``hits_returned`` counts what the
+        merge classified visible, before the ``limit`` cut.  The stream
+        borrows the partitions it iterates: consume it before further
+        modifications of this tree (like any unlatched database cursor).
         """
-        self.stats.scans += 1
+        stats = self.stats
+        stats.scans += 1
         obs = self._obs
         if obs is not None:
             self._m_scans.inc()
+        if limit is not None and limit <= 0:
+            if obs is not None:
+                self._m_scan_hits.observe(0)
+            return
         if not self.index_only_visibility:
             raw_hits = self._candidates_range(lo, hi, lo_incl, hi_incl)
             if obs is not None:
                 self._m_scan_hits.observe(len(raw_hits))
-            yield from raw_hits
+            if limit is not None:
+                del raw_hits[limit:]
+            if raw_hits:
+                yield raw_hits
             return
 
         checker = self._checker(txn)
-        stats = self.stats
         hits_before = stats.hits_returned
+        chunks = (self._scan_hit_batches(txn, checker, lo, hi, lo_incl,
+                                         hi_incl)
+                  if self.batch_scan else
+                  ([hit] for hit in self._scan_records(
+                      txn, checker, lo, hi, lo_incl, hi_incl)))
         try:
-            if self.batch_scan:
-                for chunk in self._scan_hit_batches(txn, checker, lo, hi,
-                                                    lo_incl, hi_incl):
-                    yield from chunk
-            else:
-                yield from self._scan_records(txn, checker, lo, hi,
-                                              lo_incl, hi_incl)
+            for chunk in chunks:
+                if limit is not None:
+                    if len(chunk) >= limit:
+                        del chunk[limit:]
+                        yield chunk
+                        return
+                    limit -= len(chunk)
+                yield chunk
         finally:
             # runs on exhaustion *and* on early close (GeneratorExit)
             stats.records_checked += checker.records_processed
             if obs is not None:
                 self._m_scan_hits.observe(stats.hits_returned - hits_before)
 
+    def cursor(self, txn: Transaction, lo: Key | None = None,
+               hi: Key | None = None, *, lo_incl: bool = True,
+               hi_incl: bool = True) -> Iterator[SearchHit]:
+        """:meth:`scan_chunks` flattened to one hit at a time, for callers
+        that count or peek; closing it closes the chunk stream."""
+        chunks = self.scan_chunks(txn, lo, hi, lo_incl=lo_incl,
+                                  hi_incl=hi_incl)
+        try:
+            for chunk in chunks:
+                yield from chunk
+        finally:
+            chunks.close()
+
     def range_scan(self, txn: Transaction, lo: Key | None,
                    hi: Key | None, *, lo_incl: bool = True,
                    hi_incl: bool = True) -> list[SearchHit]:
-        """Index-only range scan (Algorithm 2): visible entries, key order.
-
-        On the batch pipeline the result list is assembled chunk-wise
-        (one C-level ``extend`` per emitted page slice) instead of pulling
-        hits one by one through the cursor generator; otherwise a thin
-        wrapper draining :meth:`cursor`.  The hits arrive already in key
-        order, so no collect-then-sort pass is needed.
-        """
-        if not (self.batch_scan and self.index_only_visibility):
-            return list(self.cursor(txn, lo, hi, lo_incl=lo_incl,
-                                    hi_incl=hi_incl))
-        self.stats.scans += 1
-        obs = self._obs
-        if obs is not None:
-            self._m_scans.inc()
-        checker = self._checker(txn)
-        stats = self.stats
-        hits_before = stats.hits_returned
-        hits: list[SearchHit] = []
-        try:
-            for chunk in self._scan_hit_batches(txn, checker, lo, hi,
-                                                lo_incl, hi_incl):
-                hits += chunk
-        finally:
-            stats.records_checked += checker.records_processed
-            if obs is not None:
-                self._m_scan_hits.observe(stats.hits_returned - hits_before)
-        return hits
+        """Index-only range scan (Algorithm 2): visible entries, key order
+        (already sorted — no collect-then-sort pass)."""
+        return list(chain.from_iterable(self.scan_chunks(
+            txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)))
 
     def scan_limit(self, txn: Transaction, lo: Key | None, limit: int,
-                   hi: Key | None = None, *,
-                   lo_incl: bool = True) -> list[SearchHit]:
-        """Index-only scan returning at most ``limit`` visible entries.
-
-        Thin wrapper taking the first ``limit`` hits off :meth:`cursor`:
-        the streaming merge stops pulling records as soon as the limit is
-        reached, instead of materialising the whole range (YCSB workload E,
-        LIMIT queries).
-        """
-        if limit <= 0:
-            self.stats.scans += 1
-            if self._obs is not None:
-                self._m_scans.inc()
-                self._m_scan_hits.observe(0)
-            return []
-        return list(islice(self.cursor(txn, lo, hi, lo_incl=lo_incl),
-                           limit))
+                   hi: Key | None = None, *, lo_incl: bool = True,
+                   hi_incl: bool = True) -> list[SearchHit]:
+        """The first ``limit`` visible entries of the range, assembled
+        chunk-wise in C — no per-hit generator resumption (YCSB workload
+        E, LIMIT queries, bounded slice pulls)."""
+        return list(chain.from_iterable(self.scan_chunks(
+            txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl, limit=limit)))
 
     def _merged_records(self, txn: Transaction, lo: Key | None,
                         hi: Key | None, lo_incl: bool,
@@ -635,6 +636,11 @@ class MVPBT:
         partition's, so cutting at ``bisect_right`` for the higher-priority
         segment (``bisect_left`` otherwise) preserves the §4.3 global order
         the §4.4 anti-matter cascade requires.
+
+        A persisted source enters the heap by a *promise* where it can: the
+        fence key of its next page is that page's first key, so it orders
+        the source exactly as the loaded page would, and the page is asked
+        of the buffer pool only when the merge pops it.
         """
         stats = self.stats
         obs = self._obs
@@ -686,14 +692,18 @@ class MVPBT:
                 batch: _Batch | None = current[sid]
                 while batch is not None:
                     _keys, records, pos, end, leaf, rows = batch
-                    chunk = emit(checker, records, pos, end, leaf, rows)
-                    if chunk:
-                        stats.hits_returned += len(chunk)
-                        yield chunk
+                    if records is not None:     # a promise just loads
+                        chunk = emit(checker, records, pos, end, leaf, rows)
+                        if chunk:
+                            stats.hits_returned += len(chunk)
+                            yield chunk
                     batch = next(gen, None)
                 return
             _head, neg, sid = heapq.heappop(heap)
             keys, records, pos, end, leaf, rows = current[sid]
+            if records is None:
+                # the merge reached a promised page: load it now
+                keys, records, pos, end, leaf, rows = next(gens[sid])
             bound_key, bound_neg, _sid = heap[0]
             # the popped head is the minimum, so at key == bound_key the
             # smaller neg (newer partition) owns the whole key group
@@ -741,6 +751,13 @@ class MVPBT:
         downstream.  Pages marked pure whose ``max_ts`` lies below the
         committed-visible watermark flow on as fast segments carrying the
         page's cached :class:`SearchHit` rows.
+
+        Only the page ``lo`` falls inside has to be read to learn the
+        source's head key.  Every other page is in range from its first
+        key on, and that key is its fence: such a page is announced by a
+        promise segment and loaded when the consumer resumes — which the
+        merge does on reaching it, and a LIMIT scan or an abandoned cursor
+        never does for the partitions above its result.
         """
         stats = self.stats
         obs = self._obs
@@ -778,6 +795,10 @@ class MVPBT:
                 if obs is not None:
                     self._m_pages_mints.inc()
                 continue
+            if (lo_probe is None or fence > lo_probe
+                    or (lo_incl and fence == lo_probe)):
+                lo_probe = None
+                yield ([fence], None, 0, 1, None, None)
             page = run.load_page(idx)
             keys = page.keys
             nkeys = len(keys)

@@ -87,32 +87,38 @@ class Executor:
 
     def scan_stream(self, txn: Transaction, index_info: IndexInfo,
                     lo: Key | None, hi: Key | None, *,
-                    lo_incl: bool = True,
-                    hi_incl: bool = True) -> Iterator[RowHit]:
-        """Streaming variant of :meth:`scan`: yields ``RowHit``s lazily.
+                    lo_incl: bool = True, hi_incl: bool = True,
+                    limit: int | None = None) -> Iterator[list[RowHit]]:
+        """Streaming variant of :meth:`scan`: yields the rows in *chunks*.
 
-        On the MV-PBT index-only path this rides the index's streaming
-        cursor, so neither the index hits nor the row set is materialised —
-        a consumer that stops early (LIMIT, first-match) leaves the tail of
-        every partition unread.  Other index kinds fall back to the
-        materialising scan.
+        On the MV-PBT index-only path a chunk is one chunk of the index's
+        hit stream, its rows fetched page-grouped — so neither the index
+        hits nor the row set is materialised, and a consumer that stops
+        early leaves the tail of every partition unread.  With a ``limit``
+        the index cuts the result before any row is fetched, and the whole
+        bounded result is one chunk (each table page asked for once).
+        Other index kinds fall back to the materialising scan.
         """
         if index_info.is_mvpbt and index_info.mvpbt.index_only_visibility:
             table = self.db.catalog.table(index_info.table)
-            store = table.store
-            hits = index_info.mvpbt.cursor(txn, lo, hi, lo_incl=lo_incl,
-                                           hi_incl=hi_incl)
-            if isinstance(store, DeltaTable):
-                for h in hits:
-                    resolved = store.visible_version(txn, h.rid)
-                    if resolved is not None:
-                        yield RowHit(*resolved)
+            tree = index_info.mvpbt
+            chunks: Iterable[list[SearchHit]]
+            if limit is None:
+                chunks = tree.scan_chunks(txn, lo, hi, lo_incl=lo_incl,
+                                          hi_incl=hi_incl)
             else:
-                for h in hits:
-                    yield RowHit(h.rid, store.fetch(h.rid))
+                chunks = [tree.scan_limit(txn, lo, limit, hi,
+                                          lo_incl=lo_incl, hi_incl=hi_incl)]
+            for hits in chunks:
+                if hits:
+                    yield self._fetch_hits(txn, table, hits)
             return
-        yield from self.scan(txn, index_info, lo, hi,
-                             lo_incl=lo_incl, hi_incl=hi_incl)
+        rows = self.scan(txn, index_info, lo, hi,
+                         lo_incl=lo_incl, hi_incl=hi_incl)
+        if limit is not None:
+            del rows[limit:]
+        if rows:
+            yield rows
 
     def count(self, txn: Transaction, index_info: IndexInfo,
               lo: Key | None, hi: Key | None, *,
@@ -120,13 +126,13 @@ class Executor:
         """COUNT(*) over an index-key range.
 
         For a version-aware MV-PBT this is **index-only**: no base-table
-        page is read (the paper's Figure 2 query), and the streaming cursor
-        counts hits without materialising them.  Every other path must
+        page is read (the paper's Figure 2 query), and the chunk stream
+        is counted without materialising it.  Every other path must
         resolve candidates against the base table first.
         """
         if index_info.is_mvpbt and index_info.mvpbt.index_only_visibility:
-            return sum(1 for _ in index_info.mvpbt.cursor(
-                txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl))
+            return sum(map(len, index_info.mvpbt.scan_chunks(
+                txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)))
         return len(self.scan(txn, index_info, lo, hi,
                              lo_incl=lo_incl, hi_incl=hi_incl))
 
@@ -134,23 +140,22 @@ class Executor:
 
     def _fetch_hits(self, txn: Transaction, table: TableInfo,
                     hits: Iterable[SearchHit]) -> list[RowHit]:
-        """Materialise rows for index-only hits.
+        """Materialise the rows of one chunk of index-only hits.
 
         On materialised stores (heap/SIAS) the hit's recordID *is* the
-        version — one buffered fetch.  On delta storage a recordID only
+        version, and the chunk costs one buffered request per distinct
+        table page (``fetch_many``).  On delta storage a recordID only
         names the in-place main row, so old snapshots must reconstruct from
         the delta chain (the §3.6 "tuple reconstruction cost" — the reason
         the paper pairs MV-PBT with physically materialised versions).
         """
         store = table.store
+        rids = [h.rid for h in hits]
         if isinstance(store, DeltaTable):
-            out: list[RowHit] = []
-            for h in hits:
-                resolved = store.visible_version(txn, h.rid)
-                if resolved is not None:
-                    out.append(RowHit(*resolved))
-            return out
-        return [RowHit(h.rid, store.fetch(h.rid)) for h in hits]
+            return [RowHit(*resolved) for resolved in
+                    (store.visible_version(txn, rid) for rid in rids)
+                    if resolved is not None]
+        return list(map(RowHit, rids, store.fetch_many(rids)))
 
     def _candidates_point(self, txn: Transaction, index_info: IndexInfo,
                           key: Key) -> list[object]:

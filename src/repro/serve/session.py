@@ -247,7 +247,6 @@ class Session:
         the slice until the run fits (keys are never split across a
         continuation boundary).
         """
-        from itertools import islice
         txn = self._require_txn()
         # reprolint: disable-next=R10 -- catalog is frozen after setup (no DDL during serving); plan-time read needs no slot
         info = self._db.catalog.index(index)
@@ -273,13 +272,9 @@ class Session:
                 with self._guard():
                     with self._server.scheduler.slot("scan"):
                         self._server.note_scan_slice()
-                        cursor = tree.cursor(txn, cur_lo, hi,
-                                             lo_incl=cur_incl,
-                                             hi_incl=hi_incl)
-                        try:
-                            hits = list(islice(cursor, want + 1))
-                        finally:
-                            cursor.close()
+                        hits = tree.scan_limit(txn, cur_lo, want + 1, hi,
+                                               lo_incl=cur_incl,
+                                               hi_incl=hi_incl)
                 if len(hits) <= want:
                     # final slice: the range is exhausted
                     for row in self._rows_for(txn, table, hits):

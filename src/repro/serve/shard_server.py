@@ -517,6 +517,16 @@ class ShardSession:
                             rh.version.data[p] for p in positions)) == shard
                         else None
                         for rh in row_hits])
+                # the router's own work on a row — two merge comparisons
+                # and the ownership hash — is host CPU no shard's engine
+                # saw: every shard's clock pays it, as for any host-level
+                # overhead.  It keeps a scan's simulated cost proportional
+                # to its rows now that the engines ask one page request
+                # per page, not per row (DESIGN.md §14.6)
+                cost = router.config.cost
+                cpu = len(merged) * (2 * cost.compare + cost.hash_op)
+                for db in router.shards:
+                    db.clock.advance(cpu)
         rows: list[Key] = []
         for _key, _rank, shard, _hit in merged:
             row_hit = next(fetched[shard])

@@ -40,7 +40,6 @@ confines router + shards + coordinator to one thread at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from operator import itemgetter
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, NamedTuple,
                     Sequence)
@@ -606,13 +605,9 @@ class ShardedDatabase:
             tree = self.shards[leg.shard].catalog.index(index_name).mvpbt
             size, pulled, runs = want, 0, 0
             while True:
-                cursor = tree.cursor(txn.on(leg.shard), leg.lo, leg.hi,
-                                     lo_incl=leg.lo_incl,
-                                     hi_incl=leg.hi_incl)
-                try:
-                    hits = list(islice(cursor, size + 1))
-                finally:
-                    cursor.close()
+                hits = tree.scan_limit(txn.on(leg.shard), leg.lo, size + 1,
+                                       leg.hi, lo_incl=leg.lo_incl,
+                                       hi_incl=leg.hi_incl)
                 pulled += len(hits)
                 runs += 1
                 if len(hits) <= size:

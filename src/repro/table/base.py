@@ -6,6 +6,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ..storage.page import SlottedPage
 from ..storage.recordid import RecordID
 from ..txn.transaction import Transaction
 from ..types import Key
@@ -76,6 +77,36 @@ class VersionStore(ABC):
     @abstractmethod
     def fetch(self, rid: RecordID) -> TupleVersion:
         """Fetch one version record (charges buffered page I/O)."""
+
+    def fetch_many(self, rids: Sequence[RecordID]) -> list[TupleVersion]:
+        """:meth:`fetch` for every rid, in ``rids`` order, asking for each
+        distinct page once.
+
+        The page — not the row — is what a buffered read costs (one pool
+        request, ``page_cpu``, one replacement-policy touch), so a scan
+        hands over a whole chunk of hits and pays per page its rows live
+        on.  A bad rid raises the same :class:`TupleNotFoundError` as
+        :meth:`fetch`.
+        """
+        pages: dict[int, SlottedPage] = {}
+        read = self._read_version
+        out: list[TupleVersion] = []
+        for rid in rids:
+            page = pages.get(rid.page)
+            if page is None:
+                page = pages[rid.page] = self._page(rid.page)
+            out.append(read(page, rid))
+        return out
+
+    @abstractmethod
+    def _page(self, page_no: int) -> SlottedPage:
+        """The page holding versions (one buffered page request, or an
+        unflushed tail page)."""
+
+    @abstractmethod
+    def _read_version(self, page: SlottedPage,
+                      rid: RecordID) -> TupleVersion:
+        """The version at ``rid`` on its already-fetched ``page``."""
 
     @abstractmethod
     def visible_version(self, txn: Transaction,

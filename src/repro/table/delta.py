@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..buffer.pool import BufferPool
-from ..errors import TupleNotFoundError, WriteConflictError
+from ..errors import (SlotNotFoundError, TupleNotFoundError,
+                      WriteConflictError)
 from ..storage.page import SlottedPage
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
@@ -88,8 +89,8 @@ class DeltaTable(VersionStore):
         updates.
         """
         txn.require_active()
-        page = self._main_page(rid.page)
-        current = self._read_main(page, rid)
+        page = self._page(rid.page)
+        current = self._read_version(page, rid)
         self._check_updatable(txn, current, rid)
         data = tuple(data)
         old_values = {pos: old for pos, (old, new)
@@ -108,8 +109,8 @@ class DeltaTable(VersionStore):
 
     def delete(self, txn: Transaction, rid: RecordID) -> RecordID:
         txn.require_active()
-        page = self._main_page(rid.page)
-        current = self._read_main(page, rid)
+        page = self._page(rid.page)
+        current = self._read_version(page, rid)
         self._check_updatable(txn, current, rid)
         delta_rid = self._append_delta(DeltaRecord(
             vid=current.vid, ts_create=current.ts_create,
@@ -127,8 +128,8 @@ class DeltaTable(VersionStore):
     # ----------------------------------------------------------------- reads
 
     def fetch(self, rid: RecordID) -> TupleVersion:
-        page = self._main_page(rid.page)
-        return self._read_main(page, rid)
+        page = self._page(rid.page)
+        return self._read_version(page, rid)
 
     def visible_version(self, txn: Transaction,
                         rid: RecordID) -> tuple[RecordID, TupleVersion] | None:
@@ -172,7 +173,7 @@ class DeltaTable(VersionStore):
             if not self.main_file.has_contents(page_no) and not (
                     self.pool.contains(self.main_file, page_no)):
                 continue
-            page = self._main_page(page_no)
+            page = self._page(page_no)
             for slot, payload in page.items():
                 if isinstance(payload, TupleVersion):
                     yield RecordID(page_no, slot), payload
@@ -226,7 +227,7 @@ class DeltaTable(VersionStore):
     def _place_main(self, version: TupleVersion) -> RecordID:
         size = version.accounted_size()
         for idx, page_no in enumerate(self._open_pages):
-            page = self._main_page(page_no)
+            page = self._page(page_no)
             if page.fits(size):
                 slot = page.insert(version, size)
                 self.pool.mark_dirty(self.main_file, page_no)
@@ -234,7 +235,7 @@ class DeltaTable(VersionStore):
             del self._open_pages[idx]
             break
         page_no = self.main_file.allocate_page()
-        page = self._main_page(page_no)
+        page = self._page(page_no)
         slot = page.insert(version, size)
         self.pool.mark_dirty(self.main_file, page_no)
         self._open_pages.append(page_no)
@@ -267,22 +268,22 @@ class DeltaTable(VersionStore):
             page = self.pool.get(self.pool_file, rid.page)
         try:
             payload = page.read(rid.slot)  # type: ignore[union-attr]
-        except Exception as exc:
+        except SlotNotFoundError as exc:
             raise TupleNotFoundError(f"{self.name}: bad delta {rid}") from exc
         if not isinstance(payload, DeltaRecord):
             raise TupleNotFoundError(f"{self.name}: {rid} is not a delta")
         return payload
 
-    def _main_page(self, page_no: int) -> SlottedPage:
+    def _page(self, page_no: int) -> SlottedPage:
         page = self.pool.get_or_create(
             self.main_file, page_no,
             lambda: SlottedPage(page_no, self.main_file.page_size))
         return page  # type: ignore[return-value]
 
-    def _read_main(self, page: SlottedPage, rid: RecordID) -> TupleVersion:
+    def _read_version(self, page: SlottedPage, rid: RecordID) -> TupleVersion:
         try:
             payload = page.read(rid.slot)
-        except Exception as exc:
+        except SlotNotFoundError as exc:
             raise TupleNotFoundError(f"{self.name}: bad rid {rid}") from exc
         if not isinstance(payload, TupleVersion):
             raise TupleNotFoundError(f"{self.name}: {rid} is not a row")

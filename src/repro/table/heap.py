@@ -18,7 +18,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..buffer.pool import BufferPool
-from ..errors import TupleNotFoundError, WriteConflictError
+from ..errors import (SlotNotFoundError, TupleNotFoundError,
+                      WriteConflictError)
 from ..storage.page import SlottedPage
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
@@ -211,7 +212,7 @@ class HeapTable(VersionStore):
     def _read_version(self, page: SlottedPage, rid: RecordID) -> TupleVersion:
         try:
             payload = page.read(rid.slot)
-        except Exception as exc:  # SlotNotFound -> uniform not-found error
+        except SlotNotFoundError as exc:  # uniform not-found error
             raise TupleNotFoundError(f"{self.name}: bad rid {rid}") from exc
         if not isinstance(payload, TupleVersion):
             raise TupleNotFoundError(f"{self.name}: {rid} is not a version")

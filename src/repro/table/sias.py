@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..buffer.pool import BufferPool
-from ..errors import TupleNotFoundError, WriteConflictError
+from ..errors import (SlotNotFoundError, TupleNotFoundError,
+                      WriteConflictError)
 from ..storage.page import SlottedPage
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
@@ -117,11 +118,7 @@ class SIASTable(VersionStore):
     # ----------------------------------------------------------------- reads
 
     def fetch(self, rid: RecordID) -> TupleVersion:
-        tail_page = self._tail.get(rid.page)
-        if tail_page is not None:
-            return self._read_version(tail_page, rid)
-        page = self.pool.get(self.file, rid.page)
-        return self._read_version(page, rid)  # type: ignore[arg-type]
+        return self._read_version(self._page(rid.page), rid)
 
     def entry_point(self, vid: int) -> RecordID:
         """Newest-version rid of a live chain (internal bookkeeping)."""
@@ -241,10 +238,16 @@ class SIASTable(VersionStore):
         self.tail_flushes += 1
         return len(items)
 
+    def _page(self, page_no: int) -> SlottedPage:
+        tail_page = self._tail.get(page_no)
+        if tail_page is not None:
+            return tail_page
+        return self.pool.get(self.file, page_no)  # type: ignore[return-value]
+
     def _read_version(self, page: SlottedPage, rid: RecordID) -> TupleVersion:
         try:
             payload = page.read(rid.slot)
-        except Exception as exc:  # SlotNotFound -> uniform not-found error
+        except SlotNotFoundError as exc:  # uniform not-found error
             raise TupleNotFoundError(f"{self.name}: bad rid {rid}") from exc
         if not isinstance(payload, TupleVersion):
             raise TupleNotFoundError(f"{self.name}: {rid} is not a version")

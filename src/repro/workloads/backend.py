@@ -38,8 +38,7 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from itertools import islice
-from typing import (TYPE_CHECKING, Iterator, NamedTuple, Sequence,
-                    Union)
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from ..engine.database import Database
 from ..engine.executor import RowHit
@@ -249,11 +248,8 @@ class _DatabaseTxn(WorkloadTxn):
     def scan_limit(self, index: str, lo: Key | None,
                    limit: int) -> list[Row]:
         info = self._db.catalog.index(index)
-        stream = self._db.executor.scan_stream(self._txn, info, lo, None)
-        try:
-            return [hit.row for hit in islice(stream, limit)]
-        finally:
-            stream.close()
+        return [hit.row for chunk in self._db.executor.scan_stream(
+            self._txn, info, lo, None, limit=limit) for hit in chunk]
 
     def analytic_rows(self, index: str, lo: Key | None,
                       hi: Key | None) -> list[Row]:
@@ -385,27 +381,32 @@ def _sharded_scan_limit(router: ShardedDatabase, txn: "ShardTransaction",
                         index: str, lo: Key | None,
                         limit: int) -> list[Row]:
     """First ``limit`` owned rows at/after ``lo`` in global key order:
-    k-way-merge the per-shard streaming cursors (ownership-filtered), so
-    only ~``limit`` hits per shard are ever pulled."""
+    every shard gives its first ``limit`` owned rows — a LIMIT scan cut in
+    the index, re-pulled at double the size while rebalance residue (only
+    the fetched row tells) leaves it short — and the runs are k-way
+    merged."""
     info = router.shards[0].catalog.index(index)
     positions = router.shard_key_positions(info.table)
     partitioner = router.partitioner
 
-    def owned_stream(k: int) -> Iterator[RowHit]:
+    def owned_run(k: int) -> list[RowHit]:
         db = router.shards[k]
-        stream = db.executor.scan_stream(txn.on(k),
-                                         db.catalog.index(index), lo, None)
-        for hit in stream:
-            shard_key = tuple(hit.version.data[p] for p in positions)
-            if partitioner.shard_of(shard_key) == k:
-                yield hit
+        size = limit
+        while True:
+            hits = [hit for chunk in db.executor.scan_stream(
+                txn.on(k), db.catalog.index(index), lo, None, limit=size)
+                for hit in chunk]
+            run = [hit for hit in hits if partitioner.shard_of(tuple(
+                hit.version.data[p] for p in positions)) == k]
+            if len(run) >= limit or len(hits) < size:
+                return run[:limit]
+            size *= 2
 
     def merge_key(hit: RowHit) -> Key:
         # key-tuple order: the order every shard's stream arrives in
         return tuple(hit.version.data[p] for p in info.positions)
 
-    merged = heapq.merge(*(owned_stream(k)
-                           for k in range(len(router.shards))),
+    merged = heapq.merge(*(owned_run(k) for k in range(len(router.shards))),
                          key=merge_key)
     return [hit.row for hit in islice(merged, limit)]
 

@@ -1,0 +1,148 @@
+"""Exact-count gates: a scan touches each page once (DESIGN.md §14.6).
+
+Three deterministic invariants of the chunked scan pipeline:
+
+* **LIMIT scan** — a 50-row ``scan_limit`` over key-ordered rows asks the
+  buffer pool for the one or two table pages the rows live on and the one
+  or two index pages the result spans, however many partitions lie above;
+* **abandoned cursor** — a consumer that stops early leaves every
+  partition the merge never reached unrequested, and the records it did
+  classify are still booked;
+* **analytic round** — the CH queries' buffer requests are bounded by the
+  pages their rows live on, not by the rows.
+
+Counts, not timings: they repeat exactly, so they gate hard.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.config import EngineConfig
+from repro.engine import Database
+from repro.obs.config import ObsConfig
+from repro.shard import ShardConfig, ShardedDatabase
+from repro.workloads import CHBenchmark, TPCCConfig
+from repro.workloads.backend import (_ShardSessionTxn, as_backend,
+                                     shard_served_backend)
+
+pytestmark = pytest.mark.workload
+
+ROWS = 5000
+PARTITIONS = 4
+
+
+@pytest.fixture(scope="module")
+def loaded() -> Database:
+    """5 000 rows inserted in key order, one persisted index partition per
+    1 250 of them, nothing left in ``P_N``."""
+    db = Database(EngineConfig())
+    db.create_table("t", [("k", "int"), ("v", "str")])
+    db.create_index("ix", "t", ["k"])
+    tree = db.catalog.index("ix").mvpbt
+    per_part = ROWS // PARTITIONS
+    for part in range(PARTITIONS):
+        txn = db.begin()
+        for k in range(part * per_part, (part + 1) * per_part):
+            db.insert(txn, "t", (k, "x" * 40))
+        txn.commit()
+        tree.evict_partition()
+    assert len(tree.persisted_partitions) == PARTITIONS
+    return db
+
+
+def requests(db: Database) -> tuple[int, int]:
+    """(table-page, index-page) pool requests so far."""
+    table = db.catalog.table("t").file
+    index = db.catalog.index("ix").mvpbt.file
+    return (db.pool.stats_for(table).requests,
+            db.pool.stats_for(index).requests)
+
+
+# inside a partition, and running across a partition boundary
+@pytest.mark.parametrize("lo", [10, 1240, 2000, 3720])
+def test_limit_scan_asks_for_its_own_pages_only(loaded: Database,
+                                                lo: int) -> None:
+    txn = as_backend(loaded).begin()
+    table_before, index_before = requests(loaded)
+    rows = txn.scan_limit("ix", (lo,), 50)
+    table_after, index_after = requests(loaded)
+    txn.commit()
+    assert [row[0] for row in rows] == list(range(lo, lo + 50))
+    assert table_after - table_before <= 2
+    assert index_after - index_before <= 2
+
+
+def test_abandoned_cursor_leaves_later_partitions_unrequested(
+        loaded: Database) -> None:
+    tree = loaded.catalog.index("ix").mvpbt
+    txn = loaded.begin()
+    _table, index_before = requests(loaded)
+    decoded = tree.stats.pages_batch_decoded
+    checked = tree.stats.records_checked
+    cursor = tree.cursor(txn, (2000,), None)
+    first = [next(cursor) for _ in range(5)]
+    cursor.close()
+    txn.commit()
+    assert [hit.key for hit in first] == [(k,) for k in range(2000, 2005)]
+    # partitions 2 and 3 lie wholly above: their heads came from fences
+    assert requests(loaded)[1] - index_before == 1
+    assert tree.stats.pages_batch_decoded - decoded == 1
+    assert tree.stats.records_checked - checked >= 5
+
+
+def test_ch_round_asks_for_pages_not_rows(monkeypatch) -> None:
+    backend = shard_served_backend(ShardedDatabase(
+        EngineConfig(obs=ObsConfig(enabled=True)), ShardConfig(shards=4)))
+    ch = CHBenchmark(backend, TPCCConfig(
+        warehouses=4, districts_per_warehouse=3, customers_per_district=8,
+        items=40, initial_orders_per_district=6, seed=13))
+    ch.load()
+    pools = [db.pool for db in backend.router.shards]
+    emitted = asked = 0
+    analytic_rows = _ShardSessionTxn.analytic_rows
+
+    def counting(self, index, lo, hi):
+        nonlocal emitted, asked
+        before = sum(pool.total_stats().requests for pool in pools)
+        rows = analytic_rows(self, index, lo, hi)
+        asked += sum(pool.total_stats().requests for pool in pools) - before
+        emitted += len(rows)
+        return rows
+
+    monkeypatch.setattr(_ShardSessionTxn, "analytic_rows", counting)
+    result = ch.run_mixed(rounds=1, oltp_slice=60)
+    backend.close()
+    assert result.olap_queries == len(ch.QUERIES)
+    assert emitted > 1000
+    assert asked <= emitted / 4, (
+        f"{asked} buffer requests for {emitted} analytic rows")
+
+
+def test_sliced_scan_charges_the_router_work_per_row() -> None:
+    """The router's per-row work (two merge comparisons, one ownership
+    hash) goes on every shard's clock: a shard the scan never asks pays
+    exactly that and nothing else."""
+    config = EngineConfig()
+    router = ShardedDatabase(config, ShardConfig(shards=2))
+    router.create_table("t", [("w", "int"), ("k", "int"), ("v", "str")])
+    router.create_index("ix", "t", ["w", "k"], kind="mvpbt")
+    txn = router.begin()
+    for k in range(300):
+        router.insert(txn, "t", (1, k, "x" * 20))
+    txn.commit()
+    owner = router.partitioner.shard_of((1,))
+    idle = router.shards[1 - owner]
+    server = router.serve()
+    with server.session() as session:
+        session.begin()
+        before = idle.clock.now
+        rows = list(session.batch_scan("ix", (1,), (1, 10 ** 9),
+                                       slice_rows=64))
+        charged = idle.clock.now - before
+        session.commit()
+    server.close()
+    cost = config.cost
+    assert len(rows) == 300
+    assert charged == pytest.approx(
+        300 * (2 * cost.compare + cost.hash_op), rel=1e-9)

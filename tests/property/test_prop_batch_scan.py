@@ -82,15 +82,21 @@ def apply_ops(mgr, tree, ops):
     return held
 
 
-def both_paths(tree, txn, lo, hi, lo_incl, hi_incl):
-    """(batched hits, per-record hits) for one scan on one tree."""
+def both_paths(tree, txn, lo, hi, lo_incl, hi_incl, limit=None):
+    """(batched hits, per-record hits) for one scan on one tree; a
+    ``limit`` runs it as ``scan_limit``."""
+    def scan():
+        if limit is None:
+            return tree.range_scan(txn, lo, hi,
+                                   lo_incl=lo_incl, hi_incl=hi_incl)
+        return tree.scan_limit(txn, lo, limit, hi,
+                               lo_incl=lo_incl, hi_incl=hi_incl)
+
     tree.batch_scan = True
-    batched = tree.range_scan(txn, lo, hi,
-                              lo_incl=lo_incl, hi_incl=hi_incl)
+    batched = scan()
     tree.batch_scan = False
     try:
-        record = tree.range_scan(txn, lo, hi,
-                                 lo_incl=lo_incl, hi_incl=hi_incl)
+        record = scan()
     finally:
         tree.batch_scan = True
     return batched, record
@@ -160,3 +166,118 @@ def test_batch_equals_record_path_after_crash_recovery(fail_at, storage):
         batched, record = both_paths(tree, txn, lo, hi, True, True)
         assert batched == record
     txn.commit()
+
+
+# ------------------------------------------- lazy sources and LIMIT cuts
+#
+# The merge orders a persisted source by the fence key of a page it has
+# not loaded, and a LIMIT ends the stream inside a chunk.  Both only show
+# on trees whose partitions span several pages: few distinct keys, many
+# versions per key (duplicate runs crossing page fences), snapshots held
+# from before most of the history (whole pages zone-skipped).
+
+DUP_KEYS = list(range(5))
+
+dup_operation = st.tuples(
+    st.sampled_from(DUP_KEYS),
+    st.sampled_from(["insert", "insert", "insert", "update", "delete",
+                     "evict"]),
+    st.booleans(),                       # hold a snapshot before this op?
+)
+
+
+def build_paged_tree():
+    """256-byte leaf pages: a handful of records each."""
+    clock = SimClock()
+    device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
+    mgr = TransactionManager(clock)
+    tree = MVPBT("pg", PageFile("pg", device, 256, 4), BufferPool(256),
+                 PartitionBuffer(1 << 22), mgr)
+    return mgr, tree
+
+
+def apply_dup_ops(mgr, tree, ops):
+    """Like :func:`apply_ops`, but ``insert`` always adds one more tuple
+    under the key, so keys carry runs of duplicates."""
+    live: dict[int, list[tuple[RecordID, int]]] = {k: [] for k in DUP_KEYS}
+    next_id = 0
+    held = []
+    for key, action, snap_before in ops:
+        if snap_before:
+            held.append(mgr.begin())
+        txn = mgr.begin()
+        if action == "insert":
+            next_id += 1
+            rid = RecordID(0, next_id)
+            tree.insert(txn, (key,), rid, vid=next_id)
+            live[key].append((rid, next_id))
+        elif action == "update" and live[key]:
+            old_rid, vid = live[key].pop(0)
+            next_id += 1
+            rid = RecordID(0, next_id)
+            tree.update_nonkey(txn, (key,), rid, old_rid, vid)
+            live[key].append((rid, vid))
+        elif action == "delete" and live[key]:
+            old_rid, vid = live[key].pop(0)
+            tree.delete(txn, (key,), old_rid, vid)
+        elif action == "evict":
+            tree.evict_partition()
+        txn.commit()
+    held.append(mgr.begin())
+    return held
+
+
+dup_bounds = st.tuples(
+    st.one_of(st.none(), st.sampled_from(DUP_KEYS)),
+    st.one_of(st.none(), st.sampled_from(DUP_KEYS)),
+    st.booleans(), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(dup_operation, min_size=20, max_size=120),
+       scan=dup_bounds)
+def test_batch_equals_record_path_over_paged_duplicate_runs(ops, scan):
+    lo, hi, lo_incl, hi_incl = scan
+    lo = (lo,) if lo is not None else None
+    hi = (hi,) if hi is not None else None
+    mgr, tree = build_paged_tree()
+    held = apply_dup_ops(mgr, tree, ops)
+    for txn in held:
+        full, record = both_paths(tree, txn, lo, hi, lo_incl, hi_incl)
+        assert full == record
+        for limit in (1, 7, 100):
+            batched, record = both_paths(tree, txn, lo, hi, lo_incl,
+                                         hi_incl, limit=limit)
+            assert batched == record == full[:limit]
+
+
+def test_fence_promises_on_duplicate_runs_and_zone_skipped_pages():
+    """The deterministic worst case for head-key-from-fence: every page of
+    every partition starts with the same few keys, an old snapshot skips
+    whole pages by zone map, and ``lo`` is exclusive on a fence key."""
+    mgr, tree = build_paged_tree()
+    ops = []
+    for round_no in range(4):
+        # one snapshot from the middle of round 1: the partition's pages
+        # of keys >= 2 then hold nothing it can see
+        ops += [(key, "insert", (round_no, key, nth) == (1, 2, 0))
+                for key in DUP_KEYS for nth in range(9)]
+        ops += [(key, "update", False) for key in DUP_KEYS for _ in range(3)]
+        ops.append((0, "evict", False))
+    held = apply_dup_ops(mgr, tree, ops)
+    parts = tree.persisted_partitions
+    assert len(parts) == 4 and all(p.run.page_count >= 4 for p in parts)
+    assert any(len(set(p.run.fence_keys)) < p.run.page_count for p in parts)
+    old, new = held[0], held[-1]
+    skipped = tree.stats.pages_skipped_mints
+    for txn in (old, new):
+        for lo, hi, lo_incl, hi_incl in (
+                (None, None, True, True), ((2,), None, False, True),
+                ((2,), (3,), True, False), ((0,), (4,), False, False)):
+            full, record = both_paths(tree, txn, lo, hi, lo_incl, hi_incl)
+            assert full == record and (txn is old or full)
+            for limit in (1, 7, 100):
+                batched, record = both_paths(tree, txn, lo, hi, lo_incl,
+                                             hi_incl, limit=limit)
+                assert batched == record == full[:limit]
+    assert tree.stats.pages_skipped_mints > skipped

@@ -37,6 +37,7 @@ from repro.engine.database import Database
 from repro.index.base import TOP
 from repro.serve import ServeConfig
 from repro.shard import ShardConfig, ShardedDatabase
+from repro.workloads.backend import _sharded_scan_limit
 
 pytestmark = pytest.mark.shard
 
@@ -274,6 +275,14 @@ def assert_same_reads(router, oracle, session, otxn, context):
                     and len(lo) == len(cols):
                 assert sorted(router.select(rtxn, name, lo)) == sorted(
                     oracle.select(otxn, name, lo)), f"{label}: point"
+        # the LIMIT scan cuts in each shard's index before the ownership
+        # filter has seen a row: residue must make it re-pull, not run short
+        in_order = sorted(key_of(row) for row in oracle.range_select(
+            otxn, name, None, None))
+        for limit in (1, 3, 50):
+            got = _sharded_scan_limit(router, rtxn, name, None, limit)
+            assert [key_of(row) for row in got] == in_order[:limit], (
+                f"{context}: scan_limit {name} limit={limit}")
         # the sliced scan: every range at one slice size each, cycling,
         # and the full range at all of them
         for i, (lo, hi, lo_incl, hi_incl) in enumerate(RANGES[name]):
@@ -323,3 +332,27 @@ def test_hash_routing_equals_oracle(shards, history, shard_key, seed):
        seed=st.integers(0, 2**16))
 def test_range_routing_equals_oracle(shards, history, shard_key, seed):
     check_routing(shards, "range", shard_key, history, seed)
+
+
+def test_scan_limit_repulls_past_residue_deleted_at_its_owner():
+    """Residue whose authoritative copy was deleted after the flip has no
+    counterpart anywhere in the global order: a shard's first ``limit``
+    index hits can then all be residue while it still owns rows of the
+    answer, and only the fetched rows tell."""
+    router, oracle = build_pair(4, "hash", ("a", "b"))
+    preload(router, oracle)
+    shuffle_leaving_residue(router, "hash", seed=1)
+    rtxn, otxn = router.begin(), oracle.begin()
+    for a, b in ((0, 0), (0, 1), (1, 0)):
+        for c in C:
+            both(router, oracle, rtxn, otxn, "delete_by_key", "ix_abc",
+                 (a, b, c))
+    router.commit(rtxn)
+    otxn.commit()
+    rtxn, otxn = router.begin(), oracle.begin()
+    in_order = [row[:3] for row in oracle.range_select(otxn, "ix_abc",
+                                                      None, None)]
+    assert len(in_order) >= 4
+    for limit in (1, 2, 3, 50):
+        got = _sharded_scan_limit(router, rtxn, "ix_abc", None, limit)
+        assert [row[:3] for row in got] == in_order[:limit], limit

@@ -251,3 +251,22 @@ class TestUndoOnAbort:
         t.commit()
         fresh = mgr.begin()
         assert table.visible_version(fresh, rid)[1].data == (1, "winner")
+
+
+def test_foreign_page_is_not_reported_as_bad_rid(env):
+    """Only a missing slot means "bad rid" / "bad delta": a page of the
+    wrong kind under either file is a bug and must surface as itself."""
+    from repro.index.runs import RunPage
+    mgr, table = env
+    t = mgr.begin()
+    _, rid = table.insert(t, (1, "a"))
+    table.update(t, rid, (1, "b"))
+    delta_rid = table.fetch(rid).prev_rid
+    table._pool_current = None      # read the delta through the pool
+    table.pool.put(table.pool_file, delta_rid.page, RunPage([], []),
+                   dirty=False)
+    with pytest.raises(AttributeError):
+        table._read_delta(delta_rid)
+    table.pool.put(table.main_file, rid.page, RunPage([], []), dirty=False)
+    with pytest.raises(AttributeError):
+        table.fetch(rid)

@@ -111,3 +111,51 @@ class TestRowHit:
         r = db.begin()
         hit = db.executor.lookup(r, db.catalog.index("ix"), (1,))[0]
         assert hit.row == hit.version.data
+
+
+class TestScanStream:
+    """One chunked entry point for every read-path mode: the chunks
+    concatenate to ``scan``, and ``limit`` cuts the result — whatever the
+    index kind, with or without batch scan and index-only visibility."""
+
+    MODES = [
+        dict(),
+        dict(batch_scan=False),
+        dict(index_only_visibility=False, enable_gc=False),
+        dict(kind="btree"),
+        dict(storage="delta"),
+    ]
+
+    @staticmethod
+    def history(db):
+        t = db.begin()
+        for i in range(40):
+            db.insert(t, "r", (i, f"v{i}"))
+        t.commit()
+        t = db.begin()
+        for i in range(0, 40, 3):
+            db.update_by_key(t, "ix", (i,), {"b": f"w{i}"})
+        db.delete_by_key(t, "ix", (7,))
+        t.commit()
+
+    def test_chunks_concatenate_to_scan_and_limit_cuts(self):
+        expected = None
+        for mode in self.MODES:
+            db = setup(**mode)
+            self.history(db)
+            r = db.begin()
+            info = db.catalog.index("ix")
+            full = db.executor.scan(r, info, (5,), (30,), hi_incl=False)
+            rows = [h.row for h in full]
+            if expected is None:
+                expected = rows
+                assert len(rows) == 24        # 5..29 without the deleted 7
+            assert rows == expected, mode
+            chunks = list(db.executor.scan_stream(r, info, (5,), (30,),
+                                                  hi_incl=False))
+            assert all(chunks), mode          # no empty chunk is yielded
+            assert [h for c in chunks for h in c] == full, mode
+            for limit in (0, 1, 7, 100):
+                cut = list(db.executor.scan_stream(
+                    r, info, (5,), (30,), hi_incl=False, limit=limit))
+                assert [h for c in cut for h in c] == full[:limit], mode

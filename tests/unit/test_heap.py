@@ -44,6 +44,16 @@ class TestInsert:
         with pytest.raises(TupleNotFoundError):
             table.fetch(RecordID(999, 0))
 
+    def test_foreign_page_is_not_reported_as_bad_rid(self, env):
+        """Only a missing slot means "bad rid": a page of the wrong kind
+        under the table's file is a bug and must surface as itself."""
+        from repro.index.runs import RunPage
+        mgr, table = env
+        _, rid = table.insert(mgr.begin(), (1, "a"))
+        table.pool.put(table.file, rid.page, RunPage([], []), dirty=False)
+        with pytest.raises(AttributeError):
+            table.fetch(rid)
+
 
 class TestUpdate:
     def test_hot_update_stays_on_page(self, env):

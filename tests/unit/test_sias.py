@@ -148,3 +148,14 @@ class TestScan:
         _mgr, table, _dev = env
         with pytest.raises(TupleNotFoundError):
             table.entry_point(12345)
+
+    def test_foreign_page_is_not_reported_as_bad_rid(self, env):
+        """Only a missing slot means "bad rid": a page of the wrong kind
+        under the table's file is a bug and must surface as itself."""
+        from repro.index.runs import RunPage
+        mgr, table, _dev = env
+        _, rid = table.insert(mgr.begin(), (1, "a"))
+        table.flush_tail()
+        table.pool.put(table.file, rid.page, RunPage([], []), dirty=False)
+        with pytest.raises(AttributeError):
+            table.fetch(rid)
