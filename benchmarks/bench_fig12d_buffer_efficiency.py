@@ -7,12 +7,12 @@ throughput.  MV-PBT cuts base-table requests by up to 40% because the base
 table is not needed for visibility checks.
 """
 
-from repro.bench.harness import buffer_stats_by_group
 from repro.bench.reporting import print_table
 from repro.engine import Database
 from repro.workloads.tpcc import TPCCRunner
 
-from common import run_simulation, small_engine, tpcc_scale
+from common import (buffer_stats_by_group, run_simulation, small_engine,
+                    tpcc_scale)
 
 VARIANTS = [
     ("HOT", "btree", "physical", "heap"),

@@ -8,12 +8,11 @@ how long the simulation took to execute and are not the reproduction result.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.buffer.pool import FileBufferStats
 from repro.config import EngineConfig
 from repro.engine import Database
-from repro.obs import ObsConfig
 
 if TYPE_CHECKING:
     from repro.workloads.tpcc import TPCCConfig
@@ -65,27 +64,22 @@ def tpcc_scale(warehouses: int = 2, seed: int = 7,
     return TPCCConfig(**params)
 
 
-def make_database(config: EngineConfig | None = None) -> Database:
-    return Database(config if config is not None else small_engine())
-
-
-def obs_engine(**overrides: Any) -> EngineConfig:
-    """Benchmark engine config with the observability layer switched on."""
-    overrides.setdefault("obs", ObsConfig(enabled=True))
-    return small_engine(**overrides)
-
-
-def dump_obs_artifacts(db: Database, out_base: Path | str) -> list[Path]:
-    """Write ``<base>.metrics.json`` and ``<base>.trace.jsonl`` next to a
-    benchmark report.  Returns the paths written (empty when the database
-    runs without observability)."""
-    if db.obs is None:
-        return []
-    base = Path(out_base)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    metrics = base.with_suffix(base.suffix + ".metrics.json")
-    trace = base.with_suffix(base.suffix + ".trace.jsonl")
-    db.metrics_snapshot()  # sync derived gauges before export
-    metrics.write_text(db.obs.export_metrics_json())
-    trace.write_text(db.obs.export_trace_jsonl())
-    return [metrics, trace]
+def buffer_stats_by_group(db: Database) -> dict[str, FileBufferStats]:
+    """Aggregate buffer statistics into 'table' vs 'index' file groups
+    (the observable of Figure 12d)."""
+    groups: dict[str, FileBufferStats] = {
+        "table": FileBufferStats(), "index": FileBufferStats()}
+    names: dict[int, str] = {}
+    for info in db.catalog.tables:
+        names[info.file.file_id] = "table"
+    for ix in db.catalog.indexes:
+        file = getattr(ix.index, "file", None)
+        if file is not None:
+            names[file.file_id] = "index"
+    for file_id, stats in db.pool.stats_by_file.items():
+        group = names.get(file_id)
+        if group is None:
+            continue
+        groups[group].requests += stats.requests
+        groups[group].hits += stats.hits
+    return groups

@@ -1,16 +1,8 @@
-"""Benchmark support: metric capture and paper-style result reporting."""
+"""Benchmark support: paper-style result reporting."""
 
-from .harness import (buffer_stats_by_group, device_delta, engine_config,
-                      fresh_database)
-from .metrics import MetricWindow
 from .reporting import format_series, format_table, print_series, print_table
 
 __all__ = [
-    "engine_config",
-    "fresh_database",
-    "device_delta",
-    "buffer_stats_by_group",
-    "MetricWindow",
     "format_table",
     "format_series",
     "print_table",

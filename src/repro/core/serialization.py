@@ -212,7 +212,7 @@ class LeafBatch:
     ``payload_offsets``/``payload_blob`` expose payload bytes without
     copying: :meth:`payload_view` returns a ``memoryview`` slice of the
     buffer passed to :func:`decode_leaf_batch`.  **Ownership rule**
-    (DESIGN.md §14): such views *borrow* the page image — they stay valid
+    (DESIGN.md §9.7): such views *borrow* the page image — they stay valid
     only while the backing buffer is alive and unrecycled; a consumer that
     retains payload bytes beyond the scan must copy them
     (``bytes(view)``).  A published batch is immutable — reprolint R3

@@ -54,12 +54,6 @@ if TYPE_CHECKING:
     from ..durability.manifest import IndexManifest
     from ..obs.core import Observability
 
-#: one cursor merge item: ``(key, -partition_no, -ts, -seq, record, leaf)``
-#: — the 4-prefix orders the k-way merge, ``leaf`` is None for persisted
-#: partitions (no phase-1 GC flagging there)
-_MergeItem: TypeAlias = \
-    "tuple[Key, int, int, int, MVPBTRecord, MemLeaf | None]"
-
 #: one batch-scan segment: ``(keys, records, pos, end, leaf, rows)`` — a
 #: contiguous already-sorted slice ``[pos, end)`` of one partition (a whole
 #: persisted leaf page or one ``P_N`` leaf).  ``keys`` aligns with
@@ -172,7 +166,6 @@ class MVPBT:
                  prefix_bloom_fpr: float = 0.10,
                  enable_gc: bool = True,
                  index_only_visibility: bool = True,
-                 batch_scan: bool = True,
                  reconcile: bool | None = None,
                  first_hit_only: bool = False,
                  max_partitions: int | None = None,
@@ -192,10 +185,6 @@ class MVPBT:
         self.prefix_bloom_fpr = prefix_bloom_fpr
         self.enable_gc = enable_gc
         self.index_only_visibility = index_only_visibility
-        #: page-at-a-time scan pipeline (batch decode + batch visibility +
-        #: zone-map pruning); False falls back to the per-record merge —
-        #: the equivalence oracle of the property tests
-        self.batch_scan = batch_scan
         #: trigger an on-line merge step when the persisted-partition count
         #: exceeds this (the paper's "system-transaction merge steps");
         #: None = off
@@ -434,8 +423,8 @@ class MVPBT:
         processing order (newest partition first, newest change first) the
         anti-matter cascade requires, while hits stream out in global key
         order without materialising or re-sorting the range.  A chunk is
-        the visible part of one merged page slice (one hit on the
-        per-record path, all candidates when version-oblivious).
+        the visible part of one merged page slice (all candidates when
+        version-oblivious).
 
         Partition filters (range keys, minimum timestamp, prefix bloom) are
         applied when the stream starts; each surviving partition is one
@@ -467,11 +456,8 @@ class MVPBT:
 
         checker = self._checker(txn)
         hits_before = stats.hits_returned
-        chunks = (self._scan_hit_batches(txn, checker, lo, hi, lo_incl,
-                                         hi_incl)
-                  if self.batch_scan else
-                  ([hit] for hit in self._scan_records(
-                      txn, checker, lo, hi, lo_incl, hi_incl)))
+        chunks = self._scan_hit_batches(txn, checker, lo, hi, lo_incl,
+                                        hi_incl)
         try:
             for chunk in chunks:
                 if limit is not None:
@@ -517,106 +503,7 @@ class MVPBT:
         return list(chain.from_iterable(self.scan_chunks(
             txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl, limit=limit)))
 
-    def _merged_records(self, txn: Transaction, lo: Key | None,
-                        hi: Key | None, lo_incl: bool,
-                        hi_incl: bool) -> Iterator[_MergeItem]:
-        """All partitions' records merged on (key asc, partition desc,
-        ts desc, seq desc), as ``(key, -pno, -ts, -seq, record, leaf)``
-        tuples.
-
-        The tuples compare directly — no merge key function.  Their 4-prefix
-        is globally unique (``seq`` comes from the tree-wide monotonic
-        counter, partitions have distinct numbers), so a comparison never
-        falls through to the record element.
-        """
-        sources: list[Iterator[_MergeItem]] = []
-        mem_pno = self._mem.number
-        obs = self._obs
-
-        def mem_source(neg: int = -mem_pno) -> Iterator[_MergeItem]:
-            for leaf, record in self._mem.scan(lo, hi, lo_incl=lo_incl,
-                                               hi_incl=hi_incl):
-                yield (record.key, neg, -record.ts, -record.seq,
-                       record, leaf)
-
-        sources.append(mem_source())
-        for part in self._persisted:
-            if not part.possibly_visible_to(txn.snapshot):
-                self.stats.partitions_skipped_mints += 1
-                if obs is not None:
-                    self._m_prune_mints.inc()
-                continue
-            if not part.overlaps(lo, hi):
-                self.stats.partitions_skipped_range += 1
-                if obs is not None:
-                    self._m_prune_zone.inc()
-                continue
-            gate: PrefixBloomFilter | None = None
-            if self.use_prefix_bloom and part.prefix_bloom is not None:
-                prefix = part.prefix_bloom.applicable(lo, hi)
-                if prefix is not None:
-                    if not part.prefix_bloom.query_prefix(prefix):
-                        self.stats.partitions_skipped_bloom += 1
-                        if obs is not None:
-                            self._m_prune_bloom.inc()
-                        continue
-                    gate = part.prefix_bloom
-
-            def part_source(p: PersistedPartition = part,
-                            neg: int = -part.number,
-                            gate: PrefixBloomFilter | None = gate,
-                            ) -> Iterator[_MergeItem]:
-                matched = False
-                for record in p.scan(lo, hi, lo_incl=lo_incl,
-                                     hi_incl=hi_incl):
-                    matched = True
-                    yield (record.key, neg, -record.ts, -record.seq,
-                           record, None)
-                # adaptivity feedback fires only when the source is drained;
-                # an abandoned cursor reports nothing (no false "miss")
-                if gate is not None:
-                    gate.report_pass_outcome(matched)
-
-            sources.append(part_source())
-
-        if len(sources) == 1:
-            return sources[0]
-        return heapq.merge(*sources)
-
-    # ------------------------------------------------- batch scan pipeline
-
-    def _scan_records(self, txn: Transaction, checker: VisibilityChecker,
-                      lo: Key | None, hi: Key | None, lo_incl: bool,
-                      hi_incl: bool) -> Iterator[SearchHit]:
-        """Per-record scan path (``batch_scan=False``): the k-way record
-        merge fed one record at a time through the visibility check — the
-        reference semantics the batch pipeline must reproduce exactly."""
-        stats = self.stats
-        check = checker.check
-        visible = Visibility.VISIBLE
-        # inlined _classify: this loop touches every candidate record of
-        # the range and dominates scan wall-clock
-        for item in self._merged_records(txn, lo, hi, lo_incl, hi_incl):
-            # item = (key, -pno, -ts, -seq, record, leaf-or-None)
-            record = item[4]
-            if record.rtype is RecordType.REGULAR_SET:
-                key = record.key
-                payload = record.payload
-                for vid, rid, ts, _seq in \
-                        checker.visible_set_entries(record):
-                    stats.hits_returned += 1
-                    yield SearchHit(key, rid, vid, ts, payload)
-                continue
-            vis = check(record)
-            if vis is visible:
-                stats.hits_returned += 1
-                yield SearchHit(record.key, record.rid_new, record.vid,
-                                record.ts, record.payload)
-            elif vis is Visibility.GARBAGE and item[5] is not None:
-                if not record.is_gc:
-                    record.mark_gc()
-                    self.gc_stats.flagged += 1
-                item[5].has_garbage = True
+    # -------------------------------------------------------- scan pipeline
 
     def _scan_hit_batches(self, txn: Transaction,
                           checker: VisibilityChecker,
@@ -629,13 +516,14 @@ class MVPBT:
         leaf slices).  A three-entry heap of ``(head key, -pno)`` pairs
         orders the segments; each step cuts the winning segment at the
         runner-up's head key with one bisect and classifies the whole cut
-        slice in a tight loop — per merged record the per-record path's
-        heap traffic and generator resumptions collapse into ~one list
-        append.  Emission order is *identical* to the per-record merge:
-        within one key all records of a newer partition precede every older
-        partition's, so cutting at ``bisect_right`` for the higher-priority
-        segment (``bisect_left`` otherwise) preserves the §4.3 global order
-        the §4.4 anti-matter cascade requires.
+        slice in a tight loop — ~one list append per merged record, no
+        per-record heap traffic or generator resumption.  Emission order is
+        that of a record-at-a-time merge (the reference model the property
+        tests compare against): within one key all records of a newer
+        partition precede every older partition's, so cutting at
+        ``bisect_right`` for the higher-priority segment (``bisect_left``
+        otherwise) preserves the §4.3 global order the §4.4 anti-matter
+        cascade requires.
 
         A persisted source enters the heap by a *promise* where it can: the
         fence key of its next page is that page's first key, so it orders
@@ -856,9 +744,8 @@ class MVPBT:
         batch visibility reduces to one anti-matter probe per ready-made
         row — or, with an empty anti-matter map, to one list slice of the
         page's cached rows: no per-record work at all.  The simulated
-        clock is charged the same per-record visibility cost in one
-        batched advance, and the processed-records accounting stays
-        identical to the per-record path.
+        clock is charged the per-record visibility cost in one batched
+        advance, and every record of the slice counts as processed.
         """
         n = end - pos
         if n <= 0:
@@ -1016,7 +903,6 @@ class MVPBT:
             "evictions": self.stats.evictions,
             "merges": self.stats.merges,
             "read_path": {
-                "batch_scan": self.batch_scan,
                 "pages_batch_decoded": self.stats.pages_batch_decoded,
                 "pages_skipped_zonemap": self.stats.pages_skipped_zonemap,
                 "pages_skipped_mints": self.stats.pages_skipped_mints,

@@ -51,6 +51,14 @@ class IndexInfo:
         return self.index
 
     @property
+    def index_only(self) -> bool:
+        """The index answers with exactly the visible entries (§4.4).
+        False for version-oblivious kinds and for the Fig. 12b/12d
+        ablation tree, whose candidates the executor resolves against
+        the base table."""
+        return self.is_mvpbt and self.mvpbt.index_only_visibility
+
+    @property
     def oblivious(self) -> Index:
         assert isinstance(self.index, Index)
         return self.index

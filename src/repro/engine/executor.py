@@ -58,7 +58,7 @@ class Executor:
         """Visible rows whose index key equals ``key``."""
         key = tuple(key)
         table = self.db.catalog.table(index_info.table)
-        if index_info.is_mvpbt and index_info.mvpbt.index_only_visibility:
+        if index_info.index_only:
             hits = index_info.mvpbt.search(txn, key)
             return self._fetch_hits(txn, table, hits)
         candidates = self._candidates_point(txn, index_info, key)
@@ -72,7 +72,7 @@ class Executor:
              lo_incl: bool = True, hi_incl: bool = True) -> list[RowHit]:
         """Visible rows with index keys in the range, fetched from the table."""
         table = self.db.catalog.table(index_info.table)
-        if index_info.is_mvpbt and index_info.mvpbt.index_only_visibility:
+        if index_info.index_only:
             hits = index_info.mvpbt.range_scan(txn, lo, hi,
                                                lo_incl=lo_incl,
                                                hi_incl=hi_incl)
@@ -99,7 +99,7 @@ class Executor:
         bounded result is one chunk (each table page asked for once).
         Other index kinds fall back to the materialising scan.
         """
-        if index_info.is_mvpbt and index_info.mvpbt.index_only_visibility:
+        if index_info.index_only:
             table = self.db.catalog.table(index_info.table)
             tree = index_info.mvpbt
             chunks: Iterable[list[SearchHit]]
@@ -130,7 +130,7 @@ class Executor:
         is counted without materialising it.  Every other path must
         resolve candidates against the base table first.
         """
-        if index_info.is_mvpbt and index_info.mvpbt.index_only_visibility:
+        if index_info.index_only:
             return sum(map(len, index_info.mvpbt.scan_chunks(
                 txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)))
         return len(self.scan(txn, index_info, lo, hi,

@@ -129,7 +129,6 @@ def profile_query(db: "Database", txn: "Transaction", index_name: str, *,
             "garbage_flagged": flagged,
         }
         profile["scan_pipeline"] = {
-            "batch_scan": tree.batch_scan,
             "pages_batch_decoded": delta["pages_batch_decoded"],
             "pages_skipped_zonemap": delta["pages_skipped_zonemap"],
             "pages_skipped_mints": delta["pages_skipped_mints"],

@@ -250,7 +250,7 @@ class Session:
         txn = self._require_txn()
         # reprolint: disable-next=R10 -- catalog is frozen after setup (no DDL during serving); plan-time read needs no slot
         info = self._db.catalog.index(index)
-        if not (info.is_mvpbt and info.mvpbt.index_only_visibility):
+        if not info.index_only:
             # version-oblivious paths have no streaming cursor: one slot
             with self._guard():
                 with self._server.scheduler.slot("scan"):

@@ -412,7 +412,7 @@ class ShardSession:
             else slice_rows)
         # reprolint: disable-next=R10 -- catalog is frozen after setup (no DDL during serving); plan-time read needs no slot
         info = router.shards[0].catalog.index(index)
-        if not (info.is_mvpbt and info.mvpbt.index_only_visibility):
+        if not info.index_only:
             # no streaming cursor without index-only visibility: one slot
             with self._guard():
                 with self._server.scheduler.slot("scan"):
@@ -522,7 +522,7 @@ class ShardSession:
                 # saw: every shard's clock pays it, as for any host-level
                 # overhead.  It keeps a scan's simulated cost proportional
                 # to its rows now that the engines ask one page request
-                # per page, not per row (DESIGN.md §14.6)
+                # per page, not per row (DESIGN.md §9.10)
                 cost = router.config.cost
                 cpu = len(merged) * (2 * cost.compare + cost.hash_op)
                 for db in router.shards:

@@ -473,8 +473,10 @@ class ShardedBackend(WorkloadBackend):
 class _SessionTxn(WorkloadTxn):
     """One transaction on a pooled single-node :class:`Session`."""
 
-    def __init__(self, session: "Session") -> None:
+    def __init__(self, session: "Session", slice_rows: int) -> None:
         self._session = session
+        #: the server's ``scan_slice_rows``, cap on a LIMIT scan's slice
+        self._slice_rows = slice_rows
         session.begin()
 
     @property
@@ -520,7 +522,8 @@ class _SessionTxn(WorkloadTxn):
 
     def scan_limit(self, index: str, lo: Key | None,
                    limit: int) -> list[Row]:
-        stream = self._session.batch_scan(index, lo, None)
+        stream = self._session.batch_scan(
+            index, lo, None, slice_rows=min(limit, self._slice_rows))
         try:
             return list(islice(stream, limit))
         finally:
@@ -567,7 +570,8 @@ class ServerBackend(WorkloadBackend):
                              unique=unique, reference=reference, **options)
 
     def begin(self) -> WorkloadTxn:
-        return _SessionTxn(self._acquire())
+        return _SessionTxn(self._acquire(),
+                           self.server.config.scan_slice_rows)
 
     @property
     def sim_now(self) -> float:
@@ -616,8 +620,10 @@ class ServerBackend(WorkloadBackend):
 class _ShardSessionTxn(WorkloadTxn):
     """One global transaction on a pooled :class:`ShardSession`."""
 
-    def __init__(self, session: "ShardSession") -> None:
+    def __init__(self, session: "ShardSession", slice_rows: int) -> None:
         self._session = session
+        #: the server's ``scan_slice_rows``, cap on a LIMIT scan's slice
+        self._slice_rows = slice_rows
         session.begin()
 
     @property
@@ -662,7 +668,8 @@ class _ShardSessionTxn(WorkloadTxn):
 
     def scan_limit(self, index: str, lo: Key | None,
                    limit: int) -> list[Row]:
-        stream = self._session.batch_scan(index, lo, None)
+        stream = self._session.batch_scan(
+            index, lo, None, slice_rows=min(limit, self._slice_rows))
         try:
             return list(islice(stream, limit))
         finally:
@@ -711,7 +718,8 @@ class ShardServerBackend(WorkloadBackend):
                                  **options)
 
     def begin(self) -> WorkloadTxn:
-        return _ShardSessionTxn(self._acquire())
+        return _ShardSessionTxn(self._acquire(),
+                                self.server.config.scan_slice_rows)
 
     @property
     def sim_now(self) -> float:

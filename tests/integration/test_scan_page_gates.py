@@ -1,10 +1,13 @@
-"""Exact-count gates: a scan touches each page once (DESIGN.md §14.6).
+"""Exact-count gates: a scan touches each page once (DESIGN.md §9.8).
 
-Three deterministic invariants of the chunked scan pipeline:
+Deterministic invariants of the chunked scan pipeline:
 
 * **LIMIT scan** — a 50-row ``scan_limit`` over key-ordered rows asks the
   buffer pool for the one or two table pages the rows live on and the one
   or two index pages the result spans, however many partitions lie above;
+* **served LIMIT scan** — the served adapter sizes its slices by the
+  LIMIT, so ten rows cost the table pages of ten rows, not of a full
+  ``scan_slice_rows`` slice;
 * **abandoned cursor** — a consumer that stops early leaves every
   partition the merge never reached unrequested, and the records it did
   classify are still booked;
@@ -24,7 +27,7 @@ from repro.obs.config import ObsConfig
 from repro.shard import ShardConfig, ShardedDatabase
 from repro.workloads import CHBenchmark, TPCCConfig
 from repro.workloads.backend import (_ShardSessionTxn, as_backend,
-                                     shard_served_backend)
+                                     served_backend, shard_served_backend)
 
 pytestmark = pytest.mark.workload
 
@@ -71,6 +74,20 @@ def test_limit_scan_asks_for_its_own_pages_only(loaded: Database,
     assert [row[0] for row in rows] == list(range(lo, lo + 50))
     assert table_after - table_before <= 2
     assert index_after - index_before <= 2
+
+
+@pytest.mark.parametrize("lo", [10, 1240, 2000, 3720])
+def test_served_limit_scan_fetches_about_limit_rows(loaded: Database,
+                                                    lo: int) -> None:
+    with served_backend(loaded) as backend:
+        txn = backend.begin()
+        table_before, _index = requests(loaded)
+        rows = txn.scan_limit("ix", (lo,), 10)
+        table_after, _index = requests(loaded)
+        txn.commit()
+    assert [row[0] for row in rows] == list(range(lo, lo + 10))
+    # a full 256-row slice would span three or four table pages
+    assert table_after - table_before <= 2
 
 
 def test_abandoned_cursor_leaves_later_partitions_unrequested(

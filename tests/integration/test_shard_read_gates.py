@@ -1,6 +1,6 @@
 """Exact-count gates on the sharded read path (DESIGN.md §16.1, §16.6).
 
-Two deterministic invariants of "a statement is sent to a shard only if
+Deterministic invariants of "a statement is sent to a shard only if
 that shard can own a matching row, and a hit crosses the router once":
 
 * **fan-out** — every TPC-C index starts with the warehouse shard key, so
@@ -8,7 +8,9 @@ that shard can own a matching row, and a hit crosses the router once":
   fan-out counter equals its query counter, and four shards together do
   no more index searches than one shard does for the same transactions;
 * **over-pull** — a sliced scatter-gather scan pulls each index hit once,
-  plus at most the one look-ahead hit that ends a cursor run.
+  plus at most the one look-ahead hit that ends a cursor run;
+* **LIMIT** — a served LIMIT scan sizes its slices by the LIMIT: ten rows
+  cost at most two table pages per shard, not a full slice's.
 
 Counts, not timings: they repeat exactly, so they gate hard.
 """
@@ -89,3 +91,31 @@ def test_ch_round_pulls_each_hit_once(monkeypatch) -> None:
     assert emitted <= pulled <= emitted + runs, (
         f"{pulled} hits pulled in {runs} runs for {emitted} rows")
     backend.close()
+
+
+@pytest.mark.parametrize("lo", [10, 500, 1240])
+def test_served_limit_scan_fetches_about_limit_rows(lo: int) -> None:
+    """~18 rows per table page: a full 256-row slice (64 rows a shard)
+    would ask for 16 or more pages."""
+    router = ShardedDatabase(EngineConfig(), ShardConfig(shards=4))
+    router.create_table("t", [("k", "int"), ("v", "str")])
+    router.create_index("ix", "t", ["k"], kind="mvpbt")
+    txn = router.begin()
+    for k in range(2000):
+        router.insert(txn, "t", (k, "x" * 400))
+    router.commit(txn)
+    router.flush_all()      # no unflushed tail page answers for free
+
+    def table_requests() -> int:
+        return sum(db.pool.stats_for(db.catalog.table("t").file).requests
+                   for db in router.shards)
+
+    with shard_served_backend(router) as backend:
+        served_txn = backend.begin()
+        before = table_requests()
+        rows = served_txn.scan_limit("ix", (lo,), 10)
+        asked = table_requests() - before
+        served_txn.commit()
+    assert [row[0] for row in rows] == list(range(lo, lo + 10))
+    assert asked <= 2 * len(router.shards), (
+        f"{asked} table-page requests for a 10-row LIMIT scan")

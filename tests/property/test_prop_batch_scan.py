@@ -1,13 +1,13 @@
-"""Property tests: the batched scan pipeline equals the per-record path.
+"""Property tests: the scan pipeline equals the record-at-a-time reference.
 
-``MVPBT.batch_scan`` selects between two complete read-path
-implementations — the page-batched merge with zone-map pruning and batch
-visibility, and the per-record cursor cascade.  They must be extensionally
-identical: under arbitrary interleavings of inserts, updates, deletes,
-evictions and held snapshots, every range scan (any bounds, any
-inclusivity) must return byte-identical ``SearchHit`` lists on both paths
-— across all three table storage models and on databases recovered from a
-random crash point.
+``MVPBT.scan_chunks`` — the page-batched merge with partition filters,
+zone-map pruning, fence promises and batch visibility — must be
+extensionally identical to the per-record cascade of
+``tests/reference_scan.py``: under arbitrary interleavings of inserts,
+updates, deletes, evictions and held snapshots, every range scan (any
+bounds, any inclusivity, any ``limit``) must return byte-identical
+``SearchHit`` lists — across all three table storage models and on
+databases recovered from a random crash point.
 """
 
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from repro.storage.recordid import RecordID
 from repro.txn.manager import TransactionManager
 
 from tests.crash.harness import recover_and_check, run_workload
+from tests.reference_scan import reference_scan
 
 KEYS = list(range(14))
 
@@ -83,23 +84,16 @@ def apply_ops(mgr, tree, ops):
 
 
 def both_paths(tree, txn, lo, hi, lo_incl, hi_incl, limit=None):
-    """(batched hits, per-record hits) for one scan on one tree; a
+    """(pipeline hits, reference hits) for one scan on one tree; a
     ``limit`` runs it as ``scan_limit``."""
-    def scan():
-        if limit is None:
-            return tree.range_scan(txn, lo, hi,
-                                   lo_incl=lo_incl, hi_incl=hi_incl)
-        return tree.scan_limit(txn, lo, limit, hi,
-                               lo_incl=lo_incl, hi_incl=hi_incl)
-
-    tree.batch_scan = True
-    batched = scan()
-    tree.batch_scan = False
-    try:
-        record = scan()
-    finally:
-        tree.batch_scan = True
-    return batched, record
+    if limit is None:
+        batched = tree.range_scan(txn, lo, hi,
+                                  lo_incl=lo_incl, hi_incl=hi_incl)
+    else:
+        batched = tree.scan_limit(txn, lo, limit, hi,
+                                  lo_incl=lo_incl, hi_incl=hi_incl)
+    return batched, reference_scan(tree, txn, lo, hi, lo_incl=lo_incl,
+                                   hi_incl=hi_incl, limit=limit)
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,7 +115,7 @@ def test_batch_equals_record_path_under_arbitrary_histories(ops, scan):
 @given(ops=st.lists(operation, min_size=5, max_size=40))
 def test_batch_equals_record_path_with_reconciled_sets(ops):
     """Reconciliation produces REGULAR_SET records whose batch emission
-    (set spreading, per-entry anti probes) must match the cursor's."""
+    (set spreading, per-entry anti probes) must match the reference's."""
     mgr, tree = build_tree(reconcile=True)
     held = apply_ops(mgr, tree, ops)
     tree.merge_partitions()
@@ -154,7 +148,7 @@ def test_batch_equals_record_path_across_storage_models(storage, scan):
        storage=st.sampled_from(["heap", "sias", "delta"]))
 def test_batch_equals_record_path_after_crash_recovery(fail_at, storage):
     """Kill the device at a random I/O index, recover, then scan the
-    recovered tree on both read paths: restored partitions (zone maps
+    recovered tree against the reference: restored partitions (zone maps
     re-attached from the manifest) must prune without changing answers."""
     run = run_workload(FaultPlan(fail_at=fail_at), storage=storage)
     if not run.crashed:

@@ -1,7 +1,5 @@
-"""Unit tests for benchmark reporting and metric capture."""
+"""Unit tests for benchmark reporting."""
 
-from repro.bench.harness import buffer_stats_by_group, engine_config, fresh_database
-from repro.bench.metrics import MetricWindow
 from repro.bench.reporting import format_series, format_table
 
 
@@ -25,32 +23,3 @@ class TestReporting:
                             {"a": [10.0, 20.0], "b": [1.0, 2.0]})
         assert "x" in out and "a" in out and "b" in out
         assert out.count("\n") == 4
-
-
-class TestHarness:
-    def test_engine_config_defaults(self):
-        cfg = engine_config()
-        assert cfg.buffer_pool_pages == 256
-        assert cfg.partition_buffer_bytes == 64 * 8192
-
-    def test_metric_window(self):
-        db = fresh_database()
-        window = MetricWindow(db).start()
-        db.clock.advance(2.0)
-        window.stop()
-        assert window.elapsed == 2.0
-        assert window.throughput(120, per=60.0) == 3600.0
-
-    def test_buffer_stats_by_group(self):
-        db = fresh_database()
-        db.create_table("t", [("a", "int")])
-        db.create_index("i", "t", ["a"], kind="btree")
-        txn = db.begin()
-        for i in range(50):
-            db.insert(txn, "t", (i,))
-        txn.commit()
-        r = db.begin()
-        db.select(r, "i", (25,))
-        r.commit()
-        groups = buffer_stats_by_group(db)
-        assert groups["index"].requests > 0

@@ -116,11 +116,10 @@ class TestRowHit:
 class TestScanStream:
     """One chunked entry point for every read-path mode: the chunks
     concatenate to ``scan``, and ``limit`` cuts the result — whatever the
-    index kind, with or without batch scan and index-only visibility."""
+    index kind, with or without index-only visibility."""
 
     MODES = [
         dict(),
-        dict(batch_scan=False),
         dict(index_only_visibility=False, enable_gc=False),
         dict(kind="btree"),
         dict(storage="delta"),

@@ -28,6 +28,8 @@ from repro.storage.pagefile import PageFile
 from repro.storage.recordid import RecordID
 from repro.txn.manager import TransactionManager
 
+from tests.reference_scan import reference_scan
+
 
 @pytest.fixture
 def env():
@@ -90,12 +92,7 @@ class TestPartitionPruning:
         ix = build_disjoint_partitions(mgr, make)
         reader = mgr.begin()
         batch = ix.range_scan(reader, (60,), (80,))
-        ix.batch_scan = False
-        try:
-            record = ix.range_scan(reader, (60,), (80,))
-        finally:
-            ix.batch_scan = True
-        assert batch == record
+        assert batch == reference_scan(ix, reader, (60,), (80,))
 
 
 class TestPageZones:
@@ -202,7 +199,6 @@ class TestObservabilitySurface:
         profile = db.explain_scan(txn, "ix", (120,), (180,))
         txn.commit()
         pipeline = profile["scan_pipeline"]
-        assert pipeline["batch_scan"] is True
         assert pipeline["pages_batch_decoded"] >= 1
         assert pipeline["zero_copy_bytes"] > 0
         reasons = profile["partitions"]["prune_reasons"]
@@ -222,7 +218,6 @@ class TestObservabilitySurface:
         tree = db.catalog.index("ix").mvpbt
         info = tree.describe()
         read_path = info["read_path"]
-        assert read_path["batch_scan"] is True
         assert read_path["pages_batch_decoded"] >= 1
         assert read_path["zero_copy_bytes"] > 0
         for part in info["persisted_partitions"]:
