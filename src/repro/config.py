@@ -47,15 +47,11 @@ class EngineConfig:
     buffer_pool_pages: int = 2048
     #: MV-PBT / PBT partition-buffer capacity, in bytes, shared by all indices.
     partition_buffer_bytes: int = 64 * PAGE_SIZE
-    #: target fill factor of in-memory partition leaves (paper: 67%).
-    leaf_fill_factor: float = 0.67
     #: bloom-filter target false-positive rate for persisted partitions.
     bloom_fpr: float = 0.02
     #: prefix bloom-filter target false-positive rate.
     prefix_bloom_fpr: float = 0.10
     cost: CostModel = field(default_factory=CostModel)
-    #: random seed used by any engine-internal randomised decision.
-    seed: int = 7
     #: crash durability for MV-PBT indexes: partition manifest + P_N WAL.
     durability: bool = False
     #: pages per manifest superblock slot (two slots are preallocated).
@@ -72,9 +68,6 @@ class EngineConfig:
         if self.buffer_pool_pages < 8:
             raise ConfigError(
                 f"buffer_pool_pages must be >= 8: {self.buffer_pool_pages}")
-        if not 0.0 < self.leaf_fill_factor <= 1.0:
-            raise ConfigError(
-                f"leaf_fill_factor must be in (0, 1]: {self.leaf_fill_factor}")
         if not 0.0 < self.bloom_fpr < 1.0:
             raise ConfigError(f"bloom_fpr must be in (0, 1): {self.bloom_fpr}")
         if self.manifest_slot_pages < 1:

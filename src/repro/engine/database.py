@@ -39,7 +39,7 @@ from ..table.sias import SIASTable
 from ..table.vacuum import (VacuumResult, vacuum_delta, vacuum_heap,
                             vacuum_sias)
 from ..txn.manager import TransactionManager
-from ..txn.transaction import Transaction
+from ..txn.transaction import Transaction, run_with_retry
 from .catalog import Catalog, IndexInfo, TableInfo
 from .executor import Executor, RowHit
 from .schema import Schema
@@ -288,26 +288,7 @@ class Database:
         """Run ``fn(txn)`` with commit-on-success and first-updater-wins
         retry: a :class:`~repro.errors.WriteConflictError` aborts and retries
         with a fresh snapshot, up to ``retries`` times."""
-        from ..errors import WriteConflictError
-        attempt = 0
-        while True:
-            txn = self.begin()
-            try:
-                result = fn(txn)
-            except WriteConflictError:
-                if txn.is_active:
-                    txn.abort()
-                attempt += 1
-                if attempt > retries:
-                    raise
-                continue
-            except BaseException:
-                if txn.is_active:
-                    txn.abort()
-                raise
-            if txn.is_active:
-                txn.commit()
-            return result
+        return run_with_retry(self.begin, fn, retries)
 
     # -------------------------------------------------------------------- DML
 

@@ -7,9 +7,13 @@ adds the concurrency layer on top:
 - :mod:`~repro.serve.scheduler` — a FIFO *engine slot* (ticket lock)
   confining all engine state to one thread at a time, with per-kind
   fairness accounting;
-- :mod:`~repro.serve.session` — per-client :class:`Session` handles;
-  analytical scans release the slot between slices so short transactions
-  interleave with long scans (the HTAP serving story);
+- :mod:`~repro.serve.session` / :mod:`~repro.serve.server` — ONE session
+  core and ONE server core (what a session / a server *is*) plus their
+  single-node bindings :class:`Session` / :class:`Server`;
+  :mod:`~repro.serve.shard_server` binds the same cores to the sharded
+  router (:class:`ShardSession` / :class:`ShardServer`).  Analytical
+  scans release the slot between slices so short transactions interleave
+  with long scans (the HTAP serving story);
 - :mod:`~repro.serve.group_commit` — leader/follower WAL group commit:
   concurrently committing sessions share one multi-record WAL append
   (one simulated fsync per *group*);

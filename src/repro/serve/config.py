@@ -40,9 +40,6 @@ class ServeConfig:
     #: longest wall-clock wait (seconds) for the group to reach the
     #: target; only meaningful with ``group_size_target > 0``
     group_window_s: float = 0.0
-    #: verify the ascending-rank lock order at runtime (cheap; tests and
-    #: the stress lane keep it on)
-    ordering_checks: bool = True
     #: ShardServer only: install a :class:`~repro.serve.parallel.
     #: ThreadedGather` on the router so scatter-gather reads run their
     #: per-shard thunks concurrently (one thread per shard) instead of

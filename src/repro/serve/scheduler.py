@@ -82,7 +82,7 @@ class _Slot:
 class FairScheduler:
     """FIFO ticket lock over the engine, with per-kind wait statistics."""
 
-    def __init__(self, *, ordering_checks: bool = True) -> None:
+    def __init__(self) -> None:
         # scheduler bookkeeping only; never held across engine work
         # (released before the slot is granted)
         # reprolint: lock-rank=LEAF
@@ -93,7 +93,6 @@ class FairScheduler:
         self._holder: int | None = None
         self._ticks = 0
         self._closed = False
-        self._ordering_checks = ordering_checks
         self.kind_stats: dict[str, KindStats] = {}
 
     # --------------------------------------------------------------- acquire
@@ -126,13 +125,11 @@ class FairScheduler:
             if stats is None:
                 stats = self.kind_stats[kind] = KindStats()
             stats.note(wait_ticks)
-        if self._ordering_checks:
-            note_acquired(RANK_ENGINE, "serve.engine")
+        note_acquired(RANK_ENGINE, "serve.engine")
         return wait_ticks
 
     def release(self) -> None:
-        if self._ordering_checks:
-            note_released(RANK_ENGINE, "serve.engine")
+        note_released(RANK_ENGINE, "serve.engine")
         with self._cond:
             if self._holder is None:
                 raise ConcurrencyError(

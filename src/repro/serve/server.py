@@ -1,15 +1,19 @@
 """The serving facade: one engine, many sessions (DESIGN.md §15).
 
-A :class:`Server` wraps one :class:`~repro.engine.database.Database` with
-the three serve-layer components:
+:class:`ServerCore` is what a server *is*, whatever it serves:
 
 * the :class:`~repro.serve.scheduler.FairScheduler` — a FIFO engine slot
   confining all engine state to one thread at a time;
-* the :class:`~repro.serve.group_commit.GroupCommitter` — leader/follower
-  WAL group commit (present only when the database is durable and
-  ``ServeConfig.group_commit`` is on);
 * the session registry — up to ``max_sessions`` concurrently open
-  :class:`~repro.serve.session.Session` handles.
+  sessions;
+* the five ``serve.*`` instruments and the teardown order (sessions,
+  then what the binding attached, then the scheduler).
+
+:class:`Server` binds it to one :class:`~repro.engine.database.Database`
+and adds the :class:`~repro.serve.group_commit.GroupCommitter` —
+leader/follower WAL group commit (present only when the database is
+durable and ``ServeConfig.group_commit`` is on);
+:class:`~repro.serve.shard_server.ShardServer` binds it to a router.
 
 With one session and default knobs the served engine is byte-identical to
 driving the database directly: the scheduler degenerates to an
@@ -21,42 +25,41 @@ suite pins this).
 from __future__ import annotations
 
 import threading
+from abc import ABC, abstractmethod
 from types import TracebackType
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Generic, TypeVar
 
 from ..errors import SessionError
 from ..obs.registry import LATENCY_BUCKETS_US
+from ..types import JSONDict
 from .config import ServeConfig
 from .group_commit import GroupCommitter
 from .scheduler import FairScheduler
-from .session import Session
+from .session import E, Session, SessionCore
 
 if TYPE_CHECKING:
+    from typing import Self
+
     from ..engine.database import Database
-    from ..types import JSONDict
+
+S = TypeVar("S", bound="SessionCore[Any, Any]")
 
 
-class Server:
-    """Multiplexes concurrent client sessions over one database."""
+class ServerCore(ABC, Generic[E, S]):
+    """Multiplexes concurrent client sessions over one engine handle."""
 
-    def __init__(self, db: "Database",
-                 config: ServeConfig | None = None) -> None:
-        self.db = db
+    def __init__(self, engine: E, config: ServeConfig | None) -> None:
+        # reprolint: confined=engine
+        self.engine = engine
         self.config = config if config is not None else ServeConfig()
-        self.scheduler = FairScheduler(
-            ordering_checks=self.config.ordering_checks)
-        self.committer: GroupCommitter | None = None
-        if db.durability is not None and self.config.group_commit:
-            self.committer = GroupCommitter(db.durability, db.txn,
-                                            self.scheduler, self.config,
-                                            obs=db.obs)
+        self.scheduler = FairScheduler()
         # registry lock: leaf lock, never held while acquiring any other
         # reprolint: lock-rank=LEAF -- session registry only
         self._registry_lock = threading.Lock()
-        self._sessions: dict[int, Session] = {}
+        self._sessions: dict[int, S] = {}
         self._next_sid = 1
         self._closed = False
-        self._obs = db.obs
+        self._obs = engine.obs
         if self._obs is not None:
             registry = self._obs.registry
             self._m_opened = registry.counter("serve.sessions.opened")
@@ -68,7 +71,10 @@ class Server:
 
     # -------------------------------------------------------------- sessions
 
-    def session(self) -> Session:
+    @abstractmethod
+    def _new_session(self, sid: int) -> S: ...
+
+    def session(self) -> S:
         """Open a new session handle (close it, or use ``with``)."""
         with self._registry_lock:
             if self._closed:
@@ -79,14 +85,14 @@ class Server:
                     f"close a session first")
             sid = self._next_sid
             self._next_sid += 1
-            session = Session(self, sid)
+            session = self._new_session(sid)
             self._sessions[sid] = session
         if self._obs is not None:
             self._m_opened.inc()
             self._g_active.set(self.active_sessions)
         return session
 
-    def _discard(self, session: Session) -> None:
+    def _discard(self, session: "SessionCore[Any, Any]") -> None:
         with self._registry_lock:
             self._sessions.pop(session.id, None)
         if self._obs is not None:
@@ -98,7 +104,7 @@ class Server:
         with self._registry_lock:
             return len(self._sessions)
 
-    # ----------------------------------------------------------- obs plumbing
+    # ---------------------------------------------------------- obs plumbing
 
     def note_commit_latency(self, latency_s: float) -> None:
         if self._obs is not None:
@@ -108,17 +114,64 @@ class Server:
         if self._obs is not None:
             self._m_slices.inc()
 
-    # ------------------------------------------------------------- inspection
-
-    def stats(self) -> "JSONDict":
-        """Serving-layer snapshot: scheduler fairness, group-commit shape."""
-        out: "JSONDict" = {
+    def stats(self) -> JSONDict:
+        """Serving-layer snapshot: scheduler fairness; a binding adds its
+        engine's shape."""
+        return {
             "active_sessions": self.active_sessions,
             "scheduler": {
                 "ticks": self.scheduler.ticks,
                 "kinds": self.scheduler.stats(),
             },
         }
+
+    # ------------------------------------------------------------- lifecycle
+
+    def _detach(self) -> None:
+        """Stop what the binding attached to the engine (every session is
+        closed, the scheduler still open)."""
+
+    def close(self) -> None:
+        """Abort open sessions, detach from the engine, stop the
+        scheduler."""
+        with self._registry_lock:
+            if self._closed:
+                return
+            self._closed = True
+            sessions = list(self._sessions.values())
+        for session in sessions:
+            session.close()
+        self._detach()
+        self.scheduler.close()
+
+    def __enter__(self) -> "Self":
+        return self
+
+    def __exit__(self, exc_type: type[BaseException] | None,
+                 exc: BaseException | None,
+                 tb: TracebackType | None) -> None:
+        self.close()
+
+
+class Server(ServerCore["Database", Session]):
+    """Multiplexes concurrent client sessions over one database."""
+
+    def __init__(self, db: "Database",
+                 config: ServeConfig | None = None) -> None:
+        super().__init__(db, config)
+        self.db = db
+        self.committer: GroupCommitter | None = None
+        if db.durability is not None and self.config.group_commit:
+            self.committer = GroupCommitter(db.durability, db.txn,
+                                            self.scheduler, self.config,
+                                            obs=db.obs)
+
+    def _new_session(self, sid: int) -> Session:
+        return Session(self, sid)
+
+    def stats(self) -> JSONDict:
+        """Adds the group-commit shape to the core's snapshot."""
+        out = super().stats()
         if self.committer is not None:
             out["group_commit"] = self.committer.stats.as_dict()
         if self.db.durability is not None:
@@ -131,28 +184,9 @@ class Server:
         with self.scheduler.slot("oltp"):
             return self.db.vacuum(table)
 
-    # ------------------------------------------------------------- lifecycle
-
-    def close(self) -> None:
-        """Abort open sessions, stop the committer and the scheduler."""
-        with self._registry_lock:
-            if self._closed:
-                return
-            self._closed = True
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            session.close()
+    def _detach(self) -> None:
         if self.committer is not None:
             self.committer.close()
-        self.scheduler.close()
-
-    def __enter__(self) -> "Server":
-        return self
-
-    def __exit__(self, exc_type: type[BaseException] | None,
-                 exc: BaseException | None,
-                 tb: TracebackType | None) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (f"Server(sessions={self.active_sessions}, "

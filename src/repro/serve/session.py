@@ -1,10 +1,16 @@
 """Per-client session handles (DESIGN.md §15.1).
 
-A :class:`Session` is one client's stateful connection to the engine: it
-owns at most one open transaction at a time and translates every call
-into engine work performed inside a fair-scheduler slot.  Sessions are
-cheap; a server multiplexes up to ``max_sessions`` of them over the one
-underlying :class:`~repro.engine.database.Database`.
+A session is one client's stateful connection to the engine: it owns at
+most one open transaction at a time and translates every call into engine
+work performed inside a fair-scheduler slot.  Sessions are cheap; a server
+multiplexes up to ``max_sessions`` of them over the one underlying engine.
+
+:class:`SessionCore` is everything that does not depend on which engine
+that is; :class:`Session` binds it to a single-node
+:class:`~repro.engine.database.Database` (group commit) and
+:class:`~repro.serve.shard_server.ShardSession` to the sharded router
+(2PC).  A binding writes its statement methods out on its own class: the
+repo benchmark's tracer patches them by ``owner.__dict__[name]``.
 
 A session is driven by **one thread at a time** (the pooled
 :class:`~repro.serve.executor.SessionExecutor` guarantees this; hand-held
@@ -12,7 +18,7 @@ sessions must not be shared between threads mid-operation — enforced
 with a cheap busy flag that raises :class:`~repro.errors.SessionError`
 on overlap).
 
-Analytical scans go through :meth:`batch_scan`: a generator that pulls
+Analytical scans go through ``batch_scan``: a generator that pulls
 one *slice* of visible hits per engine slot and yields between slices, so
 a long scan never starves concurrent writers (the §15.1 fairness
 contract).  Slicing is snapshot-exact: every slice re-enters the index
@@ -24,99 +30,100 @@ the concatenation of slices equals one monolithic
 from __future__ import annotations
 
 import threading
+from abc import ABC, abstractmethod
+from itertools import islice
 from types import TracebackType
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Generator, Generic,
+                    Protocol, Sequence, TypeVar)
 
-from ..errors import SessionError, TransactionStateError
+from ..errors import SessionError, TransactionStateError, WriteConflictError
 from ..storage.recordid import RecordID
 from ..types import JSONDict, Key
 from .config import check_slice_rows
 
 if TYPE_CHECKING:
+    from typing import Self
+
     from ..core.records import MVPBTRecord
+    from ..engine.database import Database
     from ..engine.executor import RowHit
+    from ..obs.core import Observability
     from ..txn.transaction import Transaction
-    from .server import Server
+    from .server import Server, ServerCore
 
 
-class Session:
-    """One client's handle onto the served engine."""
+class EngineLike(Protocol):
+    """What the serving cores ask of an engine themselves: the obs facade
+    and the keyed DML that reads the same on both topologies.  Everything
+    else is a binding's business."""
 
-    def __init__(self, server: "Server", sid: int) -> None:
+    @property
+    def obs(self) -> "Observability | None": ...
+
+    def update_by_key(self, txn: Any, index_name: str, key: Key,
+                      updates: dict[str, object]) -> int: ...
+
+    def delete_by_key(self, txn: Any, index_name: str, key: Key) -> int: ...
+
+
+class TxnLike(Protocol):
+    """What the session core asks of an engine's transaction object."""
+
+    @property
+    def id(self) -> int: ...
+
+    @property
+    def is_active(self) -> bool: ...
+
+    def abort(self) -> None: ...
+
+
+E = TypeVar("E", bound=EngineLike)
+T = TypeVar("T", bound=TxnLike)
+
+
+class SessionCore(ABC, Generic[E, T]):
+    """What a session *is*, whatever engine it is bound to: the one open
+    transaction, the single-driver busy guard, the closed / no-transaction
+    checks, ``run`` with its retry loop, ``close``.  A binding adds the
+    statements (how its engine spells them), the commit protocol and the
+    sliced scan (DESIGN.md §15.1)."""
+
+    def __init__(self, server: "ServerCore[E, Any]", sid: int) -> None:
         self._server = server
-        self._db = server.db
+        # reprolint: confined=engine
+        self._engine = server.engine
         self.id = sid
-        self._txn: "Transaction | None" = None
+        self._txn: T | None = None
         self._closed = False
         self._busy_by: int | None = None
         #: commits acknowledged through this session
         self.commits = 0
-        #: simulated seconds the last commit spent from drain to ack
+        #: simulated seconds the last commit took (a binding's ``commit``
+        #: says from where to where)
         self.last_commit_latency_s = 0.0
 
     # ------------------------------------------------------------- lifecycle
 
-    def begin(self) -> int:
-        """Open a transaction; returns its txid."""
-        with self._guard():
-            if self._txn is not None:
-                raise SessionError(
-                    f"session {self.id}: transaction {self._txn.id} is "
-                    f"still open (no nested transactions)")
-            with self._server.scheduler.slot("oltp"):
-                self._txn = self._db.begin()
-            return self._txn.id
+    @abstractmethod
+    def begin(self) -> int: ...
 
-    def commit(self) -> float:
-        """Commit the open transaction; returns the simulated commit
-        latency in seconds (drain request to durability acknowledgement).
+    @abstractmethod
+    def commit(self) -> float: ...
 
-        With group commit enabled the drain happens in this session's
-        engine slot, but the WAL append is batched with concurrently
-        committing sessions by the group-commit leader.  A transaction
-        that wrote nothing bypasses the group queue and does no I/O.
-        """
-        with self._guard():
-            txn = self._require_txn()
-            server = self._server
-            clock = self._db.clock
-            # reprolint: disable-next=R10 -- monotonic sim-clock read; latency must span the whole commit, not just the slot
-            t0 = clock.now
-            committer = server.committer
-            durability = self._db.durability
-            records: "list[tuple[str, MVPBTRecord]] | None" = None
-            with server.scheduler.slot("oltp"):
-                txn.require_active()
-                if (committer is None or durability is None
-                        or durability.wrote_nothing(txn)):
-                    # nothing to batch: the plain path, whose hook elides
-                    # the WAL append of a commit that wrote nothing
-                    self._db.txn.commit(txn)
-                else:
-                    records = durability.drain_commit_records(txn)
-            if committer is not None and records is not None:
-                # a failed append leaves the transaction ACTIVE: the
-                # session stays usable and the caller decides
-                committer.commit(txn, records)
-            self._txn = None
-            self.commits += 1
-            # reprolint: disable-next=R10 -- monotonic sim-clock read
-            latency = clock.now - t0
-            self.last_commit_latency_s = latency
-            server.note_commit_latency(latency)
-            return latency
+    @abstractmethod
+    def abort(self) -> None: ...
 
-    def abort(self) -> None:
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                self._db.txn.abort(txn)
-            self._txn = None
+    @abstractmethod
+    def batch_scan(self, index: str, lo: Key | None = None,
+                   hi: Key | None = None, *, lo_incl: bool = True,
+                   hi_incl: bool = True,
+                   slice_rows: int | None = None
+                   ) -> Generator[Key, None, None]: ...
 
-    def run(self, fn: Callable[["Session"], Any], retries: int = 3) -> Any:
+    def run(self, fn: "Callable[[Self], Any]", retries: int = 3) -> Any:
         """Run ``fn(self)`` in a transaction; commit on success, abort on
         error, first-updater-wins retry on write conflicts."""
-        from ..errors import WriteConflictError
         attempt = 0
         while True:
             self.begin()
@@ -142,9 +149,14 @@ class Session:
         return self._txn is not None
 
     @property
-    def txn(self) -> "Transaction":
-        """The open transaction (for host-level integration/tests)."""
-        return self._require_txn()
+    def txn(self) -> T:
+        """The open transaction; raises when there is none."""
+        if self._closed:
+            raise SessionError(f"session {self.id} is closed")
+        if self._txn is None:
+            raise TransactionStateError(
+                f"session {self.id}: no open transaction (call begin())")
+        return self._txn
 
     def close(self) -> None:
         """Abort any open transaction and release the session slot."""
@@ -152,90 +164,210 @@ class Session:
             return
         if self._txn is not None and self._txn.is_active:
             with self._server.scheduler.slot("oltp"):
-                self._db.txn.abort(self._txn)
+                self._txn.abort()
         self._txn = None
         self._closed = True
         self._server._discard(self)
+
+    # ------------------------------------------- statements that read the same
+
+    def update_by_key(self, index: str, key: Key,
+                      updates: dict[str, object]) -> int:
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            return self._engine.update_by_key(self.txn, index, key, updates)
+
+    def delete_by_key(self, index: str, key: Key) -> int:
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            return self._engine.delete_by_key(self.txn, index, key)
+
+    def count_range(self, index: str, lo: Key | None,
+                    hi: Key | None) -> int:
+        """COUNT(*) via the sliced scan (slot per slice)."""
+        return sum(1 for _ in self.batch_scan(index, lo, hi))
+
+    def scan_limit(self, index: str, lo: Key | None,
+                   limit: int) -> list[Key]:
+        """The first ``limit`` rows at/after ``lo``: a sliced scan whose
+        slices are sized by the LIMIT (capped by ``scan_slice_rows``) and
+        which is closed as soon as the rows are out."""
+        stream = self.batch_scan(index, lo, None, slice_rows=min(
+            limit, self._server.config.scan_slice_rows))
+        try:
+            return list(islice(stream, limit))
+        finally:
+            stream.close()
+
+    # -------------------------------------------------------------- plumbing
+
+    def _require_idle(self) -> None:
+        if self._txn is not None:
+            raise SessionError(
+                f"session {self.id}: transaction {self._txn.id} is "
+                f"still open (no nested transactions)")
+
+    def _guard(self) -> "_BusyGuard":
+        if self._closed:
+            raise SessionError(f"session {self.id} is closed")
+        return _BusyGuard(self)
+
+    def _committed(self, latency: float) -> float:
+        """Close the books on an acknowledged commit."""
+        self._txn = None
+        self.commits += 1
+        self.last_commit_latency_s = latency
+        self._server.note_commit_latency(latency)
+        return latency
+
+    def explain(self) -> JSONDict:
+        return {"session": self.id, "in_txn": self.in_txn,
+                "commits": self.commits, "closed": self._closed}
+
+    def __enter__(self) -> "Self":
+        return self
+
+    def __exit__(self, exc_type: type[BaseException] | None,
+                 exc: BaseException | None,
+                 tb: TracebackType | None) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        state = "closed" if self._closed else (
+            f"txn={self._txn.id}" if self._txn else "idle")
+        return f"{type(self).__name__}(id={self.id}, {state})"
+
+
+class _BusyGuard:
+    """Catches two threads driving one session concurrently (misuse)."""
+
+    __slots__ = ("_session",)
+
+    def __init__(self, session: "SessionCore[Any, Any]") -> None:
+        self._session = session
+
+    def __enter__(self) -> "_BusyGuard":
+        session = self._session
+        me = threading.get_ident()
+        if session._busy_by is not None and session._busy_by != me:
+            raise SessionError(
+                f"session {session.id} is being driven by two threads "
+                f"concurrently — sessions are single-threaded handles")
+        session._busy_by = me
+        return self
+
+    def __exit__(self, exc_type: type[BaseException] | None,
+                 exc: BaseException | None,
+                 tb: TracebackType | None) -> None:
+        self._session._busy_by = None
+
+
+class Session(SessionCore["Database", "Transaction"]):
+    """One client's handle onto the served single-node engine."""
+
+    _server: "Server"
+
+    # ------------------------------------------------------------- lifecycle
+
+    def begin(self) -> int:
+        """Open a transaction; returns its txid."""
+        with self._guard():
+            self._require_idle()
+            with self._server.scheduler.slot("oltp"):
+                self._txn = self._engine.begin()
+            return self._txn.id
+
+    def commit(self) -> float:
+        """Commit the open transaction; returns the simulated commit
+        latency in seconds (drain request to durability acknowledgement).
+
+        With group commit enabled the drain happens in this session's
+        engine slot, but the WAL append is batched with concurrently
+        committing sessions by the group-commit leader.  A transaction
+        that wrote nothing bypasses the group queue and does no I/O.
+        """
+        with self._guard():
+            txn = self.txn
+            clock = self._engine.clock
+            # reprolint: disable-next=R10 -- monotonic sim-clock read; latency must span the whole commit, not just the slot
+            t0 = clock.now
+            committer = self._server.committer
+            durability = self._engine.durability
+            records: "list[tuple[str, MVPBTRecord]] | None" = None
+            with self._server.scheduler.slot("oltp"):
+                txn.require_active()
+                if (committer is None or durability is None
+                        or durability.wrote_nothing(txn)):
+                    # nothing to batch: the plain path, whose hook elides
+                    # the WAL append of a commit that wrote nothing
+                    self._engine.txn.commit(txn)
+                else:
+                    records = durability.drain_commit_records(txn)
+            if committer is not None and records is not None:
+                # a failed append leaves the transaction ACTIVE: the
+                # session stays usable and the caller decides
+                committer.commit(txn, records)
+            # reprolint: disable-next=R10 -- monotonic sim-clock read
+            return self._committed(clock.now - t0)
+
+    def abort(self) -> None:
+        with self._guard():
+            txn = self.txn
+            with self._server.scheduler.slot("oltp"):
+                self._engine.txn.abort(txn)
+            self._txn = None
 
     # ------------------------------------------------------------------- DML
 
     def insert(self, table: str,
                row: Sequence[object]) -> tuple[int, RecordID]:
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._db.insert(txn, table, row)
-
-    def update_by_key(self, index: str, key: Key,
-                      updates: dict[str, object]) -> int:
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._db.update_by_key(txn, index, key, updates)
-
-    def delete_by_key(self, index: str, key: Key) -> int:
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._db.delete_by_key(txn, index, key)
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            return self._engine.insert(self.txn, table, row)
 
     def update_row(self, table: str, rid: RecordID, version: Any,
                    updates: dict[str, object]) -> None:
         """UPDATE one previously-fetched row (hit-handle DML: pass the
         ``rid``/``version`` of a :class:`~repro.engine.executor.RowHit`
         obtained in this transaction)."""
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                self._db.update_row(txn, table, rid, version, updates)
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            self._engine.update_row(self.txn, table, rid, version, updates)
 
     def delete_row(self, table: str, rid: RecordID, version: Any) -> None:
         """DELETE one previously-fetched row (hit-handle DML)."""
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                self._db.delete_row(txn, table, rid, version)
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            self._engine.delete_row(self.txn, table, rid, version)
 
     # ----------------------------------------------------------------- reads
 
     def select(self, index: str, key: Key) -> list[Key]:
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._db.select(txn, index, key)
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            return self._engine.select(self.txn, index, key)
 
     def select_hits(self, index: str, key: Key) -> "list[RowHit]":
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._db.select_hits(txn, index, key)
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            return self._engine.select_hits(self.txn, index, key)
 
     def range_hits(self, index: str, lo: Key | None, hi: Key | None, *,
                    lo_incl: bool = True,
                    hi_incl: bool = True) -> "list[RowHit]":
         """Materialising range read returning row-hit handles (one slot;
         small OLTP ranges — analytical scans use :meth:`batch_scan`)."""
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._db.range_hits(txn, index, lo, hi,
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            return self._engine.range_hits(self.txn, index, lo, hi,
                                            lo_incl=lo_incl,
                                            hi_incl=hi_incl)
 
     def range_select(self, index: str, lo: Key | None, hi: Key | None, *,
                      lo_incl: bool = True, hi_incl: bool = True) -> list[Key]:
         """Materialising range read in ONE slot (small ranges, OLTP)."""
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._db.range_select(txn, index, lo, hi,
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            return self._engine.range_select(self.txn, index, lo, hi,
                                              lo_incl=lo_incl,
                                              hi_incl=hi_incl)
 
     def batch_scan(self, index: str, lo: Key | None = None,
                    hi: Key | None = None, *, lo_incl: bool = True,
                    hi_incl: bool = True,
-                   slice_rows: int | None = None) -> Iterator[Key]:
+                   slice_rows: int | None = None
+                   ) -> Generator[Key, None, None]:
         """Sliced analytical scan: yields visible rows in key order,
         releasing the engine slot between slices.
 
@@ -247,16 +379,16 @@ class Session:
         the slice until the run fits (keys are never split across a
         continuation boundary).
         """
-        txn = self._require_txn()
+        txn = self.txn
         # reprolint: disable-next=R10 -- catalog is frozen after setup (no DDL during serving); plan-time read needs no slot
-        info = self._db.catalog.index(index)
+        info = self._engine.catalog.index(index)
         if not info.index_only:
             # version-oblivious paths have no streaming cursor: one slot
             with self._guard():
                 with self._server.scheduler.slot("scan"):
-                    rows = self._db.range_select(txn, index, lo, hi,
-                                                 lo_incl=lo_incl,
-                                                 hi_incl=hi_incl)
+                    rows = self._engine.range_select(txn, index, lo, hi,
+                                                     lo_incl=lo_incl,
+                                                     hi_incl=hi_incl)
             yield from rows
             return
         limit = check_slice_rows(
@@ -264,7 +396,7 @@ class Session:
             else slice_rows)
         tree = info.mvpbt
         # reprolint: disable-next=R10 -- catalog is frozen after setup
-        table = self._db.catalog.table(info.table)
+        table = self._engine.catalog.table(info.table)
         cur_lo, cur_incl = lo, lo_incl
         while True:
             want = limit
@@ -291,11 +423,6 @@ class Session:
                 yield row
             cur_lo, cur_incl = boundary, True
 
-    def count_range(self, index: str, lo: Key | None,
-                    hi: Key | None) -> int:
-        """Index-only COUNT(*) via the sliced scan (slot per slice)."""
-        return sum(1 for _ in self.batch_scan(index, lo, hi))
-
     # -------------------------------------------------------------- plumbing
 
     def _rows_for(self, txn: "Transaction", table: Any,
@@ -309,59 +436,5 @@ class Session:
         if not hits:
             return []
         with self._server.scheduler.slot("scan"):
-            resolved = self._db.executor._fetch_hits(txn, table, hits)
+            resolved = self._engine.executor._fetch_hits(txn, table, hits)
         return [hit.row for hit in resolved]
-
-    def _require_txn(self) -> "Transaction":
-        if self._closed:
-            raise SessionError(f"session {self.id} is closed")
-        if self._txn is None:
-            raise TransactionStateError(
-                f"session {self.id}: no open transaction (call begin())")
-        return self._txn
-
-    def _guard(self) -> "_BusyGuard":
-        if self._closed:
-            raise SessionError(f"session {self.id} is closed")
-        return _BusyGuard(self)
-
-    def explain(self) -> JSONDict:
-        return {"session": self.id, "in_txn": self.in_txn,
-                "commits": self.commits, "closed": self._closed}
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, exc_type: type[BaseException] | None,
-                 exc: BaseException | None,
-                 tb: TracebackType | None) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else (
-            f"txn={self._txn.id}" if self._txn else "idle")
-        return f"Session(id={self.id}, {state})"
-
-
-class _BusyGuard:
-    """Catches two threads driving one session concurrently (misuse)."""
-
-    __slots__ = ("_session",)
-
-    def __init__(self, session: Session) -> None:
-        self._session = session
-
-    def __enter__(self) -> "_BusyGuard":
-        session = self._session
-        me = threading.get_ident()
-        if session._busy_by is not None and session._busy_by != me:
-            raise SessionError(
-                f"session {session.id} is being driven by two threads "
-                f"concurrently — sessions are single-threaded handles")
-        session._busy_by = me
-        return self
-
-    def __exit__(self, exc_type: type[BaseException] | None,
-                 exc: BaseException | None,
-                 tb: TracebackType | None) -> None:
-        self._session._busy_by = None

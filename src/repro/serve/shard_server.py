@@ -1,12 +1,12 @@
 """Concurrent serving over a sharded router (DESIGN.md §16.6).
 
-A :class:`ShardServer` multiplexes client sessions over one
-:class:`~repro.shard.router.ShardedDatabase` the same way
-:class:`~repro.serve.server.Server` serves a single engine: a
-:class:`~repro.serve.scheduler.FairScheduler` FIFO slot confines router +
-coordinator + every shard to one thread at a time, sessions are cheap
-registry entries, and long analytical scans release the slot between
-slices.
+:class:`ShardServer` / :class:`ShardSession` bind the serving cores
+(:class:`~repro.serve.server.ServerCore`,
+:class:`~repro.serve.session.SessionCore`) to one
+:class:`~repro.shard.router.ShardedDatabase`: the FIFO slot confines
+router + coordinator + every shard to one thread at a time, and what is
+written here is only what a router spells differently — the statements,
+the commit protocol, the sliced scatter-gather scan, the gather hook.
 
 There is no :class:`~repro.serve.group_commit.GroupCommitter` here: the
 router's own commit protocol already decides how many WAL appends a
@@ -50,18 +50,15 @@ evictions.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from operator import attrgetter
-from types import TracebackType
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Generator, Iterator, Sequence
 
-from ..errors import SessionError, TransactionStateError
-from ..obs.registry import LATENCY_BUCKETS_US
 from ..storage.recordid import RecordID
 from ..types import JSONDict, Key
 from .config import ServeConfig, check_slice_rows
-from .scheduler import FairScheduler
+from .server import ServerCore
+from .session import SessionCore
 
 if TYPE_CHECKING:
     from ..core.tree import SearchHit
@@ -94,248 +91,88 @@ class _Run:
         self.resume: Key | None = ()
 
 
-class ShardServer:
+class ShardServer(ServerCore["ShardedDatabase", "ShardSession"]):
     """Multiplexes concurrent client sessions over a sharded router."""
 
     def __init__(self, router: "ShardedDatabase",
                  config: ServeConfig | None = None) -> None:
+        super().__init__(router, config)
         self.router = router
-        self.config = config if config is not None else ServeConfig()
-        self.scheduler = FairScheduler(
-            ordering_checks=self.config.ordering_checks)
         if self.config.parallel_scatter_gather:
             # per-shard thunks touch disjoint engines; the gather call
             # itself stays inside the caller's slot (DESIGN.md §18.3)
             from .parallel import ThreadedGather
             # reprolint: disable-next=R10 -- install-time: no session exists yet, no concurrent engine access possible
             self.router.gather = ThreadedGather()
-        # registry lock: leaf lock, never held while acquiring any other
-        # reprolint: lock-rank=LEAF -- session registry only
-        self._registry_lock = threading.Lock()
-        self._sessions: dict[int, ShardSession] = {}
-        self._next_sid = 1
-        self._closed = False
-        self._obs = router.obs
-        if self._obs is not None:
-            registry = self._obs.registry
-            self._m_opened = registry.counter("serve.sessions.opened")
-            self._m_closed = registry.counter("serve.sessions.closed")
-            self._g_active = registry.gauge("serve.sessions.active")
-            self._m_slices = registry.counter("serve.scan.slices")
-            self._m_commit_latency = registry.histogram(
-                "serve.commit.latency_us", LATENCY_BUCKETS_US)
 
-    # -------------------------------------------------------------- sessions
-
-    def session(self) -> "ShardSession":
-        """Open a new session handle (close it, or use ``with``)."""
-        with self._registry_lock:
-            if self._closed:
-                raise SessionError("server is closed")
-            if len(self._sessions) >= self.config.max_sessions:
-                raise SessionError(
-                    f"session cap reached ({self.config.max_sessions}); "
-                    f"close a session first")
-            sid = self._next_sid
-            self._next_sid += 1
-            session = ShardSession(self, sid)
-            self._sessions[sid] = session
-        if self._obs is not None:
-            self._m_opened.inc()
-            self._g_active.set(self.active_sessions)
-        return session
-
-    def _discard(self, session: "ShardSession") -> None:
-        with self._registry_lock:
-            self._sessions.pop(session.id, None)
-        if self._obs is not None:
-            self._m_closed.inc()
-            self._g_active.set(self.active_sessions)
-
-    @property
-    def active_sessions(self) -> int:
-        with self._registry_lock:
-            return len(self._sessions)
-
-    # ---------------------------------------------------------- obs plumbing
-
-    def note_commit_latency(self, latency_s: float) -> None:
-        if self._obs is not None:
-            self._m_commit_latency.observe(latency_s * 1e6)
-
-    def note_scan_slice(self) -> None:
-        if self._obs is not None:
-            self._m_slices.inc()
-
-    # ------------------------------------------------------------ inspection
+    def _new_session(self, sid: int) -> "ShardSession":
+        return ShardSession(self, sid)
 
     def stats(self) -> JSONDict:
-        """Serving-layer snapshot: scheduler fairness + router shape."""
-        return {
-            "active_sessions": self.active_sessions,
-            "shards": len(self.router.shards),
-            "scheduler": {
-                "ticks": self.scheduler.ticks,
-                "kinds": self.scheduler.stats(),
-            },
-            # reprolint: disable-next=R10 -- stats-only read of a monotonic txid allocator; torn values impossible
-            "coordinator_next_txid": self.router.coordinator.next_txid,
-        }
-
-    # ------------------------------------------------------------- lifecycle
+        """Adds the router's shape to the core's snapshot."""
+        out = super().stats()
+        out["shards"] = len(self.router.shards)
+        # reprolint: disable-next=R10 -- stats-only read of a monotonic txid allocator; torn values impossible
+        out["coordinator_next_txid"] = self.router.coordinator.next_txid
+        return out
 
     def vacuum(self, table: str) -> Any:
         """Vacuum the table on every shard (one engine slot)."""
         with self.scheduler.slot("oltp"):
             return self.router.vacuum(table)
 
-    def close(self) -> None:
-        """Abort open sessions and stop the scheduler."""
-        with self._registry_lock:
-            if self._closed:
-                return
-            self._closed = True
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            session.close()
+    def _detach(self) -> None:
         if self.config.parallel_scatter_gather:
             from ..shard.router import serial_gather
             # reprolint: disable-next=R10 -- teardown: every session is closed, no concurrent engine access possible
             self.router.gather = serial_gather
-        self.scheduler.close()
-
-    def __enter__(self) -> "ShardServer":
-        return self
-
-    def __exit__(self, exc_type: type[BaseException] | None,
-                 exc: BaseException | None,
-                 tb: TracebackType | None) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (f"ShardServer(sessions={self.active_sessions}, "
                 f"shards={len(self.router.shards)})")
 
 
-class ShardSession:
+class ShardSession(SessionCore["ShardedDatabase", "ShardTransaction"]):
     """One client's handle onto the served router (single-threaded)."""
 
-    def __init__(self, server: ShardServer, sid: int) -> None:
-        self._server = server
-        self._router = server.router
-        self.id = sid
-        self._txn: "ShardTransaction | None" = None
-        self._closed = False
-        self._busy_by: int | None = None
-        #: commits acknowledged through this session
-        self.commits = 0
-        #: simulated seconds the last commit spent inside the slot
-        self.last_commit_latency_s = 0.0
-        #: what the latest sliced scan asked (for :meth:`explain`)
-        self._scan_plan: JSONDict | None = None
+    #: what the latest sliced scan asked (for :meth:`explain`)
+    _scan_plan: JSONDict | None = None
 
     # ------------------------------------------------------------- lifecycle
 
     def begin(self) -> int:
         """Open a global transaction; returns its txid."""
         with self._guard():
-            if self._txn is not None:
-                raise SessionError(
-                    f"session {self.id}: transaction {self._txn.id} is "
-                    f"still open (no nested transactions)")
+            self._require_idle()
             with self._server.scheduler.slot("oltp"):
-                self._txn = self._router.begin()
+                self._txn = self._engine.begin()
             return self._txn.id
 
     def commit(self) -> float:
         """Commit; returns the simulated latency in seconds (the router's
-        max-over-shards clock delta across the commit protocol)."""
+        max-over-shards clock delta across the commit protocol, inside
+        the slot)."""
         with self._guard():
-            txn = self._require_txn()
-            server = self._server
-            with server.scheduler.slot("oltp"):
-                t0 = self._router.sim_now
-                self._router.commit(txn)
-                latency = self._router.sim_now - t0
-            self._txn = None
-            self.commits += 1
-            self.last_commit_latency_s = latency
-            server.note_commit_latency(latency)
-            return latency
+            txn = self.txn
+            with self._server.scheduler.slot("oltp"):
+                t0 = self._engine.sim_now
+                self._engine.commit(txn)
+                latency = self._engine.sim_now - t0
+            return self._committed(latency)
 
     def abort(self) -> None:
         with self._guard():
-            txn = self._require_txn()
+            txn = self.txn
             with self._server.scheduler.slot("oltp"):
-                self._router.abort(txn)
+                self._engine.abort(txn)
             self._txn = None
-
-    def run(self, fn: Callable[["ShardSession"], Any],
-            retries: int = 3) -> Any:
-        """Run ``fn(self)`` in a transaction; commit on success, abort on
-        error, first-updater-wins retry on write conflicts."""
-        from ..errors import WriteConflictError
-        attempt = 0
-        while True:
-            self.begin()
-            try:
-                result = fn(self)
-            except WriteConflictError:
-                if self._txn is not None:
-                    self.abort()
-                attempt += 1
-                if attempt > retries:
-                    raise
-                continue
-            except BaseException:
-                if self._txn is not None:
-                    self.abort()
-                raise
-            if self._txn is not None:
-                self.commit()
-            return result
-
-    @property
-    def in_txn(self) -> bool:
-        return self._txn is not None
-
-    @property
-    def txn(self) -> "ShardTransaction":
-        """The open transaction (for host-level integration/tests)."""
-        return self._require_txn()
-
-    def close(self) -> None:
-        """Abort any open transaction and release the session slot."""
-        if self._closed:
-            return
-        if self._txn is not None and self._txn.is_active:
-            with self._server.scheduler.slot("oltp"):
-                self._router.abort(self._txn)
-        self._txn = None
-        self._closed = True
-        self._server._discard(self)
 
     # ------------------------------------------------------------------- DML
 
     def insert(self, table: str,
                row: Sequence[object]) -> tuple[int, RecordID]:
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._router.insert(txn, table, row)
-
-    def update_by_key(self, index: str, key: Key,
-                      updates: dict[str, object]) -> int:
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._router.update_by_key(txn, index, key, updates)
-
-    def delete_by_key(self, index: str, key: Key) -> int:
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._router.delete_by_key(txn, index, key)
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            return self._engine.insert(self.txn, table, row)
 
     def update_hit(self, table: str, shard: int, hit: Any,
                    updates: dict[str, object]) -> None:
@@ -343,60 +180,49 @@ class ShardSession:
         pair returned by :meth:`select_hits` / :meth:`range_hits`.  A
         shard-key change moves the row between shards inside the same
         global transaction."""
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                self._router.update_hit(txn, table, shard, hit, updates)
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            self._engine.update_hit(self.txn, table, shard, hit, updates)
 
     def delete_hit(self, table: str, shard: int, hit: Any) -> None:
         """DELETE one previously-fetched row on its shard."""
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                self._router.delete_hit(txn, table, shard, hit)
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            self._engine.delete_hit(self.txn, table, shard, hit)
 
     # ----------------------------------------------------------------- reads
 
     def select(self, index: str, key: Key) -> list[Key]:
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._router.select(txn, index, key)
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            return self._engine.select(self.txn, index, key)
 
     def select_hits(self, index: str, key: Key) -> "list[tuple[int, Any]]":
         """Point lookup returning ``(shard, hit)`` handles for
         :meth:`update_hit` / :meth:`delete_hit`."""
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._router.select_hits_tagged(txn, index, key)
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            return self._engine.select_hits_tagged(self.txn, index, key)
 
     def range_hits(self, index: str, lo: Key | None, hi: Key | None, *,
                    lo_incl: bool = True,
                    hi_incl: bool = True) -> "list[tuple[int, Any]]":
         """Materialising scatter-gather range read returning ``(shard,
         hit)`` handles (one slot; small OLTP ranges)."""
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._router.range_hits_tagged(
-                    txn, index, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            return self._engine.range_hits_tagged(
+                self.txn, index, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)
 
     def range_select(self, index: str, lo: Key | None, hi: Key | None, *,
                      lo_incl: bool = True,
                      hi_incl: bool = True) -> list[Key]:
         """Materialising scatter-gather range read in ONE slot."""
-        with self._guard():
-            txn = self._require_txn()
-            with self._server.scheduler.slot("oltp"):
-                return self._router.range_select(txn, index, lo, hi,
-                                                 lo_incl=lo_incl,
-                                                 hi_incl=hi_incl)
+        with self._guard(), self._server.scheduler.slot("oltp"):
+            return self._engine.range_select(self.txn, index, lo, hi,
+                                             lo_incl=lo_incl,
+                                             hi_incl=hi_incl)
 
     def batch_scan(self, index: str, lo: Key | None = None,
                    hi: Key | None = None, *, lo_incl: bool = True,
                    hi_incl: bool = True,
-                   slice_rows: int | None = None) -> Iterator[Key]:
+                   slice_rows: int | None = None
+                   ) -> Generator[Key, None, None]:
         """Sliced scatter-gather scan: global key order, slot per slice.
 
         Asks only the shards that can own a row of the range, keeps one
@@ -405,8 +231,8 @@ class ShardSession:
         tail (module docstring); ownership filtering runs on the fetched
         rows, so rebalance residue is never emitted.
         """
-        txn = self._require_txn()
-        router = self._router
+        txn = self.txn
+        router = self._engine
         limit = check_slice_rows(
             self._server.config.scan_slice_rows if slice_rows is None
             else slice_rows)
@@ -449,11 +275,6 @@ class ShardSession:
                 if not resumes:
                     return
 
-    def count_range(self, index: str, lo: Key | None,
-                    hi: Key | None) -> int:
-        """COUNT(*) via the sliced scatter-gather scan."""
-        return sum(1 for _ in self.batch_scan(index, lo, hi))
-
     # -------------------------------------------------------------- plumbing
 
     def _refill(self, txn: "ShardTransaction", index: str, stamp: object,
@@ -464,7 +285,7 @@ class ShardSession:
         longer holds, then pull one bounded cursor run for every asked
         shard whose buffer is empty.  The pulls go through the router's
         ``gather`` hook, so a parallel-configured server overlaps them."""
-        router = self._router
+        router = self._engine
         with self._guard():
             with self._server.scheduler.slot("scan"):
                 now = (txn.writes, router.partitioner)
@@ -492,19 +313,16 @@ class ShardSession:
                   merged: list[_Ready]) -> list[Key]:
         """Materialise one slice's rows in merged order: per-shard batch
         fetches (engine state — own slot), then the ownership filter."""
-        router = self._router
+        router = self._engine
         # reprolint: disable-next=R10 -- catalog is frozen after setup
         info = router.shards[0].catalog.index(index)
-        # reprolint: disable-next=R10 -- layout read is rebalance-safe: ownership of fetched rows is re-filtered below
-        positions = router.shard_key_positions(info.table)
-        partitioner = router.partitioner
         by_shard: dict[int, list["SearchHit"]] = {}
         for _key, _rank, shard, hit in merged:
             by_shard.setdefault(shard, []).append(hit)
         # _fetch_hits is 1:1 on heap/SIAS stores (the only kinds sharded
         # tables allow), so per-shard streams stay aligned with `merged`;
-        # the ownership filter nulls residue entries without compacting
-        fetched: dict[int, Iterator[Any]] = {}
+        # the ownership filter flags residue entries without compacting
+        fetched: dict[int, Iterator[tuple[Any, bool]]] = {}
         with self._guard():
             with self._server.scheduler.slot("scan"):
                 for shard, hits in by_shard.items():
@@ -512,11 +330,9 @@ class ShardSession:
                     table = db.catalog.table(info.table)
                     row_hits = db.executor._fetch_hits(
                         txn.on(shard), table, hits)
-                    fetched[shard] = iter([
-                        rh if partitioner.shard_of(tuple(
-                            rh.version.data[p] for p in positions)) == shard
-                        else None
-                        for rh in row_hits])
+                    fetched[shard] = zip(row_hits, router.owned_flags(
+                        shard, info.table,
+                        (rh.version.data for rh in row_hits)))
                 # the router's own work on a row — two merge comparisons
                 # and the ownership hash — is host CPU no shard's engine
                 # saw: every shard's clock pays it, as for any host-level
@@ -529,41 +345,13 @@ class ShardSession:
                     db.clock.advance(cpu)
         rows: list[Key] = []
         for _key, _rank, shard, _hit in merged:
-            row_hit = next(fetched[shard])
-            if row_hit is not None:
+            row_hit, owned = next(fetched[shard])
+            if owned:
                 rows.append(row_hit.row)
         return rows
 
-    def _require_txn(self) -> "ShardTransaction":
-        if self._closed:
-            raise SessionError(f"session {self.id} is closed")
-        if self._txn is None:
-            raise TransactionStateError(
-                f"session {self.id}: no open transaction (call begin())")
-        return self._txn
-
-    def _guard(self) -> "_BusyGuard":
-        if self._closed:
-            raise SessionError(f"session {self.id} is closed")
-        return _BusyGuard(self)
-
     def explain(self) -> JSONDict:
-        return {"session": self.id, "in_txn": self.in_txn,
-                "commits": self.commits, "closed": self._closed,
-                "scan": self._scan_plan}
-
-    def __enter__(self) -> "ShardSession":
-        return self
-
-    def __exit__(self, exc_type: type[BaseException] | None,
-                 exc: BaseException | None,
-                 tb: TracebackType | None) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else (
-            f"txn={self._txn.id}" if self._txn else "idle")
-        return f"ShardSession(id={self.id}, {state})"
+        return {**super().explain(), "scan": self._scan_plan}
 
 
 def _take_below(runs: list[_Run], bound: Key | None) -> list[_Ready]:
@@ -582,27 +370,3 @@ def _take_below(runs: list[_Run], bound: Key | None) -> list[_Ready]:
         del hits[:cut]
     ready.sort()
     return ready
-
-
-class _BusyGuard:
-    """Catches two threads driving one session concurrently (misuse)."""
-
-    __slots__ = ("_session",)
-
-    def __init__(self, session: ShardSession) -> None:
-        self._session = session
-
-    def __enter__(self) -> "_BusyGuard":
-        session = self._session
-        me = threading.get_ident()
-        if session._busy_by is not None and session._busy_by != me:
-            raise SessionError(
-                f"session {session.id} is being driven by two threads "
-                f"concurrently — sessions are single-threaded handles")
-        session._busy_by = me
-        return self
-
-    def __exit__(self, exc_type: type[BaseException] | None,
-                 exc: BaseException | None,
-                 tb: TracebackType | None) -> None:
-        self._session._busy_by = None

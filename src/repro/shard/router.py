@@ -40,6 +40,7 @@ confines router + shards + coordinator to one thread at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, NamedTuple,
                     Sequence)
@@ -47,7 +48,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Iterable, NamedTuple,
 from ..config import EngineConfig
 from ..engine.database import Database
 from ..errors import (CatalogError, ConfigError, RecoveryError,
-                      TransactionStateError, WriteConflictError)
+                      TransactionStateError)
 from ..obs.core import Observability
 from ..obs.profile import profile_query
 from ..sim.clock import SimClock
@@ -56,6 +57,7 @@ from ..sim.profiles import INTEL_DC_P3600, DeviceProfile
 from ..sim.trace import IOTrace
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
+from ..txn.transaction import run_with_retry
 from ..types import JSONDict, Key, Row
 from .coordinator import ShardCoordinator
 from .partitioner import (HashPartitioner, Partitioner, RangePartitioner,
@@ -363,25 +365,7 @@ class ShardedDatabase:
     def run_transaction(self, fn: Callable[[ShardTransaction], Any],
                         retries: int = 3) -> Any:
         """``fn(txn)`` with commit-on-success and write-conflict retry."""
-        attempt = 0
-        while True:
-            txn = self.begin()
-            try:
-                result = fn(txn)
-            except WriteConflictError:
-                if txn.is_active:
-                    self.abort(txn)
-                attempt += 1
-                if attempt > retries:
-                    raise
-                continue
-            except BaseException:
-                if txn.is_active:
-                    self.abort(txn)
-                raise
-            if txn.is_active:
-                self.commit(txn)
-            return result
+        return run_with_retry(self.begin, fn, retries)
 
     # -------------------------------------------------------------------- DML
 
@@ -395,16 +379,9 @@ class ShardedDatabase:
 
     def update_by_key(self, txn: ShardTransaction, index_name: str,
                       key: Key, updates: dict[str, object]) -> int:
-        """UPDATE all visible rows matching ``key``; a row whose shard key
-        changes moves (delete + insert inside the same transaction) even
-        when the new key maps to the same shard — version chains must stay
-        single-shard-key or rebalancing could strand part of a chain's
-        history on a shard that no longer owns it (see
-        :func:`repro.shard.rebalance._chain_shard_key`)."""
+        """UPDATE all visible rows matching ``key``, each as
+        :meth:`update_hit` would."""
         info = self._index(index_name)
-        table = info.table
-        schema = self.shards[0].catalog.table(table).schema
-        positions = self.shard_key_positions(table)
         # gather every hit BEFORE mutating: a cross-shard move lands the
         # row (own writes are visible) on a shard this loop may not have
         # scanned yet, and must not be updated twice
@@ -413,21 +390,10 @@ class ShardedDatabase:
             db = self.shards[k]
             gathered.extend((k, hit) for hit in self._owned(
                 k, db.executor.lookup(
-                    txn.on(k), db.catalog.index(index_name), key), table))
+                    txn.on(k), db.catalog.index(index_name), key),
+                info.table))
         for k, hit in gathered:
-            db = self.shards[k]
-            new_row = schema.apply_updates(hit.version.data, updates)
-            old_shard_key = tuple(hit.version.data[p] for p in positions)
-            new_shard_key = tuple(new_row[p] for p in positions)
-            dst = self.partitioner.shard_of(new_shard_key)
-            txn.touch(k)
-            if dst == k and new_shard_key == old_shard_key:
-                db.update_row(txn.on(k), table, hit.rid, hit.version,
-                              updates)
-            else:
-                txn.touch(dst)
-                db.delete_row(txn.on(k), table, hit.rid, hit.version)
-                self.shards[dst].insert(txn.on(dst), table, new_row)
+            self.update_hit(txn, info.table, k, hit, updates)
         return len(gathered)
 
     def delete_by_key(self, txn: ShardTransaction, index_name: str,
@@ -447,9 +413,12 @@ class ShardedDatabase:
     def update_hit(self, txn: ShardTransaction, table: str, shard: int,
                    hit: "RowHit", updates: dict[str, object]) -> None:
         """UPDATE one previously-fetched row (hit-handle DML, the TPC-C
-        access pattern).  A shard-key change moves the row (delete +
-        insert in the same transaction) exactly like
-        :meth:`update_by_key`, so version chains stay single-shard-key."""
+        access pattern).  A row whose shard key changes moves (delete +
+        insert inside the same transaction) even when the new key maps to
+        the same shard — version chains must stay single-shard-key or
+        rebalancing could strand part of a chain's history on a shard
+        that no longer owns it (see
+        :func:`repro.shard.rebalance._chain_shard_key`)."""
         schema = self.shards[0].catalog.table(table).schema
         positions = self.shard_key_positions(table)
         db = self.shards[shard]
@@ -579,11 +548,8 @@ class ShardedDatabase:
                                 for k in range(len(self.shards))])
         rows: list[Row] = []
         for k, shard_rows in enumerate(gathered):
-            for row in shard_rows:
-                if self._owner_of_row(table, row) == k:
-                    rows.append(row)
-                elif self.obs is not None:
-                    self._m_residue.inc()
+            rows += compress(shard_rows,
+                             self.owned_flags(k, table, shard_rows))
         return rows
 
     def pull_index_slices(self, txn: ShardTransaction, index_name: str,
@@ -893,25 +859,28 @@ class ShardedDatabase:
             return [owner]
         return list(range(len(self.shards)))
 
+    def owned_flags(self, shard: int, table: str,
+                    rows: Iterable[Row]) -> list[bool]:
+        """THE ownership filter, one flag per row: does the row's shard
+        key map to ``shard`` under the CURRENT layout?  False marks
+        residue left on a source shard by a historical or in-flight
+        rebalance (counted in ``shard.hits.residue_filtered``); the
+        authoritative copy answers from the owning shard.  Flags keep
+        positions, so a caller compacts (``itertools.compress``) or keeps
+        per-shard streams aligned, as it needs."""
+        positions = self.shard_key_positions(table)
+        shard_of = self.partitioner.shard_of
+        flags = [shard_of(tuple(row[p] for p in positions)) == shard
+                 for row in rows]
+        if self.obs is not None and False in flags:
+            self._m_residue.inc(flags.count(False))
+        return flags
+
     def _owned(self, shard: int, hits: "list[RowHit]",
                table: str) -> "list[RowHit]":
-        """The ownership filter: drop hits whose row's shard key maps to a
-        different shard under the CURRENT layout — residue left on a
-        source shard by a historical or in-flight rebalance.  The
-        authoritative copy answers from the owning shard."""
-        positions = self.shard_key_positions(table)
-        partitioner = self.partitioner
-        kept: "list[RowHit]" = []
-        residue = 0
-        for hit in hits:
-            shard_key = tuple(hit.version.data[p] for p in positions)
-            if partitioner.shard_of(shard_key) == shard:
-                kept.append(hit)
-            else:
-                residue += 1
-        if residue and self.obs is not None:
-            self._m_residue.inc(residue)
-        return kept
+        """``hits`` minus ownership-filter residue."""
+        return list(compress(hits, self.owned_flags(
+            shard, table, [hit.version.data for hit in hits])))
 
     def __repr__(self) -> str:
         return (f"ShardedDatabase(shards={len(self.shards)}, "

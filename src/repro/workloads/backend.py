@@ -3,20 +3,23 @@
 The workload runners (:class:`~repro.workloads.ycsb.YCSBRunner`,
 :class:`~repro.workloads.tpcc.TPCCRunner`,
 :class:`~repro.workloads.chbench.CHBenchmark`) speak one small
-transactional API — :class:`WorkloadBackend` / :class:`WorkloadTxn` —
-with four interchangeable implementations:
+transactional API — :class:`WorkloadBackend` / :class:`WorkloadTxn`.
+There are two topologies, each driven directly or served:
 
 * :class:`DatabaseBackend` — a single-node
   :class:`~repro.engine.database.Database`, driven directly;
-* :class:`ServerBackend` — a :class:`~repro.serve.server.Server` session
-  pool (engine-slot confinement, group commit);
 * :class:`ShardedBackend` — a 2PC
   :class:`~repro.shard.router.ShardedDatabase`, driven directly: every
   multi-key transaction whose rows land on different shards commits
   through the two-phase marker flow;
-* :class:`ShardServerBackend` — a
-  :class:`~repro.serve.shard_server.ShardServer` session pool; analytic
-  reads flow through the sliced scatter-gather ``batch_scan``.
+* :class:`ServerBackend` / :class:`ShardServerBackend` — the direct
+  backend of the same topology plus one :class:`_SessionPool` over its
+  :class:`~repro.serve.server.Server` /
+  :class:`~repro.serve.shard_server.ShardServer`: only ``begin``,
+  ``vacuum`` and ``close`` are serving-specific (engine-slot confinement,
+  group commit or the router's 2PC; analytic reads flow through the
+  sliced ``batch_scan``) — DDL, the load, the clock, ``flush_all`` and
+  ``dump_table`` are host-level and inherited.
 
 Row handles are :class:`WorkloadHit` — a ``(shard, RowHit)`` pair (shard
 0 on single-node backends) — so hit-based DML (the TPC-C access pattern)
@@ -37,8 +40,9 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from itertools import islice
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from itertools import compress, islice
+from typing import (TYPE_CHECKING, Any, Generic, NamedTuple, Sequence,
+                    TypeVar, Union)
 
 from ..engine.database import Database
 from ..engine.executor import RowHit
@@ -48,11 +52,13 @@ from ..types import Key, Row
 
 if TYPE_CHECKING:
     from ..serve.config import ServeConfig
-    from ..serve.server import Server
-    from ..serve.session import Session
+    from ..serve.server import Server, ServerCore
+    from ..serve.session import Session, SessionCore
     from ..serve.shard_server import ShardServer, ShardSession
     from ..shard.txn import ShardTransaction
     from ..txn.transaction import Transaction
+
+S = TypeVar("S", bound="SessionCore[Any, Any]")
 
 #: anything :func:`as_backend` can adapt
 BackendTarget = Union["WorkloadBackend", Database, ShardedDatabase,
@@ -386,8 +392,6 @@ def _sharded_scan_limit(router: ShardedDatabase, txn: "ShardTransaction",
     the fetched row tells) leaves it short — and the runs are k-way
     merged."""
     info = router.shards[0].catalog.index(index)
-    positions = router.shard_key_positions(info.table)
-    partitioner = router.partitioner
 
     def owned_run(k: int) -> list[RowHit]:
         db = router.shards[k]
@@ -396,8 +400,8 @@ def _sharded_scan_limit(router: ShardedDatabase, txn: "ShardTransaction",
             hits = [hit for chunk in db.executor.scan_stream(
                 txn.on(k), db.catalog.index(index), lo, None, limit=size)
                 for hit in chunk]
-            run = [hit for hit in hits if partitioner.shard_of(tuple(
-                hit.version.data[p] for p in positions)) == k]
+            run = list(compress(hits, router.owned_flags(
+                k, info.table, (hit.version.data for hit in hits))))
             if len(run) >= limit or len(hits) < size:
                 return run[:limit]
             size *= 2
@@ -473,10 +477,8 @@ class ShardedBackend(WorkloadBackend):
 class _SessionTxn(WorkloadTxn):
     """One transaction on a pooled single-node :class:`Session`."""
 
-    def __init__(self, session: "Session", slice_rows: int) -> None:
+    def __init__(self, session: "Session") -> None:
         self._session = session
-        #: the server's ``scan_slice_rows``, cap on a LIMIT scan's slice
-        self._slice_rows = slice_rows
         session.begin()
 
     @property
@@ -522,96 +524,58 @@ class _SessionTxn(WorkloadTxn):
 
     def scan_limit(self, index: str, lo: Key | None,
                    limit: int) -> list[Row]:
-        stream = self._session.batch_scan(
-            index, lo, None, slice_rows=min(limit, self._slice_rows))
-        try:
-            return list(islice(stream, limit))
-        finally:
-            stream.close()
+        return self._session.scan_limit(index, lo, limit)
 
     def analytic_rows(self, index: str, lo: Key | None,
                       hi: Key | None) -> list[Row]:
         return list(self._session.batch_scan(index, lo, hi))
 
 
-class ServerBackend(WorkloadBackend):
-    """A multi-session :class:`Server` over one database.
+class _SessionPool(Generic[S]):
+    """The serving-specific half of a served backend: sessions drawn from
+    one server, one per concurrently open transaction — so an analytical
+    transaction held open across an OLTP slice occupies its own session
+    (the CH-benchmark shape)."""
 
-    Transactions draw sessions from a small pool (one per concurrently
-    open transaction), so an analytical transaction held open across an
-    OLTP slice occupies its own session — the CH-benchmark shape."""
+    def __init__(self, server: "ServerCore[Any, S]") -> None:
+        self._server = server
+        self._sessions: list[S] = []
+
+    def acquire(self) -> S:
+        for session in self._sessions:
+            if not session.in_txn:
+                return session
+        session = self._server.session()
+        self._sessions.append(session)
+        return session
+
+    def close(self) -> None:
+        for session in self._sessions:
+            session.close()
+        self._sessions.clear()
+        self._server.close()
+
+
+class ServerBackend(DatabaseBackend):
+    """A multi-session :class:`Server` over one database: the direct
+    backend of its topology, with transactions and vacuum going through
+    pooled sessions and the engine slot."""
 
     name = "server"
 
     def __init__(self, server: "Server") -> None:
+        super().__init__(server.db)
         self.server = server
-        self.db = server.db
-        self._pool: "list[Session]" = []
-
-    def _acquire(self) -> "Session":
-        for session in self._pool:
-            if not session.in_txn:
-                return session
-        session = self.server.session()
-        self._pool.append(session)
-        return session
-
-    def create_table(self, name: str,
-                     columns: Sequence[tuple[str, str]],
-                     storage: str = "sias", *,
-                     shard_key: Sequence[str] | None = None) -> None:
-        self.db.create_table(name, columns, storage)
-
-    def create_index(self, name: str, table: str,
-                     columns: Sequence[str], *, kind: str = "mvpbt",
-                     unique: bool = False, reference: str = "physical",
-                     **options: object) -> None:
-        self.db.create_index(name, table, columns, kind=kind,
-                             unique=unique, reference=reference, **options)
+        self._pool = _SessionPool(server)
 
     def begin(self) -> WorkloadTxn:
-        return _SessionTxn(self._acquire(),
-                           self.server.config.scan_slice_rows)
-
-    @property
-    def sim_now(self) -> float:
-        return self.db.clock.now
-
-    @property
-    def shard_count(self) -> int:
-        return 1
-
-    def bulk_insert(self, table: str, rows: Sequence[Sequence[object]], *,
-                    rows_per_txn: int = 5000) -> int:
-        session = self._acquire()
-        for start in range(0, len(rows), rows_per_txn):
-            session.begin()
-            for row in rows[start:start + rows_per_txn]:
-                session.insert(table, row)
-            session.commit()
-        return len(rows)
+        return _SessionTxn(self._pool.acquire())
 
     def vacuum(self, table: str) -> None:
         self.server.vacuum(table)
 
-    def advance_clock(self, seconds: float) -> None:
-        self.db.clock.advance(seconds)
-
-    def flush_all(self) -> None:
-        self.db.flush_all()
-
-    def dump_table(self, table: str) -> list[Row]:
-        txn = self.db.begin()
-        try:
-            return sorted(self.db.seq_scan(txn, table))
-        finally:
-            txn.commit()
-
     def close(self) -> None:
-        for session in self._pool:
-            session.close()
-        self._pool.clear()
-        self.server.close()
+        self._pool.close()
 
 
 # ------------------------------------------------------------ served sharded
@@ -620,10 +584,8 @@ class ServerBackend(WorkloadBackend):
 class _ShardSessionTxn(WorkloadTxn):
     """One global transaction on a pooled :class:`ShardSession`."""
 
-    def __init__(self, session: "ShardSession", slice_rows: int) -> None:
+    def __init__(self, session: "ShardSession") -> None:
         self._session = session
-        #: the server's ``scan_slice_rows``, cap on a LIMIT scan's slice
-        self._slice_rows = slice_rows
         session.begin()
 
     @property
@@ -668,20 +630,17 @@ class _ShardSessionTxn(WorkloadTxn):
 
     def scan_limit(self, index: str, lo: Key | None,
                    limit: int) -> list[Row]:
-        stream = self._session.batch_scan(
-            index, lo, None, slice_rows=min(limit, self._slice_rows))
-        try:
-            return list(islice(stream, limit))
-        finally:
-            stream.close()
+        return self._session.scan_limit(index, lo, limit)
 
     def analytic_rows(self, index: str, lo: Key | None,
                       hi: Key | None) -> list[Row]:
         return list(self._session.batch_scan(index, lo, hi))
 
 
-class ShardServerBackend(WorkloadBackend):
-    """A multi-session :class:`ShardServer` over the 2PC router.
+class ShardServerBackend(ShardedBackend):
+    """A multi-session :class:`ShardServer` over the 2PC router: the
+    direct sharded backend, with transactions and vacuum going through
+    pooled sessions and the engine slot.
 
     Analytic reads (``analytic_rows`` / ``scan_limit``) flow through the
     sliced scatter-gather ``batch_scan``; with
@@ -689,75 +648,19 @@ class ShardServerBackend(WorkloadBackend):
     run concurrently."""
 
     def __init__(self, server: "ShardServer") -> None:
+        super().__init__(server.router)
         self.server = server
-        self.router = server.router
         self.name = f"shard-server-{len(self.router.shards)}"
-        self._pool: "list[ShardSession]" = []
-
-    def _acquire(self) -> "ShardSession":
-        for session in self._pool:
-            if not session.in_txn:
-                return session
-        session = self.server.session()
-        self._pool.append(session)
-        return session
-
-    def create_table(self, name: str,
-                     columns: Sequence[tuple[str, str]],
-                     storage: str = "sias", *,
-                     shard_key: Sequence[str] | None = None) -> None:
-        self.router.create_table(name, columns, storage,
-                                 shard_key=shard_key)
-
-    def create_index(self, name: str, table: str,
-                     columns: Sequence[str], *, kind: str = "mvpbt",
-                     unique: bool = False, reference: str = "physical",
-                     **options: object) -> None:
-        self.router.create_index(name, table, columns, kind=kind,
-                                 unique=unique, reference=reference,
-                                 **options)
+        self._pool = _SessionPool(server)
 
     def begin(self) -> WorkloadTxn:
-        return _ShardSessionTxn(self._acquire(),
-                                self.server.config.scan_slice_rows)
-
-    @property
-    def sim_now(self) -> float:
-        return self.router.sim_now
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.router.shards)
-
-    def bulk_insert(self, table: str, rows: Sequence[Sequence[object]], *,
-                    rows_per_txn: int = 5000) -> int:
-        # the shard-aware load path: partition by shard key, load each
-        # shard directly (single-shard fast-path commits, no sessions)
-        return self.router.bulk_load(table, rows,
-                                     rows_per_txn=rows_per_txn)
+        return _ShardSessionTxn(self._pool.acquire())
 
     def vacuum(self, table: str) -> None:
         self.server.vacuum(table)
 
-    def advance_clock(self, seconds: float) -> None:
-        for db in self.router.shards:
-            db.clock.advance(seconds)
-
-    def flush_all(self) -> None:
-        self.router.flush_all()
-
-    def dump_table(self, table: str) -> list[Row]:
-        txn = self.router.begin()
-        try:
-            return sorted(self.router.seq_scan(txn, table))
-        finally:
-            self.router.commit(txn)
-
     def close(self) -> None:
-        for session in self._pool:
-            session.close()
-        self._pool.clear()
-        self.server.close()
+        self._pool.close()
 
 
 # ----------------------------------------------------------------- adapters

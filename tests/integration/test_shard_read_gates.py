@@ -10,7 +10,9 @@ that shard can own a matching row, and a hit crosses the router once":
 * **over-pull** — a sliced scatter-gather scan pulls each index hit once,
   plus at most the one look-ahead hit that ends a cursor run;
 * **LIMIT** — a served LIMIT scan sizes its slices by the LIMIT: ten rows
-  cost at most two table pages per shard, not a full slice's.
+  cost at most two table pages per shard, not a full slice's;
+* **residue** — every read path drops rebalance residue through the
+  router's one ownership filter, so every one of them counts it.
 
 Counts, not timings: they repeat exactly, so they gate hard.
 """
@@ -23,8 +25,10 @@ from repro.config import EngineConfig
 from repro.obs.config import ObsConfig
 from repro.shard import ShardConfig, ShardedDatabase
 from repro.workloads import CHBenchmark, TPCCConfig, TPCCRunner
-from repro.workloads.backend import (ShardServerBackend, _ShardSessionTxn,
-                                     shard_served_backend)
+from repro.workloads.backend import (ShardedBackend, ShardServerBackend,
+                                     _ShardSessionTxn, shard_served_backend)
+
+from ..property.test_prop_shard_routing import shuffle_leaving_residue
 
 pytestmark = [pytest.mark.shard, pytest.mark.workload]
 
@@ -119,3 +123,34 @@ def test_served_limit_scan_fetches_about_limit_rows(lo: int) -> None:
     assert [row[0] for row in rows] == list(range(lo, lo + 10))
     assert asked <= 2 * len(router.shards), (
         f"{asked} table-page requests for a 10-row LIMIT scan")
+
+
+def test_every_read_path_counts_the_residue_it_filters() -> None:
+    """A shuffle that stops past the layout flip leaves the moved index
+    records on their source shards; whichever path reads them, the one
+    ownership filter drops them and ``shard.hits.residue_filtered`` says
+    how many."""
+    router = ShardedDatabase(OBS, ShardConfig(shards=4))
+    router.create_table("t", [("k", "int"), ("v", "str")])
+    router.create_index("ix", "t", ["k"], kind="mvpbt")
+    rows = [(k, f"v{k}") for k in range(300)]
+    router.bulk_load("t", rows)
+    shuffle_leaving_residue(router, "hash", seed=1)
+    reg = router.obs.registry
+
+    def filtered(read: object) -> int:
+        before = reg.counter_value("shard.hits.residue_filtered")
+        assert read() == rows       # type: ignore[operator]
+        return reg.counter_value("shard.hits.residue_filtered") - before
+
+    txn = router.begin()
+    by_range = filtered(lambda: router.range_select(txn, "ix", None, None))
+    assert by_range > 0
+    assert filtered(lambda: sorted(router.seq_scan(txn, "t"))) > 0
+    with router.serve() as server, server.session() as session:
+        session.begin()
+        assert filtered(lambda: list(session.batch_scan("ix"))) == by_range
+    direct = ShardedBackend(router).begin()
+    assert filtered(lambda: direct.scan_limit("ix", None, len(rows))) > 0
+    direct.commit()
+    router.commit(txn)

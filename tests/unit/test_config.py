@@ -1,9 +1,12 @@
 """Unit tests for configuration validation."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.config import CostModel, EngineConfig
 from repro.errors import ConfigError
+from repro.serve import ServeConfig
 
 
 class TestEngineConfig:
@@ -24,11 +27,19 @@ class TestEngineConfig:
         with pytest.raises(ConfigError):
             EngineConfig(buffer_pool_pages=4)
 
-    def test_fill_factor_bounds(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(leaf_fill_factor=0.0)
-        with pytest.raises(ConfigError):
-            EngineConfig(leaf_fill_factor=1.5)
+    def test_option_surface_is_pinned(self):
+        """Every field is one more configuration to test: a new one (or
+        a deleted one coming back) has to change this list."""
+        assert [f.name for f in fields(EngineConfig)] == [
+            "page_size", "extent_pages", "buffer_pool_pages",
+            "partition_buffer_bytes", "bloom_fpr", "prefix_bloom_fpr",
+            "cost", "durability", "manifest_slot_pages", "obs"]
+        assert [f.name for f in fields(ServeConfig)] == [
+            "max_sessions", "scan_slice_rows", "group_commit",
+            "group_size_target", "group_window_s",
+            "parallel_scatter_gather"]
+        with pytest.raises(TypeError):
+            EngineConfig(seed=7)    # read nowhere, deleted
 
     def test_bloom_fpr_bounds(self):
         with pytest.raises(ConfigError):

@@ -15,6 +15,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
@@ -385,6 +387,63 @@ class TestR10SlotConfinement:
         hits = fired(findings, "R10")
         assert len(hits) == 1
         assert "calls flush() through engine state" in hits[0].message
+
+    #: the serving layout: handle and server bound in a base ``__init__``,
+    #: the scheduler reached through the server, a generic base class
+    CORE = """
+        from typing import Generic, TypeVar
+
+        from .sched import FairScheduler
+
+        E = TypeVar("E")
+
+        class ServerCore(Generic[E]):
+            def __init__(self, engine: E) -> None:
+                self.engine = engine
+                self.scheduler = FairScheduler()
+
+        class SessionCore(Generic[E]):
+            def __init__(self, server: "ServerCore[E]") -> None:
+                self._server = server
+                # reprolint: confined=engine
+                self._engine = server.engine
+
+            def count(self) -> int:
+                {core_with}
+                    return self._engine.count()
+
+        class Session({base}):
+            def read(self, key: int) -> int:
+                {binding_with}
+                    return self._engine.lookup(key)
+        """
+    IN_SLOT = 'with self._server.scheduler.slot("oltp"):'
+    BASES = pytest.mark.parametrize(
+        "base", ["SessionCore", 'SessionCore["Database"]'])
+
+    @BASES
+    def test_base_bound_handle_in_slot_is_clean(self, tmp_path, base):
+        findings, _ = lint_tree(tmp_path, {
+            "repro/serve/sched.py": self.SCHED,
+            "repro/serve/core.py": self.CORE.format(
+                base=base, core_with=self.IN_SLOT,
+                binding_with=self.IN_SLOT),
+        }, ["R10"])
+        assert fired(findings, "R10") == []
+
+    @BASES
+    def test_base_bound_handle_out_of_slot_fires_in_core_and_binding(
+            self, tmp_path, base):
+        findings, _ = lint_tree(tmp_path, {
+            "repro/serve/sched.py": self.SCHED,
+            "repro/serve/core.py": self.CORE.format(
+                base=base, core_with="if True:", binding_with="if True:"),
+        }, ["R10"])
+        messages = sorted(h.message for h in fired(findings, "R10"))
+        assert len(messages) == 2
+        assert "SessionCore.count calls count() through engine" \
+            in messages[1]
+        assert "Session.read calls lookup() through engine" in messages[0]
 
     def test_outside_serve_is_out_of_scope(self, tmp_path):
         findings, _ = lint_tree(tmp_path, {

@@ -24,8 +24,9 @@ inference (stdlib ``ast`` only, no execution):
   so ``self.shards[k]`` types as ``Database``).  Attribute typing runs to
   a small fixpoint so chains across classes (``session._db = server.db``)
   resolve;
-* calls resolve through ``self`` (including base classes by name),
-  through typed receivers, through module-level names, and through
+* attribute types and calls resolve through ``self`` and typed receivers,
+  base classes included by name (a subclass method sees what its base's
+  ``__init__`` bound); calls also resolve through module-level names and
   program-wide-unique function names — anything else resolves to ``None``
   and contributes nothing.
 
@@ -119,7 +120,10 @@ class ClassInfo:
         self.methods: dict[str, FunctionInfo] = {}
         self.bases: list[str] = []
         for base in node.bases:
-            hint = annotation_class(base)
+            # a generic base (``Core["Database", "Transaction"]``) is its
+            # unsubscripted class for method and attribute lookup
+            hint = annotation_class(
+                base.value if isinstance(base, ast.Subscript) else base)
             if hint is not None:
                 self.bases.append(hint)
         #: attribute name -> inferred class name (``list[X]`` for lists)
@@ -224,23 +228,37 @@ class Program:
         found = self._classes.get(name)
         return found if isinstance(found, ClassInfo) else None
 
-    def method_of(self, class_name: str | None,
-                  method: str) -> FunctionInfo | None:
-        """Resolve a method through a class and its by-name base chain."""
+    def lineage(self, class_name: str | None) -> Iterator[str]:
+        """A class name, then its by-name base chain (each name once; an
+        unknown or ambiguous name is yielded but not walked further)."""
         seen: set[str] = set()
         stack = [class_name] if class_name else []
         while stack:
             name = stack.pop()
-            if name is None or name in seen:
+            if name in seen:
                 continue
             seen.add(name)
+            yield name
             cls = self.class_named(name)
-            if cls is None:
-                continue
-            info = cls.methods.get(method)
-            if info is not None:
-                return info
-            stack.extend(cls.bases)
+            if cls is not None:
+                stack.extend(cls.bases)
+
+    def method_of(self, class_name: str | None,
+                  method: str) -> FunctionInfo | None:
+        """Resolve a method through a class and its by-name base chain."""
+        for name in self.lineage(class_name):
+            cls = self.class_named(name)
+            if cls is not None and method in cls.methods:
+                return cls.methods[method]
+        return None
+
+    def attr_type(self, class_name: str | None, attr: str) -> str | None:
+        """The inferred type of an attribute, bound in the class itself or
+        in a base's ``__init__`` (same chain as :meth:`method_of`)."""
+        for name in self.lineage(class_name):
+            cls = self.class_named(name)
+            if cls is not None and attr in cls.attr_types:
+                return cls.attr_types[attr]
         return None
 
     # ------------------------------------------------------ type inference
@@ -285,11 +303,8 @@ class Program:
                 return fn.cls.name
             return env.get(expr.id)
         if isinstance(expr, ast.Attribute):
-            owner = self.infer_type(expr.value, fn, env)
-            cls = self.class_named(owner)
-            if cls is not None:
-                return cls.attr_types.get(expr.attr)
-            return None
+            return self.attr_type(self.infer_type(expr.value, fn, env),
+                                  expr.attr)
         if isinstance(expr, ast.Subscript):
             owner = self.infer_type(expr.value, fn, env)
             if owner is not None and owner.startswith("list[") \

@@ -162,19 +162,9 @@ class _ConfinementWalker:
         return None
 
     def _confined_attr(self, attr: str) -> bool:
-        seen: set[str] = set()
-        stack = [self.fn.cls.name] if self.fn.cls is not None else []
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            if (name, attr) in self.locks.confined_attrs:
-                return True
-            cls = self.program.class_named(name)
-            if cls is not None:
-                stack.extend(cls.bases)
-        return False
+        owner = self.fn.cls.name if self.fn.cls is not None else None
+        return any((name, attr) in self.locks.confined_attrs
+                   for name in self.program.lineage(owner))
 
     # ---------------------------------------------------------- statements
 

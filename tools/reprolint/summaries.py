@@ -320,19 +320,10 @@ class LockModel:
 
     def _attr_lock(self, owner: str | None, attr: str) -> LockRef | None:
         """Attribute lock lookup through the by-name base-class chain."""
-        seen: set[str] = set()
-        stack = [owner] if owner else []
-        while stack:
-            name = stack.pop()
-            if name is None or name in seen:
-                continue
-            seen.add(name)
+        for name in self.program.lineage(owner):
             found = self.attr_locks.get((name, attr))
             if found is not None:
                 return found
-            cls = self.program.class_named(name)
-            if cls is not None:
-                stack.extend(cls.bases)
         return None
 
     def acquisitions(self, expr: ast.expr, fn: FunctionInfo,
