@@ -49,8 +49,6 @@ class EngineConfig:
     partition_buffer_bytes: int = 64 * PAGE_SIZE
     #: bloom-filter target false-positive rate for persisted partitions.
     bloom_fpr: float = 0.02
-    #: prefix bloom-filter target false-positive rate.
-    prefix_bloom_fpr: float = 0.10
     cost: CostModel = field(default_factory=CostModel)
     #: crash durability for MV-PBT indexes: partition manifest + P_N WAL.
     durability: bool = False

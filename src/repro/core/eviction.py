@@ -34,8 +34,8 @@ from __future__ import annotations
 from array import array
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..index.filters import (BloomFilter, PrefixBloomFilter, ZoneMapBuilder,
-                             digest)
+from ..index.filters import (PREFIX_BLOOM_FPR, BloomFilter,
+                             PrefixBloomFilter, ZoneMapBuilder, digest)
 from ..index.runs import PersistedRun
 from ..obs.core import span_or_null
 from ..storage.keycodec import encode_key, encode_key_with_prefix
@@ -173,7 +173,7 @@ class PartitionMetaBuilder:
     """
 
     __slots__ = ("use_bloom", "bloom_fpr", "use_prefix_bloom",
-                 "prefix_columns", "prefix_bloom_fpr", "count",
+                 "prefix_columns", "count",
                  "min_ts", "max_ts", "_digests", "_prefix_digests")
 
     def __init__(self, tree: "MVPBT") -> None:
@@ -181,7 +181,6 @@ class PartitionMetaBuilder:
         self.bloom_fpr = tree.bloom_fpr
         self.use_prefix_bloom = tree.use_prefix_bloom
         self.prefix_columns = tree.prefix_columns
-        self.prefix_bloom_fpr = tree.prefix_bloom_fpr
         self.count = 0
         self.min_ts = 0
         self.max_ts = 0
@@ -237,7 +236,7 @@ class PartitionMetaBuilder:
                 bloom.add_digest(d[i], d[i + 1])
         if self.use_prefix_bloom:
             prefix_bloom = PrefixBloomFilter(
-                self.count, self.prefix_bloom_fpr, self.prefix_columns)
+                self.count, PREFIX_BLOOM_FPR, self.prefix_columns)
             d = self._prefix_digests
             for i in range(0, len(d), 2):
                 prefix_bloom.add_digest(d[i], d[i + 1])

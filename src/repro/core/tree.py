@@ -163,7 +163,6 @@ class MVPBT:
                  bloom_fpr: float = 0.02,
                  use_prefix_bloom: bool = False,
                  prefix_columns: int = 1,
-                 prefix_bloom_fpr: float = 0.10,
                  enable_gc: bool = True,
                  index_only_visibility: bool = True,
                  reconcile: bool | None = None,
@@ -182,7 +181,6 @@ class MVPBT:
         self.bloom_fpr = bloom_fpr
         self.use_prefix_bloom = use_prefix_bloom
         self.prefix_columns = prefix_columns
-        self.prefix_bloom_fpr = prefix_bloom_fpr
         self.enable_gc = enable_gc
         self.index_only_visibility = index_only_visibility
         #: trigger an on-line merge step when the persisted-partition count

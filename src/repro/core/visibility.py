@@ -189,15 +189,6 @@ class VisibilityChecker:
             memo[ts] = sees
         return sees
 
-    def _register_anti(self, record: MVPBTRecord) -> None:
-        identity = record.anti_id(self.mode)
-        if identity is None:
-            return
-        stamp = (record.ts, record.seq)
-        existing = self._anti.get(identity)
-        if existing is None or stamp > existing:
-            self._anti[identity] = stamp
-
     def _dead_below_cutoff(self, record_ts: int, anti_ts: int) -> bool:
         """Is a superseded record invisible to every active/future snapshot?
 

@@ -107,9 +107,6 @@ class DurabilityController:
     def trees(self) -> dict[str, "MVPBT"]:
         return dict(self._trees)
 
-    def floor_of(self, name: str) -> int:
-        return self._floors[name]
-
     # ------------------------------------------------------------- txn hooks
 
     def wrote_nothing(self, txn: "Transaction") -> bool:

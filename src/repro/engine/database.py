@@ -15,7 +15,7 @@ from ..buffer.partition_buffer import PartitionBuffer
 from ..buffer.pool import BufferPool
 from ..config import EngineConfig
 from ..core.records import ReferenceMode
-from ..core.tree import MVPBT
+from ..core.tree import MVPBT, SearchHit
 from ..durability.controller import DurabilityController
 from ..durability.manifest import ManifestStore
 from ..durability.recovery import read_durable_state
@@ -41,9 +41,9 @@ from ..table.vacuum import (VacuumResult, vacuum_delta, vacuum_heap,
 from ..txn.manager import TransactionManager
 from ..txn.transaction import Transaction, run_with_retry
 from .catalog import Catalog, IndexInfo, TableInfo
-from .executor import Executor, RowHit
+from .executor import Executor, IndexSlice, RowHit, ScanLeg, ScanPlan
 from .schema import Schema
-from ..types import JSONDict, Key, TxnBody
+from ..types import JSONDict, Key, Row, TxnBody
 
 if TYPE_CHECKING:
     from ..serve.config import ServeConfig
@@ -58,7 +58,6 @@ def _tree_options(tree: MVPBT) -> dict[str, Any]:
         use_bloom=tree.use_bloom, bloom_fpr=tree.bloom_fpr,
         use_prefix_bloom=tree.use_prefix_bloom,
         prefix_columns=tree.prefix_columns,
-        prefix_bloom_fpr=tree.prefix_bloom_fpr,
         enable_gc=tree.enable_gc,
         index_only_visibility=tree.index_only_visibility,
         reconcile=tree.reconcile, first_hit_only=tree.first_hit_only,
@@ -164,7 +163,6 @@ class Database:
                 name, file, self.pool, self.partition_buffer, self.txn,
                 unique=unique, mode=mode,
                 bloom_fpr=self.config.bloom_fpr,
-                prefix_bloom_fpr=self.config.prefix_bloom_fpr,
                 obs=self.obs,
                 **options)  # type: ignore[arg-type]
             if self.durability is not None:
@@ -431,6 +429,34 @@ class Database:
         """Full-table scan of visible rows."""
         info = self.catalog.table(table)
         return [row for _rid, row in info.store.scan_visible(txn)]
+
+    # ------------------- the sliced scan's surface, one leg (DESIGN.md §15.1)
+
+    #: what a plan depends on besides the snapshot and own writes: nothing
+    #: on one node (the router's layout is its partitioner)
+    layout = None
+
+    def plan_scan(self, index_name: str, lo: Key | None, hi: Key | None,
+                  *, lo_incl: bool = True,
+                  hi_incl: bool = True) -> ScanPlan:
+        return ScanPlan("single-node",
+                        (ScanLeg(0, lo, lo_incl, hi, hi_incl),),
+                        self.catalog.index(index_name).index_only)
+
+    def pull_index_slices(self, txn: Transaction, index_name: str,
+                          legs: Sequence[ScanLeg],
+                          want: int) -> list[IndexSlice]:
+        ix = self.catalog.index(index_name)
+        return [self.executor.pull_slice(txn, ix, leg, want)[:2]
+                for leg in legs]
+
+    def fetch_rows(self, txn: Transaction, index_name: str,
+                   hits: Sequence[tuple[int, SearchHit]]) -> list[Row]:
+        """The rows of pulled ``(shard, hit)`` pairs, in order — fewer on
+        delta storage, where a version may not reconstruct."""
+        table = self.catalog.table(self.catalog.index(index_name).table)
+        return [hit.row for hit in self.executor._fetch_hits(
+            txn, table, [hit for _shard, hit in hits])]
 
     # ----------------------------------------------------------- maintenance
 

@@ -45,6 +45,37 @@ class RowHit(NamedTuple):
         return self.version.data
 
 
+class ScanLeg(NamedTuple):
+    """One shard's share of a planned range read: the (possibly
+    span-clipped) bounds it is asked for.  A single node is shard 0."""
+
+    shard: int
+    lo: Key | None
+    lo_incl: bool
+    hi: Key | None
+    hi_incl: bool
+
+
+class ScanPlan(NamedTuple):
+    """Which shards a range read asks, and how their answers combine:
+    ``span-concatenation`` legs are disjoint and in key order,
+    ``single-slot`` and ``single-node`` are one leg, ``scatter-merge`` is
+    one leg per shard (shard order) merged on ``(index key, shard)``."""
+
+    name: str
+    legs: tuple[ScanLeg, ...]
+    #: False for a version-oblivious index: no bounded cursor to slice
+    index_only: bool
+
+    @property
+    def shards(self) -> list[int]:
+        return sorted({leg.shard for leg in self.legs})
+
+
+#: one leg's bounded pull: its hits and its resume key (None: exhausted)
+IndexSlice = tuple[list[SearchHit], Key | None]
+
+
 class Executor:
     """Executes index lookups, range scans and index-only aggregates."""
 
@@ -135,6 +166,34 @@ class Executor:
                 txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)))
         return len(self.scan(txn, index_info, lo, hi,
                              lo_incl=lo_incl, hi_incl=hi_incl))
+
+    def pull_slice(self, txn: Transaction, index_info: IndexInfo,
+                   leg: ScanLeg, want: int
+                   ) -> tuple[list[SearchHit], Key | None, int, int]:
+        """One bounded index-only cursor run over ``leg``: ``(hits,
+        resume, hits pulled, runs pulled)``.  ``resume`` is None when the
+        leg is exhausted; otherwise every returned hit lies strictly below
+        it and the leg continues at ``resume`` inclusive.  A run is
+        ``want + 1`` hits with the trailing duplicate-key run trimmed off,
+        so a key is never split between two pulls; a run that is ONE key
+        throughout is re-pulled at double the size until it fits."""
+        tree = index_info.mvpbt
+        size, pulled, runs = want, 0, 0
+        while True:
+            hits = tree.scan_limit(txn, leg.lo, size + 1, leg.hi,
+                                   lo_incl=leg.lo_incl, hi_incl=leg.hi_incl)
+            pulled += len(hits)
+            runs += 1
+            if len(hits) <= size:
+                return hits, None, pulled, runs
+            resume = hits[-1].key
+            keep = len(hits) - 1
+            while keep and hits[keep - 1].key == resume:
+                keep -= 1
+            if keep:
+                del hits[keep:]
+                return hits, resume, pulled, runs
+            size *= 2
 
     # ------------------------------------------------------------- internal
 

@@ -164,6 +164,10 @@ class BloomFilter:
                 f"items={self.items_added})")
 
 
+#: target false-positive rate of every MV-PBT partition's prefix filter
+PREFIX_BLOOM_FPR = 0.10
+
+
 class PrefixBloomFilter:
     """Bloom filter over the encoded leading ``prefix_columns`` of each key.
 

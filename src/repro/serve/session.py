@@ -18,52 +18,92 @@ sessions must not be shared between threads mid-operation — enforced
 with a cheap busy flag that raises :class:`~repro.errors.SessionError`
 on overlap).
 
-Analytical scans go through ``batch_scan``: a generator that pulls
-one *slice* of visible hits per engine slot and yields between slices, so
-a long scan never starves concurrent writers (the §15.1 fairness
-contract).  Slicing is snapshot-exact: every slice re-enters the index
-with the same transaction snapshot and continues at the key boundary, so
-the concatenation of slices equals one monolithic
-:meth:`~repro.core.tree.MVPBT.range_scan` of the same snapshot.
+Analytical scans go through :meth:`SessionCore.batch_scan`, the one
+sliced scan: it holds the engine slot only to pull or fetch and yields
+between, so a long scan never starves writers.  Over the engine's
+``plan_scan`` / ``pull_index_slices`` / ``fetch_rows`` a single node is
+the one-leg case of the router's scatter-gather:
+
+* **Owner set.**  Only the plan's legs are asked (one on a single node
+  or for a prefix-pinned sharded range).
+* **Refill.**  Each leg buffers index-only hits below a *resume key*; one
+  slot pulls ``slice_rows + 1`` hits for exactly the legs whose buffer
+  is empty.
+* **Trim.**  A pull's trailing run of equal keys becomes the resume key,
+  so a key never splits between pulls (a one-key pull doubles).
+* **Emit bound.**  Hits below the *smallest* resume key of the
+  unexhausted legs are emitted in merged ``(key, shard)`` order, rows
+  fetched in chunks of ``slice_rows`` (a slot each, never cutting a key's
+  run).  Trees bisect on key tuples and ``encode_key`` preserves their
+  order, so nothing is re-encoded.
+* **Re-plan.**  Buffers depend on (snapshot, own writes, layout); when
+  ``txn.writes`` or ``engine.layout`` moved they are dropped and the scan
+  re-plans from its frontier, just past the last materialised key.
+* **Fallback.**  A version-oblivious index has no bounded cursor: one
+  materialising slot.
+
+The slices concatenate to one monolithic snapshot scan: no duplicates,
+no skips, whatever commits, evictions or merges interleave.
 """
 
 from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from itertools import islice
+from operator import attrgetter
 from types import TracebackType
 from typing import (TYPE_CHECKING, Any, Callable, Generator, Generic,
                     Protocol, Sequence, TypeVar)
 
 from ..errors import SessionError, TransactionStateError, WriteConflictError
 from ..storage.recordid import RecordID
-from ..types import JSONDict, Key
+from ..types import JSONDict, Key, Row
 from .config import check_slice_rows
 
 if TYPE_CHECKING:
     from typing import Self
 
     from ..core.records import MVPBTRecord
+    from ..core.tree import SearchHit
     from ..engine.database import Database
-    from ..engine.executor import RowHit
+    from ..engine.executor import IndexSlice, RowHit, ScanLeg, ScanPlan
     from ..obs.core import Observability
     from ..txn.transaction import Transaction
     from .server import Server, ServerCore
 
 
 class EngineLike(Protocol):
-    """What the serving cores ask of an engine themselves: the obs facade
-    and the keyed DML that reads the same on both topologies.  Everything
-    else is a binding's business."""
+    """What the serving cores ask of an engine themselves: the obs facade,
+    the keyed DML and the sliced scan's surface, which read the same on
+    both topologies.  Everything else is a binding's business."""
 
     @property
     def obs(self) -> "Observability | None": ...
+
+    @property
+    def layout(self) -> object: ...
 
     def update_by_key(self, txn: Any, index_name: str, key: Key,
                       updates: dict[str, object]) -> int: ...
 
     def delete_by_key(self, txn: Any, index_name: str, key: Key) -> int: ...
+
+    def range_select(self, txn: Any, index_name: str, lo: Key | None,
+                     hi: Key | None, *, lo_incl: bool = True,
+                     hi_incl: bool = True) -> list[Row]: ...
+
+    def plan_scan(self, index_name: str, lo: Key | None, hi: Key | None,
+                  *, lo_incl: bool = True,
+                  hi_incl: bool = True) -> "ScanPlan": ...
+
+    def pull_index_slices(self, txn: Any, index_name: str,
+                          legs: "Sequence[ScanLeg]",
+                          want: int) -> "list[IndexSlice]": ...
+
+    def fetch_rows(self, txn: Any, index_name: str,
+                   hits: "Sequence[tuple[int, SearchHit]]") -> list[Row]: ...
 
 
 class TxnLike(Protocol):
@@ -75,6 +115,9 @@ class TxnLike(Protocol):
     @property
     def is_active(self) -> bool: ...
 
+    @property
+    def writes(self) -> int: ...
+
     def abort(self) -> None: ...
 
 
@@ -85,9 +128,12 @@ T = TypeVar("T", bound=TxnLike)
 class SessionCore(ABC, Generic[E, T]):
     """What a session *is*, whatever engine it is bound to: the one open
     transaction, the single-driver busy guard, the closed / no-transaction
-    checks, ``run`` with its retry loop, ``close``.  A binding adds the
-    statements (how its engine spells them), the commit protocol and the
-    sliced scan (DESIGN.md §15.1)."""
+    checks, ``run`` with its retry loop, ``close`` and the sliced scan.  A
+    binding adds the statements (how its engine spells them) and the
+    commit protocol (DESIGN.md §15.1)."""
+
+    #: what the latest sliced scan asked (for :meth:`explain`)
+    _scan_plan: JSONDict | None = None
 
     def __init__(self, server: "ServerCore[E, Any]", sid: int) -> None:
         self._server = server
@@ -113,13 +159,6 @@ class SessionCore(ABC, Generic[E, T]):
 
     @abstractmethod
     def abort(self) -> None: ...
-
-    @abstractmethod
-    def batch_scan(self, index: str, lo: Key | None = None,
-                   hi: Key | None = None, *, lo_incl: bool = True,
-                   hi_incl: bool = True,
-                   slice_rows: int | None = None
-                   ) -> Generator[Key, None, None]: ...
 
     def run(self, fn: "Callable[[Self], Any]", retries: int = 3) -> Any:
         """Run ``fn(self)`` in a transaction; commit on success, abort on
@@ -189,13 +228,85 @@ class SessionCore(ABC, Generic[E, T]):
                    limit: int) -> list[Key]:
         """The first ``limit`` rows at/after ``lo``: a sliced scan whose
         slices are sized by the LIMIT (capped by ``scan_slice_rows``) and
-        which is closed as soon as the rows are out."""
+        which is closed as soon as the rows are out.  A LIMIT below one
+        reads nothing, as on the direct backends."""
+        if limit < 1:
+            return []
         stream = self.batch_scan(index, lo, None, slice_rows=min(
             limit, self._server.config.scan_slice_rows))
         try:
             return list(islice(stream, limit))
         finally:
             stream.close()
+
+    def batch_scan(self, index: str, lo: Key | None = None,
+                   hi: Key | None = None, *, lo_incl: bool = True,
+                   hi_incl: bool = True,
+                   slice_rows: int | None = None
+                   ) -> Generator[Row, None, None]:
+        """THE sliced scan (module docstring): visible rows in global key
+        order, one slot per refill and one per fetched chunk."""
+        txn = self.txn
+        engine = self._engine
+        limit = check_slice_rows(
+            self._server.config.scan_slice_rows if slice_rows is None
+            else slice_rows)
+        #: the frontier: no key at or past it has been materialised
+        from_key, from_incl = lo, lo_incl
+        runs: list[_Run] = []
+        stamp: object = None
+        while True:
+            with self._guard(), self._server.scheduler.slot("scan"):
+                # the refill: re-plan from the frontier if own writes or
+                # the layout moved, then pull every empty, live leg
+                now = (txn.writes, engine.layout)
+                if now != stamp:
+                    plan = engine.plan_scan(index, from_key, hi,
+                                            lo_incl=from_incl,
+                                            hi_incl=hi_incl)
+                    if not plan.index_only:     # no bounded cursor
+                        rows = engine.range_select(txn, index, lo, hi,
+                                                   lo_incl=lo_incl,
+                                                   hi_incl=hi_incl)
+                        break
+                    runs = [_Run(leg) for leg in plan.legs]
+                    self._scan_plan = {"index": index, "plan": plan.name,
+                                       "shards": plan.shards}
+                stamp = now
+                empty = [run for run in runs
+                         if not run.hits and run.resume is not None]
+                if empty:
+                    self._server.note_scan_slice()
+                    pulled = engine.pull_index_slices(
+                        txn, index, [run.leg for run in empty], limit)
+                    for run, (hits, resume) in zip(empty, pulled):
+                        run.hits, run.resume = hits, resume
+                        if resume is not None:
+                            run.leg = run.leg._replace(lo=resume,
+                                                       lo_incl=True)
+            resumes = [run.resume for run in runs
+                       if run.resume is not None]
+            ready = _take_below(runs, min(resumes) if resumes else None)
+            start = 0
+            while start < len(ready):
+                end = min(start + limit, len(ready))
+                while (end < len(ready)
+                       and ready[end][1].key == ready[end - 1][1].key):
+                    end += 1    # the frontier never splits a key
+                with self._guard(), self._server.scheduler.slot("scan"):
+                    rows = engine.fetch_rows(txn, index, ready[start:end])
+                from_key, from_incl = ready[end - 1][1].key, False
+                start = end
+                yield from rows
+                if (txn.writes, engine.layout) != stamp:
+                    # the consumer wrote (or rebalanced) between two
+                    # next() calls: every hit not yet materialised is
+                    # stale — the next refill re-plans from the frontier
+                    break
+            else:
+                if not resumes:
+                    return
+        yield from rows     # a version-oblivious index, read in one slot
 
     # -------------------------------------------------------------- plumbing
 
@@ -220,7 +331,8 @@ class SessionCore(ABC, Generic[E, T]):
 
     def explain(self) -> JSONDict:
         return {"session": self.id, "in_txn": self.in_txn,
-                "commits": self.commits, "closed": self._closed}
+                "commits": self.commits, "closed": self._closed,
+                "scan": self._scan_plan}
 
     def __enter__(self) -> "Self":
         return self
@@ -258,6 +370,45 @@ class _BusyGuard:
                  exc: BaseException | None,
                  tb: TracebackType | None) -> None:
         self._session._busy_by = None
+
+
+class _Run:
+    """One asked leg's side of a sliced scan — plain session-local
+    state, never engine state."""
+
+    __slots__ = ("leg", "hits", "resume")
+
+    def __init__(self, leg: "ScanLeg") -> None:
+        #: what is left to ask the leg's shard for
+        self.leg = leg
+        #: pulled and not yet emitted, in key order, all below ``resume``
+        self.hits: "list[SearchHit]" = []
+        #: every hit of the leg below this key has been pulled (``()``
+        #: sorts before every key: nothing yet); None = leg exhausted
+        self.resume: Key | None = ()
+
+
+_hit_key = attrgetter("key")
+
+
+def _take_below(runs: list[_Run],
+                bound: Key | None) -> "list[tuple[int, SearchHit]]":
+    """Move every buffered hit below ``bound`` (None: everything) out of
+    the runs as ``(shard, hit)`` pairs merged on ``(key, shard)``: each
+    buffer is in key order and the rank — position in the run-by-run
+    concatenation — breaks ties towards the lower shard, then cursor
+    order."""
+    ready: "list[tuple[Key, int, int, SearchHit]]" = []
+    for run in runs:
+        hits = run.hits
+        cut = (len(hits) if bound is None
+               else bisect_left(hits, bound, key=_hit_key))
+        shard, base = run.leg.shard, len(ready)
+        ready += [(hit.key, base + i, shard, hit)
+                  for i, hit in enumerate(hits[:cut])]
+        del hits[:cut]
+    ready.sort()
+    return [(shard, hit) for _key, _rank, shard, hit in ready]
 
 
 class Session(SessionCore["Database", "Transaction"]):
@@ -367,74 +518,7 @@ class Session(SessionCore["Database", "Transaction"]):
                    hi: Key | None = None, *, lo_incl: bool = True,
                    hi_incl: bool = True,
                    slice_rows: int | None = None
-                   ) -> Generator[Key, None, None]:
-        """Sliced analytical scan: yields visible rows in key order,
-        releasing the engine slot between slices.
-
-        Each slice is an independent bounded cursor pull against the
-        session's (fixed) snapshot, continued at a key boundary — so
-        interleaved commits, evictions or merges between slices can never
-        change what this snapshot sees, and rows are never duplicated or
-        skipped.  A key whose duplicate run exceeds the slice size grows
-        the slice until the run fits (keys are never split across a
-        continuation boundary).
-        """
-        txn = self.txn
-        # reprolint: disable-next=R10 -- catalog is frozen after setup (no DDL during serving); plan-time read needs no slot
-        info = self._engine.catalog.index(index)
-        if not info.index_only:
-            # version-oblivious paths have no streaming cursor: one slot
-            with self._guard():
-                with self._server.scheduler.slot("scan"):
-                    rows = self._engine.range_select(txn, index, lo, hi,
-                                                     lo_incl=lo_incl,
-                                                     hi_incl=hi_incl)
-            yield from rows
-            return
-        limit = check_slice_rows(
-            self._server.config.scan_slice_rows if slice_rows is None
-            else slice_rows)
-        tree = info.mvpbt
-        # reprolint: disable-next=R10 -- catalog is frozen after setup
-        table = self._engine.catalog.table(info.table)
-        cur_lo, cur_incl = lo, lo_incl
-        while True:
-            want = limit
-            while True:
-                with self._guard():
-                    with self._server.scheduler.slot("scan"):
-                        self._server.note_scan_slice()
-                        hits = tree.scan_limit(txn, cur_lo, want + 1, hi,
-                                               lo_incl=cur_incl,
-                                               hi_incl=hi_incl)
-                if len(hits) <= want:
-                    # final slice: the range is exhausted
-                    for row in self._rows_for(txn, table, hits):
-                        yield row
-                    return
-                boundary = hits[want].key
-                emit = [h for h in hits if h.key < boundary]
-                if emit:
-                    break
-                # one key's duplicate run exceeds the slice: grow and
-                # retry so the key is never split across slices
-                want *= 2
-            for row in self._rows_for(txn, table, emit):
-                yield row
-            cur_lo, cur_incl = boundary, True
-
-    # -------------------------------------------------------------- plumbing
-
-    def _rows_for(self, txn: "Transaction", table: Any,
-                  hits: list[Any]) -> list[Key]:
-        """Materialise rows for one slice's index-only hits.
-
-        Base-table fetches go through the buffer pool — engine state — so
-        they need their own slot; delegating to the executor's fetch path
-        keeps delta-chain reconstruction semantics identical to a
-        monolithic scan."""
-        if not hits:
-            return []
-        with self._server.scheduler.slot("scan"):
-            resolved = self._engine.executor._fetch_hits(txn, table, hits)
-        return [hit.row for hit in resolved]
+                   ) -> Generator[Row, None, None]:
+        """The core's sliced scan; on this class for the tracer (§15.1)."""
+        yield from super().batch_scan(index, lo, hi, lo_incl=lo_incl,
+                                      hi_incl=hi_incl, slice_rows=slice_rows)

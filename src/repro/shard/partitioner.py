@@ -82,9 +82,6 @@ class HashPartitioner:
         owners[slot] = dst
         return HashPartitioner(self.shards, owners, self.slots)
 
-    def slots_of_shard(self, shard: int) -> list[int]:
-        return [s for s, o in enumerate(self._owners) if o == shard]
-
     def to_state(self) -> JSONDict:
         return {"kind": self.kind, "shards": self.shards,
                 "slots": self.slots, "owners": list(self._owners)}

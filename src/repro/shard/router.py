@@ -42,11 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from typing import (TYPE_CHECKING, Any, Callable, Iterable, NamedTuple,
-                    Sequence)
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from ..config import EngineConfig
 from ..engine.database import Database
+from ..engine.executor import IndexSlice, ScanLeg, ScanPlan
 from ..errors import (CatalogError, ConfigError, RecoveryError,
                       TransactionStateError)
 from ..obs.core import Observability
@@ -87,31 +87,6 @@ def serial_gather(tasks: Sequence[Callable[[], Any]]) -> list[Any]:
 def _thunk(fn: Callable[[Any], Any], arg: Any) -> Callable[[], Any]:
     """Bind a per-shard function to its shard / leg (late-binding-safe)."""
     return lambda: fn(arg)
-
-
-class ScanLeg(NamedTuple):
-    """One shard's share of a planned range read: the (possibly
-    span-clipped) bounds it is asked for."""
-
-    shard: int
-    lo: Key | None
-    lo_incl: bool
-    hi: Key | None
-    hi_incl: bool
-
-
-class ScanPlan(NamedTuple):
-    """Which shards a range read asks, and how their answers combine:
-    ``span-concatenation`` legs are disjoint and in key order,
-    ``single-slot`` is one leg, ``scatter-merge`` is one leg per shard
-    (shard order) merged on ``(index key, shard)``."""
-
-    name: str
-    legs: tuple[ScanLeg, ...]
-
-    @property
-    def shards(self) -> list[int]:
-        return sorted({leg.shard for leg in self.legs})
 
 
 @dataclass
@@ -228,6 +203,13 @@ class ShardedDatabase:
     @property
     def shard_count(self) -> int:
         return len(self.shards)
+
+    @property
+    def layout(self) -> Partitioner:
+        """What a planned scan's legs depend on besides the snapshot and
+        the transaction's own writes: the partitioner object (a rebalance
+        installs a new one)."""
+        return self.partitioner
 
     @property
     def sim_now(self) -> float:
@@ -553,45 +535,61 @@ class ShardedDatabase:
         return rows
 
     def pull_index_slices(self, txn: ShardTransaction, index_name: str,
-                          legs: Sequence[ScanLeg], want: int
-                          ) -> "list[tuple[list[SearchHit], Key | None]]":
-        """One bounded index-only cursor run per leg, through
-        :attr:`gather`: ``(hits, resume)`` per leg.  ``resume`` is None
-        when the leg's range is exhausted; otherwise every returned hit
-        lies strictly below it and the leg continues at ``resume``
-        inclusive.  A run is ``want + 1`` hits with the trailing
-        duplicate-key run trimmed off, so a key is never split between
-        two pulls; a run that is ONE key throughout is re-pulled at
-        double the size until it fits.  The sliced scatter-gather scan
-        (:meth:`repro.serve.shard_server.ShardSession.batch_scan`)
-        buffers and merges the runs."""
+                          legs: Sequence[ScanLeg],
+                          want: int) -> list[IndexSlice]:
+        """One bounded index-only cursor run per leg
+        (:meth:`~repro.engine.executor.Executor.pull_slice`), through
+        :attr:`gather`; the pulls are counted in
+        ``shard.scan.hits_pulled`` / ``shard.scan.runs_pulled``."""
 
         def pull(leg: ScanLeg
                  ) -> "tuple[list[SearchHit], Key | None, int, int]":
-            tree = self.shards[leg.shard].catalog.index(index_name).mvpbt
-            size, pulled, runs = want, 0, 0
-            while True:
-                hits = tree.scan_limit(txn.on(leg.shard), leg.lo, size + 1,
-                                       leg.hi, lo_incl=leg.lo_incl,
-                                       hi_incl=leg.hi_incl)
-                pulled += len(hits)
-                runs += 1
-                if len(hits) <= size:
-                    return hits, None, pulled, runs
-                resume = hits[-1].key
-                keep = len(hits) - 1
-                while keep and hits[keep - 1].key == resume:
-                    keep -= 1
-                if keep:
-                    del hits[keep:]
-                    return hits, resume, pulled, runs
-                size *= 2
+            db = self.shards[leg.shard]
+            return db.executor.pull_slice(txn.on(leg.shard),
+                                          db.catalog.index(index_name),
+                                          leg, want)
 
         gathered = self.gather([_thunk(pull, leg) for leg in legs])
         if self.obs is not None:
             self._m_hits_pulled.inc(sum(g[2] for g in gathered))
             self._m_runs_pulled.inc(sum(g[3] for g in gathered))
         return [(hits, resume) for hits, resume, _n, _r in gathered]
+
+    def fetch_rows(self, txn: ShardTransaction, index_name: str,
+                   hits: "Sequence[tuple[int, SearchHit]]") -> list[Row]:
+        """The owned rows of pulled ``(shard, hit)`` pairs, in the order
+        given: one batch fetch per shard, then the ownership filter, so
+        rebalance residue never shows."""
+        table = self._index(index_name).table
+        by_shard: "dict[int, list[SearchHit]]" = {}
+        for shard, hit in hits:
+            by_shard.setdefault(shard, []).append(hit)
+        # _fetch_hits is 1:1 on heap/SIAS stores (the only kinds sharded
+        # tables allow), so per-shard streams stay aligned with `hits`;
+        # the ownership filter flags residue entries without compacting
+        fetched: "dict[int, Iterator[tuple[RowHit, bool]]]" = {}
+        for shard, shard_hits in by_shard.items():
+            db = self.shards[shard]
+            row_hits = db.executor._fetch_hits(
+                txn.on(shard), db.catalog.table(table), shard_hits)
+            fetched[shard] = zip(row_hits, self.owned_flags(
+                shard, table, (rh.version.data for rh in row_hits)))
+        # the router's own work on a row — two merge comparisons and the
+        # ownership hash — is host CPU no shard's engine saw: every
+        # shard's clock pays it, as for any host-level overhead.  It
+        # keeps a scan's simulated cost proportional to its rows now that
+        # the engines ask one page request per page, not per row
+        # (DESIGN.md §9.10)
+        cost = self.config.cost
+        cpu = len(hits) * (2 * cost.compare + cost.hash_op)
+        for db in self.shards:
+            db.clock.advance(cpu)
+        rows: list[Row] = []
+        for shard, _hit in hits:
+            row_hit, owned = next(fetched[shard])
+            if owned:
+                rows.append(row_hit.row)
+        return rows
 
     # ------------------------------------------------------------ maintenance
 
@@ -818,14 +816,16 @@ class ShardedDatabase:
                                     span_lo, span_hi)
                 if bounds is not None:
                     legs.append(ScanLeg(owner, *bounds))
-            return ScanPlan("span-concatenation", tuple(legs))
+            return ScanPlan("span-concatenation", tuple(legs),
+                            info.index_only)
         owner = self._pinned_owner(info, lo, hi)
         if owner is not None:
             return ScanPlan("single-slot",
-                            (ScanLeg(owner, lo, lo_incl, hi, hi_incl),))
+                            (ScanLeg(owner, lo, lo_incl, hi, hi_incl),),
+                            info.index_only)
         return ScanPlan("scatter-merge", tuple(
             ScanLeg(k, lo, lo_incl, hi, hi_incl)
-            for k in range(len(self.shards))))
+            for k in range(len(self.shards))), info.index_only)
 
     def _is_routing_index(self, info: "IndexInfo") -> bool:
         """Does the index key EQUAL the table's shard key?  Only then do

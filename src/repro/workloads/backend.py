@@ -390,7 +390,9 @@ def _sharded_scan_limit(router: ShardedDatabase, txn: "ShardTransaction",
     every shard gives its first ``limit`` owned rows — a LIMIT scan cut in
     the index, re-pulled at double the size while rebalance residue (only
     the fetched row tells) leaves it short — and the runs are k-way
-    merged."""
+    merged.  A LIMIT below one reads nothing."""
+    if limit < 1:
+        return []
     info = router.shards[0].catalog.index(index)
 
     def owned_run(k: int) -> list[RowHit]:

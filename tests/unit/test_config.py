@@ -32,8 +32,8 @@ class TestEngineConfig:
         a deleted one coming back) has to change this list."""
         assert [f.name for f in fields(EngineConfig)] == [
             "page_size", "extent_pages", "buffer_pool_pages",
-            "partition_buffer_bytes", "bloom_fpr", "prefix_bloom_fpr",
-            "cost", "durability", "manifest_slot_pages", "obs"]
+            "partition_buffer_bytes", "bloom_fpr", "cost", "durability",
+            "manifest_slot_pages", "obs"]
         assert [f.name for f in fields(ServeConfig)] == [
             "max_sessions", "scan_slice_rows", "group_commit",
             "group_size_target", "group_window_s",

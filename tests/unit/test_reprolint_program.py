@@ -445,6 +445,28 @@ class TestR10SlotConfinement:
             in messages[1]
         assert "Session.read calls lookup() through engine" in messages[0]
 
+    def test_out_of_slot_call_in_the_sliced_scan_fires(self, tmp_path):
+        """The real serve layer, once as it is and once with the sliced
+        scan's row fetch moved out of its slot: the state machine lives
+        in the generic core, and R10 still sees into it."""
+        serve = REPO_ROOT / "src" / "repro" / "serve"
+        files = {f"repro/serve/{path.name}": path.read_text()
+                 for path in serve.glob("*.py")}
+        findings, _ = lint_tree(tmp_path / "as_is", files, ["R10"])
+        assert fired(findings, "R10") == []
+        in_slot = ('with self._guard(), self._server.scheduler.slot("scan"):'
+                   '\n                    rows = engine.fetch_rows(')
+        session = files["repro/serve/session.py"]
+        assert session.count(in_slot) == 1
+        files["repro/serve/session.py"] = session.replace(
+            in_slot, in_slot.replace(
+                ', self._server.scheduler.slot("scan")', ""))
+        findings, _ = lint_tree(tmp_path / "mutated", files, ["R10"])
+        messages = [h.message for h in fired(findings, "R10")]
+        assert messages == [
+            "repro.serve.session.SessionCore.batch_scan calls fetch_rows() "
+            "through engine state outside the engine slot"]
+
     def test_outside_serve_is_out_of_scope(self, tmp_path):
         findings, _ = lint_tree(tmp_path, {
             "repro/shard/router.py": """

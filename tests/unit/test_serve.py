@@ -2,12 +2,11 @@
 
 Everything here is single-threaded (or trivially threaded through the
 SessionExecutor): the layer's *behavioral* contract — session lifecycle,
-served results identical to direct Database use, snapshot-exact sliced
-scans, group-commit equivalence and durability — must hold without any
-real concurrency.  The interleaving-under-contention properties live in
+served results identical to direct Database use, group-commit equivalence
+and durability — must hold without any real concurrency.  The sliced
+scan's rules run over both bindings in ``test_serve_contract.py``; the
+interleaving-under-contention properties live in
 ``test_serve_stress.py`` / ``test_serve_fairness.py``."""
-
-import threading
 
 import pytest
 
@@ -16,27 +15,6 @@ from repro.engine.database import Database
 from repro.errors import (ConcurrencyError, ConfigError, SessionError,
                           TransactionStateError)
 from repro.serve import ServeConfig, SessionExecutor
-
-
-def batch_scan_outcome(session, index, slice_rows, timeout=10.0):
-    """Drain ``session.batch_scan(index, slice_rows=...)`` on a watchdog
-    thread: the row count or the ConfigError it raised.  A scan that
-    never returns fails the test instead of hanging the suite."""
-    outcome: list[BaseException | int] = []
-
-    def drive() -> None:
-        try:
-            outcome.append(len(list(
-                session.batch_scan(index, slice_rows=slice_rows))))
-        except ConfigError as exc:
-            outcome.append(exc)
-
-    worker = threading.Thread(target=drive, daemon=True)
-    worker.start()
-    worker.join(timeout=timeout)
-    assert not worker.is_alive(), (
-        f"batch_scan(slice_rows={slice_rows}) never returns")
-    return outcome[0]
 
 
 def make_db(durability: bool = True, **kwargs) -> Database:
@@ -187,100 +165,6 @@ class TestServedEquivalence:
                 s.commit()
         assert db.durability.wal.appends == 3
         assert server.committer.stats.as_dict()["mean_group_size"] == 1.0
-
-
-class TestBatchScan:
-    def test_slices_concatenate_to_monolithic_scan(self):
-        db = make_db()
-        with db.serve(ServeConfig(scan_slice_rows=7)) as server:
-            with server.session() as s:
-                s.begin()
-                for i in range(100):
-                    s.insert("t", (i, f"v{i}"))
-                s.commit()
-                s.begin()
-                want = s.range_select("ix", (10,), (90,))
-                got = list(s.batch_scan("ix", (10,), (90,)))
-                assert got == want and len(got) == 81
-                # many slices actually happened
-                assert server.scheduler.stats()["scan"]["grants"] > 10
-                s.abort()
-
-    def test_duplicate_run_larger_than_slice_is_not_split(self):
-        db = Database(EngineConfig(durability=True))
-        db.create_table("t", [("k", "int"), ("v", "str")])
-        db.create_index("ix", "t", ["k"], kind="mvpbt",
-                        index_only_visibility=True)  # non-unique
-        with db.serve(ServeConfig(scan_slice_rows=3)) as server:
-            with server.session() as s:
-                s.begin()
-                for i in range(10):
-                    s.insert("t", (5, f"dup{i}"))   # one key, 10 rows
-                for i in range(4):
-                    s.insert("t", (9, f"tail{i}"))
-                s.commit()
-                s.begin()
-                rows = list(s.batch_scan("ix", None, None))
-                assert len(rows) == 14
-                assert [k for k, _v in rows] == [5] * 10 + [9] * 4
-                s.abort()
-
-    def test_scan_is_snapshot_exact_across_interleaved_commits(self):
-        """Rows committed *between slices* by another session stay
-        invisible — the mid-scan snapshot never wavers."""
-        db = make_db()
-        with db.serve(ServeConfig(scan_slice_rows=5)) as server:
-            writer, scanner = server.session(), server.session()
-            writer.begin()
-            for i in range(0, 40, 2):
-                writer.insert("t", (i, "base"))
-            writer.commit()
-
-            scanner.begin()
-            scan = scanner.batch_scan("ix", None, None)
-            seen = [next(scan) for _ in range(8)]  # partway through
-            writer.begin()
-            for i in range(1, 40, 2):              # interleave odd keys
-                writer.insert("t", (i, "mid-scan"))
-            writer.commit()
-            seen.extend(scan)
-            scanner.abort()
-            assert [k for k, _v in seen] == list(range(0, 40, 2))
-
-            # a *new* snapshot sees all 40
-            scanner.begin()
-            assert scanner.count_range("ix", None, None) == 40
-            scanner.abort()
-            writer.close()
-            scanner.close()
-
-    @pytest.mark.parametrize("slice_rows", [0, -3])
-    def test_slice_rows_below_one_is_rejected_not_spun_on(self, slice_rows):
-        """A per-call ``slice_rows`` bypassed ServeConfig's check: with 0
-        the slice loop could never advance (a livelock that also took a
-        scheduler slot per spin)."""
-        db = make_db()
-        with db.serve() as server, server.session() as s:
-            s.begin()
-            for i in range(5):
-                s.insert("t", (i, "v"))
-            outcome = batch_scan_outcome(s, "ix", slice_rows)
-            assert isinstance(outcome, ConfigError)
-            assert "scan_slice_rows must be >= 1" in str(outcome)
-
-    def test_version_oblivious_index_falls_back(self):
-        db = Database(EngineConfig(durability=False))
-        db.create_table("t", [("k", "int"), ("v", "str")])
-        db.create_index("bx", "t", ["k"], kind="btree")
-        with db.serve() as server, server.session() as s:
-            s.begin()
-            for i in range(10):
-                s.insert("t", (i, f"v{i}"))
-            s.commit()
-            s.begin()
-            rows = list(s.batch_scan("bx", (2,), (5,)))
-            assert [k for k, _v in rows] == [2, 3, 4, 5]
-            s.abort()
 
 
 class TestGroupCommitDurability:

@@ -2,10 +2,11 @@
 
 ``SessionCore`` / ``ServerCore`` own what a session and a server *are* —
 the one open transaction, the busy guard, the closed / no-transaction
-checks, ``run`` and its retry loop, ``close``, the registry, its cap and
-the ``serve.sessions.*`` instruments.  Everything here runs unchanged
-against ``Database.serve()`` and ``ShardedDatabase(...).serve()``: a
-behaviour asserted for one binding is asserted for the other.
+checks, ``run`` and its retry loop, ``close``, the sliced scan, the
+registry, its cap and the ``serve.sessions.*`` instruments.  Everything
+here runs unchanged against ``Database.serve()`` and
+``ShardedDatabase(...).serve()``: a behaviour asserted for one binding is
+asserted for the other.
 """
 
 import threading
@@ -15,7 +16,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine.database import Database
-from repro.errors import (SessionError, TransactionStateError,
+from repro.errors import (ConfigError, SessionError, TransactionStateError,
                           WriteConflictError)
 from repro.obs.config import ObsConfig
 from repro.serve import ServeConfig, Server, ShardServer
@@ -49,6 +50,31 @@ def server(request):
 
 def counter(server, name):
     return server.engine.obs.registry.counter_value(name)
+
+
+def scan_grants(server):
+    return server.scheduler.stats().get("scan", {}).get("grants", 0)
+
+
+def batch_scan_outcome(session, index, slice_rows, timeout=10.0):
+    """Drain ``session.batch_scan(index, slice_rows=...)`` on a watchdog
+    thread: the row count or the ConfigError it raised.  A scan that
+    never returns fails the test instead of hanging the suite."""
+    outcome: list[BaseException | int] = []
+
+    def drive() -> None:
+        try:
+            outcome.append(len(list(
+                session.batch_scan(index, slice_rows=slice_rows))))
+        except ConfigError as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=drive, daemon=True)
+    worker.start()
+    worker.join(timeout=timeout)
+    assert not worker.is_alive(), (
+        f"batch_scan(slice_rows={slice_rows}) never returns")
+    return outcome[0]
 
 
 #: every statement, as a call on a session with no open transaction
@@ -275,3 +301,122 @@ class TestServerCore:
         assert stats["active_sessions"] == 1
         assert stats["scheduler"]["ticks"] == server.scheduler.ticks > 0
         assert "oltp" in stats["scheduler"]["kinds"]
+
+
+class TestSlicedScan:
+    """The one sliced scan (``SessionCore.batch_scan``): a single node is
+    its one-leg case, the router its many-leg case, and every rule holds
+    for both."""
+
+    @pytest.mark.parametrize("bounds", [
+        (None, None, True, True), ((5,), (30,), True, True),
+        ((5,), (30,), False, False)], ids=["all", "incl", "excl"])
+    @pytest.mark.parametrize("slice_rows", [1, 2, 7, 256])
+    def test_slices_concatenate_to_the_range_read(self, server, slice_rows,
+                                                  bounds):
+        lo, hi, lo_incl, hi_incl = bounds
+        grants = scan_grants(server)
+        with server.session() as s:
+            s.begin()
+            want = s.range_select("ix", lo, hi, lo_incl=lo_incl,
+                                  hi_incl=hi_incl)
+            got = list(s.batch_scan("ix", lo, hi, lo_incl=lo_incl,
+                                    hi_incl=hi_incl, slice_rows=slice_rows))
+            s.abort()
+        assert got == want and len(want) in (len(ROWS), 26, 24)
+        # one slot per refill and one per fetched chunk, at least a
+        # chunk per slice_rows rows
+        assert scan_grants(server) - grants >= len(got) / slice_rows
+
+    def test_equal_key_runs_longer_than_a_slice_are_never_split(
+            self, server):
+        server.engine.create_index("by_v", "t", ["v"], kind="mvpbt")
+        dups = [(100 + k, "dup") for k in range(12)]
+        with server.session() as s:
+            s.run(lambda s: [s.insert("t", row) for row in dups])
+            s.begin()
+            want = sorted(s.range_select("by_v", None, None))
+            for slice_rows in (1, 2, 7, 256):
+                got = list(s.batch_scan("by_v", slice_rows=slice_rows))
+                assert [v for _k, v in got] == sorted(v for _k, v in got)
+                assert sorted(got) == want == sorted(ROWS + dups)
+            # an own write mid-run re-plans at the frontier, which a
+            # fetched chunk never leaves inside a run
+            scan = s.batch_scan("by_v", slice_rows=2)
+            seen = [next(scan) for _ in range(3)]
+            s.insert("t", (200, "zzz"))
+            seen.extend(scan)
+            assert sorted(seen) == sorted(want + [(200, "zzz")])
+            s.abort()
+
+    @pytest.mark.parametrize("slice_rows", [0, -1])
+    def test_slice_rows_below_one_is_rejected_not_spun_on(self, server,
+                                                          slice_rows):
+        """With ``want = 0`` the refill loop could never advance (a
+        livelock that also took a scheduler slot per spin)."""
+        slices = counter(server, "serve.scan.slices")
+        with server.session() as s:
+            s.begin()
+            outcome = batch_scan_outcome(s, "ix", slice_rows)
+        assert isinstance(outcome, ConfigError)
+        assert "scan_slice_rows must be >= 1" in str(outcome)
+        assert counter(server, "serve.scan.slices") == slices
+
+    def test_rows_committed_between_slices_stay_invisible(self, server):
+        writer, scanner = server.session(), server.session()
+        scanner.begin()
+        scan = scanner.batch_scan("ix", slice_rows=5)
+        seen = [next(scan) for _ in range(8)]           # partway through
+        writer.run(lambda s: (
+            [s.insert("t", (k, "mid-scan")) for k in range(100, 140)],
+            s.update_by_key("ix", (20,), {"v": "moved-on"}),
+            s.delete_by_key("ix", (30,))))
+        seen.extend(scan)
+        assert seen == ROWS
+        scanner.abort()
+        scanner.begin()                  # a new snapshot sees the writes
+        assert scanner.count_range("ix", None, None) == len(ROWS) + 39
+        scanner.close()
+        writer.close()
+
+    def test_own_writes_between_next_calls(self, server):
+        """A session that writes between two ``next()`` calls of its own
+        scan: rows already materialised stay as they were, everything
+        past them is read with the writes applied — as a fresh cursor
+        per slice would read them."""
+        with server.session() as s:
+            s.begin()
+            scan = s.batch_scan("ix", slice_rows=4)
+            seen = [next(scan) for _ in range(3)]       # 0, 1, 2
+            s.insert("t", (-5, "behind"))               # behind: never seen
+            s.update_by_key("ix", (3,), {"v": "late"})
+            s.update_by_key("ix", (5,), {"v": "five"})  # maybe buffered
+            s.update_by_key("ix", (30,), {"v": "changed"})
+            s.delete_by_key("ix", (35,))
+            s.insert("t", (1000, "ahead"))
+            s.update_by_key("ix", (1,), {"k": 500})    # moves ahead
+            seen.extend(scan)
+            s.abort()
+        expect = [row for row in ROWS if row[0] != 35]
+        expect[5], expect[30] = (5, "five"), (30, "changed")
+        expect += [(500, "v1"), (1000, "ahead")]
+        # key 3 sat in the chunk materialised before the writes
+        assert seen == expect
+
+    def test_version_oblivious_index_falls_back(self, server):
+        """No bounded cursor without index-only visibility: the range is
+        read in one materialising slot, whatever ``slice_rows`` says."""
+        server.engine.create_index("ob", "t", ["k"], kind="mvpbt",
+                                   index_only_visibility=False,
+                                   enable_gc=False)
+        slices = counter(server, "serve.scan.slices")
+        with server.session() as s:
+            s.begin()
+            want = s.range_select("ob", (2,), (5,))
+            grants = scan_grants(server)
+            got = list(s.batch_scan("ob", (2,), (5,), slice_rows=1))
+            assert scan_grants(server) == grants + 1
+            assert got == want == ROWS[2:6]
+            assert list(s.batch_scan("ob")) == ROWS
+            s.abort()
+        assert counter(server, "serve.scan.slices") == slices

@@ -14,13 +14,10 @@ import threading
 import pytest
 
 from repro.config import EngineConfig
-from repro.errors import ConfigError
 from repro.index.base import TOP
 from repro.obs.config import ObsConfig
 from repro.serve import ServeConfig
 from repro.shard import ShardConfig, ShardedDatabase
-
-from .test_serve import batch_scan_outcome
 
 pytestmark = [pytest.mark.concurrency, pytest.mark.shard]
 
@@ -195,8 +192,10 @@ class TestSnapshotExactScans:
 
 
 class TestBufferedScan:
-    """The sliced scan's buffer/refill/emit rules (DESIGN.md §16.6),
-    single-threaded and exact."""
+    """What only a router shows of the sliced scan (DESIGN.md §15.1):
+    the owner set, each hit pulled once, a layout change mid-scan.  The
+    binding-agnostic rules run over both bindings in
+    ``test_serve_contract.py::TestSlicedScan``."""
 
     def seeded(self, keys, **serve_kw):
         server = make_server(**serve_kw)
@@ -210,18 +209,6 @@ class TestBufferedScan:
         return {name: reg.counter_value(name) for name in (
             "shard.scan.hits_pulled", "shard.scan.runs_pulled",
             "serve.scan.slices")}
-
-    @pytest.mark.parametrize("slice_rows", [0, -1])
-    def test_slice_rows_below_one_is_rejected_not_spun_on(self, slice_rows):
-        """Same livelock as the single-node session: ``want = 0`` pulled
-        one hit per shard forever."""
-        server = self.seeded(range(8))
-        with server.session() as session:
-            session.begin()
-            outcome = batch_scan_outcome(session, INDEX, slice_rows)
-        assert isinstance(outcome, ConfigError)
-        assert self.counters(server)["shard.scan.runs_pulled"] == 0
-        server.close()
 
     @pytest.mark.parametrize("slice_rows", [1, 2, 7, 256])
     def test_each_hit_is_pulled_once(self, slice_rows):
@@ -238,49 +225,6 @@ class TestBufferedScan:
             200 + c["shard.scan.runs_pulled"])
         # a refill slot pulls at least one run; no slot pulls nothing
         assert 1 <= c["serve.scan.slices"] <= c["shard.scan.runs_pulled"]
-        server.close()
-
-    def test_duplicate_runs_longer_than_the_slice_are_never_split(self):
-        server = make_server()
-        router = server.router
-        router.create_index("by_val", TABLE, ["val"], kind="mvpbt",
-                            enable_gc=False, index_only_visibility=True)
-        rows = [(k, "dup" if k % 3 else f"u{k:03d}") for k in range(90)]
-        with server.session() as session:
-            session.run(lambda s: [s.insert(TABLE, row) for row in rows])
-            session.begin()
-            want = sorted(session.range_select("by_val", None, None))
-            for slice_rows in (1, 2, 7, 256):
-                got = list(session.batch_scan("by_val",
-                                              slice_rows=slice_rows))
-                assert [v for _k, v in got] == sorted(v for _k, v in got)
-                assert sorted(got) == want == sorted(rows)
-            session.abort()
-        server.close()
-
-    def test_own_writes_between_next_calls(self):
-        """A session that writes between two ``next()`` calls of its own
-        scan: rows already materialised stay as they were, everything
-        past them is read with the writes applied — what re-opening the
-        cursors per slice gave at the parent."""
-        server = self.seeded(range(60))
-        with server.session() as session:
-            session.begin()
-            scan = session.batch_scan(INDEX, slice_rows=4)
-            seen = [next(scan) for _ in range(3)]       # 0, 1, 2
-            session.insert(TABLE, (-5, "behind"))       # behind: never seen
-            session.update_by_key(INDEX, (3,), {"val": "late"})
-            session.update_by_key(INDEX, (40,), {"val": "changed"})
-            session.delete_by_key(INDEX, (50,))
-            session.insert(TABLE, (1000, "ahead"))
-            session.update_by_key(INDEX, (1,), {"id": 500})  # moves ahead
-            seen.extend(scan)
-            session.abort()
-        expect = [(k, f"v{k}") for k in range(60) if k != 50]
-        expect[40] = (40, "changed")
-        expect += [(500, "v1"), (1000, "ahead")]
-        # key 3 sat in the slice materialised before the writes
-        assert seen == expect
         server.close()
 
     def test_pinned_range_asks_one_shard(self):

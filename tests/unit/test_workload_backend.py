@@ -135,6 +135,19 @@ class TestBackendRoundtrip:
             assert rows == [(i, f"v{i}") for i in range(40, 50)]
             txn.commit()
 
+    def test_a_limit_below_one_reads_nothing(self, kind):
+        """Backends differ only in cost: a LIMIT 0 or a negative LIMIT is
+        an empty result everywhere, never an untyped error."""
+        with make_backend(kind) as backend:
+            create_t(backend)
+            backend.bulk_insert("t", [(i, f"v{i}") for i in range(10)])
+            txn = backend.begin()
+            for limit in (0, -1):
+                assert txn.scan_limit("ix", None, limit) == []
+                assert txn.scan_limit("ix", (3,), limit) == []
+            assert txn.scan_limit("ix", (3,), 1) == [(3, "v3")]
+            txn.commit()
+
     def test_abort_discards(self, kind):
         with make_backend(kind) as backend:
             create_t(backend)

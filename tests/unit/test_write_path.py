@@ -25,7 +25,8 @@ from repro.core.merge import select_merge_window
 from repro.core.records import MVPBTRecord, RecordType, record_size
 from repro.core.tree import MVPBT
 from repro.errors import ConfigError, UniqueViolationError
-from repro.index.filters import BloomFilter, PrefixBloomFilter
+from repro.index.filters import (PREFIX_BLOOM_FPR, BloomFilter,
+                                 PrefixBloomFilter)
 from repro.index.runs import PersistedRun
 from repro.sim.clock import SimClock
 from repro.sim.device import SimulatedDevice
@@ -68,7 +69,7 @@ def legacy_build(tree, file, pool, records):
         for r in records:
             bloom.add(encode_key(r.key))
     if tree.use_prefix_bloom:
-        prefix_bloom = PrefixBloomFilter(len(records), tree.prefix_bloom_fpr,
+        prefix_bloom = PrefixBloomFilter(len(records), PREFIX_BLOOM_FPR,
                                          tree.prefix_columns)
         for r in records:
             prefix_bloom.add_key(r.key)
