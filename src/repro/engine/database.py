@@ -395,10 +395,12 @@ class Database:
                key: Key) -> list[Key]:
         """Visible rows whose index key equals ``key``."""
         ix = self.catalog.index(index_name)
-        return [hit.row for hit in self.executor.lookup(txn, ix, key)]
+        return self.executor.lookup_rows(txn, ix, key)
 
     def select_hits(self, txn: Transaction, index_name: str,
                     key: Key) -> list[RowHit]:
+        """:meth:`select` as handles for :meth:`update_row` /
+        :meth:`delete_row`."""
         ix = self.catalog.index(index_name)
         return self.executor.lookup(txn, ix, key)
 
@@ -407,12 +409,13 @@ class Database:
                      lo_incl: bool = True,
                      hi_incl: bool = True) -> list[Key]:
         ix = self.catalog.index(index_name)
-        return [hit.row for hit in self.executor.scan(
-            txn, ix, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)]
+        return self.executor.scan_rows(txn, ix, lo, hi, lo_incl=lo_incl,
+                                       hi_incl=hi_incl)
 
     def range_hits(self, txn: Transaction, index_name: str,
                    lo: Key | None, hi: Key | None, *,
                    lo_incl: bool = True, hi_incl: bool = True) -> list[RowHit]:
+        """:meth:`range_select` as handles."""
         ix = self.catalog.index(index_name)
         return self.executor.scan(txn, ix, lo, hi,
                                   lo_incl=lo_incl, hi_incl=hi_incl)
@@ -455,8 +458,8 @@ class Database:
         """The rows of pulled ``(shard, hit)`` pairs, in order — fewer on
         delta storage, where a version may not reconstruct."""
         table = self.catalog.table(self.catalog.index(index_name).table)
-        return [hit.row for hit in self.executor._fetch_hits(
-            txn, table, [hit for _shard, hit in hits])]
+        return self.executor.fetch_rows(txn, table,
+                                        [hit for _shard, hit in hits])
 
     # ----------------------------------------------------------- maintenance
 

@@ -9,10 +9,17 @@ The executor is where the paper's cost asymmetry lives:
   flag off): the index returns candidates — one per matching tuple-version —
   and every candidate must be resolved against the base table (random I/O),
   then rechecked against the predicate.
+
+Either way a read materialises one :data:`Fetched` pair of parallel lists
+and hands it out in one of two forms: **rows** (``version.data``) for
+every statement that only returns data, and :class:`RowHit` handles only
+for the hit-addressed DML paths that write through them (DESIGN.md §9.1).
 """
 
 from __future__ import annotations
 
+from functools import partial
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ..core.records import ReferenceMode
@@ -28,14 +35,15 @@ from ..table.visibility import (resolve_candidates_heap,
                                 resolve_candidates_sias)
 from ..txn.transaction import Transaction
 from .catalog import IndexInfo, TableInfo
-from ..types import Key
+from ..types import Key, Row
 
 if TYPE_CHECKING:
     from .database import Database
 
 
 class RowHit(NamedTuple):
-    """One visible row: the version's recordID and the version record."""
+    """One visible row as a handle for hit-addressed DML: the version's
+    recordID and the version record."""
 
     rid: RecordID
     version: TupleVersion
@@ -43,6 +51,14 @@ class RowHit(NamedTuple):
     @property
     def row(self) -> Key:
         return self.version.data
+
+
+#: what a read materialises, position by position: the recordIDs and the
+#: versions found there (a handle pairs them, a row is a version's data)
+Fetched = tuple[list[RecordID], list[TupleVersion]]
+
+_rid_of = attrgetter("rid")
+_data_of = attrgetter("data")
 
 
 class ScanLeg(NamedTuple):
@@ -86,41 +102,34 @@ class Executor:
 
     def lookup(self, txn: Transaction, index_info: IndexInfo,
                key: Key) -> list[RowHit]:
-        """Visible rows whose index key equals ``key``."""
-        key = tuple(key)
-        table = self.db.catalog.table(index_info.table)
-        if index_info.index_only:
-            hits = index_info.mvpbt.search(txn, key)
-            return self._fetch_hits(txn, table, hits)
-        candidates = self._candidates_point(txn, index_info, key)
-        resolved = self._resolve(txn, table, index_info, candidates)
-        positions = index_info.positions
-        return [hit for hit in resolved
-                if tuple(hit.row[p] for p in positions) == key]
+        """Visible rows whose index key equals ``key``, as handles."""
+        return _handles(self._lookup(txn, index_info, key))
+
+    def lookup_rows(self, txn: Transaction, index_info: IndexInfo,
+                    key: Key) -> list[Row]:
+        """:meth:`lookup`'s rows, with no handle built."""
+        return _rows(self._lookup(txn, index_info, key))
 
     def scan(self, txn: Transaction, index_info: IndexInfo,
              lo: Key | None, hi: Key | None, *,
              lo_incl: bool = True, hi_incl: bool = True) -> list[RowHit]:
-        """Visible rows with index keys in the range, fetched from the table."""
-        table = self.db.catalog.table(index_info.table)
-        if index_info.index_only:
-            hits = index_info.mvpbt.range_scan(txn, lo, hi,
-                                               lo_incl=lo_incl,
-                                               hi_incl=hi_incl)
-            return self._fetch_hits(txn, table, hits)
-        candidates = self._candidates_range(txn, index_info, lo, hi,
-                                            lo_incl, hi_incl)
-        resolved = self._resolve(txn, table, index_info, candidates)
-        positions = index_info.positions
-        return [hit for hit in resolved
-                if key_in_range(tuple(hit.row[p] for p in positions),
-                                lo, hi, lo_incl, hi_incl)]
+        """Visible rows with index keys in the range, fetched from the
+        table, as handles."""
+        return _handles(self._scan(txn, index_info, lo, hi, lo_incl,
+                                   hi_incl))
+
+    def scan_rows(self, txn: Transaction, index_info: IndexInfo,
+                  lo: Key | None, hi: Key | None, *,
+                  lo_incl: bool = True, hi_incl: bool = True) -> list[Row]:
+        """:meth:`scan`'s rows, with no handle built."""
+        return _rows(self._scan(txn, index_info, lo, hi, lo_incl, hi_incl))
 
     def scan_stream(self, txn: Transaction, index_info: IndexInfo,
                     lo: Key | None, hi: Key | None, *,
                     lo_incl: bool = True, hi_incl: bool = True,
-                    limit: int | None = None) -> Iterator[list[RowHit]]:
-        """Streaming variant of :meth:`scan`: yields the rows in *chunks*.
+                    limit: int | None = None) -> Iterator[list[Row]]:
+        """Streaming variant of :meth:`scan_rows`: yields the rows in
+        *chunks*.
 
         On the MV-PBT index-only path a chunk is one chunk of the index's
         hit stream, its rows fetched page-grouped — so neither the index
@@ -128,8 +137,11 @@ class Executor:
         early leaves the tail of every partition unread.  With a ``limit``
         the index cuts the result before any row is fetched, and the whole
         bounded result is one chunk (each table page asked for once).
-        Other index kinds fall back to the materialising scan.
+        Other index kinds fall back to the materialising scan.  A
+        ``limit`` below one reads nothing.
         """
+        if limit is not None and limit < 1:
+            return
         if index_info.index_only:
             table = self.db.catalog.table(index_info.table)
             tree = index_info.mvpbt
@@ -142,14 +154,20 @@ class Executor:
                                           lo_incl=lo_incl, hi_incl=hi_incl)]
             for hits in chunks:
                 if hits:
-                    yield self._fetch_hits(txn, table, hits)
+                    yield self.fetch_rows(txn, table, hits)
             return
-        rows = self.scan(txn, index_info, lo, hi,
-                         lo_incl=lo_incl, hi_incl=hi_incl)
+        rows = self.scan_rows(txn, index_info, lo, hi,
+                              lo_incl=lo_incl, hi_incl=hi_incl)
         if limit is not None:
             del rows[limit:]
         if rows:
             yield rows
+
+    def fetch_rows(self, txn: Transaction, table: TableInfo,
+                   hits: Iterable[SearchHit]) -> list[Row]:
+        """The rows of one chunk of index-only hits (:meth:`_fetch`) —
+        fewer on delta storage, where a version may not reconstruct."""
+        return _rows(self._fetch(txn, table, hits))
 
     def count(self, txn: Transaction, index_info: IndexInfo,
               lo: Key | None, hi: Key | None, *,
@@ -164,8 +182,7 @@ class Executor:
         if index_info.index_only:
             return sum(map(len, index_info.mvpbt.scan_chunks(
                 txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)))
-        return len(self.scan(txn, index_info, lo, hi,
-                             lo_incl=lo_incl, hi_incl=hi_incl))
+        return len(self._scan(txn, index_info, lo, hi, lo_incl, hi_incl)[0])
 
     def pull_slice(self, txn: Transaction, index_info: IndexInfo,
                    leg: ScanLeg, want: int
@@ -197,9 +214,44 @@ class Executor:
 
     # ------------------------------------------------------------- internal
 
-    def _fetch_hits(self, txn: Transaction, table: TableInfo,
-                    hits: Iterable[SearchHit]) -> list[RowHit]:
-        """Materialise the rows of one chunk of index-only hits.
+    def _lookup(self, txn: Transaction, index_info: IndexInfo,
+                key: Key) -> Fetched:
+        key = tuple(key)
+        table = self.db.catalog.table(index_info.table)
+        if index_info.index_only:
+            return self._fetch(txn, table, index_info.mvpbt.search(txn, key))
+        candidates = self._candidates_point(txn, index_info, key)
+        positions = index_info.positions
+        return _unzip([
+            pair for pair in self._resolve(txn, table, index_info, candidates)
+            if tuple(pair[1].data[p] for p in positions) == key])
+
+    def _scan(self, txn: Transaction, index_info: IndexInfo,
+              lo: Key | None, hi: Key | None, lo_incl: bool,
+              hi_incl: bool) -> Fetched:
+        table = self.db.catalog.table(index_info.table)
+        if index_info.index_only:
+            return self._fetch(txn, table, index_info.mvpbt.range_scan(
+                txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl))
+        candidates = self._candidates_range(txn, index_info, lo, hi,
+                                            lo_incl, hi_incl)
+        positions = index_info.positions
+
+        def key_of(pair: tuple[RecordID, TupleVersion]) -> Key:
+            return tuple(pair[1].data[p] for p in positions)
+
+        kept = [pair for pair in
+                self._resolve(txn, table, index_info, candidates)
+                if key_in_range(key_of(pair), lo, hi, lo_incl, hi_incl)]
+        # a stale candidate resolves to its tuple's visible version, whose
+        # key may differ: put the rows in the index-key order every range
+        # read promises (and the sharded LIMIT merge relies on)
+        kept.sort(key=key_of)
+        return _unzip(kept)
+
+    def _fetch(self, txn: Transaction, table: TableInfo,
+               hits: Iterable[SearchHit]) -> Fetched:
+        """Materialise one chunk of index-only hits.
 
         On materialised stores (heap/SIAS) the hit's recordID *is* the
         version, and the chunk costs one buffered request per distinct
@@ -209,12 +261,13 @@ class Executor:
         the paper pairs MV-PBT with physically materialised versions).
         """
         store = table.store
-        rids = [h.rid for h in hits]
+        rids = list(map(_rid_of, hits))
         if isinstance(store, DeltaTable):
-            return [RowHit(*resolved) for resolved in
-                    (store.visible_version(txn, rid) for rid in rids)
-                    if resolved is not None]
-        return list(map(RowHit, rids, store.fetch_many(rids)))
+            return _unzip([
+                resolved for resolved in
+                map(partial(store.visible_version, txn), rids)
+                if resolved is not None])
+        return rids, store.fetch_many(rids)
 
     def _candidates_point(self, txn: Transaction, index_info: IndexInfo,
                           key: Key) -> list[object]:
@@ -232,8 +285,8 @@ class Executor:
             lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)]
 
     def _resolve(self, txn: Transaction, table: TableInfo,
-                 index_info: IndexInfo,
-                 candidates: list[object]) -> list[RowHit]:
+                 index_info: IndexInfo, candidates: list[object]
+                 ) -> list[tuple[RecordID, TupleVersion]]:
         """Base-table visibility check over candidate references."""
         if index_info.reference is ReferenceMode.LOGICAL:
             return self._resolve_logical(txn, table, candidates)
@@ -255,15 +308,16 @@ class Executor:
         else:
             raise CatalogError(
                 f"table {table.name!r}: unsupported store for resolution")
-        return [RowHit(rid, version) for rid, version in resolved]
+        return resolved
 
     def _resolve_logical(self, txn: Transaction, table: TableInfo,
-                         vids: list[object]) -> list[RowHit]:
+                         vids: list[object]
+                         ) -> list[tuple[RecordID, TupleVersion]]:
         indirection = table.indirection
         if indirection is None:
             raise CatalogError(
                 f"table {table.name!r} has no indirection layer")
-        hits: list[RowHit] = []
+        hits: list[tuple[RecordID, TupleVersion]] = []
         seen: set[object] = set()
         for vid in vids:
             if vid in seen:
@@ -274,5 +328,19 @@ class Executor:
                 continue
             resolved = table.store.visible_version(txn, entry)
             if resolved is not None:
-                hits.append(RowHit(*resolved))
+                hits.append(resolved)
         return hits
+
+
+def _handles(fetched: Fetched) -> list[RowHit]:
+    """The hit-addressed DML form: one :class:`RowHit` per row."""
+    return list(map(RowHit, *fetched))
+
+
+def _rows(fetched: Fetched) -> list[Row]:
+    """The read-only form: the versions' data, no handle built."""
+    return list(map(_data_of, fetched[1]))
+
+
+def _unzip(pairs: list[tuple[RecordID, TupleVersion]]) -> Fetched:
+    return [rid for rid, _version in pairs], [v for _rid, v in pairs]

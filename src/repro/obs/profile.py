@@ -71,11 +71,11 @@ def profile_query(db: "Database", txn: "Transaction", index_name: str, *,
 
     if key is not None:
         op = "lookup"
-        rows = len(db.executor.lookup(txn, ix, tuple(key)))
+        rows = len(db.executor.lookup_rows(txn, ix, tuple(key)))
     else:
         op = "range_scan"
-        rows = len(db.executor.scan(txn, ix, lo, hi,
-                                    lo_incl=lo_incl, hi_incl=hi_incl))
+        rows = len(db.executor.scan_rows(txn, ix, lo, hi,
+                                         lo_incl=lo_incl, hi_incl=hi_incl))
 
     pool1 = db.pool.total_stats()
     profile: JSONDict = {

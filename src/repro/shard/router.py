@@ -428,7 +428,16 @@ class ShardedDatabase:
 
     def select(self, txn: ShardTransaction, index_name: str,
                key: Key) -> list[Row]:
-        return [hit.row for hit in self.select_hits(txn, index_name, key)]
+        """Point lookup: the owned rows, no handle built."""
+        info = self._index(index_name)
+
+        def lookup(k: int) -> list[Row]:
+            return self.shards[k].select(txn.on(k), index_name, key)
+
+        rows: list[Row] = []
+        for k, run in self._point_reads(info, key, lookup):
+            rows += compress(run, self.owned_flags(k, info.table, run))
+        return rows
 
     def select_hits(self, txn: ShardTransaction, index_name: str,
                     key: Key) -> "list[RowHit]":
@@ -441,29 +450,52 @@ class ShardedDatabase:
         makes the hit a valid handle for :meth:`update_hit` /
         :meth:`delete_hit`."""
         info = self._index(index_name)
-        shards = self._point_shards(info, key)
 
         def lookup(k: int) -> "list[RowHit]":
             db = self.shards[k]
             return db.executor.lookup(txn.on(k),
                                       db.catalog.index(index_name), key)
 
-        gathered = (self.gather([_thunk(lookup, k) for k in shards])
-                    if len(shards) > 1 else [lookup(shards[0])])
-        hits: "list[tuple[int, RowHit]]" = []
-        for k, per_shard in zip(shards, gathered):
-            hits.extend((k, hit) for hit in
-                        self._owned(k, per_shard, info.table))
+        return [(k, hit) for k, run in self._point_reads(info, key, lookup)
+                for hit in self._owned(k, run, info.table)]
+
+    def _point_reads(self, info: "IndexInfo", key: Key,
+                     read: Callable[[int], list[Any]]
+                     ) -> list[tuple[int, list[Any]]]:
+        """``(shard, read(shard))`` for every shard a point key can live
+        on (through :attr:`gather` when there are several), counted as
+        one point query."""
+        shards = self._point_shards(info, key)
+        gathered = (self.gather([_thunk(read, k) for k in shards])
+                    if len(shards) > 1 else [read(shards[0])])
         if self.obs is not None:
             self._m_point.inc()
             self._m_fanout.inc(len(shards))
-        return hits
+        return list(zip(shards, gathered))
 
     def range_select(self, txn: ShardTransaction, index_name: str,
                      lo: Key | None, hi: Key | None, *,
                      lo_incl: bool = True, hi_incl: bool = True) -> list[Row]:
-        return [hit.row for hit in self.range_hits(
-            txn, index_name, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)]
+        """Range scan in global index-key order: the owned rows, no
+        handle built (:meth:`range_hits_tagged` says how legs combine)."""
+        info = self._index(index_name)
+        plan = self.plan_scan(index_name, lo, hi, lo_incl=lo_incl,
+                              hi_incl=hi_incl)
+
+        def scan(leg: ScanLeg) -> list[Row]:
+            return self.shards[leg.shard].range_select(
+                txn.on(leg.shard), index_name, leg.lo, leg.hi,
+                lo_incl=leg.lo_incl, hi_incl=leg.hi_incl)
+
+        rows: list[Row] = []
+        for leg, run in zip(plan.legs, self._leg_reads(plan, scan)):
+            rows += compress(run, self.owned_flags(leg.shard, info.table,
+                                                   run))
+        if plan.name == "scatter-merge" and len(plan.legs) > 1:
+            # the legs are in shard order, so a stable sort on the key
+            # is the (index key tuple, shard) merge
+            rows.sort(key=itemgetter(*info.positions))
+        return rows
 
     def range_hits(self, txn: ShardTransaction, index_name: str,
                    lo: Key | None, hi: Key | None, *,
@@ -496,27 +528,35 @@ class ShardedDatabase:
                                     leg.lo, leg.hi, lo_incl=leg.lo_incl,
                                     hi_incl=leg.hi_incl)
 
-        scatter = plan.name == "scatter-merge"
-        runs = (self.gather([_thunk(scan, leg) for leg in plan.legs])
-                if scatter else [scan(leg) for leg in plan.legs])
-        out = [(leg.shard, hit) for leg, hits in zip(plan.legs, runs)
+        out = [(leg.shard, hit)
+               for leg, hits in zip(plan.legs, self._leg_reads(plan, scan))
                for hit in self._owned(leg.shard, hits, info.table)]
-        if scatter and len(runs) > 1:
+        if plan.name == "scatter-merge" and len(plan.legs) > 1:
             key_of = itemgetter(*info.positions)
             out.sort(key=lambda item: (key_of(item[1].version.data),
                                        item[0]))
+        return out
+
+    def _leg_reads(self, plan: ScanPlan,
+                   read: Callable[[ScanLeg], list[Any]]) -> list[list[Any]]:
+        """``read(leg)`` for every leg of ``plan`` (scatter legs through
+        :attr:`gather`), counted as one range query."""
+        if plan.name == "scatter-merge":
+            runs = self.gather([_thunk(read, leg) for leg in plan.legs])
+        else:
+            runs = [read(leg) for leg in plan.legs]
         if self.obs is not None:
             self._m_scan.inc()
             self._m_fanout.inc(len(plan.legs))
             if plan.name == "single-slot":
                 self._m_slot_routed.inc()
-        return out
+        return runs
 
     def count_range(self, txn: ShardTransaction, index_name: str,
                     lo: Key | None, hi: Key | None, *,
                     lo_incl: bool = True, hi_incl: bool = True) -> int:
-        return len(self.range_hits(txn, index_name, lo, hi,
-                                   lo_incl=lo_incl, hi_incl=hi_incl))
+        return len(self.range_select(txn, index_name, lo, hi,
+                                     lo_incl=lo_incl, hi_incl=hi_incl))
 
     def seq_scan(self, txn: ShardTransaction, table: str) -> list[Row]:
         """Full-table scan, shard by shard (shard order, not key order)."""
@@ -561,19 +601,17 @@ class ShardedDatabase:
         given: one batch fetch per shard, then the ownership filter, so
         rebalance residue never shows."""
         table = self._index(index_name).table
-        by_shard: "dict[int, list[SearchHit]]" = {}
-        for shard, hit in hits:
-            by_shard.setdefault(shard, []).append(hit)
-        # _fetch_hits is 1:1 on heap/SIAS stores (the only kinds sharded
-        # tables allow), so per-shard streams stay aligned with `hits`;
-        # the ownership filter flags residue entries without compacting
-        fetched: "dict[int, Iterator[tuple[RowHit, bool]]]" = {}
-        for shard, shard_hits in by_shard.items():
-            db = self.shards[shard]
-            row_hits = db.executor._fetch_hits(
-                txn.on(shard), db.catalog.table(table), shard_hits)
-            fetched[shard] = zip(row_hits, self.owned_flags(
-                shard, table, (rh.version.data for rh in row_hits)))
+        by_shard: "dict[int, list[tuple[int, SearchHit]]]" = {}
+        for pair in hits:
+            by_shard.setdefault(pair[0], []).append(pair)
+        # a shard's rows are 1:1 with its hits on heap/SIAS stores (the
+        # only kinds sharded tables allow); the ownership filter flags
+        # residue rows without compacting, so the rows stay aligned
+        fetched: "dict[int, Iterator[tuple[Row, bool]]]" = {}
+        for shard, pairs in by_shard.items():
+            rows = self.shards[shard].fetch_rows(txn.on(shard), index_name,
+                                                 pairs)
+            fetched[shard] = zip(rows, self.owned_flags(shard, table, rows))
         # the router's own work on a row — two merge comparisons and the
         # ownership hash — is host CPU no shard's engine saw: every
         # shard's clock pays it, as for any host-level overhead.  It
@@ -584,12 +622,12 @@ class ShardedDatabase:
         cpu = len(hits) * (2 * cost.compare + cost.hash_op)
         for db in self.shards:
             db.clock.advance(cpu)
-        rows: list[Row] = []
+        out: list[Row] = []
         for shard, _hit in hits:
-            row_hit, owned = next(fetched[shard])
+            row, owned = next(fetched[shard])
             if owned:
-                rows.append(row_hit.row)
-        return rows
+                out.append(row)
+        return out
 
     # ------------------------------------------------------------ maintenance
 
@@ -878,7 +916,8 @@ class ShardedDatabase:
 
     def _owned(self, shard: int, hits: "list[RowHit]",
                table: str) -> "list[RowHit]":
-        """``hits`` minus ownership-filter residue."""
+        """``hits`` minus ownership-filter residue — the filter of the
+        handle paths; a rows path filters its rows directly."""
         return list(compress(hits, self.owned_flags(
             shard, table, [hit.version.data for hit in hits])))
 

@@ -10,7 +10,8 @@ paying CPython serialisation costs on every access.
 
 from __future__ import annotations
 
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from ..errors import PageOverflowError, SlotNotFoundError
 
@@ -75,6 +76,21 @@ class SlottedPage:
     def read(self, slot: int) -> object:
         payload = self._payload_at(slot)
         return payload
+
+    def read_many(self, slots: Sequence[int]) -> tuple[object | None, ...]:
+        """The payloads at a non-empty run of ``slots``, in order, with no
+        per-slot check: a hole reads ``None``, so a caller validates the
+        result (or falls back to :meth:`read`, which names the bad slot).
+        Any slot outside the page raises :class:`SlotNotFoundError` for
+        the whole run."""
+        if min(slots) < 0:
+            raise SlotNotFoundError(f"page {self.page_no}: negative slot")
+        try:
+            got = itemgetter(*slots)(self._payloads)
+        except IndexError:
+            raise SlotNotFoundError(
+                f"page {self.page_no}: slot past the last") from None
+        return got if len(slots) > 1 else (got,)
 
     def update(self, slot: int, payload: object, nbytes: int) -> None:
         """Replace slot contents in place; the new payload must fit."""

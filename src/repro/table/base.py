@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, cast
 
+from ..errors import SlotNotFoundError
 from ..storage.page import SlottedPage
 from ..storage.recordid import RecordID
 from ..txn.transaction import Transaction
@@ -54,6 +55,26 @@ class TupleVersion:
         return VERSION_HEADER_BYTES + row_size(self.data)
 
 
+#: the payload types a run of version reads may contain (exact types: a
+#: subclass goes through the checked per-row path, which accepts it)
+_ONLY_VERSIONS = frozenset({TupleVersion})
+
+
+def _read_run(page: SlottedPage, slots: list[int],
+              out: list[TupleVersion]) -> bool:
+    """Append the versions at ``slots`` of ``page`` to ``out``; False,
+    appending nothing, if a slot is off the page, a hole or not a
+    version."""
+    try:
+        got = page.read_many(slots)
+    except SlotNotFoundError:
+        return False
+    if not set(map(type, got)) <= _ONLY_VERSIONS:
+        return False
+    out += cast("tuple[TupleVersion, ...]", got)
+    return True
+
+
 class VersionStore(ABC):
     """Interface of a base table storing tuple-versions."""
 
@@ -80,15 +101,43 @@ class VersionStore(ABC):
 
     def fetch_many(self, rids: Sequence[RecordID]) -> list[TupleVersion]:
         """:meth:`fetch` for every rid, in ``rids`` order, asking for each
-        distinct page once.
+        distinct page once, in first-occurrence order.
 
         The page — not the row — is what a buffered read costs (one pool
         request, ``page_cpu``, one replacement-policy touch), so a scan
         hands over a whole chunk of hits and pays per page its rows live
-        on.  A bad rid raises the same :class:`TupleNotFoundError` as
-        :meth:`fetch`.
+        on.  Rows are read a *run* at a time — each stretch of
+        consecutive rids on one page is one :meth:`SlottedPage.read_many`
+        and one type pass, done before the next page is asked for.  A bad
+        rid (a slot off the page, a hole, a payload that is not a version)
+        sends the call through the per-row :meth:`_read_version` loop over
+        the pages already fetched, which raises the same
+        :class:`TupleNotFoundError` as :meth:`fetch` having asked for the
+        same pages.
         """
         pages: dict[int, SlottedPage] = {}
+        out: list[TupleVersion] = []
+        run: list[int] = []
+        current: int | None = None
+        page: SlottedPage | None = None
+        for page_no, slot in rids:
+            if page_no != current:
+                if page is not None and not _read_run(page, run, out):
+                    return self._fetch_each(rids, pages)
+                run = []
+                current = page_no
+                page = pages.get(page_no)
+                if page is None:
+                    page = pages[page_no] = self._page(page_no)
+            run.append(slot)
+        if page is not None and not _read_run(page, run, out):
+            return self._fetch_each(rids, pages)
+        return out
+
+    def _fetch_each(self, rids: Sequence[RecordID],
+                    pages: dict[int, SlottedPage]) -> list[TupleVersion]:
+        """:meth:`fetch_many`'s checked path: one :meth:`_read_version`
+        per rid over the call's page memo."""
         read = self._read_version
         out: list[TupleVersion] = []
         for rid in rids:

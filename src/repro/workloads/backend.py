@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from itertools import compress, islice
+from itertools import chain, compress, islice
+from operator import itemgetter
 from typing import (TYPE_CHECKING, Any, Generic, NamedTuple, Sequence,
                     TypeVar, Union)
 
@@ -254,8 +255,8 @@ class _DatabaseTxn(WorkloadTxn):
     def scan_limit(self, index: str, lo: Key | None,
                    limit: int) -> list[Row]:
         info = self._db.catalog.index(index)
-        return [hit.row for chunk in self._db.executor.scan_stream(
-            self._txn, info, lo, None, limit=limit) for hit in chunk]
+        return list(chain.from_iterable(self._db.executor.scan_stream(
+            self._txn, info, lo, None, limit=limit)))
 
     def analytic_rows(self, index: str, lo: Key | None,
                       hi: Key | None) -> list[Row]:
@@ -395,26 +396,22 @@ def _sharded_scan_limit(router: ShardedDatabase, txn: "ShardTransaction",
         return []
     info = router.shards[0].catalog.index(index)
 
-    def owned_run(k: int) -> list[RowHit]:
+    def owned_run(k: int) -> list[Row]:
         db = router.shards[k]
         size = limit
         while True:
-            hits = [hit for chunk in db.executor.scan_stream(
-                txn.on(k), db.catalog.index(index), lo, None, limit=size)
-                for hit in chunk]
-            run = list(compress(hits, router.owned_flags(
-                k, info.table, (hit.version.data for hit in hits))))
-            if len(run) >= limit or len(hits) < size:
+            rows = list(chain.from_iterable(db.executor.scan_stream(
+                txn.on(k), db.catalog.index(index), lo, None, limit=size)))
+            run = list(compress(rows, router.owned_flags(k, info.table,
+                                                         rows)))
+            if len(run) >= limit or len(rows) < size:
                 return run[:limit]
             size *= 2
 
-    def merge_key(hit: RowHit) -> Key:
-        # key-tuple order: the order every shard's stream arrives in
-        return tuple(hit.version.data[p] for p in info.positions)
-
+    # key-tuple order: the order every shard's stream arrives in
     merged = heapq.merge(*(owned_run(k) for k in range(len(router.shards))),
-                         key=merge_key)
-    return [hit.row for hit in islice(merged, limit)]
+                         key=itemgetter(*info.positions))
+    return list(islice(merged, limit))
 
 
 class ShardedBackend(WorkloadBackend):

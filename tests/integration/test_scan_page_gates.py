@@ -12,17 +12,22 @@ Deterministic invariants of the chunked scan pipeline:
   partition the merge never reached unrequested, and the records it did
   classify are still booked;
 * **analytic round** — the CH queries' buffer requests are bounded by the
-  pages their rows live on, not by the rows.
+  pages their rows live on, not by the rows;
+* **rows, not handles** — a LIMIT scan and a CH round's analytic reads
+  construct no :class:`RowHit` (DESIGN.md §9.1).
 
 Counts, not timings: they repeat exactly, so they gate hard.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import pytest
 
 from repro.config import EngineConfig
 from repro.engine import Database
+from repro.engine.executor import RowHit
 from repro.obs.config import ObsConfig
 from repro.shard import ShardConfig, ShardedDatabase
 from repro.workloads import CHBenchmark, TPCCConfig
@@ -134,6 +139,61 @@ def test_ch_round_asks_for_pages_not_rows(monkeypatch) -> None:
     assert emitted > 1000
     assert asked <= emitted / 4, (
         f"{asked} buffer requests for {emitted} analytic rows")
+
+
+@pytest.fixture
+def row_hits_built(monkeypatch) -> Callable[[], int]:
+    """How many :class:`RowHit` handles have been constructed since."""
+    built = 0
+    new = RowHit.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(RowHit, "__new__", staticmethod(counting))
+    return lambda: built
+
+
+def test_limit_scan_builds_no_row_handle(loaded: Database,
+                                         row_hits_built) -> None:
+    txn = as_backend(loaded).begin()
+    rows = txn.scan_limit("ix", (2000,), 50)
+    assert [row[0] for row in rows] == list(range(2000, 2050))
+    assert row_hits_built() == 0
+    assert len(txn.select_hits("ix", (2000,))) == row_hits_built() == 1
+    txn.commit()
+
+
+def test_ch_round_analytic_reads_build_no_row_handle(
+        monkeypatch, row_hits_built) -> None:
+    """The served sliced scan hands rows across; only the OLTP half's
+    hit-addressed DML builds handles."""
+    backend = shard_served_backend(ShardedDatabase(
+        EngineConfig(), ShardConfig(shards=4)))
+    ch = CHBenchmark(backend, TPCCConfig(
+        warehouses=4, districts_per_warehouse=3, customers_per_district=8,
+        items=40, initial_orders_per_district=6, seed=13))
+    ch.load()
+    emitted = analytic_handles = 0
+    analytic_rows = _ShardSessionTxn.analytic_rows
+
+    def counting(self, index, lo, hi):
+        nonlocal emitted, analytic_handles
+        before = row_hits_built()
+        rows = analytic_rows(self, index, lo, hi)
+        analytic_handles += row_hits_built() - before
+        emitted += len(rows)
+        return rows
+
+    monkeypatch.setattr(_ShardSessionTxn, "analytic_rows", counting)
+    result = ch.run_mixed(rounds=1, oltp_slice=60)
+    backend.close()
+    assert result.olap_queries == len(ch.QUERIES)
+    assert emitted > 1000
+    assert analytic_handles == 0
+    assert row_hits_built() > 0      # the OLTP half's DML handles
 
 
 def test_sliced_scan_charges_the_router_work_per_row() -> None:

@@ -120,6 +120,7 @@ class TestScanStream:
 
     MODES = [
         dict(),
+        dict(storage="heap"),
         dict(index_only_visibility=False, enable_gc=False),
         dict(kind="btree"),
         dict(storage="delta"),
@@ -153,8 +154,9 @@ class TestScanStream:
             chunks = list(db.executor.scan_stream(r, info, (5,), (30,),
                                                   hi_incl=False))
             assert all(chunks), mode          # no empty chunk is yielded
-            assert [h for c in chunks for h in c] == full, mode
-            for limit in (0, 1, 7, 100):
+            assert [row for c in chunks for row in c] == rows, mode
+            for limit in (-1, 0, 1, 7, 100):  # below one reads nothing
                 cut = list(db.executor.scan_stream(
                     r, info, (5,), (30,), hi_incl=False, limit=limit))
-                assert [h for c in cut for h in c] == full[:limit], mode
+                got = [row for c in cut for row in c]
+                assert got == rows[:max(limit, 0)], (mode, limit)

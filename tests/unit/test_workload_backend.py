@@ -137,15 +137,24 @@ class TestBackendRoundtrip:
 
     def test_a_limit_below_one_reads_nothing(self, kind):
         """Backends differ only in cost: a LIMIT 0 or a negative LIMIT is
-        an empty result everywhere, never an untyped error."""
+        an empty result everywhere, never an untyped error — on a
+        version-oblivious index as on an index-only one."""
         with make_backend(kind) as backend:
             create_t(backend)
+            if backend.shard_count == 1:
+                backend.create_index("oblivious_ix", "t", ["id"],
+                                     kind="btree")
+            else:   # sharded indexes are MV-PBT: ablate its visibility
+                backend.create_index("oblivious_ix", "t", ["id"],
+                                     index_only_visibility=False,
+                                     enable_gc=False)
             backend.bulk_insert("t", [(i, f"v{i}") for i in range(10)])
             txn = backend.begin()
-            for limit in (0, -1):
-                assert txn.scan_limit("ix", None, limit) == []
-                assert txn.scan_limit("ix", (3,), limit) == []
-            assert txn.scan_limit("ix", (3,), 1) == [(3, "v3")]
+            for index in ("ix", "oblivious_ix"):
+                for limit in (0, -1):
+                    assert txn.scan_limit(index, None, limit) == []
+                    assert txn.scan_limit(index, (3,), limit) == []
+                assert txn.scan_limit(index, (3,), 1) == [(3, "v3")]
             txn.commit()
 
     def test_abort_discards(self, kind):
