@@ -20,8 +20,11 @@ visible to the calling transaction, without touching the base table.
 
 Setting ``index_only_visibility=False`` (together with ``enable_gc=False``)
 reproduces the paper's ablation (Figure 12a, lower bars): the structure then
-behaves like a version-oblivious PBT, returning raw candidates that the
-executor must resolve against the base table.
+behaves like a version-oblivious PBT.  The walk stays the same; only the
+checker changes — a :class:`~repro.core.visibility.CandidateChecker` passes
+every matter record as a candidate the executor must resolve against the
+base table, and admits every partition and page the min-timestamp filters
+would prune.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from ..types import JSONDict, Key
 from .gc import GCStats, purge_leaf
 from .partition import MemLeaf, MemoryPartition, PersistedPartition
 from .records import MVPBTRecord, RecordType, ReferenceMode
-from .visibility import Visibility, VisibilityChecker
+from .visibility import CandidateChecker, Visibility, VisibilityChecker
 
 if TYPE_CHECKING:
     from ..durability.controller import DurabilityController
@@ -346,22 +349,22 @@ class MVPBT:
     # ---------------------------------------------------------------- search
 
     def search(self, txn: Transaction, key: Key) -> list[SearchHit]:
-        """Index-only point lookup (Algorithm 1): visible entries for ``key``.
+        """Index-only point lookup (Algorithm 1): visible entries for ``key``
+        (unchecked candidates on a version-oblivious tree).
 
-        With ``index_only_visibility=False`` every matter record's reference
-        is returned as an unchecked candidate instead (version-oblivious
-        behaviour; the executor must resolve against the base table).
+        ``unique`` and ``first_hit_only`` stop the walk at the first hit
+        only when the checker is exact: a candidate may be invisible, so a
+        version-oblivious tree returns every one.
         """
         key = tuple(key)
         self.stats.searches += 1
-        if self._obs is not None:
+        obs = self._obs
+        if obs is not None:
             self._m_searches.inc()
-        if not self.index_only_visibility:
-            return self._candidates_point(key)
-
         checker = self._checker(txn)
+        snapshot = checker.snapshot
         hits: list[SearchHit] = []
-        stop_early = self.unique or self.first_hit_only
+        stop_early = (self.unique or self.first_hit_only) and checker.exact
 
         for leaf, record in self._mem.search(key):
             self._classify(checker, record, hits, leaf)
@@ -369,10 +372,9 @@ class MVPBT:
                 break
 
         if not (stop_early and hits):
-            obs = self._obs
             encoded = encode_key(key) if self.use_bloom else b""
             for part in reversed(self._persisted):
-                if not part.possibly_visible_to(txn.snapshot):
+                if not part.possibly_visible_to(snapshot):
                     self.stats.partitions_skipped_mints += 1
                     if obs is not None:
                         self._m_prune_mints.inc()
@@ -382,24 +384,20 @@ class MVPBT:
                     if obs is not None:
                         self._m_prune_zone.inc()
                     continue
-                if self.use_bloom and part.bloom is not None:
-                    if not part.bloom.query(encoded):
-                        self.stats.partitions_skipped_bloom += 1
-                        if obs is not None:
-                            self._m_prune_bloom.inc()
-                        continue
-                    matched = False
-                    for record in part.search(key):
-                        matched = True
-                        self._classify(checker, record, hits, None)
-                        if stop_early and hits:
-                            break
-                    part.bloom.report_pass_outcome(matched)
-                else:
-                    for record in part.search(key):
-                        self._classify(checker, record, hits, None)
-                        if stop_early and hits:
-                            break
+                bloom = part.bloom if self.use_bloom else None
+                if bloom is not None and not bloom.query(encoded):
+                    self.stats.partitions_skipped_bloom += 1
+                    if obs is not None:
+                        self._m_prune_bloom.inc()
+                    continue
+                matched = False
+                for record in part.search(key):
+                    matched = True
+                    self._classify(checker, record, hits, None)
+                    if stop_early and hits:
+                        break
+                if bloom is not None:
+                    bloom.report_pass_outcome(matched)
                 if stop_early and hits:
                     break
 
@@ -442,20 +440,9 @@ class MVPBT:
             if obs is not None:
                 self._m_scan_hits.observe(0)
             return
-        if not self.index_only_visibility:
-            raw_hits = self._candidates_range(lo, hi, lo_incl, hi_incl)
-            if obs is not None:
-                self._m_scan_hits.observe(len(raw_hits))
-            if limit is not None:
-                del raw_hits[limit:]
-            if raw_hits:
-                yield raw_hits
-            return
-
         checker = self._checker(txn)
         hits_before = stats.hits_returned
-        chunks = self._scan_hit_batches(txn, checker, lo, hi, lo_incl,
-                                        hi_incl)
+        chunks = self._scan_hit_batches(checker, lo, hi, lo_incl, hi_incl)
         try:
             for chunk in chunks:
                 if limit is not None:
@@ -503,8 +490,7 @@ class MVPBT:
 
     # -------------------------------------------------------- scan pipeline
 
-    def _scan_hit_batches(self, txn: Transaction,
-                          checker: VisibilityChecker,
+    def _scan_hit_batches(self, checker: VisibilityChecker,
                           lo: Key | None, hi: Key | None, lo_incl: bool,
                           hi_incl: bool) -> Iterator[list[SearchHit]]:
         """Page-at-a-time scan: merge whole sorted *segments* and emit hits
@@ -530,7 +516,7 @@ class MVPBT:
         """
         stats = self.stats
         obs = self._obs
-        snapshot = txn.snapshot
+        snapshot = checker.snapshot
         watermark = all_visible_before(snapshot, self.manager.commit_log)
         gens: list[Iterator[_Batch]] = [
             self._mem_batches(lo, hi, lo_incl, hi_incl)]
@@ -1019,12 +1005,18 @@ class MVPBT:
         self.partition_buffer.maybe_evict()
 
     def _checker(self, txn: Transaction) -> VisibilityChecker:
-        actives = self.manager.active_snapshots() if self.enable_gc else None
-        return VisibilityChecker(txn.snapshot, self.manager.commit_log,
-                                 self.mode,
-                                 active_snapshots=actives,
-                                 clock=self.manager.clock,
-                                 cost=self.manager.cost)
+        """The per-operation checker: Algorithm 3, or the version-oblivious
+        ablation's :class:`CandidateChecker` (the one place the tree reads
+        ``index_only_visibility``)."""
+        if self.index_only_visibility:
+            actives = (self.manager.active_snapshots() if self.enable_gc
+                       else None)
+            return VisibilityChecker(txn.snapshot, self.manager.commit_log,
+                                     self.mode,
+                                     active_snapshots=actives,
+                                     clock=self.manager.clock,
+                                     cost=self.manager.cost)
+        return CandidateChecker(self.manager.commit_log, self.mode)
 
     def _classify(self, checker: VisibilityChecker, record: MVPBTRecord,
                   hits: list[SearchHit], leaf: MemLeaf | None) -> None:
@@ -1044,67 +1036,6 @@ class MVPBT:
                 record.mark_gc()
                 self.gc_stats.flagged += 1
             leaf.has_garbage = True
-
-    # --------------------------------------- version-oblivious (ablation)
-
-    def _candidates_point(self, key: Key) -> list[SearchHit]:
-        hits: list[SearchHit] = []
-        obs = self._obs
-        for _leaf, record in self._mem.search(key):
-            self._raw_hits(record, hits)
-        encoded = encode_key(key) if self.use_bloom else b""
-        for part in reversed(self._persisted):
-            # no partitions_skipped_mints counterpart here: the ablation
-            # path has no snapshot, so min-timestamp gating never applies
-            if not part.overlaps(key, key):
-                self.stats.partitions_skipped_range += 1
-                if obs is not None:
-                    self._m_prune_zone.inc()
-                continue
-            if self.use_bloom and part.bloom is not None:
-                if not part.bloom.query(encoded):
-                    self.stats.partitions_skipped_bloom += 1
-                    if obs is not None:
-                        self._m_prune_bloom.inc()
-                    continue
-                matched = False
-                for record in part.search(key):
-                    matched = True
-                    self._raw_hits(record, hits)
-                part.bloom.report_pass_outcome(matched)
-            else:
-                for record in part.search(key):
-                    self._raw_hits(record, hits)
-        self.stats.hits_returned += len(hits)
-        return hits
-
-    def _candidates_range(self, lo: Key | None, hi: Key | None,
-                          lo_incl: bool, hi_incl: bool) -> list[SearchHit]:
-        hits: list[SearchHit] = []
-        for _leaf, record in self._mem.scan(lo, hi, lo_incl=lo_incl,
-                                            hi_incl=hi_incl):
-            self._raw_hits(record, hits)
-        for part in reversed(self._persisted):
-            if not part.overlaps(lo, hi):
-                self.stats.partitions_skipped_range += 1
-                if self._obs is not None:
-                    self._m_prune_zone.inc()
-                continue
-            for record in part.scan(lo, hi, lo_incl=lo_incl, hi_incl=hi_incl):
-                self._raw_hits(record, hits)
-        hits.sort(key=lambda h: h.key)
-        self.stats.hits_returned += len(hits)
-        return hits
-
-    @staticmethod
-    def _raw_hits(record: MVPBTRecord, hits: list[SearchHit]) -> None:
-        if record.rtype is RecordType.REGULAR_SET:
-            for vid, rid, ts, _seq in record.set_entries:
-                hits.append(SearchHit(record.key, rid, vid, ts,
-                                      record.payload))
-        elif record.has_matter:
-            hits.append(SearchHit(record.key, record.rid_new, record.vid,
-                                  record.ts, record.payload))
 
     def __repr__(self) -> str:
         return (f"MVPBT({self.name!r}, partitions={self.partition_count}, "

@@ -29,11 +29,17 @@ when no active snapshot's visibility window lands on it — which collects the
 *transient* versions created and superseded entirely during a long-running
 query, the paper's headline HTAP GC case.  With only a ``cutoff`` the
 classification falls back to the conservative below-oldest-horizon rule.
+
+:class:`CandidateChecker` switches the check off for the paper's
+version-oblivious ablation (Fig. 12a "w/o GC+idxVC"): the same partition
+walk then returns every matter record as an unchecked candidate.
 """
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
+from typing import ClassVar
 
 from ..config import CostModel
 from ..sim.clock import SimClock
@@ -67,6 +73,10 @@ class VisibilityChecker:
     __slots__ = ("snapshot", "commit_log", "mode", "cutoff",
                  "active_snapshots", "_anti", "_sees_memo", "_clock",
                  "_cost", "records_processed")
+
+    #: are the hits final?  A point lookup may stop at the first hit only
+    #: when they are (an unchecked candidate may turn out invisible)
+    exact: ClassVar[bool] = True
 
     def __init__(self, snapshot: Snapshot, commit_log: CommitLog,
                  mode: ReferenceMode, *, cutoff: int | None = None,
@@ -216,3 +226,38 @@ class VisibilityChecker:
     def _charge(self) -> None:
         if self._clock is not None:
             self._clock.advance(self._cost.visibility_step)
+
+
+#: a snapshot no min-timestamp filter excludes: ``xmax`` lies above every
+#: timestamp, so every partition and page passes the gate
+_ADMIT_ALL = Snapshot(owner=-1, xmax=sys.maxsize)
+
+
+class CandidateChecker(VisibilityChecker):
+    """The check switched off: a version-oblivious PBT (Fig. 12a, lower bar).
+
+    Every record with matter, and every set entry, is a :data:`VISIBLE`
+    *candidate* the executor must resolve against the base table.  Nothing
+    registers anti-matter, nothing is :data:`GARBAGE`, nothing is charged to
+    the simulated clock, and the snapshot admits every partition and page
+    the min-timestamp filters would otherwise prune.
+    """
+
+    __slots__ = ()
+
+    exact: ClassVar[bool] = False
+
+    def __init__(self, commit_log: CommitLog, mode: ReferenceMode) -> None:
+        super().__init__(_ADMIT_ALL, commit_log, mode)
+
+    def check(self, record: MVPBTRecord) -> Visibility:
+        self.records_processed += 1
+        if HAS_MATTER[record.rtype]:
+            return Visibility.VISIBLE
+        return Visibility.INVISIBLE
+
+    def visible_set_entries(
+            self, record: MVPBTRecord) -> list[tuple[int, object, int, int]]:
+        entries = record.set_entries
+        self.records_processed += len(entries)
+        return list(entries)

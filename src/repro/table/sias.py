@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..buffer.pool import BufferPool
-from ..errors import (SlotNotFoundError, TupleNotFoundError,
-                      WriteConflictError)
+from ..errors import (PageNotFoundError, SlotNotFoundError,
+                      TupleNotFoundError, WriteConflictError)
 from ..storage.page import SlottedPage
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
@@ -242,7 +242,13 @@ class SIASTable(VersionStore):
         tail_page = self._tail.get(page_no)
         if tail_page is not None:
             return tail_page
-        return self.pool.get(self.file, page_no)  # type: ignore[return-value]
+        try:
+            return self.pool.get(self.file, page_no)  # type: ignore[return-value]
+        except PageNotFoundError as exc:
+            # vacuum freed the page: its versions are gone, the same
+            # not-found as a missing slot
+            raise TupleNotFoundError(
+                f"{self.name}: page {page_no} holds no versions") from exc
 
     def _read_version(self, page: SlottedPage, rid: RecordID) -> TupleVersion:
         try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..errors import TupleNotFoundError
 from ..storage.recordid import RecordID
 from ..txn.manager import TransactionManager
 from .base import TupleVersion
@@ -114,7 +115,7 @@ def vacuum_delta(table: DeltaTable,
                 break
             try:
                 delta = table._read_delta(delta_rid)
-            except Exception:
+            except TupleNotFoundError:
                 break
             reachable.add(delta_rid)
             anchor = delta
@@ -168,7 +169,7 @@ def vacuum_sias(table: SIASTable, manager: TransactionManager) -> VacuumResult:
         while rid is not None:
             try:
                 version = table.fetch(rid)
-            except Exception:
+            except TupleNotFoundError:
                 break
             chain.append((rid, version))
             rid = version.prev_rid

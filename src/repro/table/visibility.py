@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from ..errors import TupleNotFoundError
 from ..storage.recordid import RecordID
 from ..txn.snapshot import Snapshot
 from ..txn.status import CommitLog
@@ -112,7 +113,7 @@ def resolve_candidates_sias(
     for rid in candidates:
         try:
             candidate = table.fetch(rid)
-        except Exception:
+        except TupleNotFoundError:
             continue
         if candidate.vid in seen_vids:
             continue

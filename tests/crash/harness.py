@@ -40,8 +40,10 @@ INDEX = "ix"
 TABLE = "t"
 
 
-def make_db(storage: str = "sias", obs: bool = False) -> Database:
-    """A durable database small enough to evict and merge constantly."""
+def make_db(storage: str = "sias", obs: bool = False,
+            index_only_visibility: bool = True) -> Database:
+    """A durable database small enough to evict and merge constantly
+    (``index_only_visibility=False``: its index is version-oblivious)."""
     from repro.obs import ObsConfig
     config = EngineConfig(
         durability=True,
@@ -55,7 +57,8 @@ def make_db(storage: str = "sias", obs: bool = False) -> Database:
     db = Database(config)
     db.create_table(TABLE, [("id", "int"), ("val", "str")], storage=storage)
     db.create_index(INDEX, TABLE, ["id"], kind="mvpbt",
-                    enable_gc=False, max_partitions=2, merge_fanout=2)
+                    enable_gc=False, max_partitions=2, merge_fanout=2,
+                    index_only_visibility=index_only_visibility)
     return db
 
 
@@ -139,13 +142,15 @@ class WorkloadRun(NamedTuple):
 
 def run_workload(plan: FaultPlan | None = None,
                  script: Script | None = None,
-                 storage: str = "sias", obs: bool = False) -> WorkloadRun:
+                 storage: str = "sias", obs: bool = False,
+                 index_only_visibility: bool = True) -> WorkloadRun:
     """Run the scripted workload, optionally under a fault plan.
 
     Never lets a :class:`DeviceCrashError` escape: a crashed run is
     returned for recovery, a clean run for baseline measurements.
     """
-    db = make_db(storage, obs=obs)
+    db = make_db(storage, obs=obs,
+                 index_only_visibility=index_only_visibility)
     if plan is not None:
         db.device.set_fault_plan(plan)
     live: OracleState = {}

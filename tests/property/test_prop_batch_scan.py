@@ -7,9 +7,13 @@ extensionally identical to the per-record cascade of
 updates, deletes, evictions and held snapshots, every range scan (any
 bounds, any inclusivity, any ``limit``) must return byte-identical
 ``SearchHit`` lists — across all three table storage models and on
-databases recovered from a random crash point.
+databases recovered from a random crash point.  The ``oblivious`` cases
+run the same histories over a version-oblivious tree
+(``index_only_visibility=False``), whose scans and point lookups must
+equal the reference's candidates mode.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +37,13 @@ operation = st.tuples(
     st.sampled_from(["insert", "update", "delete", "evict"]),
     st.booleans(),                       # hold a snapshot before this op?
 )
+
+#: (tree options, reference candidates mode) of the two read strategies
+STRATEGIES = pytest.mark.parametrize(
+    "opts,candidates",
+    [({}, False),
+     ({"index_only_visibility": False, "enable_gc": False}, True)],
+    ids=["index-only", "oblivious"])
 
 bounds = st.tuples(
     st.one_of(st.none(), st.sampled_from(KEYS)),
@@ -83,7 +94,8 @@ def apply_ops(mgr, tree, ops):
     return held
 
 
-def both_paths(tree, txn, lo, hi, lo_incl, hi_incl, limit=None):
+def both_paths(tree, txn, lo, hi, lo_incl, hi_incl, limit=None,
+               candidates=False):
     """(pipeline hits, reference hits) for one scan on one tree; a
     ``limit`` runs it as ``scan_limit``."""
     if limit is None:
@@ -93,53 +105,73 @@ def both_paths(tree, txn, lo, hi, lo_incl, hi_incl, limit=None):
         batched = tree.scan_limit(txn, lo, limit, hi,
                                   lo_incl=lo_incl, hi_incl=hi_incl)
     return batched, reference_scan(tree, txn, lo, hi, lo_incl=lo_incl,
-                                   hi_incl=hi_incl, limit=limit)
+                                   hi_incl=hi_incl, limit=limit,
+                                   candidates=candidates)
 
 
+def assert_search_per_key(tree, txn, keys, candidates):
+    """Every point lookup equals the reference scan of its one key."""
+    for key in keys:
+        assert tree.search(txn, (key,)) == reference_scan(
+            tree, txn, (key,), (key,), candidates=candidates)
+
+
+@STRATEGIES
 @settings(max_examples=60, deadline=None)
 @given(ops=st.lists(operation, min_size=1, max_size=40),
        scan=bounds)
-def test_batch_equals_record_path_under_arbitrary_histories(ops, scan):
+def test_batch_equals_record_path_under_arbitrary_histories(
+        opts, candidates, ops, scan):
     lo, hi, lo_incl, hi_incl = scan
-    mgr, tree = build_tree()
+    mgr, tree = build_tree(**opts)
     held = apply_ops(mgr, tree, ops)
     for txn in held:
         batched, record = both_paths(
             tree, txn,
             (lo,) if lo is not None else None,
-            (hi,) if hi is not None else None, lo_incl, hi_incl)
+            (hi,) if hi is not None else None, lo_incl, hi_incl,
+            candidates=candidates)
         assert batched == record
+        assert_search_per_key(tree, txn, KEYS, candidates)
 
 
+@STRATEGIES
 @settings(max_examples=25, deadline=None)
 @given(ops=st.lists(operation, min_size=5, max_size=40))
-def test_batch_equals_record_path_with_reconciled_sets(ops):
+def test_batch_equals_record_path_with_reconciled_sets(opts, candidates,
+                                                       ops):
     """Reconciliation produces REGULAR_SET records whose batch emission
     (set spreading, per-entry anti probes) must match the reference's."""
-    mgr, tree = build_tree(reconcile=True)
+    mgr, tree = build_tree(reconcile=True, **opts)
     held = apply_ops(mgr, tree, ops)
     tree.merge_partitions()
     for txn in held:
-        batched, record = both_paths(tree, txn, None, None, True, True)
+        batched, record = both_paths(tree, txn, None, None, True, True,
+                                     candidates=candidates)
         assert batched == record
+        assert_search_per_key(tree, txn, KEYS, candidates)
 
 
+@STRATEGIES
 @settings(max_examples=20, deadline=None)
 @given(storage=st.sampled_from(["heap", "sias", "delta"]),
        scan=bounds)
-def test_batch_equals_record_path_across_storage_models(storage, scan):
+def test_batch_equals_record_path_across_storage_models(opts, candidates,
+                                                        storage, scan):
     """The scripted crash-harness workload (no fault) through the full
     engine, on every table storage model."""
     lo, hi, lo_incl, hi_incl = scan
-    run = run_workload(storage=storage)
+    run = run_workload(storage=storage, index_only_visibility=not candidates)
     assert not run.crashed
     tree = run.db.catalog.index("ix").mvpbt
     txn = run.db.begin()
     batched, record = both_paths(
         tree, txn,
         (lo,) if lo is not None else None,
-        (hi,) if hi is not None else None, lo_incl, hi_incl)
+        (hi,) if hi is not None else None, lo_incl, hi_incl,
+        candidates=candidates)
     assert batched == record
+    assert_search_per_key(tree, txn, range(70), candidates)
     txn.commit()
 
 
@@ -180,13 +212,13 @@ dup_operation = st.tuples(
 )
 
 
-def build_paged_tree():
+def build_paged_tree(**opts):
     """256-byte leaf pages: a handful of records each."""
     clock = SimClock()
     device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
     mgr = TransactionManager(clock)
     tree = MVPBT("pg", PageFile("pg", device, 256, 4), BufferPool(256),
-                 PartitionBuffer(1 << 22), mgr)
+                 PartitionBuffer(1 << 22), mgr, **opts)
     return mgr, tree
 
 
@@ -227,22 +259,27 @@ dup_bounds = st.tuples(
     st.booleans(), st.booleans())
 
 
+@STRATEGIES
 @settings(max_examples=60, deadline=None)
 @given(ops=st.lists(dup_operation, min_size=20, max_size=120),
        scan=dup_bounds)
-def test_batch_equals_record_path_over_paged_duplicate_runs(ops, scan):
+def test_batch_equals_record_path_over_paged_duplicate_runs(
+        opts, candidates, ops, scan):
     lo, hi, lo_incl, hi_incl = scan
     lo = (lo,) if lo is not None else None
     hi = (hi,) if hi is not None else None
-    mgr, tree = build_paged_tree()
+    mgr, tree = build_paged_tree(**opts)
     held = apply_dup_ops(mgr, tree, ops)
     for txn in held:
-        full, record = both_paths(tree, txn, lo, hi, lo_incl, hi_incl)
+        full, record = both_paths(tree, txn, lo, hi, lo_incl, hi_incl,
+                                  candidates=candidates)
         assert full == record
         for limit in (1, 7, 100):
             batched, record = both_paths(tree, txn, lo, hi, lo_incl,
-                                         hi_incl, limit=limit)
+                                         hi_incl, limit=limit,
+                                         candidates=candidates)
             assert batched == record == full[:limit]
+        assert_search_per_key(tree, txn, DUP_KEYS, candidates)
 
 
 def test_fence_promises_on_duplicate_runs_and_zone_skipped_pages():

@@ -8,6 +8,10 @@ check.  Built on the partitions' public iterators only, and read-only: no
 partition filter, no zone map, no fence promise, no GC flagging, no
 statistics and no simulated-clock charge — so agreement with it also shows
 that everything the pipeline skips was sound to skip.
+
+With ``candidates=True`` it is the reference of a version-oblivious tree
+(``index_only_visibility=False``): the same merge, with every matter record
+and every set entry in range a hit.
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ def _source(number: int,
 
 def reference_scan(tree: MVPBT, txn: Transaction, lo: Key | None = None,
                    hi: Key | None = None, *, lo_incl: bool = True,
-                   hi_incl: bool = True,
-                   limit: int | None = None) -> list[SearchHit]:
+                   hi_incl: bool = True, limit: int | None = None,
+                   candidates: bool = False) -> list[SearchHit]:
     """What ``tree.range_scan`` (``tree.scan_limit`` with a ``limit``)
-    must return for ``txn``."""
+    must return for ``txn`` — or, with ``candidates``, on a
+    version-oblivious tree."""
     mem = tree.memory_partition
     sources = [_source(mem.number, (
         record for _leaf, record in mem.scan(lo, hi, lo_incl=lo_incl,
@@ -50,11 +55,12 @@ def reference_scan(tree: MVPBT, txn: Transaction, lo: Key | None = None,
     hits: list[SearchHit] = []
     for *_order, record in heapq.merge(*sources):
         if record.rtype is RecordType.REGULAR_SET:
-            hits.extend(
-                SearchHit(record.key, rid, vid, ts, record.payload)
-                for vid, rid, ts, _seq in
-                checker.visible_set_entries(record))
-        elif checker.check(record) is Visibility.VISIBLE:
+            entries = (record.set_entries if candidates
+                       else checker.visible_set_entries(record))
+            hits.extend(SearchHit(record.key, rid, vid, ts, record.payload)
+                        for vid, rid, ts, _seq in entries)
+        elif (record.has_matter if candidates
+              else checker.check(record) is Visibility.VISIBLE):
             hits.append(SearchHit(record.key, record.rid_new, record.vid,
                                   record.ts, record.payload))
     return hits if limit is None else hits[:limit]

@@ -221,9 +221,14 @@ class TestScanLimit:
 
 
 class TestAblationMode:
-    def test_candidates_include_all_versions(self, env):
+    # no early stop on a unique / first-hit tree: a candidate may be
+    # invisible, so every version's candidate must come back
+    @pytest.mark.parametrize("opts", [{}, {"unique": True},
+                                      {"first_hit_only": True}],
+                             ids=["plain", "unique", "first_hit_only"])
+    def test_candidates_include_all_versions(self, env, opts):
         mgr, make, _d = env
-        ix = make(index_only_visibility=False, enable_gc=False)
+        ix = make(index_only_visibility=False, enable_gc=False, **opts)
         t = mgr.begin()
         ix.insert(t, (7,), V[0], vid=1)
         t.commit()

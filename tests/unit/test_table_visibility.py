@@ -3,10 +3,12 @@
 import pytest
 
 from repro.buffer.pool import BufferPool
+from repro.errors import StorageError
 from repro.sim.clock import SimClock
 from repro.sim.device import SimulatedDevice
 from repro.sim.profiles import UNIT_TEST_PROFILE
 from repro.storage.pagefile import PageFile
+from repro.storage.recordid import RecordID
 from repro.table.heap import HeapTable
 from repro.table.sias import SIASTable
 from repro.table.visibility import (resolve_candidates_heap,
@@ -146,3 +148,31 @@ class TestResolveSias:
         reader = mgr.begin()
         resolved = resolve_candidates_sias(reader, table, [rid, rid])
         assert len(resolved) == 1
+
+    def test_stale_rid_skipped_but_storage_fault_propagates(
+            self, env, monkeypatch):
+        from repro.table.vacuum import vacuum_sias
+        _d, pool, mgr = env
+        table = SIASTable("s", PageFile("s", _d, 8192, 8), pool,
+                          flush_extent_pages=1)
+        t = mgr.begin()
+        _vid, dead = table.insert(t, (0, "x" * 3000))
+        t.commit()
+        t = mgr.begin()
+        table.delete(t, dead)
+        _vid, rid = table.insert(t, (1, "a" * 7000))    # the next page
+        t.commit()
+        table.flush_tail()
+        assert vacuum_sias(table, mgr).pages_freed == 1   # dead's page
+        reader = mgr.begin()
+        stale = [RecordID(rid.page, 999), dead]
+        resolved = resolve_candidates_sias(reader, table, stale + [rid])
+        assert [version.data for _rid, version in resolved] \
+            == [(1, "a" * 7000)]
+
+        def fault(_rid):
+            raise StorageError("device read failed")
+
+        monkeypatch.setattr(table, "fetch", fault)
+        with pytest.raises(StorageError):
+            resolve_candidates_sias(reader, table, [rid])

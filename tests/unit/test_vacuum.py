@@ -3,10 +3,12 @@
 import pytest
 
 from repro.buffer.pool import BufferPool
+from repro.errors import StorageError
 from repro.sim.clock import SimClock
 from repro.sim.device import SimulatedDevice
 from repro.sim.profiles import UNIT_TEST_PROFILE
 from repro.storage.pagefile import PageFile
+from repro.storage.recordid import RecordID
 from repro.table.heap import HeapTable
 from repro.table.sias import SIASTable
 from repro.table.vacuum import vacuum_heap, vacuum_sias
@@ -142,6 +144,25 @@ class TestVacuumSias:
         result = vacuum_sias(table, mgr)
         assert result.versions_removed >= 1
 
+    def test_stale_chain_rid_skipped_but_storage_fault_propagates(
+            self, env, monkeypatch):
+        mgr, device, pool = env
+        table = SIASTable("s", PageFile("s", device, 8192, 8), pool)
+        t = mgr.begin()
+        vid, rid = table.insert(t, (1, "a"))
+        t.commit()
+        table.register_chain(vid + 1, RecordID(rid.page, 999))
+        result = vacuum_sias(table, mgr)
+        assert result.versions_removed == 0
+        assert table.has_chain(vid + 1)
+
+        def fault(_rid):
+            raise StorageError("device read failed")
+
+        monkeypatch.setattr(table, "fetch", fault)
+        with pytest.raises(StorageError):
+            vacuum_sias(table, mgr)
+
 
 class TestVacuumDelta:
     def make_table(self, device, pool):
@@ -204,6 +225,31 @@ class TestVacuumDelta:
         reader = mgr.begin()
         for rid in rids:
             assert table.visible_version(reader, rid)[1].data == (9, "y" * 400)
+
+
+    def test_stale_delta_rid_skipped_but_storage_fault_propagates(
+            self, env, monkeypatch):
+        from repro.table.vacuum import vacuum_delta
+        mgr, device, pool = env
+        table = self.make_table(device, pool)
+        t = mgr.begin()
+        _, rid = table.insert(t, (1, "a"))
+        t.commit()
+        old_reader = mgr.begin()    # keeps the cutoff below the update
+        t2 = mgr.begin()
+        table.update(t2, rid, (1, "b"))
+        t2.commit()
+        main = table.fetch(rid)
+        main.prev_rid = RecordID(main.prev_rid.page, 999)
+        assert vacuum_delta(table, mgr).versions_removed == 0
+
+        def fault(_rid):
+            raise StorageError("device read failed")
+
+        monkeypatch.setattr(table, "_read_delta", fault)
+        with pytest.raises(StorageError):
+            vacuum_delta(table, mgr)
+        old_reader.commit()
 
 
 class TestVacuumStatsPaths:
