@@ -8,6 +8,7 @@ table is not needed for visibility checks.
 """
 
 from repro.bench.reporting import print_table
+from repro.buffer.pool import FileBufferStats
 from repro.engine import Database
 from repro.workloads.tpcc import TPCCRunner
 
@@ -35,9 +36,13 @@ def run_variant(kind, reference, storage):
                         reference=reference, storage=storage)
     runner.load()
     db.flush_all()
-    db.pool.reset_stats()
+    before = buffer_stats_by_group(db)
     runner.run(TRANSACTIONS)      # equal work for every variant
-    return buffer_stats_by_group(db)
+    after = buffer_stats_by_group(db)
+    return {group: FileBufferStats(
+                after[group].requests - before[group].requests,
+                after[group].hits - before[group].hits)
+            for group in after}
 
 
 def test_fig12d_buffer_efficiency(benchmark):

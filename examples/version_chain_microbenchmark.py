@@ -45,7 +45,6 @@ def probe_costs(kind: str) -> tuple[list[float], list[int]]:
         # evict table pages so chain walks pay real I/O, as they would
         # when the dataset dwarfs the buffer
         db.flush_all()
-        db.pool.reset_stats()
         before_req = db.pool.stats_for(table_file).requests
         t0 = db.clock.now
         rows = db.select(reader, "ix", (777,))

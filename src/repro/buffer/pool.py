@@ -19,6 +19,7 @@ from .policy import LRUPolicy, ReplacementPolicy
 if TYPE_CHECKING:
     from ..config import CostModel
     from ..obs.core import Observability
+    from ..obs.registry import Metrics
     from ..sim.clock import SimClock
 
 
@@ -64,16 +65,8 @@ class BufferPool:
         self.stats_by_file: dict[int, FileBufferStats] = {}
         self.evictions = 0
         self.dirty_writebacks = 0
-        # instruments are bound once here; the hot paths pay one
-        # `is not None` test plus an integer increment when enabled
-        self._obs = obs
         if obs is not None:
-            registry = obs.registry
-            self._m_lookups = registry.counter("buffer.pool.lookups")
-            self._m_hits = registry.counter("buffer.pool.hits")
-            self._m_misses = registry.counter("buffer.pool.misses")
-            self._m_evictions = registry.counter("buffer.pool.evictions")
-            self._m_writebacks = registry.counter("buffer.pool.writebacks")
+            obs.registry.register_source("buffer.pool", self.metrics)
 
     # ------------------------------------------------------------------ reads
 
@@ -170,37 +163,33 @@ class BufferPool:
             total.hits += stats.hits
         return total
 
-    def reset_stats(self) -> None:
-        for stats in self.stats_by_file.values():
-            stats.requests = 0
-            stats.hits = 0
-        self.evictions = 0
-        self.dirty_writebacks = 0
+    def metrics(self) -> "Metrics":
+        """The ``buffer.pool.*`` view of this pool's own counters."""
+        total = self.total_stats()
+        return {"buffer.pool.lookups": total.requests,
+                "buffer.pool.hits": total.hits,
+                "buffer.pool.misses": total.misses,
+                "buffer.pool.evictions": self.evictions,
+                "buffer.pool.writebacks": self.dirty_writebacks,
+                "buffer.pool.hit_rate": total.hit_rate,
+                "buffer.pool.resident_pages": float(self.resident_pages)}
 
     # --------------------------------------------------------------- internal
 
     def _request(self, file: PageFile,
                  key: tuple[int, int]) -> object | None:
         """What one page request costs, hit or miss: a per-file request
-        count, ``page_cpu`` on the simulated clock and the obs counters;
-        a hit also touches the replacement policy.  Returns the resident
-        page, or None on a miss (the caller reads or builds it, then
-        admits it)."""
+        count and ``page_cpu`` on the simulated clock; a hit also counts
+        and touches the replacement policy.  Returns the resident page, or
+        None on a miss (the caller reads or builds it, then admits it)."""
         stats = self._file_stats(file)
         stats.requests += 1
         if self._clock is not None and self._page_cpu:
             self._clock.advance(self._page_cpu)
-        obs = self._obs
-        if obs is not None:
-            self._m_lookups.inc()
         payload = self._frames.get(key)
         if payload is None:
-            if obs is not None:
-                self._m_misses.inc()
             return None
         stats.hits += 1
-        if obs is not None:
-            self._m_hits.inc()
         self._policy.touch(key)
         return payload
 
@@ -226,8 +215,6 @@ class BufferPool:
                 self._writeback(victim)
             self._frames.pop(victim, None)
             self.evictions += 1
-            if self._obs is not None:
-                self._m_evictions.inc()
         self._frames[key] = payload
         self._policy.admit(key)
 
@@ -239,6 +226,4 @@ class BufferPool:
             if isinstance(payload, SlottedPage):
                 payload.dirty = False
             self.dirty_writebacks += 1
-            if self._obs is not None:
-                self._m_writebacks.inc()
         self._dirty.discard(key)

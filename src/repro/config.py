@@ -47,8 +47,6 @@ class EngineConfig:
     buffer_pool_pages: int = 2048
     #: MV-PBT / PBT partition-buffer capacity, in bytes, shared by all indices.
     partition_buffer_bytes: int = 64 * PAGE_SIZE
-    #: bloom-filter target false-positive rate for persisted partitions.
-    bloom_fpr: float = 0.02
     cost: CostModel = field(default_factory=CostModel)
     #: crash durability for MV-PBT indexes: partition manifest + P_N WAL.
     durability: bool = False
@@ -66,8 +64,6 @@ class EngineConfig:
         if self.buffer_pool_pages < 8:
             raise ConfigError(
                 f"buffer_pool_pages must be >= 8: {self.buffer_pool_pages}")
-        if not 0.0 < self.bloom_fpr < 1.0:
-            raise ConfigError(f"bloom_fpr must be in (0, 1): {self.bloom_fpr}")
         if self.manifest_slot_pages < 1:
             raise ConfigError(
                 f"manifest_slot_pages must be >= 1: {self.manifest_slot_pages}")

@@ -34,7 +34,7 @@ from __future__ import annotations
 from array import array
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..index.filters import (PREFIX_BLOOM_FPR, BloomFilter,
+from ..index.filters import (BLOOM_FPR, PREFIX_BLOOM_FPR, BloomFilter,
                              PrefixBloomFilter, ZoneMapBuilder, digest)
 from ..index.runs import PersistedRun
 from ..obs.core import span_or_null
@@ -45,6 +45,7 @@ from .partition import MemoryPartition, PersistedPartition
 from .records import MVPBTRecord, RecordType, record_size, record_ts_bounds
 
 if TYPE_CHECKING:
+    from ..obs.tracing import TraceSpan
     from .tree import MVPBT
 
 
@@ -55,11 +56,9 @@ def evict_partition(tree: "MVPBT") -> PersistedPartition | None:
     if mem.record_count == 0:
         return None
 
-    obs = tree._obs
-    with span_or_null(obs, "mvpbt.evict", index=tree.name,
+    with span_or_null(tree._obs, "mvpbt.evict", index=tree.name,
                       partition=mem.number,
                       records_in=mem.record_count) as span:
-        purged0 = tree.gc_stats.purged_eviction
         clock = tree.manager.clock
         cost = tree.manager.cost
         if clock is not None:
@@ -92,22 +91,26 @@ def evict_partition(tree: "MVPBT") -> PersistedPartition | None:
             # the partition extents are fully written: flip the manifest,
             # then advance the WAL floor past the records it now covers
             tree._durability.on_eviction(tree)
-        if obs is not None:
-            registry = obs.registry
-            registry.counter("mvpbt.evict.count").inc()
-            purged = tree.gc_stats.purged_eviction - purged0
-            if purged:
-                registry.counter("mvpbt.gc.purged_eviction").inc(purged)
-            pages = partition.run.page_count if partition is not None else 0
-            nbytes = partition.run.size_bytes if partition is not None else 0
-            if partition is not None:
-                registry.counter("mvpbt.evict.pages_written").inc(pages)
-                registry.counter("mvpbt.evict.bytes_written").inc(nbytes)
-            span.set(
-                records_out=(partition.record_count
-                             if partition is not None else 0),
-                pages=pages, bytes=nbytes)
+        note_build(tree, span, "evict", partition)
     return partition
+
+
+def note_build(tree: "MVPBT", span: "TraceSpan", op: str,
+               partition: PersistedPartition | None) -> None:
+    """Record what an eviction or merge wrote: the
+    ``mvpbt.<op>.pages_written`` / ``bytes_written`` instruments (the
+    tree's own ``bytes_written`` does not split by operation) and the
+    span's output attributes."""
+    obs = tree._obs
+    if obs is None:
+        return
+    pages = nbytes = records = 0
+    if partition is not None:
+        pages, nbytes = partition.run.page_count, partition.size_bytes
+        records = partition.record_count
+        obs.registry.counter(f"mvpbt.{op}.pages_written").inc(pages)
+        obs.registry.counter(f"mvpbt.{op}.bytes_written").inc(nbytes)
+    span.set(records_out=records, pages=pages, bytes=nbytes)
 
 
 def build_partition(tree: "MVPBT", records: Iterable[MVPBTRecord],
@@ -172,13 +175,11 @@ class PartitionMetaBuilder:
     building them from a materialised record list.
     """
 
-    __slots__ = ("use_bloom", "bloom_fpr", "use_prefix_bloom",
-                 "prefix_columns", "count",
+    __slots__ = ("use_bloom", "use_prefix_bloom", "prefix_columns", "count",
                  "min_ts", "max_ts", "_digests", "_prefix_digests")
 
     def __init__(self, tree: "MVPBT") -> None:
         self.use_bloom = tree.use_bloom
-        self.bloom_fpr = tree.bloom_fpr
         self.use_prefix_bloom = tree.use_prefix_bloom
         self.prefix_columns = tree.prefix_columns
         self.count = 0
@@ -230,7 +231,7 @@ class PartitionMetaBuilder:
         bloom: BloomFilter | None = None
         prefix_bloom: PrefixBloomFilter | None = None
         if self.use_bloom:
-            bloom = BloomFilter(self.count, self.bloom_fpr)
+            bloom = BloomFilter(self.count, BLOOM_FPR)
             d = self._digests
             for i in range(0, len(d), 2):
                 bloom.add_digest(d[i], d[i + 1])

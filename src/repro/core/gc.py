@@ -152,7 +152,6 @@ def purge_leaf(partition: MemoryPartition, leaf: MemLeaf,
             stats.chains_dropped += 1
     leaf.has_garbage = any(r.is_gc for r in leaf.records)
     if removed and obs is not None:
-        obs.registry.counter("mvpbt.gc.purged_page_level").inc(removed)
         obs.tracer.emit("mvpbt.gc.purge_leaf", removed=removed)
     return removed
 

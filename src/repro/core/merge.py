@@ -37,7 +37,7 @@ from ..errors import IndexError_
 from ..obs.core import span_or_null
 from ..storage.recordid import RecordID
 from ..txn.transaction import Transaction
-from .eviction import build_partition
+from .eviction import build_partition, note_build
 from .gc import gc_victim_seqs
 from .partition import MemoryPartition, PersistedPartition
 from .records import MVPBTRecord, RecordType, record_size
@@ -131,10 +131,8 @@ def merge_partitions(tree: "MVPBT", count: int | None = None, *,
         return None
     inputs = persisted[start:start + count]
 
-    obs = tree._obs
-    with span_or_null(obs, "mvpbt.merge", index=tree.name,
+    with span_or_null(tree._obs, "mvpbt.merge", index=tree.name,
                       inputs=count, start=start) as span:
-        purged0 = tree.gc_stats.purged_eviction
         clock = tree.manager.clock
         if clock is not None:
             total = sum(p.record_count for p in inputs)
@@ -184,21 +182,7 @@ def merge_partitions(tree: "MVPBT", count: int | None = None, *,
             tree._durability.on_reorg(tree)
         for partition in inputs:
             partition.run.free()
-        if obs is not None:
-            registry = obs.registry
-            registry.counter("mvpbt.merge.count").inc()
-            purged = tree.gc_stats.purged_eviction - purged0
-            if purged:
-                registry.counter("mvpbt.gc.purged_eviction").inc(purged)
-            pages = merged.run.page_count if merged is not None else 0
-            nbytes = merged.size_bytes if merged is not None else 0
-            if merged is not None:
-                registry.counter("mvpbt.merge.pages_written").inc(pages)
-                registry.counter("mvpbt.merge.bytes_written").inc(nbytes)
-            span.set(
-                records_out=(merged.record_count
-                             if merged is not None else 0),
-                pages=pages, bytes=nbytes)
+        note_build(tree, span, "merge", merged)
     return merged
 
 
@@ -267,8 +251,7 @@ def bulk_load(tree: "MVPBT", txn: Transaction,
     if not entries:
         return None
 
-    obs = tree._obs
-    with span_or_null(obs, "mvpbt.bulk_load", index=tree.name,
+    with span_or_null(tree._obs, "mvpbt.bulk_load", index=tree.name,
                       entries=len(entries)) as span:
         records = []
         for idx, (key, rid, vid) in enumerate(entries):
@@ -292,8 +275,5 @@ def bulk_load(tree: "MVPBT", txn: Transaction,
         tree.stats.bulk_loads += 1
         if tree._durability is not None:
             tree._durability.on_reorg(tree)
-        if obs is not None:
-            obs.registry.counter("mvpbt.bulk_load.count").inc()
-            span.set(pages=partition.run.page_count,
-                     bytes=partition.size_bytes)
+        span.set(pages=partition.run.page_count, bytes=partition.size_bytes)
     return partition

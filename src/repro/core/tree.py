@@ -32,8 +32,8 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from typing import (TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence,
-                    TypeAlias)
+from typing import (TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple,
+                    Sequence, TypeAlias)
 
 from ..buffer.partition_buffer import PartitionBuffer
 from ..buffer.pool import BufferPool
@@ -56,6 +56,7 @@ if TYPE_CHECKING:
     from ..durability.controller import DurabilityController
     from ..durability.manifest import IndexManifest
     from ..obs.core import Observability
+    from ..obs.registry import Metrics
 
 #: one batch-scan segment: ``(keys, records, pos, end, leaf, rows)`` — a
 #: contiguous already-sorted slice ``[pos, end)`` of one partition (a whole
@@ -154,6 +155,36 @@ class MVPBTStats:
         return self.bytes_written / self.bytes_ingested
 
 
+#: the ``mvpbt.*`` counter views: metric name -> the ``MVPBTStats`` field
+#: it sums over the trees
+_STATS_VIEWS = {
+    "mvpbt.search.count": "searches", "mvpbt.scan.count": "scans",
+    "mvpbt.scan.pages_batch_decoded": "pages_batch_decoded",
+    "mvpbt.scan.zero_copy_bytes": "zero_copy_bytes",
+    "mvpbt.scan.pages_skipped_zone_map": "pages_skipped_zonemap",
+    "mvpbt.scan.pages_skipped_min_ts": "pages_skipped_mints",
+    "mvpbt.prune.bloom": "partitions_skipped_bloom",
+    "mvpbt.prune.zone_map": "partitions_skipped_range",
+    "mvpbt.prune.min_ts": "partitions_skipped_mints",
+    "mvpbt.evict.count": "evictions", "mvpbt.merge.count": "merges",
+    "mvpbt.bulk_load.count": "bulk_loads",
+}
+
+
+def tree_metrics(trees: Iterable["MVPBT"]) -> "Metrics":
+    """The ``mvpbt.*`` registry view: sums of the trees' own ``stats`` /
+    ``gc_stats`` counters, and their partition count as a gauge."""
+    trees = list(trees)
+    metrics: Metrics = {name: sum(getattr(t.stats, field) for t in trees)
+                        for name, field in _STATS_VIEWS.items()}
+    metrics["mvpbt.gc.purged_eviction"] = sum(
+        t.gc_stats.purged_eviction for t in trees)
+    metrics["mvpbt.gc.purged_page_level"] = sum(
+        t.gc_stats.purged_page_level for t in trees)
+    metrics["mvpbt.partitions"] = float(sum(t.partition_count for t in trees))
+    return metrics
+
+
 class MVPBT:
     """Version-aware partitioned B-tree index."""
 
@@ -163,7 +194,6 @@ class MVPBT:
                  unique: bool = False,
                  mode: ReferenceMode = ReferenceMode.PHYSICAL,
                  use_bloom: bool = True,
-                 bloom_fpr: float = 0.02,
                  use_prefix_bloom: bool = False,
                  prefix_columns: int = 1,
                  enable_gc: bool = True,
@@ -181,7 +211,6 @@ class MVPBT:
         self.unique = unique
         self.mode = mode
         self.use_bloom = use_bloom
-        self.bloom_fpr = bloom_fpr
         self.use_prefix_bloom = use_prefix_bloom
         self.prefix_columns = prefix_columns
         self.enable_gc = enable_gc
@@ -207,27 +236,14 @@ class MVPBT:
 
         self.stats = MVPBTStats()
         self.gc_stats = GCStats()
-        # observability: instruments bound once; hot paths pay a single
-        # `is not None` test when disabled (DESIGN.md §13)
+        # observability: the registry reads ``stats`` / ``gc_stats``
+        # through :func:`tree_metrics`; only the per-scan hit histogram,
+        # which no counter holds, is recorded here (DESIGN.md §13)
         self._obs = obs
         if obs is not None:
             from ..obs.registry import COUNT_BUCKETS
-            registry = obs.registry
-            self._m_searches = registry.counter("mvpbt.search.count")
-            self._m_scans = registry.counter("mvpbt.scan.count")
-            self._m_scan_hits = registry.histogram("mvpbt.scan.hits",
-                                                   COUNT_BUCKETS)
-            self._m_pages_decoded = registry.counter(
-                "mvpbt.scan.pages_batch_decoded")
-            self._m_zero_copy = registry.counter(
-                "mvpbt.scan.zero_copy_bytes")
-            self._m_pages_zone = registry.counter(
-                "mvpbt.scan.pages_skipped_zone_map")
-            self._m_pages_mints = registry.counter(
-                "mvpbt.scan.pages_skipped_min_ts")
-            self._m_prune_bloom = registry.counter("mvpbt.prune.bloom")
-            self._m_prune_zone = registry.counter("mvpbt.prune.zone_map")
-            self._m_prune_mints = registry.counter("mvpbt.prune.min_ts")
+            self._m_scan_hits = obs.registry.histogram("mvpbt.scan.hits",
+                                                       COUNT_BUCKETS)
         self._next_seq = 0
         self._mem = MemoryPartition(0, mode, file.page_size)
         self._persisted: list[PersistedPartition] = []
@@ -358,9 +374,6 @@ class MVPBT:
         """
         key = tuple(key)
         self.stats.searches += 1
-        obs = self._obs
-        if obs is not None:
-            self._m_searches.inc()
         checker = self._checker(txn)
         snapshot = checker.snapshot
         hits: list[SearchHit] = []
@@ -376,19 +389,13 @@ class MVPBT:
             for part in reversed(self._persisted):
                 if not part.possibly_visible_to(snapshot):
                     self.stats.partitions_skipped_mints += 1
-                    if obs is not None:
-                        self._m_prune_mints.inc()
                     continue
                 if not part.overlaps(key, key):
                     self.stats.partitions_skipped_range += 1
-                    if obs is not None:
-                        self._m_prune_zone.inc()
                     continue
                 bloom = part.bloom if self.use_bloom else None
                 if bloom is not None and not bloom.query(encoded):
                     self.stats.partitions_skipped_bloom += 1
-                    if obs is not None:
-                        self._m_prune_bloom.inc()
                     continue
                 matched = False
                 for record in part.search(key):
@@ -426,25 +433,25 @@ class MVPBT:
         applied when the stream starts; each surviving partition is one
         lazy source, so a consumer that stops early — or a ``limit``, which
         ends the stream inside the chunk that reaches it — leaves the pages
-        the merge never got to unread.  ``hits_returned`` counts what the
-        merge classified visible, before the ``limit`` cut.  The stream
-        borrows the partitions it iterates: consume it before further
+        the merge never got to unread.  ``hits_returned`` — and this
+        scan's ``mvpbt.scan.hits`` observation — count what the merge
+        classified visible, before the ``limit`` cut.  The stream borrows
+        the partitions it iterates: consume it before further
         modifications of this tree (like any unlatched database cursor).
         """
         stats = self.stats
         stats.scans += 1
         obs = self._obs
-        if obs is not None:
-            self._m_scans.inc()
         if limit is not None and limit <= 0:
             if obs is not None:
                 self._m_scan_hits.observe(0)
             return
         checker = self._checker(txn)
-        hits_before = stats.hits_returned
+        returned = 0
         chunks = self._scan_hit_batches(checker, lo, hi, lo_incl, hi_incl)
         try:
             for chunk in chunks:
+                returned += len(chunk)
                 if limit is not None:
                     if len(chunk) >= limit:
                         del chunk[limit:]
@@ -456,7 +463,7 @@ class MVPBT:
             # runs on exhaustion *and* on early close (GeneratorExit)
             stats.records_checked += checker.records_processed
             if obs is not None:
-                self._m_scan_hits.observe(stats.hits_returned - hits_before)
+                self._m_scan_hits.observe(returned)
 
     def cursor(self, txn: Transaction, lo: Key | None = None,
                hi: Key | None = None, *, lo_incl: bool = True,
@@ -515,7 +522,6 @@ class MVPBT:
         of the buffer pool only when the merge pops it.
         """
         stats = self.stats
-        obs = self._obs
         snapshot = checker.snapshot
         watermark = all_visible_before(snapshot, self.manager.commit_log)
         gens: list[Iterator[_Batch]] = [
@@ -524,13 +530,9 @@ class MVPBT:
         for part in self._persisted:
             if not part.possibly_visible_to(snapshot):
                 stats.partitions_skipped_mints += 1
-                if obs is not None:
-                    self._m_prune_mints.inc()
                 continue
             if not part.overlaps(lo, hi):
                 stats.partitions_skipped_range += 1
-                if obs is not None:
-                    self._m_prune_zone.inc()
                 continue
             gate: PrefixBloomFilter | None = None
             if self.use_prefix_bloom and part.prefix_bloom is not None:
@@ -538,8 +540,6 @@ class MVPBT:
                 if prefix is not None:
                     if not part.prefix_bloom.query_prefix(prefix):
                         stats.partitions_skipped_bloom += 1
-                        if obs is not None:
-                            self._m_prune_bloom.inc()
                         continue
                     gate = part.prefix_bloom
             gens.append(self._part_batches(part, lo, hi, lo_incl, hi_incl,
@@ -632,7 +632,6 @@ class MVPBT:
         never does for the partitions above its result.
         """
         stats = self.stats
-        obs = self._obs
         run = part.run
         zone = part.zone_map
         fences = run.fence_keys
@@ -646,26 +645,18 @@ class MVPBT:
                 start = max(0, bisect_right(fences, lo) - 1)
         else:
             start = 0
-        if start:
-            stats.pages_skipped_zonemap += start
-            if obs is not None:
-                self._m_pages_zone.inc(start)
+        stats.pages_skipped_zonemap += start
         matched = False
         lo_probe = lo
         for idx in range(start, npages):
             fence = fences[idx]
             if hi is not None and (fence > hi
                                    or (not hi_incl and fence == hi)):
-                rest = npages - idx
-                stats.pages_skipped_zonemap += rest
-                if obs is not None:
-                    self._m_pages_zone.inc(rest)
+                stats.pages_skipped_zonemap += npages - idx
                 break
             if zone is not None and not zone.page_possibly_visible(
                     idx, xmax, owner):
                 stats.pages_skipped_mints += 1
-                if obs is not None:
-                    self._m_pages_mints.inc()
                 continue
             if (lo_probe is None or fence > lo_probe
                     or (lo_incl and fence == lo_probe)):
@@ -675,12 +666,8 @@ class MVPBT:
             keys = page.keys
             nkeys = len(keys)
             stats.pages_batch_decoded += 1
-            nbytes = zone.page_bytes[idx] if zone is not None else 0
-            stats.zero_copy_bytes += nbytes
-            if obs is not None:
-                self._m_pages_decoded.inc()
-                if nbytes:
-                    self._m_zero_copy.inc(nbytes)
+            if zone is not None:
+                stats.zero_copy_bytes += zone.page_bytes[idx]
             if lo_probe is not None:
                 pos = (bisect_left(keys, lo_probe) if lo_incl
                        else bisect_right(keys, lo_probe))
@@ -706,11 +693,7 @@ class MVPBT:
                 matched = True
                 yield (keys, page.records, pos, end, None, rows)
             if done:
-                rest = npages - idx - 1
-                if rest:
-                    stats.pages_skipped_zonemap += rest
-                    if obs is not None:
-                        self._m_pages_zone.inc(rest)
+                stats.pages_skipped_zonemap += npages - idx - 1
                 break
         # adaptivity feedback fires only when the source is drained; an
         # abandoned cursor reports nothing (no false "miss")

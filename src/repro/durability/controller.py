@@ -38,6 +38,7 @@ if TYPE_CHECKING:
     from ..core.partition import PersistedPartition
     from ..core.tree import MVPBT
     from ..obs.core import Observability
+    from ..obs.registry import Metrics
     from ..txn.manager import TransactionManager
     from ..txn.transaction import Transaction
 
@@ -82,14 +83,11 @@ class DurabilityController:
         self._obs = obs
         if obs is not None:
             registry = obs.registry
-            self._m_wal_appends = registry.counter("wal.appends")
-            self._m_wal_entries = registry.counter("wal.entries")
-            self._m_wal_bytes = registry.counter("wal.bytes_appended")
+            registry.register_source("wal", self.metrics)
+            # the two facts neither the log nor the manifest records
             self._m_commits_elided = registry.counter("wal.commits_elided")
             self._m_markers_deferred = registry.counter(
                 "wal.markers_deferred")
-            self._m_wal_pages_freed = registry.counter("wal.pages_freed")
-            self._m_manifest_flips = registry.counter("manifest.flips")
         manager.add_commit_hook(self._on_commit)
         manager.add_abort_hook(self._on_abort)
         manifest.preallocate()
@@ -106,6 +104,16 @@ class DurabilityController:
     @property
     def trees(self) -> dict[str, "MVPBT"]:
         return dict(self._trees)
+
+    def metrics(self) -> "Metrics":
+        """The ``wal.*`` / ``manifest.*`` view of the log's and the
+        manifest store's own counters."""
+        wal = self.wal
+        return {"wal.appends": wal.appends,
+                "wal.entries": wal.entries_appended,
+                "wal.bytes_appended": wal.bytes_written,
+                "wal.pages_freed": wal.pages_freed,
+                "manifest.flips": self.manifest.flips}
 
     # ------------------------------------------------------------- txn hooks
 
@@ -144,15 +152,13 @@ class DurabilityController:
 
     def _note_append(self, event: str, mark: tuple[int, int],
                      **fields: object) -> None:
-        """Mirror one durable append (everything since ``mark``) into the
-        registry and the trace.  Callers guard on ``self._obs``."""
+        """Trace one durable append (everything since ``mark``).  Callers
+        guard on ``self._obs``."""
         assert self._obs is not None
-        entries = self.wal.entries_appended - mark[0]
-        nbytes = self.wal.bytes_written - mark[1]
-        self._m_wal_appends.inc()
-        self._m_wal_entries.inc(entries)
-        self._m_wal_bytes.inc(nbytes)
-        self._obs.tracer.emit(event, entries=entries, bytes=nbytes, **fields)
+        self._obs.tracer.emit(event,
+                              entries=self.wal.entries_appended - mark[0],
+                              bytes=self.wal.bytes_written - mark[1],
+                              **fields)
 
     def drain_commit_records(
             self, txn: "Transaction") -> list[tuple[str, MVPBTRecord]]:
@@ -280,7 +286,6 @@ class DurabilityController:
 
     def _note_flip(self) -> None:
         if self._obs is not None:
-            self._m_manifest_flips.inc()
             self._obs.tracer.emit("manifest.flip",
                                   epoch=self.manifest.epoch)
 
@@ -288,7 +293,6 @@ class DurabilityController:
         if self._floors:
             freed = self.wal.truncate_below(min(self._floors.values()))
             if freed and self._obs is not None:
-                self._m_wal_pages_freed.inc(freed)
                 self._obs.tracer.emit("wal.truncate", pages_freed=freed)
 
     def __repr__(self) -> str:

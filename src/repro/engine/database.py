@@ -15,7 +15,7 @@ from ..buffer.partition_buffer import PartitionBuffer
 from ..buffer.pool import BufferPool
 from ..config import EngineConfig
 from ..core.records import ReferenceMode
-from ..core.tree import MVPBT, SearchHit
+from ..core.tree import MVPBT, SearchHit, tree_metrics
 from ..durability.controller import DurabilityController
 from ..durability.manifest import ManifestStore
 from ..durability.recovery import read_durable_state
@@ -55,8 +55,7 @@ def _tree_options(tree: MVPBT) -> dict[str, Any]:
     recovery (the catalog, not this subsystem, is their durable home)."""
     return dict(
         unique=tree.unique, mode=tree.mode,
-        use_bloom=tree.use_bloom, bloom_fpr=tree.bloom_fpr,
-        use_prefix_bloom=tree.use_prefix_bloom,
+        use_bloom=tree.use_bloom, use_prefix_bloom=tree.use_prefix_bloom,
         prefix_columns=tree.prefix_columns,
         enable_gc=tree.enable_gc,
         index_only_visibility=tree.index_only_visibility,
@@ -77,13 +76,13 @@ class Database:
         #: in parallel, a shared clock serializes them on one timeline
         self.clock = clock if clock is not None else SimClock()
         self.trace = IOTrace()
+        self.device = SimulatedDevice(profile, self.clock, self.trace)
         #: None when observability is disabled — every instrumented call
         #: site guards on that, keeping the disabled overhead a pointer test
         self.obs: Observability | None = None
         if self.config.obs.enabled:
             self.obs = Observability(self.config.obs, self.clock)
-            self.obs.attach_io_trace(self.trace)
-        self.device = SimulatedDevice(profile, self.clock, self.trace)
+            self.obs.attach_device(self.device)
         self.pool = BufferPool(self.config.buffer_pool_pages,
                                clock=self.clock, cost=self.config.cost,
                                obs=self.obs)
@@ -107,6 +106,7 @@ class Database:
                 ManifestStore(self.manifest_file,
                               self.config.manifest_slot_pages),
                 WriteAheadLog(self.wal_file), self.txn, obs=self.obs)
+        self._register_sources()
 
     # -------------------------------------------------------------------- DDL
 
@@ -161,9 +161,7 @@ class Database:
         if kind == "mvpbt":
             index: object = MVPBT(
                 name, file, self.pool, self.partition_buffer, self.txn,
-                unique=unique, mode=mode,
-                bloom_fpr=self.config.bloom_fpr,
-                obs=self.obs,
+                unique=unique, mode=mode, obs=self.obs,
                 **options)  # type: ignore[arg-type]
             if self.durability is not None:
                 # register before the build pass so its records are logged
@@ -173,7 +171,6 @@ class Database:
         elif kind == "pbt":
             index = PartitionedBTree(
                 name, file, self.pool, self.partition_buffer,
-                bloom_fpr=self.config.bloom_fpr,
                 clock=self.clock, cost=self.config.cost,
                 **options)  # type: ignore[arg-type]
         else:
@@ -543,8 +540,10 @@ class Database:
         db.clock = crashed.clock
         db.trace = crashed.trace
         # the registry and tracer survive the restart with the clock: the
-        # metrics of the crashed run and the recovery replay land in one
-        # continuous stream (the crash did not reset simulated time either)
+        # trace and instruments of the crashed run and the recovery replay
+        # land in one continuous stream (the crash did not reset simulated
+        # time either); the views re-register below and read the recovered
+        # engine
         db.obs = crashed.obs
         db.device = crashed.device
         db.pool = crashed.pool
@@ -588,6 +587,7 @@ class Database:
                     durability=db.durability,
                     obs=db.obs,
                     **_tree_options(old))
+            db._register_sources()
             if db.obs is not None:
                 replayed = sum(len(records)
                                for records in durable.records.values())
@@ -619,18 +619,21 @@ class Database:
                              lo_incl=lo_incl, hi_incl=hi_incl)
 
     def metrics_snapshot(self) -> JSONDict:
-        """Export the metrics registry, with derived gauges synced first."""
-        obs = self._require_obs()
-        registry = obs.registry
-        pool_total = self.pool.total_stats()
-        registry.gauge("buffer.pool.hit_rate").set(pool_total.hit_rate)
-        registry.gauge("buffer.pool.resident_pages").set(
-            self.pool.resident_pages)
-        registry.gauge("sim.clock.seconds").set(self.clock.now)
-        registry.gauge("mvpbt.partitions").set(sum(
-            ix.mvpbt.partition_count for ix in self.catalog.indexes
-            if ix.is_mvpbt))
-        return registry.export()
+        """Export the metrics registry (every view read now)."""
+        return self._require_obs().registry.export()
+
+    def _register_sources(self) -> None:
+        """The views this facade owns: the clock and the catalog's MV-PBT
+        trees (the pool, the device, the manager and the durability
+        controller register their own).  A recovered instance registers
+        under the same keys and so takes over."""
+        if self.obs is None:
+            return
+        registry = self.obs.registry
+        registry.register_source(
+            "sim.clock", lambda: {"sim.clock.seconds": self.clock.now})
+        registry.register_source("mvpbt", lambda: tree_metrics(
+            ix.mvpbt for ix in self.catalog.indexes if ix.is_mvpbt))
 
     def _require_obs(self) -> Observability:
         if self.obs is None:

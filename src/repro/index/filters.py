@@ -65,6 +65,11 @@ class FilterStats:
         return self.positives / self.queries if self.queries else 0.0
 
 
+#: target false-positive rate of every bloom filter a partition or an LSM
+#: SSTable is built with
+BLOOM_FPR = 0.02
+
+
 class BloomFilter:
     """Classic bloom filter over byte strings."""
 

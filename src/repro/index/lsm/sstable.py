@@ -7,7 +7,7 @@ from typing import Iterator, Sequence
 from ...buffer.pool import BufferPool
 from ...storage.keycodec import encode_key
 from ...storage.pagefile import PageFile
-from ..filters import BloomFilter
+from ..filters import BLOOM_FPR, BloomFilter
 from ..runs import PersistedRun
 from .memtable import entry_bytes
 from ...types import Key
@@ -22,15 +22,14 @@ class SSTable:
     _next_id = 0
 
     def __init__(self, file: PageFile, pool: BufferPool,
-                 records: Sequence[SSTableRecord], *,
-                 bloom_fpr: float = 0.02) -> None:
+                 records: Sequence[SSTableRecord]) -> None:
         self.table_id = SSTable._next_id
         SSTable._next_id += 1
         self.run = PersistedRun(
             file, pool, records,
             key_of=lambda r: r[0],
             size_of=lambda r: entry_bytes(r[0], r[2]))
-        self.bloom = BloomFilter(max(1, len(records)), bloom_fpr)
+        self.bloom = BloomFilter(max(1, len(records)), BLOOM_FPR)
         for key, _seq, _value in records:
             self.bloom.add(encode_key(key))
 

@@ -63,7 +63,6 @@ class LSMTree:
                  l0_component_limit: int = 4,
                  level_base_bytes: int = 256 * 8192,
                  size_ratio: int = 10,
-                 bloom_fpr: float = 0.02,
                  clock: SimClock | None = None,
                  cost: CostModel | None = None) -> None:
         self.name = name
@@ -73,7 +72,6 @@ class LSMTree:
         self.l0_component_limit = l0_component_limit
         self.level_base_bytes = level_base_bytes
         self.size_ratio = size_ratio
-        self.bloom_fpr = bloom_fpr
         self.stats = LSMStats()
 
         self._memtable = MemTable()
@@ -185,8 +183,7 @@ class LSMTree:
         if len(self._memtable) == 0:
             return
         records: list[SSTableRecord] = list(self._memtable.items())
-        sstable = SSTable(self.file, self.pool, records,
-                          bloom_fpr=self.bloom_fpr)
+        sstable = SSTable(self.file, self.pool, records)
         self._l0.insert(0, sstable)
         self._memtable = MemTable()
         self.stats.flushes += 1
@@ -209,8 +206,7 @@ class LSMTree:
             inputs.append(self._levels[0])
         merged = self._merge(inputs,
                              drop_tombstones=self._is_bottom(target_level=0))
-        new_sstable = (SSTable(self.file, self.pool, merged,
-                               bloom_fpr=self.bloom_fpr)
+        new_sstable = (SSTable(self.file, self.pool, merged)
                        if merged else None)
         for sstable in inputs:
             self.stats.rewritten_bytes += sstable.size_bytes
@@ -231,8 +227,7 @@ class LSMTree:
             inputs.append(self._levels[level + 1])  # type: ignore[arg-type]
         merged = self._merge(inputs,
                              drop_tombstones=self._is_bottom(level + 1))
-        new_sstable = (SSTable(self.file, self.pool, merged,
-                               bloom_fpr=self.bloom_fpr)
+        new_sstable = (SSTable(self.file, self.pool, merged)
                        if merged else None)
         for sstable in inputs:
             self.stats.rewritten_bytes += sstable.size_bytes

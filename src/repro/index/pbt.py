@@ -23,7 +23,7 @@ from ..storage.keycodec import encode_key, encoded_size
 from ..storage.pagefile import PageFile
 from .base import (ENTRY_OVERHEAD_BYTES, REF_BYTES, Index, IndexStats, Ref,
                    key_in_range)
-from .filters import BloomFilter
+from .filters import BLOOM_FPR, BloomFilter
 from .runs import PersistedRun
 from ..types import Key
 
@@ -50,7 +50,7 @@ class PartitionedBTree(Index):
 
     def __init__(self, name: str, file: PageFile, pool: BufferPool,
                  partition_buffer: PartitionBuffer, *,
-                 use_bloom: bool = True, bloom_fpr: float = 0.02,
+                 use_bloom: bool = True,
                  clock: SimClock | None = None,
                  cost: CostModel | None = None) -> None:
         self.name = name
@@ -60,7 +60,6 @@ class PartitionedBTree(Index):
         self.pool = pool
         self.partition_buffer = partition_buffer
         self.use_bloom = use_bloom
-        self.bloom_fpr = bloom_fpr
         self.stats = IndexStats()
 
         self._mem_entries: list[tuple[Key, int, Ref]] = []  # (key, seq, ref)
@@ -82,7 +81,7 @@ class PartitionedBTree(Index):
         records = list(self._mem_entries)
         bloom: BloomFilter | None = None
         if self.use_bloom:
-            bloom = BloomFilter(len(records), self.bloom_fpr)
+            bloom = BloomFilter(len(records), BLOOM_FPR)
             for key, _seq, _ref in records:
                 bloom.add(encode_key(key))
         run = PersistedRun(

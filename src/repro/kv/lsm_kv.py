@@ -29,7 +29,6 @@ class LSMKV(KVStore):
             l0_component_limit=l0_component_limit,
             level_base_bytes=4 * memtable_bytes,
             size_ratio=size_ratio,
-            bloom_fpr=env.config.bloom_fpr,
             clock=env.clock, cost=env.config.cost)
 
     @property

@@ -43,7 +43,6 @@ class MVPBTKV(KVStore):
             "kv:mvpbt", file, env.pool, env.partition_buffer, self.manager,
             unique=False, mode=ReferenceMode.LOGICAL,
             use_bloom=use_bloom,
-            bloom_fpr=env.config.bloom_fpr,
             enable_gc=enable_gc,
             max_partitions=max_partitions,
             merge_fanout=merge_fanout,

@@ -2,25 +2,25 @@
 
 One :class:`Observability` per database instance bundles the metrics
 registry and the tracer around the shared simulated clock.  Engine
-components receive it (or ``None``) at construction: when the facade is
-absent every instrumented hot path is a single ``is not None`` test, which
-is how the <3% disabled-overhead budget is met (DESIGN.md §13).
+components receive it (or ``None``) at construction.  A component that
+already counts a fact registers a source with the registry and does no
+registry work on its hot path; the rest — histograms, trace events, facts
+nothing else counts — pay a single ``is not None`` test when the facade
+is absent (DESIGN.md §13).
 
-The facade also bridges the existing blktrace-style
-:class:`~repro.sim.trace.IOTrace` into the event stream: a listener
-registered on the I/O trace mirrors every device request as a ``device.io``
-point event and keeps ``device.*`` byte counters exactly in sync with
-:class:`~repro.sim.device.DeviceStats` — an invariant the integration tests
-assert.
+The facade also attaches the simulated device: its own
+:class:`~repro.sim.device.DeviceStats` are the ``device.*`` counters (a
+view, :func:`device_metrics`), and a listener on its blktrace-style
+:class:`~repro.sim.trace.IOTrace` mirrors every request into the event
+stream as a ``device.io`` point event.
 """
 
 from __future__ import annotations
 
 from ..sim.clock import SimClock
-from ..sim.trace import IOTrace
-from ..types import JSONDict
+from ..sim.device import SimulatedDevice
 from .config import ObsConfig
-from .registry import MetricsRegistry
+from .registry import Metrics, MetricsRegistry
 from .tracing import NULL_SPAN, Tracer, TraceSpan
 
 
@@ -38,42 +38,39 @@ class Observability:
 
     # ------------------------------------------------------------- device I/O
 
-    def attach_io_trace(self, trace: IOTrace) -> None:
-        """Mirror every device request into metrics and trace events.
+    def attach_device(self, device: SimulatedDevice) -> None:
+        """Export ``device``'s counters and trace its every request.
 
         The listener fires for *all* requests regardless of the I/O
-        trace's own capture flag, so ``device.bytes_read`` /
-        ``device.bytes_written`` always equal the device's own
-        :class:`~repro.sim.device.DeviceStats`.
+        trace's own capture flag; call this once per device — a recovered
+        instance keeps its device, and with it this attachment.
         """
-        reads = self.registry.counter("device.reads")
-        writes = self.registry.counter("device.writes")
-        bytes_read = self.registry.counter("device.bytes_read")
-        bytes_written = self.registry.counter("device.bytes_written")
+        self.registry.register_source("device",
+                                      lambda: device_metrics(device))
         tracer = self.tracer
 
         def _listener(time: float, lba: int, nbytes: int,
                       kind: str) -> None:
-            if kind == "W":
-                writes.inc()
-                bytes_written.inc(nbytes)
-            else:
-                reads.inc()
-                bytes_read.inc(nbytes)
             tracer.emit("device.io", kind=kind, lba=lba, nbytes=nbytes)
 
-        trace.add_listener(_listener)
+        device.trace.add_listener(_listener)
 
     # ---------------------------------------------------------------- exports
-
-    def export_metrics(self) -> JSONDict:
-        return self.registry.export()
 
     def export_metrics_json(self) -> str:
         return self.registry.to_json()
 
     def export_trace_jsonl(self) -> str:
         return self.tracer.export_jsonl()
+
+
+def device_metrics(device: SimulatedDevice) -> Metrics:
+    """The ``device.*`` view: ``device``'s own
+    :class:`~repro.sim.device.DeviceStats`."""
+    stats = device.stats
+    return {"device.reads": stats.reads, "device.writes": stats.writes,
+            "device.bytes_read": stats.bytes_read,
+            "device.bytes_written": stats.bytes_written}
 
 
 def span_or_null(obs: Observability | None, name: str,

@@ -3,10 +3,12 @@
 :func:`profile_query` runs one lookup or range scan through the normal
 executor path and reports what it cost: partitions consulted vs. skipped
 per filter kind, visibility-check outcomes, buffer-pool pages pinned, and
-the simulated device I/O the query caused.  The profile is computed from
-before/after snapshots of the engine's own counters — no extra
-instrumentation runs on the hot path, so profiling a query costs the query
-itself plus a handful of dict reads.
+the simulated device I/O the query caused.  The profile diffs the same
+per-component sources the metrics registry reads — the buffer pool's, the
+device's and the tree's (DESIGN.md §13.2) — called directly before and
+after the query, so it works with the registry off; no extra
+instrumentation runs on the hot path, and profiling a query costs the
+query itself plus a handful of dict reads.
 
 Interpretation notes (DESIGN.md §13):
 
@@ -23,29 +25,26 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..types import JSONDict, Key
+from .core import device_metrics
 
 if TYPE_CHECKING:
     from ..core.tree import MVPBT
     from ..engine.database import Database
     from ..txn.transaction import Transaction
+    from .registry import Metrics
 
 
-def _tree_snapshot(tree: "MVPBT") -> dict[str, int]:
-    stats = tree.stats
-    return {
-        "searches": stats.searches,
-        "scans": stats.scans,
-        "hits_returned": stats.hits_returned,
-        "records_checked": stats.records_checked,
-        "skipped_bloom": stats.partitions_skipped_bloom,
-        "skipped_mints": stats.partitions_skipped_mints,
-        "skipped_range": stats.partitions_skipped_range,
-        "pages_batch_decoded": stats.pages_batch_decoded,
-        "pages_skipped_zonemap": stats.pages_skipped_zonemap,
-        "pages_skipped_mints": stats.pages_skipped_mints,
-        "zero_copy_bytes": stats.zero_copy_bytes,
-        "flagged": tree.gc_stats.flagged,
-    }
+def _sources(db: "Database", tree: "MVPBT | None") -> "Metrics":
+    """The sources a profile diffs, plus the tree's visibility counts
+    (which the registry does not export)."""
+    from ..core.tree import tree_metrics    # core imports obs
+    counts = {**db.pool.metrics(), **device_metrics(db.device)}
+    if tree is not None:
+        counts.update(tree_metrics([tree]),
+                      checked=tree.stats.records_checked,
+                      visible=tree.stats.hits_returned,
+                      flagged=tree.gc_stats.flagged)
+    return counts
 
 
 def profile_query(db: "Database", txn: "Transaction", index_name: str, *,
@@ -60,13 +59,8 @@ def profile_query(db: "Database", txn: "Transaction", index_name: str, *,
     exactly as a non-profiled query would.
     """
     ix = db.catalog.index(index_name)
-    device = db.device.stats
-    dev0 = {"reads": device.seq_reads + device.rand_reads,
-            "writes": device.seq_writes + device.rand_writes,
-            "bytes_read": device.bytes_read,
-            "bytes_written": device.bytes_written}
-    pool0 = db.pool.total_stats()
-    tree0 = _tree_snapshot(ix.mvpbt) if ix.is_mvpbt else None
+    tree = ix.mvpbt if ix.is_mvpbt else None
+    before = _sources(db, tree)
     t0 = db.clock.now
 
     if key is not None:
@@ -77,7 +71,8 @@ def profile_query(db: "Database", txn: "Transaction", index_name: str, *,
         rows = len(db.executor.scan_rows(txn, ix, lo, hi,
                                          lo_incl=lo_incl, hi_incl=hi_incl))
 
-    pool1 = db.pool.total_stats()
+    after = _sources(db, tree)
+    delta = {name: after[name] - before[name] for name in after}
     profile: JSONDict = {
         "op": op,
         "index": index_name,
@@ -85,54 +80,41 @@ def profile_query(db: "Database", txn: "Transaction", index_name: str, *,
         "rows": rows,
         "sim_seconds": db.clock.now - t0,
         "buffer": {
-            "pages_pinned": pool1.requests - pool0.requests,
-            "hits": pool1.hits - pool0.hits,
-            "misses": ((pool1.requests - pool1.hits)
-                       - (pool0.requests - pool0.hits)),
+            "pages_pinned": delta["buffer.pool.lookups"],
+            "hits": delta["buffer.pool.hits"],
+            "misses": delta["buffer.pool.misses"],
         },
-        "io": {
-            "reads": device.seq_reads + device.rand_reads - dev0["reads"],
-            "writes": (device.seq_writes + device.rand_writes
-                       - dev0["writes"]),
-            "bytes_read": device.bytes_read - dev0["bytes_read"],
-            "bytes_written": (device.bytes_written
-                              - dev0["bytes_written"]),
-        },
+        "io": {name: delta[f"device.{name}"] for name in (
+            "reads", "writes", "bytes_read", "bytes_written")},
     }
 
-    if tree0 is not None:
-        tree = ix.mvpbt
-        tree1 = _tree_snapshot(tree)
-        delta = {name: tree1[name] - tree0[name] for name in tree1}
-        skipped = (delta["skipped_bloom"] + delta["skipped_mints"]
-                   + delta["skipped_range"])
-        visible = delta["hits_returned"]
+    if tree is not None:
+        bloom = delta["mvpbt.prune.bloom"]
+        mints = delta["mvpbt.prune.min_ts"]
+        zone = delta["mvpbt.prune.zone_map"]
+        visible = delta["visible"]
         flagged = delta["flagged"]
-        invisible = max(0,
-                        delta["records_checked"] - visible - flagged)
         profile["partitions"] = {
             "total": tree.partition_count,
-            "consulted": tree.partition_count - skipped,
-            "skipped_bloom": delta["skipped_bloom"],
-            "skipped_mints": delta["skipped_mints"],
-            "skipped_range": delta["skipped_range"],
-            "prune_reasons": {
-                "bloom": delta["skipped_bloom"],
-                "zone-map": delta["skipped_range"],
-                "min-ts": delta["skipped_mints"],
-            },
+            "consulted": tree.partition_count - (bloom + mints + zone),
+            "skipped_bloom": bloom,
+            "skipped_mints": mints,
+            "skipped_range": zone,
+            "prune_reasons": {"bloom": bloom, "zone-map": zone,
+                              "min-ts": mints},
         }
         profile["visibility"] = {
-            "checked": delta["records_checked"],
+            "checked": delta["checked"],
             "visible": visible,
-            "invisible": invisible,
+            "invisible": max(0, delta["checked"] - visible - flagged),
             "garbage_flagged": flagged,
         }
         profile["scan_pipeline"] = {
-            "pages_batch_decoded": delta["pages_batch_decoded"],
-            "pages_skipped_zonemap": delta["pages_skipped_zonemap"],
-            "pages_skipped_mints": delta["pages_skipped_mints"],
-            "zero_copy_bytes": delta["zero_copy_bytes"],
+            "pages_batch_decoded": delta["mvpbt.scan.pages_batch_decoded"],
+            "pages_skipped_zonemap": delta[
+                "mvpbt.scan.pages_skipped_zone_map"],
+            "pages_skipped_mints": delta["mvpbt.scan.pages_skipped_min_ts"],
+            "zero_copy_bytes": delta["mvpbt.scan.zero_copy_bytes"],
         }
 
     if db.obs is not None:

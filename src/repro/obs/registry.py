@@ -1,14 +1,21 @@
-"""Metrics registry: named counters, gauges and fixed-bucket histograms.
+"""Metrics registry: views of the engine's own counts, plus instruments.
 
-Instruments live in one :class:`MetricsRegistry` per database instance and
-carry hierarchical dotted names (``mvpbt.evict.pages_written``,
-``txn.commit.latency_us``, ``buffer.pool.hit_rate``).  Hot paths request
-their instruments once at construction time and keep bound references, so
-recording is one attribute increment — no per-operation name lookup.
+One :class:`MetricsRegistry` per database instance exports hierarchical
+dotted names (``mvpbt.search.count``, ``buffer.pool.hit_rate``) of two
+kinds.  A **view** belongs to a component that already counts the fact —
+buffer pool, device, transaction manager, WAL, the catalog's trees: it
+registers one named *source*, a callback returning ``{name: value}``
+(``int`` a counter, ``float`` a gauge) read at export time, so the hot
+path does no registry work for the fact.  A source registered again under
+its key replaces the old one, which is how a recovered engine takes over
+the facade; no instrument may take a view's name.  An **instrument** — a
+counter, gauge or fixed-bucket histogram — records a fact nothing else
+counts; hot paths bind it once at construction, so recording is one
+attribute increment.
 
-When the registry is disabled every request returns a shared no-op stub
-(:data:`NULL_COUNTER` / :data:`NULL_GAUGE` / :data:`NULL_HISTOGRAM`), so
-instrumented code needs no second flag check.
+A disabled registry drops sources unread and hands out shared no-op
+instruments (:data:`NULL_COUNTER` / :data:`NULL_GAUGE` /
+:data:`NULL_HISTOGRAM`), so instrumented code needs no second flag check.
 
 Exports are deterministic: the simulation is seeded and clocked by
 :class:`~repro.sim.clock.SimClock`, so two identical runs must produce
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from typing import Callable, TypeVar
 
 from ..errors import ObsError
 from ..types import JSONDict
@@ -33,6 +41,11 @@ LATENCY_BUCKETS_US: tuple[float, ...] = (
 COUNT_BUCKETS: tuple[float, ...] = (
     0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
     1000.0, 2000.0, 5000.0, 10000.0)
+
+#: what a source returns: counter values (``int``) and gauge values
+#: (``float``) by metric name
+Metrics = dict[str, int | float]
+Source = Callable[[], Metrics]
 
 _NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
 
@@ -122,16 +135,50 @@ NULL_GAUGE = NullGauge("null")
 NULL_HISTOGRAM = NullHistogram("null", ())
 
 Instrument = Counter | Gauge | Histogram
+_I = TypeVar("_I", Counter, Gauge, Histogram)
 
 
 class MetricsRegistry:
-    """Name → instrument map with deterministic JSON export."""
+    """Instruments and named sources, with deterministic JSON export."""
 
-    __slots__ = ("enabled", "_instruments")
+    __slots__ = ("enabled", "_instruments", "_sources")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._instruments: dict[str, Instrument] = {}
+        #: source key -> (callback, the metric names it returns)
+        self._sources: dict[str, tuple[Source, frozenset[str]]] = {}
+
+    # ----------------------------------------------------------------- views
+
+    def register_source(self, key: str, source: Source) -> None:
+        """Export ``source()`` at every read; a no-op when disabled.
+
+        ``source`` is called once here to learn its names, each of which
+        must be free — no instrument's and no other source's.  Registering
+        ``key`` again replaces its old source.
+        """
+        if not self.enabled:
+            return
+        self._sources.pop(key, None)
+        names = frozenset(source())
+        for name in names:
+            self._claim(name)
+        self._sources[key] = (source, names)
+
+    def _source_of(self, name: str) -> Source | None:
+        for source, names in self._sources.values():
+            if name in names:
+                return source
+        return None
+
+    def _claim(self, name: str) -> None:
+        """Validate a new instrument's or view's name; it must be free."""
+        _validate_name(name)
+        if name in self._instruments or self._source_of(name) is not None:
+            raise ObsError(
+                f"metric {name!r} is already recorded: a view of an engine "
+                f"count is never shadowed by a second instrument")
 
     # -------------------------------------------------------------- creation
 
@@ -139,69 +186,65 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         if not self.enabled:
             return NULL_COUNTER
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, Counter):
-                raise ObsError(self._kind_clash(name, existing, "Counter"))
-            return existing
-        _validate_name(name)
-        inst = Counter(name)
-        self._instruments[name] = inst
-        return inst
+        return self._get_or_create(name, Counter, lambda: Counter(name))
 
     def gauge(self, name: str) -> Gauge:
         if not self.enabled:
             return NULL_GAUGE
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, Gauge):
-                raise ObsError(self._kind_clash(name, existing, "Gauge"))
-            return existing
-        _validate_name(name)
-        inst = Gauge(name)
-        self._instruments[name] = inst
-        return inst
+        return self._get_or_create(name, Gauge, lambda: Gauge(name))
 
     def histogram(self, name: str,
                   bounds: tuple[float, ...] = LATENCY_BUCKETS_US
                   ) -> Histogram:
         if not self.enabled:
             return NULL_HISTOGRAM
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, Histogram):
-                raise ObsError(self._kind_clash(name, existing, "Histogram"))
-            if existing.bounds != bounds:
-                raise ObsError(
-                    f"histogram {name!r} re-requested with different bounds")
-            return existing
-        _validate_name(name)
-        inst = Histogram(name, bounds)
-        self._instruments[name] = inst
+        inst = self._get_or_create(name, Histogram,
+                                   lambda: Histogram(name, bounds))
+        if inst.bounds != bounds:
+            raise ObsError(
+                f"histogram {name!r} re-requested with different bounds")
         return inst
 
-    @staticmethod
-    def _kind_clash(name: str, existing: Instrument, wanted: str) -> str:
-        return (f"instrument {name!r} already registered as "
-                f"{type(existing).__name__}, not {wanted}")
+    def _get_or_create(self, name: str, kind: type[_I],
+                       make: Callable[[], _I]) -> _I:
+        existing = self._instruments.get(name)
+        if existing is None:
+            self._claim(name)
+            inst = make()
+            self._instruments[name] = inst
+            return inst
+        if not isinstance(existing, kind):
+            raise ObsError(
+                f"instrument {name!r} already registered as "
+                f"{type(existing).__name__}, not {kind.__name__}")
+        return existing
 
     # ------------------------------------------------------------ inspection
 
     def get(self, name: str) -> Instrument | None:
-        """The registered instrument, or None if nothing recorded it yet."""
+        """The instrument named ``name``; None for a view or a name nothing
+        recorded yet."""
         return self._instruments.get(name)
 
     def counter_value(self, name: str) -> int:
-        """Value of a counter, 0 when it was never created."""
+        """Value of a counter — an instrument's or a view's read now — or
+        0 when nothing records ``name``."""
         inst = self._instruments.get(name)
+        value: int | float | None
         if inst is None:
-            return 0
-        if not isinstance(inst, Counter):
-            raise ObsError(f"instrument {name!r} is not a counter")
-        return inst.value
+            source = self._source_of(name)
+            if source is None:
+                return 0
+            value = source()[name]
+        else:
+            value = inst.value if isinstance(inst, Counter) else None
+        if not isinstance(value, int):
+            raise ObsError(f"metric {name!r} is not a counter")
+        return value
 
     def export(self) -> JSONDict:
-        """JSON-shaped snapshot of every instrument, grouped by kind."""
+        """JSON-shaped snapshot of every instrument and view, grouped by
+        kind; every source is read once."""
         counters: dict[str, int] = {}
         gauges: dict[str, float] = {}
         histograms: dict[str, JSONDict] = {}
@@ -217,6 +260,12 @@ class MetricsRegistry:
                 counters[name] = inst.value
             else:
                 gauges[name] = inst.value
+        for source, _names in self._sources.values():
+            for name, value in source().items():
+                if isinstance(value, float):
+                    gauges[name] = value
+                else:
+                    counters[name] = value
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
 

@@ -127,7 +127,6 @@ class ShardedDatabase:
         self.obs: Observability | None = None
         if self.config.obs.enabled:
             self.obs = Observability(self.config.obs, self.clock)
-            self.obs.attach_io_trace(self.trace)
         #: independent engine instances — own device, pool, WAL, manifest
         self.shards = [Database(self.config, profile)
                        for _ in range(self.shard_config.shards)]
@@ -137,6 +136,8 @@ class ShardedDatabase:
         if self.config.durability:
             self.coordinator_device = SimulatedDevice(profile, self.clock,
                                                       self.trace)
+            if self.obs is not None:
+                self.obs.attach_device(self.coordinator_device)
             self.coordinator_file = PageFile(
                 "coord:log", self.coordinator_device, self.config.page_size,
                 self.config.extent_pages)
@@ -171,6 +172,10 @@ class ShardedDatabase:
         if self.obs is None:
             return
         registry = self.obs.registry
+        registry.register_source("shard", lambda: {
+            "shard.sim_now.seconds": self.sim_now,
+            "shard.coordinator.active": float(
+                self.coordinator.active_count)})
         self._m_begins = registry.counter("shard.txn.begins")
         self._m_commit_single = registry.counter(
             "shard.txn.commits.single_shard")
@@ -791,12 +796,8 @@ class ShardedDatabase:
 
     def metrics_snapshot(self) -> JSONDict:
         """Router-level ``shard.*`` metrics plus every shard's registry."""
-        obs = self._require_obs()
-        obs.registry.gauge("shard.sim_now.seconds").set(self.sim_now)
-        obs.registry.gauge("shard.coordinator.active").set(
-            self.coordinator.active_count)
         return {
-            "router": obs.registry.export(),
+            "router": self._require_obs().registry.export(),
             "shards": [db.metrics_snapshot() for db in self.shards],
         }
 

@@ -43,6 +43,7 @@ from .transaction import Transaction, TxnState
 
 if TYPE_CHECKING:
     from ..obs.core import Observability
+    from ..obs.registry import Metrics
 
 
 class TransactionManager:
@@ -60,16 +61,15 @@ class TransactionManager:
         self._lock = threading.RLock()
         self._next_txid = 1
         self._active: dict[int, Transaction] = {}
+        #: transactions opened here, :meth:`begin_adopted` included
+        self.begun = 0
         self.committed_count = 0
         self.aborted_count = 0
         self._obs = obs
         if obs is not None:
             from ..obs.registry import LATENCY_BUCKETS_US
-            registry = obs.registry
-            self._m_begins = registry.counter("txn.begin.count")
-            self._m_commits = registry.counter("txn.commit.count")
-            self._m_aborts = registry.counter("txn.abort.count")
-            self._m_commit_latency = registry.histogram(
+            obs.registry.register_source("txn", self.metrics)
+            self._m_commit_latency = obs.registry.histogram(
                 "txn.commit.latency_us", LATENCY_BUCKETS_US)
             #: clock reading at begin, for the commit-latency histogram
             self._begin_at: dict[int, float] = {}
@@ -100,9 +100,9 @@ class TransactionManager:
             self.commit_log.register(txid)
             txn = Transaction(txid, snapshot, self)
             self._active[txid] = txn
+            self.begun += 1
         self._charge_overhead()
         if self._obs is not None:
-            self._m_begins.inc()
             if self.clock is not None:
                 self._begin_at[txid] = self.clock.now
             self._obs.tracer.emit("txn.begin", txid=txid)
@@ -134,9 +134,9 @@ class TransactionManager:
             self.commit_log.register(txid)
             txn = Transaction(txid, snapshot, self)
             self._active[txid] = txn
+            self.begun += 1
         self._charge_overhead()
         if self._obs is not None:
-            self._m_begins.inc()
             if self.clock is not None:
                 self._begin_at[txid] = self.clock.now
             self._obs.tracer.emit("txn.begin", txid=txid, adopted=True)
@@ -172,7 +172,6 @@ class TransactionManager:
         with self._lock:
             self.committed_count += 1
         if self._obs is not None:
-            self._m_commits.inc()
             started = self._begin_at.pop(txn.id, None)
             elapsed = (self.clock.now - started
                        if self.clock is not None and started is not None
@@ -191,7 +190,6 @@ class TransactionManager:
         with self._lock:
             self.aborted_count += 1
         if self._obs is not None:
-            self._m_aborts.inc()
             self._begin_at.pop(txn.id, None)
             self._obs.tracer.emit("txn.abort", txid=txn.id)
 
@@ -223,6 +221,12 @@ class TransactionManager:
                 self._begin_at.clear()
 
     # ------------------------------------------------------------ inspection
+
+    def metrics(self) -> "Metrics":
+        """The ``txn.*`` view of this manager's own counters."""
+        return {"txn.begin.count": self.begun,
+                "txn.commit.count": self.committed_count,
+                "txn.abort.count": self.aborted_count}
 
     @property
     def next_txid(self) -> int:

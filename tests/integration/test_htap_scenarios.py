@@ -48,7 +48,6 @@ class TestLongChains:
             db = make_db(kind)
             reader = self.grow_chain(db, 40)
             db.flush_all()
-            db.pool.reset_stats()
             table_file = db.catalog.table("r").file
             before = db.pool.stats_for(table_file).requests
             count = db.count_range(reader, "idx_a", (7,), (7,))

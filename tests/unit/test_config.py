@@ -32,7 +32,7 @@ class TestEngineConfig:
         a deleted one coming back) has to change this list."""
         assert [f.name for f in fields(EngineConfig)] == [
             "page_size", "extent_pages", "buffer_pool_pages",
-            "partition_buffer_bytes", "bloom_fpr", "cost", "durability",
+            "partition_buffer_bytes", "cost", "durability",
             "manifest_slot_pages", "obs"]
         assert [f.name for f in fields(ServeConfig)] == [
             "max_sessions", "scan_slice_rows", "group_commit",
@@ -40,12 +40,6 @@ class TestEngineConfig:
             "parallel_scatter_gather"]
         with pytest.raises(TypeError):
             EngineConfig(seed=7)    # read nowhere, deleted
-
-    def test_bloom_fpr_bounds(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(bloom_fpr=0.0)
-        with pytest.raises(ConfigError):
-            EngineConfig(bloom_fpr=1.0)
 
     def test_cost_model_is_per_instance(self):
         a, b = EngineConfig(), EngineConfig()

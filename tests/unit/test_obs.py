@@ -1,11 +1,14 @@
-"""Unit tests for the observability layer: metrics registry, tracer,
-query profiles, registry-engine invariants, disabled-mode behaviour."""
+"""Unit tests for the observability layer: metrics registry and its views
+of engine counts, tracer, query profiles, cross-component invariants,
+disabled-mode behaviour."""
 
 import json
 
 import pytest
 
+from repro.buffer.pool import BufferPool
 from repro.config import EngineConfig
+from repro.durability.controller import DurabilityController
 from repro.engine.database import Database
 from repro.errors import ConfigError, ObsError
 from repro.obs import (COUNT_BUCKETS, LATENCY_BUCKETS_US, MetricsRegistry,
@@ -14,6 +17,7 @@ from repro.obs.registry import (NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM,
                                 Counter, Gauge, Histogram)
 from repro.obs.tracing import NULL_SPAN
 from repro.sim.clock import SimClock
+from repro.txn.manager import TransactionManager
 
 
 def obs_db(**overrides):
@@ -114,6 +118,26 @@ class TestRegistry:
         assert isinstance(NULL_COUNTER, Counter)
         assert isinstance(NULL_GAUGE, Gauge)
         assert isinstance(NULL_HISTOGRAM, Histogram)
+
+    def test_source_is_read_at_every_read_and_replaced_by_key(self):
+        reg = MetricsRegistry()
+        count = [1]
+        reg.register_source("s", lambda: {"s.count": count[0],
+                                          "s.level": 0.5})
+        count[0] = 7
+        assert reg.counter_value("s.count") == 7
+        assert reg.export() == {"counters": {"s.count": 7},
+                                "gauges": {"s.level": 0.5},
+                                "histograms": {}}
+        reg.register_source("s", lambda: {"s.count": 2, "s.level": 1.0})
+        assert reg.counter_value("s.count") == 2
+        assert reg.get("s.count") is None       # a view, not an instrument
+        with pytest.raises(ObsError):
+            reg.counter_value("s.level")        # a gauge
+        with pytest.raises(ObsError):
+            reg.register_source("t", lambda: {"s.count": 0})
+        with pytest.raises(ObsError):
+            reg.register_source("t", lambda: {"Bad-Name": 0})
 
     def test_to_json_is_sorted_and_stable(self):
         reg = MetricsRegistry()
@@ -271,6 +295,15 @@ class TestProfiles:
         names = [e["name"] for e in db.obs.tracer.events()]
         assert "query.profile" in names
 
+    def test_profile_needs_no_registry(self):
+        db = obs_db(obs=ObsConfig(enabled=True, metrics=False))
+        load_rows(db, 60, evict_every=20)
+        txn = db.begin()
+        profile = db.explain_lookup(txn, "ix", (7,))
+        txn.commit()
+        assert profile["rows"] == 1
+        assert profile["buffer"]["pages_pinned"] > 0
+
     def test_explain_requires_obs(self):
         db = Database(EngineConfig())
         db.create_table("t", [("k", "int")], storage="sias")
@@ -333,18 +366,19 @@ class TestInvariants:
         assert check_invariants(db) == []
         assert db.obs.registry.counter_value("wal.commits_elided") == 4
 
+    def test_a_histogram_out_of_step_is_detected(self):
+        db = obs_db()
+        load_rows(db, 20)
+        db.obs.registry.get("txn.commit.latency_us").observe(1.0)
+        assert any("txn.commit.latency_us" in p
+                   for p in check_invariants(db))
+
     def test_disabled_db_reports_why(self):
         db = Database(EngineConfig())
         problems = check_invariants(db)
         assert problems and "disabled" in problems[0]
 
-    def test_tampering_is_detected(self):
-        db = obs_db()
-        load_rows(db, 20)
-        db.obs.registry.counter("txn.commit.count").inc(5)
-        assert any("txn.commit.count" in p for p in check_invariants(db))
-
-    def test_metrics_snapshot_syncs_gauges(self):
+    def test_metrics_snapshot_reads_gauges(self):
         db = obs_db()
         load_rows(db, 50, evict_every=20)
         snap = db.metrics_snapshot()
@@ -352,6 +386,127 @@ class TestInvariants:
             db.catalog.index("ix").mvpbt.partition_count)
         assert snap["gauges"]["sim.clock.seconds"] == db.clock.now
         assert 0.0 <= snap["gauges"]["buffer.pool.hit_rate"] <= 1.0
+
+
+# --------------------------------------------------------------------- views
+
+#: DESIGN.md §13.2: every counter and gauge a durable Database exports
+CATALOGUE = {
+    "txn.begin.count", "txn.commit.count", "txn.abort.count",
+    "buffer.pool.lookups", "buffer.pool.hits", "buffer.pool.misses",
+    "buffer.pool.evictions", "buffer.pool.writebacks",
+    "buffer.pool.hit_rate", "buffer.pool.resident_pages",
+    "device.reads", "device.writes", "device.bytes_read",
+    "device.bytes_written",
+    "mvpbt.search.count", "mvpbt.scan.count",
+    "mvpbt.scan.pages_batch_decoded", "mvpbt.scan.zero_copy_bytes",
+    "mvpbt.scan.pages_skipped_zone_map", "mvpbt.scan.pages_skipped_min_ts",
+    "mvpbt.prune.bloom", "mvpbt.prune.zone_map", "mvpbt.prune.min_ts",
+    "mvpbt.evict.count", "mvpbt.evict.pages_written",
+    "mvpbt.evict.bytes_written", "mvpbt.merge.count",
+    "mvpbt.merge.pages_written", "mvpbt.merge.bytes_written",
+    "mvpbt.rebuild.count", "mvpbt.bulk_load.count",
+    "mvpbt.gc.purged_eviction", "mvpbt.gc.purged_page_level",
+    "mvpbt.partitions",
+    "wal.appends", "wal.entries", "wal.bytes_appended",
+    "wal.commits_elided", "wal.markers_deferred", "wal.pages_freed",
+    "manifest.flips",
+    "recovery.replays", "recovery.wal_records_replayed",
+    "sim.clock.seconds",
+}
+#: instruments the operation they count creates on first use
+FIRST_USE = {"mvpbt.rebuild.count", "recovery.replays",
+             "recovery.wal_records_replayed"}
+
+
+def exported_names(snap):
+    return set(snap["counters"]) | set(snap["gauges"])
+
+
+def evict_merge_and_read(db):
+    load_rows(db, 150, evict_every=40)
+    db.catalog.index("ix").mvpbt.merge_partitions()
+    txn = db.begin()
+    db.range_select(txn, "ix", None, None)
+    db.select(txn, "ix", (3,))
+    txn.commit()
+
+
+class TestViews:
+    def test_catalogue_is_pinned(self):
+        db = obs_db(durability=True)
+        evict_merge_and_read(db)
+        snap = db.metrics_snapshot()
+        assert exported_names(snap) == CATALOGUE - FIRST_USE
+        assert set(snap["histograms"]) == {"txn.commit.latency_us",
+                                           "mvpbt.scan.hits"}
+        # views are present before anything they count happened
+        assert snap["counters"]["mvpbt.bulk_load.count"] == 0
+        db = Database.recover(db)
+        assert exported_names(db.metrics_snapshot()) \
+            == CATALOGUE - {"mvpbt.rebuild.count"}
+
+    def test_views_read_the_recovered_engine(self):
+        db = obs_db(durability=True)
+        evict_merge_and_read(db)
+        db = Database.recover(db)
+        txn = db.begin()
+        db.select(txn, "ix", (5,))
+        txn.commit()
+        cv = db.obs.registry.counter_value
+        trees = [ix.mvpbt for ix in db.catalog.indexes if ix.is_mvpbt]
+        assert cv("mvpbt.search.count") \
+            == sum(t.stats.searches for t in trees) == 1
+        assert cv("txn.commit.count") == db.txn.committed_count
+        assert cv("wal.appends") == db.durability.wal.appends
+        assert cv("device.reads") == db.device.stats.reads
+
+    def test_a_view_name_takes_no_instrument(self):
+        reg = obs_db(durability=True).obs.registry
+        for name in ("txn.commit.count", "buffer.pool.hits",
+                     "device.writes", "mvpbt.search.count", "wal.appends"):
+            with pytest.raises(ObsError):
+                reg.counter(name)
+        for name in ("mvpbt.partitions", "sim.clock.seconds"):
+            with pytest.raises(ObsError):
+                reg.gauge(name)
+        with pytest.raises(ObsError):
+            reg.register_source("shadow", lambda: {"txn.commit.count": 0})
+
+    def test_metrics_off_calls_no_source(self, monkeypatch):
+        def boom(*_args):
+            raise AssertionError("a source was called")
+
+        for component in (BufferPool, TransactionManager,
+                          DurabilityController):
+            monkeypatch.setattr(component, "metrics", boom)
+        monkeypatch.setattr("repro.engine.database.tree_metrics", boom)
+        db = obs_db(durability=True,
+                    obs=ObsConfig(enabled=True, metrics=False))
+        evict_merge_and_read(db)
+        db.obs.registry.register_source("any", boom)
+        assert db.metrics_snapshot() == {"counters": {}, "gauges": {},
+                                         "histograms": {}}
+        assert db.obs.registry.counter_value("txn.commit.count") == 0
+
+    def test_scan_hits_histogram_counts_its_own_scan(self):
+        """Searches and other scans on the tree between two ``next()``
+        calls of a scan do not leak into its observation."""
+        db = obs_db()
+        load_rows(db, 200)
+        tree = db.catalog.index("ix").mvpbt
+        txn = db.begin()
+        chunks = tree.scan_chunks(txn)
+        returned = len(next(chunks))
+        for key in range(50):
+            assert len(tree.search(txn, (key,))) == 1
+        assert len(tree.range_scan(txn, (0,), (9,))) == 10
+        returned += sum(len(chunk) for chunk in chunks)
+        txn.commit()
+        hist = db.obs.registry.get("mvpbt.scan.hits")
+        assert returned == 200
+        assert (hist.count, hist.total) == (2, 210.0)
+        assert check_invariants(db) == []
 
 
 # ------------------------------------------------------------ device mirror

@@ -25,8 +25,8 @@ from repro.core.merge import select_merge_window
 from repro.core.records import MVPBTRecord, RecordType, record_size
 from repro.core.tree import MVPBT
 from repro.errors import ConfigError, UniqueViolationError
-from repro.index.filters import (PREFIX_BLOOM_FPR, BloomFilter,
-                                 PrefixBloomFilter)
+from repro.index.filters import (BLOOM_FPR, PREFIX_BLOOM_FPR,
+                                 BloomFilter, PrefixBloomFilter)
 from repro.index.runs import PersistedRun
 from repro.sim.clock import SimClock
 from repro.sim.device import SimulatedDevice
@@ -65,7 +65,7 @@ def legacy_build(tree, file, pool, records):
         records = reconcile_records(records)
     bloom = prefix_bloom = None
     if tree.use_bloom:
-        bloom = BloomFilter(len(records), tree.bloom_fpr)
+        bloom = BloomFilter(len(records), BLOOM_FPR)
         for r in records:
             bloom.add(encode_key(r.key))
     if tree.use_prefix_bloom:
