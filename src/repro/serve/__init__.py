@@ -11,12 +11,13 @@ adds the concurrency layer on top:
   core and ONE server core (what a session / a server *is*) plus their
   single-node bindings :class:`Session` / :class:`Server`;
   :mod:`~repro.serve.shard_server` binds the same cores to the sharded
-  router (:class:`ShardSession` / :class:`ShardServer`).  Analytical
+  router (:class:`ShardSession` / :class:`ShardServer`), whose scatter
+  reads visit the shards on the session's own thread.  Analytical
   scans release the slot between slices so short transactions interleave
   with long scans (the HTAP serving story);
 - :mod:`~repro.serve.group_commit` — leader/follower WAL group commit:
   concurrently committing sessions share one multi-record WAL append
-  (one simulated fsync per *group*);
+  (one simulated fsync per *group*), always on over a durable database;
 - :mod:`~repro.serve.locks` — the ascending-rank lock-ordering
   discipline, enforced at runtime;
 - :mod:`~repro.serve.executor` — a thread pool driving client workloads
@@ -32,7 +33,6 @@ from .executor import SessionExecutor
 from .group_commit import GroupCommitStats, GroupCommitter
 from .locks import (RANK_ENGINE, RANK_GROUP_QUEUE, RANK_TXN_COMMITLOG,
                     RANK_TXN_MANAGER, OrderedLock, held_ranks)
-from .parallel import ThreadedGather
 from .scheduler import FairScheduler, KindStats
 from .server import Server
 from .session import Session
@@ -54,6 +54,5 @@ __all__ = [
     "SessionExecutor",
     "ShardServer",
     "ShardSession",
-    "ThreadedGather",
     "held_ranks",
 ]

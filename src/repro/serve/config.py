@@ -23,7 +23,9 @@ class ServeConfig:
     byte-identically to driving the :class:`~repro.engine.database.Database`
     directly (group commit degenerates to one-transaction groups, the
     scheduler to an uncontended mutex) — the golden-trace determinism
-    suite relies on that.
+    suite relies on that.  A durable :class:`~repro.serve.server.Server`
+    always group-commits; the two group fields below only shape how long
+    a leader waits for stragglers.
     """
 
     #: hard cap on concurrently open sessions
@@ -31,8 +33,6 @@ class ServeConfig:
     #: visible hits per analytical scan slice; between slices the session
     #: releases the engine slot so short transactions can interleave
     scan_slice_rows: int = 256
-    #: batch concurrently-committing sessions into one WAL append
-    group_commit: bool = True
     #: group formation target: with at least this many commits queued the
     #: leader stops waiting for stragglers and appends immediately.
     #: 0 = never wait (pure natural batching via engine-slot contention)
@@ -40,12 +40,6 @@ class ServeConfig:
     #: longest wall-clock wait (seconds) for the group to reach the
     #: target; only meaningful with ``group_size_target > 0``
     group_window_s: float = 0.0
-    #: ShardServer only: install a :class:`~repro.serve.parallel.
-    #: ThreadedGather` on the router so scatter-gather reads run their
-    #: per-shard thunks concurrently (one thread per shard) instead of
-    #: serially.  Results are identical either way; wall clock tracks
-    #: the router's max-of-shards sim-time model instead of the sum
-    parallel_scatter_gather: bool = False
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:

@@ -59,13 +59,17 @@ if TYPE_CHECKING:
 class GroupCommitStats:
     """Plain counters (always on — benchmarks read them without obs)."""
 
-    __slots__ = ("groups", "commits", "max_group_size", "fsyncs_saved")
+    __slots__ = ("groups", "commits", "max_group_size")
 
     def __init__(self) -> None:
         self.groups = 0
         self.commits = 0
         self.max_group_size = 0
-        self.fsyncs_saved = 0
+
+    @property
+    def fsyncs_saved(self) -> int:
+        """One append per group instead of one per commit."""
+        return self.commits - self.groups
 
     @property
     def mean_group_size(self) -> float:
@@ -119,8 +123,6 @@ class GroupCommitter:
             self._m_groups = registry.counter("serve.commit.groups")
             self._m_group_size = registry.histogram(
                 "serve.commit.group_size", size_bounds)
-            self._m_queue_depth = registry.histogram(
-                "serve.commit.queue_depth", size_bounds)
             self._m_fsyncs_saved = registry.counter(
                 "serve.commit.fsyncs_saved")
 
@@ -211,13 +213,11 @@ class GroupCommitter:
         stats = self.stats
         stats.groups += 1
         stats.commits += size
-        stats.fsyncs_saved += size - 1
         if size > stats.max_group_size:
             stats.max_group_size = size
         if self._obs is not None:
             self._m_groups.inc()
             self._m_group_size.observe(size)
-            self._m_queue_depth.observe(size)
             self._m_fsyncs_saved.inc(size - 1)
 
     # ----------------------------------------------------------------- close

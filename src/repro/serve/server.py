@@ -11,8 +11,8 @@
 
 :class:`Server` binds it to one :class:`~repro.engine.database.Database`
 and adds the :class:`~repro.serve.group_commit.GroupCommitter` —
-leader/follower WAL group commit (present only when the database is
-durable and ``ServeConfig.group_commit`` is on);
+leader/follower WAL group commit, always present when the database is
+durable;
 :class:`~repro.serve.shard_server.ShardServer` binds it to a router.
 
 With one session and default knobs the served engine is byte-identical to
@@ -161,7 +161,7 @@ class Server(ServerCore["Database", Session]):
         super().__init__(db, config)
         self.db = db
         self.committer: GroupCommitter | None = None
-        if db.durability is not None and self.config.group_commit:
+        if db.durability is not None:
             self.committer = GroupCommitter(db.durability, db.txn,
                                             self.scheduler, self.config,
                                             obs=db.obs)

@@ -430,10 +430,10 @@ class Session(SessionCore["Database", "Transaction"]):
         """Commit the open transaction; returns the simulated commit
         latency in seconds (drain request to durability acknowledgement).
 
-        With group commit enabled the drain happens in this session's
-        engine slot, but the WAL append is batched with concurrently
-        committing sessions by the group-commit leader.  A transaction
-        that wrote nothing bypasses the group queue and does no I/O.
+        On a durable database the drain happens in this session's engine
+        slot, but the WAL append is batched with concurrently committing
+        sessions by the group-commit leader.  A transaction that wrote
+        nothing bypasses the group queue and does no I/O.
         """
         with self._guard():
             txn = self.txn

@@ -4,10 +4,11 @@
 (:class:`~repro.serve.server.ServerCore`,
 :class:`~repro.serve.session.SessionCore`) to one
 :class:`~repro.shard.router.ShardedDatabase`: the FIFO slot confines
-router + coordinator + every shard to one thread at a time, and what is
-written here is only what a router spells differently — the statements,
-the commit protocol, the gather hook.  The sliced scatter-gather scan is
-the core's one sliced scan over the router's many legs.
+router + coordinator + every shard to one thread at a time — a scatter
+read visits its shards on the session's own thread — and what is written
+here is only what a router spells differently: the statements and the
+commit protocol.  The sliced scatter-gather scan is the core's one
+sliced scan over the router's many legs.
 
 There is no :class:`~repro.serve.group_commit.GroupCommitter` here: the
 router's own commit protocol already decides how many WAL appends a
@@ -38,12 +39,6 @@ class ShardServer(ServerCore["ShardedDatabase", "ShardSession"]):
                  config: ServeConfig | None = None) -> None:
         super().__init__(router, config)
         self.router = router
-        if self.config.parallel_scatter_gather:
-            # per-shard thunks touch disjoint engines; the gather call
-            # itself stays inside the caller's slot (DESIGN.md §18.3)
-            from .parallel import ThreadedGather
-            # reprolint: disable-next=R10 -- install-time: no session exists yet, no concurrent engine access possible
-            self.router.gather = ThreadedGather()
 
     def _new_session(self, sid: int) -> "ShardSession":
         return ShardSession(self, sid)
@@ -60,12 +55,6 @@ class ShardServer(ServerCore["ShardedDatabase", "ShardSession"]):
         """Vacuum the table on every shard (one engine slot)."""
         with self.scheduler.slot("oltp"):
             return self.router.vacuum(table)
-
-    def _detach(self) -> None:
-        if self.config.parallel_scatter_gather:
-            from ..shard.router import serial_gather
-            # reprolint: disable-next=R10 -- teardown: every session is closed, no concurrent engine access possible
-            self.router.gather = serial_gather
 
     def __repr__(self) -> str:
         return (f"ShardServer(sessions={self.active_sessions}, "

@@ -29,12 +29,15 @@ shards that progress in parallel on independent hardware;
 :attr:`sim_now` — the router-level simulated time — is the *maximum*
 over all clocks (the wall-clock of the slowest shard), so scatter-gather
 work costs max-of-shards, not sum-of-shards.  That parallelism is the
-entire scaling story the benchmarks measure.
+entire scaling story the benchmarks measure, and it lives on the
+simulated clock only: a scatter read visits its shards one after another
+on the caller's thread.
 
 Thread safety: none here (reprolint R8 — this package never imports
-threading).  Concurrent sessions go through
-:class:`repro.serve.shard_server.ShardServer`, whose FIFO scheduler slot
-confines router + shards + coordinator to one thread at a time.
+threading, and never runs a shard on another thread).  Concurrent
+sessions go through :class:`repro.serve.shard_server.ShardServer`, whose
+FIFO scheduler slot confines router + shards + coordinator to one thread
+at a time.
 """
 
 from __future__ import annotations
@@ -71,23 +74,6 @@ if TYPE_CHECKING:
     from ..engine.executor import RowHit
     from ..serve.config import ServeConfig
     from ..serve.shard_server import ShardServer
-
-#: a scatter-gather executor: runs per-shard thunks and returns their
-#: results in thunk order.  The default is serial; the serve layer may
-#: install :class:`repro.serve.parallel.ThreadedGather` (each thunk only
-#: touches ONE shard's state, so disjoint shards may run concurrently)
-GatherFn = Callable[[Sequence[Callable[[], Any]]], "list[Any]"]
-
-
-def serial_gather(tasks: Sequence[Callable[[], Any]]) -> list[Any]:
-    """Run scatter-gather thunks one after another (the default)."""
-    return [task() for task in tasks]
-
-
-def _thunk(fn: Callable[[Any], Any], arg: Any) -> Callable[[], Any]:
-    """Bind a per-shard function to its shard / leg (late-binding-safe)."""
-    return lambda: fn(arg)
-
 
 @dataclass
 class ShardConfig:
@@ -149,9 +135,6 @@ class ShardedDatabase:
         #: index -> offset of each shard-key column inside the index key
         #: (shard-key order); None when the key does not cover them all
         self._key_offsets: dict[str, tuple[int, ...] | None] = {}
-        #: scatter-gather executor for per-shard read thunks; replaceable
-        #: (ShardServer installs a threaded one when configured)
-        self.gather: GatherFn = serial_gather
         self._bind_metrics()
 
     @staticmethod
@@ -468,15 +451,13 @@ class ShardedDatabase:
                      read: Callable[[int], list[Any]]
                      ) -> list[tuple[int, list[Any]]]:
         """``(shard, read(shard))`` for every shard a point key can live
-        on (through :attr:`gather` when there are several), counted as
-        one point query."""
+        on, counted as one point query."""
         shards = self._point_shards(info, key)
-        gathered = (self.gather([_thunk(read, k) for k in shards])
-                    if len(shards) > 1 else [read(shards[0])])
+        runs = [(k, read(k)) for k in shards]
         if self.obs is not None:
             self._m_point.inc()
             self._m_fanout.inc(len(shards))
-        return list(zip(shards, gathered))
+        return runs
 
     def range_select(self, txn: ShardTransaction, index_name: str,
                      lo: Key | None, hi: Key | None, *,
@@ -517,10 +498,10 @@ class ShardedDatabase:
         shard (a valid :meth:`update_hit` handle).
 
         :meth:`plan_scan` names the shards to ask.  A single owner, or
-        key-ordered disjoint span legs, concatenate; scatter legs run
-        through :attr:`gather` and merge on ``(index key tuple, shard)``
-        — every shard's run already arrives in key-tuple order, the
-        order its tree keeps (stable: equal keys keep shard order).
+        key-ordered disjoint span legs, concatenate; scatter legs merge
+        on ``(index key tuple, shard)`` — every shard's run already
+        arrives in key-tuple order, the order its tree keeps (stable:
+        equal keys keep shard order).
         """
         info = self._index(index_name)
         plan = self.plan_scan(index_name, lo, hi, lo_incl=lo_incl,
@@ -544,12 +525,9 @@ class ShardedDatabase:
 
     def _leg_reads(self, plan: ScanPlan,
                    read: Callable[[ScanLeg], list[Any]]) -> list[list[Any]]:
-        """``read(leg)`` for every leg of ``plan`` (scatter legs through
-        :attr:`gather`), counted as one range query."""
-        if plan.name == "scatter-merge":
-            runs = self.gather([_thunk(read, leg) for leg in plan.legs])
-        else:
-            runs = [read(leg) for leg in plan.legs]
+        """``read(leg)`` for every leg of ``plan``, counted as one range
+        query."""
+        runs = [read(leg) for leg in plan.legs]
         if self.obs is not None:
             self._m_scan.inc()
             self._m_fanout.inc(len(plan.legs))
@@ -565,16 +543,11 @@ class ShardedDatabase:
 
     def seq_scan(self, txn: ShardTransaction, table: str) -> list[Row]:
         """Full-table scan, shard by shard (shard order, not key order)."""
-
-        def scan(k: int) -> list[Row]:
-            info = self.shards[k].catalog.table(table)
-            return [row for _rid, row
-                    in info.store.scan_visible(txn.on(k))]
-
-        gathered = self.gather([_thunk(scan, k)
-                                for k in range(len(self.shards))])
         rows: list[Row] = []
-        for k, shard_rows in enumerate(gathered):
+        for k, db in enumerate(self.shards):
+            shard_rows = [row for _rid, row in
+                          db.catalog.table(table).store.scan_visible(
+                              txn.on(k))]
             rows += compress(shard_rows,
                              self.owned_flags(k, table, shard_rows))
         return rows
@@ -583,18 +556,14 @@ class ShardedDatabase:
                           legs: Sequence[ScanLeg],
                           want: int) -> list[IndexSlice]:
         """One bounded index-only cursor run per leg
-        (:meth:`~repro.engine.executor.Executor.pull_slice`), through
-        :attr:`gather`; the pulls are counted in
-        ``shard.scan.hits_pulled`` / ``shard.scan.runs_pulled``."""
-
-        def pull(leg: ScanLeg
-                 ) -> "tuple[list[SearchHit], Key | None, int, int]":
+        (:meth:`~repro.engine.executor.Executor.pull_slice`); the pulls
+        are counted in ``shard.scan.hits_pulled`` /
+        ``shard.scan.runs_pulled``."""
+        gathered = []
+        for leg in legs:
             db = self.shards[leg.shard]
-            return db.executor.pull_slice(txn.on(leg.shard),
-                                          db.catalog.index(index_name),
-                                          leg, want)
-
-        gathered = self.gather([_thunk(pull, leg) for leg in legs])
+            gathered.append(db.executor.pull_slice(
+                txn.on(leg.shard), db.catalog.index(index_name), leg, want))
         if self.obs is not None:
             self._m_hits_pulled.inc(sum(g[2] for g in gathered))
             self._m_runs_pulled.inc(sum(g[3] for g in gathered))
@@ -747,7 +716,6 @@ class ShardedDatabase:
             for db in crashed.shards]
         router._tables = dict(crashed._tables)
         router._key_offsets = dict(crashed._key_offsets)
-        router.gather = serial_gather
         router._bind_metrics()
         return router
 

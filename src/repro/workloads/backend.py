@@ -642,9 +642,7 @@ class ShardServerBackend(ShardedBackend):
     pooled sessions and the engine slot.
 
     Analytic reads (``analytic_rows`` / ``scan_limit``) flow through the
-    sliced scatter-gather ``batch_scan``; with
-    ``ServeConfig.parallel_scatter_gather`` the per-shard cursor pulls
-    run concurrently."""
+    sliced scatter-gather ``batch_scan``."""
 
     def __init__(self, server: "ShardServer") -> None:
         super().__init__(server.router)

@@ -1,10 +1,10 @@
 """CH-benchmark analytical queries over a served sharded cluster
-(DESIGN.md §18.4): every OLAP query answers EXACTLY like single-node.
+(DESIGN.md §18.5): every OLAP query answers EXACTLY like single-node.
 
 The mixed-run agreement lives in the differential oracle; this suite
 pins the per-query results — not just cardinalities but the full
 aggregates (group sums, revenue totals, top-k lists) — after the same
-seeded OLTP history, with threaded scatter-gather enabled on the
+seeded OLTP history, served by a 4-shard
 :class:`~repro.serve.shard_server.ShardServer`.
 """
 
@@ -14,7 +14,6 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine.database import Database
-from repro.serve import ServeConfig
 from repro.shard import ShardConfig, ShardedDatabase
 from repro.workloads import (CHBenchmark, DatabaseBackend, TPCCConfig,
                              shard_served_backend)
@@ -38,8 +37,7 @@ def ch_pair():
         else:
             router = ShardedDatabase(EngineConfig(),
                                      ShardConfig(shards=4))
-            backend = shard_served_backend(
-                router, ServeConfig(parallel_scatter_gather=True))
+            backend = shard_served_backend(router)
         ch = CHBenchmark(backend, SCALE)
         ch.load()
         ch.tpcc.run(OLTP_TXNS)

@@ -3,9 +3,8 @@
 Every workload, at a fixed seed, must produce the IDENTICAL committed
 final state no matter which backend executes it: a single-node database,
 a served session pool, a 1-shard router (the degenerate cluster), a
-4-shard 2PC router, and a served 4-shard cluster with threaded
-scatter-gather.  Backends differ only in simulated cost and protocol —
-never in results.
+4-shard 2PC router, and a served 4-shard cluster.  Backends differ only
+in simulated cost and protocol — never in results.
 
 The oracle compares full-table dumps under fresh snapshots (sorted row
 multisets) and, for TPC-C, additionally asserts the spec's consistency
@@ -20,7 +19,6 @@ import pytest
 from repro.config import EngineConfig
 from repro.engine.database import Database
 from repro.obs.config import ObsConfig
-from repro.serve import ServeConfig
 from repro.shard import ShardConfig, ShardedDatabase
 from repro.workloads import (WORKLOADS, CHBenchmark, DatabaseBackend,
                              ShardedBackend, TPCCConfig, TPCCRunner,
@@ -45,8 +43,7 @@ def make_panel_backend(kind: str) -> WorkloadBackend:
     router = ShardedDatabase(config, ShardConfig(shards=shards))
     if kind.startswith("sharded"):
         return ShardedBackend(router)
-    return shard_served_backend(
-        router, ServeConfig(parallel_scatter_gather=True))
+    return shard_served_backend(router)
 
 
 # ------------------------------------------------------------------- YCSB

@@ -35,11 +35,14 @@ class TestEngineConfig:
             "partition_buffer_bytes", "cost", "durability",
             "manifest_slot_pages", "obs"]
         assert [f.name for f in fields(ServeConfig)] == [
-            "max_sessions", "scan_slice_rows", "group_commit",
-            "group_size_target", "group_window_s",
-            "parallel_scatter_gather"]
+            "max_sessions", "scan_slice_rows", "group_size_target",
+            "group_window_s"]
         with pytest.raises(TypeError):
             EngineConfig(seed=7)    # read nowhere, deleted
+        with pytest.raises(TypeError):
+            ServeConfig(parallel_scatter_gather=True)    # deleted
+        with pytest.raises(TypeError):
+            ServeConfig(group_commit=False)    # deleted
 
     def test_cost_model_is_per_instance(self):
         a, b = EngineConfig(), EngineConfig()

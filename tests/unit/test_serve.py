@@ -15,6 +15,7 @@ from repro.engine.database import Database
 from repro.errors import (ConcurrencyError, ConfigError, SessionError,
                           TransactionStateError)
 from repro.serve import ServeConfig, SessionExecutor
+from repro.serve.group_commit import GroupCommitStats
 
 
 def make_db(durability: bool = True, **kwargs) -> Database:
@@ -27,8 +28,7 @@ def make_db(durability: bool = True, **kwargs) -> Database:
 
 class TestServeConfig:
     def test_defaults_validate(self):
-        config = ServeConfig()
-        assert config.group_commit is True
+        ServeConfig()
 
     @pytest.mark.parametrize("kwargs", [
         {"max_sessions": 0},
@@ -232,16 +232,20 @@ class TestGroupCommitDurability:
                     == (before[0] + queued, before[1] + queued)
             assert wal.commit_markers == 1
 
-    def test_group_commit_disabled_uses_hook_path(self):
+    @pytest.mark.parametrize("config", [
+        None,
+        ServeConfig(max_sessions=1, group_size_target=0, group_window_s=0.0),
+    ])
+    def test_durable_server_always_builds_a_committer(self, config):
         db = make_db()
-        with db.serve(ServeConfig(group_commit=False)) as server:
-            assert server.committer is None
+        with db.serve(config) as server:
+            assert server.committer is not None
             with server.session() as s:
                 s.begin()
                 s.insert("t", (1, "a"))
                 s.commit()
+            assert server.committer.stats.commits == 1
         assert db.durability.wal.appends == 1
-        assert db.txn.committed_count == 1
 
     def test_no_durability_means_no_committer(self):
         db = make_db(durability=False)
@@ -332,3 +336,28 @@ class TestServerStats:
         assert metrics["counters"]["serve.scan.slices"] >= 5
         assert metrics["histograms"]["serve.commit.latency_us"]["count"] == 1
         assert metrics["histograms"]["serve.commit.group_size"]["total"] == 1
+
+    def test_group_size_is_recorded_once(self):
+        """A group's size is one histogram, and the fsyncs it saved are
+        derived from the commit and group counts."""
+        from repro.obs import ObsConfig
+        db = make_db(obs=ObsConfig(enabled=True))
+        with db.serve() as server, server.session() as s:
+            for i in range(3):
+                s.begin()
+                s.insert("t", (i, "x"))
+                s.commit()
+            stats = server.committer.stats
+            assert (stats.commits, stats.groups, stats.fsyncs_saved) \
+                == (3, 3, 0)
+        histograms = db.obs.registry.export()["histograms"]
+        assert histograms["serve.commit.group_size"]["count"] == 3
+        assert "serve.commit.queue_depth" not in histograms
+
+    def test_fsyncs_saved_is_commits_minus_groups(self):
+        stats = GroupCommitStats()
+        stats.commits, stats.groups, stats.max_group_size = 7, 3, 4
+        assert stats.fsyncs_saved == 4
+        assert stats.as_dict() == {
+            "groups": 3, "commits": 7, "max_group_size": 4,
+            "fsyncs_saved": 4, "mean_group_size": 7 / 3}

@@ -2,12 +2,14 @@
 
 Covers the adapter surface (``as_backend`` over every stack layer), the
 hit-handle DML roundtrip on all four backends, shard-aware bulk loading,
-the bounded-fanout single-slot routing satellite, the injectable
-scatter-gather hook (serial vs. threaded parity, error propagation), and
-the serve-layer hit APIs the backends ride on.
+the bounded-fanout single-slot routing satellite, the router's scatter
+reads (shard order, caller's thread, first error wins), and the
+serve-layer hit APIs the backends ride on.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -15,9 +17,8 @@ from repro.config import EngineConfig
 from repro.engine.database import Database
 from repro.errors import WorkloadError
 from repro.obs.config import ObsConfig
-from repro.serve import ServeConfig, ThreadedGather
+from repro.serve import ServeConfig, SessionExecutor
 from repro.shard import ShardConfig, ShardedDatabase
-from repro.shard.router import serial_gather
 from repro.workloads import (DatabaseBackend, ServerBackend,
                              ShardedBackend, ShardServerBackend,
                              WorkloadBackend, WorkloadHit, as_backend,
@@ -306,87 +307,138 @@ class TestSingleSlotRouting:
         txn.commit()
 
 
-# ------------------------------------------------------------- gather hook
+# ------------------------------------------------------------ scatter reads
 
-class TestGatherHook:
-    def test_serial_gather_runs_in_order(self):
-        order = []
+def record_shard_reads(monkeypatch, router: ShardedDatabase, owner,
+                       method: str) -> list[tuple[int, int]]:
+    """Log ``(shard, thread id)`` for every call of ``method`` on each
+    shard's ``owner(db)``."""
+    calls: list[tuple[int, int]] = []
+    for k, db in enumerate(router.shards):
+        target = owner(db)
+        inner = getattr(target, method)
 
-        def mk(i):
-            def task():
-                order.append(i)
-                return i * i
-            return task
+        def wrapped(*args, _k=k, _inner=inner, **kwargs):
+            calls.append((_k, threading.get_ident()))
+            return _inner(*args, **kwargs)
 
-        assert serial_gather([mk(i) for i in range(5)]) == [
-            0, 1, 4, 9, 16]
-        assert order == [0, 1, 2, 3, 4]
+        monkeypatch.setattr(target, method, wrapped)
+    return calls
 
-    def test_threaded_gather_matches_serial(self):
-        tasks = [lambda i=i: i * 3 for i in range(20)]
-        gather = ThreadedGather()
-        assert gather(tasks) == serial_gather(tasks)
-        assert gather.calls == 1
-        assert gather.tasks_run == 20
 
-    def test_threaded_gather_short_circuits_small(self):
-        gather = ThreadedGather()
-        assert gather([]) == []
-        assert gather([lambda: 7]) == [7]
-        assert gather.calls == 2
-        assert gather.tasks_run == 1
+class TestScatterReads:
+    """A scatter read is a plain loop over its shards or legs: shard
+    order, on the caller's thread, one router count per read."""
 
-    def test_threaded_gather_propagates_first_error(self):
-        def boom_at(j):
-            def task():
-                if j in (1, 3):
-                    raise WorkloadError(f"boom{j}")
-                return j
-            return task
+    ROWS = [(i, f"v{i % 10}") for i in range(40)]
 
-        gather = ThreadedGather()
+    def make(self):
+        router = ShardedDatabase(OBS, ShardConfig(shards=4))
+        backend = ShardedBackend(router)
+        create_t(backend)
+        backend.create_index("val_ix", "t", ["val"])
+        backend.bulk_insert("t", self.ROWS)
+        return router
+
+    def test_point_scatter_visits_every_shard_in_order(self, monkeypatch):
+        router = self.make()
+        calls = record_shard_reads(monkeypatch, router, lambda db: db,
+                                   "select")
+        reg = router.obs.registry
+        before = (reg.counter_value("shard.queries.point"),
+                  reg.counter_value("shard.queries.fanout"))
+        txn = router.begin()
+        rows = router.select(txn, "val_ix", ("v3",))
+        router.commit(txn)
+        assert sorted(rows) == [r for r in self.ROWS if r[1] == "v3"]
+        me = threading.get_ident()
+        assert calls == [(k, me) for k in range(4)]
+        assert (reg.counter_value("shard.queries.point"),
+                reg.counter_value("shard.queries.fanout")) \
+            == (before[0] + 1, before[1] + 4)
+
+    def test_range_scatter_visits_legs_in_shard_order(self, monkeypatch):
+        router = self.make()
+        calls = record_shard_reads(monkeypatch, router, lambda db: db,
+                                   "range_select")
+        reg = router.obs.registry
+        before = reg.counter_value("shard.queries.scan")
+        txn = router.begin()
+        rows = router.range_select(txn, "ix", None, None)
+        router.commit(txn)
+        assert rows == self.ROWS
+        me = threading.get_ident()
+        assert calls == [(k, me) for k in range(4)]
+        assert reg.counter_value("shard.queries.scan") == before + 1
+
+    def test_seq_scan_visits_shards_in_order(self, monkeypatch):
+        router = self.make()
+        calls = record_shard_reads(
+            monkeypatch, router, lambda db: db.catalog.table("t").store,
+            "scan_visible")
+        txn = router.begin()
+        rows = router.seq_scan(txn, "t")
+        router.commit(txn)
+        assert sorted(rows) == self.ROWS
+        me = threading.get_ident()
+        assert calls == [(k, me) for k in range(4)]
+
+    def test_index_slices_pull_one_run_per_leg_in_order(self, monkeypatch):
+        router = self.make()
+        calls = record_shard_reads(monkeypatch, router,
+                                   lambda db: db.executor, "pull_slice")
+        plan = router.plan_scan("ix", None, None)
+        txn = router.begin()
+        slices = router.pull_index_slices(txn, "ix", plan.legs, 3)
+        router.commit(txn)
+        assert len(slices) == len(plan.legs) == 4
+        me = threading.get_ident()
+        assert calls == [(leg.shard, me) for leg in plan.legs]
+
+    def test_first_failing_shard_stops_the_scatter(self, monkeypatch):
+        router = self.make()
+        calls = record_shard_reads(monkeypatch, router, lambda db: db,
+                                   "range_select")
+        for k in (1, 3):
+            def boom(*_args, _k=k, **_kwargs):
+                calls.append((_k, threading.get_ident()))
+                raise WorkloadError(f"boom{_k}")
+            monkeypatch.setattr(router.shards[k], "range_select", boom)
+        txn = router.begin()
         with pytest.raises(WorkloadError, match="boom1"):
-            gather([boom_at(j) for j in range(5)])
+            router.range_select(txn, "ix", None, None)
+        assert [k for k, _thread in calls] == [0, 1]
 
-    def test_wrap_hook_sees_every_task(self):
-        seen = []
+    def test_shard_server_reads_on_the_session_thread(self, monkeypatch):
+        router = self.make()
+        calls = record_shard_reads(monkeypatch, router, lambda db: db,
+                                   "range_select")
+        client_threads: list[int] = []
 
-        def wrap(i, task):
-            seen.append(i)
-            return task()
+        def client(session):
+            client_threads.append(threading.get_ident())
+            session.begin()
+            rows = session.range_select("ix", None, None)
+            session.commit()
+            return rows
 
-        gather = ThreadedGather(wrap=wrap)
-        assert gather([lambda i=i: i for i in range(6)]) == list(range(6))
-        assert sorted(seen) == list(range(6))
+        with router.serve(ServeConfig(max_sessions=2)) as server:
+            results = SessionExecutor(server, workers=2).run(
+                [client, client])
+        assert results == [self.ROWS, self.ROWS]
+        assert sorted(calls) == sorted((k, thread) for thread
+                                       in client_threads for k in range(4))
 
-    def test_router_results_identical_under_threaded_gather(self):
-        serial = make_backend("sharded")
-        create_t(serial)
-        serial.bulk_insert("t", [(i, f"v{i}") for i in range(80)])
-        threaded = make_backend("sharded")
-        create_t(threaded)
-        threaded.bulk_insert("t", [(i, f"v{i}") for i in range(80)])
-        threaded.router.gather = ThreadedGather()  # type: ignore[attr-defined]
-        ts, tt = serial.begin(), threaded.begin()
-        assert (ts.range_select("ix", None, None)
-                == tt.range_select("ix", None, None))
-        assert ts.select("ix", (33,)) == tt.select("ix", (33,))
-        assert (ts.scan_limit("ix", (10,), 25)
-                == tt.scan_limit("ix", (10,), 25))
-        ts.commit()
-        tt.commit()
-
-    def test_shard_server_installs_and_restores_gather(self):
-        router = ShardedDatabase(EngineConfig(), ShardConfig(shards=2))
-        server = router.serve(ServeConfig(parallel_scatter_gather=True))
-        assert isinstance(router.gather, ThreadedGather)
-        server.close()
-        assert router.gather is serial_gather
-
-    def test_shard_server_default_stays_serial(self):
-        router = ShardedDatabase(EngineConfig(), ShardConfig(shards=2))
-        with router.serve() as _server:
-            assert router.gather is serial_gather
+    def test_serving_attaches_nothing_to_the_router(self):
+        router = self.make()
+        before = dict(vars(router))
+        with router.serve() as server, server.session() as session:
+            session.begin()
+            assert session.select("ix", (5,)) == [(5, "v5")]
+            session.commit()
+        after = vars(router)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
 
 
 # ------------------------------------------------------ serve-layer hit API
