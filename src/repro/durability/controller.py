@@ -112,6 +112,7 @@ class DurabilityController:
         return {"wal.appends": wal.appends,
                 "wal.entries": wal.entries_appended,
                 "wal.bytes_appended": wal.bytes_written,
+                "wal.pad_bytes": wal.pad_bytes,
                 "wal.pages_freed": wal.pages_freed,
                 "manifest.flips": self.manifest.flips}
 

@@ -14,7 +14,9 @@ Every page carries ``CRC32 | epoch | page index | page count | chunk
 length``; a reader accepts a slot only if all its pages parse, share one
 epoch and pass their CRCs, then picks the valid slot with the highest
 epoch.  A crash anywhere during a flip therefore falls back to the
-previous manifest — the flip is atomic.
+previous manifest — the flip is atomic.  Recovery reads the first page of
+each slot, then the rest of the newer slot in sequential runs of
+contiguous pages; the older slot is read only if the newer one fails.
 
 Fence keys and key bounds are serialised with the order-preserving
 :mod:`repro.storage.keycodec`, the same codec the runtime uses, so the
@@ -287,6 +289,20 @@ def decode_state(data: bytes) -> ManifestState:
 
 # ------------------------------------------------------------------- storage
 
+def _parse_page(data: object, idx: int) -> tuple[int, int, bytes] | None:
+    """Check one slot page image: ``(epoch, page count, payload)`` if it
+    is a CRC-valid page number ``idx`` of its slot, else None."""
+    if not isinstance(data, (bytes, bytearray)) \
+            or len(data) < _PAGE_HEAD.size:
+        return None
+    crc, epoch, page_idx, total, length = _PAGE_HEAD.unpack_from(data, 0)
+    payload = bytes(data[_PAGE_HEAD.size:_PAGE_HEAD.size + length])
+    expect = zlib.crc32(data[4:_PAGE_HEAD.size] + payload) & 0xFFFFFFFF
+    if crc != expect or page_idx != idx or len(payload) != length:
+        return None
+    return epoch, total, payload
+
+
 class ManifestStore:
     """Double-buffered superblock storage on one manifest page file."""
 
@@ -339,42 +355,34 @@ class ManifestStore:
 
     # ------------------------------------------------------------------ read
 
-    def _read_slot(self, slot: int) -> tuple[int, ManifestState] | None:
-        """Validate one slot; returns (epoch, state) or None."""
+    def _read_head(self, slot: int) -> tuple[int, int, bytes] | None:
+        """Read and check a slot's first page: ``(epoch, page count,
+        payload)``, or None when it cannot start a valid slot."""
         base = slot * self.slot_pages
         if not self.file.has_contents(base):
             return None
-        chunks: list[bytes] = []
-        epoch = total = None
-        idx = 0
-        while True:
-            page_no = base + idx
-            if page_no >= self.file.max_page_no \
-                    or not self.file.has_contents(page_no):
+        head = _parse_page(self.file.read_page(base), 0)
+        if head is None or not 1 <= head[1] <= self.slot_pages:
+            return None
+        return head
+
+    def _read_rest(self, slot: int, head: tuple[int, int, bytes]
+                   ) -> ManifestState | None:
+        """Read a slot's remaining pages as sequential runs and validate
+        the whole slot; returns its state or None."""
+        epoch, total, payload = head
+        base = slot * self.slot_pages
+        rest = range(base + 1, base + total)
+        if not all(self.file.has_contents(page_no) for page_no in rest):
+            return None
+        chunks = [payload]
+        for idx, data in enumerate(self.file.read_pages_sequential(rest), 1):
+            page = _parse_page(data, idx)
+            if page is None or page[:2] != (epoch, total):
                 return None
-            data = self.file.read_page(page_no)
-            if not isinstance(data, (bytes, bytearray)) \
-                    or len(data) < _PAGE_HEAD.size:
-                return None
-            crc, page_epoch, page_idx, page_total, length = \
-                _PAGE_HEAD.unpack_from(data, 0)
-            payload = bytes(data[_PAGE_HEAD.size:_PAGE_HEAD.size + length])
-            expect = zlib.crc32(
-                data[4:_PAGE_HEAD.size] + payload) & 0xFFFFFFFF
-            if (crc != expect or page_idx != idx or len(payload) != length):
-                return None
-            if epoch is None:
-                epoch, total = page_epoch, page_total
-                if total < 1 or total > self.slot_pages:
-                    return None
-            elif page_epoch != epoch or page_total != total:
-                return None
-            chunks.append(payload)
-            idx += 1
-            if idx == total:
-                break
+            chunks.append(page[2])
         try:
-            return epoch, decode_state(b"".join(chunks))
+            return decode_state(b"".join(chunks))
         except RecoveryError:
             return None
 
@@ -383,20 +391,23 @@ class ManifestStore:
                ) -> tuple["ManifestStore", ManifestState | None]:
         """Load the newest valid manifest after a restart.
 
-        Reads both slots front-to-back (sequential within each slot) and
-        adopts the valid one with the highest epoch; a device that never
-        completed a flip yields ``(store, None)`` — the empty-forest state.
+        Reads the first page of both slots, then the rest of the newer one
+        as sequential runs; only if that slot fails validation is the older
+        one read too.  The result is the valid slot with the highest epoch,
+        as if both had been read in full; a device that never completed a
+        flip yields ``(store, None)`` — the empty-forest state.
         """
         store = cls(file, slot_pages)
-        best: tuple[int, ManifestState] | None = None
-        for slot in (0, 1):
-            result = store._read_slot(slot)
-            if result is not None and (best is None or result[0] > best[0]):
-                best = result
-        if best is None:
-            return store, None
-        store.epoch = best[0]
-        return store, best[1]
+        heads = [(slot, head) for slot in (0, 1)
+                 if (head := store._read_head(slot)) is not None]
+        # newest first; on a tie slot 0 is tried first
+        heads.sort(key=lambda item: -item[1][0])
+        for slot, head in heads:
+            state = store._read_rest(slot, head)
+            if state is not None:
+                store.epoch = head[0]
+                return store, state
+        return store, None
 
     def __repr__(self) -> str:
         return (f"ManifestStore(epoch={self.epoch}, flips={self.flips}, "

@@ -1,7 +1,9 @@
 """Crash recovery (DESIGN.md §11.4): manifest load + WAL replay.
 
-The whole durable state is read with two sequential passes — both manifest
-slots front-to-back, then the WAL file's surviving pages in page order.
+The whole durable state is read with two sequential passes — the manifest
+(the first page of both slots, then the rest of the newer slot), then the
+WAL file's surviving pages in page order — each reading contiguous pages
+as one request per run.
 Partition *leaves* are never read: every navigation structure (fences, key
 bounds, filters, counts) comes out of the manifest, so the recovered tree
 answers its first query through the buffer pool exactly like a warm one

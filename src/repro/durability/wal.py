@@ -14,10 +14,20 @@ making the common commit one device write.  Each entry carries its own
 LSN and CRC32::
 
     u16  payload length
-    u64  LSN            (1-based, monotonically increasing)
-    u8   kind           (0 = RECORD, 1 = COMMIT, 2 = PREPARE, 3 = NOTE)
+    u64  LSN            (1-based, monotonically increasing; 0 for PAD)
+    u8   kind           (0 = RECORD, 1 = COMMIT, 2 = PREPARE, 3 = NOTE,
+                         4 = PAD)
     ...  payload
     u32  CRC32 over (length .. payload)
+
+Sector alignment (DESIGN.md §11.2): an append closes with a PAD entry
+(zero payload, no LSN of its own, skipped by :func:`parse_entries`) that
+fills its last sector, so the next append's request starts exactly where
+this one's ended — a sequential device write that re-writes no durable
+sector.  The pad is spent only when it is no larger than the append's own
+entry bytes (log density stays >= 50 %); a gap too small for any entry is
+padded one sector further, and a pad that would cross the page seals the
+tail instead.
 
 RECORD payload: u16 index-name length + name + one MV-PBT record in the
 :mod:`repro.core.serialization` wire format.  COMMIT payload: u64 txid.
@@ -33,10 +43,12 @@ coordinator's durable shard-layout snapshots).  Single-node recovery
 treats a prepared-but-undecided transaction exactly like a missing
 COMMIT marker: aborted.
 
-Replay scans the log file's pages in page-number order (sequential reads),
-parses each page's entries, orders them by LSN and keeps the single
-contiguous LSN run — per-entry CRCs stop the scan at the first torn or
-stale byte, so anything after the crash frontier is ignored.
+Replay reads the log file's live pages in page-number order, one device
+request per run of contiguous pages within an extent
+(:meth:`PageFile.read_pages_sequential`), parses each page's entries,
+orders them by LSN and keeps the single contiguous LSN run — per-entry
+CRCs stop the scan at the first torn or stale byte, so anything after the
+crash frontier is ignored.
 """
 
 from __future__ import annotations
@@ -48,17 +60,21 @@ from typing import Iterable, NamedTuple
 from ..core.records import MVPBTRecord
 from ..core.serialization import decode_record, encode_record
 from ..errors import StorageError
+from ..sim.device import SECTOR_BYTES
 from ..storage.pagefile import PageFile
 
 KIND_RECORD = 0
 KIND_COMMIT = 1
 KIND_PREPARE = 2
 KIND_NOTE = 3
+KIND_PAD = 4
 
 _HEAD = struct.Struct("<HQB")   # payload length, lsn, kind
 _CRC = struct.Struct("<I")
 _U16 = struct.Struct("<H")
 _U64 = struct.Struct("<Q")
+#: size of an entry with an empty payload — the smallest PAD
+MIN_ENTRY_BYTES = _HEAD.size + _CRC.size
 
 
 class WALEntry(NamedTuple):
@@ -91,6 +107,7 @@ def parse_entries(data: bytes) -> list[WALEntry]:
 
     Stops (without raising) at the first truncated header, bad CRC or
     undecodable payload — exactly the torn-tail semantics replay needs.
+    A CRC-valid PAD entry is stepped over and never returned.
     """
     entries: list[WALEntry] = []
     pos = 0
@@ -105,7 +122,9 @@ def parse_entries(data: bytes) -> list[WALEntry]:
             break
         payload = data[pos + _HEAD.size:end - _CRC.size]
         try:
-            if kind in (KIND_COMMIT, KIND_PREPARE):
+            if kind == KIND_PAD:
+                pass
+            elif kind in (KIND_COMMIT, KIND_PREPARE):
                 (txid,) = _U64.unpack_from(payload, 0)
                 entries.append(WALEntry(lsn, kind, txid, "", None))
             elif kind == KIND_NOTE:
@@ -153,6 +172,8 @@ class WriteAheadLog:
         self.pages_written = 0
         #: device bytes those touches actually wrote (whole sectors)
         self.bytes_written = 0
+        #: log bytes spent on PAD entries (the price of aligned appends)
+        self.pad_bytes = 0
         self.pages_freed = 0
         #: durable append calls — the simulated fsync count.  Group commit
         #: divides this by the mean group size (fsyncs/commit < 1)
@@ -226,7 +247,8 @@ class WriteAheadLog:
         self._staged.append(txid)
 
     def _append(self, entries: list[tuple[int, bytes]]) -> None:
-        """Encode entries and write them durably behind the tail."""
+        """Encode entries and write them durably behind the tail, closed by
+        a PAD to the next sector boundary when the pad rule allows one."""
         if self._staged:
             entries = [_marker_entry(KIND_COMMIT, txid)
                        for txid in self._staged] + entries
@@ -264,7 +286,21 @@ class WriteAheadLog:
             chunk.append(blob)
             chunk_len += len(blob)
             lsn += 1
+        end = self._tail_len + chunk_len
+        pad = -end % SECTOR_BYTES
+        if 0 < pad < MIN_ENTRY_BYTES:
+            pad += SECTOR_BYTES     # no entry fits the gap: pad a sector more
+        seal = False
+        if 0 < pad <= total:        # alignment never costs more than the data
+            if end + pad <= capacity:
+                chunk.append(_encode_entry(0, KIND_PAD,
+                                           bytes(pad - MIN_ENTRY_BYTES)))
+                self.pad_bytes += pad
+            else:
+                seal = True
         self._write_tail(chunk, lsn - 1)
+        if seal:
+            self._seal_tail()
         self.end_lsn = lsn
         self.entries_appended += len(blobs)
 
@@ -315,17 +351,17 @@ class WriteAheadLog:
                                               list[WALEntry]]:
         """Replay a log file after a crash.
 
-        Reads surviving pages in page-number order (sequential, charged),
-        keeps each page's CRC-valid entry prefix, and returns the single
-        contiguous LSN run — together with a log object positioned to
-        append after it.  The recovered tail page is treated as sealed, so
-        new appends start on a fresh page and never splice into a torn one.
+        Reads surviving pages in page-number order, one request per run of
+        contiguous pages (charged), keeps each page's CRC-valid entry
+        prefix, and returns the single contiguous LSN run — together with
+        a log object positioned to append after it.  The recovered tail
+        page is treated as sealed, so new appends start on a fresh page and
+        never splice into a torn one.
         """
+        live = [page_no for page_no in range(file.max_page_no)
+                if file.has_contents(page_no)]
         found: list[tuple[int, int, list[WALEntry]]] = []
-        for page_no in range(file.max_page_no):
-            if not file.has_contents(page_no):
-                continue
-            data = file.read_page(page_no)
+        for page_no, data in zip(live, file.read_pages_sequential(live)):
             if not isinstance(data, (bytes, bytearray)):
                 continue
             entries = parse_entries(bytes(data))

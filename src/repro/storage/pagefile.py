@@ -57,6 +57,9 @@ class PageFile:
         self._next_page_no = 0
         self._extent_fill = 0       # pages used in the current extent
         self._extent_base = -1      # device address of the current extent
+        #: device address of every extent the file holds; a sequential
+        #: read run stops at one, so no request crosses an extent
+        self._extent_starts: set[int] = set()
 
         #: physical (device) I/O counters for this file
         self.physical_reads = 0
@@ -71,6 +74,7 @@ class PageFile:
         if self._extent_base < 0 or self._extent_fill >= self.extent_pages:
             self._extent_base = self.device.allocate(
                 self.page_size * self.extent_pages)
+            self._extent_starts.add(self._extent_base)
             self._extent_fill = 0
         page_no = self._next_page_no
         self._next_page_no += 1
@@ -109,6 +113,33 @@ class PageFile:
         self.device.read(self._addresses[page_no], self.page_size)
         self.physical_reads += 1
         return self._contents[page_no]
+
+    def read_pages_sequential(self, page_nos: Sequence[int]) -> list[object]:
+        """Physically read pages with sequential reads; returns their
+        contents in ``page_nos`` order.
+
+        The read twin of :meth:`flush_pages_sequential`: consecutive pages
+        at contiguous device addresses form a run, a run ends at an extent
+        boundary, and each run is one device request.  Every page must have
+        contents — a missing one raises before any I/O is issued.
+        """
+        for page_no in page_nos:
+            self._require_allocated(page_no)
+            if page_no not in self._contents:
+                raise PageNotFoundError(
+                    f"{self.name}: page {page_no} allocated but never written")
+        runs: list[list[int]] = []          # [start, end) device addresses
+        for page_no in page_nos:
+            address = self._addresses[page_no]
+            if runs and address == runs[-1][1] \
+                    and address not in self._extent_starts:
+                runs[-1][1] += self.page_size
+            else:
+                runs.append([address, address + self.page_size])
+        for start, end in runs:
+            self.device.read(start, end - start)
+            self.physical_reads += 1
+        return [self._contents[page_no] for page_no in page_nos]
 
     def write_page(self, page_no: int, payload: object,
                    offset: int | None = None) -> int:
@@ -182,6 +213,7 @@ class PageFile:
         while idx < len(payloads):
             chunk = payloads[idx:idx + self.extent_pages]
             base = self.device.allocate(self.page_size * self.extent_pages)
+            self._extent_starts.add(base)
             chunk_nos: list[int] = []
             for offset, _payload in enumerate(chunk):
                 page_no = self._next_page_no

@@ -1,11 +1,14 @@
-"""Crash coverage for the commit path's three I/O rules (DESIGN.md
+"""Crash coverage for the commit path's four I/O rules (DESIGN.md
 §11.2, §11.3, §16.3): a commit that wrote nothing does no WAL I/O, a tail
 append writes only the sectors it changed and never straddles a page when
-it fits one, and a 2PC phase-two marker is staged instead of written.
+it fits one, an append closes on a sector boundary (a PAD entry) when that
+costs no more than its own bytes, and a 2PC phase-two marker is staged
+instead of written.
 
-Each test either pins an I/O count the whole-page / marker-per-commit
-design could not meet, or reaches a state it did not have (an elided
-commit, a torn *ranged* write, a staged-but-unwritten marker).
+Each test either pins an I/O count the whole-page / marker-per-commit /
+mid-sector-append design could not meet, or reaches a state it did not
+have (an elided commit, a torn *ranged* write, a torn PAD, a
+staged-but-unwritten marker).
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.durability.controller import HORIZON_STRIDE
-from repro.durability.wal import (_CRC, _HEAD, KIND_COMMIT, KIND_RECORD,
-                                  WriteAheadLog)
+from repro.durability.wal import (_HEAD, KIND_COMMIT, KIND_NOTE, KIND_PAD,
+                                  KIND_RECORD, MIN_ENTRY_BYTES, WriteAheadLog,
+                                  parse_entries)
 from repro.engine.database import Database
 from repro.errors import DeviceCrashError
 from repro.sim.clock import SimClock
@@ -143,15 +147,21 @@ def _wal(page_size: int) -> tuple[SimulatedDevice, PageFile, WriteAheadLog]:
     return device, file, WriteAheadLog(file)
 
 
-def _entry_ends(file: PageFile, page_no: int) -> list[int]:
-    """End offset of every entry in one log page, in order."""
+def _entries(file: PageFile, page_no: int) -> list[tuple[int, int]]:
+    """``(kind, end offset)`` of every entry in one log page, in order,
+    PAD entries included."""
     data = bytes(file.peek(page_no))
-    ends, pos = [], 0
-    while pos + _HEAD.size + _CRC.size <= len(data):
-        plen, _lsn, _kind = _HEAD.unpack_from(data, pos)
-        pos += _HEAD.size + plen + _CRC.size
-        ends.append(pos)
-    return ends
+    out, pos = [], 0
+    while pos + MIN_ENTRY_BYTES <= len(data):
+        plen, _lsn, kind = _HEAD.unpack_from(data, pos)
+        pos += MIN_ENTRY_BYTES + plen
+        out.append((kind, pos))
+    return out
+
+
+def _entry_ends(file: PageFile, page_no: int) -> list[int]:
+    """End offset of every LSN-carrying entry in one log page, in order."""
+    return [end for kind, end in _entries(file, page_no) if kind != KIND_PAD]
 
 
 def test_append_writes_only_the_sectors_it_changed() -> None:
@@ -166,24 +176,32 @@ def test_append_writes_only_the_sectors_it_changed() -> None:
 
 
 def test_torn_ranged_append_at_every_sector_prefix() -> None:
-    """Tear one multi-sector tail append after each whole number of
-    sectors: the acknowledged prefix always survives intact and exactly
-    the entries that fit inside the persisted sectors join it."""
+    """Tear one multi-sector append behind a padded tail after each whole
+    number of sectors.  The request starts at the acknowledged end, so no
+    acknowledged sector is re-written: the acknowledged image survives
+    byte for byte, and exactly the entries that fit inside the persisted
+    sectors join it."""
     def build() -> tuple[SimulatedDevice, PageFile, WriteAheadLog]:
         device, file, wal = _wal(8192)
-        for i in range(3):                   # acknowledged, ends mid-sector
-            wal.log([("ix", rec(i, i + 1, i))], commit_txid=i + 1)
+        for i in range(3):                   # acknowledged, padded
+            wal.log([("ix", rec(10 * i + j, i + 1, 10 * i + j))
+                     for j in range(6)], commit_txid=i + 1)
         return device, file, wal
 
-    big = [("ix", rec(100 + i, 9, 10 + i)) for i in range(40)]
+    big = [("ix", rec(100 + i, 9, 100 + i)) for i in range(40)]
     device, file, wal = build()
     acked = wal.end_lsn - 1
     offset = wal._tail_len
-    assert offset % SECTOR_BYTES, "the delta must start mid-sector"
+    assert offset % SECTOR_BYTES == 0 and wal.pad_bytes > 0
+    acked_image = bytes(file.peek(0))
+    before = device.stats.snapshot()
+    device.trace.enable()
     wal.log(big, commit_txid=9)
+    (entry,) = device.trace.entries("W")
+    assert entry.lba * SECTOR_BYTES == file._addresses[0] + offset
+    assert device.stats.delta(before).seq_writes == 1
     ends = _entry_ends(file, 0)
-    start = offset - offset % SECTOR_BYTES
-    request = -(-ends[-1] // SECTOR_BYTES) * SECTOR_BYTES - start
+    request = device.stats.delta(before).bytes_written
     sectors = request // SECTOR_BYTES
     assert sectors >= 4
 
@@ -195,9 +213,10 @@ def test_torn_ranged_append_at_every_sector_prefix() -> None:
         with pytest.raises(DeviceCrashError):
             wal.log(big, commit_txid=9)
         device.reboot()
+        assert bytes(file.peek(0))[:offset] == acked_image
         _, entries = WriteAheadLog.recover(file)
-        durable_end = start + persisted_sectors * SECTOR_BYTES
-        want = sum(1 for end in ends if end <= max(durable_end, offset))
+        durable_end = offset + persisted_sectors * SECTOR_BYTES
+        want = sum(1 for end in ends if end <= durable_end)
         assert [e.lsn for e in entries] == list(range(1, want + 1)), (
             f"{persisted_sectors} sectors persisted")
         assert want >= acked
@@ -285,3 +304,132 @@ def test_commit_on_index_less_table_survives() -> None:
     assert recovered.txn.status_of(txn.id) is TxnStatus.COMMITTED
     reader = recovered.begin()
     assert recovered.seq_scan(reader, "bare") == [(1,)]
+
+
+# ------------------------------------------- (e) sector-aligned appends
+
+def _note(wal: WriteAheadLog, nbytes: int) -> None:
+    """Append one NOTE entry of exactly ``nbytes`` log bytes."""
+    wal._append([(KIND_NOTE, bytes(nbytes - MIN_ENTRY_BYTES))])
+
+
+def _wal_writes(db: Database) -> list[bool]:
+    """For every traced write to the WAL file: was it sequential, i.e. did
+    it start where the device's previous write ended?"""
+    wal_file = db.wal_file
+    wal_sectors = {lba for addr in wal_file._addresses.values()
+                   for lba in range(addr // SECTOR_BYTES,
+                                    (addr + wal_file.page_size)
+                                    // SECTOR_BYTES)}
+    out, last_end = [], -1
+    for entry in db.trace.entries("W"):
+        if entry.lba in wal_sectors:
+            out.append(entry.lba == last_end)
+        last_end = entry.end_lba
+    return out
+
+
+def test_two_kilobyte_commits_are_sequential_writes() -> None:
+    """100 commits of ~2 KB each on one engine: every append closes on a
+    sector boundary, so the next one continues the device's write stream
+    (the mid-sector layout re-wrote the sector it started in: 0 %)."""
+    db = Database(EngineConfig(durability=True))
+    db.create_table(TABLE, [("id", "int"), ("val", "str")])
+    db.create_index(INDEX, TABLE, ["id"], kind="mvpbt")
+    wal = db.durability.wal
+    db.trace.enable()
+    written = wal.bytes_written
+    for t in range(100):
+        txn = db.begin()
+        for i in range(32):
+            db.insert(txn, TABLE, (32 * t + i, f"v{i}"))
+        txn.commit()
+    assert 1800 <= (wal.bytes_written - written) / 100 <= 2600
+    sequential = _wal_writes(db)
+    assert len(sequential) >= 100
+    assert sum(sequential) >= 0.9 * len(sequential)
+
+
+@pytest.mark.parametrize(("nbytes", "tail", "pad"), [
+    (512, 512, 0),          # gap 0: the append ends on a boundary
+    (256, 512, 256),        # gap == the append's bytes: padded
+    (100, 100, 0),          # gap larger than the append: left packed
+    (1012, 1536, 524),      # gap 12 < 15: padded one sector further
+    (500, 500, 0),          # gap 12, but 524 B would outweigh the data
+])
+def test_pad_rule(nbytes: int, tail: int, pad: int) -> None:
+    device, file, wal = _wal(8192)
+    _note(wal, nbytes)
+    assert (wal._tail_len, wal.pad_bytes) == (tail, pad)
+    kinds = [kind for kind, _end in _entries(file, 0)]
+    assert kinds == [KIND_NOTE] + [KIND_PAD] * (pad > 0)
+    assert wal.bytes_written == -(-tail // SECTOR_BYTES) * SECTOR_BYTES
+    # an aligned tail makes the next append continue the write stream
+    before = device.stats.snapshot()
+    _note(wal, 64)
+    assert device.stats.delta(before).seq_writes == int(tail % SECTOR_BYTES
+                                                        == 0)
+
+
+def test_a_pad_that_would_cross_the_page_seals_the_tail() -> None:
+    device, file, wal = _wal(1024)
+    _note(wal, 1012)            # gap 12: a pad would need 524 more bytes
+    assert wal.pad_bytes == 0
+    assert wal._tail_no is None and [p[0] for p in wal._pages] == [0]
+    before = device.stats.snapshot()
+    _note(wal, 64)
+    assert wal._tail_no == 1
+    # page 1 starts where page 0's last sector ended
+    assert device.stats.delta(before).seq_writes == 1
+    _, entries = WriteAheadLog.recover(file)
+    assert [e.lsn for e in entries] == [1, 2]
+
+
+def test_a_marker_only_append_stays_packed() -> None:
+    device, _file, wal = _wal(8192)
+    _note(wal, 512)
+    for txid in range(1, 31):
+        wal.log([], commit_txid=txid)
+    marker = MIN_ENTRY_BYTES + 8
+    assert (wal._tail_len, wal.pad_bytes) == (512 + 30 * marker, 0)
+    assert wal.bytes_written == device.stats.bytes_written
+
+
+def test_replay_steps_over_pads_and_lsns_stay_contiguous() -> None:
+    _device, file, wal = _wal(2048)
+    sizes = [256, 700, 1012, 300, 40, 512]
+    for size in sizes:
+        _note(wal, size)
+    pages = range(file.max_page_no)
+    kinds = [kind for no in pages for kind, _end in _entries(file, no)]
+    assert kinds.count(KIND_PAD) == 5 and wal.pad_bytes > 0
+    assert all(entry.kind != KIND_PAD for no in pages
+               for entry in parse_entries(bytes(file.peek(no))))
+    recovered, entries = WriteAheadLog.recover(file)
+    assert [e.lsn for e in entries] == list(range(1, len(sizes) + 1))
+    assert [len(e.note) + MIN_ENTRY_BYTES for e in entries] == sizes
+    assert recovered.end_lsn == wal.end_lsn
+
+
+def test_a_torn_pad_keeps_the_entry_prefix() -> None:
+    """The append's entries fill two sectors and its PAD the third; tear
+    the request after two: every entry is durable, the PAD fails its CRC,
+    and replay keeps the whole entry prefix."""
+    device, file, wal = _wal(8192)
+    _note(wal, 512)
+    device.set_fault_plan(FaultPlan(fail_at=device.io_count, mode="torn",
+                                    fraction=(2 * SECTOR_BYTES + 1)
+                                    / (3 * SECTOR_BYTES)))
+    with pytest.raises(DeviceCrashError):
+        wal._append([(KIND_NOTE, bytes(482)), (KIND_NOTE, bytes(500))])
+    device.reboot()
+    # the PAD's header persisted, the rest of it and its CRC did not
+    image = bytes(file.peek(0))
+    assert len(image) == 512 + 2 * SECTOR_BYTES
+    assert _HEAD.unpack_from(image, 512 + 1012)[2] == KIND_PAD
+    recovered, entries = WriteAheadLog.recover(file)
+    assert [len(e.note) + MIN_ENTRY_BYTES for e in entries] == [512, 497, 515]
+    # the recovered log appends on a fresh page, LSNs running on
+    _note(recovered, 64)
+    _, entries = WriteAheadLog.recover(file)
+    assert [e.lsn for e in entries] == [1, 2, 3, 4]

@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.errors import DeviceCrashError
-from repro.sim.device import FaultPlan
+from repro.sim.device import SECTOR_BYTES, FaultPlan
 from repro.txn.status import TxnStatus
 
 from .harness import (SCRIPT, apply_db_op, apply_oracle_op, assert_state_equal,
@@ -101,20 +101,30 @@ def test_double_crash_during_recovery(sweep_domain: int) -> None:
 
 
 def test_recovery_reads_are_sequential_dominated(sweep_domain: int) -> None:
-    """Recovery touches the device with (mostly) sequential reads only."""
+    """Recovery touches the device with reads only, reads no sector twice,
+    and — counted in bytes, not requests — reads at least as much in
+    address-contiguous streams longer than a page (one run request, or
+    back-to-back requests) as in one-page probes."""
     run = run_workload(FaultPlan(fail_at=sweep_domain - 1))
     assert run.crashed
-    db = run.db
-    stats_before = (db.device.stats.seq_reads, db.device.stats.rand_reads,
-                    db.device.stats.seq_writes + db.device.stats.rand_writes)
-    recovered = recover_and_check(run, context="trace run")
-    stats = recovered.device.stats
-    seq_reads = stats.seq_reads - stats_before[0]
-    rand_reads = stats.rand_reads - stats_before[1]
-    writes = stats.seq_writes + stats.rand_writes - stats_before[2]
-    assert writes == 0
-    assert seq_reads > 0
-    assert seq_reads >= rand_reads
+    recover_and_check(run, context="trace run")    # traces recovery's I/O
+    reads = run.db.trace.entries()
+    assert reads and all(entry.kind == "R" for entry in reads)
+    sectors = [lba for entry in reads
+               for lba in range(entry.lba, entry.end_lba)]
+    assert len(sectors) == len(set(sectors))
+    streams: list[int] = []                       # sectors per stream
+    last_end = -1
+    for entry in reads:
+        if entry.lba == last_end:
+            streams[-1] += entry.sectors
+        else:
+            streams.append(entry.sectors)
+        last_end = entry.end_lba
+    page = run.db.config.page_size // SECTOR_BYTES
+    streamed = sum(n for n in streams if n > page)
+    assert streamed > 0
+    assert streamed >= sum(streams) - streamed
 
 
 def test_crashed_device_stays_dead_until_reboot(sweep_domain: int) -> None:

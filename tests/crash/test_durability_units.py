@@ -206,6 +206,27 @@ class TestWriteAheadLog:
         _, entries = WriteAheadLog.recover(make_file_like(file))
         assert [e.lsn for e in entries] == list(range(1, wal.end_lsn))
 
+    def test_recovery_reads_the_log_in_extent_runs(self,
+                                                   clock: SimClock) -> None:
+        """One read request per run of contiguous live pages inside an
+        extent, not one per page — a truncation hole splits a run."""
+        device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
+        file = make_file(device)                 # 512 B pages, 8 per extent
+        wal = WriteAheadLog(file)
+        for i in range(60):
+            wal.log([("ix", rec(i, i + 1, i))], commit_txid=i + 1)
+        live = [no for no in range(file.max_page_no)
+                if file.has_contents(no)]
+        assert len(live) > 8                     # spans two extents
+        reads = file.physical_reads
+        _, entries = WriteAheadLog.recover(file)
+        assert [e.lsn for e in entries] == list(range(1, wal.end_lsn))
+        assert file.physical_reads - reads == 2
+        wal.truncate_below(wal._pages[1][2] + 1)  # frees pages 0 and 1
+        reads = file.physical_reads
+        WriteAheadLog.recover(file)
+        assert file.physical_reads - reads == 2  # pages 2-7, then 8-…
+
     def test_truncate_frees_only_covered_pages(self, clock: SimClock) -> None:
         device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
         file = make_file(device)
@@ -366,6 +387,56 @@ class TestManifest:
         device.reboot()
         _, state = ManifestStore.attach(file, slot_pages=6)
         assert state == ManifestState(txid_watermark=10)
+
+    @staticmethod
+    def _flips(clock: SimClock, epochs: int, crash_at_page: int | None = None
+               ) -> tuple[SimulatedDevice, PageFile, list[ManifestState]]:
+        """Flip ``epochs`` 7-page states into a manifest file of 4-page
+        extents and 10-page slots: odd epochs land on pages 10-16, even
+        ones on pages 0-6.  With ``crash_at_page`` the last flip dies
+        writing that page of its slot.  Returns the states, by epoch."""
+        device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
+        file = PageFile("manifest", device, 512, 4)
+        store = ManifestStore(file, slot_pages=10)
+        store.preallocate()
+        states = [ManifestState(txid_watermark=10 * epoch,
+                                aborted_txids=list(range(epoch, epoch + 400)))
+                  for epoch in range(1, epochs + 1)]
+        for state in states[:-1]:
+            store.write(state)
+        assert file.physical_writes == 7 * (epochs - 1)
+        if crash_at_page is None:
+            store.write(states[-1])
+        else:
+            device.set_fault_plan(FaultPlan(
+                fail_at=device.io_count + crash_at_page))
+            with pytest.raises(DeviceCrashError):
+                store.write(states[-1])
+            device.reboot()
+        return device, file, states
+
+    def test_recovery_reads_both_heads_then_the_newer_slot_in_runs(
+            self, clock: SimClock) -> None:
+        """2 + the newer slot's runs, not both slots: page 0 of each slot,
+        then pages 1-3 and 4-6 of slot 0 (one request per extent run)."""
+        device, file, states = self._flips(clock, 2)
+        device.trace.enable()
+        durable = read_durable_state(file, make_file(device), slot_pages=10)
+        assert (durable.store.epoch, durable.state) == (2, states[1])
+        assert file.physical_reads == 4
+        assert [(e.lba, e.sectors) for e in device.trace.entries("R")] \
+            == [(0, 1), (10, 1), (1, 3), (4, 3)]
+
+    def test_attach_with_a_torn_newer_slot_adopts_the_older(
+            self, clock: SimClock) -> None:
+        """Epoch 3 died before its last page: its head is valid, so attach
+        reads the rest of its slot (pages 11, 12-15, 16 — three extent
+        runs), finds epoch 1's page 16 there and rejects the slot, then
+        reads the rest of epoch 2's (pages 1-3, 4-6)."""
+        _device, file, states = self._flips(clock, 3, crash_at_page=6)
+        store, state = ManifestStore.attach(file, slot_pages=10)
+        assert (store.epoch, state) == (2, states[1])
+        assert file.physical_reads == 2 + 3 + 2
 
     def test_oversized_state_raises(self, clock: SimClock) -> None:
         device = SimulatedDevice(UNIT_TEST_PROFILE, clock)

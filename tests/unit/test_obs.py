@@ -408,7 +408,7 @@ CATALOGUE = {
     "mvpbt.rebuild.count", "mvpbt.bulk_load.count",
     "mvpbt.gc.purged_eviction", "mvpbt.gc.purged_page_level",
     "mvpbt.partitions",
-    "wal.appends", "wal.entries", "wal.bytes_appended",
+    "wal.appends", "wal.entries", "wal.bytes_appended", "wal.pad_bytes",
     "wal.commits_elided", "wal.markers_deferred", "wal.pages_freed",
     "manifest.flips",
     "recovery.replays", "recovery.wal_records_replayed",
@@ -460,6 +460,17 @@ class TestViews:
         assert cv("txn.commit.count") == db.txn.committed_count
         assert cv("wal.appends") == db.durability.wal.appends
         assert cv("device.reads") == db.device.stats.reads
+
+    def test_pad_bytes_is_a_view_of_the_log(self):
+        """The log space aligned appends spend is the log's own count."""
+        db = obs_db(durability=True)
+        evict_merge_and_read(db)
+        wal = db.durability.wal
+        assert wal.pad_bytes > 0
+        assert db.obs.registry.counter_value("wal.pad_bytes") \
+            == wal.pad_bytes
+        with pytest.raises(ObsError):
+            db.obs.registry.counter("wal.pad_bytes")
 
     def test_a_view_name_takes_no_instrument(self):
         reg = obs_db(durability=True).obs.registry

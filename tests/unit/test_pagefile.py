@@ -196,6 +196,64 @@ class TestAppendExtents:
         assert f.physical_writes == 2
 
 
+class TestReadPagesSequential:
+    """The read twin of ``flush_pages_sequential`` (recovery's reads)."""
+
+    @staticmethod
+    def _written(f, n):
+        pages = [f.allocate_page() for _ in range(n)]
+        for p in pages:
+            f.write_page(p, f"pl{p}")
+        return pages
+
+    def test_one_request_per_contiguous_run(self, setup):
+        _c, d, f = setup
+        self._written(f, 6)
+        d.trace.enable()
+        got = f.read_pages_sequential([0, 1, 2, 4, 5])
+        assert got == ["pl0", "pl1", "pl2", "pl4", "pl5"]
+        assert [(e.lba * 512, e.sectors * 512) for e in d.trace.entries("R")] \
+            == [(f._addresses[0], 3 * 8192), (f._addresses[4], 2 * 8192)]
+        assert f.physical_reads == 2
+
+    def test_a_run_never_crosses_an_extent(self, setup):
+        _c, d, f = setup
+        self._written(f, 20)                 # extents: 0-7, 8-15, 16-19
+        # the file's extents are adjacent on the device
+        assert f._addresses[8] == f._addresses[7] + 8192
+        d.trace.enable()
+        f.read_pages_sequential(range(3, 18))
+        extent = 8 * 8192
+        reads = d.trace.entries("R")
+        assert [(e.lba * 512 - f._addresses[0]) // 8192 for e in reads] \
+            == [3, 8, 16]
+        for e in reads:
+            assert e.lba * 512 // extent == (e.end_lba * 512 - 1) // extent
+        # one stream: every run after the first continues the previous one
+        assert (d.stats.seq_reads, d.stats.rand_reads) == (2, 1)
+
+    def test_contents_come_back_in_the_order_asked(self, setup):
+        _c, _d, f = setup
+        self._written(f, 4)
+        assert f.read_pages_sequential([2, 0, 1]) == ["pl2", "pl0", "pl1"]
+        assert f.physical_reads == 2          # [2], then [0, 1]
+
+    def test_a_page_with_no_contents_raises_before_any_io(self, setup):
+        _c, d, f = setup
+        self._written(f, 3)
+        hole = f.allocate_page()
+        with pytest.raises(PageNotFoundError):
+            f.read_pages_sequential([0, 1, hole])
+        with pytest.raises(PageNotFoundError):
+            f.read_pages_sequential([0, 99])
+        assert d.stats.reads == 0
+
+    def test_nothing_asked_reads_nothing(self, setup):
+        _c, d, f = setup
+        assert f.read_pages_sequential([]) == []
+        assert d.stats.reads == 0
+
+
 class TestFreePageReuse:
     """free_page / allocate_page reuse semantics (WAL truncation relies on
     these: a freed page's old contents must never resurface)."""
