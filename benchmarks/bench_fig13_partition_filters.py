@@ -36,8 +36,8 @@ def build_index():
                                partition_buffer_pages=256))
     db.create_table("r", [("d", "int"), ("o", "int"), ("z", "str")],
                     storage="sias")
-    db.create_index("ix", "r", ["d", "o"], kind="mvpbt",
-                    use_prefix_bloom=True, prefix_columns=1)
+    # a two-column key: every partition builds a prefix filter over (d,)
+    db.create_index("ix", "r", ["d", "o"], kind="mvpbt")
     ix = db.catalog.index("ix").mvpbt
     rng = random.Random(5)
     key = 0

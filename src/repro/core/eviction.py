@@ -19,7 +19,8 @@ frozen partition's records (version chains are implicit in the record order
 
 No stage materialises the record set: peak transient memory is one leaf
 page, one extent of packed pages, the current reconciliation key group and
-the filter digest arrays (two 8-byte ints per record per filter).  The same
+the filter digest arrays (one pair of 32-bit ints per record for the bloom
+filter, per distinct key prefix for the prefix bloom filter).  The same
 :func:`build_partition` pipeline is shared by partition merge and bulk load
 (:mod:`repro.core.merge`).
 
@@ -32,6 +33,7 @@ and the new ``P_N`` gets the next one.  The orderings are isomorphic.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..index.filters import (BLOOM_FPR, PREFIX_BLOOM_FPR, BloomFilter,
@@ -173,32 +175,46 @@ class PartitionMetaBuilder:
     filter), buffers the 32-bit digest pairs in flat ``array`` storage, and
     materialises the filters in :meth:`build_filters` — bit-identical to
     building them from a materialised record list.
+
+    The prefix filter is a property of the key (DESIGN.md §9.3): keys of
+    arity ``n >= 2`` — read off the first record — get one over their
+    first ``n - 1`` columns.  The stream is key-sorted, so equal prefixes
+    arrive together: a prefix digest is buffered only when the prefix
+    changes, and the filter is sized by distinct prefixes, not records.
     """
 
-    __slots__ = ("use_bloom", "use_prefix_bloom", "prefix_columns", "count",
-                 "min_ts", "max_ts", "_digests", "_prefix_digests")
+    __slots__ = ("use_bloom", "prefix_columns", "count", "min_ts", "max_ts",
+                 "_digests", "_prefix_digests")
 
     def __init__(self, tree: "MVPBT") -> None:
         self.use_bloom = tree.use_bloom
-        self.use_prefix_bloom = tree.use_prefix_bloom
-        self.prefix_columns = tree.prefix_columns
+        #: width of the prefix filter; 0 = none (one-column keys, or no
+        #: filters at all)
+        self.prefix_columns = 0
         self.count = 0
         self.min_ts = 0
         self.max_ts = 0
         self._digests = array("I")          # 32-bit digest pairs, flat
-        self._prefix_digests = array("I")
+        self._prefix_digests = array("I")   # one pair per distinct prefix
 
     def observe(self, records: Iterable[MVPBTRecord]
                 ) -> Iterator[MVPBTRecord]:
         """Generator stage: account every record passing through."""
+        stream = iter(records)
+        first = next(stream, None)
+        if first is None:
+            return
         use_bloom = self.use_bloom
-        use_prefix = self.use_prefix_bloom
+        if use_bloom:
+            self.prefix_columns = max(0, len(first.key) - 1)
+        ncols = self.prefix_columns
         digests = self._digests
         prefix_digests = self._prefix_digests
+        last_prefix = None
         count = 0
         min_ts = None
         max_ts = None
-        for record in records:
+        for record in chain((first,), stream):
             count += 1
             if record.rtype is RecordType.REGULAR_SET:
                 for _vid, _rid, ts, _seq in record.set_entries:
@@ -212,12 +228,12 @@ class PartitionMetaBuilder:
                     min_ts = ts
                 if max_ts is None or ts > max_ts:
                     max_ts = ts
-            if use_prefix:
-                encoded, prefix = encode_key_with_prefix(
-                    record.key, self.prefix_columns)
-                prefix_digests.extend(digest(prefix))
-                if use_bloom:
-                    digests.extend(digest(encoded))
+            if ncols:
+                encoded, prefix = encode_key_with_prefix(record.key, ncols)
+                digests.extend(digest(encoded))
+                if prefix != last_prefix:
+                    prefix_digests.extend(digest(prefix))
+                    last_prefix = prefix
             elif use_bloom:
                 digests.extend(digest(encode_key(record.key)))
             yield record
@@ -235,10 +251,10 @@ class PartitionMetaBuilder:
             d = self._digests
             for i in range(0, len(d), 2):
                 bloom.add_digest(d[i], d[i + 1])
-        if self.use_prefix_bloom:
-            prefix_bloom = PrefixBloomFilter(
-                self.count, PREFIX_BLOOM_FPR, self.prefix_columns)
+        if self.prefix_columns:
             d = self._prefix_digests
+            prefix_bloom = PrefixBloomFilter(
+                len(d) // 2, PREFIX_BLOOM_FPR, self.prefix_columns)
             for i in range(0, len(d), 2):
                 prefix_bloom.add_digest(d[i], d[i + 1])
         return bloom, prefix_bloom

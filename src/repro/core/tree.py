@@ -194,8 +194,6 @@ class MVPBT:
                  unique: bool = False,
                  mode: ReferenceMode = ReferenceMode.PHYSICAL,
                  use_bloom: bool = True,
-                 use_prefix_bloom: bool = False,
-                 prefix_columns: int = 1,
                  enable_gc: bool = True,
                  index_only_visibility: bool = True,
                  reconcile: bool | None = None,
@@ -210,9 +208,10 @@ class MVPBT:
         self.manager = manager
         self.unique = unique
         self.mode = mode
+        #: build and probe the partition filters: the bloom filter and, on
+        #: composite keys, the prefix bloom filter (False = the "no
+        #: filters" ablation)
         self.use_bloom = use_bloom
-        self.use_prefix_bloom = use_prefix_bloom
-        self.prefix_columns = prefix_columns
         self.enable_gc = enable_gc
         self.index_only_visibility = index_only_visibility
         #: trigger an on-line merge step when the persisted-partition count
@@ -527,6 +526,10 @@ class MVPBT:
         gens: list[Iterator[_Batch]] = [
             self._mem_batches(lo, hi, lo_incl, hi_incl)]
         negs: list[int] = [-self._mem.number]
+        # the scan's fixed key prefix, encoded once per filter width (one
+        # width per tree in practice), then probed in every partition
+        probe_columns = 0
+        probe: bytes | None = None
         for part in self._persisted:
             if not part.possibly_visible_to(snapshot):
                 stats.partitions_skipped_mints += 1
@@ -534,14 +537,16 @@ class MVPBT:
             if not part.overlaps(lo, hi):
                 stats.partitions_skipped_range += 1
                 continue
-            gate: PrefixBloomFilter | None = None
-            if self.use_prefix_bloom and part.prefix_bloom is not None:
-                prefix = part.prefix_bloom.applicable(lo, hi)
-                if prefix is not None:
-                    if not part.prefix_bloom.query_prefix(prefix):
-                        stats.partitions_skipped_bloom += 1
-                        continue
-                    gate = part.prefix_bloom
+            gate = part.prefix_bloom
+            if gate is not None:
+                if gate.prefix_columns != probe_columns:
+                    probe_columns = gate.prefix_columns
+                    probe = gate.scan_probe(lo, hi)
+                if probe is None:
+                    gate = None
+                elif not gate.query(probe):
+                    stats.partitions_skipped_bloom += 1
+                    continue
             gens.append(self._part_batches(part, lo, hi, lo_incl, hi_incl,
                                            watermark, snapshot, gate))
             negs.append(-part.number)

@@ -55,9 +55,7 @@ def _tree_options(tree: MVPBT) -> dict[str, Any]:
     recovery (the catalog, not this subsystem, is their durable home)."""
     return dict(
         unique=tree.unique, mode=tree.mode,
-        use_bloom=tree.use_bloom, use_prefix_bloom=tree.use_prefix_bloom,
-        prefix_columns=tree.prefix_columns,
-        enable_gc=tree.enable_gc,
+        use_bloom=tree.use_bloom, enable_gc=tree.enable_gc,
         index_only_visibility=tree.index_only_visibility,
         reconcile=tree.reconcile, first_hit_only=tree.first_hit_only,
         max_partitions=tree.max_partitions,
@@ -146,8 +144,9 @@ class Database:
         ``reference``: 'physical' recordIDs or 'logical' VIDs through the
         table's indirection layer.
         ``options`` are forwarded to the index constructor (e.g. for MV-PBT:
-        ``use_bloom``, ``use_prefix_bloom``, ``prefix_columns``,
-        ``enable_gc``, ``index_only_visibility``, ``reconcile``).
+        ``use_bloom``, ``enable_gc``, ``index_only_visibility``,
+        ``reconcile``).  With its filters on, an MV-PBT over two or more
+        columns also builds prefix bloom filters over all but the last.
         """
         table_info = self.catalog.table(table)
         positions = table_info.schema.positions(columns)

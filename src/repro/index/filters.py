@@ -1,9 +1,10 @@
 """Bloom filters and prefix bloom filters for immutable partitions (§4.7).
 
 Each persisted MV-PBT / PBT partition and each LSM SSTable carries a bloom
-filter over its (encoded) search keys so point lookups can skip partitions,
-and optionally a *prefix* bloom filter over the first ``prefix_columns`` key
-columns so range scans with a fixed leading prefix can skip too.
+filter over its (encoded) search keys so point lookups can skip partitions.
+An MV-PBT partition over composite keys also carries a *prefix* bloom
+filter over all key columns but the last, so range scans with a fixed
+leading prefix can skip too (DESIGN.md §9.3).
 
 Hashing uses double hashing over two independent CRC-based digests — stable
 across processes (unlike Python's ``hash``), cheap, and adequate for the
@@ -21,7 +22,7 @@ import zlib
 from array import array
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import ConfigError, KeyCodecError
 from ..storage.keycodec import encode_key
 from ..types import Key
 
@@ -195,9 +196,23 @@ class PrefixBloomFilter:
         """Add a key prefix by its precomputed :func:`digest` pair."""
         self._bloom.add_digest(h1, h2)
 
-    def query_prefix(self, prefix: Key) -> bool:
-        """Counted probe for a full prefix (exactly ``prefix_columns`` values)."""
-        return self._bloom.query(encode_key(prefix[:self.prefix_columns]))
+    def query(self, encoded: bytes) -> bool:
+        """Counted probe for an encoded prefix of exactly
+        ``prefix_columns`` values (see :meth:`scan_probe`)."""
+        return self._bloom.query(encoded)
+
+    def scan_probe(self, lo: Key | None, hi: Key | None) -> bytes | None:
+        """The encoded fixed prefix of a range predicate, ready for
+        :meth:`query`; None when the filter cannot gate the range (see
+        :meth:`applicable`) or the prefix holds a bound-only sentinel
+        such as ``TOP``, which no stored key contains."""
+        prefix = self.applicable(lo, hi)
+        if prefix is None:
+            return None
+        try:
+            return encode_key(prefix)
+        except KeyCodecError:
+            return None
 
     def applicable(self, lo: Key | None, hi: Key | None) -> Key | None:
         """The shared fixed prefix of a range predicate, if the filter applies.

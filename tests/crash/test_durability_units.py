@@ -507,6 +507,62 @@ class TestDatabaseRecovery:
                 assert p_new.bloom is not None
                 assert p_new.bloom._bits == p_old.bloom._bits
 
+    def test_recovered_partition_still_gates(self) -> None:
+        db = Database(EngineConfig(durability=True, page_size=512,
+                                   partition_buffer_bytes=1024,
+                                   buffer_pool_pages=64,
+                                   manifest_slot_pages=6))
+        db.create_table("t", [("a", "int"), ("b", "int")])
+        db.create_index("ix", "t", ["a", "b"], kind="mvpbt")
+        for a in range(0, 100, 10):             # gaps in the prefix space
+            txn = db.begin()
+            for b in range(8):
+                db.insert(txn, "t", (a, b))
+            txn.commit()
+        old = db.catalog.index("ix").mvpbt
+        assert len(old.persisted_partitions) >= 2
+        db2 = Database.recover(db)
+        tree = db2.catalog.index("ix").mvpbt
+        for p_old, p_new in zip(old.persisted_partitions,
+                                tree.persisted_partitions):
+            assert p_new.prefix_bloom.prefix_columns == 1
+            assert (p_new.prefix_bloom.to_state()
+                    == p_old.prefix_bloom.to_state())
+        txn = db2.begin()
+        before = tree.stats.partitions_skipped_bloom
+        for a in range(1, 100, 10):             # absent, inside every range
+            assert db2.range_select(txn, "ix", (a, 0), (a, 99)) == []
+        assert tree.stats.partitions_skipped_bloom > before
+        assert db2.range_select(txn, "ix", (40, 0), (40, 99)) == [
+            (40, b) for b in range(8)]
+        txn.commit()
+
+    def test_default_manifest_slot_fits_a_40k_row_two_column_index(
+            self) -> None:
+        # the manifest carries every partition's filters; prefix filters
+        # sized by distinct prefixes (ten rows each here) add ~2.4 KiB,
+        # where sizing them by records (~24 KiB) would overflow the
+        # default 8-page slot
+        db = Database(EngineConfig(durability=True))
+        assert db.config.manifest_slot_pages == 8
+        db.create_table("t", [("a", "int"), ("b", "int")])
+        db.create_index("ix", "t", ["a", "b"], kind="mvpbt")
+        txn = db.begin()
+        for k in range(40_000):
+            db.insert(txn, "t", (k // 10, k % 10))
+            if k % 1000 == 999:
+                txn.commit()
+                txn = db.begin()
+        txn.commit()
+        tree = db.catalog.index("ix").mvpbt
+        tree.evict_partition()
+        parts = tree.persisted_partitions
+        assert sum(p.record_count for p in parts) == 40_000
+        # one filter entry per distinct prefix (a prefix split by an
+        # eviction counts once in each partition)
+        prefixes = sum(p.prefix_bloom.items_added for p in parts)
+        assert 4_000 <= prefixes < 4_000 + len(parts)
+
     def test_uncommitted_txn_recovers_as_aborted(self) -> None:
         db = durable_db()
         txn = db.begin()

@@ -7,8 +7,9 @@ extensionally identical to the per-record cascade of
 updates, deletes, evictions and held snapshots, every range scan (any
 bounds, any inclusivity, any ``limit``) must return byte-identical
 ``SearchHit`` lists — across all three table storage models and on
-databases recovered from a random crash point.  The ``oblivious`` cases
-run the same histories over a version-oblivious tree
+databases recovered from a random crash point.  Composite-key trees add
+the fixed-prefix ranges their prefix bloom filters gate.  The
+``oblivious`` cases run the same histories over a version-oblivious tree
 (``index_only_visibility=False``), whose scans and point lookups must
 equal the reference's candidates mode.
 """
@@ -19,7 +20,11 @@ from hypothesis import strategies as st
 
 from repro.buffer.partition_buffer import PartitionBuffer
 from repro.buffer.pool import BufferPool
+from repro.config import EngineConfig
 from repro.core.tree import MVPBT
+from repro.engine.database import Database
+from repro.errors import DeviceCrashError
+from repro.index.base import TOP
 from repro.sim.clock import SimClock
 from repro.sim.device import FaultPlan, SimulatedDevice
 from repro.sim.profiles import UNIT_TEST_PROFILE
@@ -63,7 +68,9 @@ def build_tree(**opts):
 
 
 def apply_ops(mgr, tree, ops):
-    live: dict[int, tuple[RecordID, int]] = {}
+    """Run ``(key, action, hold a snapshot first?)`` ops, one transaction
+    each; an int key stands for the one-column key ``(key,)``."""
+    live: dict[object, tuple[RecordID, int]] = {}
     next_vid = 1
     next_rid = 0
     held = []
@@ -71,24 +78,27 @@ def apply_ops(mgr, tree, ops):
         if snap_before:
             held.append(mgr.begin())
         txn = mgr.begin()
+        ikey = key if isinstance(key, tuple) else (key,)
         if action == "insert" and key not in live:
             next_rid += 1
             rid = RecordID(0, next_rid)
-            tree.insert(txn, (key,), rid, vid=next_vid)
+            tree.insert(txn, ikey, rid, vid=next_vid)
             live[key] = (rid, next_vid)
             next_vid += 1
         elif action == "update" and key in live:
             old_rid, vid = live[key]
             next_rid += 1
             rid = RecordID(0, next_rid)
-            tree.update_nonkey(txn, (key,), rid, old_rid, vid)
+            tree.update_nonkey(txn, ikey, rid, old_rid, vid)
             live[key] = (rid, vid)
         elif action == "delete" and key in live:
             old_rid, vid = live[key]
-            tree.delete(txn, (key,), old_rid, vid)
+            tree.delete(txn, ikey, old_rid, vid)
             del live[key]
         elif action == "evict":
             tree.evict_partition()
+        elif action == "merge":
+            tree.merge_partitions()
         txn.commit()
     held.append(mgr.begin())
     return held
@@ -312,3 +322,143 @@ def test_fence_promises_on_duplicate_runs_and_zone_skipped_pages():
                                              hi_incl, limit=limit)
                 assert batched == record == full[:limit]
     assert tree.stats.pages_skipped_mints > skipped
+
+
+# ------------------------------------- composite keys and prefix filters
+#
+# Every persisted partition of a composite-key tree carries a prefix bloom
+# filter over all key columns but the last, and a range whose bounds fix
+# that prefix skips the partitions the filter rules out.  Keys here have
+# arity 3 over a sparse prefix space, so most partitions lack most
+# prefixes: the scans below are the ones the filter gates.
+
+PREFIXES = [(a, b) for a in (0, 2, 5) for b in (1, 4)]
+COMPOSITE_KEYS = [p + (c,) for p in PREFIXES for c in range(3)]
+#: prefixes probed: the stored ones plus absent ones between them
+PROBE_PREFIXES = PREFIXES + [(0, 2), (2, 0), (3, 1), (5, 3)]
+
+composite_operation = st.tuples(
+    st.sampled_from(COMPOSITE_KEYS),
+    st.sampled_from(["insert", "insert", "insert", "update", "delete",
+                     "evict", "evict", "merge"]),
+    st.booleans(),                       # hold a snapshot before this op?
+)
+
+prefix_scan = st.tuples(
+    st.sampled_from(PROBE_PREFIXES),
+    st.one_of(st.none(), st.integers(0, 2)),   # None: lo is the bare prefix
+    st.one_of(st.none(), st.integers(0, 2)),   # None: hi is (prefix, TOP)
+    st.booleans(),                       # lo inclusive?
+    st.booleans(),                       # hi inclusive?
+)
+
+
+def prefix_range(scan):
+    """``(lo, hi, lo_incl, hi_incl)`` of one drawn fixed-prefix scan."""
+    prefix, lo_last, hi_last, lo_incl, hi_incl = scan
+    lo = prefix if lo_last is None else prefix + (lo_last,)
+    hi = prefix + ((TOP,) if hi_last is None else (hi_last,))
+    return lo, hi, lo_incl, hi_incl
+
+
+def assert_prefix_filters(tree, width):
+    parts = tree.persisted_partitions
+    assert all(p.prefix_bloom is not None
+               and p.prefix_bloom.prefix_columns == width for p in parts)
+
+
+@STRATEGIES
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(composite_operation, min_size=20, max_size=80),
+       scans=st.lists(prefix_scan, min_size=1, max_size=4))
+def test_fixed_prefix_scans_equal_record_path_on_composite_keys(
+        opts, candidates, ops, scans):
+    mgr, tree = build_paged_tree(**opts)
+    held = apply_ops(mgr, tree, ops)
+    assert_prefix_filters(tree, 2)
+    for txn in held:
+        for scan in scans:
+            lo, hi, lo_incl, hi_incl = prefix_range(scan)
+            batched, record = both_paths(tree, txn, lo, hi, lo_incl, hi_incl,
+                                         candidates=candidates)
+            assert batched == record
+
+
+def test_fixed_prefix_scans_skip_partitions_without_the_prefix():
+    """The property above is not vacuous: its shape of history makes the
+    filters turn partitions away."""
+    mgr, tree = build_paged_tree()
+    ops = [(key, "insert", False) for key in COMPOSITE_KEYS[:6]]
+    ops.append((0, "evict", False))
+    ops += [(key, "insert", False) for key in COMPOSITE_KEYS[-6:]]
+    ops.append((0, "evict", False))
+    held = apply_ops(mgr, tree, ops)
+    reader = held[-1]
+    before = tree.stats.partitions_skipped_bloom
+    for prefix in PROBE_PREFIXES:
+        lo, hi, lo_incl, hi_incl = prefix_range((prefix, None, None,
+                                                 True, False))
+        batched, record = both_paths(tree, reader, lo, hi, lo_incl, hi_incl)
+        assert batched == record
+    assert tree.stats.partitions_skipped_bloom > before
+
+
+def composite_db():
+    """A durable database whose one index has arity-3 keys, small enough
+    to evict and merge constantly."""
+    db = Database(EngineConfig(
+        durability=True, page_size=512, extent_pages=8,
+        partition_buffer_bytes=768, buffer_pool_pages=64,
+        manifest_slot_pages=6))
+    db.create_table("t", [("a", "int"), ("b", "int"), ("c", "int"),
+                          ("v", "str")])
+    db.create_index("ix", "t", ["a", "b", "c"], kind="mvpbt",
+                    enable_gc=False, max_partitions=2, merge_fanout=2)
+    return db
+
+
+def run_composite(db, ops):
+    """Apply ``(key, action)`` ops, one committed transaction each; stops
+    at the first device crash."""
+    live = set()
+    try:
+        for nth, (key, action) in enumerate(ops):
+            txn = db.begin()
+            if action == "insert" and key not in live:
+                db.insert(txn, "t", key + (f"v{nth}",))
+                live.add(key)
+            elif action == "update" and key in live:
+                db.update_by_key(txn, "ix", key, {"v": f"u{nth}"})
+            elif action == "delete" and key in live:
+                db.delete_by_key(txn, "ix", key)
+                live.discard(key)
+            txn.commit()
+    except DeviceCrashError:
+        pass
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(COMPOSITE_KEYS),
+                              st.sampled_from(["insert", "insert",
+                                               "update", "delete"])),
+                    min_size=40, max_size=100),
+       fail_at=st.integers(min_value=1, max_value=150),
+       scans=st.lists(prefix_scan, min_size=1, max_size=4))
+def test_fixed_prefix_scans_equal_record_path_after_recovery(ops, fail_at,
+                                                             scans):
+    """Kill the device at a random I/O index (a run that ends first
+    restarts cleanly), recover, then run fixed-prefix scans: the restored
+    prefix filters must gate without changing answers."""
+    db = composite_db()
+    db.device.set_fault_plan(FaultPlan(fail_at=fail_at))
+    run_composite(db, ops)
+    recovered = Database.recover(db)
+    tree = recovered.catalog.index("ix").mvpbt
+    assert_prefix_filters(tree, 2)
+    txn = recovered.begin()
+    for scan in scans + [(p, None, None, True, False)
+                         for p in PROBE_PREFIXES]:
+        lo, hi, lo_incl, hi_incl = prefix_range(scan)
+        batched, record = both_paths(tree, txn, lo, hi, lo_incl, hi_incl)
+        assert batched == record
+    txn.commit()

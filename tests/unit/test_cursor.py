@@ -193,18 +193,21 @@ class TestCursorStats:
 
     def test_prefix_bloom_gates_cursor(self, env):
         mgr, make = env
-        ix = make(use_prefix_bloom=True, prefix_columns=1)
+        ix = make()
         t = mgr.begin()
-        for d in (0, 2, 4):
+        for d in (0, 11, 22):
             for o in range(20):
                 ix.insert(t, (d, o), RecordID(d, o), vid=d * 100 + o + 1)
         t.commit()
         ix.evict_partition()
         reader = mgr.begin()
-        assert len(list(ix.cursor(reader, (2, 0), (2, 99)))) == 20
+        assert len(list(ix.cursor(reader, (11, 0), (11, 99)))) == 20
+        # ten absent prefixes inside the partition's key range: a 10 %
+        # filter over three prefixes must turn most of them away
         before = ix.stats.partitions_skipped_bloom
-        assert list(ix.cursor(reader, (3, 0), (3, 99))) == []
-        assert ix.stats.partitions_skipped_bloom > before
+        for d in range(1, 11):
+            assert list(ix.cursor(reader, (d, 0), (d, 99))) == []
+        assert ix.stats.partitions_skipped_bloom - before > 5
 
 
 class TestAblationCursor:

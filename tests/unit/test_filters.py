@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigError
+from repro.index.base import TOP
 from repro.index.filters import BloomFilter, PrefixBloomFilter
 from repro.storage.keycodec import encode_key
 
@@ -66,22 +67,32 @@ class TestBloomFilter:
 
 class TestPrefixBloomFilter:
     def test_gates_by_prefix(self):
-        pbf = PrefixBloomFilter(100, 0.1, prefix_columns=2)
+        pbf = PrefixBloomFilter(100, 0.1, 2)
         for o in range(50):
             pbf.add_key((1, 5, o))
-        assert pbf.query_prefix((1, 5))
-        assert not pbf.query_prefix((2, 9))
+        assert pbf.query(encode_key((1, 5)))
+        assert not pbf.query(encode_key((2, 9)))
 
     def test_applicable_requires_fixed_prefix(self):
-        pbf = PrefixBloomFilter(100, 0.1, prefix_columns=2)
+        pbf = PrefixBloomFilter(100, 0.1, 2)
         assert pbf.applicable((1, 5, 0), (1, 5, 99)) == (1, 5)
         assert pbf.applicable((1, 5), (1, 6)) is None
         assert pbf.applicable(None, (1, 5)) is None
         assert pbf.applicable((1,), (1, 5)) is None
 
+    def test_scan_probe_is_the_encoded_fixed_prefix(self):
+        pbf = PrefixBloomFilter(100, 0.1, 2)
+        pbf.add_key((1, 5, 0))
+        probe = pbf.scan_probe((1, 5), (1, 5, TOP))
+        assert probe == encode_key((1, 5))
+        assert pbf.query(probe) and pbf.stats.queries == 1
+        assert pbf.scan_probe((1, 5), (1, 6)) is None
+        # a bound-only sentinel inside the prefix gates nothing
+        assert pbf.scan_probe((1, TOP), (1, TOP)) is None
+
     def test_invalid_prefix_columns(self):
         with pytest.raises(ConfigError):
-            PrefixBloomFilter(100, 0.1, prefix_columns=0)
+            PrefixBloomFilter(100, 0.1, 0)
 
     def test_paper_figure13_shape(self):
         """Point filter ~2% FP; negatives dominate for absent prefixes."""

@@ -96,7 +96,7 @@ class TestEviction:
 
     def test_filters_built_on_eviction(self, env):
         mgr, make, _d, _t = env
-        ix = make(use_prefix_bloom=True, prefix_columns=1)
+        ix = make()
         t = mgr.begin()
         for i in range(100):
             ix.insert(t, (i, i * 2), RecordID(0, i), vid=i + 1)
@@ -104,6 +104,48 @@ class TestEviction:
         part = ix.evict_partition()
         assert part.bloom is not None and part.bloom.items_added == 100
         assert part.prefix_bloom is not None
+        assert part.prefix_bloom.prefix_columns == 1
+
+    def test_prefix_filter_sized_by_distinct_prefixes(self, env):
+        mgr, make, _d, _t = env
+        ix = make()
+        t = mgr.begin()
+        for i in range(300):
+            ix.insert(t, (i // 10, i % 10, i), RecordID(0, i), vid=i + 1)
+        t.commit()
+        part = ix.evict_partition()
+        # arity 3: the filter covers (a, b), one entry per distinct pair
+        assert part.prefix_bloom.prefix_columns == 2
+        assert part.prefix_bloom.items_added == 300
+        t = mgr.begin()
+        for i in range(300):
+            ix.insert(t, (1000 + i // 30, i % 2, i), RecordID(1, i),
+                      vid=1000 + i)
+        t.commit()
+        part = ix.evict_partition()
+        assert part.prefix_bloom.items_added == 20
+        assert part.prefix_bloom.size_bytes < part.bloom.size_bytes / 10
+
+    def test_one_column_keys_build_no_prefix_filter(self, env):
+        mgr, make, _d, _t = env
+        ix = make()
+        t = mgr.begin()
+        for i in range(100):
+            ix.insert(t, (i,), RecordID(0, i), vid=i + 1)
+        t.commit()
+        part = ix.evict_partition()
+        assert part.bloom is not None
+        assert part.prefix_bloom is None
+
+    def test_no_filters_ablation_builds_neither_filter(self, env):
+        mgr, make, _d, _t = env
+        ix = make(use_bloom=False)
+        t = mgr.begin()
+        for i in range(100):
+            ix.insert(t, (i, i * 2), RecordID(0, i), vid=i + 1)
+        t.commit()
+        part = ix.evict_partition()
+        assert part.bloom is None and part.prefix_bloom is None
 
     def test_partition_buffer_triggers_eviction(self, env):
         mgr, make, _d, _t = env

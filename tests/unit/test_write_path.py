@@ -68,11 +68,15 @@ def legacy_build(tree, file, pool, records):
         bloom = BloomFilter(len(records), BLOOM_FPR)
         for r in records:
             bloom.add(encode_key(r.key))
-    if tree.use_prefix_bloom:
-        prefix_bloom = PrefixBloomFilter(len(records), PREFIX_BLOOM_FPR,
-                                         tree.prefix_columns)
-        for r in records:
-            prefix_bloom.add_key(r.key)
+    arity = len(records[0].key) if records else 0
+    if tree.use_bloom and arity >= 2:
+        # sized by distinct prefixes, counted as a set: no reliance on the
+        # stream being sorted
+        prefixes = {r.key[:-1] for r in records}
+        prefix_bloom = PrefixBloomFilter(len(prefixes), PREFIX_BLOOM_FPR,
+                                         arity - 1)
+        for prefix in prefixes:
+            prefix_bloom.add_key(prefix)
     all_ts = []
     for r in records:
         if r.rtype is RecordType.REGULAR_SET:
@@ -156,8 +160,9 @@ class TestEvictEquivalence:
 
     def test_evict_with_prefix_bloom_matches_legacy(self, env):
         mgr, make, device, pool = env
-        ix = make(use_prefix_bloom=True, prefix_columns=1)
-        mixed_workload(mgr, ix)
+        ix = make()
+        # a held reader keeps old versions past GC
+        mixed_workload(mgr, ix, held_reader=True)
         frozen = [copy.deepcopy(r) for r in ix.memory_partition.iter_records()]
         part = ix.evict_partition()
         ref_records = collect_for_eviction(frozen, mgr.active_snapshots(),
@@ -165,6 +170,8 @@ class TestEvictEquivalence:
         scratch = PageFile("scratch-prefix", device, 2048, 4)
         reference = legacy_build(ix, scratch, pool, ref_records)
         assert_partitions_identical(part, reference)
+        # the versions of one key share its prefix: one filter entry
+        assert part.prefix_bloom.items_added < part.record_count
 
     def test_evict_accounts_write_amplification(self, env):
         mgr, make, _d, _p = env
@@ -178,28 +185,38 @@ class TestEvictEquivalence:
 
 
 class TestMergeEquivalence:
-    def fill(self, mgr, ix, partitions=3, rows=60):
+    def fill(self, mgr, ix, partitions=3, rows=60, shape=lambda k: (k,)):
         rids = {}
         key = 0
         for _ in range(partitions):
             t = mgr.begin()
             for _ in range(rows):
                 rid = RecordID(1, key)
-                ix.insert(t, (key,), rid, vid=key + 1)
+                ix.insert(t, shape(key), rid, vid=key + 1)
                 rids[key] = rid
                 key += 1
             for upd in range(0, key, 3):
                 nrid = RecordID(2, upd)
-                ix.update_nonkey(t, (upd,), nrid, rids[upd], vid=upd + 1)
+                ix.update_nonkey(t, shape(upd), nrid, rids[upd],
+                                 vid=upd + 1)
                 rids[upd] = nrid
             t.commit()
             ix.evict_partition()
         return rids
 
     def test_merge_matches_legacy_build(self, env):
+        self.check_merge(env, lambda k: (k,))
+
+    def test_merge_of_composite_keys_matches_legacy_build(self, env):
+        # the merged stream is key-sorted, so the streaming prefix count
+        # equals the reference's set of distinct prefixes
+        merged = self.check_merge(env, lambda k: (k // 7, k))
+        assert merged.prefix_bloom.items_added == -(-180 // 7)
+
+    def check_merge(self, env, shape):
         mgr, make, device, pool = env
         ix = make()
-        self.fill(mgr, ix)
+        self.fill(mgr, ix, shape=shape)
 
         inputs = ix.persisted_partitions
         frozen = [copy.deepcopy(r) for p in inputs
@@ -215,6 +232,7 @@ class TestMergeEquivalence:
         scratch = PageFile("scratch-merge", device, 2048, 4)
         reference = legacy_build(ix, scratch, pool, ref_records)
         assert_partitions_identical(merged, reference)
+        return merged
 
     def test_merge_window_start(self, env):
         mgr, make, _d, _p = env
