@@ -1,15 +1,11 @@
 """Buffer management: shared DB buffer pool and the MV-PBT partition buffer."""
 
 from .partition_buffer import PartitionBuffer, PartitionedIndexProtocol
-from .policy import ClockPolicy, LRUPolicy, ReplacementPolicy
 from .pool import BufferPool, FileBufferStats
 
 __all__ = [
     "BufferPool",
     "FileBufferStats",
-    "ReplacementPolicy",
-    "LRUPolicy",
-    "ClockPolicy",
     "PartitionBuffer",
     "PartitionedIndexProtocol",
 ]

@@ -4,23 +4,24 @@ All random-access page reads of base tables, B⁺-Trees and persisted MV-PBT /
 PBT partitions go through one :class:`BufferPool`.  The pool keeps per-file
 request/hit counters — the observable of the paper's buffer-efficiency
 experiment (Figure 12d: requests and cache-hit rate on index vs. base-table
-nodes).
+nodes).  Replacement is LRU: the frame table is an ordered dict whose order
+is the recency order, and every request charges the clock's ``page_cpu``.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from ..errors import BufferError_
+from ..sim.clock import SimClock
 from ..storage.page import SlottedPage
 from ..storage.pagefile import PageFile
-from .policy import LRUPolicy, ReplacementPolicy
 
 if TYPE_CHECKING:
-    from ..config import CostModel
     from ..obs.core import Observability
     from ..obs.registry import Metrics
-    from ..sim.clock import SimClock
 
 
 @dataclass
@@ -51,15 +52,12 @@ class BufferPool:
     """
 
     def __init__(self, capacity_pages: int,
-                 policy: ReplacementPolicy | None = None,
-                 clock: "SimClock | None" = None,
-                 cost: "CostModel | None" = None,
+                 clock: SimClock | None = None,
                  obs: "Observability | None" = None) -> None:
         self.capacity_pages = capacity_pages
-        self._policy = policy if policy is not None else LRUPolicy()
-        self._clock = clock
-        self._page_cpu = cost.page_cpu if cost is not None else 0.0
-        self._frames: dict[tuple[int, int], object] = {}
+        self._clock = clock or SimClock()
+        #: resident pages, least recently used first
+        self._frames: OrderedDict[tuple[int, int], object] = OrderedDict()
         self._dirty: set[tuple[int, int]] = set()
         self._files: dict[int, PageFile] = {}
         self.stats_by_file: dict[int, FileBufferStats] = {}
@@ -110,7 +108,7 @@ class BufferPool:
         key = (file.file_id, page_no)
         if key in self._frames:
             self._frames[key] = payload
-            self._policy.touch(key)
+            self._frames.move_to_end(key)
         else:
             self._admit(file, key, payload)
         if dirty:
@@ -129,7 +127,6 @@ class BufferPool:
         key = (file.file_id, page_no)
         self._frames.pop(key, None)
         self._dirty.discard(key)
-        self._policy.remove(key)
 
     def drop_file(self, file: PageFile) -> int:
         """Drop every cached page of one file without write-back.
@@ -139,9 +136,8 @@ class BufferPool:
         """
         keys = [k for k in self._frames if k[0] == file.file_id]
         for key in keys:
-            self._frames.pop(key, None)
+            del self._frames[key]
             self._dirty.discard(key)
-            self._policy.remove(key)
         return len(keys)
 
     # ------------------------------------------------------------- inspection
@@ -180,17 +176,18 @@ class BufferPool:
                  key: tuple[int, int]) -> object | None:
         """What one page request costs, hit or miss: a per-file request
         count and ``page_cpu`` on the simulated clock; a hit also counts
-        and touches the replacement policy.  Returns the resident page, or
-        None on a miss (the caller reads or builds it, then admits it)."""
+        and becomes the most recently used frame.  Returns the resident
+        page, or None on a miss (the caller reads or builds it, then admits
+        it)."""
         stats = self._file_stats(file)
         stats.requests += 1
-        if self._clock is not None and self._page_cpu:
-            self._clock.advance(self._page_cpu)
+        clock = self._clock
+        clock.advance(clock.cost.page_cpu)
         payload = self._frames.get(key)
         if payload is None:
             return None
         stats.hits += 1
-        self._policy.touch(key)
+        self._frames.move_to_end(key)
         return payload
 
     def _file_stats(self, file: PageFile) -> FileBufferStats:
@@ -205,18 +202,19 @@ class BufferPool:
                payload: object) -> None:
         self._files[file.file_id] = file
         while len(self._frames) >= self.capacity_pages:
-            victim = self._policy.evict()
-            victim_payload = self._frames.get(victim)
+            if not self._frames:
+                raise BufferError_("buffer pool: nothing to evict")
+            victim = next(iter(self._frames))
+            victim_payload = self._frames[victim]
             # defence in depth: a slotted page mutated without an explicit
             # mark_dirty still carries its own dirty flag — never drop it
             if victim in self._dirty or (
                     isinstance(victim_payload, SlottedPage)
                     and victim_payload.dirty):
                 self._writeback(victim)
-            self._frames.pop(victim, None)
+            del self._frames[victim]
             self.evictions += 1
         self._frames[key] = payload
-        self._policy.admit(key)
 
     def _writeback(self, key: tuple[int, int]) -> None:
         file = self._files[key[0]]

@@ -11,30 +11,15 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .obs.config import ObsConfig
+# the price list lives beside the clock that charges it; importing it the
+# other way round would close sim.clock -> config -> obs -> sim.clock
+from .sim.clock import CostModel
 
 #: Default page size in bytes (PostgreSQL-style 8 KiB pages).
 PAGE_SIZE = 8192
 
 #: Pages per extent; eviction and appends write whole extents (64 KiB).
 EXTENT_PAGES = 8
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """CPU cost constants, in seconds, charged to the simulated clock.
-
-    The absolute values are small relative to device latencies; they exist so
-    that in-memory work (record comparisons, visibility-check steps, hashing)
-    is not free, which matters for CPU-bound cases such as long in-memory
-    partition scans.
-    """
-
-    compare: float = 50e-9          #: one key comparison
-    visibility_step: float = 80e-9  #: one visibility-check evaluation
-    hash_op: float = 120e-9         #: one bloom-filter hash probe
-    page_cpu: float = 2e-6          #: fixed CPU overhead per buffered page request
-    txn_overhead: float = 5e-6      #: begin/commit bookkeeping per transaction
-    indirection_lookup: float = 150e-9  #: one VID -> recordID resolution
 
 
 @dataclass
@@ -47,6 +32,7 @@ class EngineConfig:
     buffer_pool_pages: int = 2048
     #: MV-PBT / PBT partition-buffer capacity, in bytes, shared by all indices.
     partition_buffer_bytes: int = 64 * PAGE_SIZE
+    #: the CPU price list; ``Database`` hands it to its clock
     cost: CostModel = field(default_factory=CostModel)
     #: crash durability for MV-PBT indexes: partition manifest + P_N WAL.
     durability: bool = False

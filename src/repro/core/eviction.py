@@ -61,12 +61,11 @@ def evict_partition(tree: "MVPBT") -> PersistedPartition | None:
     with span_or_null(tree._obs, "mvpbt.evict", index=tree.name,
                       partition=mem.number,
                       records_in=mem.record_count) as span:
+        # the cooperative eviction scan over all leaves
         clock = tree.manager.clock
-        cost = tree.manager.cost
-        if clock is not None:
-            # the cooperative eviction scan over all leaves
-            clock.advance(cost.page_cpu * mem.leaf_count
-                          + cost.compare * mem.record_count)
+        cost = clock.cost
+        clock.advance(cost.page_cpu * mem.leaf_count
+                      + cost.compare * mem.record_count)
         tree.stats.bytes_ingested += mem.bytes_used
 
         stream: Iterable[MVPBTRecord] = mem.iter_records()
@@ -156,8 +155,7 @@ def build_partition(tree: "MVPBT", records: Iterable[MVPBTRecord],
         return None
 
     clock = tree.manager.clock
-    if clock is not None:
-        clock.advance(tree.manager.cost.hash_op * run.record_count)
+    clock.advance(clock.cost.hash_op * run.record_count)
     bloom, prefix_bloom = meta.build_filters()
     tree.stats.bytes_written += run.size_bytes
     return PersistedPartition(

@@ -134,9 +134,8 @@ def merge_partitions(tree: "MVPBT", count: int | None = None, *,
     with span_or_null(tree._obs, "mvpbt.merge", index=tree.name,
                       inputs=count, start=start) as span:
         clock = tree.manager.clock
-        if clock is not None:
-            total = sum(p.record_count for p in inputs)
-            clock.advance(tree.manager.cost.compare * total)
+        total = sum(p.record_count for p in inputs)
+        clock.advance(clock.cost.compare * total)
 
         # Pass 1 (GC decision): read every input run once — the single
         # charged sequential read — pinning each run's records in a per-run
@@ -206,8 +205,7 @@ def rebuild_contents(tree: "MVPBT", records: list[MVPBTRecord]) -> None:
             f"writes (quiesce writers first)")
     records = sorted(records, key=MVPBTRecord.sort_key)
     clock = tree.manager.clock
-    if clock is not None:
-        clock.advance(tree.manager.cost.compare * len(records))
+    clock.advance(clock.cost.compare * len(records))
 
     obs = tree._obs
     with span_or_null(obs, "mvpbt.rebuild", index=tree.name,
@@ -262,8 +260,7 @@ def bulk_load(tree: "MVPBT", txn: Transaction,
         records.sort(key=MVPBTRecord.sort_key)
 
         clock = tree.manager.clock
-        if clock is not None:
-            clock.advance(tree.manager.cost.compare * len(records))
+        clock.advance(clock.cost.compare * len(records))
         tree.stats.bytes_ingested += sum(
             record_size(r, tree.mode) for r in records)
 

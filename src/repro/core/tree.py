@@ -724,8 +724,8 @@ class MVPBT:
             return []
         hits: list[SearchHit] = []
         if rows is not None:
-            if checker._clock is not None:
-                checker._clock.advance(checker._cost.visibility_step * n)
+            clock = checker._clock
+            clock.advance(clock.cost.visibility_step * n)
             checker.records_processed += n
             anti = checker._anti
             if not anti:
@@ -983,8 +983,8 @@ class MVPBT:
         self._add(record)
 
     def _add(self, record: MVPBTRecord) -> None:
-        if self.manager.clock is not None:
-            self.manager.clock.advance(20 * self.manager.cost.compare)
+        clock = self.manager.clock
+        clock.advance(20 * clock.cost.compare)
         leaf = self._mem.insert(record)
         if self.enable_gc and leaf.has_garbage:
             purge_leaf(self._mem, leaf, self.mode, self.gc_stats,
@@ -1002,8 +1002,7 @@ class MVPBT:
             return VisibilityChecker(txn.snapshot, self.manager.commit_log,
                                      self.mode,
                                      active_snapshots=actives,
-                                     clock=self.manager.clock,
-                                     cost=self.manager.cost)
+                                     clock=self.manager.clock)
         return CandidateChecker(self.manager.commit_log, self.mode)
 
     def _classify(self, checker: VisibilityChecker, record: MVPBTRecord,

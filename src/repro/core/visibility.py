@@ -21,14 +21,16 @@ committed-visible record registers its anti-matter *even when its own matter
 is superseded* — the cascade keeps whole-chain invalidation (e.g. through a
 tombstone) correct across records in older partitions.
 
-When GC information is supplied, the checker additionally classifies records
-that *no* active or future snapshot can see as :data:`Visibility.GARBAGE`
-(§4.6 phase 1 piggybacks exactly this pass).  With ``active_snapshots`` the
+When the active snapshots are supplied, the checker additionally classifies
+records that *no* active or future snapshot can see as
+:data:`Visibility.GARBAGE` (§4.6 phase 1 piggybacks exactly this pass).  The
 classification is interval-based (HANA-style): a superseded record is dead
 when no active snapshot's visibility window lands on it — which collects the
 *transient* versions created and superseded entirely during a long-running
-query, the paper's headline HTAP GC case.  With only a ``cutoff`` the
-classification falls back to the conservative below-oldest-horizon rule.
+query, the paper's headline HTAP GC case.
+
+Every visibility step is charged ``visibility_step`` from the clock's
+price list; a checker built without a clock charges a private one.
 
 :class:`CandidateChecker` switches the check off for the paper's
 version-oblivious ablation (Fig. 12a "w/o GC+idxVC"): the same partition
@@ -41,7 +43,6 @@ import sys
 from enum import Enum
 from typing import ClassVar
 
-from ..config import CostModel
 from ..sim.clock import SimClock
 from ..txn.snapshot import Snapshot
 from ..txn.status import CommitLog
@@ -70,30 +71,26 @@ class VisibilityChecker:
     :mod:`repro.txn.status`).
     """
 
-    __slots__ = ("snapshot", "commit_log", "mode", "cutoff",
-                 "active_snapshots", "_anti", "_sees_memo", "_clock",
-                 "_cost", "records_processed")
+    __slots__ = ("snapshot", "commit_log", "mode", "active_snapshots",
+                 "_anti", "_sees_memo", "_clock", "records_processed")
 
     #: are the hits final?  A point lookup may stop at the first hit only
     #: when they are (an unchecked candidate may turn out invisible)
     exact: ClassVar[bool] = True
 
     def __init__(self, snapshot: Snapshot, commit_log: CommitLog,
-                 mode: ReferenceMode, *, cutoff: int | None = None,
+                 mode: ReferenceMode, *,
                  active_snapshots: list[Snapshot] | None = None,
-                 clock: SimClock | None = None,
-                 cost: CostModel | None = None) -> None:
+                 clock: SimClock | None = None) -> None:
         self.snapshot = snapshot
         self.commit_log = commit_log
         self.mode = mode
-        self.cutoff = cutoff
         self.active_snapshots = active_snapshots
         #: anti-matter map: identity -> (ts, seq) of the newest invalidation
         self._anti: dict[object, tuple[int, int]] = {}
         #: memo: ts -> sees_ts answer, resolved at most once per operation
         self._sees_memo: dict[int, bool] = {}
-        self._clock = clock
-        self._cost = cost if cost is not None else CostModel()
+        self._clock = clock or SimClock()
         self.records_processed = 0
 
     # -------------------------------------------------------------- checking
@@ -106,8 +103,8 @@ class VisibilityChecker:
         flat per-type tables and the ts memo is probed inline rather than
         through the record properties / helper methods used elsewhere.
         """
-        if self._clock is not None:                       # == _charge()
-            self._clock.advance(self._cost.visibility_step)
+        clock = self._clock                               # == _charge()
+        clock.advance(clock.cost.visibility_step)
         self.records_processed += 1
 
         # (b) timestamp not committed-visible to the snapshot
@@ -151,7 +148,7 @@ class VisibilityChecker:
             return Visibility.INVISIBLE
 
         if superseded_by is not None:
-            if self._dead_below_cutoff(ts, superseded_by[0]):
+            if self._dead_to_all(ts, superseded_by[0]):
                 return Visibility.GARBAGE
             return Visibility.INVISIBLE
         return Visibility.VISIBLE
@@ -199,33 +196,28 @@ class VisibilityChecker:
             memo[ts] = sees
         return sees
 
-    def _dead_below_cutoff(self, record_ts: int, anti_ts: int) -> bool:
+    def _dead_to_all(self, record_ts: int, anti_ts: int) -> bool:
         """Is a superseded record invisible to every active/future snapshot?
 
-        Interval rule (preferred): the superseding change is committed, so
-        every *future* snapshot sees the record as superseded; the record is
+        Interval rule: the superseding change is committed, so every
+        *future* snapshot sees the record as superseded; the record is
         garbage unless some *active* snapshot sees the record but not its
-        superseder.  Cutoff rule (fallback): both timestamps lie below the
-        oldest active horizon.
+        superseder.  Without the active snapshots nothing is garbage.
         """
         log = self.commit_log
-        if self.active_snapshots is not None:
-            if not log.is_committed(anti_ts) or not log.is_committed(record_ts):
-                return False
-            for snap in self.active_snapshots:
-                if (snap.sees_ts(record_ts, log)
-                        and not snap.sees_ts(anti_ts, log)):
-                    return False
-            return True
-        if self.cutoff is None:
+        if self.active_snapshots is None:
             return False
-        return (anti_ts < self.cutoff
-                and record_ts < self.cutoff
-                and log.is_committed(anti_ts))
+        if not log.is_committed(anti_ts) or not log.is_committed(record_ts):
+            return False
+        for snap in self.active_snapshots:
+            if (snap.sees_ts(record_ts, log)
+                    and not snap.sees_ts(anti_ts, log)):
+                return False
+        return True
 
     def _charge(self) -> None:
-        if self._clock is not None:
-            self._clock.advance(self._cost.visibility_step)
+        clock = self._clock
+        clock.advance(clock.cost.visibility_step)
 
 
 #: a snapshot no min-timestamp filter excludes: ``xmax`` lies above every

@@ -66,13 +66,10 @@ class Database:
     """One simulated DBMS instance."""
 
     def __init__(self, config: EngineConfig | None = None,
-                 profile: DeviceProfile = INTEL_DC_P3600, *,
-                 clock: SimClock | None = None) -> None:
+                 profile: DeviceProfile = INTEL_DC_P3600) -> None:
         self.config = config if config is not None else EngineConfig()
-        #: injectable so multi-instance topologies (repro.shard) choose
-        #: their time model: independent clocks model shards progressing
-        #: in parallel, a shared clock serializes them on one timeline
-        self.clock = clock if clock is not None else SimClock()
+        #: the engine's one clock; every CPU charge reads its price list
+        self.clock = SimClock(cost=self.config.cost)
         self.trace = IOTrace()
         self.device = SimulatedDevice(profile, self.clock, self.trace)
         #: None when observability is disabled — every instrumented call
@@ -82,12 +79,10 @@ class Database:
             self.obs = Observability(self.config.obs, self.clock)
             self.obs.attach_device(self.device)
         self.pool = BufferPool(self.config.buffer_pool_pages,
-                               clock=self.clock, cost=self.config.cost,
-                               obs=self.obs)
+                               clock=self.clock, obs=self.obs)
         self.partition_buffer = PartitionBuffer(
             self.config.partition_buffer_bytes)
-        self.txn = TransactionManager(self.clock, self.config.cost,
-                                      obs=self.obs)
+        self.txn = TransactionManager(self.clock, obs=self.obs)
         self.catalog = Catalog()
         self.executor = Executor(self)
         self.manifest_file: PageFile | None = None
@@ -152,8 +147,7 @@ class Database:
         positions = table_info.schema.positions(columns)
         mode = ReferenceMode(reference)
         if mode is ReferenceMode.LOGICAL and table_info.indirection is None:
-            table_info.indirection = IndirectionLayer(self.clock,
-                                                      self.config.cost)
+            table_info.indirection = IndirectionLayer(self.clock)
             self._backfill_indirection(table_info)
         file = PageFile(f"index:{name}", self.device,
                         self.config.page_size, self.config.extent_pages)
@@ -170,8 +164,7 @@ class Database:
         elif kind == "pbt":
             index = PartitionedBTree(
                 name, file, self.pool, self.partition_buffer,
-                clock=self.clock, cost=self.config.cost,
-                **options)  # type: ignore[arg-type]
+                clock=self.clock, **options)  # type: ignore[arg-type]
         else:
             raise CatalogError(f"unknown index kind {kind!r}")
         info = IndexInfo(name=name, table=table, columns=list(columns),
@@ -548,7 +541,7 @@ class Database:
         db.pool = crashed.pool
         db.partition_buffer = PartitionBuffer(
             db.config.partition_buffer_bytes)
-        db.txn = TransactionManager(db.clock, db.config.cost, obs=db.obs)
+        db.txn = TransactionManager(db.clock, obs=db.obs)
         db.catalog = crashed.catalog
         db.executor = Executor(db)
         db.manifest_file = crashed.manifest_file

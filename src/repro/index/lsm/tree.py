@@ -19,18 +19,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from ...buffer.pool import BufferPool
+from ...sim.clock import SimClock
 from ...storage.keycodec import encode_key
 from ...storage.pagefile import PageFile
 from .memtable import TOMBSTONE, MemTable, entry_bytes
 from .sstable import SSTable, SSTableRecord
 from ...types import Key
-
-if TYPE_CHECKING:
-    from ...config import CostModel
-    from ...sim.clock import SimClock
 
 
 @dataclass
@@ -63,8 +60,7 @@ class LSMTree:
                  l0_component_limit: int = 4,
                  level_base_bytes: int = 256 * 8192,
                  size_ratio: int = 10,
-                 clock: SimClock | None = None,
-                 cost: CostModel | None = None) -> None:
+                 clock: SimClock | None = None) -> None:
         self.name = name
         self.file = file
         self.pool = pool
@@ -78,15 +74,13 @@ class LSMTree:
         self._l0: list[SSTable] = []          # newest first
         self._levels: list[SSTable | None] = []  # level 1.. (index 0 = L1)
         self._next_seq = 0
-        self._clock = clock
-        self._compare_cost = cost.compare if cost is not None else 0.0
-        self._hash_cost = cost.hash_op if cost is not None else 0.0
+        self._clock = clock or SimClock()
 
     def _charge(self, comparisons: int, hashes: int = 0) -> None:
         """Charge in-memory CPU work to the simulated clock."""
-        if self._clock is not None:
-            self._clock.advance(comparisons * self._compare_cost
-                                + hashes * self._hash_cost)
+        clock = self._clock
+        cost = clock.cost
+        clock.advance(comparisons * cost.compare + hashes * cost.hash_op)
 
     # ------------------------------------------------------------------ DML
 

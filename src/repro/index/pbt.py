@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from ..buffer.partition_buffer import PartitionBuffer
 from ..buffer.pool import BufferPool
+from ..sim.clock import SimClock
 from ..storage.keycodec import encode_key, encoded_size
 from ..storage.pagefile import PageFile
 from .base import (ENTRY_OVERHEAD_BYTES, REF_BYTES, Index, IndexStats, Ref,
@@ -26,10 +27,6 @@ from .base import (ENTRY_OVERHEAD_BYTES, REF_BYTES, Index, IndexStats, Ref,
 from .filters import BLOOM_FPR, BloomFilter
 from .runs import PersistedRun
 from ..types import Key
-
-if TYPE_CHECKING:
-    from ..config import CostModel
-    from ..sim.clock import SimClock
 
 
 def _entry_size(key: Key) -> int:
@@ -51,11 +48,9 @@ class PartitionedBTree(Index):
     def __init__(self, name: str, file: PageFile, pool: BufferPool,
                  partition_buffer: PartitionBuffer, *,
                  use_bloom: bool = True,
-                 clock: SimClock | None = None,
-                 cost: CostModel | None = None) -> None:
+                 clock: SimClock | None = None) -> None:
         self.name = name
-        self._clock = clock
-        self._compare_cost = cost.compare if cost is not None else 0.0
+        self._clock = clock or SimClock()
         self.file = file
         self.pool = pool
         self.partition_buffer = partition_buffer
@@ -97,8 +92,8 @@ class PartitionedBTree(Index):
     # ------------------------------------------------------------- interface
 
     def _charge(self, comparisons: int) -> None:
-        if self._clock is not None:
-            self._clock.advance(comparisons * self._compare_cost)
+        clock = self._clock
+        clock.advance(comparisons * clock.cost.compare)
 
     def insert_entry(self, key: Key, ref: Ref) -> None:
         key = tuple(key)

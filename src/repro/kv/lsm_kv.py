@@ -29,7 +29,7 @@ class LSMKV(KVStore):
             l0_component_limit=l0_component_limit,
             level_base_bytes=4 * memtable_bytes,
             size_ratio=size_ratio,
-            clock=env.clock, cost=env.config.cost)
+            clock=env.clock)
 
     @property
     def lsm(self) -> LSMTree:

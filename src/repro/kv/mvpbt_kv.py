@@ -12,8 +12,6 @@ single-version read-latest.
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..core.records import ReferenceMode
 from ..core.tree import MVPBT
 from ..storage.pagefile import PageFile
@@ -33,10 +31,8 @@ class MVPBTKV(KVStore):
         self.name = "mvpbt"
         self.env = env
         self.stats = KVStats()
-        # KV operations use engine-internal snapshots (as WiredTiger does),
-        # not full transactions: no per-op begin/commit bookkeeping cost
-        kv_cost = dataclasses.replace(env.config.cost, txn_overhead=0.0)
-        self.manager = TransactionManager(env.clock, kv_cost)
+        # the environment's clock prices no begin/commit bookkeeping
+        self.manager = TransactionManager(env.clock)
         file = PageFile("kv:mvpbt", env.device, env.config.page_size,
                         env.config.extent_pages)
         self._tree = MVPBT(

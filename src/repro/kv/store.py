@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..buffer.partition_buffer import PartitionBuffer
 from ..buffer.pool import BufferPool
@@ -29,15 +29,21 @@ class KVStats:
 
 
 class KVEnvironment:
-    """Shared simulated substrate for one KV engine instance."""
+    """Shared simulated substrate for one KV engine instance.
+
+    KV operations use engine-internal snapshots (as WiredTiger does), not
+    full transactions, so the clock's price list carries no per-op
+    begin/commit bookkeeping; every other constant is the config's.
+    """
 
     def __init__(self, config: EngineConfig | None = None,
                  profile: DeviceProfile = INTEL_DC_P3600) -> None:
         self.config = config if config is not None else EngineConfig()
-        self.clock = SimClock()
+        self.clock = SimClock(cost=replace(self.config.cost,
+                                           txn_overhead=0.0))
         self.device = SimulatedDevice(profile, self.clock)
         self.pool = BufferPool(self.config.buffer_pool_pages,
-                               clock=self.clock, cost=self.config.cost)
+                               clock=self.clock)
         self.partition_buffer = PartitionBuffer(
             self.config.partition_buffer_bytes)
 

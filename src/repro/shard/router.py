@@ -108,7 +108,7 @@ class ShardedDatabase:
                              else ShardConfig())
         partitioner = self._build_partitioner(self.shard_config)
         #: the router/coordinator clock (each shard has its own)
-        self.clock = SimClock()
+        self.clock = SimClock(cost=self.config.cost)
         self.trace = IOTrace()
         self.obs: Observability | None = None
         if self.config.obs.enabled:
@@ -592,10 +592,9 @@ class ShardedDatabase:
         # keeps a scan's simulated cost proportional to its rows now that
         # the engines ask one page request per page, not per row
         # (DESIGN.md §9.10)
-        cost = self.config.cost
-        cpu = len(hits) * (2 * cost.compare + cost.hash_op)
         for db in self.shards:
-            db.clock.advance(cpu)
+            cost = db.clock.cost
+            db.clock.advance(len(hits) * (2 * cost.compare + cost.hash_op))
         out: list[Row] = []
         for shard, _hit in hits:
             row, owned = next(fetched[shard])

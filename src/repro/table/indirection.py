@@ -9,7 +9,6 @@ processing").  Resolution is charged CPU time on the simulated clock.
 
 from __future__ import annotations
 
-from ..config import CostModel
 from ..errors import TupleNotFoundError
 from ..sim.clock import SimClock
 from ..storage.recordid import RecordID
@@ -18,11 +17,9 @@ from ..storage.recordid import RecordID
 class IndirectionLayer:
     """VID → entry-point recordID mapping table."""
 
-    def __init__(self, clock: SimClock | None = None,
-                 cost: CostModel | None = None) -> None:
+    def __init__(self, clock: SimClock | None = None) -> None:
         self._map: dict[int, RecordID] = {}
-        self._clock = clock
-        self._cost = cost if cost is not None else CostModel()
+        self._clock = clock or SimClock()
         self.resolutions = 0
         self.updates = 0
 
@@ -61,5 +58,5 @@ class IndirectionLayer:
         return len(self._map)
 
     def _charge(self) -> None:
-        if self._clock is not None:
-            self._clock.advance(self._cost.indirection_lookup)
+        clock = self._clock
+        clock.advance(clock.cost.indirection_lookup)

@@ -33,7 +33,6 @@ import threading
 
 from typing import TYPE_CHECKING
 
-from ..config import CostModel
 from ..errors import TransactionStateError
 from ..sim.clock import SimClock
 from ..types import TxnBody, TxnHook
@@ -50,10 +49,8 @@ class TransactionManager:
     """Hands out monotonically increasing transaction ids and snapshots."""
 
     def __init__(self, clock: SimClock | None = None,
-                 cost: CostModel | None = None,
                  obs: "Observability | None" = None) -> None:
-        self.clock = clock
-        self.cost = cost if cost is not None else CostModel()
+        self.clock = clock or SimClock()
         self.commit_log = CommitLog()
         #: rank TXN_MANAGER (§15.2); re-entrant so a hook running under
         #: :meth:`run` may inspect the manager without self-deadlocking
@@ -103,8 +100,7 @@ class TransactionManager:
             self.begun += 1
         self._charge_overhead()
         if self._obs is not None:
-            if self.clock is not None:
-                self._begin_at[txid] = self.clock.now
+            self._begin_at[txid] = self.clock.now
             self._obs.tracer.emit("txn.begin", txid=txid)
         return txn
 
@@ -116,7 +112,7 @@ class TransactionManager:
         *every* shard's manager through this entry point — even shards the
         transaction never touches.  That keeps each shard's commit log
         gapless (an unknown txid would report IN_PROGRESS forever and
-        stall the decided watermark) and keeps manifest commit inference
+        stall the committed floor) and keeps manifest commit inference
         valid for ids a shard saw no DML from.  The local allocator is
         bumped past the adopted id so a plain :meth:`begin` can never
         collide with a coordinator-issued id.
@@ -137,8 +133,7 @@ class TransactionManager:
             self.begun += 1
         self._charge_overhead()
         if self._obs is not None:
-            if self.clock is not None:
-                self._begin_at[txid] = self.clock.now
+            self._begin_at[txid] = self.clock.now
             self._obs.tracer.emit("txn.begin", txid=txid, adopted=True)
         return txn
 
@@ -173,9 +168,7 @@ class TransactionManager:
             self.committed_count += 1
         if self._obs is not None:
             started = self._begin_at.pop(txn.id, None)
-            elapsed = (self.clock.now - started
-                       if self.clock is not None and started is not None
-                       else 0.0)
+            elapsed = self.clock.now - started if started is not None else 0.0
             self._m_commit_latency.observe(elapsed * 1e6)
             self._obs.tracer.emit("txn.commit", txid=txn.id)
 
@@ -233,15 +226,6 @@ class TransactionManager:
         return self._next_txid
 
     @property
-    def decided_watermark(self) -> int:
-        """Lowest txid not known decided (see :attr:`CommitLog.watermark`).
-
-        Every id below it has an immutable commit/abort status, so
-        visibility decisions for those ids may be cached indefinitely.
-        """
-        return self.commit_log.watermark
-
-    @property
     def active_transactions(self) -> list[Transaction]:
         with self._lock:
             return list(self._active.values())
@@ -282,8 +266,8 @@ class TransactionManager:
         return result
 
     def _charge_overhead(self) -> None:
-        if self.clock is not None:
-            self.clock.advance(self.cost.txn_overhead)
+        clock = self.clock
+        clock.advance(clock.cost.txn_overhead)
 
     def __repr__(self) -> str:
         return (f"TransactionManager(next={self._next_txid}, "

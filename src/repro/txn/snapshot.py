@@ -43,27 +43,3 @@ class Snapshot:
         if ts in self.active:
             return False
         return commit_log.is_committed(ts)
-
-    def decision_is_stable(self, ts: int, commit_log: CommitLog) -> bool:
-        """May a ``sees_ts(ts)`` answer be cached beyond this snapshot?
-
-        True when the commit status of ``ts`` can never change again (below
-        the decided watermark) or when status is irrelevant (own writes,
-        concurrent ids are invisible regardless of their eventual outcome).
-        Per-snapshot caches — such as the per-operation memo of the
-        :class:`~repro.core.visibility.VisibilityChecker` — do not need this
-        check: relative to one snapshot every answer is already stable.
-        """
-        if ts == self.owner or ts >= self.xmax or ts in self.active:
-            return True
-        return ts < commit_log.watermark
-
-    def is_concurrent(self, ts: int) -> bool:
-        """Was ``ts`` running concurrently (not finished) at snapshot time?
-
-        Concurrent transactions are invisible regardless of their eventual
-        commit outcome (snapshot isolation).
-        """
-        if ts == self.owner:
-            return False
-        return ts >= self.xmax or ts in self.active

@@ -7,10 +7,10 @@ change is resolved against the :class:`CommitLog`.
 The log is backed by a flat byte array indexed by transaction id (ids are
 small, dense and monotonically increasing), so every status probe on the
 visibility hot path is one O(1) array read instead of a dict probe.  It also
-maintains a *decided watermark*: every id below :attr:`CommitLog.watermark`
-is decided (committed or aborted) and its status can never change again —
-callers may therefore cache visibility decisions for those ids for as long
-as they like.
+maintains a *committed floor*: every id below
+:attr:`CommitLog.committed_floor` has committed, so a page whose timestamps
+all lie below it needs no per-record status probe.  An id that is never
+registered reads IN_PROGRESS and stalls the floor for good.
 
 Thread safety (DESIGN.md §15.2): the log is one of the explicitly
 synchronized transaction components behind the serve layer.  All
@@ -22,9 +22,9 @@ internal mutex.  **Reads stay lock-free** and are safe by construction:
   the new value — both of which are answers the caller could have observed
   under any serialization (an in-progress answer is always the
   conservative "invisible");
-* ``watermark`` and ``committed_floor`` are plain ints that only ever
-  advance; a stale read is merely conservative (fewer cacheable ids,
-  page-level batch visibility falls back to per-record checks);
+* ``committed_floor`` is a plain int that only ever advances; a stale
+  read is merely conservative (page-level batch visibility falls back to
+  per-record checks);
 * the byte array only grows (``_ensure`` extends, never shrinks), and a
   CPython ``bytearray`` index read is atomic with respect to a concurrent
   ``extend``.
@@ -63,13 +63,12 @@ class CommitLog:
     them as invisible.
     """
 
-    __slots__ = ("_status", "_known", "_watermark", "_committed_floor",
-                 "_aborted_ids", "_lock")
+    __slots__ = ("_status", "_known", "_committed_floor", "_aborted_ids",
+                 "_lock")
 
     def __init__(self) -> None:
         self._status = bytearray(1)      # index 0 unused; txids start at 1
         self._known: set[int] = set()    # registered ids (only for __len__)
-        self._watermark = 1
         self._committed_floor = 1
         #: all ids ever aborted — the durability manifest persists this set
         #: (compact pg_xact model: aborts are rare, commits are the default)
@@ -86,37 +85,17 @@ class CommitLog:
         Every ``txid < committed_floor`` has durably committed, so a record
         timestamp below the floor is committed-visible to any snapshot whose
         horizon also covers it — the precondition batch page-visibility
-        tests once per page instead of once per record.  The floor never
-        exceeds :attr:`watermark` and stops permanently below the first
-        aborted id (aborts are rare; the common OLTP trace keeps the floor
-        tight against the id frontier).
+        tests once per page instead of once per record.  The floor stops
+        at the oldest undecided id and permanently below the first aborted
+        id (aborts are rare; the common OLTP trace keeps the floor tight
+        against the id frontier).
         """
         return self._committed_floor
-
-    @property
-    def watermark(self) -> int:
-        """Lowest txid not known to be decided.
-
-        Every ``txid < watermark`` has an immutable committed/aborted
-        status; the watermark only ever advances.  Ids are decided in
-        roughly-increasing order (snapshot isolation, short transactions),
-        so the watermark tracks the id frontier closely and the byte-array
-        statuses below it are effectively a read-only bitmap.
-        """
-        return self._watermark
 
     def _ensure(self, txid: int) -> None:
         status = self._status
         if txid >= len(status):
             status.extend(bytes(txid + 1 - len(status)))
-
-    def _advance_watermark(self) -> None:
-        status = self._status
-        mark = self._watermark
-        end = len(status)
-        while mark < end and status[mark] != _IN_PROGRESS:
-            mark += 1
-        self._watermark = mark
 
     def _advance_committed_floor(self) -> None:
         status = self._status
@@ -137,8 +116,6 @@ class CommitLog:
             self._ensure(txid)
             self._status[txid] = _COMMITTED
             self._known.add(txid)
-            if txid == self._watermark:
-                self._advance_watermark()
             if txid == self._committed_floor:
                 self._advance_committed_floor()
 
@@ -148,8 +125,6 @@ class CommitLog:
             self._status[txid] = _ABORTED
             self._known.add(txid)
             self._aborted_ids.add(txid)
-            if txid == self._watermark:
-                self._advance_watermark()
 
     @property
     def aborted_ids(self) -> set[int]:
@@ -180,7 +155,6 @@ class CommitLog:
             self._status = status
             self._known = known
             self._aborted_ids = aborted
-            self._watermark = size
             self._committed_floor = 1
             self._advance_committed_floor()
 
@@ -196,11 +170,6 @@ class CommitLog:
     def is_aborted(self, txid: int) -> bool:
         return (0 <= txid < len(self._status)
                 and self._status[txid] == _ABORTED)
-
-    def is_decided(self, txid: int) -> bool:
-        """Committed or aborted (below-watermark ids always are)."""
-        return (0 <= txid < len(self._status)
-                and self._status[txid] != _IN_PROGRESS)
 
     def __len__(self) -> int:
         return len(self._known)

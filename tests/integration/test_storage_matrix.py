@@ -1,10 +1,7 @@
-"""Integration: TPC-C runs correctly on every base-table design, and the
-buffer pool works with either replacement policy."""
+"""Integration: TPC-C runs correctly on every base-table design."""
 
 import pytest
 
-from repro.buffer.policy import ClockPolicy
-from repro.buffer.pool import BufferPool
 from repro.config import EngineConfig
 from repro.engine import Database
 from repro.index.base import TOP
@@ -35,22 +32,3 @@ class TestTPCCStorageMatrix:
                                     (w, d, o_id, TOP))
             assert len(lines) == ol_cnt, (storage, kind, o_id)
         t.commit()
-
-
-class TestClockPolicyPool:
-    def test_engine_works_with_clock_replacement(self):
-        db = Database(EngineConfig(buffer_pool_pages=32))
-        db.pool = BufferPool(32, policy=ClockPolicy(),
-                             clock=db.clock, cost=db.config.cost)
-        db.create_table("r", [("a", "int"), ("b", "str")], storage="sias")
-        db.create_index("ix", "r", ["a"], kind="mvpbt")
-        t = db.begin()
-        for i in range(2000):
-            db.insert(t, "r", (i, "x" * 100))
-        t.commit()
-        db.flush_all()
-        r = db.begin()
-        for probe in (0, 999, 1999):
-            assert db.select(r, "ix", (probe,)) == [(probe, "x" * 100)]
-        assert db.pool.evictions > 0
-        r.commit()

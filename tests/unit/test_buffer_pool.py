@@ -4,6 +4,7 @@ import pytest
 
 from repro.buffer.pool import BufferPool
 from repro.config import CostModel
+from repro.errors import BufferError_
 from repro.sim.clock import SimClock
 from repro.sim.device import SimulatedDevice
 from repro.sim.profiles import UNIT_TEST_PROFILE
@@ -52,7 +53,7 @@ class TestHitsAndMisses:
         after_miss = clock.now
         pool.get(f, p)
         assert after_miss > before
-        assert clock.now == after_miss   # hit is free without cost model
+        assert clock.now == after_miss   # a bare pool charges its own clock
 
     def test_hit_rate(self, env):
         _c, _d, f, pool = env
@@ -81,6 +82,42 @@ class TestEviction:
         pool.get(f, pages[4])   # evicts page 1, not 0
         assert pool.contains(f, pages[0])
         assert not pool.contains(f, pages[1])
+
+    def test_put_on_resident_page_refreshes_recency(self, env):
+        _c, _d, f, pool = env
+        pages = _write_pages(f, 5)
+        for p in pages[:4]:
+            pool.get(f, p)
+        pool.put(f, pages[0], "rewritten", dirty=False)
+        pool.get(f, pages[4])   # evicts page 1: the put refreshed page 0
+        assert pool.contains(f, pages[0])
+        assert not pool.contains(f, pages[1])
+
+    def test_discarded_and_dropped_pages_are_never_victims(self, env):
+        _c, d, f, pool = env
+        g = PageFile("g", d, 8192, 8)
+        pages = _write_pages(f, 3)
+        (other,) = _write_pages(g, 1)
+        pool.get(g, other)      # oldest frame, then dropped with its file
+        for p in pages:
+            pool.get(f, p)
+        pool.discard(f, pages[0])
+        assert pool.drop_file(g) == 1
+        fresh = _write_pages(f, 3)
+        for p in fresh[:2]:
+            pool.get(f, p)      # fills the two freed frames: no eviction
+        assert pool.evictions == 0
+        pool.get(f, fresh[2])   # the victim is the oldest page still held
+        assert pool.evictions == 1
+        assert not pool.contains(f, pages[1])
+        assert pool.contains(f, pages[2])
+        assert pool.resident_pages == 4
+
+    def test_impossible_eviction_raises(self, env):
+        _c, _d, f, _pool = env
+        (p,) = _write_pages(f, 1)
+        with pytest.raises(BufferError_):
+            BufferPool(0).get(f, p)
 
     def test_dirty_page_written_back_on_eviction(self, env):
         _c, d, f, pool = env
@@ -149,11 +186,11 @@ class TestPutFlushDiscard:
 
 class TestCPUCharging:
     def test_page_cpu_charged_per_request(self):
-        clock = SimClock()
+        cost = CostModel(page_cpu=1e-3)
+        clock = SimClock(cost=cost)
         device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
         file = PageFile("f", device, 8192, 8)
-        cost = CostModel()
-        pool = BufferPool(4, clock=clock, cost=cost)
+        pool = BufferPool(4, clock=clock)
         p = file.allocate_page()
         pool.put(file, p, "x", dirty=False)
         before = clock.now

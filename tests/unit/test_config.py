@@ -4,9 +4,20 @@ from dataclasses import fields
 
 import pytest
 
+from repro.buffer.pool import BufferPool
 from repro.config import CostModel, EngineConfig
+from repro.core.records import ReferenceMode
+from repro.core.visibility import VisibilityChecker
+from repro.engine.database import Database
 from repro.errors import ConfigError
+from repro.index.lsm.tree import LSMTree
+from repro.index.pbt import PartitionedBTree
 from repro.serve import ServeConfig
+from repro.sim.clock import SimClock
+from repro.table.indirection import IndirectionLayer
+from repro.txn.manager import TransactionManager
+from repro.txn.snapshot import Snapshot
+from repro.txn.status import CommitLog
 
 
 class TestEngineConfig:
@@ -43,6 +54,28 @@ class TestEngineConfig:
             ServeConfig(parallel_scatter_gather=True)    # deleted
         with pytest.raises(TypeError):
             ServeConfig(group_commit=False)    # deleted
+
+    @pytest.mark.parametrize("build", [
+        lambda: TransactionManager(cost=CostModel()),
+        lambda: BufferPool(8, cost=CostModel()),
+        lambda: IndirectionLayer(cost=CostModel()),
+        lambda: PartitionedBTree("p", None, None, None, cost=CostModel()),
+        lambda: LSMTree("l", None, None, cost=CostModel()),
+        lambda: VisibilityChecker(Snapshot(owner=1, xmax=1), CommitLog(),
+                                  ReferenceMode.PHYSICAL, cost=CostModel()),
+        lambda: BufferPool(8, policy=None),
+        lambda: Database(clock=SimClock()),
+        lambda: VisibilityChecker(Snapshot(owner=1, xmax=1), CommitLog(),
+                                  ReferenceMode.PHYSICAL, cutoff=5),
+    ], ids=["manager-cost", "pool-cost", "indirection-cost", "pbt-cost",
+            "lsm-cost", "checker-cost", "pool-policy", "database-clock",
+            "checker-cutoff"])
+    def test_components_take_no_price_list(self, build):
+        """The clock carries the one price list: no component takes its
+        own, the pool takes no replacement policy, the engine builds its
+        own clock, and garbage follows only from the active snapshots."""
+        with pytest.raises(TypeError):
+            build()
 
     def test_cost_model_is_per_instance(self):
         a, b = EngineConfig(), EngineConfig()

@@ -44,9 +44,9 @@ class TestIndirection:
         assert 1 in layer
 
     def test_resolution_charges_cpu(self):
-        clock = SimClock()
-        cost = CostModel()
-        layer = IndirectionLayer(clock, cost)
+        cost = CostModel(indirection_lookup=1e-3)
+        clock = SimClock(cost=cost)
+        layer = IndirectionLayer(clock)
         layer.set(1, RecordID(0, 0))
         before = clock.now
         layer.resolve(1)
@@ -60,9 +60,9 @@ class TestIndirection:
         assert layer.resolutions == 2
 
     def test_remove_charges_cpu_like_set(self):
-        clock = SimClock()
-        cost = CostModel()
-        layer = IndirectionLayer(clock, cost)
+        cost = CostModel(indirection_lookup=1e-3)
+        clock = SimClock(cost=cost)
+        layer = IndirectionLayer(clock)
         layer.set(1, RecordID(0, 0))
         before = clock.now
         layer.remove(1)

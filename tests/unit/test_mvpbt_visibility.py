@@ -24,8 +24,8 @@ def snap(owner=100, xmax=100, active=(), xmin=None):
                     xmin=xmin if xmin is not None else xmax)
 
 
-def checker(snapshot, log, mode=ReferenceMode.PHYSICAL, cutoff=None):
-    return VisibilityChecker(snapshot, log, mode, cutoff=cutoff)
+def checker(snapshot, log, mode=ReferenceMode.PHYSICAL, actives=None):
+    return VisibilityChecker(snapshot, log, mode, active_snapshots=actives)
 
 
 V0, V1, V2, V3 = (RecordID(0, i) for i in range(4))
@@ -152,21 +152,25 @@ class TestAntiMatterChains:
 
 
 class TestGarbageClassification:
+    """The interval rule: a superseded record is garbage unless some
+    active snapshot sees it but not its superseder."""
+
     def test_superseded_below_cutoff_is_garbage(self):
         log = make_log(committed=[1, 2])
-        ck = checker(snap(), log, cutoff=50)
+        ck = checker(snap(), log, actives=[snap()])   # sees both versions
         ck.check(replacement(2, V1, V0))
         assert ck.check(regular(1, rid=V0)) is Visibility.GARBAGE
 
     def test_not_garbage_without_cutoff(self):
         log = make_log(committed=[1, 2])
-        ck = checker(snap(), log, cutoff=None)
+        ck = checker(snap(), log)      # no GC information
         ck.check(replacement(2, V1, V0))
         assert ck.check(regular(1, rid=V0)) is Visibility.INVISIBLE
 
     def test_not_garbage_when_anti_above_cutoff(self):
         log = make_log(committed=[1, 2])
-        ck = checker(snap(), log, cutoff=2)   # ts=2 not below cutoff
+        older = snap(owner=50, xmax=2)   # sees ts=1, not its superseder
+        ck = checker(snap(), log, actives=[snap(), older])
         ck.check(replacement(2, V1, V0))
         assert ck.check(regular(1, rid=V0)) is Visibility.INVISIBLE
 

@@ -59,8 +59,6 @@ class TestCommitLogStress:
                     assert status in (TxnStatus.IN_PROGRESS,
                                       TxnStatus.COMMITTED,
                                       TxnStatus.ABORTED)
-                    # the watermark only advances and stays <= next id
-                    assert log.watermark <= next_id[0]
                     log.aborted_ids  # exercise the locked snapshot
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -80,8 +78,6 @@ class TestCommitLogStress:
             1 for txid in range(1, total + 1)
             if log.status(txid) is TxnStatus.COMMITTED)
         assert got_committed == committed
-        # every id decided -> the watermark caught up completely
-        assert log.watermark == total + 1
 
 
 class TestTransactionManagerStress:
@@ -123,8 +119,6 @@ class TestTransactionManagerStress:
         assert manager.aborted_count == THREADS * (TXNS_PER_THREAD // 4)
         assert manager.active_transactions == []
         assert manager.cutoff_txid() == total + 1
-        # every decision published: visibility caches may trust all ids
-        assert manager.decided_watermark == total + 1
 
 
 class TestServedOracleStress:

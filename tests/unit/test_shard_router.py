@@ -4,8 +4,8 @@ Covers the partitioners, the coordinator's allocation/decision/layout
 log, the ``_intersect`` span clipper, router validation and routing
 behavior, the ``shard.*`` metrics and explain plans — plus regression
 tests for the single-node assumptions the sharding work uncovered:
-``Database(clock=...)`` injection, ``TransactionManager.begin_adopted``
-and ``Database.recover(extra_committed=..., txid_floor=...)``.
+``TransactionManager.begin_adopted`` and
+``Database.recover(extra_committed=..., txid_floor=...)``.
 """
 
 import pytest
@@ -200,13 +200,6 @@ class TestCoordinator:
 # ----------------------------------------------- single-node regression pins
 
 class TestSingleNodeHooks:
-    def test_database_clock_injection(self):
-        clock = SimClock()
-        clock.advance(42.0)
-        db = Database(EngineConfig(), clock=clock)
-        assert db.clock is clock
-        assert db.txn.clock is clock or db.clock.now >= 42.0
-
     def test_begin_adopted_registers_and_bumps_allocator(self):
         db = Database(EngineConfig())
         t_local = db.begin()

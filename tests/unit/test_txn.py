@@ -78,7 +78,6 @@ class TestSnapshots:
         t2 = mgr.begin()
         t1.commit()     # commits AFTER t2's snapshot
         assert not t2.snapshot.sees_ts(t1.id, mgr.commit_log)
-        assert t2.snapshot.is_concurrent(t1.id)
 
     def test_snapshot_never_sees_later(self, mgr):
         t1 = mgr.begin()
@@ -95,7 +94,6 @@ class TestSnapshots:
     def test_own_writes_visible(self, mgr):
         t = mgr.begin()
         assert t.snapshot.sees_ts(t.id, mgr.commit_log)
-        assert not t.snapshot.is_concurrent(t.id)
 
     def test_xmin_tracks_oldest_active(self, mgr):
         t1 = mgr.begin()

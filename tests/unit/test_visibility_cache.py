@@ -1,10 +1,10 @@
-"""Tests for the visibility fast path: the CommitLog decided-txid watermark
-and the per-operation ts -> visible memo of the VisibilityChecker.
+"""Tests for the visibility fast path: the CommitLog status array and the
+per-operation ts -> visible memo of the VisibilityChecker.
 
 The crucial correctness property: a transaction that commits *after* a
-snapshot is taken must stay invisible to that snapshot even when the
-commit-log watermark advances mid-operation (the memo may cache decisions
-precisely because, relative to a fixed snapshot, no answer can ever flip).
+snapshot is taken must stay invisible to that snapshot even when its
+commit is published mid-operation (the memo may cache decisions precisely
+because, relative to a fixed snapshot, no answer can ever flip).
 """
 
 
@@ -24,50 +24,14 @@ from repro.txn.status import CommitLog, TxnStatus
 
 
 class TestWatermark:
-    def test_starts_at_one(self):
-        assert CommitLog().watermark == 1
-
-    def test_advances_over_contiguous_decisions(self):
-        log = CommitLog()
-        for txid in (1, 2, 3):
-            log.register(txid)
-        log.set_committed(1)
-        assert log.watermark == 2
-        log.set_aborted(2)
-        assert log.watermark == 3
-        log.set_committed(3)
-        assert log.watermark == 4
-
-    def test_stalls_on_in_progress_then_catches_up(self):
-        log = CommitLog()
-        for txid in (1, 2, 3):
-            log.register(txid)
-        log.set_committed(2)
-        log.set_committed(3)
-        assert log.watermark == 1          # txid 1 still undecided
-        log.set_committed(1)
-        assert log.watermark == 4          # jumps over the decided run
-
     def test_statuses_below_watermark_are_array_resolved(self):
         log = CommitLog()
         for txid in range(1, 6):
             log.register(txid)
             (log.set_committed if txid % 2 else log.set_aborted)(txid)
-        assert log.watermark == 6
         assert log.is_committed(1) and log.is_aborted(2)
-        assert log.is_decided(5) and not log.is_decided(99)
         assert log.status(4) is TxnStatus.ABORTED
         assert log.status(99) is TxnStatus.IN_PROGRESS
-
-    def test_manager_exposes_watermark(self):
-        mgr = TransactionManager()
-        t1 = mgr.begin()
-        t2 = mgr.begin()
-        assert mgr.decided_watermark == t1.id
-        t1.commit()
-        assert mgr.decided_watermark == t2.id
-        t2.commit()
-        assert mgr.decided_watermark == mgr.next_txid
 
     def test_len_counts_registered(self):
         log = CommitLog()
@@ -88,18 +52,6 @@ class TestSnapshotFastPath:
         assert snap.sees_ts(3, log)
         assert not snap.sees_ts(4, log)
 
-    def test_decision_stability(self):
-        log = CommitLog()
-        log.register(1)
-        log.set_committed(1)
-        log.register(2)                    # in progress, above watermark
-        snap = Snapshot(owner=5, xmax=5, active=frozenset({2}), xmin=2)
-        assert snap.decision_is_stable(1, log)    # below watermark
-        assert snap.decision_is_stable(2, log)    # active: invisible forever
-        assert snap.decision_is_stable(9, log)    # >= xmax: invisible forever
-        log.register(3)
-        assert not snap.decision_is_stable(3, log)
-
 
 def _record(ts, seq=None, key=(7,), vid=1):
     return MVPBTRecord(key, ts, seq if seq is not None else ts,
@@ -109,9 +61,9 @@ def _record(ts, seq=None, key=(7,), vid=1):
 class TestLateCommitStaysInvisible:
     def test_commit_mid_operation_does_not_flip_decision(self):
         """The paper's snapshot-isolation guarantee under the new cache: a
-        checker observes a concurrent writer's record, the writer commits
-        (advancing the watermark), and a later record of the same writer is
-        checked by the *same* operation — both must be invisible."""
+        checker observes a concurrent writer's record, the writer commits,
+        and a later record of the same writer is checked by the *same*
+        operation — both must be invisible."""
         mgr = TransactionManager()
         writer = mgr.begin()
         reader = mgr.begin()               # writer is active in this snapshot
@@ -119,9 +71,7 @@ class TestLateCommitStaysInvisible:
                                     ReferenceMode.PHYSICAL)
         assert checker.check(_record(writer.id, seq=1)) \
             is Visibility.INVISIBLE
-        watermark_before = mgr.decided_watermark
-        writer.commit()                    # watermark advances mid-operation
-        assert mgr.decided_watermark > watermark_before
+        writer.commit()                    # published mid-operation
         assert checker.check(_record(writer.id, seq=2)) \
             is Visibility.INVISIBLE
         # a *new* snapshot (fresh operation) sees the committed record
