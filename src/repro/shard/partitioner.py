@@ -5,7 +5,8 @@ of the key: the key is encoded with the order-preserving key codec and
 hashed with CRC32 into one of ``slots`` virtual slots; each slot maps to
 an owning shard.  CRC32 over the *encoded* key (never Python's
 ``hash()``) keeps placement identical across processes and
-``PYTHONHASHSEED`` values.  Rebalancing reassigns whole slots.
+``PYTHONHASHSEED`` values.  Rebalancing reassigns whole slots — so
+does a bulk load, which deals the slots its rows use by load first.
 
 The layout serializes to a JSON-shaped state dict
 (``to_state``/``from_state``) — the coordinator logs it durably as a WAL
@@ -55,6 +56,11 @@ class HashPartitioner:
                 f"owners must map every slot: {len(self._owners)} != {slots}")
         if any(not 0 <= o < shards for o in self._owners):
             raise ConfigError(f"slot owner out of range [0, {shards})")
+
+    @property
+    def owners(self) -> tuple[int, ...]:
+        """The owning shard of every slot, by slot number."""
+        return tuple(self._owners)
 
     def slot_of(self, key: Key) -> int:
         if 0.0 in key and float in map(type, key):

@@ -89,6 +89,25 @@ class _Move:
         self.chains_moved = 0
 
 
+def not_quiescent(router: "ShardedDatabase") -> str | None:
+    """Why the router cannot rebalance now, or None when it can: no
+    in-flight writer and no pending transactional writes on any shard
+    (held read-only snapshots are fine)."""
+    for shard, db in enumerate(router.shards):
+        writers = [t.id for t in db.txn.active_transactions
+                   if t.writes > 0]
+        if writers:
+            return (f"rebalance requires no in-flight writers (shard "
+                    f"{shard} has active write transactions {writers}; "
+                    f"held read-only snapshots are fine)")
+        for info in db.catalog.indexes:
+            if info.is_mvpbt and info.mvpbt.has_pending_writes():
+                return (f"rebalance requires no pending transactional "
+                        f"writes ({info.name!r} has some; quiesce writers "
+                        f"first)")
+    return None
+
+
 def rebalance(router: "ShardedDatabase",
               new_partitioner: "HashPartitioner") -> JSONDict:
     """Install ``new_partitioner``, moving chains and index records."""
@@ -96,19 +115,9 @@ def rebalance(router: "ShardedDatabase",
         raise IndexError_(
             f"new layout maps {new_partitioner.shards} shards, router has "
             f"{len(router.shards)}")
-    for shard, db in enumerate(router.shards):
-        writers = [t.id for t in db.txn.active_transactions
-                   if t.writes > 0]
-        if writers:
-            raise IndexError_(
-                f"rebalance requires no in-flight writers (shard {shard} "
-                f"has active write transactions {writers}; held read-only "
-                f"snapshots are fine)")
-        for info in db.catalog.indexes:
-            if info.is_mvpbt and info.mvpbt.has_pending_writes():
-                raise IndexError_(
-                    f"rebalance requires no pending transactional writes "
-                    f"({info.name!r} has some; quiesce writers first)")
+    reason = not_quiescent(router)
+    if reason is not None:
+        raise IndexError_(reason)
 
     move = _Move(router, new_partitioner)
     # step 0 (in-memory): adopt every moving chain on its destination

@@ -21,7 +21,10 @@ txid authority, with its own durable decision/layout log).  The router:
 * filters every per-shard read through the **ownership filter**: a hit
   whose row's shard key no longer maps to the answering shard is residue
   from an incomplete or historical rebalance and is dropped — which is
-  what makes every rebalance crash window read-consistent.
+  what makes every rebalance crash window read-consistent;
+* deals the hash slots a bulk load fills to the least-loaded shards
+  before its rows land (:meth:`ShardedDatabase._place`), because the
+  slowest shard sets the router's time.
 
 **Time model:** each shard keeps its own :class:`SimClock`, modelling
 shards that progress in parallel on independent hardware;
@@ -40,6 +43,7 @@ confines router + shards + coordinator to one thread at a time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -62,6 +66,7 @@ from ..txn.transaction import run_with_retry
 from ..types import JSONDict, Key, Row
 from .coordinator import ShardCoordinator
 from .partitioner import HashPartitioner
+from .rebalance import not_quiescent, rebalance
 from .txn import ShardTransaction
 
 if TYPE_CHECKING:
@@ -125,6 +130,9 @@ class ShardedDatabase:
         #: index -> offset of each shard-key column inside the index key
         #: (shard-key order); None when the key does not cover them all
         self._key_offsets: dict[str, tuple[int, ...] | None] = {}
+        #: rows bulk-loaded into each slot: steers placement, never
+        #: correctness (any layout is correct)
+        self._slot_rows = [0] * self.shard_config.hash_slots
         self._bind_metrics()
 
     def _bind_metrics(self) -> None:
@@ -589,16 +597,25 @@ class ShardedDatabase:
 
     def bulk_load(self, table: str, rows: Iterable[Sequence[object]], *,
                   rows_per_txn: int = 5000) -> int:
-        """Shard-aware bulk load: validate and partition the rows by
-        shard key up front, then stream each shard's slice through its
-        own single-shard transactions — every commit takes the one-fsync
+        """Shard-aware bulk load: validate the rows and deal the slots
+        they fall in to shards by load (:meth:`_place`), then partition
+        them by shard key and stream each shard's slice through its own
+        single-shard transactions — every commit takes the one-fsync
         fast path, no row ever pays router fan-out or 2PC.  Relative row
         order is preserved within each shard.  Returns the row count."""
+        if rows_per_txn < 1:
+            raise ConfigError(f"rows_per_txn must be >= 1: {rows_per_txn}")
         schema = self.shards[0].catalog.table(table).schema
+        positions = self.shard_key_positions(table)
+        slot_of = self.partitioner.slot_of
+        validated = [schema.validate_row(tuple(row)) for row in rows]
+        slots = [slot_of(tuple(row[p] for p in positions))
+                 for row in validated]
+        self._place(Counter(slots))
+        owners = self.partitioner.owners
         buckets: list[list[Row]] = [[] for _ in self.shards]
-        for row in rows:
-            validated = schema.validate_row(tuple(row))
-            buckets[self._owner_of_row(table, validated)].append(validated)
+        for row, slot in zip(validated, slots):
+            buckets[owners[slot]].append(row)
         total = 0
         for k, bucket in enumerate(buckets):
             db = self.shards[k]
@@ -612,10 +629,41 @@ class ShardedDatabase:
                 total += len(chunk)
         return total
 
+    def _place(self, incoming: Counter[int]) -> None:
+        """Deal the slots a bulk load is about to fill (``incoming``:
+        slot -> row count) to shards by rows, before the rows land.
+
+        The router's time is the slowest shard's (:attr:`sim_now`), so
+        the busiest shard sets throughput; hash luck alone can stack a
+        few heavy shard keys (TPC-C's warehouses) on one shard.  Heaviest
+        slot first, each slot goes to the least-loaded shard counting
+        the rows already loaded (ties keep the current owner, then take
+        the lowest shard id).  A changed owner table is installed by one
+        :meth:`rebalance`, which moves the rows already living in the
+        re-owned slots.  Without quiescence the layout stays as it is;
+        the ledger counts the rows either way."""
+        ledger = self._slot_rows
+        owners = list(self.partitioner.owners)
+        load = [0] * len(self.shards)
+        for slot, rows in enumerate(ledger):
+            load[owners[slot]] += rows
+        for slot, rows in sorted(incoming.items(),
+                                 key=lambda item: (-item[1], item[0])):
+            owner = owners[slot]
+            load[owner] -= ledger[slot]
+            dst = min(range(len(load)),
+                      key=lambda k: (load[k], k != owner, k))
+            ledger[slot] += rows
+            load[dst] += ledger[slot]
+            owners[slot] = dst
+        if (tuple(owners) != self.partitioner.owners
+                and not_quiescent(self) is None):
+            self.rebalance(HashPartitioner(len(self.shards), owners,
+                                           self.partitioner.slots))
+
     def rebalance(self, new_partitioner: HashPartitioner) -> JSONDict:
         """Install a new shard layout, moving records and their version
         history between shards (DESIGN.md §16.4)."""
-        from .rebalance import rebalance
         return rebalance(self, new_partitioner)
 
     def move_slot(self, slot: int, dst: int) -> JSONDict:
@@ -680,6 +728,7 @@ class ShardedDatabase:
             for db in crashed.shards]
         router._tables = dict(crashed._tables)
         router._key_offsets = dict(crashed._key_offsets)
+        router._slot_rows = list(crashed._slot_rows)
         router._bind_metrics()
         return router
 

@@ -27,9 +27,10 @@ works identically everywhere, including cross-shard row moves.
 
 The load phase goes through :meth:`WorkloadBackend.bulk_insert`, which
 the sharded backends implement with
-:meth:`~repro.shard.router.ShardedDatabase.bulk_load`: rows are
-partitioned by shard key up front and each shard is loaded directly with
-single-shard fast-path commits.
+:meth:`~repro.shard.router.ShardedDatabase.bulk_load`: the slots the
+rows fall in are first dealt to shards by load (TPC-C's four warehouses
+get a shard each), then the rows are partitioned by shard key and each
+shard is loaded directly with single-shard fast-path commits.
 
 Backends differ ONLY in simulated cost and protocol, never in results:
 the differential oracle (``tests/integration/test_workload_differential
@@ -47,7 +48,7 @@ from typing import (TYPE_CHECKING, Any, Generic, NamedTuple, Sequence,
 
 from ..engine.database import Database
 from ..engine.executor import RowHit
-from ..errors import WorkloadError
+from ..errors import ConfigError, WorkloadError
 from ..shard.router import ShardedDatabase
 from ..types import Key, Row
 
@@ -297,6 +298,8 @@ class DatabaseBackend(WorkloadBackend):
 
     def bulk_insert(self, table: str, rows: Sequence[Sequence[object]], *,
                     rows_per_txn: int = 5000) -> int:
+        if rows_per_txn < 1:
+            raise ConfigError(f"rows_per_txn must be >= 1: {rows_per_txn}")
         for start in range(0, len(rows), rows_per_txn):
             txn = self.db.begin()
             for row in rows[start:start + rows_per_txn]:

@@ -231,7 +231,9 @@ class TPCCRunner:
         Row generation draws from the seeded RNG in ONE fixed order
         regardless of backend; loading goes through
         :meth:`WorkloadBackend.bulk_insert`, which sharded backends
-        implement by partitioning each table by shard key and loading
+        implement by dealing each table's slots to shards by load (the
+        ``stock`` load gives every warehouse its own shard when there
+        are as many shards), partitioning it by shard key and loading
         every shard directly (single-shard fast-path commits).
         """
         self.create_schema()

@@ -17,6 +17,9 @@ plus the coordinator and asserts:
 * **recovery I/O pattern** — recovery only READS, and only manifest/WAL
   extents (every shard's partition leaves re-attach unread — the paper's
   zero-leaf-read recovery claim, preserved under sharding).
+
+Two more sweeps kill a device inside a rebalance (§16.4) and through a
+two-table bulk load whose slot placement rebalances (§16.1).
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from repro.txn.snapshot import Snapshot
 from repro.txn.status import TxnStatus
 from repro.txn.transaction import Transaction
 
+from ..reference_scan import reference_scan
+from ..unit.test_shard_router import ITEMS, STOCK, make_stock_router
 from .harness import (KEY_UNIVERSE, SCRIPT, OracleState, apply_oracle_op,
                       wal_manifest_sectors)
 
@@ -451,3 +456,82 @@ def test_rebalance_crash_sweep(run_crash_sweep: bool) -> None:
                                  None, None)
         recover_and_check_sharded(crashed_run,
                                   context=f"rebalance k={k}")
+
+
+# ---------------------------------------------------- load placement crashes
+
+#: (table, index, rows) in load order: the stock load moves the slot of a
+#: warehouse that shares its round-robin shard with another
+LOADS = (("item", "ix_item", ITEMS), ("stock", "ix_stock", STOCK))
+
+
+def make_stock_sharded() -> ShardedDatabase:
+    """The placement tests' durable 4-shard router, sized to evict and
+    merge."""
+    return make_stock_router(config=EngineConfig(
+        durability=True, page_size=512, extent_pages=8,
+        partition_buffer_bytes=768, buffer_pool_pages=64,
+        manifest_slot_pages=6))
+
+
+def _devices(sdb: ShardedDatabase) -> list:
+    return [db.device for db in sdb.shards] + [sdb.coordinator_device]
+
+
+def test_load_placement_crash_sweep(run_crash_sweep: bool) -> None:
+    """Kill each device at every sampled I/O of the two-table load — the
+    placing rebalance included: every window recovers to the layout
+    before or after the load that crashed, each loaded row at most once
+    (a shard's slice of a table commits whole or not at all, and every
+    finished load is whole), and every recovered tree's scan agrees with
+    the record-at-a-time reference."""
+    clean = make_stock_sharded()
+    starts = [device.io_count for device in _devices(clean)]
+    layouts = [clean.partitioner.to_state()]
+    for table, _index, rows in LOADS:
+        clean.bulk_load(table, rows)
+        layouts.append(clean.partitioner.to_state())
+    assert layouts[2] != layouts[1], "the stock load must re-place"
+    spans = [device.io_count - start
+             for device, start in zip(_devices(clean), starts)]
+
+    for target, (start, span) in enumerate(zip(starts, spans)):
+        for k in _crash_points(span, run_crash_sweep):
+            sdb = make_stock_sharded()
+            _devices(sdb)[target].set_fault_plan(
+                FaultPlan(fail_at=start + k))
+            done = 0
+            with pytest.raises(DeviceCrashError):
+                for table, _index, rows in LOADS:
+                    sdb.bulk_load(table, rows)
+                    done += 1
+            _check_recovered_load(ShardedDatabase.recover(sdb), done,
+                                  layouts, context=f"device {target} k={k}")
+
+
+def _check_recovered_load(sdb: ShardedDatabase, done: int,
+                          layouts: list[dict], context: str) -> None:
+    layout = sdb.partitioner.to_state()
+    assert layout in layouts[done:done + 2], (
+        f"{context}: recovered a layout no load installed")
+    txn = sdb.begin()
+    for n, (table, index, rows) in enumerate(LOADS):
+        got = sdb.range_select(txn, index, None, None)
+        assert got == sorted(set(got)), f"{context}: {table} row twice"
+        assert sorted(sdb.seq_scan(txn, table)) == got, context
+        assert set(got) <= set(rows), f"{context}: {table} foreign row"
+        if n < done:
+            assert got == rows, f"{context}: finished {table} load lost"
+        # both tables' shard key is their first column
+        for k in range(len(sdb.shards)):
+            owned, mine = ([row for row in have
+                            if sdb.partitioner.shard_of(row[:1]) == k]
+                           for have in (rows, got))
+            assert mine in ([], owned), (
+                f"{context}: shard {k} holds part of its {table} slice")
+    for k, db in enumerate(sdb.shards):
+        for info in db.catalog.indexes:
+            assert info.mvpbt.range_scan(txn.on(k), None, None) == \
+                reference_scan(info.mvpbt, txn.on(k)), (
+                    f"{context}: shard {k} {info.name} scan")
+    sdb.commit(txn)

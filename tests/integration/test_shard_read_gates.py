@@ -12,7 +12,9 @@ that shard can own a matching row, and a hit crosses the router once":
 * **LIMIT** — a served LIMIT scan sizes its slices by the LIMIT: ten rows
   cost at most two table pages per shard, not a full slice's;
 * **residue** — every read path drops rebalance residue through the
-  router's one ownership filter, so every one of them counts it.
+  router's one ownership filter, so every one of them counts it;
+* **balance** — the bulk load deals TPC-C's warehouses to distinct
+  shards, so rows and simulated time spread evenly over the shards.
 
 Counts, not timings: they repeat exactly, so they gate hard.
 """
@@ -154,3 +156,34 @@ def test_every_read_path_counts_the_residue_it_filters() -> None:
     assert filtered(lambda: direct.scan_limit("ix", None, len(rows))) > 0
     direct.commit()
     router.commit(txn)
+
+
+@pytest.mark.parametrize("seed", [11, 23])
+def test_tpcc_load_balances_shards(seed: int) -> None:
+    """The router's time is the slowest shard's, so placement gates it:
+    the load deals the four warehouses' slots to four shards, and the
+    rows and the run's simulated time spread evenly.  Round-robin slot
+    owners put warehouses 1 and 3 on one shard and none on another
+    (about 2.0 on both ratios).  1 000 transactions, because the mix
+    picks each one's warehouse at random: over 300 the time ratio reads
+    up to 1.2 from that draw alone (1.05 at most over 1 000)."""
+    config = TPCCConfig(warehouses=4, districts_per_warehouse=10,
+                        customers_per_district=30, items=200,
+                        initial_orders_per_district=30,
+                        remote_order_line_prob=0.1, seed=seed)
+    backend = shard_served_backend(ShardedDatabase(
+        EngineConfig(durability=True), ShardConfig(shards=4)))
+    router = backend.router
+    runner = TPCCRunner(backend, config)
+    runner.load()
+    rows = [0] * 4
+    for table, positions in router._tables.items():
+        for row in backend.dump_table(table):
+            rows[router.partitioner.shard_of(
+                tuple(row[p] for p in positions))] += 1
+    assert max(rows) / (sum(rows) / 4) <= 1.10, rows
+    start = [db.clock.now for db in router.shards]
+    runner.run(1000)
+    spent = [db.clock.now - t0 for db, t0 in zip(router.shards, start)]
+    assert max(spent) / (sum(spent) / 4) <= 1.15, spent
+    backend.close()

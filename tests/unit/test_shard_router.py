@@ -9,6 +9,8 @@ assumptions the sharding work uncovered:
 """
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -510,3 +512,101 @@ class TestRebalance:
         with pytest.raises(IndexError_):
             sdb.move_slot(0, 1)
         txn.commit()
+
+
+# ------------------------------------------------------ bulk-load placement
+
+ITEMS = [(i, f"item-{i}") for i in range(1, 201)]
+STOCK = [(w, i, 10) for w in range(1, 5) for i in range(1, 201)]
+
+
+def make_stock_router(shards=4, config=None):
+    """A wide-keyed ``item`` table beside a ``stock`` table whose shard key
+    takes four values — TPC-C's shape in miniature."""
+    sdb = ShardedDatabase(config or OBS, ShardConfig(shards=shards))
+    sdb.create_table("item", [("i", "int"), ("name", "str")], "sias")
+    sdb.create_index("ix_item", "item", ["i"], kind="mvpbt",
+                     enable_gc=False)
+    sdb.create_table("stock", [("w", "int"), ("i", "int"), ("qty", "int")],
+                     "sias", shard_key=["w"])
+    sdb.create_index("ix_stock", "stock", ["w", "i"], kind="mvpbt",
+                     enable_gc=False)
+    return sdb
+
+
+def load_stock(sdb):
+    sdb.bulk_load("item", ITEMS)
+    sdb.bulk_load("stock", STOCK)
+
+
+def read_all(sdb):
+    txn = sdb.begin()
+    rows = (sdb.range_select(txn, "ix_item", None, None),
+            sdb.range_select(txn, "ix_stock", None, None))
+    sdb.commit(txn)
+    return rows
+
+
+class TestPlacement:
+    def test_heavy_slots_land_on_distinct_shards(self):
+        sdb = make_stock_router()
+        owners = {sdb.partitioner.shard_of((w,)) for w in range(1, 5)}
+        assert len(owners) < 4, "round-robin slots must collide here"
+        load_stock(sdb)
+        assert sorted(sdb.partitioner.shard_of((w,))
+                      for w in range(1, 5)) == [0, 1, 2, 3]
+        assert read_all(sdb) == (ITEMS, STOCK)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_uniform_load_balances_rows(self, seed):
+        """Uniformly drawn keys fill the 64 slots unevenly (13 to 46
+        rows here), which round-robin owners pass on to the shards."""
+        sdb = make_router(4)
+        keys = random.Random(seed).sample(range(10 ** 9), 2000)
+        sdb.bulk_load("t", [(k, f"v{k}") for k in keys])
+        per_shard = Counter(sdb.partitioner.shard_of((k,)) for k in keys)
+        assert len(per_shard) == 4
+        assert max(per_shard.values()) / (len(keys) / 4) <= 1.05
+        txn = sdb.begin()
+        assert sdb.count_range(txn, "ix", None, None) == 2000
+        sdb.commit(txn)
+
+    def test_placement_is_deterministic(self):
+        twins = [make_stock_router(), make_stock_router()]
+        for sdb in twins:
+            load_stock(sdb)
+        assert twins[0].partitioner.to_state() == \
+            twins[1].partitioner.to_state()
+
+    def test_in_flight_writer_keeps_the_layout(self):
+        sdb = make_stock_router()
+        sdb.bulk_load("item", ITEMS)
+        layout = sdb.partitioner.to_state()
+        writer = sdb.begin()
+        sdb.insert(writer, "item", (500, "late"))
+        assert sdb.bulk_load("stock", STOCK) == len(STOCK)
+        assert sdb.partitioner.to_state() == layout
+        sdb.commit(writer)
+        assert read_all(sdb) == (ITEMS + [(500, "late")], STOCK)
+
+    def test_recovered_router_places_like_its_twin(self):
+        durable = EngineConfig(durability=True)
+        crashed, twin = (make_stock_router(config=durable)
+                         for _ in range(2))
+        for sdb in (crashed, twin):
+            load_stock(sdb)
+        recovered = ShardedDatabase.recover(crashed)
+        more = [(i, f"extra-{i}") for i in range(1000, 1400)]
+        for sdb in (recovered, twin):
+            sdb.bulk_load("item", more)
+        assert recovered.partitioner.to_state() == \
+            twin.partitioner.to_state()
+        assert read_all(recovered) == (ITEMS + more, STOCK)
+
+    def test_one_shard_load_writes_no_layout(self):
+        sdb = make_stock_router(1, EngineConfig(durability=True))
+        log = sdb.coordinator.log
+        before = log.bytes_written
+        load_stock(sdb)
+        assert log.bytes_written == before
+        assert set(sdb.partitioner.owners) == {0}

@@ -15,7 +15,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine.database import Database
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.obs.config import ObsConfig
 from repro.serve import ServeConfig, SessionExecutor
 from repro.shard import ShardConfig, ShardedDatabase
@@ -226,6 +226,14 @@ class TestShardAwareLoad:
         backend.bulk_insert("t", [(i, "x") for i in range(40)],
                             rows_per_txn=10)
         assert len(backend.dump_table("t")) == 40
+
+    @pytest.mark.parametrize("kind", ["database", "sharded"])
+    def test_bulk_rows_per_txn_must_be_positive(self, kind):
+        with make_backend(kind) as backend:
+            create_t(backend)
+            with pytest.raises(ConfigError, match="rows_per_txn"):
+                backend.bulk_insert("t", [(1, "a")], rows_per_txn=0)
+            assert backend.dump_table("t") == []
 
     def test_update_moves_row_between_shards(self):
         with make_backend("sharded") as backend:
