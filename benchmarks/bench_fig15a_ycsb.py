@@ -43,9 +43,7 @@ def make_store(kind: str):
         return make_kv_store(
             "lsm", CONFIG,
             memtable_bytes=CONFIG.partition_buffer_bytes // 4)
-    store = make_kv_store("mvpbt", CONFIG)
-    store.tree.first_hit_only = True   # KV point reads: one live version
-    return store
+    return make_kv_store("mvpbt", CONFIG)
 
 
 def run_cell(kind: str, workload: str) -> float:

@@ -28,7 +28,6 @@ def test_fig15b_partition_growth(benchmark):
                                      operation_count=OPS_PER_WINDOW,
                                      value_bytes=800)
         store = make_kv_store("mvpbt", CONFIG)
-        store.tree.first_hit_only = True
         runner = YCSBRunner(store, config, "A")
         runner.load()
 

@@ -35,9 +35,7 @@ def make_store(kind: str):
         # WiredTiger-style fixed in-memory chunk, smaller than MV-PBT's P_N
         return make_kv_store("lsm", CONFIG,
                              memtable_bytes=CONFIG.partition_buffer_bytes // 4)
-    store = make_kv_store("mvpbt", CONFIG)
-    store.tree.first_hit_only = True
-    return store
+    return make_kv_store("mvpbt", CONFIG)
 
 
 def main() -> None:

@@ -35,9 +35,6 @@ class DurableState(NamedTuple):
     committed: set[int]                  #: all durably-committed txids
     records: dict[str, list[MVPBTRecord]]  #: per-index P_N replay sets
     next_txid: int                       #: safe next transaction id
-    #: txids with a durable PREPARE but no local COMMIT — a sharded commit
-    #: whose decision lives (if anywhere) in the coordinator's log
-    prepared: set[int]
 
 
 def read_durable_state(manifest_file: PageFile, wal_file: PageFile,
@@ -59,16 +56,16 @@ def read_durable_state(manifest_file: PageFile, wal_file: PageFile,
     floors = ({name: ix.wal_floor for name, ix in state.indexes.items()}
               if state is not None else {})
     committed: set[int] = set()
-    prepared: set[int] = set()
     records: dict[str, list[MVPBTRecord]] = {}
-    max_record_ts = 0
+    max_prepared = max_record_ts = 0
     for entry in entries:
         if entry.kind == KIND_COMMIT:
             committed.add(entry.txid)
         elif entry.kind == KIND_PREPARE:
             # durable but undecided: records replay (visibility is gated
-            # by commit status), the outcome comes from the coordinator
-            prepared.add(entry.txid)
+            # by commit status), the outcome comes from the coordinator —
+            # but the id was issued, so it is never handed out again
+            max_prepared = max(max_prepared, entry.txid)
         elif entry.kind == KIND_RECORD:
             record = entry.record
             if record.ts > max_record_ts:
@@ -86,11 +83,9 @@ def read_durable_state(manifest_file: PageFile, wal_file: PageFile,
     next_txid = max(
         state.txid_watermark if state is not None else 1,
         max(committed, default=0) + 1,
-        max(prepared, default=0) + 1,
-        max_record_ts + 1,
-        1)
-    return DurableState(store, state, wal, committed, records, next_txid,
-                        prepared)
+        max_prepared + 1,
+        max_record_ts + 1)
+    return DurableState(store, state, wal, committed, records, next_txid)
 
 
 def restore_bloom(state: tuple[int, int, int, bytes] | None

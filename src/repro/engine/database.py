@@ -18,7 +18,7 @@ from ..core.records import ReferenceMode
 from ..core.tree import MVPBT, SearchHit, tree_metrics
 from ..durability.controller import DurabilityController
 from ..durability.manifest import ManifestStore
-from ..durability.recovery import read_durable_state
+from ..durability.recovery import DurableState, read_durable_state
 from ..durability.wal import WriteAheadLog
 from ..errors import CatalogError, ConfigError, RecoveryError
 from ..index.btree.tree import BPlusTree
@@ -498,19 +498,28 @@ class Database:
 
     # -------------------------------------------------------------- recovery
 
+    def reboot_and_read(self) -> DurableState:
+        """Power-cycle this crashed database's device, drop its pool's
+        pages of the manifest and the WAL, and read back the durable state
+        a restart begins from (the two sequential passes, DESIGN.md
+        §11.4)."""
+        assert self.manifest_file is not None and self.wal_file is not None
+        self.device.reboot()
+        self.pool.drop_file(self.manifest_file)
+        self.pool.drop_file(self.wal_file)
+        return read_durable_state(self.manifest_file, self.wal_file,
+                                  self.config.manifest_slot_pages)
+
     @classmethod
     def recover(cls, crashed: "Database", *,
-                extra_committed: frozenset[int] | set[int] = frozenset(),
-                txid_floor: int = 0) -> "Database":
+                durable: DurableState | None = None) -> "Database":
         """Restart after a crash (injected or clean) on the same device.
 
-        ``extra_committed`` / ``txid_floor`` are the sharded-recovery hooks
-        (DESIGN.md §16.5): the router passes the union of every shard's
-        durable commits plus the coordinator's decision log, so a
-        cross-shard transaction that reached its COMMIT decision recovers
-        as committed on *every* shard — including shards whose own commit
-        marker was lost to the crash — and the restored allocator clears
-        every globally-issued id.
+        ``durable`` is the state to restart from, when the caller has
+        already read it with :meth:`reboot_and_read`; otherwise recovery
+        reads it itself.  The sharded router hands over each shard's state
+        with the commit union and txid floor of the whole topology folded
+        in (DESIGN.md §16.5), so every shard is read once.
 
         The host-DBMS side of the simulation (base tables, catalog,
         version-oblivious indexes) is assumed recovered by the host's own
@@ -525,7 +534,6 @@ class Database:
         if crashed.durability is None:
             raise RecoveryError(
                 "cannot recover a database created with durability=False")
-        crashed.device.reboot()
 
         db = cls.__new__(cls)
         db.config = crashed.config
@@ -548,22 +556,20 @@ class Database:
         db.wal_file = crashed.wal_file
 
         mvpbt_infos = [ix for ix in db.catalog.indexes if ix.is_mvpbt]
-        for file in [db.manifest_file, db.wal_file] + [
-                ix.mvpbt.file for ix in mvpbt_infos]:
-            db.pool.drop_file(file)
+        for info in mvpbt_infos:
+            db.pool.drop_file(info.mvpbt.file)
 
         with span_or_null(db.obs, "recovery.replay") as span:
-            durable = read_durable_state(db.manifest_file, db.wal_file,
-                                         db.config.manifest_slot_pages)
+            if durable is None:
+                durable = crashed.reboot_and_read()
             # the txid allocator is host-recovered alongside the tables (a
             # txn that crashed before its first WAL append is invisible to
             # the durable state, and its id must never be reused); commit
             # status authority stays with the durable state — a txn without
             # a durable COMMIT marker or manifest commit bit recovers as
             # aborted everywhere, tables included
-            db.txn.restore(max(durable.next_txid, crashed.txn.next_txid,
-                               txid_floor),
-                           durable.committed | set(extra_committed))
+            db.txn.restore(max(durable.next_txid, crashed.txn.next_txid),
+                           durable.committed)
             db.durability = DurabilityController(durable.store, durable.wal,
                                                  db.txn, obs=db.obs)
 

@@ -26,8 +26,7 @@ class MVPBTKV(KVStore):
     def __init__(self, env: KVEnvironment, *,
                  use_bloom: bool = True,
                  enable_gc: bool = True,
-                 max_partitions: int | None = None,
-                 merge_fanout: int = 4) -> None:
+                 max_partitions: int | None = None) -> None:
         self.name = "mvpbt"
         self.env = env
         self.stats = KVStats()
@@ -41,7 +40,6 @@ class MVPBTKV(KVStore):
             use_bloom=use_bloom,
             enable_gc=enable_gc,
             max_partitions=max_partitions,
-            merge_fanout=merge_fanout,
             # KV point reads: one live version per key — stop at first hit
             first_hit_only=True,
             # reconciliation merges only REGULAR records; KV updates are

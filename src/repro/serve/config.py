@@ -24,8 +24,7 @@ class ServeConfig:
     directly (group commit degenerates to one-transaction groups, the
     scheduler to an uncontended mutex) — the golden-trace determinism
     suite relies on that.  A durable :class:`~repro.serve.server.Server`
-    always group-commits; the two group fields below only shape how long
-    a leader waits for stragglers.
+    always group-commits; groups form by engine-slot contention alone.
     """
 
     #: hard cap on concurrently open sessions
@@ -33,19 +32,9 @@ class ServeConfig:
     #: visible hits per analytical scan slice; between slices the session
     #: releases the engine slot so short transactions can interleave
     scan_slice_rows: int = 256
-    #: group formation target: with at least this many commits queued the
-    #: leader stops waiting for stragglers and appends immediately.
-    #: 0 = never wait (pure natural batching via engine-slot contention)
-    group_size_target: int = 0
-    #: longest wall-clock wait (seconds) for the group to reach the
-    #: target; only meaningful with ``group_size_target > 0``
-    group_window_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
             raise ConfigError(
                 f"max_sessions must be >= 1, got {self.max_sessions}")
         check_slice_rows(self.scan_slice_rows)
-        if self.group_size_target < 0 or self.group_window_s < 0:
-            raise ConfigError(
-                "group_size_target and group_window_s must be >= 0")

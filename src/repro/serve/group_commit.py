@@ -14,9 +14,9 @@ append:
    covers transactions that owe the log something;
 2. the first enqueuer becomes the **leader**; later arrivals are
    **followers** and simply wait on their pending's event;
-3. the leader (optionally waits for the group to fill, then) requests the
-   engine slot; while it waits in the scheduler's FIFO, more committers
-   drain and enqueue — natural batching under contention;
+3. the leader requests the engine slot; while it waits in the
+   scheduler's FIFO, more committers drain and enqueue — natural
+   batching under contention;
 4. holding the slot, the leader drains the whole queue, appends every
    transaction's records plus COMMIT markers in one
    :meth:`~repro.durability.controller.DurabilityController.append_group`
@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING
 
 from ..core.records import MVPBTRecord
 from ..errors import ConcurrencyError
-from .config import ServeConfig
 from .locks import RANK_GROUP_QUEUE, OrderedLock
 from .scheduler import FairScheduler
 
@@ -102,15 +101,12 @@ class GroupCommitter:
     def __init__(self, controller: "DurabilityController",
                  manager: "TransactionManager",
                  scheduler: FairScheduler,
-                 config: ServeConfig,
                  obs: "Observability | None" = None) -> None:
         self._controller = controller
         self._manager = manager
         self._scheduler = scheduler
-        self._config = config
         self._queue_lock = OrderedLock("serve.group_queue",
                                        RANK_GROUP_QUEUE)
-        self._queue_cond = self._queue_lock.condition()
         self._queue: list[_Pending] = []
         self._leader_active = False
         self._closed = False
@@ -143,7 +139,6 @@ class GroupCommitter:
             if self._closed:
                 raise ConcurrencyError("group committer is closed")
             self._queue.append(pending)
-            self._queue_cond.notify_all()
             if not self._leader_active:
                 self._leader_active = True
                 lead = True
@@ -162,21 +157,6 @@ class GroupCommitter:
     # ---------------------------------------------------------------- leader
 
     def _lead(self) -> None:
-        config = self._config
-        if config.group_size_target > 1 and config.group_window_s > 0:
-            # give stragglers a bounded window to join before the append;
-            # purely an optimisation — correctness never depends on it.
-            # Each wait that expires with no new arrival ends the window,
-            # so the total wait is bounded by target * window_s even when
-            # committers trickle in.
-            with self._queue_lock:
-                while (len(self._queue) < config.group_size_target
-                       and not self._closed):
-                    before = len(self._queue)
-                    self._queue_cond.wait(timeout=config.group_window_s)
-                    if len(self._queue) == before:
-                        break
-
         with self._scheduler.slot("commit"):
             # drain INSIDE the slot: every committer that drained its
             # records before this grant is already queued and joins the
@@ -222,7 +202,6 @@ class GroupCommitter:
         """Refuse new commits; in-flight groups drain normally."""
         with self._queue_lock:
             self._closed = True
-            self._queue_cond.notify_all()
 
     def __repr__(self) -> str:
         return (f"GroupCommitter(groups={self.stats.groups}, "

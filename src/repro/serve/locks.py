@@ -165,16 +165,5 @@ class OrderedLock:
                  tb: TracebackType | None) -> None:
         self.release()
 
-    def condition(self) -> threading.Condition:
-        """A condition variable bound to this lock's raw mutex.
-
-        ``Condition.wait`` releases the *raw* mutex only, so the ordering
-        bookkeeping still counts the lock as held while waiting — which
-        is exactly right: a waiter resumes holding the lock, and any lock
-        it would acquire while "waiting" would genuinely nest inside this
-        one.
-        """
-        return threading.Condition(self._lock)
-
     def __repr__(self) -> str:
         return f"OrderedLock({self.name!r}, rank={self.rank})"

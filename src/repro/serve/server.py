@@ -163,8 +163,7 @@ class Server(ServerCore["Database", Session]):
         self.committer: GroupCommitter | None = None
         if db.durability is not None:
             self.committer = GroupCommitter(db.durability, db.txn,
-                                            self.scheduler, self.config,
-                                            obs=db.obs)
+                                            self.scheduler, obs=db.obs)
 
     def _new_session(self, sid: int) -> Session:
         return Session(self, sid)

@@ -684,13 +684,13 @@ class ShardedDatabase:
         """Restart the whole topology after a crash of any subset of it.
 
         The coordinator recovers first (decisions + layout), then every
-        shard's durable state is pre-read so the *union* of all commit
+        shard's durable state is read once; the *union* of all commit
         evidence — any shard's COMMIT marker or manifest inference, or a
-        coordinator decision — restores on every shard with one shared
-        txid floor.  A cross-shard transaction is therefore visible on all
-        shards or on none, at every historical snapshot (§16.5).
+        coordinator decision — and one shared txid floor are folded into
+        each state before it is handed to :meth:`Database.recover`.  A
+        cross-shard transaction is therefore visible on all shards or on
+        none, at every historical snapshot (§16.5).
         """
-        from ..durability.recovery import read_durable_state
         if not crashed.config.durability:
             raise RecoveryError(
                 "cannot recover a ShardedDatabase created with "
@@ -702,17 +702,11 @@ class ShardedDatabase:
             crashed.coordinator_file, clock=crashed.clock, obs=crashed.obs,
             next_floor=crashed.coordinator.next_txid)
 
-        committed: set[int] = set(coordinator.decisions)
-        floor = coordinator.next_txid
-        for db in crashed.shards:
-            db.device.reboot()
-            assert db.manifest_file is not None and db.wal_file is not None
-            db.pool.drop_file(db.manifest_file)
-            db.pool.drop_file(db.wal_file)
-            durable = read_durable_state(db.manifest_file, db.wal_file,
-                                         db.config.manifest_slot_pages)
-            committed |= durable.committed
-            floor = max(floor, durable.next_txid)
+        states = [db.reboot_and_read() for db in crashed.shards]
+        committed = set(coordinator.decisions).union(
+            *(durable.committed for durable in states))
+        floor = max([coordinator.next_txid]
+                    + [durable.next_txid for durable in states])
 
         router = cls.__new__(cls)
         router.config = crashed.config
@@ -724,8 +718,9 @@ class ShardedDatabase:
         router.coordinator_device = crashed.coordinator_device
         router.coordinator_file = crashed.coordinator_file
         router.shards = [
-            Database.recover(db, extra_committed=committed, txid_floor=floor)
-            for db in crashed.shards]
+            Database.recover(db, durable=durable._replace(
+                committed=committed, next_txid=floor))
+            for db, durable in zip(crashed.shards, states)]
         router._tables = dict(crashed._tables)
         router._key_offsets = dict(crashed._key_offsets)
         router._slot_rows = list(crashed._slot_rows)

@@ -605,3 +605,14 @@ class TestDatabaseRecovery:
         assert state.committed == set()
         assert state.records == {}
         assert state.next_txid == 1
+
+    def test_prepared_txid_is_never_reissued(self, clock: SimClock) -> None:
+        """A PREPARE with no COMMIT does not recover as committed, yet its
+        id was issued, so the next txid clears it (here nothing else —
+        no record, no marker, no manifest — carries the id)."""
+        device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
+        wal_file = make_file(device)
+        WriteAheadLog(wal_file).log_prepare([], 42)
+        state = read_durable_state(make_file(device), wal_file)
+        assert state.committed == set()
+        assert state.next_txid == 43

@@ -182,9 +182,11 @@ def recover_and_check_sharded(run: ShardedRun,
         trace.disable()
 
     # recovery I/O: reads only, confined to manifest/WAL (+ coordinator
-    # log) extents — no shard's partition leaves are read
+    # log) extents, and no sector read twice — no shard's partition leaves
+    # are read, and no shard's durable state is read a second time
     for k, db in enumerate(recovered.shards):
         allowed = wal_manifest_sectors(db)
+        sectors: list[int] = []
         for entry in db.trace.entries():
             assert entry.kind == "R", (
                 f"{context}: shard {k} recovery wrote LBA {entry.lba}")
@@ -193,6 +195,9 @@ def recover_and_check_sharded(run: ShardedRun,
             assert covered, (
                 f"{context}: shard {k} recovery read outside manifest/WAL "
                 f"extents (LBA {entry.lba}..{entry.end_lba})")
+            sectors.extend(range(entry.lba, entry.end_lba))
+        assert len(sectors) == len(set(sectors)), (
+            f"{context}: shard {k} recovery read a sector twice")
     coord_allowed = coordinator_sectors(recovered)
     for entry in recovered.trace.entries():
         assert entry.kind == "R", (
@@ -390,13 +395,14 @@ def test_kill_after_decision_before_marker_rides(target: str) -> None:
 
 def test_single_shard_recovery_needs_the_decision() -> None:
     """A shard recovered on its own sees PREPARE without COMMIT: the
-    outcome is the coordinator's to give (``extra_committed``)."""
+    outcome is the coordinator's to give (folded into ``durable``)."""
     sdb = make_sharded()
     txid, _state = _cross_shard_commit(sdb)
     alone = Database.recover(sdb.shards[0])
     assert alone.txn.status_of(txid) is TxnStatus.ABORTED
-    told = Database.recover(sdb.shards[0],
-                            extra_committed=sdb.coordinator.decisions)
+    durable = sdb.shards[0].reboot_and_read()
+    told = Database.recover(sdb.shards[0], durable=durable._replace(
+        committed=durable.committed | sdb.coordinator.decisions))
     assert told.txn.status_of(txid) is TxnStatus.COMMITTED
     whole = ShardedDatabase.recover(sdb)
     assert whole.shards[0].txn.status_of(txid) is TxnStatus.COMMITTED

@@ -48,8 +48,7 @@ class TestEngineConfig:
             "partition_buffer_bytes", "cost", "durability",
             "manifest_slot_pages", "obs"]
         assert [f.name for f in fields(ServeConfig)] == [
-            "max_sessions", "scan_slice_rows", "group_size_target",
-            "group_window_s"]
+            "max_sessions", "scan_slice_rows"]
         assert [f.name for f in fields(ShardConfig)] == [
             "shards", "hash_slots"]
         assert [f.name for f in fields(ObsConfig)] == ["enabled", "tracing"]
@@ -87,11 +86,19 @@ class TestEngineConfig:
         lambda: ShardConfig(range_cuts=[]),
         lambda: ObsConfig(metrics=True),
         lambda: ObsConfig(trace_capacity=8),
+        lambda: Database.recover(None, extra_committed=set()),
+        lambda: Database.recover(None, txid_floor=1),
+        lambda: ServeConfig(group_size_target=8),
+        lambda: ServeConfig(group_window_s=0.004),
     ], ids=["shard-partitioning", "shard-range-cuts", "obs-metrics",
-            "obs-trace-capacity"])
+            "obs-trace-capacity", "recover-extra-committed",
+            "recover-txid-floor", "serve-group-size-target",
+            "serve-group-window"])
     def test_single_value_options_are_gone(self, build):
-        """Shards are placed by hash slot only, and an enabled facade
-        always records metrics into a default-sized trace ring."""
+        """Shards are placed by hash slot only, an enabled facade always
+        records metrics into a default-sized trace ring, recovery takes
+        the durable state it restarts from (no sharding hooks), and group
+        commit forms groups by slot contention alone (no window)."""
         with pytest.raises(TypeError):
             build()
 

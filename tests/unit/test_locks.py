@@ -157,12 +157,6 @@ class TestOrderedLock:
         # the failed acquisition must not leak bookkeeping
         assert held_ranks() == []
 
-    def test_condition_shares_the_mutex(self):
-        lock = OrderedLock("t.q", RANK_GROUP_QUEUE)
-        cond = lock.condition()
-        with lock:
-            cond.notify_all()  # would raise if the mutex were different
-
     def test_reentrant_reacquisition_raises(self):
         # OrderedLock is non-re-entrant by design: same rank never ascends
         lock = OrderedLock("t.q", RANK_GROUP_QUEUE)

@@ -33,8 +33,6 @@ class TestServeConfig:
     @pytest.mark.parametrize("kwargs", [
         {"max_sessions": 0},
         {"scan_slice_rows": 0},
-        {"group_size_target": -1},
-        {"group_window_s": -0.5},
     ])
     def test_bad_values_raise(self, kwargs):
         with pytest.raises(ConfigError):
@@ -234,7 +232,7 @@ class TestGroupCommitDurability:
 
     @pytest.mark.parametrize("config", [
         None,
-        ServeConfig(max_sessions=1, group_size_target=0, group_window_s=0.0),
+        ServeConfig(max_sessions=1),
     ])
     def test_durable_server_always_builds_a_committer(self, config):
         db = make_db()

@@ -134,8 +134,7 @@ class TestServedOracleStress:
         db.create_index("ix", "t", ["k"], kind="mvpbt",
                         index_only_visibility=True)
         sessions = 8
-        config = ServeConfig(max_sessions=sessions,
-                             group_size_target=4, group_window_s=0.002)
+        config = ServeConfig(max_sessions=sessions)
         oracles: dict[int, dict[int, str]] = {}
         oracle_lock = threading.Lock()
 
@@ -196,16 +195,15 @@ class TestServedOracleStress:
 
 
 class TestGroupFormation:
-    """Under 16 contending committers with a formation window, groups
-    actually form — the fsync saving the whole layer exists for."""
+    """Under 16 contending committers, groups actually form — the fsync
+    saving the whole layer exists for."""
 
     def test_groups_form_under_contention(self):
         db = Database(EngineConfig(durability=True))
         db.create_table("t", [("k", "int"), ("v", "str")])
         db.create_index("ix", "t", ["k"], kind="mvpbt",
                         index_only_visibility=True)
-        server = db.serve(ServeConfig(
-            max_sessions=16, group_size_target=8, group_window_s=0.004))
+        server = db.serve(ServeConfig(max_sessions=16))
 
         def client_for(slot: int):
             def client(session):
@@ -222,8 +220,8 @@ class TestGroupFormation:
         # the invariant half: accounting is exact regardless of schedule
         assert db.durability.wal.appends == stats.groups
         # the contention half: at least SOME batching happened.  16
-        # threads x 20 commits with an 8-target window makes a zero-batch
-        # run virtually impossible; a scheduler pathology that defeats
+        # threads x 20 commits contending for the engine slot make a
+        # zero-batch run virtually impossible; a scheduler pathology that defeats
         # grouping entirely SHOULD fail this lane loudly.
         assert stats.max_group_size >= 2
         assert stats.groups < stats.commits
@@ -237,8 +235,7 @@ class TestGroupFormation:
         db.create_table("t", [("k", "int"), ("v", "str")])
         db.create_index("ix", "t", ["k"], kind="mvpbt",
                         index_only_visibility=True)
-        server = db.serve(ServeConfig(
-            max_sessions=8, group_size_target=8, group_window_s=0.004))
+        server = db.serve(ServeConfig(max_sessions=8))
         barrier = threading.Barrier(7, timeout=30)
 
         def client_for(slot: int):

@@ -5,7 +5,7 @@ layout log, router validation and routing behavior, the ``shard.*``
 metrics and explain plans — plus regression tests for the single-node
 assumptions the sharding work uncovered:
 ``TransactionManager.begin_adopted`` and
-``Database.recover(extra_committed=..., txid_floor=...)``.
+``Database.recover(durable=...)``.
 """
 
 import json
@@ -223,10 +223,12 @@ class TestSingleNodeHooks:
         txn = db.begin()
         db.insert(txn, "t", (1,))
         txn.commit()
-        # a txid this node never saw DML from, decided elsewhere
+        # a txid this node never saw DML from, decided elsewhere, folded
+        # into the handed-over state with a floor above it
         ghost = txn.id + 7
-        r = Database.recover(db, extra_committed={ghost},
-                             txid_floor=ghost + 100)
+        durable = db.reboot_and_read()
+        r = Database.recover(db, durable=durable._replace(
+            committed=durable.committed | {ghost}, next_txid=ghost + 100))
         assert r.txn.status_of(txn.id) is TxnStatus.COMMITTED
         assert r.txn.status_of(ghost) is TxnStatus.COMMITTED
         assert r.begin().id >= ghost + 100
