@@ -427,6 +427,8 @@ class Database:
     #: what a plan depends on besides the snapshot and own writes: nothing
     #: on one node (the router's layout is its partitioner)
     layout = None
+    #: one node's index trees never hold rebalance residue
+    index_residue = False
 
     def plan_scan(self, index_name: str, lo: Key | None, hi: Key | None,
                   *, lo_incl: bool = True,
@@ -443,9 +445,11 @@ class Database:
                 for leg in legs]
 
     def fetch_rows(self, txn: Transaction, index_name: str,
-                   hits: Sequence[tuple[int, SearchHit]]) -> list[Row]:
+                   hits: Sequence[tuple[int, SearchHit]], *,
+                   merged: bool) -> list[Row]:
         """The rows of pulled ``(shard, hit)`` pairs, in order — fewer on
-        delta storage, where a version may not reconstruct."""
+        delta storage, where a version may not reconstruct.  ``merged``
+        prices the router's merge of legs; one node's plan has one."""
         table = self.catalog.table(self.catalog.index(index_name).table)
         return self.executor.fetch_rows(txn, table,
                                         [hit for _shard, hit in hits])

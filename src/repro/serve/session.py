@@ -85,6 +85,9 @@ class EngineLike(Protocol):
     @property
     def layout(self) -> object: ...
 
+    @property
+    def index_residue(self) -> bool: ...
+
     def update_by_key(self, txn: Any, index_name: str, key: Key,
                       updates: dict[str, object]) -> int: ...
 
@@ -103,7 +106,8 @@ class EngineLike(Protocol):
                           want: int) -> "list[IndexSlice]": ...
 
     def fetch_rows(self, txn: Any, index_name: str,
-                   hits: "Sequence[tuple[int, SearchHit]]") -> list[Row]: ...
+                   hits: "Sequence[tuple[int, SearchHit]]", *,
+                   merged: bool) -> list[Row]: ...
 
 
 class TxnLike(Protocol):
@@ -221,7 +225,35 @@ class SessionCore(ABC, Generic[E, T]):
 
     def count_range(self, index: str, lo: Key | None,
                     hi: Key | None) -> int:
-        """COUNT(*) via the sliced scan (slot per slice)."""
+        """COUNT(*) over the sliced scan's pulls (a slot each).  While no
+        index tree can hold residue, index-only hits are 1:1 with rows:
+        every leg is pulled to its end and the hits are counted, no row
+        fetched (a moved layout counts afresh).  Otherwise — or on a
+        version-oblivious index — the rows are read, which filters."""
+        engine = self._engine
+        txn = self.txn
+        want = self._server.config.scan_slice_rows
+        count = 0
+        legs: "list[ScanLeg]" = []
+        stamp: object = None
+        while True:
+            with self._guard(), self._server.scheduler.slot("scan"):
+                if engine.index_residue:
+                    break
+                now = (txn.writes, engine.layout)
+                if now != stamp:
+                    plan = engine.plan_scan(index, lo, hi)
+                    if not plan.index_only:
+                        break
+                    count, legs, stamp = 0, list(plan.legs), now
+                if not legs:
+                    return count
+                self._server.note_scan_slice()
+                pulled = engine.pull_index_slices(txn, index, legs, want)
+            count += sum(len(hits) for hits, _resume in pulled)
+            legs = [leg._replace(lo=resume, lo_incl=True)
+                    for leg, (_hits, resume) in zip(legs, pulled)
+                    if resume is not None]
         return sum(1 for _ in self.batch_scan(index, lo, hi))
 
     def scan_limit(self, index: str, lo: Key | None,
@@ -294,7 +326,8 @@ class SessionCore(ABC, Generic[E, T]):
                        and ready[end][1].key == ready[end - 1][1].key):
                     end += 1    # the frontier never splits a key
                 with self._guard(), self._server.scheduler.slot("scan"):
-                    rows = engine.fetch_rows(txn, index, ready[start:end])
+                    rows = engine.fetch_rows(txn, index, ready[start:end],
+                                             merged=len(runs) > 1)
                 from_key, from_incl = ready[end - 1][1].key, False
                 start = end
                 yield from rows
@@ -397,16 +430,24 @@ def _take_below(runs: list[_Run],
     the runs as ``(shard, hit)`` pairs merged on ``(key, shard)``: each
     buffer is in key order and the rank — position in the run-by-run
     concatenation — breaks ties towards the lower shard, then cursor
-    order."""
-    ready: "list[tuple[Key, int, int, SearchHit]]" = []
+    order.  Hits of one run are already merged: they move out as they
+    are."""
+    taken: "list[tuple[int, list[SearchHit]]]" = []
     for run in runs:
         hits = run.hits
         cut = (len(hits) if bound is None
                else bisect_left(hits, bound, key=_hit_key))
-        shard, base = run.leg.shard, len(ready)
+        if cut:
+            taken.append((run.leg.shard, hits[:cut]))
+            del hits[:cut]
+    if len(taken) == 1:
+        shard, hits = taken[0]
+        return [(shard, hit) for hit in hits]
+    ready: "list[tuple[Key, int, int, SearchHit]]" = []
+    for shard, hits in taken:
+        base = len(ready)
         ready += [(hit.key, base + i, shard, hit)
-                  for i, hit in enumerate(hits[:cut])]
-        del hits[:cut]
+                  for i, hit in enumerate(hits)]
     ready.sort()
     return [(shard, hit) for _key, _rank, shard, hit in ready]
 

@@ -30,11 +30,15 @@ Record classification
 Crash safety (the three-step protocol)
     1. **Copy in** — destination shards adopt chains and rebuild their
        trees with old + incoming records.  The layout is still old, so
-       the copies are residue the ownership filter hides.
+       the copies are residue the ownership filter hides: the router's
+       ``index_residue`` flag goes up here.
     2. **Flip** — the coordinator installs the new partitioner and logs
        it (one durable NOTE append): the atomic point of the rebalance.
     3. **Copy out** — source shards rebuild their trees without the
-       moved-away records, now residue under the new layout.
+       moved-away records, now residue under the new layout.  After the
+       last rebuild the flag is back where it was: no tree holds a
+       record this rebalance moved.  The source *stores* keep the moved
+       chains, which only a sequential scan meets.
 
     A crash at any I/O leaves every tree either fully-old or fully-new
     (per-tree manifest flip) and the layout decides which copies are
@@ -141,7 +145,11 @@ def rebalance(router: "ShardedDatabase",
 
     # step 1: copy in — gaining shards rebuild with ALL their current
     # records (a shard may gain and lose at once; nothing leaves yet)
-    # plus the adopted ones, re-sequenced deterministically
+    # plus the adopted ones, re-sequenced deterministically.  From here
+    # to the last copy-out an index tree may hold residue; a rebalance
+    # that never gets there leaves the flag raised
+    residue_before = router.index_residue
+    router.index_residue = True
     for (dst, index_name), arrivals in sorted(
             incoming.items(),
             key=lambda item: (item[0][0], item[0][1])):
@@ -168,6 +176,7 @@ def rebalance(router: "ShardedDatabase",
         kept_now = keep + ([record for _src, record in extra]
                            if extra else [])
         tree.rebuild_contents(kept_now)
+    router.index_residue = residue_before
 
     summary: JSONDict = {
         "chains_moved": move.chains_moved,

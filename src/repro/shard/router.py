@@ -18,10 +18,14 @@ txid authority, with its own durable decision/layout log).  The router:
   flow for multi-shard writes (per-shard PREPARE appends, one coordinator
   decision append — the atomic commit point — then per-shard COMMIT
   markers, staged in memory to ride on each shard's next append);
-* filters every per-shard read through the **ownership filter**: a hit
-  whose row's shard key no longer maps to the answering shard is residue
-  from an incomplete or historical rebalance and is dropped — which is
-  what makes every rebalance crash window read-consistent;
+* drops **residue** — a copy a rebalance left on a shard that no
+  longer owns its shard key — through the ownership filter, which makes
+  every rebalance crash window read-consistent.  Table stores keep the
+  chains every completed rebalance moved away, so a sequential scan
+  always filters; an index tree holds residue only from copy-in until
+  the last copy-out, or after an interrupted rebalance, so index reads
+  filter only while :attr:`ShardedDatabase.index_residue` is raised (for
+  good on a recovered router);
 * deals the hash slots a bulk load fills to the least-loaded shards
   before its rows land (:meth:`ShardedDatabase._place`), because the
   slowest shard sets the router's time.
@@ -133,6 +137,11 @@ class ShardedDatabase:
         #: rows bulk-loaded into each slot: steers placement, never
         #: correctness (any layout is correct)
         self._slot_rows = [0] * self.shard_config.hash_slots
+        #: an index tree may hold residue: raised by a rebalance from
+        #: copy-in to its last copy-out (for good if it never gets
+        #: there) and for good on a recovered router, whose crash may
+        #: have left copied-in records without a layout NOTE
+        self.index_residue = False
         self._bind_metrics()
 
     def _bind_metrics(self) -> None:
@@ -525,14 +534,16 @@ class ShardedDatabase:
                                      lo_incl=lo_incl, hi_incl=hi_incl))
 
     def seq_scan(self, txn: ShardTransaction, table: str) -> list[Row]:
-        """Full-table scan, shard by shard (shard order, not key order)."""
+        """Full-table scan, shard by shard (shard order, not key order).
+        Always filtered: a table store keeps the chains every completed
+        rebalance moved away."""
         rows: list[Row] = []
         for k, db in enumerate(self.shards):
             shard_rows = [row for _rid, row in
                           db.catalog.table(table).store.scan_visible(
                               txn.on(k))]
             rows += compress(shard_rows,
-                             self.owned_flags(k, table, shard_rows))
+                             self._owner_flags(k, table, shard_rows))
         return rows
 
     def pull_index_slices(self, txn: ShardTransaction, index_name: str,
@@ -553,11 +564,36 @@ class ShardedDatabase:
         return [(hits, resume) for hits, resume, _n, _r in gathered]
 
     def fetch_rows(self, txn: ShardTransaction, index_name: str,
-                   hits: "Sequence[tuple[int, SearchHit]]") -> list[Row]:
+                   hits: "Sequence[tuple[int, SearchHit]]", *,
+                   merged: bool) -> list[Row]:
         """The owned rows of pulled ``(shard, hit)`` pairs, in the order
-        given: one batch fetch per shard, then the ownership filter, so
-        rebalance residue never shows."""
+        given.  ``merged``: the scan's plan merges more than one leg.
+        Hits from one shard — always so for a one-leg plan — go straight
+        to that shard's fetch; otherwise each shard fetches its own hits
+        in one batch and the rows are re-interleaved.  The ownership
+        filter runs while :attr:`index_residue` is raised."""
+        if not hits:
+            return []
         table = self._index(index_name).table
+        filtering = self.index_residue
+        # the router's own work on a row — two comparisons of a merge of
+        # more than one leg, the ownership hash while it runs — is host
+        # CPU no shard's engine saw: every shard's clock pays it, as for
+        # any host-level overhead (DESIGN.md §9.10)
+        for db in self.shards:
+            cost = db.clock.cost
+            per_row = ((2 * cost.compare if merged else 0.0)
+                       + (cost.hash_op if filtering else 0.0))
+            if per_row:
+                db.clock.advance(len(hits) * per_row)
+        shard = hits[0][0]
+        if not merged or all(pair[0] == shard for pair in hits):
+            rows = self.shards[shard].fetch_rows(txn.on(shard), index_name,
+                                                 hits, merged=False)
+            if not filtering:
+                return rows
+            return list(compress(rows, self._owner_flags(shard, table,
+                                                         rows)))
         by_shard: "dict[int, list[tuple[int, SearchHit]]]" = {}
         for pair in hits:
             by_shard.setdefault(pair[0], []).append(pair)
@@ -567,17 +603,8 @@ class ShardedDatabase:
         fetched: "dict[int, Iterator[tuple[Row, bool]]]" = {}
         for shard, pairs in by_shard.items():
             rows = self.shards[shard].fetch_rows(txn.on(shard), index_name,
-                                                 pairs)
+                                                 pairs, merged=False)
             fetched[shard] = zip(rows, self.owned_flags(shard, table, rows))
-        # the router's own work on a row — two merge comparisons and the
-        # ownership hash — is host CPU no shard's engine saw: every
-        # shard's clock pays it, as for any host-level overhead.  It
-        # keeps a scan's simulated cost proportional to its rows now that
-        # the engines ask one page request per page, not per row
-        # (DESIGN.md §9.10)
-        for db in self.shards:
-            cost = db.clock.cost
-            db.clock.advance(len(hits) * (2 * cost.compare + cost.hash_op))
         out: list[Row] = []
         for shard, _hit in hits:
             row, owned = next(fetched[shard])
@@ -724,6 +751,7 @@ class ShardedDatabase:
         router._tables = dict(crashed._tables)
         router._key_offsets = dict(crashed._key_offsets)
         router._slot_rows = list(crashed._slot_rows)
+        router.index_residue = True
         router._bind_metrics()
         return router
 
@@ -853,14 +881,23 @@ class ShardedDatabase:
         return list(range(len(self.shards)))
 
     def owned_flags(self, shard: int, table: str,
-                    rows: Iterable[Row]) -> list[bool]:
-        """THE ownership filter, one flag per row: does the row's shard
-        key map to ``shard`` under the CURRENT layout?  False marks
-        residue left on a source shard by a historical or in-flight
-        rebalance (counted in ``shard.hits.residue_filtered``); the
-        authoritative copy answers from the owning shard.  Flags keep
-        positions, so a caller compacts (``itertools.compress``) or keeps
-        per-shard streams aligned, as it needs."""
+                    rows: Sequence[Row]) -> list[bool]:
+        """The ownership filter of index reads, one flag per row: all
+        True, nothing hashed, while no index tree can hold residue
+        (:attr:`index_residue` down); else :meth:`_owner_flags`.  Flags
+        keep positions, so a caller compacts (``itertools.compress``) or
+        keeps per-shard streams aligned, as it needs."""
+        if not self.index_residue:
+            return [True] * len(rows)
+        return self._owner_flags(shard, table, rows)
+
+    def _owner_flags(self, shard: int, table: str,
+                     rows: Iterable[Row]) -> list[bool]:
+        """THE ownership filter: does each row's shard key map to
+        ``shard`` under the CURRENT layout?  False marks residue left by
+        a historical or in-flight rebalance (counted in
+        ``shard.hits.residue_filtered``); the authoritative copy answers
+        from the owning shard."""
         positions = self.shard_key_positions(table)
         shard_of = self.partitioner.shard_of
         flags = [shard_of(tuple(row[p] for p in positions)) == shard
@@ -873,7 +910,9 @@ class ShardedDatabase:
                table: str) -> "list[RowHit]":
         """``hits`` minus ownership-filter residue — the filter of the
         handle paths; a rows path filters its rows directly."""
-        return list(compress(hits, self.owned_flags(
+        if not self.index_residue:
+            return hits
+        return list(compress(hits, self._owner_flags(
             shard, table, [hit.version.data for hit in hits])))
 
     def __repr__(self) -> str:

@@ -14,7 +14,12 @@ Deterministic invariants of the chunked scan pipeline:
 * **analytic round** — the CH queries' buffer requests are bounded by the
   pages their rows live on, not by the rows;
 * **rows, not handles** — a LIMIT scan and a CH round's analytic reads
-  construct no :class:`RowHit` (DESIGN.md §9.1).
+  construct no :class:`RowHit` (DESIGN.md §9.1);
+* **COUNT** — a served ``count_range`` counts index-only hits and asks
+  for no table page;
+* **router work** — a sliced sharded scan charges every shard's clock the
+  merge and ownership-hash work it did per row, and nothing more
+  (DESIGN.md §9.10).
 
 Counts, not timings: they repeat exactly, so they gate hard.
 """
@@ -29,10 +34,15 @@ from repro.config import EngineConfig
 from repro.engine import Database
 from repro.engine.executor import RowHit
 from repro.obs.config import ObsConfig
+from repro.serve import ServeConfig
 from repro.shard import ShardConfig, ShardedDatabase
+from repro.sim.clock import SimClock
 from repro.workloads import CHBenchmark, TPCCConfig
 from repro.workloads.backend import (_ShardSessionTxn, as_backend,
                                      served_backend, shard_served_backend)
+
+from ..property.test_prop_shard_routing import \
+    rebalance_interrupted_after_flip
 
 pytestmark = pytest.mark.workload
 
@@ -196,30 +206,136 @@ def test_ch_round_analytic_reads_build_no_row_handle(
     assert row_hits_built() > 0      # the OLTP half's DML handles
 
 
-def test_sliced_scan_charges_the_router_work_per_row() -> None:
-    """The router's per-row work (two merge comparisons, one ownership
-    hash) goes on every shard's clock: a shard the scan never asks pays
-    exactly that and nothing else."""
+def test_sliced_scan_charges_the_router_work_per_row(monkeypatch) -> None:
+    """The router's per-row work goes on every shard's clock, and only
+    the work it does: two merge comparisons when the plan merges more
+    than one leg, one ownership hash while index residue can exist.  A
+    pinned one-leg scan with no residue possible charges nothing."""
     config = EngineConfig()
     router = ShardedDatabase(config, ShardConfig(shards=2))
     router.create_table("t", [("w", "int"), ("k", "int"), ("v", "str")])
     router.create_index("ix", "t", ["w", "k"], kind="mvpbt")
     txn = router.begin()
-    for k in range(300):
-        router.insert(txn, "t", (1, k, "x" * 20))
+    for w in (1, 2):
+        for k in range(300):
+            router.insert(txn, "t", (w, k, "x" * 20))
     txn.commit()
-    owner = router.partitioner.shard_of((1,))
+    layout = router.partitioner
+    assert layout.slot_of((1,)) != layout.slot_of((2,))
+    owner = layout.shard_of((1,))
     idle = router.shards[1 - owner]
-    server = router.serve()
-    with server.session() as session:
-        session.begin()
-        before = idle.clock.now
-        rows = list(session.batch_scan("ix", (1,), (1, 10 ** 9),
-                                       slice_rows=64))
-        charged = idle.clock.now - before
-        session.commit()
-    server.close()
+
+    # each shard's clock over the router's fetches, minus what its own
+    # engine spent fetching
+    charged = [0.0, 0.0]
+    router_fetch, engine_fetch = ShardedDatabase.fetch_rows, \
+        Database.fetch_rows
+
+    def fetch(self, *args, **kwargs):
+        before = [db.clock.now for db in self.shards]
+        rows = router_fetch(self, *args, **kwargs)
+        for k, db in enumerate(self.shards):
+            charged[k] += db.clock.now - before[k]
+        return rows
+
+    def fetch_on_shard(self, *args, **kwargs):
+        before = self.clock.now
+        rows = engine_fetch(self, *args, **kwargs)
+        charged[router.shards.index(self)] -= self.clock.now - before
+        return rows
+
+    monkeypatch.setattr(ShardedDatabase, "fetch_rows", fetch)
+    monkeypatch.setattr(Database, "fetch_rows", fetch_on_shard)
+
+    def scan(lo: tuple[int, ...]) -> tuple[float, list[float]]:
+        """(the idle shard's clock, the router's charges) over a scan of
+        the 300 rows of w = 1 from ``lo``."""
+        charged[:] = [0.0, 0.0]
+        with router.serve() as server, server.session() as session:
+            session.begin()
+            before = idle.clock.now
+            rows = list(session.batch_scan("ix", lo, (1, 10 ** 9),
+                                           slice_rows=64))
+            spent = idle.clock.now - before
+            session.commit()
+        assert [row[:2] for row in rows] == [(1, k) for k in range(300)]
+        return spent, list(charged)
+
     cost = config.cost
-    assert len(rows) == 300
-    assert charged == pytest.approx(
-        300 * (2 * cost.compare + cost.hash_op), rel=1e-9)
+    merge, hash_op = 300 * 2 * cost.compare, 300 * cost.hash_op
+    assert scan((1,)) == (0.0, [0.0, 0.0])      # pinned: one leg
+    _spent, charges = scan((0,))                # unpinned: two legs
+    assert charges == pytest.approx([merge, merge], rel=1e-9)
+
+    # a rebalance of w = 2's slot cut short after its flip: residue in
+    # some index tree, so every charge adds the hash
+    rebalance_interrupted_after_flip(router, layout.move_slot(
+        layout.slot_of((2,)), 1 - layout.shard_of((2,))))
+    assert router.index_residue
+    assert router.partitioner.shard_of((1,)) == owner
+    spent, charges = scan((1,))
+    assert spent == pytest.approx(hash_op, rel=1e-9)
+    assert charges == pytest.approx([hash_op, hash_op], rel=1e-9)
+    _spent, charges = scan((0,))
+    assert charges == pytest.approx([merge + hash_op] * 2, rel=1e-9)
+
+
+def test_one_shard_router_scan_costs_what_one_node_does() -> None:
+    """A 1-shard router's served scan is one leg with no residue
+    possible: its shard's clock moves exactly as a single node's does
+    over the same rows."""
+    def load(engine: Database | ShardedDatabase) -> None:
+        engine.create_table("t", [("k", "int"), ("v", "str")])
+        engine.create_index("ix", "t", ["k"], kind="mvpbt")
+        txn = engine.begin()
+        for k in range(300):
+            engine.insert(txn, "t", (k, "x" * 20))
+        txn.commit()
+
+    def scan(engine: Database | ShardedDatabase,
+             clock: SimClock) -> tuple[list[object], float]:
+        with engine.serve() as server, server.session() as session:
+            session.begin()
+            before = clock.now
+            rows = list(session.batch_scan("ix", slice_rows=64))
+            spent = clock.now - before
+            session.commit()
+        return rows, spent
+
+    db = Database(EngineConfig())
+    router = ShardedDatabase(EngineConfig(), ShardConfig(shards=1))
+    load(db)
+    load(router)
+    rows, spent = scan(db, db.clock)
+    assert len(rows) == 300 and spent > 0
+    assert scan(router, router.shards[0].clock) == (rows, spent)
+
+
+@pytest.mark.parametrize("shards", [None, 4])
+def test_served_count_range_reads_no_table_page(shards: int | None) -> None:
+    """With no index residue possible an index-only hit is one row, so a
+    served COUNT(*) counts pulled hits and asks for no table page."""
+    engine: Database | ShardedDatabase = (
+        Database(EngineConfig()) if shards is None
+        else ShardedDatabase(EngineConfig(), ShardConfig(shards=shards)))
+    engine.create_table("t", [("k", "int"), ("v", "str")])
+    engine.create_index("ix", "t", ["k"], kind="mvpbt")
+    txn = engine.begin()
+    for k in range(1000):
+        engine.insert(txn, "t", (k, "x" * 40))
+    txn.commit()
+    nodes = engine.shards if isinstance(engine, ShardedDatabase) \
+        else [engine]
+
+    def table_requests() -> int:
+        return sum(db.pool.stats_for(db.catalog.table("t").file).requests
+                   for db in nodes)
+
+    with engine.serve(ServeConfig(scan_slice_rows=64)) as server, \
+            server.session() as session:
+        session.begin()
+        before = table_requests()
+        assert session.count_range("ix", (100,), (899,)) == 800
+        assert session.count_range("ix", None, None) == 1000
+        assert table_requests() == before
+        session.commit()

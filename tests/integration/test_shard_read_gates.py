@@ -12,7 +12,9 @@ that shard can own a matching row, and a hit crosses the router once":
 * **LIMIT** — a served LIMIT scan sizes its slices by the LIMIT: ten rows
   cost at most two table pages per shard, not a full slice's;
 * **residue** — every read path drops rebalance residue through the
-  router's one ownership filter, so every one of them counts it;
+  router's one ownership filter, so every one of them counts it; index
+  reads hash a shard key only while an index tree can hold residue (an
+  interrupted rebalance, a recovered router), a sequential scan always;
 * **balance** — the bulk load deals TPC-C's warehouses to distinct
   shards, so rows and simulated time spread evenly over the shards.
 
@@ -24,8 +26,10 @@ from __future__ import annotations
 import pytest
 
 from repro.config import EngineConfig
+from repro.errors import DeviceCrashError
 from repro.obs.config import ObsConfig
-from repro.shard import ShardConfig, ShardedDatabase
+from repro.shard import HashPartitioner, ShardConfig, ShardedDatabase
+from repro.sim.device import FaultPlan
 from repro.workloads import CHBenchmark, TPCCConfig, TPCCRunner
 from repro.workloads.backend import (ShardedBackend, ShardServerBackend,
                                      _ShardSessionTxn, shard_served_backend)
@@ -155,6 +159,116 @@ def test_every_read_path_counts_the_residue_it_filters() -> None:
     direct = ShardedBackend(router).begin()
     assert filtered(lambda: direct.scan_limit("ix", None, len(rows))) > 0
     direct.commit()
+    router.commit(txn)
+
+
+def loaded_pair(config: EngineConfig) -> tuple[ShardedDatabase,
+                                               list[tuple[int, str]]]:
+    """4 shards of 300 rows, indexed on the shard key and on ``v``."""
+    router = ShardedDatabase(config, ShardConfig(shards=4))
+    router.create_table("t", [("k", "int"), ("v", "str")])
+    router.create_index("ix", "t", ["k"], kind="mvpbt")
+    router.create_index("ix_v", "t", ["v"], kind="mvpbt")
+    rows = [(k, f"v{k:03}") for k in range(300)]
+    router.bulk_load("t", rows)
+    return router, rows
+
+
+def shuffled(layout: HashPartitioner) -> HashPartitioner:
+    for slot in range(layout.slots):
+        layout = layout.move_slot(slot, (slot * 7 + 1) % layout.shards)
+    return layout
+
+
+def test_completed_rebalance_leaves_index_reads_unhashed(
+        monkeypatch) -> None:
+    """A completed rebalance takes every moved record out of its source
+    tree, so index reads hash no shard key; the source table stores keep
+    the moved chains, which a sequential scan still drops."""
+    router, rows = loaded_pair(OBS)
+    assert router.rebalance(shuffled(router.partitioner))[
+        "chains_moved"] > 0
+    assert not router.index_residue
+    hashed = 0
+    shard_of = HashPartitioner.shard_of
+
+    def counting(self, key):
+        nonlocal hashed
+        hashed += 1
+        return shard_of(self, key)
+
+    monkeypatch.setattr(HashPartitioner, "shard_of", counting)
+    txn = router.begin()
+    assert router.range_select(txn, "ix", None, None) == rows
+    assert [hit.row for _k, hit in router.range_hits_tagged(
+        txn, "ix", None, None)] == rows
+    for row in rows[::10]:      # ix_v does not cover the shard key
+        assert router.select(txn, "ix_v", (row[1],)) == [row]
+        assert [hit.row for _k, hit in router.select_hits_tagged(
+            txn, "ix_v", (row[1],))] == [row]
+    direct = ShardedBackend(router).begin()
+    assert direct.scan_limit("ix", None, len(rows)) == rows
+    direct.commit()
+    with router.serve() as server, server.session() as session:
+        session.begin()
+        assert list(session.batch_scan("ix", slice_rows=64)) == rows
+        assert session.count_range("ix", None, None) == len(rows)
+        session.commit()
+    assert hashed == 0
+    reg = router.obs.registry
+    residue = reg.counter_value("shard.hits.residue_filtered")
+    assert sorted(router.seq_scan(txn, "t")) == rows
+    assert hashed > 0
+    assert reg.counter_value("shard.hits.residue_filtered") > residue
+    router.commit(txn)
+
+
+def test_recovered_router_filters_every_path() -> None:
+    """A crash at a rebalance's layout NOTE leaves the copied-in records
+    in their destination trees and no trace of the flip: recovery cannot
+    rule residue out, so the recovered router filters every read path,
+    and each of them drops the copies."""
+    router, rows = loaded_pair(EngineConfig(
+        durability=True, obs=ObsConfig(enabled=True)))
+    layout = router.partitioner
+    device = router.coordinator_device
+    assert device is not None
+    device.set_fault_plan(FaultPlan(fail_at=device.io_count))
+    with pytest.raises(DeviceCrashError):
+        router.rebalance(shuffled(layout))
+    router = ShardedDatabase.recover(router)
+    assert router.partitioner.to_state() == layout.to_state()
+    reg = router.obs.registry
+
+    def filtered(read: object, want: object) -> int:
+        before = reg.counter_value("shard.hits.residue_filtered")
+        assert read() == want       # type: ignore[operator]
+        return reg.counter_value("shard.hits.residue_filtered") - before
+
+    txn = router.begin()
+    assert filtered(lambda: router.range_select(txn, "ix", None, None),
+                    rows) > 0
+    assert filtered(lambda: [hit.row for _k, hit in
+                             router.range_hits_tagged(txn, "ix", None,
+                                                      None)], rows) > 0
+    assert filtered(lambda: sorted(router.seq_scan(txn, "t")), rows) > 0
+    assert sum(filtered(lambda: router.select(txn, "ix_v", (row[1],)),
+                        [row]) for row in rows) > 0
+    assert sum(filtered(lambda: [hit.row for _k, hit in
+                                 router.select_hits_tagged(
+                                     txn, "ix_v", (row[1],))], [row])
+               for row in rows) > 0
+    direct = ShardedBackend(router).begin()
+    assert filtered(lambda: direct.scan_limit("ix", None, len(rows)),
+                    rows) > 0
+    direct.commit()
+    with router.serve() as server, server.session() as session:
+        session.begin()
+        assert filtered(lambda: list(session.batch_scan(
+            "ix", slice_rows=64)), rows) > 0
+        assert filtered(lambda: session.count_range("ix", None, None),
+                        len(rows)) > 0
+        session.commit()
     router.commit(txn)
 
 

@@ -103,7 +103,8 @@ def test_single_node_rows_equal_handles(mode, history):
             if info.index_only:
                 pulled = [(0, hit) for hit in info.mvpbt.range_scan(
                     txn, lo, hi)]
-                assert db.fetch_rows(txn, "ix", pulled) == handles
+                assert db.fetch_rows(txn, "ix", pulled,
+                                     merged=False) == handles
         for lo, _hi in RANGES:
             handles = rows_of(db.range_hits(txn, "ix", lo, None))
             for limit in LIMITS:
@@ -146,12 +147,15 @@ def test_sharded_rows_equal_handles_past_residue(mode, history, shard_key,
             slices = router.pull_index_slices(txn, "ix", plan.legs, 10 ** 6)
             legs = [[(leg.shard, hit) for hit in hits]
                     for leg, (hits, _resume) in zip(plan.legs, slices)]
-            merged = sorted((pair for pulled in legs for pair in pulled),
-                            key=lambda pair: (pair[1].key, pair[0]))
-            assert router.fetch_rows(txn, "ix", merged) == handles
+            in_order = sorted((pair for pulled in legs for pair in pulled),
+                              key=lambda pair: (pair[1].key, pair[0]))
+            merges = len(plan.legs) > 1
+            assert router.fetch_rows(txn, "ix", in_order,
+                                     merged=merges) == handles
             for pulled in legs:     # one-shard chunks, residue or not
                 shard = pulled[0][0] if pulled else None
-                assert router.fetch_rows(txn, "ix", pulled) == [
+                assert router.fetch_rows(txn, "ix", pulled,
+                                         merged=merges) == [
                     hit.row for k, hit in tagged if k == shard]
         for lo, _hi in RANGES:
             handles = rows_of(router.range_hits(txn, "ix", lo, None))

@@ -18,7 +18,7 @@ history (no retained scatter path).  Every example draws:
   shard-key-changing moves, deletes, multi-row keyed DML through a
   secondary index, aborts, ``move_slot`` rebalances,
   held snapshots);
-* a final forced shuffle that stops before its copy-out step, leaving
+* a final forced shuffle whose first copy-out rebuild raises, leaving
   the moved index records behind on their source shards as **residue**
   (the post-flip crash window of §16.4).
 
@@ -27,6 +27,7 @@ and ``batch_scan`` at several slice sizes are compared with the oracle
 through the final snapshot and through every held one.
 """
 
+from contextlib import suppress
 from unittest import mock
 
 import pytest
@@ -194,25 +195,38 @@ def run_history(router, oracle, server, history):
     return live, held
 
 
-def shuffle_leaving_residue(router, seed):
-    """One forced full shuffle that 'crashes' after the layout flip: the
-    copy-out rebuilds are skipped, so every source tree keeps its
-    moved-away records as residue only the ownership filter hides."""
-    shards = len(router.shards)
-    if shards == 1:
-        return
+class _CrashAfterFlip(Exception):
+    """The copy-out rebuild a crash cut short."""
+
+
+def rebalance_interrupted_after_flip(router, new):
+    """``router.rebalance(new)`` as a crash right after the layout flip
+    leaves it: the first copy-out rebuild raises (and the error is
+    swallowed), so every source tree keeps its moved-away records as
+    residue only the ownership filter hides."""
     old = router.partitioner
-    new = old
-    for slot in range(old.slots):
-        new = new.move_slot(slot, (slot * 2654435761 + seed) % shards)
     rebuild = MVPBT.rebuild_contents
 
     def until_the_flip(tree, records):
-        if router.partitioner is old:
-            rebuild(tree, records)
+        if router.partitioner is not old:
+            raise _CrashAfterFlip
+        rebuild(tree, records)
 
-    with mock.patch.object(MVPBT, "rebuild_contents", until_the_flip):
+    with mock.patch.object(MVPBT, "rebuild_contents", until_the_flip), \
+            suppress(_CrashAfterFlip):
         router.rebalance(new)
+
+
+def shuffle_leaving_residue(router, seed):
+    """One forced full shuffle that 'crashes' after the layout flip
+    (:func:`rebalance_interrupted_after_flip`)."""
+    shards = len(router.shards)
+    if shards == 1:
+        return
+    new = router.partitioner
+    for slot in range(new.slots):
+        new = new.move_slot(slot, (slot * 2654435761 + seed) % shards)
+    rebalance_interrupted_after_flip(router, new)
 
 
 def ranges_for(columns):
