@@ -9,9 +9,10 @@ interleaving fair:
 * short OLTP transactions acquire the slot once per operation (begin, a
   DML statement, the commit drain);
 * long analytical scans acquire it once per **slice**
-  (:meth:`~repro.serve.session.SessionCore.batch_scan` yields between
-  page slices), so between any two slices of a scan every waiting writer
-  is granted exactly once before the scan re-enters;
+  (:meth:`~repro.serve.session.SessionCore.batch_scan` and
+  :meth:`~repro.serve.session.SessionCore.gather_rows` release it between
+  pulls and fetches), so between any two slices of a scan every waiting
+  writer is granted exactly once before the scan re-enters;
 * the group-commit leader acquires it once per **group** for the batched
   WAL append.
 

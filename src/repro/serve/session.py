@@ -18,11 +18,11 @@ sessions must not be shared between threads mid-operation — enforced
 with a cheap busy flag that raises :class:`~repro.errors.SessionError`
 on overlap).
 
-Analytical scans go through :meth:`SessionCore.batch_scan`, the one
-sliced scan: it holds the engine slot only to pull or fetch and yields
-between, so a long scan never starves writers.  Over the engine's
+Analytical reads hold the engine slot only to pull or fetch and release
+it between, so a long read never starves writers.  Over the engine's
 ``plan_scan`` / ``pull_index_slices`` / ``fetch_rows`` a single node is
-the one-leg case of the router's scatter-gather:
+the one-leg case of the router's scatter-gather.  There are two such
+reads.  :meth:`SessionCore.batch_scan` is the ordered sliced scan:
 
 * **Owner set.**  Only the plan's legs are asked (one on a single node
   or for a prefix-pinned sharded range).
@@ -44,6 +44,14 @@ the one-leg case of the router's scatter-gather:
 
 The slices concatenate to one monolithic snapshot scan: no duplicates,
 no skips, whatever commits, evictions or merges interleave.
+
+:meth:`SessionCore.gather_rows` and :meth:`SessionCore.count_range` are
+the unordered gather, for readers that need no key order: one slot
+pulls every live leg, each leg resumes at its own key, and each leg's
+hits are fetched on that leg's own shard (a slot per fetch), so no row
+pays the router's merge.  When ``txn.writes`` or ``engine.layout``
+moved, the whole gather starts over: under one snapshot the answer is
+stable, so it is the same multiset.  It has the same fallback.
 """
 
 from __future__ import annotations
@@ -225,36 +233,68 @@ class SessionCore(ABC, Generic[E, T]):
 
     def count_range(self, index: str, lo: Key | None,
                     hi: Key | None) -> int:
-        """COUNT(*) over the sliced scan's pulls (a slot each).  While no
+        """COUNT(*) over the gather (:meth:`gather_rows`).  While no
         index tree can hold residue, index-only hits are 1:1 with rows:
-        every leg is pulled to its end and the hits are counted, no row
-        fetched (a moved layout counts afresh).  Otherwise — or on a
-        version-oblivious index — the rows are read, which filters."""
-        engine = self._engine
+        a pull's hits are counted and no row is fetched.  Otherwise — or
+        on a version-oblivious index — the rows are read, which
+        filters."""
+        return self._gather(index, lo, hi, rows_wanted=False)[0]
+
+    def gather_rows(self, index: str, lo: Key | None,
+                    hi: Key | None) -> list[Row]:
+        """The visible rows of ``[lo, hi]`` in no particular order — the
+        unordered gather (module docstring) for readers that group, sum
+        or sort the rows themselves."""
+        return self._gather(index, lo, hi, rows_wanted=True)[1]
+
+    def _gather(self, index: str, lo: Key | None, hi: Key | None, *,
+                rows_wanted: bool) -> tuple[int, list[Row]]:
+        """THE unordered gather: ``(rows counted, rows fetched)``.  Each
+        slot does one step — fetch one pulled leg's hits on its own
+        shard, else pull every live leg, else finish — after starting
+        over if ``txn.writes`` or ``engine.layout`` moved."""
         txn = self.txn
+        engine = self._engine
         want = self._server.config.scan_slice_rows
         count = 0
+        rows: list[Row] = []
         legs: "list[ScanLeg]" = []
+        #: pulled hits not yet fetched, a leg's at a time
+        unfetched: "list[list[tuple[int, SearchHit]]]" = []
         stamp: object = None
         while True:
             with self._guard(), self._server.scheduler.slot("scan"):
-                if engine.index_residue:
-                    break
                 now = (txn.writes, engine.layout)
                 if now != stamp:
+                    # start over: a hit pulled under another layout may
+                    # name a row that has moved shards since
                     plan = engine.plan_scan(index, lo, hi)
-                    if not plan.index_only:
-                        break
-                    count, legs, stamp = 0, list(plan.legs), now
+                    if not plan.index_only:     # no bounded cursor
+                        rows = engine.range_select(txn, index, lo, hi)
+                        return len(rows), rows
+                    self._scan_plan = {"index": index, "plan": plan.name,
+                                       "shards": plan.shards}
+                    count, rows, legs, unfetched, stamp = (
+                        0, [], list(plan.legs), [], now)
+                if unfetched:
+                    fetched = engine.fetch_rows(txn, index, unfetched.pop(),
+                                                merged=False)
+                    count += len(fetched)
+                    rows += fetched
+                    continue
                 if not legs:
-                    return count
+                    return count, rows
                 self._server.note_scan_slice()
                 pulled = engine.pull_index_slices(txn, index, legs, want)
-            count += sum(len(hits) for hits, _resume in pulled)
+                fetch = rows_wanted or engine.index_residue
+            for leg, (hits, _resume) in zip(legs, pulled):
+                if hits and fetch:
+                    unfetched.append([(leg.shard, hit) for hit in hits])
+                else:
+                    count += len(hits)
             legs = [leg._replace(lo=resume, lo_incl=True)
                     for leg, (_hits, resume) in zip(legs, pulled)
                     if resume is not None]
-        return sum(1 for _ in self.batch_scan(index, lo, hi))
 
     def scan_limit(self, index: str, lo: Key | None,
                    limit: int) -> list[Key]:
@@ -276,8 +316,9 @@ class SessionCore(ABC, Generic[E, T]):
                    hi_incl: bool = True,
                    slice_rows: int | None = None
                    ) -> Generator[Row, None, None]:
-        """THE sliced scan (module docstring): visible rows in global key
-        order, one slot per refill and one per fetched chunk."""
+        """THE ordered sliced scan (module docstring): visible rows in
+        global key order, one slot per refill and one per fetched
+        chunk."""
         txn = self.txn
         engine = self._engine
         limit = check_slice_rows(

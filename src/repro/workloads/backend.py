@@ -18,7 +18,8 @@ There are two topologies, each driven directly or served:
   :class:`~repro.serve.shard_server.ShardServer`: only ``begin``,
   ``vacuum`` and ``close`` are serving-specific (engine-slot confinement,
   group commit or the router's 2PC; analytic reads flow through the
-  sliced ``batch_scan``) — DDL, the load, the clock, ``flush_all`` and
+  session's unordered ``gather_rows``, LIMIT scans through its ordered
+  sliced scan) — DDL, the load, the clock, ``flush_all`` and
   ``dump_table`` are host-level and inherited.
 
 Row handles are :class:`WorkloadHit` — a ``(shard, RowHit)`` pair (shard
@@ -132,9 +133,11 @@ class WorkloadTxn(ABC):
     @abstractmethod
     def analytic_rows(self, index: str, lo: Key | None,
                       hi: Key | None) -> list[Row]:
-        """Analytical range read.  Server backends route it through the
-        sliced ``batch_scan`` (slot per slice); direct backends fall
-        back to the materialising range select."""
+        """Analytical range read: the visible rows of ``[lo, hi]`` as a
+        multiset, in no particular order (callers group, sum or sort
+        them).  Server backends route it through the session's unordered
+        ``gather_rows`` (slot per pull and per fetch); direct backends
+        fall back to the materialising range select."""
 
 
 class WorkloadBackend(ABC):
@@ -530,7 +533,7 @@ class _SessionTxn(WorkloadTxn):
 
     def analytic_rows(self, index: str, lo: Key | None,
                       hi: Key | None) -> list[Row]:
-        return list(self._session.batch_scan(index, lo, hi))
+        return self._session.gather_rows(index, lo, hi)
 
 
 class _SessionPool(Generic[S]):
@@ -636,7 +639,7 @@ class _ShardSessionTxn(WorkloadTxn):
 
     def analytic_rows(self, index: str, lo: Key | None,
                       hi: Key | None) -> list[Row]:
-        return list(self._session.batch_scan(index, lo, hi))
+        return self._session.gather_rows(index, lo, hi)
 
 
 class ShardServerBackend(ShardedBackend):
@@ -644,8 +647,8 @@ class ShardServerBackend(ShardedBackend):
     direct sharded backend, with transactions and vacuum going through
     pooled sessions and the engine slot.
 
-    Analytic reads (``analytic_rows`` / ``scan_limit``) flow through the
-    sliced scatter-gather ``batch_scan``."""
+    Analytic reads flow through the session's unordered gather
+    (``gather_rows``), LIMIT scans through its ordered sliced scan."""
 
     def __init__(self, server: "ShardServer") -> None:
         super().__init__(server.router)

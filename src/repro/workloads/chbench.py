@@ -19,15 +19,19 @@ reads otherwise.
 
 Like the TPC-C runner, the benchmark drives any
 :class:`~repro.workloads.backend.WorkloadBackend` target (§18).  On a
-served backend the analytical range reads flow through the sliced
-``batch_scan`` — scatter-gathered across shards on a
-:class:`~repro.serve.shard_server.ShardServer`.  Query methods also still
-accept a raw engine :class:`~repro.txn.transaction.Transaction` when the
-benchmark wraps a bare :class:`~repro.engine.Database`.
+served backend the analytical range reads flow through the session's
+unordered gather — each shard's leg fetched on its own shard on a
+:class:`~repro.serve.shard_server.ShardServer` — so rows arrive in no
+particular order: every query sums with ``math.fsum`` and breaks sort
+ties by key, so its answer does not depend on the order.  Query methods
+also still accept a raw engine
+:class:`~repro.txn.transaction.Transaction` when the benchmark wraps a
+bare :class:`~repro.engine.Database`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -104,19 +108,17 @@ class CHBenchmark:
     def query_q1(self, txn: QueryTxn) -> list[Key]:
         """Q1-like: per-line-number sums over all order lines."""
         rows = self._range(txn, "idx_order_line", None, None)
-        groups: dict[int, list[float]] = {}
+        groups: dict[int, list[Row]] = {}
         for row in rows:
-            agg = groups.setdefault(row[3], [0.0, 0.0, 0.0])
-            agg[0] += row[6]
-            agg[1] += row[7]
-            agg[2] += 1
-        return [(number, qty, amount, count)
-                for number, (qty, amount, count) in sorted(groups.items())]
+            groups.setdefault(row[3], []).append(row)
+        return [(number, math.fsum(row[6] for row in lines),
+                 math.fsum(row[7] for row in lines), len(lines))
+                for number, lines in sorted(groups.items())]
 
     def query_q6(self, txn: QueryTxn) -> float:
         """Q6-like: revenue of order lines with quantity in [1, 7]."""
         rows = self._range(txn, "idx_order_line", None, None)
-        return sum(row[7] for row in rows if 1 <= row[6] <= 7)
+        return math.fsum(row[7] for row in rows if 1 <= row[6] <= 7)
 
     def query_orders_by_carrier(self, txn: QueryTxn) -> dict[int, int]:
         rows = self._range(txn, "idx_orders", None, None)
@@ -150,16 +152,15 @@ class CHBenchmark:
     def query_top_customers(self, txn: QueryTxn, n: int = 10) -> list[Key]:
         """Q18-like: the n customers with the highest balance."""
         rows = self._range(txn, "idx_customer", None, None)
-        rows.sort(key=lambda r: -r[5])
+        rows.sort(key=lambda r: (-r[5], r[0], r[1], r[2]))
         return [(r[0], r[1], r[2], r[5]) for r in rows[:n]]
 
     def query_revenue_by_district(self, txn: QueryTxn) -> dict[Key, float]:
         """Q12-like: order-line revenue grouped by (warehouse, district)."""
-        revenue: dict[Key, float] = {}
+        amounts: dict[Key, list[float]] = {}
         for row in self._range(txn, "idx_order_line", None, None):
-            key = (row[0], row[1])
-            revenue[key] = revenue.get(key, 0.0) + row[7]
-        return revenue
+            amounts.setdefault((row[0], row[1]), []).append(row[7])
+        return {key: math.fsum(lines) for key, lines in amounts.items()}
 
     QUERIES = ("q1", "q6", "carrier", "low_stock", "q4", "top_customers",
                "district_revenue")

@@ -19,7 +19,8 @@ Deterministic invariants of the chunked scan pipeline:
   for no table page;
 * **router work** — a sliced sharded scan charges every shard's clock the
   merge and ownership-hash work it did per row, and nothing more
-  (DESIGN.md §9.10).
+  (DESIGN.md §9.10); an unordered gather merges nothing, so with no
+  residue possible it charges nothing.
 
 Counts, not timings: they repeat exactly, so they gate hard.
 """
@@ -32,7 +33,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine import Database
-from repro.engine.executor import RowHit
+from repro.engine.executor import Executor, RowHit
 from repro.obs.config import ObsConfig
 from repro.serve import ServeConfig
 from repro.shard import ShardConfig, ShardedDatabase
@@ -278,6 +279,48 @@ def test_sliced_scan_charges_the_router_work_per_row(monkeypatch) -> None:
     assert charges == pytest.approx([hash_op, hash_op], rel=1e-9)
     _spent, charges = scan((0,))
     assert charges == pytest.approx([merge + hash_op] * 2, rel=1e-9)
+
+
+def test_unordered_gather_charges_no_router_work(monkeypatch) -> None:
+    """An unpinned 4-leg ``analytic_rows`` fetches each leg's rows on
+    that leg's shard and merges nothing: with no residue possible, every
+    shard's clock moves exactly as far as its own pulls and fetches move
+    it — no per-row router charge on any shard."""
+    router = ShardedDatabase(EngineConfig(), ShardConfig(shards=4))
+    router.create_table("t", [("k", "int"), ("v", "str")])
+    router.create_index("ix", "t", ["k"], kind="mvpbt")
+    router.bulk_load("t", [(k, "x" * 20) for k in range(1000)])
+    assert not router.index_residue
+    clocks = [db.clock for db in router.shards]
+    own = [0.0] * len(clocks)
+    pull, fetch = Executor.pull_slice, Database.fetch_rows
+
+    def timed(call, shard_of):
+        def run(self, *args, **kwargs):
+            k = clocks.index(shard_of(self))
+            before = clocks[k].now
+            out = call(self, *args, **kwargs)
+            own[k] += clocks[k].now - before
+            return out
+        return run
+
+    monkeypatch.setattr(Executor, "pull_slice",
+                        timed(pull, lambda ex: ex.db.clock))
+    monkeypatch.setattr(Database, "fetch_rows",
+                        timed(fetch, lambda db: db.clock))
+    with shard_served_backend(
+            router, ServeConfig(scan_slice_rows=64)) as backend:
+        txn = backend.begin()
+        before = [clock.now for clock in clocks]
+        rows = txn.analytic_rows("ix", (0,), None)
+        spent = [clock.now - t0 for clock, t0 in zip(clocks, before)]
+        txn.commit()
+    assert sorted(rows) == [(k, "x" * 20) for k in range(1000)]
+    assert all(cost > 0 for cost in own)
+    merge = len(rows) * 2 * EngineConfig().cost.compare
+    for k, (total, mine) in enumerate(zip(spent, own)):
+        assert abs(total - mine) <= merge * 1e-6, (
+            f"shard {k}: {total - mine} s charged beyond its own work")
 
 
 def test_one_shard_router_scan_costs_what_one_node_does() -> None:

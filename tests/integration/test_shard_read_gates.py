@@ -16,7 +16,11 @@ that shard can own a matching row, and a hit crosses the router once":
   reads hash a shard key only while an index tree can hold residue (an
   interrupted rebalance, a recovered router), a sequential scan always;
 * **balance** — the bulk load deals TPC-C's warehouses to distinct
-  shards, so rows and simulated time spread evenly over the shards.
+  shards, so rows and simulated time spread evenly over the shards;
+* **gather** — the unordered gather behind a served ``analytic_rows``
+  returns exactly the multiset a single node's ``range_select`` does:
+  across a rebalance that lands between two of its slots (it starts
+  over), over residue, and on a version-oblivious index.
 
 Counts, not timings: they repeat exactly, so they gate hard.
 """
@@ -26,15 +30,18 @@ from __future__ import annotations
 import pytest
 
 from repro.config import EngineConfig
+from repro.engine.database import Database
 from repro.errors import DeviceCrashError
 from repro.obs.config import ObsConfig
+from repro.serve import ServeConfig
 from repro.shard import HashPartitioner, ShardConfig, ShardedDatabase
 from repro.sim.device import FaultPlan
 from repro.workloads import CHBenchmark, TPCCConfig, TPCCRunner
 from repro.workloads.backend import (ShardedBackend, ShardServerBackend,
                                      _ShardSessionTxn, shard_served_backend)
 
-from ..property.test_prop_shard_routing import shuffle_leaving_residue
+from ..property.test_prop_shard_routing import (
+    rebalance_interrupted_after_flip, shuffle_leaving_residue)
 
 pytestmark = [pytest.mark.shard, pytest.mark.workload]
 
@@ -301,3 +308,109 @@ def test_tpcc_load_balances_shards(seed: int) -> None:
     spent = [db.clock.now - t0 for db, t0 in zip(router.shards, start)]
     assert max(spent) / (sum(spent) / 4) <= 1.15, spent
     backend.close()
+
+
+def gather_engines(oblivious: bool = False
+                   ) -> tuple[Database, ShardedDatabase]:
+    """(a single node, a 4-shard router) with one history: 300 rows, a
+    third of them updated and a tenth deleted afterwards."""
+    engines = (Database(EngineConfig()),
+               ShardedDatabase(EngineConfig(), ShardConfig(shards=4)))
+    for engine in engines:
+        engine.create_table("t", [("k", "int"), ("v", "str")])
+        if oblivious:   # sharded indexes are MV-PBT: ablate visibility
+            engine.create_index("ix", "t", ["k"], kind="mvpbt",
+                                index_only_visibility=False,
+                                enable_gc=False)
+        else:
+            engine.create_index("ix", "t", ["k"], kind="mvpbt")
+        txn = engine.begin()
+        for k in range(300):
+            engine.insert(txn, "t", (k, f"v{k}"))
+        txn.commit()
+        txn = engine.begin()
+        for k in range(0, 300, 3):
+            engine.update_by_key(txn, "ix", (k,), {"v": f"u{k}"})
+        for k in range(1, 300, 10):
+            engine.delete_by_key(txn, "ix", (k,))
+        txn.commit()
+    return engines
+
+
+def gathered(router: ShardedDatabase, lo: tuple[int, ...] | None,
+             hi: tuple[int, ...] | None, between: int = 0,
+             land: object = None) -> tuple[list[object], int]:
+    """(a served ``analytic_rows``, a served ``count_range``) of
+    ``[lo, hi]`` in 16-row slices; ``land()`` runs once, before the
+    ``between``-th scheduler slot of the read — as another session's
+    turn would."""
+    with shard_served_backend(
+            router, ServeConfig(scan_slice_rows=16)) as backend:
+        scheduler = backend.server.scheduler
+        slot, slots = scheduler.slot, 0
+
+        def turn(kind: str):
+            nonlocal slots
+            slots += 1
+            if slots == between and land is not None:
+                land()      # type: ignore[operator]
+            return slot(kind)
+
+        txn = backend.begin()
+        scheduler.slot = turn       # type: ignore[method-assign]
+        rows = txn.analytic_rows("ix", lo, hi)
+        session = txn._session      # type: ignore[attr-defined]
+        count = session.count_range("ix", lo, hi)
+        scheduler.slot = slot       # type: ignore[method-assign]
+        txn.commit()
+    return rows, count
+
+
+def single_node(db: Database, lo: tuple[int, ...] | None,
+                hi: tuple[int, ...] | None) -> list[object]:
+    txn = db.begin()
+    rows = db.range_select(txn, "ix", lo, hi)
+    txn.commit()
+    assert len(rows) > 100
+    return rows
+
+
+# slot 1 pulls four legs and slots 2-5 fetch them: land after the first
+# pull (2), between two fetches (3), between two rounds (6, 11), late (20)
+@pytest.mark.parametrize("between", [2, 3, 6, 11, 20])
+def test_gather_starts_over_after_a_rebalance(between: int) -> None:
+    """A completed rebalance between two of the gather's slots moves
+    rows the gather has already pulled or fetched: only a start-over
+    keeps every row once."""
+    db, router = gather_engines()
+    want = single_node(db, (5,), None)
+    moved: list[int] = []
+
+    def rebalance() -> None:
+        moved.append(router.rebalance(shuffled(router.partitioner))[
+            "chains_moved"])
+
+    rows, count = gathered(router, (5,), None, between, rebalance)
+    assert moved and moved[0] > 0
+    assert not router.index_residue
+    assert sorted(rows) == want     # type: ignore[type-var]
+    assert count == len(want)
+
+
+def test_gather_filters_residue() -> None:
+    db, router = gather_engines()
+    want = single_node(db, None, (250,))
+    rebalance_interrupted_after_flip(router, shuffled(router.partitioner))
+    assert router.index_residue
+    rows, count = gathered(router, None, (250,))
+    assert sorted(rows) == want     # type: ignore[type-var]
+    assert count == len(want)
+
+
+def test_gather_reads_a_version_oblivious_index_in_one_slot() -> None:
+    db, router = gather_engines(oblivious=True)
+    want = single_node(db, (20,), (280,))
+    assert not router.plan_scan("ix", (20,), (280,)).index_only
+    rows, count = gathered(router, (20,), (280,))
+    assert sorted(rows) == want     # type: ignore[type-var]
+    assert count == len(want)

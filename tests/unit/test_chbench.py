@@ -1,5 +1,7 @@
 """Unit tests for the CH-benchmark driver."""
 
+import random
+
 import pytest
 
 from repro.config import EngineConfig
@@ -135,3 +137,35 @@ class TestExtendedQueries:
         for name in ch.QUERIES:
             assert ch.run_query(t, name) >= 0, name
         t.commit()
+
+
+class TestArrivalOrder:
+    def test_answers_do_not_depend_on_row_order(self, monkeypatch):
+        """A served gather hands each query its rows in no particular
+        order: fed a seeded permutation of every read's rows, every
+        query answers exactly as it does in key order — float sums
+        included, and ties in balance broken by key."""
+        db, ch = make_ch()
+        ch.tpcc.run(40)     # balances and amounts that tie and that don't
+        queries = (ch.query_q1, ch.query_q6, ch.query_orders_by_carrier,
+                   ch.query_low_stock, ch.query_q4,
+                   ch.query_top_customers, ch.query_revenue_by_district)
+
+        def answers():
+            t = db.begin()
+            out = [query(t) for query in queries]
+            t.commit()
+            return out
+
+        in_key_order = answers()
+        read = CHBenchmark._range
+        for seed in range(5):
+            rng = random.Random(seed)
+
+            def shuffled(self, txn, index, lo, hi):
+                rows = read(self, txn, index, lo, hi)
+                rng.shuffle(rows)
+                return rows
+
+            monkeypatch.setattr(CHBenchmark, "_range", shuffled)
+            assert answers() == in_key_order, seed

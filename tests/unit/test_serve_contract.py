@@ -88,6 +88,7 @@ STATEMENTS = {
     "delete_by_key": lambda s: s.delete_by_key("ix", (1,)),
     "batch_scan": lambda s: list(s.batch_scan("ix")),
     "count_range": lambda s: s.count_range("ix", None, None),
+    "gather_rows": lambda s: s.gather_rows("ix", None, None),
     "scan_limit": lambda s: s.scan_limit("ix", None, 3),
     "commit": lambda s: s.commit(),
     "abort": lambda s: s.abort(),
@@ -420,3 +421,28 @@ class TestSlicedScan:
             assert list(s.batch_scan("ob")) == ROWS
             s.abort()
         assert counter(server, "serve.scan.slices") == slices
+
+
+class TestGather:
+    """The unordered gather (``SessionCore.gather_rows`` and
+    ``count_range``): the range read's rows as a multiset — in key order
+    on a single node's one leg — own writes included, on both
+    bindings."""
+
+    @pytest.mark.parametrize("binding", ["database", "sharded"])
+    @pytest.mark.parametrize("slice_rows", [1, 7, 256])
+    def test_gather_is_the_range_read_as_a_multiset(self, binding,
+                                                    slice_rows):
+        with serve(binding, scan_slice_rows=slice_rows) as server, \
+                server.session() as s:
+            s.begin()
+            s.insert("t", (15, "again"))
+            assert s.delete_by_key("ix", (20,)) == 1
+            for lo, hi in [(None, None), ((5,), (30,))]:
+                want = s.range_select("ix", lo, hi)
+                rows = s.gather_rows("ix", lo, hi)
+                assert sorted(rows) == sorted(want)
+                if binding == "database":
+                    assert rows == want
+                assert s.count_range("ix", lo, hi) == len(want)
+            s.abort()

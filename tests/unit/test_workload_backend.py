@@ -133,6 +133,8 @@ class TestBackendRoundtrip:
             assert txn.scan_limit("ix", (48,), 10) == [
                 (48, "v48"), (49, "v49")]
             rows = txn.analytic_rows("ix", (40,), None)
+            if kind == "shard_server":  # a multiset: legs arrive unmerged
+                rows = sorted(rows)
             assert rows == [(i, f"v{i}") for i in range(40, 50)]
             txn.commit()
 
