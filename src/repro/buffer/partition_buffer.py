@@ -45,10 +45,6 @@ class PartitionBuffer:
         if index not in self._indices:
             self._indices.append(index)
 
-    def unregister(self, index: PartitionedIndexProtocol) -> None:
-        if index in self._indices:
-            self._indices.remove(index)
-
     @property
     def used_bytes(self) -> int:
         return sum(ix.memory_partition_bytes() for ix in self._indices)

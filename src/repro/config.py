@@ -53,7 +53,3 @@ class EngineConfig:
         if self.manifest_slot_pages < 1:
             raise ConfigError(
                 f"manifest_slot_pages must be >= 1: {self.manifest_slot_pages}")
-
-    @property
-    def extent_bytes(self) -> int:
-        return self.page_size * self.extent_pages

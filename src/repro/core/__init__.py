@@ -19,9 +19,6 @@ from .merge import bulk_load, merge_partitions
 from .records import (FLAG_GC, MVPBTRecord, RecordType, ReferenceMode,
                       record_size, record_ts_bounds)
 from .partition import MemoryPartition, PersistedPartition
-from .serialization import (LeafBatch, decode_leaf, decode_leaf_batch,
-                            decode_record, encode_leaf, encode_leaf_batch,
-                            encode_record)
 from .tree import MVPBT, SearchHit
 from .visibility import Visibility, VisibilityChecker
 
@@ -40,11 +37,4 @@ __all__ = [
     "merge_partitions",
     "bulk_load",
     "record_ts_bounds",
-    "encode_record",
-    "decode_record",
-    "encode_leaf",
-    "decode_leaf",
-    "LeafBatch",
-    "encode_leaf_batch",
-    "decode_leaf_batch",
 ]

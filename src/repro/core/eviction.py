@@ -295,7 +295,7 @@ def _reconciled_set(group: list[MVPBTRecord]) -> MVPBTRecord:
         rtype=RecordType.REGULAR_SET, vid=-1, set_entries=entries)
 
 
-def reconcile_records(records: list[MVPBTRecord]) -> list[MVPBTRecord]:
+def reconcile_records(records: list[MVPBTRecord]) -> list[MVPBTRecord]:  # reprolint: disable=R12 -- materialised reference in tests/unit/test_write_path.py
     """Materialised wrapper around :func:`reconcile_stream` (tests and
     reference paths; the write pipeline streams)."""
     return list(reconcile_stream(records))

@@ -217,7 +217,7 @@ def gc_victim_seqs(records: "Iterable[MVPBTRecord]",
     return drop
 
 
-def collect_for_eviction(records: list[MVPBTRecord],
+def collect_for_eviction(records: list[MVPBTRecord],  # reprolint: disable=R12 -- materialised reference in tests/unit/test_write_path.py
                          active_snapshots: list[Snapshot],
                          commit_log: CommitLog, mode: ReferenceMode,
                          stats: GCStats) -> list[MVPBTRecord]:

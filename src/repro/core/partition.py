@@ -135,11 +135,6 @@ class MemoryPartition:
         self._leaves.insert(leaf_idx + 1, right)
         self._fences.insert(leaf_idx, right.sort_keys[0])
 
-    def note_removed(self, nbytes: int, count: int = 1) -> None:
-        """GC purged records from a leaf; fix the partition accounting."""
-        self.bytes_used -= nbytes
-        self.record_count -= count
-
     # ----------------------------------------------------------------- reads
 
     def search(self, key: Key) -> Iterator[tuple[MemLeaf, MVPBTRecord]]:

@@ -94,10 +94,6 @@ class MVPBTRecord:
     # ------------------------------------------------------------ semantics
 
     @property
-    def has_matter(self) -> bool:
-        return HAS_MATTER[self.rtype]
-
-    @property
     def has_antimatter(self) -> bool:
         return HAS_ANTIMATTER[self.rtype]
 
@@ -107,18 +103,6 @@ class MVPBTRecord:
 
     def mark_gc(self) -> None:
         self.flags |= FLAG_GC
-
-    def matter_id(self, mode: ReferenceMode) -> object:
-        """Identity by which *this record's* matter can be invalidated."""
-        if mode is ReferenceMode.LOGICAL:
-            return self.vid
-        return self.rid_new
-
-    def anti_id(self, mode: ReferenceMode) -> object:
-        """Identity of the predecessor this record invalidates."""
-        if mode is ReferenceMode.LOGICAL:
-            return self.vid
-        return self.rid_old
 
     def sort_key(self) -> SortKey:
         """Partition-internal ordering (paper §4.3): primary by search key,

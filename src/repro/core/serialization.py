@@ -269,7 +269,7 @@ class LeafBatch:
         offs = self.payload_offsets
         return self.payload_blob[offs[idx]:offs[idx + 1]]
 
-    def to_records(self) -> list[MVPBTRecord]:
+    def to_records(self) -> list[MVPBTRecord]:  # reprolint: disable=R12 -- round-trip oracle of decode_leaf_batch in tests/unit/test_serialization.py
         """Materialise the batch as v1-equivalent record objects."""
         records = []
         for i in range(self.count):
@@ -304,7 +304,7 @@ def _common_prefix(first: bytes, last: bytes) -> bytes:
     return first[:i]
 
 
-def encode_leaf_batch(records: list[MVPBTRecord],
+def encode_leaf_batch(records: list[MVPBTRecord],  # reprolint: disable=R12 -- builds decode_leaf_batch's input in tests/unit/test_serialization.py
                       partition_no: int = 0) -> bytes:
     """Serialise a leaf page image in the v2 columnar batch format."""
     count = len(records)

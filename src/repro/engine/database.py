@@ -39,11 +39,11 @@ from ..table.sias import SIASTable
 from ..table.vacuum import (VacuumResult, vacuum_delta, vacuum_heap,
                             vacuum_sias)
 from ..txn.manager import TransactionManager
-from ..txn.transaction import Transaction, run_with_retry
+from ..txn.transaction import Transaction
 from .catalog import Catalog, IndexInfo, TableInfo
 from .executor import Executor, IndexSlice, RowHit, ScanLeg, ScanPlan
 from .schema import Schema
-from ..types import JSONDict, Key, Row, TxnBody
+from ..types import JSONDict, Key, Row
 
 if TYPE_CHECKING:
     from ..serve.config import ServeConfig
@@ -270,12 +270,6 @@ class Database:
 
     def begin(self) -> Transaction:
         return self.txn.begin()
-
-    def run_transaction(self, fn: TxnBody, retries: int = 3) -> Any:
-        """Run ``fn(txn)`` with commit-on-success and first-updater-wins
-        retry: a :class:`~repro.errors.WriteConflictError` aborts and retries
-        with a fresh snapshot, up to ``retries`` times."""
-        return run_with_retry(self.begin, fn, retries)
 
     # -------------------------------------------------------------------- DML
 
@@ -602,20 +596,14 @@ class Database:
 
     # -------------------------------------------------------- observability
 
-    def explain_lookup(self, txn: Transaction, index_name: str,
-                       key: Key) -> JSONDict:
-        """Run a point lookup and return its query profile (partitions
-        consulted, filter skips, buffer traffic, simulated I/O cost).
-
-        Requires observability (``config.obs.enabled``)."""
-        self._require_obs()
-        return profile_query(self, txn, index_name, key=key)
-
     def explain_scan(self, txn: Transaction, index_name: str,
                      lo: Key | None, hi: Key | None, *,
                      lo_incl: bool = True,
                      hi_incl: bool = True) -> JSONDict:
-        """Run a range scan and return its query profile."""
+        """Run a range scan and return its query profile (partitions
+        consulted, filter skips, buffer traffic, simulated I/O cost).
+
+        Requires observability (``config.obs.enabled``)."""
         self._require_obs()
         return profile_query(self, txn, index_name, lo=lo, hi=hi,
                              lo_incl=lo_incl, hi_incl=hi_incl)

@@ -101,11 +101,6 @@ class _Top:
 TOP = _Top()
 
 
-def prefix_bounds(prefix: Key) -> tuple[Key, Key]:
-    """(lo, hi) bounds covering every key that extends ``prefix``."""
-    return tuple(prefix), tuple(prefix) + (TOP,)
-
-
 def key_in_range(key: Key, lo: Key | None, hi: Key | None,
                  lo_incl: bool, hi_incl: bool) -> bool:
     """Range-predicate test shared by the scan implementations."""

@@ -198,10 +198,6 @@ class BPlusTree(Index):
     def entry_count(self) -> int:
         return self._entries
 
-    @property
-    def height(self) -> int:
-        return self._height
-
     # ---------------------------------------------------------------- splits
 
     def _split_leaf(self, path: list[int]) -> None:

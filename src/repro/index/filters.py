@@ -61,10 +61,6 @@ class FilterStats:
     def false_positive_rate(self) -> float:
         return self.false_positives / self.queries if self.queries else 0.0
 
-    @property
-    def positive_rate(self) -> float:
-        return self.positives / self.queries if self.queries else 0.0
-
 
 #: target false-positive rate of every bloom filter a partition or an LSM
 #: SSTable is built with
@@ -188,9 +184,6 @@ class PrefixBloomFilter:
                 f"prefix_columns must be >= 1: {prefix_columns}")
         self.prefix_columns = prefix_columns
         self._bloom = BloomFilter(expected_items, fpr)
-
-    def add_key(self, key: Key) -> None:
-        self._bloom.add(encode_key(key[:self.prefix_columns]))
 
     def add_digest(self, h1: int, h2: int) -> None:
         """Add a key prefix by its precomputed :func:`digest` pair."""

@@ -265,15 +265,6 @@ class LSMTree:
                 + sum(1 for s in self._levels if s is not None)
                 + (1 if len(self._memtable) else 0))
 
-    @property
-    def level_sizes(self) -> list[int]:
-        """Bytes per level: [memtable, L0 total, L1, L2, ...]."""
-        sizes = [self._memtable.bytes_used,
-                 sum(s.size_bytes for s in self._l0)]
-        sizes.extend(s.size_bytes if s is not None else 0
-                     for s in self._levels)
-        return sizes
-
     def __repr__(self) -> str:
         return (f"LSMTree({self.name!r}, components={self.component_count}, "
                 f"wa={self.stats.write_amplification:.2f})")

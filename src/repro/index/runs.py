@@ -250,21 +250,6 @@ class PersistedRun(Generic[R]):
                 page = self.file.peek(page_no)
                 yield from page.records  # type: ignore[union-attr]
 
-    def iter_all_buffered(self) -> Iterator[R]:
-        """Every record via the file's in-memory page images — no device
-        charge, no pool pollution.
-
-        This is the *second* traversal of a merge input: the physical
-        sequential read of each extent is charged exactly once, by the GC
-        decision scan that streams the same extents first
-        (:meth:`iter_all_sequential`).  A pipelined merge feeds both
-        consumers from the one buffered extent; this models that sharing.
-        """
-        file = self.file
-        for page_no in self.page_nos:
-            page = file.peek(page_no)
-            yield from page.records  # type: ignore[union-attr]
-
     def free(self) -> None:
         """Release all pages of the run (after compaction/merge)."""
         for page_no in self.page_nos:

@@ -56,7 +56,7 @@ class Observability:
 
     # ---------------------------------------------------------------- exports
 
-    def export_metrics_json(self) -> str:
+    def export_metrics_json(self) -> str:  # reprolint: disable=R12 -- tests/unit/test_obs_golden.py and tests/crash/harness.py compare exports
         return self.registry.to_json()
 
     def export_trace_jsonl(self) -> str:

@@ -1,6 +1,6 @@
 """Per-query profiles (``Database.explain``-style).
 
-:func:`profile_query` runs one lookup or range scan through the normal
+:func:`profile_query` runs one range scan through the normal
 executor path and reports what it cost: partitions consulted vs. skipped
 per filter kind, visibility-check outcomes, buffer-pool pages pinned, and
 the simulated device I/O the query caused.  The profile diffs the same
@@ -13,8 +13,7 @@ query itself plus a handful of dict reads.
 Interpretation notes (DESIGN.md §13):
 
 * ``partitions.consulted`` counts the partitions *not ruled out* by the
-  min-timestamp / range / bloom filters (including the in-memory ``P_N``);
-  a point lookup that stops at its first visible hit may touch fewer.
+  min-timestamp / range / bloom filters (including the in-memory ``P_N``).
 * ``visibility.invisible`` is derived (``checked - visible - flagged``,
   floored at 0): reconciled ``REGULAR_SET`` records pass the checker once
   but can yield several visible entries.
@@ -47,34 +46,26 @@ def _sources(db: "Database", tree: "MVPBT | None") -> "Metrics":
     return counts
 
 
-def profile_query(db: "Database", txn: "Transaction", index_name: str, *,
-                  key: Key | None = None,
-                  lo: Key | None = None, hi: Key | None = None,
+def profile_query(db: "Database", txn: "Transaction", index_name: str,
+                  lo: Key | None, hi: Key | None, *,
                   lo_incl: bool = True, hi_incl: bool = True) -> JSONDict:
-    """Run one query and report its cost profile.
+    """Run one range scan over ``[lo, hi]`` and report its cost profile.
 
-    With ``key`` the query is a point lookup; otherwise a range scan over
-    ``[lo, hi]``.  The query runs for real — its rows are fetched, its
-    results are part of the profile — and all engine state advances
-    exactly as a non-profiled query would.
+    The query runs for real — its rows are fetched, its results are part
+    of the profile — and all engine state advances exactly as a
+    non-profiled query would.
     """
     ix = db.catalog.index(index_name)
     tree = ix.mvpbt if ix.is_mvpbt else None
     before = _sources(db, tree)
     t0 = db.clock.now
-
-    if key is not None:
-        op = "lookup"
-        rows = len(db.executor.lookup_rows(txn, ix, tuple(key)))
-    else:
-        op = "range_scan"
-        rows = len(db.executor.scan_rows(txn, ix, lo, hi,
-                                         lo_incl=lo_incl, hi_incl=hi_incl))
+    rows = len(db.executor.scan_rows(txn, ix, lo, hi,
+                                     lo_incl=lo_incl, hi_incl=hi_incl))
 
     after = _sources(db, tree)
     delta = {name: after[name] - before[name] for name in after}
     profile: JSONDict = {
-        "op": op,
+        "op": "range_scan",
         "index": index_name,
         "kind": ix.kind,
         "rows": rows,
@@ -118,6 +109,6 @@ def profile_query(db: "Database", txn: "Transaction", index_name: str, *,
         }
 
     if db.obs is not None:
-        db.obs.tracer.emit("query.profile", op=op, index=index_name,
-                           rows=rows)
+        db.obs.tracer.emit("query.profile", op="range_scan",
+                           index=index_name, rows=rows)
     return profile

@@ -91,8 +91,8 @@ NULL_SPAN = _NullSpan()
 class Tracer:
     """Bounded ring buffer of trace events on the simulated clock."""
 
-    __slots__ = ("clock", "enabled", "capacity", "_events", "_emitted",
-                 "_stack", "_next_span_id", "_next_seq")
+    __slots__ = ("clock", "enabled", "capacity", "_events", "_stack",
+                 "_next_span_id", "_next_seq")
 
     def __init__(self, clock: SimClock, capacity: int = 65536,
                  enabled: bool = True) -> None:
@@ -100,7 +100,6 @@ class Tracer:
         self.enabled = enabled
         self.capacity = capacity
         self._events: deque[JSONDict] = deque(maxlen=capacity)
-        self._emitted = 0
         self._stack: list[int] = []
         self._next_span_id = 0
         self._next_seq = 0
@@ -145,7 +144,6 @@ class Tracer:
         event["t"] = self.clock.now
         event["depth"] = len(self._stack)
         self._events.append(event)
-        self._emitted += 1
 
     # ------------------------------------------------------------ inspection
 
@@ -153,11 +151,6 @@ class Tracer:
     def open_spans(self) -> int:
         """Currently open (entered, not yet exited) spans."""
         return len(self._stack)
-
-    @property
-    def dropped(self) -> int:
-        """Events evicted from the ring buffer so far."""
-        return self._emitted - len(self._events)
 
     def events(self) -> list[JSONDict]:
         return list(self._events)
@@ -171,4 +164,3 @@ class Tracer:
     def clear(self) -> None:
         """Drop buffered events (sequence/span counters keep running)."""
         self._events.clear()
-        self._emitted = 0

@@ -146,7 +146,7 @@ class FairScheduler:
         return self._ticks
 
     @property
-    def queue_depth(self) -> int:
+    def queue_depth(self) -> int:  # reprolint: disable=R12 -- tests/unit/test_serve_fairness.py watches the wait queue
         return len(self._queue)
 
     def stats(self) -> dict[str, dict[str, float]]:

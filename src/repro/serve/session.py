@@ -403,7 +403,7 @@ class SessionCore(ABC, Generic[E, T]):
         self._server.note_commit_latency(latency)
         return latency
 
-    def explain(self) -> JSONDict:
+    def explain(self) -> JSONDict:  # reprolint: disable=R12 -- tests/unit/test_shard_serve.py reads the last scan plan
         return {"session": self.id, "in_txn": self.in_txn,
                 "commits": self.commits, "closed": self._closed,
                 "scan": self._scan_plan}

@@ -66,7 +66,6 @@ from ..sim.profiles import INTEL_DC_P3600, DeviceProfile
 from ..sim.trace import IOTrace
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
-from ..txn.transaction import run_with_retry
 from ..types import JSONDict, Key, Row
 from .coordinator import ShardCoordinator
 from .partitioner import HashPartitioner
@@ -324,11 +323,6 @@ class ShardedDatabase:
         self.coordinator.finish(txn.id)
         if self.obs is not None:
             self._m_aborts.inc()
-
-    def run_transaction(self, fn: Callable[[ShardTransaction], Any],
-                        retries: int = 3) -> Any:
-        """``fn(txn)`` with commit-on-success and write-conflict retry."""
-        return run_with_retry(self.begin, fn, retries)
 
     # -------------------------------------------------------------------- DML
 
@@ -756,20 +750,6 @@ class ShardedDatabase:
         return router
 
     # ---------------------------------------------------------- observability
-
-    def explain_lookup(self, txn: ShardTransaction, index_name: str,
-                       key: Key) -> JSONDict:
-        """Point-lookup profile: routing decision + per-shard profiles."""
-        self._require_obs()
-        shards = self._point_shards(self._index(index_name), key)
-        return {
-            "query": {"index": index_name, "key": list(key)},
-            "routing": {"fanout": len(shards),
-                        "shards": list(shards)},
-            "per_shard": {k: profile_query(self.shards[k], txn.on(k),
-                                           index_name, key=key)
-                          for k in shards},
-        }
 
     def explain_scan(self, txn: ShardTransaction, index_name: str,
                      lo: Key | None, hi: Key | None, *,

@@ -65,9 +65,5 @@ class SimClock:
         self._now += seconds
         return self._now
 
-    def elapsed_since(self, t0: float) -> float:
-        """Simulated seconds elapsed since an earlier reading ``t0``."""
-        return self._now - t0
-
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.6f}s)"

@@ -136,7 +136,7 @@ class SimulatedDevice:
     # ---------------------------------------------------------------- faults
 
     @property
-    def io_count(self) -> int:
+    def io_count(self) -> int:  # reprolint: disable=R12 -- tests/crash/harness.py counts I/Os to place kill points
         """Number of successfully completed I/O requests."""
         return self._io_index
 
@@ -144,7 +144,7 @@ class SimulatedDevice:
     def crashed(self) -> bool:
         return self._crashed
 
-    def set_fault_plan(self, plan: FaultPlan | None) -> None:
+    def set_fault_plan(self, plan: FaultPlan | None) -> None:  # reprolint: disable=R12 -- tests/crash/harness.py arms kill points
         """Arm (or clear) a crash-point fault plan."""
         self._fault_plan = plan
 

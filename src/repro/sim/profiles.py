@@ -92,7 +92,7 @@ INTEL_DC_P3600 = DeviceProfile(
 )
 
 #: A uniform-latency profile useful in unit tests (1 us per request).
-UNIT_TEST_PROFILE = DeviceProfile(
+UNIT_TEST_PROFILE = DeviceProfile(  # reprolint: disable=R12 -- the unit tests' uniform-latency device (tests/conftest.py)
     name="unit-test device",
     capacity_bytes=1 * 1000 ** 3,
     seq_read=OpCost(iops_8k=1e6, iops_64k=1e6),

@@ -9,7 +9,7 @@ the simulated device: (simulated time, LBA, sectors, R/W).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 SECTOR_BYTES = 512
 
@@ -105,8 +105,3 @@ class IOTrace:
         if not entries:
             return (0, 0)
         return (min(e.lba for e in entries), max(e.end_lba for e in entries))
-
-    def to_rows(self) -> Iterable[tuple[float, int, int, str]]:
-        """Rows suitable for printing / plotting: (time, lba, sectors, kind)."""
-        for e in self._entries:
-            yield (e.time, e.lba, e.sectors, e.kind)

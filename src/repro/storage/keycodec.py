@@ -188,11 +188,3 @@ def _decode_blob(data: bytes, pos: int) -> tuple[bytes, int]:
         raise KeyCodecError(f"corrupt key encoding: bad escape 0x{nxt:02x}")
     raise KeyCodecError("corrupt key encoding: missing terminator")
 
-
-def key_prefix(values: Sequence[object], ncolumns: int) -> bytes:
-    """Encoded prefix of the first ``ncolumns`` key columns.
-
-    Used by prefix bloom filters (paper §4.7) to gate range scans that fix a
-    leading-column prefix.
-    """
-    return encode_key(tuple(values[:ncolumns]))

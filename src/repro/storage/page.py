@@ -52,10 +52,6 @@ class SlottedPage:
         return nbytes + SLOT_OVERHEAD_BYTES <= self.free_space
 
     @property
-    def live_slots(self) -> int:
-        return sum(1 for p in self._payloads if p is not None)
-
-    @property
     def slot_count(self) -> int:
         return len(self._payloads)
 

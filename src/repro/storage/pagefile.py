@@ -12,7 +12,7 @@ the buffer-efficiency experiment (Figure 12d).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..errors import DeviceCrashError, PageNotFoundError, StorageError
 from ..sim.device import SECTOR_BYTES, SimulatedDevice
@@ -331,6 +331,3 @@ class PageFile:
     def __repr__(self) -> str:
         return (f"PageFile({self.name!r}, pages={self.allocated_pages}, "
                 f"reads={self.physical_reads}, writes={self.physical_writes})")
-
-
-PageLoader = Callable[[], object]

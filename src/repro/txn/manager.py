@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import TransactionStateError
 from ..sim.clock import SimClock
-from ..types import TxnBody, TxnHook
+from ..types import TxnHook
 from .snapshot import Snapshot
 from .status import CommitLog, TxnStatus
 from .transaction import Transaction, TxnState
@@ -52,8 +52,7 @@ class TransactionManager:
                  obs: "Observability | None" = None) -> None:
         self.clock = clock or SimClock()
         self.commit_log = CommitLog()
-        #: rank TXN_MANAGER (§15.2); re-entrant so a hook running under
-        #: :meth:`run` may inspect the manager without self-deadlocking
+        #: rank TXN_MANAGER (§15.2), re-entrant
         # reprolint: lock-rank=TXN_MANAGER, reentrant
         self._lock = threading.RLock()
         self._next_txid = 1
@@ -247,23 +246,10 @@ class TransactionManager:
         with self._lock:
             return [txn.snapshot for txn in self._active.values()]
 
-    def status_of(self, txid: int) -> TxnStatus:
+    def status_of(self, txid: int) -> TxnStatus:  # reprolint: disable=R12 -- tests/crash/harness.py checks commit status after recovery
         return self.commit_log.status(txid)
 
     # --------------------------------------------------------------- helpers
-
-    def run(self, fn: TxnBody) -> object:
-        """Run ``fn(txn)`` in a transaction; commit on success, abort on error."""
-        txn = self.begin()
-        try:
-            result = fn(txn)
-        except BaseException:
-            if txn.is_active:
-                self.abort(txn)
-            raise
-        if txn.is_active:
-            self.commit(txn)
-        return result
 
     def _charge_overhead(self) -> None:
         clock = self.clock

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
-from ..errors import TransactionStateError, WriteConflictError
-from ..types import TxnBody
+from ..errors import TransactionStateError
 from .snapshot import Snapshot
 
 if TYPE_CHECKING:
@@ -69,31 +68,3 @@ class Transaction:
     def __repr__(self) -> str:
         return f"Txn(id={self.id}, {self.state.value})"
 
-
-def run_with_retry(begin: Callable[[], Any], fn: TxnBody,
-                   retries: int) -> Any:
-    """Run ``fn(txn)`` on a transaction from ``begin()`` with
-    commit-on-success and first-updater-wins retry: a
-    :class:`~repro.errors.WriteConflictError` aborts and retries with a
-    fresh snapshot, up to ``retries`` times.  ``begin`` returns anything
-    transaction-shaped (``is_active`` / ``commit()`` / ``abort()``): a
-    :class:`Transaction` or the router's global one."""
-    attempt = 0
-    while True:
-        txn = begin()
-        try:
-            result = fn(txn)
-        except WriteConflictError:
-            if txn.is_active:
-                txn.abort()
-            attempt += 1
-            if attempt > retries:
-                raise
-            continue
-        except BaseException:
-            if txn.is_active:
-                txn.abort()
-            raise
-        if txn.is_active:
-            txn.commit()
-        return result

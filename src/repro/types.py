@@ -30,8 +30,5 @@ SetEntry: TypeAlias = "tuple[int, RecordID, int, int]"
 #: JSON-shaped diagnostics payloads (``describe()``/``stats()``)
 JSONDict: TypeAlias = dict[str, Any]
 
-#: transaction body run by the managers' ``run``/``run_transaction``
-TxnBody: TypeAlias = Callable[..., Any]
-
 #: commit/abort hook: runs with the transaction pre-status-flip
 TxnHook: TypeAlias = "Callable[[Transaction], None]"

@@ -7,8 +7,7 @@ cluster, or a served sharded cluster (DESIGN.md §18).
 
 from .backend import (DatabaseBackend, ServerBackend, ShardedBackend,
                       ShardServerBackend, WorkloadBackend, WorkloadHit,
-                      WorkloadTxn, as_backend, served_backend,
-                      shard_served_backend)
+                      WorkloadTxn, as_backend, shard_served_backend)
 from .chbench import CHBenchmark, CHResult
 from .invariants import assert_tpcc_consistent, tpcc_consistency_errors
 from .distributions import (LatestDistribution, ScrambledZipfian,
@@ -46,7 +45,6 @@ __all__ = [
     "ShardedBackend",
     "ShardServerBackend",
     "as_backend",
-    "served_backend",
     "shard_served_backend",
     "assert_tpcc_consistent",
     "tpcc_consistency_errors",

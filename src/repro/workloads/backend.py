@@ -687,12 +687,6 @@ def as_backend(target: BackendTarget) -> WorkloadBackend:
                         f"WorkloadBackend")
 
 
-def served_backend(db: Database,
-                   config: "ServeConfig | None" = None) -> ServerBackend:
-    """Convenience: open a :class:`Server` over ``db`` and wrap it."""
-    return ServerBackend(db.serve(config))
-
-
 def shard_served_backend(router: ShardedDatabase,
                          config: "ServeConfig | None" = None
                          ) -> ShardServerBackend:

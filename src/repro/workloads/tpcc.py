@@ -112,13 +112,6 @@ class TPCCResult:
             return 0.0
         return self.committed * 60.0 / self.elapsed_sim_seconds
 
-    @property
-    def tpmC(self) -> float:
-        """NewOrder transactions per simulated minute (the TPC-C metric)."""
-        if self.elapsed_sim_seconds <= 0:
-            return 0.0
-        return self.by_type.get("new_order", 0) * 60.0 / self.elapsed_sim_seconds
-
 
 class TPCCRunner:
     """Loads the schema and executes the transaction mix.

@@ -309,7 +309,7 @@ class YCSBRunner:
                        for _ in range(min(n, 16))).ljust(n, "x")
 
 
-def run_workload(store: Union[KVStore, BackendTarget], name: str, *,
+def run_workload(store: Union[KVStore, BackendTarget], name: str, *,  # reprolint: disable=R12 -- tests/unit/test_ycsb.py and test_workload_consistency.py drive YCSB through it
                  record_count: int | None = None,
                  operation_count: int | None = None,
                  seed: int | None = None) -> YCSBResult:

@@ -39,8 +39,8 @@ from repro.serve import ServeConfig
 from repro.shard import ShardConfig, ShardedDatabase
 from repro.sim.clock import SimClock
 from repro.workloads import CHBenchmark, TPCCConfig
-from repro.workloads.backend import (_ShardSessionTxn, as_backend,
-                                     served_backend, shard_served_backend)
+from repro.workloads.backend import (ServerBackend, _ShardSessionTxn,
+                                     as_backend, shard_served_backend)
 
 from ..property.test_prop_shard_routing import \
     rebalance_interrupted_after_flip
@@ -95,7 +95,7 @@ def test_limit_scan_asks_for_its_own_pages_only(loaded: Database,
 @pytest.mark.parametrize("lo", [10, 1240, 2000, 3720])
 def test_served_limit_scan_fetches_about_limit_rows(loaded: Database,
                                                     lo: int) -> None:
-    with served_backend(loaded) as backend:
+    with ServerBackend(loaded.serve()) as backend:
         txn = backend.begin()
         table_before, _index = requests(loaded)
         rows = txn.scan_limit("ix", (lo,), 10)

@@ -21,9 +21,9 @@ from repro.engine.database import Database
 from repro.obs.config import ObsConfig
 from repro.shard import ShardConfig, ShardedDatabase
 from repro.workloads import (WORKLOADS, CHBenchmark, DatabaseBackend,
-                             ShardedBackend, TPCCConfig, TPCCRunner,
-                             WorkloadBackend, YCSBConfig, YCSBRunner,
-                             assert_tpcc_consistent, served_backend,
+                             ServerBackend, ShardedBackend, TPCCConfig,
+                             TPCCRunner, WorkloadBackend, YCSBConfig,
+                             YCSBRunner, assert_tpcc_consistent,
                              shard_served_backend)
 
 pytestmark = [pytest.mark.workload]
@@ -38,7 +38,7 @@ def make_panel_backend(kind: str) -> WorkloadBackend:
     if kind == "database":
         return DatabaseBackend(Database(config))
     if kind == "server":
-        return served_backend(Database(config))
+        return ServerBackend(Database(config).serve())
     shards = int(kind.rsplit("-", 1)[1])
     router = ShardedDatabase(config, ShardConfig(shards=shards))
     if kind.startswith("sharded"):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator
 
-from repro.core.records import MVPBTRecord, RecordType
+from repro.core.records import HAS_MATTER, MVPBTRecord, RecordType
 from repro.core.tree import MVPBT, SearchHit
 from repro.core.visibility import Visibility, VisibilityChecker
 from repro.txn.transaction import Transaction
@@ -59,7 +59,7 @@ def reference_scan(tree: MVPBT, txn: Transaction, lo: Key | None = None,
                        else checker.visible_set_entries(record))
             hits.extend(SearchHit(record.key, rid, vid, ts, record.payload)
                         for vid, rid, ts, _seq in entries)
-        elif (record.has_matter if candidates
+        elif (HAS_MATTER[record.rtype] if candidates
               else checker.check(record) is Visibility.VISIBLE):
             hits.append(SearchHit(record.key, record.rid_new, record.vid,
                                   record.ts, record.payload))

@@ -49,12 +49,6 @@ class TestSimClock:
         with pytest.raises(ConfigError):
             clock.advance(-0.1)
 
-    def test_elapsed_since(self):
-        clock = SimClock()
-        t0 = clock.now
-        clock.advance(2.5)
-        assert clock.elapsed_since(t0) == 2.5
-
     def test_repr_shows_time(self):
         assert "SimClock" in repr(SimClock())
 

@@ -26,7 +26,6 @@ class TestEngineConfig:
     def test_defaults_valid(self):
         cfg = EngineConfig()
         assert cfg.page_size == 8192
-        assert cfg.extent_bytes == 8192 * 8
 
     def test_page_size_too_small(self):
         with pytest.raises(ConfigError):

@@ -286,57 +286,3 @@ class TestIntrospection:
         assert part["bloom_bytes"] > 0
         assert desc["memory_partition"]["records"] == 0
         assert desc["evictions"] == 1
-
-
-class TestRunTransaction:
-    def test_commits_on_success(self, db):
-        setup_table(db)
-        db.run_transaction(lambda t: db.insert(t, "r", (1, "x", 0.0)))
-        r = db.begin()
-        assert db.select(r, "idx_a", (1,)) == [(1, "x", 0.0)]
-
-    def test_retries_on_conflict(self, db):
-        from repro.errors import WriteConflictError
-        setup_table(db)
-        t = db.begin()
-        db.insert(t, "r", (1, "x", 0.0))
-        t.commit()
-        blocker = db.begin()
-        db.update_by_key(blocker, "idx_a", (1,), {"b": "theirs"})
-        attempts = []
-
-        def work(txn):
-            attempts.append(txn.id)
-            if len(attempts) == 1:
-                blocker.commit()   # the conflict resolves before the retry
-            return db.update_by_key(txn, "idx_a", (1,), {"b": "mine"})
-
-        assert db.run_transaction(work) == 1
-        assert len(attempts) == 2
-        r = db.begin()
-        assert db.select(r, "idx_a", (1,)) == [(1, "mine", 0.0)]
-
-    def test_raises_after_exhausted_retries(self, db):
-        from repro.errors import WriteConflictError
-        setup_table(db)
-        t = db.begin()
-        db.insert(t, "r", (1, "x", 0.0))
-        t.commit()
-        blocker = db.begin()
-        db.update_by_key(blocker, "idx_a", (1,), {"b": "held"})
-        with pytest.raises(WriteConflictError):
-            db.run_transaction(
-                lambda txn: db.update_by_key(txn, "idx_a", (1,),
-                                             {"b": "mine"}),
-                retries=2)
-        blocker.abort()
-
-    def test_aborts_on_other_errors(self, db):
-        setup_table(db)
-        with pytest.raises(ValueError):
-            def boom(txn):
-                db.insert(txn, "r", (9, "gone", 0.0))
-                raise ValueError("boom")
-            db.run_transaction(boom)
-        r = db.begin()
-        assert db.select(r, "idx_a", (9,)) == []

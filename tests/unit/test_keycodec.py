@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import KeyCodecError
-from repro.storage.keycodec import (decode_key, encode_key, encoded_size,
-                                    key_prefix)
+from repro.storage.keycodec import decode_key, encode_key, encoded_size
 
 
 class TestRoundTrip:
@@ -90,9 +89,6 @@ class TestErrors:
 
 
 class TestPrefix:
-    def test_key_prefix_takes_leading_columns(self):
-        assert key_prefix((1, 2, 3), 2) == encode_key((1, 2))
-
     def test_prefix_is_byte_prefix_of_full_key(self):
         full = encode_key((1, 2, 3))
-        assert full.startswith(key_prefix((1, 2, 3), 2))
+        assert full.startswith(encode_key((1, 2)))

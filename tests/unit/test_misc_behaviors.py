@@ -5,7 +5,7 @@ from repro.buffer.partition_buffer import PartitionBuffer
 from repro.buffer.pool import BufferPool
 from repro.core.partition import PersistedPartition
 from repro.core.tree import MVPBT
-from repro.index.base import TOP, prefix_bounds
+from repro.index.base import TOP
 from repro.index.lsm.tree import LSMTree
 from repro.sim.clock import SimClock
 from repro.sim.device import SimulatedDevice
@@ -36,13 +36,6 @@ class TestTopSentinel:
         assert (1, TOP) < (2, 0)
         assert (1, "abc") < (1, TOP)
 
-    def test_prefix_bounds(self):
-        lo, hi = prefix_bounds((3, 7))
-        assert lo == (3, 7)
-        assert lo <= (3, 7, 0) < hi
-        assert lo <= (3, 7, "anything") < hi
-        assert not ((3, 8) < hi)
-
     def test_top_usable_in_sets(self):
         assert len({TOP, TOP}) == 1
 
@@ -60,15 +53,6 @@ class TestLSMLevels:
         # data still intact at every level
         for probe in (0, 299, 599):
             assert tree.get((f"k{probe:05d}",)) == "v" * 10
-
-    def test_level_sizes_reporting(self):
-        clock, device = env()
-        tree = LSMTree("l", PageFile("l", device, 1024, 8), BufferPool(64),
-                       memtable_bytes=512)
-        tree.put(("a",), "v")
-        sizes = tree.level_sizes
-        assert sizes[0] > 0            # memtable
-        assert all(s >= 0 for s in sizes)
 
 
 class TestMinTsFilter:

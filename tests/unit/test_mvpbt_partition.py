@@ -89,14 +89,6 @@ class TestLeafOrganisation:
                                                hi_incl=False)]
         assert got == list(range(11, 20))
 
-    def test_note_removed_accounting(self, part):
-        leaf = part.insert(rec(1, 1, 0))
-        size = part.bytes_used
-        leaf.remove_at(0, size)
-        part.note_removed(size, 1)
-        assert part.bytes_used == 0
-        assert part.record_count == 0
-
 
 class TestDuplicateKeysAcrossLeaves:
     """Edge cases where one key's record group spans leaf boundaries — the

@@ -1,7 +1,7 @@
 """Unit tests for MV-PBT record types (paper §4.1)."""
 
-from repro.core.records import (FLAG_GC, MVPBTRecord, RecordType,
-                                ReferenceMode, record_size)
+from repro.core.records import (FLAG_GC, HAS_MATTER, MVPBTRecord,
+                                RecordType, ReferenceMode, record_size)
 from repro.storage.recordid import RecordID
 
 
@@ -12,41 +12,27 @@ def regular(key=(7,), ts=1, seq=0, vid=1, rid=RecordID(0, 0)):
 class TestMatterSemantics:
     def test_regular_is_pure_matter(self):
         r = regular()
-        assert r.has_matter and not r.has_antimatter
+        assert HAS_MATTER[r.rtype] and not r.has_antimatter
 
     def test_replacement_is_both(self):
         r = MVPBTRecord((7,), 2, 1, RecordType.REPLACEMENT, 1,
                         rid_new=RecordID(0, 1), rid_old=RecordID(0, 0))
-        assert r.has_matter and r.has_antimatter
+        assert HAS_MATTER[r.rtype] and r.has_antimatter
 
     def test_anti_is_pure_antimatter(self):
         r = MVPBTRecord((7,), 2, 1, RecordType.ANTI, 1,
                         rid_old=RecordID(0, 0))
-        assert not r.has_matter and r.has_antimatter
+        assert not HAS_MATTER[r.rtype] and r.has_antimatter
 
     def test_tombstone_is_pure_antimatter(self):
         r = MVPBTRecord((7,), 2, 1, RecordType.TOMBSTONE, 1,
                         rid_old=RecordID(0, 0))
-        assert not r.has_matter and r.has_antimatter
+        assert not HAS_MATTER[r.rtype] and r.has_antimatter
 
     def test_set_record_is_matter(self):
         r = MVPBTRecord((7,), 2, 1, RecordType.REGULAR_SET, -1,
                         set_entries=[(1, RecordID(0, 0), 1, 0)])
-        assert r.has_matter and not r.has_antimatter
-
-
-class TestIdentity:
-    def test_physical_identities_are_rids(self):
-        r = MVPBTRecord((7,), 2, 1, RecordType.REPLACEMENT, 9,
-                        rid_new=RecordID(0, 1), rid_old=RecordID(0, 0))
-        assert r.matter_id(ReferenceMode.PHYSICAL) == RecordID(0, 1)
-        assert r.anti_id(ReferenceMode.PHYSICAL) == RecordID(0, 0)
-
-    def test_logical_identities_are_vid(self):
-        r = MVPBTRecord((7,), 2, 1, RecordType.REPLACEMENT, 9,
-                        rid_new=RecordID(0, 1), rid_old=RecordID(0, 0))
-        assert r.matter_id(ReferenceMode.LOGICAL) == 9
-        assert r.anti_id(ReferenceMode.LOGICAL) == 9
+        assert HAS_MATTER[r.rtype] and not r.has_antimatter
 
 
 class TestOrdering:

@@ -83,13 +83,6 @@ class TestCompactAndIteration:
         page.delete(s1)
         assert [p for _s, p in page.items()] == ["a", "c"]
 
-    def test_live_slots(self, page):
-        page.insert("a", 10)
-        s = page.insert("b", 10)
-        page.delete(s)
-        assert page.live_slots == 1
-        assert page.slot_count == 2
-
     def test_compact_reclaims_trailing_overhead(self, page):
         page.insert("a", 10)
         s1 = page.insert("b", 10)

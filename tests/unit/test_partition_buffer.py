@@ -63,13 +63,6 @@ class TestPartitionBuffer:
         pb.register(ix)
         assert pb.used_bytes == 100
 
-    def test_unregister(self):
-        pb = PartitionBuffer(1000)
-        ix = FakeIndex("a", 100)
-        pb.register(ix)
-        pb.unregister(ix)
-        assert pb.used_bytes == 0
-
     def test_empty_partitions_never_chosen(self):
         pb = PartitionBuffer(100)
         ix = FakeIndex("a", 0)

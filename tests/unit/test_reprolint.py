@@ -467,6 +467,125 @@ class TestR7TimeDiscipline:
         assert findings == []
 
 
+# ------------------------------------------------------- R12 dead surface
+
+def lint_checkout(tmp_path, files, *, strict=False):
+    """Write a little checkout (``src/repro``, ``tests/``, ``bench/``, ...)
+    under ``tmp_path`` and lint its ``src/repro`` with every rule."""
+    for relpath, source in files.items():
+        target = tmp_path / relpath
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(textwrap.dedent(source))
+    linter = Linter([rule() for rule in ALL_RULES], Project(),
+                    strict=strict)
+    return linter.lint_paths([tmp_path / "src" / "repro"])
+
+
+ORPHAN = {
+    "src/repro/mod.py": """
+        def orphan() -> int:
+            return 1
+        """,
+    "tests/test_mod.py": """
+        from repro.mod import orphan
+        assert orphan() == 1
+        """,
+}
+
+
+class TestR12DeadSurface:
+    def test_def_named_only_by_tests_fires(self, tmp_path):
+        findings = lint_checkout(tmp_path, ORPHAN)
+        assert [(f.rule, f.line) for f in findings] == [("R12", 2)]
+        assert "orphan" in findings[0].message
+
+    def test_methods_properties_and_names_fire(self, tmp_path):
+        findings = lint_checkout(tmp_path, {"src/repro/mod.py": """
+            LIMIT = 3
+            UNUSED = 4
+            _PRIVATE = 5
+
+            class Box:
+                @property
+                def size(self) -> int:
+                    return LIMIT
+
+                def _helper(self) -> None:
+                    pass
+            """, "examples/use.py": "Box\n"})
+        assert sorted(f.message.split()[0] for f in fired(findings, "R12")) \
+            == ["Box.size", "UNUSED"]
+
+    @pytest.mark.parametrize("caller", [
+        ("examples/demo.py", "from repro.mod import orphan\norphan()\n"),
+        ("bench/trace.py",
+         'BOUNDARIES = (("core", "repro.mod", None, ("orphan",)),)\n'),
+        ("README.md", "Usage:\n\n```python\nfrom repro.mod import orphan"
+                      "\n```\n"),
+        ("src/repro/other.py", "from .mod import orphan\n\n\n"
+                               "def run() -> int:\n    return orphan()\n"),
+    ], ids=["examples-call", "bench-string", "readme-block", "src-call"])
+    def test_a_program_caller_silences(self, tmp_path, caller):
+        path, source = caller
+        files = {**ORPHAN, path: source}
+        if path.startswith("src/"):
+            files["examples/x.py"] = "from repro.other import run\n"
+        assert fired(lint_checkout(tmp_path, files), "R12") == []
+
+    def test_use_in_its_own_module_silences(self, tmp_path):
+        findings = lint_checkout(tmp_path, {"src/repro/mod.py": """
+            def orphan() -> int:
+                return 1
+
+            VALUE = orphan()
+            """, "examples/x.py": "import repro.mod\nrepro.mod.VALUE\n"})
+        assert fired(findings, "R12") == []
+
+    def test_init_reexport_alone_still_fires(self, tmp_path):
+        files = {**ORPHAN, "src/repro/__init__.py": """
+            from .mod import orphan
+
+            __all__ = ["orphan"]
+            """}
+        hits = fired(lint_checkout(tmp_path, files), "R12")
+        assert [h.message.split()[0] for h in hits] == ["orphan"]
+
+    def test_a_tests_dir_under_bench_does_not_count(self, tmp_path):
+        files = {**ORPHAN, "bench/tests/test_run.py":
+                 "from repro.mod import orphan\norphan()\n"}
+        assert len(fired(lint_checkout(tmp_path, files), "R12")) == 1
+
+    def test_justified_pragma_suppresses(self, tmp_path):
+        files = {**ORPHAN, "src/repro/mod.py": """
+            def orphan() -> int:  # reprolint: disable=R12 -- tests/test_mod.py
+                return 1
+            """}
+        assert lint_checkout(tmp_path, files, strict=True) == []
+
+    def test_pragma_on_a_name_with_a_caller_is_stale(self, tmp_path):
+        files = {**ORPHAN, "src/repro/mod.py": """
+            def orphan() -> int:  # reprolint: disable=R12 -- tests/test_mod.py
+                return 1
+            """, "examples/demo.py": "from repro.mod import orphan\n"}
+        findings = lint_checkout(tmp_path, files, strict=True)
+        assert [(f.rule, f.line) for f in findings] == [("S2", 2)]
+
+    def test_unparseable_readme_block_is_reported(self, tmp_path):
+        files = {**ORPHAN,
+                 "README.md": "Intro\n\n```python\nprint(\n```\n"}
+        hits = fired(lint_checkout(tmp_path, files), "R12")
+        readme = [h for h in hits if h.path.endswith("README.md")]
+        assert len(readme) == 1 and "does not parse" in readme[0].message
+        assert readme[0].line == 4
+
+    def test_files_outside_a_repro_package_are_never_flagged(self, tmp_path):
+        target = tmp_path / "tools" / "helper.py"
+        target.parent.mkdir()
+        target.write_text("def orphan() -> int:\n    return 1\n")
+        linter = Linter([rule_by_id("R12")()], Project())
+        assert linter.lint_paths([target.parent]) == []
+
+
 # ------------------------------------------------------ engine & suppressions
 
 class TestSuppressions:
@@ -560,7 +679,7 @@ class TestEngine:
 
     def test_all_rules_have_unique_ids(self):
         ids = [rule.id for rule in ALL_RULES]
-        assert len(ids) == len(set(ids)) == 9
+        assert len(ids) == len(set(ids)) == 10
 
 
 # ----------------------------------------------------------------- CLI gate
@@ -638,7 +757,7 @@ class TestCLI:
         ids = [line.split()[0]
                for line in capsys.readouterr().out.splitlines()]
         assert ids == ["R1", "R2", "R3", "R4", "R5", "R7", "R9", "R10",
-                       "R11"]
+                       "R11", "R12"]
 
 
 # ------------------------------------------------------------- the real tree

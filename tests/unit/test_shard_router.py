@@ -340,19 +340,6 @@ class TestRouterBehavior:
         t1.commit()
         t2.abort()
 
-    def test_run_transaction_commits_and_returns(self):
-        sdb = make_router(2)
-
-        def work(txn):
-            sdb.insert(txn, "t", (1, "a"))
-            sdb.insert(txn, "t", (2, "b"))
-            return "done"
-
-        assert sdb.run_transaction(work) == "done"
-        txn = sdb.begin()
-        assert sdb.count_range(txn, "ix", None, None) == 2
-        txn.abort()
-
     def test_abort_leaves_no_trace(self):
         sdb = make_router(4)
         fill(sdb, range(10))
@@ -372,18 +359,6 @@ class TestRouterBehavior:
         txn = sdb.begin()
         rows = sdb.seq_scan(txn, "t")
         assert sorted(rows) == [(k, f"v{k}") for k in range(25)]
-        txn.abort()
-
-    def test_explain_lookup_shape(self):
-        sdb = make_router(4)
-        fill(sdb, range(10))
-        txn = sdb.begin()
-        plan = sdb.explain_lookup(txn, "ix", (4,))
-        assert plan["routing"]["fanout"] == 1
-        [shard] = plan["routing"]["shards"]
-        assert shard == sdb.partitioner.shard_of((4,))
-        assert str(shard) in plan["per_shard"] or \
-            shard in plan["per_shard"]
         txn.abort()
 
     def test_metrics_snapshot_shape(self):

@@ -55,11 +55,6 @@ class TestLifecycle:
                 raise ValueError("boom")
         assert t.state is TxnState.ABORTED
 
-    def test_run_helper(self, mgr):
-        result = mgr.run(lambda txn: txn.id)
-        assert result == 1
-        assert mgr.committed_count == 1
-
     def test_begin_charges_overhead(self, mgr):
         before = mgr.clock.now
         mgr.begin()

@@ -22,7 +22,7 @@ from repro.shard import ShardConfig, ShardedDatabase
 from repro.workloads import (DatabaseBackend, ServerBackend,
                              ShardedBackend, ShardServerBackend,
                              WorkloadBackend, WorkloadHit, as_backend,
-                             served_backend, shard_served_backend)
+                             shard_served_backend)
 
 pytestmark = pytest.mark.workload
 
@@ -39,7 +39,7 @@ def make_backend(kind: str, shards: int = 4,
     if kind == "database":
         return DatabaseBackend(Database(config))
     if kind == "server":
-        return served_backend(Database(config), serve_config)
+        return ServerBackend(Database(config).serve(serve_config))
     router = ShardedDatabase(config, ShardConfig(shards=shards))
     if kind == "sharded":
         return ShardedBackend(router)

@@ -26,7 +26,7 @@ from repro.core.records import MVPBTRecord, RecordType, record_size
 from repro.core.tree import MVPBT
 from repro.errors import ConfigError, UniqueViolationError
 from repro.index.filters import (BLOOM_FPR, PREFIX_BLOOM_FPR,
-                                 BloomFilter, PrefixBloomFilter)
+                                 BloomFilter, PrefixBloomFilter, digest)
 from repro.index.runs import PersistedRun
 from repro.sim.clock import SimClock
 from repro.sim.device import SimulatedDevice
@@ -76,7 +76,7 @@ def legacy_build(tree, file, pool, records):
         prefix_bloom = PrefixBloomFilter(len(prefixes), PREFIX_BLOOM_FPR,
                                          arity - 1)
         for prefix in prefixes:
-            prefix_bloom.add_key(prefix)
+            prefix_bloom.add_digest(*digest(encode_key(prefix)))
     all_ts = []
     for r in records:
         if r.rtype is RecordType.REGULAR_SET:
@@ -220,7 +220,7 @@ class TestMergeEquivalence:
 
         inputs = ix.persisted_partitions
         frozen = [copy.deepcopy(r) for p in inputs
-                  for r in p.run.iter_all_buffered()]
+                  for r in p.run.iter_all()]
         frozen.sort(key=MVPBTRecord.sort_key)
         actives = mgr.active_snapshots()
 

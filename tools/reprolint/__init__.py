@@ -36,11 +36,16 @@ R11    2pc-protocol        every static path through the shard layer's 2PC
                            functions follows the decision protocol
                            (P -> D -> M -> F -> finish), ops only callable
                            from the coordinator layer
+R12    dead-surface        every public name of ``repro`` is named by a caller
+                           file (``src/``, ``bench/``, ``benchmarks/``,
+                           ``examples/``, README python blocks); ``tests/``
+                           and ``__init__`` re-exports never count
 =====  ==================  ====================================================
 
-R1-R7 are per-file visitor rules; R9-R11 are :class:`ProgramRule`
-passes over a cross-module call graph with per-function lock summaries
-(``callgraph.py`` + ``summaries.py``, DESIGN.md §17).  R6 and R8 are
+R1-R7 are per-file visitor rules; R9-R12 are :class:`ProgramRule`
+passes.  R9-R11 run over a cross-module call graph with per-function
+lock summaries (``callgraph.py`` + ``summaries.py``, DESIGN.md §17);
+R12 reads the caller files around the package.  R6 and R8 are
 retired ids, never reused: ``mypy --strict`` in CI checks annotations,
 and R9's rank on every raw lock covers threading confinement.
 

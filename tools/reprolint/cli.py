@@ -26,7 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="reprolint",
         description="AST-based engine-invariant checker for the MV-PBT "
                     "repro (per-file rules R1-R7 + whole-program "
-                    "concurrency rules R9-R11; see DESIGN.md §12/§17)")
+                    "concurrency rules R9-R11 + dead-surface rule R12; "
+                    "see DESIGN.md §12/§17)")
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files or directories to lint")
     parser.add_argument("--strict", action="store_true",

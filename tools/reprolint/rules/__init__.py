@@ -18,6 +18,7 @@ from .r7_time import TimeDisciplineRule
 from .r9_lock_order import LockOrderRule
 from .r10_confinement import SlotConfinementRule
 from .r11_protocol import ProtocolExhaustivenessRule
+from .r12_dead_surface import DeadSurfaceRule
 
 ALL_RULES: tuple[type[Rule], ...] = (
     DeterminismRule,
@@ -29,6 +30,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     LockOrderRule,
     SlotConfinementRule,
     ProtocolExhaustivenessRule,
+    DeadSurfaceRule,
 )
 
 
@@ -43,4 +45,5 @@ def rule_by_id(token: str) -> type[Rule]:
 __all__ = ["ALL_RULES", "rule_by_id", "DeterminismRule",
            "RecordExhaustiveRule", "ImmutabilityRule", "StorageBypassRule",
            "ErrorDisciplineRule", "TimeDisciplineRule", "LockOrderRule",
-           "SlotConfinementRule", "ProtocolExhaustivenessRule"]
+           "SlotConfinementRule", "ProtocolExhaustivenessRule",
+           "DeadSurfaceRule"]
