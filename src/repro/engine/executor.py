@@ -124,41 +124,30 @@ class Executor:
         return _rows(self._scan(txn, index_info, lo, hi, lo_incl, hi_incl))
 
     def scan_stream(self, txn: Transaction, index_info: IndexInfo,
-                    lo: Key | None, hi: Key | None, *,
-                    lo_incl: bool = True, hi_incl: bool = True,
-                    limit: int | None = None) -> Iterator[list[Row]]:
-        """Streaming variant of :meth:`scan_rows`: yields the rows in
-        *chunks*.
+                    lo: Key | None, hi: Key | None, *, limit: int,
+                    lo_incl: bool = True,
+                    hi_incl: bool = True) -> Iterator[list[Row]]:
+        """The first ``limit`` rows of the range in index-key order, as
+        one chunk (a generator, so a consumer pays for it on ``next()``).
 
-        On the MV-PBT index-only path a chunk is one chunk of the index's
-        hit stream, its rows fetched page-grouped — so neither the index
-        hits nor the row set is materialised, and a consumer that stops
-        early leaves the tail of every partition unread.  With a ``limit``
-        the index cuts the result before any row is fetched, and the whole
-        bounded result is one chunk (each table page asked for once).
-        Other index kinds fall back to the materialising scan.  A
-        ``limit`` below one reads nothing.
+        On the MV-PBT index-only path the index cuts the result before
+        any row is fetched, and the rows are fetched page-grouped (each
+        table page asked for once).  Other index kinds cut the
+        materialising scan.  A ``limit`` below one reads nothing.
         """
-        if limit is not None and limit < 1:
+        if limit < 1:
             return
         if index_info.index_only:
-            table = self.db.catalog.table(index_info.table)
-            tree = index_info.mvpbt
-            chunks: Iterable[list[SearchHit]]
-            if limit is None:
-                chunks = tree.scan_chunks(txn, lo, hi, lo_incl=lo_incl,
-                                          hi_incl=hi_incl)
-            else:
-                chunks = [tree.scan_limit(txn, lo, limit, hi,
-                                          lo_incl=lo_incl, hi_incl=hi_incl)]
-            for hits in chunks:
-                if hits:
-                    yield self.fetch_rows(txn, table, hits)
+            hits = index_info.mvpbt.scan_limit(txn, lo, limit, hi,
+                                               lo_incl=lo_incl,
+                                               hi_incl=hi_incl)
+            if hits:
+                yield self.fetch_rows(
+                    txn, self.db.catalog.table(index_info.table), hits)
             return
         rows = self.scan_rows(txn, index_info, lo, hi,
                               lo_incl=lo_incl, hi_incl=hi_incl)
-        if limit is not None:
-            del rows[limit:]
+        del rows[limit:]
         if rows:
             yield rows
 

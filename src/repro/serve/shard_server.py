@@ -75,15 +75,19 @@ class ShardSession(SessionCore["ShardedDatabase", "ShardTransaction"]):
             return self._txn.id
 
     def commit(self) -> float:
-        """Commit; returns the simulated latency in seconds (the router's
-        max-over-shards clock delta across the commit protocol, inside
-        the slot)."""
+        """Commit; returns the simulated latency in seconds: the largest
+        advance of any one clock (the router's or a shard's) across the
+        commit protocol, inside the slot — the commit's own time, not how
+        far it moved the busiest clock."""
         with self._guard():
             txn = self.txn
+            engine = self._engine
+            clocks = [engine.clock, *(db.clock for db in engine.shards)]
             with self._server.scheduler.slot("oltp"):
-                t0 = self._engine.sim_now
-                self._engine.commit(txn)
-                latency = self._engine.sim_now - t0
+                t0 = [clock.now for clock in clocks]
+                engine.commit(txn)
+                latency = max(clock.now - t
+                              for clock, t in zip(clocks, t0))
             return self._committed(latency)
 
     def abort(self) -> None:

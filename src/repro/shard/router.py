@@ -414,11 +414,6 @@ class ShardedDatabase:
             rows += compress(run, self.owned_flags(k, info.table, run))
         return rows
 
-    def select_hits(self, txn: ShardTransaction, index_name: str,
-                    key: Key) -> "list[RowHit]":
-        return [hit for _shard, hit in
-                self.select_hits_tagged(txn, index_name, key)]
-
     def select_hits_tagged(self, txn: ShardTransaction, index_name: str,
                            key: Key) -> "list[tuple[int, RowHit]]":
         """Point lookup returning ``(shard, hit)`` pairs — the shard tag
@@ -470,13 +465,6 @@ class ShardedDatabase:
             rows.sort(key=itemgetter(*info.positions))
         return rows
 
-    def range_hits(self, txn: ShardTransaction, index_name: str,
-                   lo: Key | None, hi: Key | None, *,
-                   lo_incl: bool = True,
-                   hi_incl: bool = True) -> "list[RowHit]":
-        return [hit for _shard, hit in self.range_hits_tagged(
-            txn, index_name, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)]
-
     def range_hits_tagged(self, txn: ShardTransaction, index_name: str,
                           lo: Key | None, hi: Key | None, *,
                           lo_incl: bool = True, hi_incl: bool = True
@@ -520,12 +508,6 @@ class ShardedDatabase:
             if plan.name == "single-slot":
                 self._m_slot_routed.inc()
         return runs
-
-    def count_range(self, txn: ShardTransaction, index_name: str,
-                    lo: Key | None, hi: Key | None, *,
-                    lo_incl: bool = True, hi_incl: bool = True) -> int:
-        return len(self.range_select(txn, index_name, lo, hi,
-                                     lo_incl=lo_incl, hi_incl=hi_incl))
 
     def seq_scan(self, txn: ShardTransaction, table: str) -> list[Row]:
         """Full-table scan, shard by shard (shard order, not key order).

@@ -1,13 +1,13 @@
 """Evaluation workloads: YCSB, TPC-C (DBT-2 style) and the CH-benchmark.
 
 All three runners drive a :class:`~repro.workloads.backend.WorkloadBackend`
-— one API over a bare database, a served session pool, a 2PC-sharded
-cluster, or a served sharded cluster (DESIGN.md §18).
+— one API over a bare database, a served session pool or a served
+2PC-sharded cluster (DESIGN.md §18).
 """
 
-from .backend import (DatabaseBackend, ServerBackend, ShardedBackend,
-                      ShardServerBackend, WorkloadBackend, WorkloadHit,
-                      WorkloadTxn, as_backend, shard_served_backend)
+from .backend import (DatabaseBackend, ServerBackend, ShardServerBackend,
+                      WorkloadBackend, WorkloadHit, WorkloadTxn, as_backend,
+                      shard_served_backend)
 from .chbench import CHBenchmark, CHResult
 from .invariants import assert_tpcc_consistent, tpcc_consistency_errors
 from .distributions import (LatestDistribution, ScrambledZipfian,
@@ -42,7 +42,6 @@ __all__ = [
     "WorkloadHit",
     "DatabaseBackend",
     "ServerBackend",
-    "ShardedBackend",
     "ShardServerBackend",
     "as_backend",
     "shard_served_backend",

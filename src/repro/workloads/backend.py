@@ -4,30 +4,30 @@ The workload runners (:class:`~repro.workloads.ycsb.YCSBRunner`,
 :class:`~repro.workloads.tpcc.TPCCRunner`,
 :class:`~repro.workloads.chbench.CHBenchmark`) speak one small
 transactional API — :class:`WorkloadBackend` / :class:`WorkloadTxn`.
-There are two topologies, each driven directly or served:
+There are three backends:
 
 * :class:`DatabaseBackend` — a single-node
   :class:`~repro.engine.database.Database`, driven directly;
-* :class:`ShardedBackend` — a 2PC
-  :class:`~repro.shard.router.ShardedDatabase`, driven directly: every
-  multi-key transaction whose rows land on different shards commits
-  through the two-phase marker flow;
-* :class:`ServerBackend` / :class:`ShardServerBackend` — the direct
-  backend of the same topology plus one :class:`_SessionPool` over its
-  :class:`~repro.serve.server.Server` /
-  :class:`~repro.serve.shard_server.ShardServer`: only ``begin``,
-  ``vacuum`` and ``close`` are serving-specific (engine-slot confinement,
-  group commit or the router's 2PC; analytic reads flow through the
-  session's unordered ``gather_rows``, LIMIT scans through its ordered
-  sliced scan) — DDL, the load, the clock, ``flush_all`` and
-  ``dump_table`` are host-level and inherited.
+* :class:`ServerBackend` — that backend plus one :class:`_SessionPool`
+  over a :class:`~repro.serve.server.Server`: only ``begin``, ``vacuum``
+  and ``close`` are serving-specific (engine-slot confinement, group
+  commit) — DDL, the load, the clock, ``flush_all`` and ``dump_table``
+  are host-level and inherited;
+* :class:`ShardServerBackend` — one :class:`_SessionPool` over a
+  :class:`~repro.serve.shard_server.ShardServer` on a 2PC
+  :class:`~repro.shard.router.ShardedDatabase`: a transaction whose rows
+  land on different shards commits through the two-phase marker flow.
+  A router reaches the workload layer only through its server.
+
+Analytic reads on the served backends flow through the session's
+unordered ``gather_rows``, LIMIT scans through its ordered sliced scan.
 
 Row handles are :class:`WorkloadHit` — a ``(shard, RowHit)`` pair (shard
 0 on single-node backends) — so hit-based DML (the TPC-C access pattern)
 works identically everywhere, including cross-shard row moves.
 
 The load phase goes through :meth:`WorkloadBackend.bulk_insert`, which
-the sharded backends implement with
+the sharded backend implements with
 :meth:`~repro.shard.router.ShardedDatabase.bulk_load`: the slots the
 rows fall in are first dealt to shards by load (TPC-C's four warehouses
 get a shard each), then the rows are partitioned by shard key and each
@@ -40,10 +40,8 @@ the differential oracle (``tests/integration/test_workload_differential
 
 from __future__ import annotations
 
-import heapq
 from abc import ABC, abstractmethod
-from itertools import chain, compress, islice
-from operator import itemgetter
+from itertools import chain
 from typing import (TYPE_CHECKING, Any, Generic, NamedTuple, Sequence,
                     TypeVar, Union)
 
@@ -58,7 +56,6 @@ if TYPE_CHECKING:
     from ..serve.server import Server, ServerCore
     from ..serve.session import Session, SessionCore
     from ..serve.shard_server import ShardServer, ShardSession
-    from ..shard.txn import ShardTransaction
     from ..txn.transaction import Transaction
 
 S = TypeVar("S", bound="SessionCore[Any, Any]")
@@ -136,8 +133,8 @@ class WorkloadTxn(ABC):
         """Analytical range read: the visible rows of ``[lo, hi]`` as a
         multiset, in no particular order (callers group, sum or sort
         them).  Server backends route it through the session's unordered
-        ``gather_rows`` (slot per pull and per fetch); direct backends
-        fall back to the materialising range select."""
+        ``gather_rows`` (slot per pull and per fetch); the direct backend
+        falls back to the materialising range select."""
 
 
 class WorkloadBackend(ABC):
@@ -173,8 +170,8 @@ class WorkloadBackend(ABC):
     @abstractmethod
     def bulk_insert(self, table: str, rows: Sequence[Sequence[object]], *,
                     rows_per_txn: int = 5000) -> int:
-        """Load rows in committed chunks; sharded backends partition by
-        shard key and bulk-load each shard directly."""
+        """Load rows in committed chunks; the sharded backend partitions
+        by shard key and bulk-loads each shard directly."""
 
     @abstractmethod
     def vacuum(self, table: str) -> None: ...
@@ -325,155 +322,6 @@ class DatabaseBackend(WorkloadBackend):
             return sorted(self.db.seq_scan(txn, table))
         finally:
             txn.commit()
-
-
-# ------------------------------------------------------------ sharded router
-
-
-class _ShardedTxn(WorkloadTxn):
-    """Direct global transaction on the 2PC router."""
-
-    def __init__(self, router: ShardedDatabase,
-                 txn: "ShardTransaction") -> None:
-        self._router = router
-        self._txn = txn
-
-    @property
-    def is_active(self) -> bool:
-        return self._txn.is_active
-
-    def commit(self) -> None:
-        self._txn.commit()
-
-    def abort(self) -> None:
-        self._txn.abort()
-
-    def insert(self, table: str, row: Sequence[object]) -> None:
-        self._router.insert(self._txn, table, row)
-
-    def select(self, index: str, key: Key) -> list[Row]:
-        return self._router.select(self._txn, index, key)
-
-    def select_hits(self, index: str, key: Key) -> list[WorkloadHit]:
-        return [WorkloadHit(shard, hit) for shard, hit in
-                self._router.select_hits_tagged(self._txn, index, key)]
-
-    def range_select(self, index: str, lo: Key | None, hi: Key | None, *,
-                     lo_incl: bool = True,
-                     hi_incl: bool = True) -> list[Row]:
-        return self._router.range_select(self._txn, index, lo, hi,
-                                         lo_incl=lo_incl, hi_incl=hi_incl)
-
-    def range_hits(self, index: str, lo: Key | None, hi: Key | None, *,
-                   lo_incl: bool = True,
-                   hi_incl: bool = True) -> list[WorkloadHit]:
-        return [WorkloadHit(shard, hit) for shard, hit in
-                self._router.range_hits_tagged(self._txn, index, lo, hi,
-                                               lo_incl=lo_incl,
-                                               hi_incl=hi_incl)]
-
-    def update(self, table: str, hit: WorkloadHit,
-               updates: dict[str, object]) -> None:
-        self._router.update_hit(self._txn, table, hit.shard, hit.hit,
-                                updates)
-
-    def delete(self, table: str, hit: WorkloadHit) -> None:
-        self._router.delete_hit(self._txn, table, hit.shard, hit.hit)
-
-    def scan_limit(self, index: str, lo: Key | None,
-                   limit: int) -> list[Row]:
-        return _sharded_scan_limit(self._router, self._txn, index, lo,
-                                   limit)
-
-    def analytic_rows(self, index: str, lo: Key | None,
-                      hi: Key | None) -> list[Row]:
-        return self.range_select(index, lo, hi)
-
-
-def _sharded_scan_limit(router: ShardedDatabase, txn: "ShardTransaction",
-                        index: str, lo: Key | None,
-                        limit: int) -> list[Row]:
-    """First ``limit`` owned rows at/after ``lo`` in global key order:
-    every shard gives its first ``limit`` owned rows — a LIMIT scan cut in
-    the index, re-pulled at double the size while rebalance residue (only
-    the fetched row tells) leaves it short — and the runs are k-way
-    merged.  A LIMIT below one reads nothing."""
-    if limit < 1:
-        return []
-    info = router.shards[0].catalog.index(index)
-
-    def owned_run(k: int) -> list[Row]:
-        db = router.shards[k]
-        size = limit
-        while True:
-            rows = list(chain.from_iterable(db.executor.scan_stream(
-                txn.on(k), db.catalog.index(index), lo, None, limit=size)))
-            run = list(compress(rows, router.owned_flags(k, info.table,
-                                                         rows)))
-            if len(run) >= limit or len(rows) < size:
-                return run[:limit]
-            size *= 2
-
-    # key-tuple order: the order every shard's stream arrives in
-    merged = heapq.merge(*(owned_run(k) for k in range(len(router.shards))),
-                         key=itemgetter(*info.positions))
-    return list(islice(merged, limit))
-
-
-class ShardedBackend(WorkloadBackend):
-    """The 2PC router, driven directly."""
-
-    def __init__(self, router: ShardedDatabase) -> None:
-        self.router = router
-        self.name = f"sharded-{len(router.shards)}"
-
-    def create_table(self, name: str,
-                     columns: Sequence[tuple[str, str]],
-                     storage: str = "sias", *,
-                     shard_key: Sequence[str] | None = None) -> None:
-        self.router.create_table(name, columns, storage,
-                                 shard_key=shard_key)
-
-    def create_index(self, name: str, table: str,
-                     columns: Sequence[str], *, kind: str = "mvpbt",
-                     unique: bool = False, reference: str = "physical",
-                     **options: object) -> None:
-        self.router.create_index(name, table, columns, kind=kind,
-                                 unique=unique, reference=reference,
-                                 **options)
-
-    def begin(self) -> WorkloadTxn:
-        return _ShardedTxn(self.router, self.router.begin())
-
-    @property
-    def sim_now(self) -> float:
-        return self.router.sim_now
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.router.shards)
-
-    def bulk_insert(self, table: str, rows: Sequence[Sequence[object]], *,
-                    rows_per_txn: int = 5000) -> int:
-        return self.router.bulk_load(table, rows,
-                                     rows_per_txn=rows_per_txn)
-
-    def vacuum(self, table: str) -> None:
-        self.router.vacuum(table)
-
-    def advance_clock(self, seconds: float) -> None:
-        for db in self.router.shards:
-            db.clock.advance(seconds)
-
-    def flush_all(self) -> None:
-        self.router.flush_all()
-
-    def dump_table(self, table: str) -> list[Row]:
-        txn = self.router.begin()
-        try:
-            return sorted(self.router.seq_scan(txn, table))
-        finally:
-            self.router.commit(txn)
 
 
 # ------------------------------------------------------------- served single
@@ -642,25 +490,68 @@ class _ShardSessionTxn(WorkloadTxn):
         return self._session.gather_rows(index, lo, hi)
 
 
-class ShardServerBackend(ShardedBackend):
-    """A multi-session :class:`ShardServer` over the 2PC router: the
-    direct sharded backend, with transactions and vacuum going through
-    pooled sessions and the engine slot.
+class ShardServerBackend(WorkloadBackend):
+    """A multi-session :class:`ShardServer` over the 2PC router:
+    transactions and vacuum go through pooled sessions and the engine
+    slot; DDL, the load, the clock, ``flush_all`` and ``dump_table`` are
+    host-level calls on the router.
 
     Analytic reads flow through the session's unordered gather
     (``gather_rows``), LIMIT scans through its ordered sliced scan."""
 
     def __init__(self, server: "ShardServer") -> None:
-        super().__init__(server.router)
         self.server = server
+        self.router = server.router
         self.name = f"shard-server-{len(self.router.shards)}"
         self._pool = _SessionPool(server)
+
+    def create_table(self, name: str,
+                     columns: Sequence[tuple[str, str]],
+                     storage: str = "sias", *,
+                     shard_key: Sequence[str] | None = None) -> None:
+        self.router.create_table(name, columns, storage,
+                                 shard_key=shard_key)
+
+    def create_index(self, name: str, table: str,
+                     columns: Sequence[str], *, kind: str = "mvpbt",
+                     unique: bool = False, reference: str = "physical",
+                     **options: object) -> None:
+        self.router.create_index(name, table, columns, kind=kind,
+                                 unique=unique, reference=reference,
+                                 **options)
 
     def begin(self) -> WorkloadTxn:
         return _ShardSessionTxn(self._pool.acquire())
 
+    @property
+    def sim_now(self) -> float:
+        return self.router.sim_now
+
+    @property
+    def shard_count(self) -> int:
+        return len(self.router.shards)
+
+    def bulk_insert(self, table: str, rows: Sequence[Sequence[object]], *,
+                    rows_per_txn: int = 5000) -> int:
+        return self.router.bulk_load(table, rows,
+                                     rows_per_txn=rows_per_txn)
+
     def vacuum(self, table: str) -> None:
         self.server.vacuum(table)
+
+    def advance_clock(self, seconds: float) -> None:
+        for db in self.router.shards:
+            db.clock.advance(seconds)
+
+    def flush_all(self) -> None:
+        self.router.flush_all()
+
+    def dump_table(self, table: str) -> list[Row]:
+        txn = self.router.begin()
+        try:
+            return sorted(self.router.seq_scan(txn, table))
+        finally:
+            self.router.commit(txn)
 
     def close(self) -> None:
         self._pool.close()
@@ -678,7 +569,7 @@ def as_backend(target: BackendTarget) -> WorkloadBackend:
     if isinstance(target, Database):
         return DatabaseBackend(target)
     if isinstance(target, ShardedDatabase):
-        return ShardedBackend(target)
+        return shard_served_backend(target)
     if isinstance(target, Server):
         return ServerBackend(target)
     if isinstance(target, ShardServer):

@@ -3,8 +3,8 @@ prove all-shards-or-no-shards atomicity on real TPC-C data (DESIGN.md
 §18.6).
 
 The scripted sweeps in ``test_shard_crash.py`` exercise a synthetic
-key/value workload; here the SAME fault plans hit a durable 2-shard
-cluster running genuine TPC-C new-orders forced cross-shard
+key/value workload; here the SAME fault plans hit a served, durable
+2-shard cluster running genuine TPC-C new-orders forced cross-shard
 (``remote_order_line_prob=1.0`` with warehouses on both shards), so every
 crash point lands inside — or between — 2PC commits that touch district,
 orders, new_order, order_line and REMOTE stock rows at once.
@@ -32,17 +32,18 @@ from repro.errors import DeviceCrashError
 from repro.shard import ShardConfig, ShardedDatabase
 from repro.sim.device import FaultPlan, SimulatedDevice
 from repro.txn.status import TxnStatus
-from repro.workloads import (ShardedBackend, TPCCConfig, TPCCResult,
-                             TPCCRunner, assert_tpcc_consistent)
+from repro.workloads import (ShardServerBackend, TPCCConfig, TPCCResult,
+                             TPCCRunner, assert_tpcc_consistent,
+                             shard_served_backend)
 
 pytestmark = [pytest.mark.crash, pytest.mark.shard, pytest.mark.workload]
 
 SHARDS = 2
 TARGETS = ("shard0", "shard1", "coord")
 
-#: with 2 shards x 16 hash slots, warehouse 4 lands on shard 0 and
-#: warehouses 1-3 on shard 1 — so a remote order line regularly crosses
-#: the shard boundary (never use 2 warehouses here: both hash to shard 1)
+#: the load deals two of the four warehouses to each shard (asserted in
+#: ``test_workload_reaches_both_shards``), so a remote order line regularly
+#: crosses the shard boundary
 CRASH_CFG = TPCCConfig(
     warehouses=4, districts_per_warehouse=1, customers_per_district=3,
     items=8, initial_orders_per_district=2,
@@ -52,8 +53,10 @@ CRASH_CFG = TPCCConfig(
 N_TXNS = 20
 
 
-def make_cluster() -> tuple[ShardedDatabase, ShardedBackend, TPCCRunner]:
-    """A durable 2-shard cluster, loaded with the crash-scale TPC-C data."""
+def make_cluster() -> tuple[ShardedDatabase, ShardServerBackend,
+                            TPCCRunner]:
+    """A served, durable 2-shard cluster, loaded with the crash-scale
+    TPC-C data."""
     config = EngineConfig(
         durability=True,
         page_size=512,
@@ -66,7 +69,7 @@ def make_cluster() -> tuple[ShardedDatabase, ShardedBackend, TPCCRunner]:
     )
     router = ShardedDatabase(config, ShardConfig(shards=SHARDS,
                                                  hash_slots=16))
-    backend = ShardedBackend(router)
+    backend = shard_served_backend(router)
     runner = TPCCRunner(backend, CRASH_CFG)
     runner.load()
     return router, backend, runner
@@ -80,9 +83,11 @@ def device_of(router: ShardedDatabase, target: str) -> SimulatedDevice:
 
 
 class WorkloadRun:
-    """One (possibly crashed) TPC-C run over the durable cluster."""
+    """One (possibly crashed) TPC-C run over the durable cluster.  A
+    crashed run's server is abandoned, never closed: its engine is dead."""
 
-    def __init__(self, router: ShardedDatabase, backend: ShardedBackend,
+    def __init__(self, router: ShardedDatabase,
+                 backend: ShardServerBackend,
                  crashed: bool, start_txid: int,
                  result: TPCCResult | None) -> None:
         self.router = router
@@ -113,7 +118,7 @@ def run_new_orders(target: str | None = None, k: int = 0,
     return WorkloadRun(router, backend, crashed, start_txid, result)
 
 
-def assert_stock_ledger_balanced(backend: ShardedBackend,
+def assert_stock_ledger_balanced(backend: ShardServerBackend,
                                  context: str) -> None:
     """Cross-shard ledger: total s_ytd == total runtime order-line qty."""
     initial = CRASH_CFG.initial_orders_per_district
@@ -127,7 +132,8 @@ def assert_stock_ledger_balanced(backend: ShardedBackend,
         f"but not the other")
 
 
-def recover_and_check(run: WorkloadRun, context: str) -> ShardedBackend:
+def recover_and_check(run: WorkloadRun,
+                      context: str) -> ShardServerBackend:
     """Recover every shard + the coordinator; assert the §18.6 invariants."""
     recovered = ShardedDatabase.recover(run.router)
 
@@ -143,7 +149,7 @@ def recover_and_check(run: WorkloadRun, context: str) -> ShardedBackend:
         assert statuses <= {TxnStatus.COMMITTED, TxnStatus.ABORTED}, (
             f"{context}: txn {txid} undecided after recovery")
 
-    backend = ShardedBackend(recovered)
+    backend = shard_served_backend(recovered)
     assert_tpcc_consistent(backend, context=context)
     assert_stock_ledger_balanced(backend, context)
     return backend
@@ -177,6 +183,7 @@ def clean_run() -> dict[str, object]:
         "decisions": len(router.coordinator.decisions) - decisions_before,
         "start_txid": start_txid,
         "backend": backend,
+        "router": router,
     }
     yield info
     backend.close()
@@ -192,6 +199,10 @@ def test_workload_reaches_both_shards(clean_run: dict[str, object]) -> None:
     # decisions with the coordinator
     assert clean_run["decisions"] > 5, (
         "new-orders did not take the durable 2PC path")
+    # the load dealt two warehouses to each shard
+    owner = clean_run["router"].partitioner.shard_of
+    owned = [owner((w,)) for w in range(1, CRASH_CFG.warehouses + 1)]
+    assert sorted(owned.count(k) for k in range(SHARDS)) == [2, 2], owned
     run_io = clean_run["run_io"]
     for target in TARGETS:
         assert run_io[target] > 0, f"{target} sat idle during the run"
@@ -209,7 +220,7 @@ def test_new_order_crash_sweep(target: str, clean_run: dict[str, object],
         run = run_new_orders(target, k)
         assert run.crashed, f"{target} k={k} must crash mid-run"
         crashes += 1
-        recover_and_check(run, context=f"{target} k={k}")
+        recover_and_check(run, context=f"{target} k={k}").close()
     assert crashes > 0
 
 
@@ -220,7 +231,7 @@ def test_torn_new_order_write_recovers(
     for fraction in (0.0, 0.5, 0.99):
         run = run_new_orders("shard1", k, mode="torn", fraction=fraction)
         assert run.crashed
-        recover_and_check(run, context=f"torn f={fraction} k={k}")
+        recover_and_check(run, context=f"torn f={fraction} k={k}").close()
 
 
 def test_crash_beyond_run_never_fires(
@@ -244,8 +255,10 @@ def test_recovered_cluster_accepts_cross_shard_txns(
     assert run.crashed
     backend = recover_and_check(run, context="resume")
     decisions_before = len(backend.router.coordinator.decisions)
-    # a manual double-payment touching warehouse 1 (shard 1) and
-    # warehouse 4 (shard 0) in ONE transaction: cross-shard by design
+    # a manual double-payment touching warehouses 1 and 4, which the
+    # load put on different shards, in ONE transaction: cross-shard
+    owner = backend.router.partitioner.shard_of
+    assert owner((1,)) != owner((4,))
     txn = backend.begin()
     for w in (1, 4):
         wh = txn.select_hits("idx_warehouse", (w,))[0]
@@ -256,3 +269,4 @@ def test_recovered_cluster_accepts_cross_shard_txns(
     assert len(backend.router.coordinator.decisions) > decisions_before, (
         "post-recovery payment did not take the 2PC path")
     assert_tpcc_consistent(backend, context="post-recovery")
+    backend.close()

@@ -37,8 +37,8 @@ from repro.serve import ServeConfig
 from repro.shard import HashPartitioner, ShardConfig, ShardedDatabase
 from repro.sim.device import FaultPlan
 from repro.workloads import CHBenchmark, TPCCConfig, TPCCRunner
-from repro.workloads.backend import (ShardedBackend, ShardServerBackend,
-                                     _ShardSessionTxn, shard_served_backend)
+from repro.workloads.backend import (ShardServerBackend, _ShardSessionTxn,
+                                     shard_served_backend)
 
 from ..property.test_prop_shard_routing import (
     rebalance_interrupted_after_flip, shuffle_leaving_residue)
@@ -163,9 +163,9 @@ def test_every_read_path_counts_the_residue_it_filters() -> None:
     with router.serve() as server, server.session() as session:
         session.begin()
         assert filtered(lambda: list(session.batch_scan("ix"))) == by_range
-    direct = ShardedBackend(router).begin()
-    assert filtered(lambda: direct.scan_limit("ix", None, len(rows))) > 0
-    direct.commit()
+        assert filtered(lambda: session.scan_limit("ix", None,
+                                                   len(rows))) > 0
+        session.commit()
     router.commit(txn)
 
 
@@ -213,12 +213,10 @@ def test_completed_rebalance_leaves_index_reads_unhashed(
         assert router.select(txn, "ix_v", (row[1],)) == [row]
         assert [hit.row for _k, hit in router.select_hits_tagged(
             txn, "ix_v", (row[1],))] == [row]
-    direct = ShardedBackend(router).begin()
-    assert direct.scan_limit("ix", None, len(rows)) == rows
-    direct.commit()
     with router.serve() as server, server.session() as session:
         session.begin()
         assert list(session.batch_scan("ix", slice_rows=64)) == rows
+        assert session.scan_limit("ix", None, len(rows)) == rows
         assert session.count_range("ix", None, None) == len(rows)
         session.commit()
     assert hashed == 0
@@ -265,14 +263,12 @@ def test_recovered_router_filters_every_path() -> None:
                                  router.select_hits_tagged(
                                      txn, "ix_v", (row[1],))], [row])
                for row in rows) > 0
-    direct = ShardedBackend(router).begin()
-    assert filtered(lambda: direct.scan_limit("ix", None, len(rows)),
-                    rows) > 0
-    direct.commit()
     with router.serve() as server, server.session() as session:
         session.begin()
         assert filtered(lambda: list(session.batch_scan(
             "ix", slice_rows=64)), rows) > 0
+        assert filtered(lambda: session.scan_limit("ix", None, len(rows)),
+                        rows) > 0
         assert filtered(lambda: session.count_range("ix", None, None),
                         len(rows)) > 0
         session.commit()

@@ -2,8 +2,8 @@
 
 Every workload, at a fixed seed, must produce the IDENTICAL committed
 final state no matter which backend executes it: a single-node database,
-a served session pool, a 1-shard router (the degenerate cluster), a
-4-shard 2PC router, and a served 4-shard cluster.  Backends differ only
+a served session pool, a served 1-shard router (the degenerate cluster)
+and a served 4-shard 2PC cluster.  Backends differ only
 in simulated cost and protocol — never in results.
 
 The oracle compares full-table dumps under fresh snapshots (sorted row
@@ -21,16 +21,14 @@ from repro.engine.database import Database
 from repro.obs.config import ObsConfig
 from repro.shard import ShardConfig, ShardedDatabase
 from repro.workloads import (WORKLOADS, CHBenchmark, DatabaseBackend,
-                             ServerBackend, ShardedBackend, TPCCConfig,
-                             TPCCRunner, WorkloadBackend, YCSBConfig,
-                             YCSBRunner, assert_tpcc_consistent,
-                             shard_served_backend)
+                             ServerBackend, TPCCConfig, TPCCRunner,
+                             WorkloadBackend, YCSBRunner,
+                             assert_tpcc_consistent, shard_served_backend)
 
 pytestmark = [pytest.mark.workload]
 
 #: the oracle panel: every backend the runners must agree across
-PANEL = ("database", "server", "sharded-1", "sharded-4",
-         "shard-server-4")
+PANEL = ("database", "server", "shard-server-1", "shard-server-4")
 
 
 def make_panel_backend(kind: str) -> WorkloadBackend:
@@ -40,10 +38,8 @@ def make_panel_backend(kind: str) -> WorkloadBackend:
     if kind == "server":
         return ServerBackend(Database(config).serve())
     shards = int(kind.rsplit("-", 1)[1])
-    router = ShardedDatabase(config, ShardConfig(shards=shards))
-    if kind.startswith("sharded"):
-        return ShardedBackend(router)
-    return shard_served_backend(router)
+    return shard_served_backend(
+        ShardedDatabase(config, ShardConfig(shards=shards)))
 
 
 # ------------------------------------------------------------------- YCSB
@@ -53,7 +49,7 @@ YCSB_SCALE = dict(record_count=150, operation_count=200)
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_ycsb_identical_final_state_across_backends(workload: str) -> None:
-    """YCSB A-F: one op stream, five backends, one committed state."""
+    """YCSB A-F: one op stream, four backends, one committed state."""
     config = WORKLOADS[workload].scaled(seed=101, **YCSB_SCALE)
     dumps: dict[str, list] = {}
     results = {}
@@ -168,14 +164,13 @@ def test_tpcc_cross_shard_commits_happened(tpcc_panel) -> None:
     """The 4-shard agreement is only meaningful if transactions really
     spanned shards.  (Non-durable clusters skip the 2PC marker I/O by
     design — the durable crash suite exercises the full marker flow.)"""
-    for kind in ("sharded-4", "shard-server-4"):
-        router = tpcc_panel[kind]["backend"].router
-        cross = router.obs.registry.counter_value(
-            "shard.txn.commits.cross_shard")
-        single = router.obs.registry.counter_value(
-            "shard.txn.commits.single_shard")
-        assert cross > 0, f"{kind}: no multi-shard commit happened"
-        assert single > 0, f"{kind}: no single-shard fast path used"
+    router = tpcc_panel["shard-server-4"]["backend"].router
+    cross = router.obs.registry.counter_value(
+        "shard.txn.commits.cross_shard")
+    single = router.obs.registry.counter_value(
+        "shard.txn.commits.single_shard")
+    assert cross > 0, "no multi-shard commit happened"
+    assert single > 0, "no single-shard fast path used"
 
 
 # --------------------------------------------------------------- CH (HTAP)

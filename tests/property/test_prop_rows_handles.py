@@ -10,7 +10,8 @@ twin>]``: ``select`` / ``select_hits``, ``range_select`` / ``range_hits``,
 ``scan_stream`` at LIMITs −1 / 0 / 1 / 7 / 100, and ``fetch_rows``.  The
 same holds on a 4-shard router after a ``move_slot`` shuffle has left
 rebalance residue behind, which the rows paths must filter exactly as the
-handle paths do.
+handle paths do; there the snapshots are held by served sessions, whose
+``scan_limit`` is the router's LIMIT scan.
 """
 
 import pytest
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.config import EngineConfig
 from repro.shard import ShardConfig, ShardedDatabase
-from repro.workloads.backend import _sharded_scan_limit
 
 from ..unit import test_executor
 from ..unit.test_executor import setup
@@ -55,9 +55,11 @@ def mode_id(mode):
     return ",".join(f"{k}={v}" for k, v in mode.items()) or "sias"
 
 
-def run_history(engine, history):
+def run_history(engine, history, hold=None):
     """Preload every key, then apply ``history``; returns the snapshots
-    held open along the way plus a fresh one."""
+    held open along the way plus a fresh one, each opened by ``hold``
+    (default: ``engine.begin``)."""
+    hold = hold or engine.begin
     txn = engine.begin()
     for key in KEYS:
         engine.insert(txn, "r", (key, f"v{key}"))
@@ -65,7 +67,7 @@ def run_history(engine, history):
     held = []
     for step in history:
         if step["hold"]:
-            held.append(engine.begin())
+            held.append(hold())
         txn = engine.begin()
         for op in step["ops"]:
             if op[0] == "insert":
@@ -80,7 +82,7 @@ def run_history(engine, history):
             txn.commit()
         else:
             txn.abort()
-    return held + [engine.begin()]
+    return held + [hold()]
 
 
 def rows_of(handles):
@@ -130,13 +132,22 @@ def test_sharded_rows_equal_handles_past_residue(mode, history, shard_key,
     router.create_table("r", [("a", "int"), ("b", "str")], storage,
                         shard_key=[shard_key])
     router.create_index("ix", "r", ["a"], **options)
-    held = run_history(router, history)
+    server = router.serve()
+
+    def hold():
+        session = server.session()
+        session.begin()
+        return session
+
+    held = run_history(router, history, hold)
     shuffle_leaving_residue(router, seed)
     index_only = router.shards[0].catalog.index("ix").index_only
-    for txn in held:
+    for session in held:
+        txn = session.txn
         for key in KEYS[::4]:
-            assert router.select(txn, "ix", (key,)) == rows_of(
-                router.select_hits(txn, "ix", (key,))), key
+            assert router.select(txn, "ix", (key,)) == [
+                hit.row for _shard, hit in router.select_hits_tagged(
+                    txn, "ix", (key,))], key
         for lo, hi in RANGES:
             tagged = router.range_hits_tagged(txn, "ix", lo, hi)
             handles = [hit.row for _shard, hit in tagged]
@@ -158,8 +169,10 @@ def test_sharded_rows_equal_handles_past_residue(mode, history, shard_key,
                                          merged=merges) == [
                     hit.row for k, hit in tagged if k == shard]
         for lo, _hi in RANGES:
-            handles = rows_of(router.range_hits(txn, "ix", lo, None))
+            handles = [hit.row for _shard, hit in router.range_hits_tagged(
+                txn, "ix", lo, None)]
             for limit in LIMITS:
-                got = _sharded_scan_limit(router, txn, "ix", lo, limit)
+                got = session.scan_limit("ix", lo, limit)
                 assert got == handles[:max(limit, 0)], (lo, limit)
-        txn.commit()
+        session.commit()
+    server.close()

@@ -40,7 +40,6 @@ from repro.engine.database import Database
 from repro.index.base import TOP
 from repro.serve import ServeConfig
 from repro.shard import HashPartitioner, ShardConfig, ShardedDatabase
-from repro.workloads.backend import _sharded_scan_limit
 
 pytestmark = pytest.mark.shard
 
@@ -287,7 +286,7 @@ def assert_same_reads(router, oracle, session, otxn, context):
         in_order = sorted(key_of(row) for row in oracle.range_select(
             otxn, name, None, None))
         for limit in (1, 3, 50):
-            got = _sharded_scan_limit(router, rtxn, name, None, limit)
+            got = session.scan_limit(name, None, limit)
             assert [key_of(row) for row in got] == in_order[:limit], (
                 f"{context}: scan_limit {name} limit={limit}")
         # the sliced scan: every range at one slice size each, cycling,
@@ -359,10 +358,13 @@ def test_scan_limit_repulls_past_residue_deleted_at_its_owner():
                  (a, b, c))
     router.commit(rtxn)
     otxn.commit()
-    rtxn, otxn = router.begin(), oracle.begin()
+    otxn = oracle.begin()
     in_order = [row[:3] for row in oracle.range_select(otxn, "ix_abc",
                                                       None, None)]
     assert len(in_order) >= 4
-    for limit in (1, 2, 3, 50):
-        got = _sharded_scan_limit(router, rtxn, "ix_abc", None, limit)
-        assert [row[:3] for row in got] == in_order[:limit], limit
+    with router.serve() as server, server.session() as session:
+        session.begin()
+        for limit in (1, 2, 3, 50):
+            got = session.scan_limit("ix_abc", None, limit)
+            assert [row[:3] for row in got] == in_order[:limit], limit
+        session.commit()

@@ -6,7 +6,8 @@ every backend.  These properties pin that contract:
 
 * running the same seeded workload twice produces identical op logs,
   identical result counters and identical committed final states;
-* running it on a different backend (single-node vs. a 2-shard cluster)
+* running it on a different backend (single-node vs. a served 2-shard
+  cluster)
   produces the identical op log — the runner's RNG stream must not
   depend on which backend executes it;
 * changing the seed changes the op stream (the log is not a constant).
@@ -19,8 +20,8 @@ import pytest
 from repro.config import EngineConfig
 from repro.engine.database import Database
 from repro.shard import ShardConfig, ShardedDatabase
-from repro.workloads import (WORKLOADS, DatabaseBackend, ShardedBackend,
-                             TPCCConfig, TPCCRunner, YCSBRunner)
+from repro.workloads import (WORKLOADS, DatabaseBackend, TPCCConfig,
+                             TPCCRunner, YCSBRunner, shard_served_backend)
 
 pytestmark = [pytest.mark.workload]
 
@@ -32,7 +33,7 @@ TPCC_TABLES = ("warehouse", "district", "customer", "item", "stock",
 def make_backend(kind: str):
     if kind == "database":
         return DatabaseBackend(Database(EngineConfig()))
-    return ShardedBackend(
+    return shard_served_backend(
         ShardedDatabase(EngineConfig(), ShardConfig(shards=2)))
 
 
@@ -79,7 +80,7 @@ def test_ycsb_repeat_runs_identical(seed: int, workload: str) -> None:
 @pytest.mark.parametrize("seed", [3, 17])
 def test_ycsb_op_stream_backend_independent(seed: int) -> None:
     single = run_ycsb("database", seed)
-    sharded = run_ycsb("sharded", seed)
+    sharded = run_ycsb("shard-server", seed)
     assert single[0] == sharded[0], (
         "the RNG stream leaked backend-dependent state")
     assert single[1] == sharded[1]
@@ -104,7 +105,7 @@ def test_tpcc_repeat_runs_identical(seed: int) -> None:
 @pytest.mark.parametrize("seed", [5, 29])
 def test_tpcc_op_stream_backend_independent(seed: int) -> None:
     single = run_tpcc("database", seed)
-    sharded = run_tpcc("sharded", seed)
+    sharded = run_tpcc("shard-server", seed)
     assert single[0] == sharded[0], (
         "the RNG stream leaked backend-dependent state")
     assert single[1] == sharded[1]

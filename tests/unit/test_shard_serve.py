@@ -366,3 +366,35 @@ class TestServerMetrics:
         assert reg.counter_value("serve.sessions.closed") == 1
         assert reg.counter_value("shard.txn.commits.cross_shard") == 1
         server.close()
+
+    def test_commit_latency_is_the_commits_own_time(self):
+        """A commit's latency is the largest advance of any one clock it
+        moved, not how far it moved the busiest clock: after 50 commits
+        on one shard, a commit on another shard costs what it costs."""
+        server = make_server(durable=True)
+        router = server.router
+        owner = router.partitioner.shard_of
+        busy = [k for k in range(1000) if owner((k,)) == 0][:51]
+        quiet = next(k for k in range(1000) if owner((k,)) == 1)
+        clocks = [router.clock, *(db.clock for db in router.shards)]
+        hist = router.obs.registry.get("serve.commit.latency_us")
+        with server.session() as session:
+            for k in busy[:-1]:
+                session.begin()
+                session.insert(TABLE, (k, "v"))
+                session.commit()
+            observed = hist.total
+            latencies = []
+            for k in (busy[-1], quiet):
+                session.begin()
+                session.insert(TABLE, (k, "v"))
+                before = [clock.now for clock in clocks]
+                latencies.append(session.commit())
+                assert session.last_commit_latency_s == latencies[-1]
+                own = max(clock.now - t for clock, t in zip(clocks, before))
+                assert latencies[-1] == pytest.approx(own)
+        on_busy, on_quiet = latencies
+        assert on_quiet == pytest.approx(on_busy, rel=0.5)
+        assert hist.total - observed == pytest.approx(
+            (on_busy + on_quiet) * 1e6)
+        server.close()
