@@ -36,7 +36,7 @@ class EngineConfig:
     cost: CostModel = field(default_factory=CostModel)
     #: crash durability for MV-PBT indexes: partition manifest + P_N WAL.
     durability: bool = False
-    #: pages per manifest superblock slot (two slots are preallocated).
+    #: cap on pages per manifest superblock slot (slots grow on demand).
     manifest_slot_pages: int = 8
     #: observability: metrics registry + structured tracing (off by
     #: default; see DESIGN.md §13).

@@ -90,7 +90,6 @@ class DurabilityController:
                 "wal.markers_deferred")
         manager.add_commit_hook(self._on_commit)
         manager.add_abort_hook(self._on_abort)
-        manifest.preallocate()
 
     # ---------------------------------------------------------- registration
 

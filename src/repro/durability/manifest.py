@@ -6,17 +6,20 @@ counts, timestamp range, serialised bloom / prefix-bloom filters), the
 ``P_N`` successor number, the tree-wide sequence counter and the WAL replay
 floor; globally, the transaction-id watermark at the time of the flip.
 
-Storage is a classic **double-buffered superblock**: two fixed slots of
-``slot_pages`` pages each at the head of the manifest file.  A flip bumps
-the epoch and rewrites the *other* slot (alternating by epoch parity), so
-the previous manifest stays intact until the new one is fully on disk.
+Storage is a classic **double-buffered superblock**: two slots of at most
+``slot_pages`` pages each, striped extent by extent over the manifest file
+(slot ``s`` owns the file's extents ``s``, ``s + 2``, ``s + 4`` …) and
+grown on demand, so a slot holds only the extents its largest flip wrote.
+A flip bumps the epoch and rewrites the *other* slot (alternating by epoch
+parity), so the previous manifest stays intact until the new one is fully
+on disk.
 Every page carries ``CRC32 | epoch | page index | page count | chunk
 length``; a reader accepts a slot only if all its pages parse, share one
 epoch and pass their CRCs, then picks the valid slot with the highest
 epoch.  A crash anywhere during a flip therefore falls back to the
 previous manifest — the flip is atomic.  Recovery reads the first page of
-each slot, then the rest of the newer slot in sequential runs of
-contiguous pages; the older slot is read only if the newer one fails.
+each slot, then the rest of the newer slot in sequential runs (one per
+extent); the older slot is read only if the newer one fails.
 
 Fence keys and key bounds are serialised with the order-preserving
 :mod:`repro.storage.keycodec`, the same codec the runtime uses, so the
@@ -306,7 +309,7 @@ def _parse_page(data: object, idx: int) -> tuple[int, int, bytes] | None:
 class ManifestStore:
     """Double-buffered superblock storage on one manifest page file."""
 
-    def __init__(self, file: PageFile, slot_pages: int = 8) -> None:
+    def __init__(self, file: PageFile, slot_pages: int) -> None:
         if slot_pages < 1:
             raise StorageError(f"slot_pages must be >= 1: {slot_pages}")
         self.file = file
@@ -318,10 +321,12 @@ class ManifestStore:
     def _chunk_bytes(self) -> int:
         return self.file.page_size - _PAGE_HEAD.size
 
-    def preallocate(self) -> None:
-        """Allocate both slots up-front (adjacent extents, never reused)."""
-        while self.file.max_page_no < 2 * self.slot_pages:
-            self.file.allocate_page()
+    def _page_no(self, slot: int, idx: int) -> int:
+        """File page of page ``idx`` of ``slot``: the slot's j-th extent
+        is the file's extent ``2j + slot`` (the file only ever grows by
+        ``allocate_page``, so its page n lies in its extent n // E)."""
+        extent = self.file.extent_pages
+        return (2 * (idx // extent) + slot) * extent + idx % extent
 
     # ----------------------------------------------------------------- write
 
@@ -340,16 +345,18 @@ class ManifestStore:
                 f"manifest body ({len(body)} bytes, {len(pages)} pages) "
                 f"exceeds slot capacity ({self.slot_pages} pages); raise "
                 f"manifest_slot_pages")
-        self.preallocate()
         epoch = self.epoch + 1
-        base = (epoch % 2) * self.slot_pages
+        slot = epoch % 2
         total = len(pages)
+        # grow the file (whole extents) until the slot's last page exists
+        while self.file.max_page_no <= self._page_no(slot, total - 1):
+            self.file.allocate_page()
         for idx, payload in enumerate(pages):
             head_rest = _PAGE_HEAD.pack(0, epoch, idx, total, len(payload))
             crc = zlib.crc32(head_rest[4:] + payload) & 0xFFFFFFFF
             image = _PAGE_HEAD.pack(crc, epoch, idx, total,
                                     len(payload)) + payload
-            self.file.write_page(base + idx, image)
+            self.file.write_page(self._page_no(slot, idx), image)
         self.epoch = epoch
         self.flips += 1
 
@@ -358,7 +365,7 @@ class ManifestStore:
     def _read_head(self, slot: int) -> tuple[int, int, bytes] | None:
         """Read and check a slot's first page: ``(epoch, page count,
         payload)``, or None when it cannot start a valid slot."""
-        base = slot * self.slot_pages
+        base = self._page_no(slot, 0)
         if not self.file.has_contents(base):
             return None
         head = _parse_page(self.file.read_page(base), 0)
@@ -371,8 +378,7 @@ class ManifestStore:
         """Read a slot's remaining pages as sequential runs and validate
         the whole slot; returns its state or None."""
         epoch, total, payload = head
-        base = slot * self.slot_pages
-        rest = range(base + 1, base + total)
+        rest = [self._page_no(slot, idx) for idx in range(1, total)]
         if not all(self.file.has_contents(page_no) for page_no in rest):
             return None
         chunks = [payload]
@@ -387,7 +393,7 @@ class ManifestStore:
             return None
 
     @classmethod
-    def attach(cls, file: PageFile, slot_pages: int = 8
+    def attach(cls, file: PageFile, slot_pages: int
                ) -> tuple["ManifestStore", ManifestState | None]:
         """Load the newest valid manifest after a restart.
 

@@ -38,7 +38,7 @@ class DurableState(NamedTuple):
 
 
 def read_durable_state(manifest_file: PageFile, wal_file: PageFile,
-                       slot_pages: int = 8) -> DurableState:
+                       slot_pages: int) -> DurableState:
     """Load the manifest and replay the WAL (the two sequential passes).
 
     The committed set combines both durability channels: txids the latest

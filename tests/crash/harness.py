@@ -41,14 +41,16 @@ TABLE = "t"
 
 
 def make_db(storage: str = "sias", obs: bool = False,
-            index_only_visibility: bool = True) -> Database:
+            index_only_visibility: bool = True,
+            extent_pages: int = 8) -> Database:
     """A durable database small enough to evict and merge constantly
-    (``index_only_visibility=False``: its index is version-oblivious)."""
+    (``index_only_visibility=False``: its index is version-oblivious;
+    ``extent_pages=1``: a two-page manifest flip grows its slot)."""
     from repro.obs import ObsConfig
     config = EngineConfig(
         durability=True,
         page_size=512,                   # small pages: real WAL page turnover
-        extent_pages=8,
+        extent_pages=extent_pages,
         partition_buffer_bytes=768,      # ~25 records per P_N
         buffer_pool_pages=64,
         manifest_slot_pages=6,
@@ -143,14 +145,19 @@ class WorkloadRun(NamedTuple):
 def run_workload(plan: FaultPlan | None = None,
                  script: Script | None = None,
                  storage: str = "sias", obs: bool = False,
-                 index_only_visibility: bool = True) -> WorkloadRun:
-    """Run the scripted workload, optionally under a fault plan.
+                 index_only_visibility: bool = True,
+                 extent_pages: int = 8, trace: bool = False) -> WorkloadRun:
+    """Run the scripted workload, optionally under a fault plan
+    (``trace``: capture every device request in ``db.trace``).
 
     Never lets a :class:`DeviceCrashError` escape: a crashed run is
     returned for recovery, a clean run for baseline measurements.
     """
     db = make_db(storage, obs=obs,
-                 index_only_visibility=index_only_visibility)
+                 index_only_visibility=index_only_visibility,
+                 extent_pages=extent_pages)
+    if trace:
+        db.trace.enable()
     if plan is not None:
         db.device.set_fault_plan(plan)
     live: OracleState = {}

@@ -66,6 +66,45 @@ def test_crash_point_sweep(mode: str, sweep_domain: int,
     assert crashes > 0
 
 
+def _grown_slot_flip_ios() -> tuple[int, list[int]]:
+    """Of a fault-free run with one-page extents: its I/O count, and the
+    I/O indices of every write of each manifest flip that reaches a
+    slot's second extent."""
+    run = run_workload(extent_pages=1, trace=True)
+    entries = run.db.trace.entries()
+    assert len(entries) == run.db.device.io_count   # index == I/O index
+    page_at = {address // SECTOR_BYTES: page_no for page_no, address
+               in run.db.manifest_file._addresses.items()}
+    flips: list[list[tuple[int, int]]] = []         # (I/O index, page)
+    for index, entry in enumerate(entries):
+        page_no = page_at.get(entry.lba)
+        if entry.kind != "W" or page_no is None:
+            continue
+        if not flips or flips[-1][-1][0] != index - 1:
+            flips.append([])
+        flips[-1].append((index, page_no))
+    # slot pages 0 and 1 sit in the slots' first extents (file pages 0-1)
+    return len(entries), [index for flip in flips
+                          if max(page for _, page in flip) >= 2
+                          for index, _ in flip]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_crash_sweep_through_grown_manifest_extents(
+        mode: str, run_crash_sweep: bool) -> None:
+    """With one-page extents every two-page flip writes into a freshly
+    grown extent of its slot: kill at every I/O of those flips (at every
+    I/O of the run with ``--run-crash-sweep``), recover, compare."""
+    domain, targets = _grown_slot_flip_ios()
+    assert len(targets) >= 4          # two flips of two pages each
+    if run_crash_sweep:
+        targets = list(range(domain))
+    for k in targets:
+        run = run_workload(FaultPlan(fail_at=k, mode=mode), extent_pages=1)
+        assert run.crashed, f"fail_at={k} < clean I/O count must crash"
+        recover_and_check(run, context=f"1-page extents mode={mode} k={k}")
+
+
 def test_crash_beyond_workload_never_fires(sweep_domain: int) -> None:
     run = run_workload(FaultPlan(fail_at=sweep_domain + 10))
     assert not run.crashed

@@ -338,6 +338,16 @@ def sample_state() -> ManifestState:
                  "empty": IndexManifest("empty", 0, 0, 1, [])})
 
 
+def sized_state(watermark: int, pages: int,
+                page_size: int = 512) -> ManifestState:
+    """A state whose body fills exactly ``pages`` manifest pages."""
+    chunk = page_size - 20           # after the 20-byte page header
+    state = ManifestState(txid_watermark=watermark,
+                          aborted_txids=list(range((pages - 1) * chunk // 8)))
+    assert -(-len(encode_state(state)) // chunk) == pages
+    return state
+
+
 class TestManifest:
     def test_state_round_trip(self) -> None:
         state = sample_state()
@@ -356,7 +366,6 @@ class TestManifest:
         device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
         file = make_file(device)
         store = ManifestStore(file, slot_pages=6)
-        store.preallocate()
         state = sample_state()
         store.write(state)
         store.write(ManifestState(txid_watermark=99))
@@ -376,7 +385,6 @@ class TestManifest:
         device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
         file = make_file(device)
         store = ManifestStore(file, slot_pages=6)
-        store.preallocate()
         store.write(ManifestState(txid_watermark=10))
         first_epoch_io = device.io_count
         # epoch 2 targets the other slot; tear its first page
@@ -392,13 +400,14 @@ class TestManifest:
     def _flips(clock: SimClock, epochs: int, crash_at_page: int | None = None
                ) -> tuple[SimulatedDevice, PageFile, list[ManifestState]]:
         """Flip ``epochs`` 7-page states into a manifest file of 4-page
-        extents and 10-page slots: odd epochs land on pages 10-16, even
-        ones on pages 0-6.  With ``crash_at_page`` the last flip dies
-        writing that page of its slot.  Returns the states, by epoch."""
+        extents and 10-page slots, striped by extent: odd epochs land on
+        pages 4-7 and 12-14, even ones on pages 0-3 and 8-10 (one sector
+        per page, so a page's LBA is its number).  With ``crash_at_page``
+        the last flip dies writing that page of its slot.  Returns the
+        states, by epoch."""
         device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
         file = PageFile("manifest", device, 512, 4)
         store = ManifestStore(file, slot_pages=10)
-        store.preallocate()
         states = [ManifestState(txid_watermark=10 * epoch,
                                 aborted_txids=list(range(epoch, epoch + 400)))
                   for epoch in range(1, epochs + 1)]
@@ -417,35 +426,96 @@ class TestManifest:
 
     def test_recovery_reads_both_heads_then_the_newer_slot_in_runs(
             self, clock: SimClock) -> None:
-        """2 + the newer slot's runs, not both slots: page 0 of each slot,
-        then pages 1-3 and 4-6 of slot 0 (one request per extent run)."""
+        """2 + the newer slot's runs, not both slots: page 0 of each slot
+        (pages 0 and 4), then the rest of slot 0 — pages 1-3 and 8-10,
+        one request per extent run."""
         device, file, states = self._flips(clock, 2)
         device.trace.enable()
         durable = read_durable_state(file, make_file(device), slot_pages=10)
         assert (durable.store.epoch, durable.state) == (2, states[1])
         assert file.physical_reads == 4
         assert [(e.lba, e.sectors) for e in device.trace.entries("R")] \
-            == [(0, 1), (10, 1), (1, 3), (4, 3)]
+            == [(0, 1), (4, 1), (1, 3), (8, 3)]
 
     def test_attach_with_a_torn_newer_slot_adopts_the_older(
             self, clock: SimClock) -> None:
         """Epoch 3 died before its last page: its head is valid, so attach
-        reads the rest of its slot (pages 11, 12-15, 16 — three extent
-        runs), finds epoch 1's page 16 there and rejects the slot, then
-        reads the rest of epoch 2's (pages 1-3, 4-6)."""
+        reads the rest of its slot (pages 5-7, 12-14 — two extent runs),
+        finds epoch 1's page 14 there and rejects the slot, then reads the
+        rest of epoch 2's (pages 1-3, 8-10)."""
         _device, file, states = self._flips(clock, 3, crash_at_page=6)
         store, state = ManifestStore.attach(file, slot_pages=10)
         assert (store.epoch, state) == (2, states[1])
-        assert file.physical_reads == 2 + 3 + 2
+        assert file.physical_reads == 2 + 2 + 2
 
     def test_oversized_state_raises(self, clock: SimClock) -> None:
         device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
         store = ManifestStore(make_file(device), slot_pages=1)
-        store.preallocate()
         big = ManifestState(txid_watermark=1,
                             aborted_txids=list(range(1000)))
         with pytest.raises(Exception):
             store.write(big)
+
+    def test_no_manifest_space_before_the_first_flip(self) -> None:
+        db = durable_db()
+        file = db.manifest_file
+        assert db.durability.manifest.flips == 0
+        assert file.max_page_no == 0
+        key = 0
+        while db.durability.manifest.flips == 0:
+            txn = db.begin()
+            db.insert(txn, "t", (key, f"v{key}"))
+            txn.commit()
+            key += 1
+        # the first flip lays down one extent per slot
+        assert -(-file.max_page_no // file.extent_pages) == 2
+
+    def test_two_one_page_flips_hold_two_extents(self,
+                                                 clock: SimClock) -> None:
+        device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
+        file = make_file(device)
+        store = ManifestStore(file, slot_pages=6)
+        store.write(sized_state(10, 1))
+        store.write(sized_state(20, 1))
+        assert file.physical_writes == 2
+        assert device.allocated_bytes == 2 * file.extent_pages * 512
+
+    def test_a_slot_grows_an_extent_beside_the_live_slot(
+            self, clock: SimClock) -> None:
+        """Epoch 3 needs 6 pages, so slot 1 grows a second 4-page extent
+        (file extent 3) while slot 0 holds the live epoch 2; the later
+        one-page flips win on epoch over the stale pages left there."""
+        device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
+        file = PageFile("manifest", device, 512, 4)
+        store = ManifestStore(file, slot_pages=10)
+        sizes = (1, 1, 6, 1, 1)
+        for epoch, pages in enumerate(sizes, 1):
+            state = sized_state(10 * epoch, pages)
+            store.write(state)
+            attached, read_back = ManifestStore.attach(file, slot_pages=10)
+            assert (attached.epoch, read_back) == (epoch, state)
+        assert device.allocated_bytes == 4 * 4 * 512
+
+    @pytest.mark.parametrize("mode", ["clean", "torn"])
+    def test_a_kill_in_a_freshly_grown_extent_falls_back(
+            self, clock: SimClock, mode: str) -> None:
+        """Epoch 3's slot-1 pages 0-3 fill the slot's first extent; the
+        kill lands on page 4, the first write into its second one."""
+        device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
+        file = PageFile("manifest", device, 2048, 4)
+        store = ManifestStore(file, slot_pages=10)
+        previous = sized_state(20, 1, 2048)
+        store.write(sized_state(10, 1, 2048))
+        store.write(previous)
+        assert file.max_page_no <= 2 * 4
+        device.set_fault_plan(FaultPlan(fail_at=device.io_count + 4,
+                                        mode=mode, fraction=0.5))
+        with pytest.raises(DeviceCrashError):
+            store.write(sized_state(30, 6, 2048))
+        assert file.has_contents(12) == (mode == "torn")
+        device.reboot()
+        attached, state = ManifestStore.attach(file, slot_pages=10)
+        assert (attached.epoch, state) == (2, previous)
 
 
 # ------------------------------------------------------- end-to-end units
@@ -600,7 +670,8 @@ class TestDatabaseRecovery:
 
     def test_read_durable_state_empty(self, clock: SimClock) -> None:
         device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
-        state = read_durable_state(make_file(device), make_file(device))
+        state = read_durable_state(make_file(device), make_file(device),
+                                   slot_pages=8)
         assert state.state is None
         assert state.committed == set()
         assert state.records == {}
@@ -613,6 +684,6 @@ class TestDatabaseRecovery:
         device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
         wal_file = make_file(device)
         WriteAheadLog(wal_file).log_prepare([], 42)
-        state = read_durable_state(make_file(device), wal_file)
+        state = read_durable_state(make_file(device), wal_file, slot_pages=8)
         assert state.committed == set()
         assert state.next_txid == 43
