@@ -14,7 +14,7 @@ Run:  python examples/operations_tour.py
 """
 
 from repro.config import EngineConfig
-from repro.core.serialization import decode_leaf, encode_leaf
+from repro.core.serialization import decode_leaf_batch, encode_leaf_batch
 from repro.engine import Database
 
 
@@ -59,11 +59,12 @@ def main() -> None:
 
     # -- 4. wire-format dump ------------------------------------------------
     leaf_records = list(merged.run.iter_all())[:3]
-    image = encode_leaf(leaf_records, partition_no=merged.number)
+    image = encode_leaf_batch(leaf_records, partition_no=merged.number)
+    decoded = decode_leaf_batch(image).to_records()
+    assert decoded == leaf_records
     print(f"first leaf prefix serialises to {len(image)} bytes; "
-          f"decodes back to {len(decode_leaf(image))} records, e.g. "
-          f"{decode_leaf(image)[0].rtype.name} at key "
-          f"{decode_leaf(image)[0].key}")
+          f"decodes back to {len(decoded)} records, e.g. "
+          f"{decoded[0].rtype.name} at key {decoded[0].key}")
 
     # -- 5. vacuum + stats --------------------------------------------------
     result = db.vacuum("events")

@@ -161,32 +161,15 @@ def decode_record(data: bytes, offset: int = 0) -> tuple[MVPBTRecord, int]:
     return record, pos
 
 
-def encode_leaf(records: list[MVPBTRecord], partition_no: int = 0) -> bytes:
-    """Serialise a leaf page image: u16 record count + records."""
-    out = bytearray(_U16.pack(len(records)))
-    for record in records:
-        out += encode_record(record, partition_no)
-    return bytes(out)
-
-
-def decode_leaf(data: bytes) -> list[MVPBTRecord]:
-    (count,) = _U16.unpack_from(data, 0)
-    pos = 2
-    records = []
-    for _ in range(count):
-        record, pos = decode_record(data, pos)
-        records.append(record)
-    return records
-
-
 # --------------------------------------------------------------------------
-# v2 columnar leaf batch format
+# v2 columnar leaf batch format — the one leaf page format
 #
-# The batch scan pipeline's wire format: where v1 interleaves every record's
-# fields (decode = one full parse per record), v2 stores one leaf as dense
-# parallel *columns* plus shared-prefix-compressed keys, so a whole leaf
-# decodes in a single call into flat arrays and payload bytes are exposed as
-# zero-copy ``memoryview`` slices of the page image::
+# The batch scan pipeline's wire format: where the record format above
+# interleaves every record's fields (decode = one full parse per record), a
+# leaf stores its records as dense parallel *columns* plus
+# shared-prefix-compressed keys, so a whole leaf decodes in a single call
+# into flat arrays and payload bytes are exposed as zero-copy
+# ``memoryview`` slices of the page image::
 #
 #     u8   version (2)            u8  reserved
 #     u16  record count           u16 partition number
@@ -197,7 +180,7 @@ def decode_leaf(data: bytes) -> list[MVPBTRecord]:
 #     u32[n+1] key-suffix offsets   + suffix blob
 #     u32[n+1] payload offsets      + payload blob (UTF-8, absent = empty)
 #     6B per present rid_new (record order), 6B per present rid_old
-#     per record with HAS_SET: u16 entry count + entries as in v1
+#     per record with HAS_SET: u16 entry count + entries as in a record
 #
 # The shared prefix is the byte-wise common prefix of all *encoded* keys
 # (order-preserving codec: on a sorted page of sequential integer keys that
@@ -269,8 +252,8 @@ class LeafBatch:
         offs = self.payload_offsets
         return self.payload_blob[offs[idx]:offs[idx + 1]]
 
-    def to_records(self) -> list[MVPBTRecord]:  # reprolint: disable=R12 -- round-trip oracle of decode_leaf_batch in tests/unit/test_serialization.py
-        """Materialise the batch as v1-equivalent record objects."""
+    def to_records(self) -> list[MVPBTRecord]:
+        """Materialise the batch as record objects."""
         records = []
         for i in range(self.count):
             view = self.payload_view(i)
@@ -304,7 +287,7 @@ def _common_prefix(first: bytes, last: bytes) -> bytes:
     return first[:i]
 
 
-def encode_leaf_batch(records: list[MVPBTRecord],  # reprolint: disable=R12 -- builds decode_leaf_batch's input in tests/unit/test_serialization.py
+def encode_leaf_batch(records: list[MVPBTRecord],
                       partition_no: int = 0) -> bytes:
     """Serialise a leaf page image in the v2 columnar batch format."""
     count = len(records)

@@ -26,8 +26,7 @@ class Transaction:
     "logical transaction timestamp").
     """
 
-    __slots__ = ("id", "snapshot", "state", "_manager", "begin_time",
-                 "writes")
+    __slots__ = ("id", "snapshot", "state", "_manager", "writes")
 
     def __init__(self, txid: int, snapshot: Snapshot,
                  manager: "TransactionManager") -> None:
@@ -35,7 +34,6 @@ class Transaction:
         self.snapshot = snapshot
         self.state = TxnState.ACTIVE
         self._manager = manager
-        self.begin_time = manager.clock.now if manager.clock else 0.0
         #: base-table DML statements so far (the durability controller's
         #: wrote-nothing predicate reads it at commit)
         self.writes = 0

@@ -1,12 +1,12 @@
 """Evaluation workloads: YCSB, TPC-C (DBT-2 style) and the CH-benchmark.
 
 All three runners drive a :class:`~repro.workloads.backend.WorkloadBackend`
-— one API over a bare database, a served session pool or a served
-2PC-sharded cluster (DESIGN.md §18).
+— one API over a bare database or a served 2PC-sharded cluster
+(DESIGN.md §18).
 """
 
-from .backend import (DatabaseBackend, ServerBackend, ShardServerBackend,
-                      WorkloadBackend, WorkloadHit, WorkloadTxn, as_backend,
+from .backend import (DatabaseBackend, ShardServerBackend, WorkloadBackend,
+                      WorkloadHit, WorkloadTxn, as_backend,
                       shard_served_backend)
 from .chbench import CHBenchmark, CHResult
 from .invariants import assert_tpcc_consistent, tpcc_consistency_errors
@@ -41,7 +41,6 @@ __all__ = [
     "WorkloadTxn",
     "WorkloadHit",
     "DatabaseBackend",
-    "ServerBackend",
     "ShardServerBackend",
     "as_backend",
     "shard_served_backend",

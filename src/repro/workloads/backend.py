@@ -4,26 +4,22 @@ The workload runners (:class:`~repro.workloads.ycsb.YCSBRunner`,
 :class:`~repro.workloads.tpcc.TPCCRunner`,
 :class:`~repro.workloads.chbench.CHBenchmark`) speak one small
 transactional API — :class:`WorkloadBackend` / :class:`WorkloadTxn`.
-There are three backends:
+There are two backends, each with its own per-transaction adapter:
 
 * :class:`DatabaseBackend` — a single-node
-  :class:`~repro.engine.database.Database`, driven directly;
-* :class:`ServerBackend` — that backend plus one :class:`_SessionPool`
-  over a :class:`~repro.serve.server.Server`: only ``begin``, ``vacuum``
-  and ``close`` are serving-specific (engine-slot confinement, group
-  commit) — DDL, the load, the clock, ``flush_all`` and ``dump_table``
-  are host-level and inherited;
+  :class:`~repro.engine.database.Database`, driven bare;
 * :class:`ShardServerBackend` — one :class:`_SessionPool` over a
   :class:`~repro.serve.shard_server.ShardServer` on a 2PC
   :class:`~repro.shard.router.ShardedDatabase`: a transaction whose rows
   land on different shards commits through the two-phase marker flow.
-  A router reaches the workload layer only through its server.
+  A router reaches the workload layer only through its server; a
+  one-shard router is the served single node.
 
-Analytic reads on the served backends flow through the session's
+Analytic reads on the served backend flow through the session's
 unordered ``gather_rows``, LIMIT scans through its ordered sliced scan.
 
 Row handles are :class:`WorkloadHit` — a ``(shard, RowHit)`` pair (shard
-0 on single-node backends) — so hit-based DML (the TPC-C access pattern)
+0 on the single-node backend) — so hit-based DML (the TPC-C access pattern)
 works identically everywhere, including cross-shard row moves.
 
 The load phase goes through :meth:`WorkloadBackend.bulk_insert`, which
@@ -42,8 +38,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import chain
-from typing import (TYPE_CHECKING, Any, Generic, NamedTuple, Sequence,
-                    TypeVar, Union)
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from ..engine.database import Database
 from ..engine.executor import RowHit
@@ -53,16 +48,12 @@ from ..types import Key, Row
 
 if TYPE_CHECKING:
     from ..serve.config import ServeConfig
-    from ..serve.server import Server, ServerCore
-    from ..serve.session import Session, SessionCore
     from ..serve.shard_server import ShardServer, ShardSession
     from ..txn.transaction import Transaction
 
-S = TypeVar("S", bound="SessionCore[Any, Any]")
-
 #: anything :func:`as_backend` can adapt
 BackendTarget = Union["WorkloadBackend", Database, ShardedDatabase,
-                      "Server", "ShardServer"]
+                      "ShardServer"]
 
 
 class WorkloadHit(NamedTuple):
@@ -132,9 +123,9 @@ class WorkloadTxn(ABC):
                       hi: Key | None) -> list[Row]:
         """Analytical range read: the visible rows of ``[lo, hi]`` as a
         multiset, in no particular order (callers group, sum or sort
-        them).  Server backends route it through the session's unordered
-        ``gather_rows`` (slot per pull and per fetch); the direct backend
-        falls back to the materialising range select."""
+        them).  The served backend routes it through the session's
+        unordered ``gather_rows`` (slot per pull and per fetch); the bare
+        backend falls back to the materialising range select."""
 
 
 class WorkloadBackend(ABC):
@@ -189,7 +180,7 @@ class WorkloadBackend(ABC):
     def dump_table(self, table: str) -> list[Row]:
         """Every committed row under a FRESH snapshot, sorted — the
         differential oracle's state fingerprint.  Host-level inspection:
-        served backends read the underlying engine directly."""
+        the served backend reads the router directly."""
 
     def close(self) -> None:
         """Release serving resources (sessions, schedulers)."""
@@ -324,77 +315,20 @@ class DatabaseBackend(WorkloadBackend):
             txn.commit()
 
 
-# ------------------------------------------------------------- served single
+# ------------------------------------------------------------ served sharded
 
 
-class _SessionTxn(WorkloadTxn):
-    """One transaction on a pooled single-node :class:`Session`."""
+class _SessionPool:
+    """The serving-specific half of the served backend: sessions drawn
+    from one server, one per concurrently open transaction — so an
+    analytical transaction held open across an OLTP slice occupies its
+    own session (the CH-benchmark shape)."""
 
-    def __init__(self, session: "Session") -> None:
-        self._session = session
-        session.begin()
-
-    @property
-    def is_active(self) -> bool:
-        return self._session.in_txn
-
-    def commit(self) -> None:
-        self._session.commit()
-
-    def abort(self) -> None:
-        self._session.abort()
-
-    def insert(self, table: str, row: Sequence[object]) -> None:
-        self._session.insert(table, row)
-
-    def select(self, index: str, key: Key) -> list[Row]:
-        return self._session.select(index, key)
-
-    def select_hits(self, index: str, key: Key) -> list[WorkloadHit]:
-        return [WorkloadHit(0, hit) for hit in
-                self._session.select_hits(index, key)]
-
-    def range_select(self, index: str, lo: Key | None, hi: Key | None, *,
-                     lo_incl: bool = True,
-                     hi_incl: bool = True) -> list[Row]:
-        return self._session.range_select(index, lo, hi, lo_incl=lo_incl,
-                                          hi_incl=hi_incl)
-
-    def range_hits(self, index: str, lo: Key | None, hi: Key | None, *,
-                   lo_incl: bool = True,
-                   hi_incl: bool = True) -> list[WorkloadHit]:
-        return [WorkloadHit(0, hit) for hit in
-                self._session.range_hits(index, lo, hi, lo_incl=lo_incl,
-                                         hi_incl=hi_incl)]
-
-    def update(self, table: str, hit: WorkloadHit,
-               updates: dict[str, object]) -> None:
-        self._session.update_row(table, hit.hit.rid, hit.hit.version,
-                                 updates)
-
-    def delete(self, table: str, hit: WorkloadHit) -> None:
-        self._session.delete_row(table, hit.hit.rid, hit.hit.version)
-
-    def scan_limit(self, index: str, lo: Key | None,
-                   limit: int) -> list[Row]:
-        return self._session.scan_limit(index, lo, limit)
-
-    def analytic_rows(self, index: str, lo: Key | None,
-                      hi: Key | None) -> list[Row]:
-        return self._session.gather_rows(index, lo, hi)
-
-
-class _SessionPool(Generic[S]):
-    """The serving-specific half of a served backend: sessions drawn from
-    one server, one per concurrently open transaction — so an analytical
-    transaction held open across an OLTP slice occupies its own session
-    (the CH-benchmark shape)."""
-
-    def __init__(self, server: "ServerCore[Any, S]") -> None:
+    def __init__(self, server: "ShardServer") -> None:
         self._server = server
-        self._sessions: list[S] = []
+        self._sessions: list["ShardSession"] = []
 
-    def acquire(self) -> S:
+    def acquire(self) -> "ShardSession":
         for session in self._sessions:
             if not session.in_txn:
                 return session
@@ -407,31 +341,6 @@ class _SessionPool(Generic[S]):
             session.close()
         self._sessions.clear()
         self._server.close()
-
-
-class ServerBackend(DatabaseBackend):
-    """A multi-session :class:`Server` over one database: the direct
-    backend of its topology, with transactions and vacuum going through
-    pooled sessions and the engine slot."""
-
-    name = "server"
-
-    def __init__(self, server: "Server") -> None:
-        super().__init__(server.db)
-        self.server = server
-        self._pool = _SessionPool(server)
-
-    def begin(self) -> WorkloadTxn:
-        return _SessionTxn(self._pool.acquire())
-
-    def vacuum(self, table: str) -> None:
-        self.server.vacuum(table)
-
-    def close(self) -> None:
-        self._pool.close()
-
-
-# ------------------------------------------------------------ served sharded
 
 
 class _ShardSessionTxn(WorkloadTxn):
@@ -562,7 +471,6 @@ class ShardServerBackend(WorkloadBackend):
 
 def as_backend(target: BackendTarget) -> WorkloadBackend:
     """Adapt any stack layer to the workload API (identity on backends)."""
-    from ..serve.server import Server
     from ..serve.shard_server import ShardServer
     if isinstance(target, WorkloadBackend):
         return target
@@ -570,8 +478,6 @@ def as_backend(target: BackendTarget) -> WorkloadBackend:
         return DatabaseBackend(target)
     if isinstance(target, ShardedDatabase):
         return shard_served_backend(target)
-    if isinstance(target, Server):
-        return ServerBackend(target)
     if isinstance(target, ShardServer):
         return ShardServerBackend(target)
     raise WorkloadError(f"cannot adapt {type(target).__name__} to a "

@@ -23,28 +23,23 @@ served backend the analytical range reads flow through the session's
 unordered gather — each shard's leg fetched on its own shard on a
 :class:`~repro.serve.shard_server.ShardServer` — so rows arrive in no
 particular order: every query sums with ``math.fsum`` and breaks sort
-ties by key, so its answer does not depend on the order.  Query methods
-also still accept a raw engine
-:class:`~repro.txn.transaction.Transaction` when the benchmark wraps a
-bare :class:`~repro.engine.Database`.
+ties by key, so its answer does not depend on the order.  Every query
+runs under a :class:`~repro.workloads.backend.WorkloadTxn` from the
+benchmark's backend.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator
 
-from ..engine.database import Database
-from ..errors import WorkloadError
+from ..errors import DeviceCrashError, WorkloadError
 from ..index.base import TOP
-from ..txn.transaction import Transaction
 from ..types import Key, Row
 from .backend import BackendTarget, WorkloadTxn, as_backend
 from .tpcc import TPCCConfig, TPCCRunner
-
-#: a query can run under a backend transaction or a raw engine one
-QueryTxn = Union[WorkloadTxn, Transaction]
 
 
 @dataclass
@@ -74,15 +69,13 @@ class CHResult:
 class CHBenchmark:
     """TPC-C + analytical queries on one backend."""
 
-    def __init__(self, db: Union[Database, BackendTarget],
+    def __init__(self, db: BackendTarget,
                  config: TPCCConfig | None = None, *,
                  index_kind: str = "mvpbt",
                  reference: str = "physical",
                  storage: str = "sias",
                  index_options: dict[str, object] | None = None) -> None:
         self.backend = as_backend(db)
-        #: the raw database when constructed from one (legacy query path)
-        self.db: Database | None = db if isinstance(db, Database) else None
         self.tpcc = TPCCRunner(self.backend, config,
                                index_kind=index_kind,
                                reference=reference, storage=storage,
@@ -93,19 +86,33 @@ class CHBenchmark:
 
     # ---------------------------------------------------------- query plumbing
 
-    def _range(self, txn: QueryTxn, index: str, lo: Key | None,
+    def _range(self, txn: WorkloadTxn, index: str, lo: Key | None,
                hi: Key | None) -> list[Row]:
-        """Analytical range read under either transaction flavour."""
-        if isinstance(txn, WorkloadTxn):
-            return txn.analytic_rows(index, lo, hi)
-        if self.db is None:
-            raise WorkloadError(
-                "raw-Transaction queries need a Database-backed benchmark")
-        return self.db.range_select(txn, index, lo, hi)
+        """Analytical range read: the visible rows, in no order."""
+        return txn.analytic_rows(index, lo, hi)
+
+    @contextmanager
+    def _analytic_txn(self) -> Iterator[WorkloadTxn]:
+        """A held analytical transaction, committed when the block ends.
+
+        A block that raises aborts it, so its snapshot stops pinning the
+        GC cutoff (and a served backend's pooled session is freed) —
+        except on a dead device, which is the crash harness's to recover,
+        as in :meth:`TPCCRunner.run`."""
+        txn = self.backend.begin()
+        try:
+            yield txn
+        except DeviceCrashError:
+            raise
+        except BaseException:
+            if txn.is_active:
+                txn.abort()
+            raise
+        txn.commit()
 
     # ------------------------------------------------------------- queries
 
-    def query_q1(self, txn: QueryTxn) -> list[Key]:
+    def query_q1(self, txn: WorkloadTxn) -> list[Key]:
         """Q1-like: per-line-number sums over all order lines."""
         rows = self._range(txn, "idx_order_line", None, None)
         groups: dict[int, list[Row]] = {}
@@ -115,19 +122,19 @@ class CHBenchmark:
                  math.fsum(row[7] for row in lines), len(lines))
                 for number, lines in sorted(groups.items())]
 
-    def query_q6(self, txn: QueryTxn) -> float:
+    def query_q6(self, txn: WorkloadTxn) -> float:
         """Q6-like: revenue of order lines with quantity in [1, 7]."""
         rows = self._range(txn, "idx_order_line", None, None)
         return math.fsum(row[7] for row in rows if 1 <= row[6] <= 7)
 
-    def query_orders_by_carrier(self, txn: QueryTxn) -> dict[int, int]:
+    def query_orders_by_carrier(self, txn: WorkloadTxn) -> dict[int, int]:
         rows = self._range(txn, "idx_orders", None, None)
         counts: dict[int, int] = {}
         for row in rows:
             counts[row[4]] = counts.get(row[4], 0) + 1
         return counts
 
-    def query_low_stock(self, txn: QueryTxn, threshold: int = 15) -> int:
+    def query_low_stock(self, txn: WorkloadTxn, threshold: int = 15) -> int:
         cfg = self.tpcc.config
         low = 0
         for w in range(1, cfg.warehouses + 1):
@@ -135,7 +142,7 @@ class CHBenchmark:
             low += sum(1 for row in rows if row[2] < threshold)
         return low
 
-    def query_q4(self, txn: QueryTxn) -> int:
+    def query_q4(self, txn: WorkloadTxn) -> int:
         """Q4-like: orders whose every line was delivered on time
         (here: orders with an assigned carrier and all lines delivered)."""
         count = 0
@@ -149,13 +156,13 @@ class CHBenchmark:
                 count += 1
         return count
 
-    def query_top_customers(self, txn: QueryTxn, n: int = 10) -> list[Key]:
+    def query_top_customers(self, txn: WorkloadTxn, n: int = 10) -> list[Key]:
         """Q18-like: the n customers with the highest balance."""
         rows = self._range(txn, "idx_customer", None, None)
         rows.sort(key=lambda r: (-r[5], r[0], r[1], r[2]))
         return [(r[0], r[1], r[2], r[5]) for r in rows[:n]]
 
-    def query_revenue_by_district(self, txn: QueryTxn) -> dict[Key, float]:
+    def query_revenue_by_district(self, txn: WorkloadTxn) -> dict[Key, float]:
         """Q12-like: order-line revenue grouped by (warehouse, district)."""
         amounts: dict[Key, list[float]] = {}
         for row in self._range(txn, "idx_order_line", None, None):
@@ -165,7 +172,7 @@ class CHBenchmark:
     QUERIES = ("q1", "q6", "carrier", "low_stock", "q4", "top_customers",
                "district_revenue")
 
-    def run_query(self, txn: QueryTxn, name: str) -> int:
+    def run_query(self, txn: WorkloadTxn, name: str) -> int:
         """Execute one query; returns the result cardinality."""
         if name == "q1":
             return len(self.query_q1(txn))
@@ -205,16 +212,15 @@ class CHBenchmark:
         if queries_per_round is not None:
             names = names[:queries_per_round]
         for round_no in range(rounds):
-            olap_txn = self.backend.begin()
-            slice_result = self.tpcc.run(oltp_slice)
-            result.oltp_committed += slice_result.committed
-            result.oltp_aborted += slice_result.aborted
-            q_start = self.backend.sim_now
-            for name in names:
-                result.query_rows += self.run_query(olap_txn, name)
-                result.olap_queries += 1
-            result.olap_scan_seconds += self.backend.sim_now - q_start
-            olap_txn.commit()
+            with self._analytic_txn() as olap_txn:
+                slice_result = self.tpcc.run(oltp_slice)
+                result.oltp_committed += slice_result.committed
+                result.oltp_aborted += slice_result.aborted
+                q_start = self.backend.sim_now
+                for name in names:
+                    result.query_rows += self.run_query(olap_txn, name)
+                    result.olap_queries += 1
+                result.olap_scan_seconds += self.backend.sim_now - q_start
         result.elapsed_sim_seconds = self.backend.sim_now - start
         return result
 
@@ -227,11 +233,10 @@ class CHBenchmark:
 
         Returns (query sim-seconds, result cardinality).
         """
-        olap_txn = self.backend.begin()
-        for _ in range(pause_slices):
-            self.tpcc.run(oltp_per_slice)
-        q_start = self.backend.sim_now
-        rows = self.run_query(olap_txn, query)
-        elapsed = self.backend.sim_now - q_start
-        olap_txn.commit()
+        with self._analytic_txn() as olap_txn:
+            for _ in range(pause_slices):
+                self.tpcc.run(oltp_per_slice)
+            q_start = self.backend.sim_now
+            rows = self.run_query(olap_txn, query)
+            elapsed = self.backend.sim_now - q_start
         return elapsed, rows

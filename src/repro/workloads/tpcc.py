@@ -3,8 +3,8 @@
 The full nine-table TPC-C schema and all five transaction profiles
 (NewOrder 45% / Payment 43% / OrderStatus 4% / Delivery 4% / StockLevel 4%)
 run against any :class:`~repro.workloads.backend.WorkloadBackend` target —
-a bare :class:`~repro.engine.Database`, a served session pool, or a
-sharded cluster (§18) — with the index kind / reference mode under test
+a bare :class:`~repro.engine.Database` or a served sharded cluster
+(§18) — with the index kind / reference mode under test
 applied to every index.
 
 Every table is sharded by its warehouse column, so a transaction pinned
@@ -15,7 +15,7 @@ a different warehouse's shard and commits through genuine 2PC.
 Timestamps written into rows (``o_entry_d``, ``h_date``,
 ``ol_delivery_d``) are drawn from a runner-local logical counter, NOT the
 simulated clock: backends advance their clocks differently (sharding,
-group commit), and the differential oracle requires committed row data to
+2PC), and the differential oracle requires committed row data to
 be byte-identical across all of them.
 
 Scale is configurable: defaults shrink customers-per-district and the item
@@ -29,9 +29,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Union
-
-from ..engine.database import Database
 from ..errors import DeviceCrashError, ReproError, WorkloadError
 from ..index.base import TOP
 from ..types import Row
@@ -122,7 +119,7 @@ class TPCCRunner:
     across backends.
     """
 
-    def __init__(self, db: Union[Database, BackendTarget],
+    def __init__(self, db: BackendTarget,
                  config: TPCCConfig | None = None, *,
                  index_kind: str = "mvpbt",
                  reference: str = "physical",
@@ -130,8 +127,6 @@ class TPCCRunner:
                  index_options: dict[str, object] | None = None,
                  record_ops: bool = False) -> None:
         self.backend: WorkloadBackend = as_backend(db)
-        #: the raw database when constructed from one (legacy helpers)
-        self.db: Database | None = db if isinstance(db, Database) else None
         self.config = config if config is not None else TPCCConfig()
         self.index_kind = index_kind
         self.reference = reference

@@ -13,8 +13,8 @@ The paper instruments A, B, D and E; C and F complete the standard suite.
 
 The runner drives either a :class:`~repro.kv.store.KVStore` (the paper's
 engine comparison) or any :class:`~repro.workloads.backend
-.WorkloadBackend` target — a bare database, a served session pool, or a
-sharded cluster (§18).  On a backend each operation is one transaction
+.WorkloadBackend` target — a bare database or a served sharded cluster
+(§18).  On a backend each operation is one transaction
 against a ``usertable(k, v)`` relation with an MV-PBT primary index;
 scans ride the streaming ``scan_limit`` path (scatter-gather
 ``batch_scan`` on served shards).  The operation stream drawn from the

@@ -5,8 +5,8 @@ Deterministic invariants of the chunked scan pipeline:
 * **LIMIT scan** — a 50-row ``scan_limit`` over key-ordered rows asks the
   buffer pool for the one or two table pages the rows live on and the one
   or two index pages the result spans, however many partitions lie above;
-* **served LIMIT scan** — the served adapter sizes its slices by the
-  LIMIT, so ten rows cost the table pages of ten rows, not of a full
+* **served LIMIT scan** — a session sizes its slices by the LIMIT, so
+  ten rows cost the table pages of ten rows, not of a full
   ``scan_slice_rows`` slice;
 * **abandoned cursor** — a consumer that stops early leaves every
   partition the merge never reached unrequested, and the records it did
@@ -39,8 +39,8 @@ from repro.serve import ServeConfig
 from repro.shard import ShardConfig, ShardedDatabase
 from repro.sim.clock import SimClock
 from repro.workloads import CHBenchmark, TPCCConfig
-from repro.workloads.backend import (ServerBackend, _ShardSessionTxn,
-                                     as_backend, shard_served_backend)
+from repro.workloads.backend import (_ShardSessionTxn, as_backend,
+                                     shard_served_backend)
 
 from ..property.test_prop_shard_routing import \
     rebalance_interrupted_after_flip
@@ -95,12 +95,12 @@ def test_limit_scan_asks_for_its_own_pages_only(loaded: Database,
 @pytest.mark.parametrize("lo", [10, 1240, 2000, 3720])
 def test_served_limit_scan_fetches_about_limit_rows(loaded: Database,
                                                     lo: int) -> None:
-    with ServerBackend(loaded.serve()) as backend:
-        txn = backend.begin()
+    with loaded.serve() as server, server.session() as session:
+        session.begin()
         table_before, _index = requests(loaded)
-        rows = txn.scan_limit("ix", (lo,), 10)
+        rows = session.scan_limit("ix", (lo,), 10)
         table_after, _index = requests(loaded)
-        txn.commit()
+        session.commit()
     assert [row[0] for row in rows] == list(range(lo, lo + 10))
     # a full 256-row slice would span three or four table pages
     assert table_after - table_before <= 2

@@ -1,9 +1,9 @@
 """The workload differential oracle (DESIGN.md §18.5).
 
 Every workload, at a fixed seed, must produce the IDENTICAL committed
-final state no matter which backend executes it: a single-node database,
-a served session pool, a served 1-shard router (the degenerate cluster)
-and a served 4-shard 2PC cluster.  Backends differ only
+final state no matter which backend executes it: a single-node database
+driven bare, a served 1-shard router (the degenerate cluster) and a
+served 4-shard 2PC cluster.  Backends differ only
 in simulated cost and protocol — never in results.
 
 The oracle compares full-table dumps under fresh snapshots (sorted row
@@ -21,22 +21,20 @@ from repro.engine.database import Database
 from repro.obs.config import ObsConfig
 from repro.shard import ShardConfig, ShardedDatabase
 from repro.workloads import (WORKLOADS, CHBenchmark, DatabaseBackend,
-                             ServerBackend, TPCCConfig, TPCCRunner,
-                             WorkloadBackend, YCSBRunner,
-                             assert_tpcc_consistent, shard_served_backend)
+                             TPCCConfig, TPCCRunner, WorkloadBackend,
+                             YCSBRunner, assert_tpcc_consistent,
+                             shard_served_backend)
 
 pytestmark = [pytest.mark.workload]
 
 #: the oracle panel: every backend the runners must agree across
-PANEL = ("database", "server", "shard-server-1", "shard-server-4")
+PANEL = ("database", "shard-server-1", "shard-server-4")
 
 
 def make_panel_backend(kind: str) -> WorkloadBackend:
     config = EngineConfig(obs=ObsConfig(enabled=True))
     if kind == "database":
         return DatabaseBackend(Database(config))
-    if kind == "server":
-        return ServerBackend(Database(config).serve())
     shards = int(kind.rsplit("-", 1)[1])
     return shard_served_backend(
         ShardedDatabase(config, ShardConfig(shards=shards)))
@@ -49,7 +47,7 @@ YCSB_SCALE = dict(record_count=150, operation_count=200)
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_ycsb_identical_final_state_across_backends(workload: str) -> None:
-    """YCSB A-F: one op stream, four backends, one committed state."""
+    """YCSB A-F: one op stream, three backends, one committed state."""
     config = WORKLOADS[workload].scaled(seed=101, **YCSB_SCALE)
     dumps: dict[str, list] = {}
     results = {}

@@ -1,16 +1,17 @@
 """Property tests: record/leaf wire format round-trips losslessly.
 
 Random partitions covering all record types — REGULAR, REPLACEMENT, ANTI,
-TOMBSTONE and REGULAR_SET — must survive ``encode_leaf``/``decode_leaf``
-exactly, including duplicate-key runs that span leaf-page boundaries.
+TOMBSTONE and REGULAR_SET — must survive ``encode_leaf_batch`` /
+``decode_leaf_batch`` exactly, including duplicate-key runs that span
+leaf-page boundaries.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import MVPBTRecord, RecordType
-from repro.core.serialization import (decode_leaf, decode_record, encode_leaf,
-                                      encode_record)
+from repro.core.serialization import (decode_leaf_batch, decode_record,
+                                      encode_leaf_batch, encode_record)
 from repro.errors import StorageError
 from repro.storage.recordid import RecordID
 
@@ -47,6 +48,12 @@ def records(draw) -> MVPBTRecord:
     )
 
 
+def leaf_roundtrip(leaf: list[MVPBTRecord],
+                   partition_no: int = 0) -> list[MVPBTRecord]:
+    return decode_leaf_batch(
+        encode_leaf_batch(leaf, partition_no)).to_records()
+
+
 @given(records())
 def test_single_record_roundtrip(record):
     data = encode_record(record, partition_no=7)
@@ -57,7 +64,7 @@ def test_single_record_roundtrip(record):
 
 @given(st.lists(records(), max_size=12))
 def test_leaf_roundtrip(partition):
-    assert decode_leaf(encode_leaf(partition, partition_no=3)) == partition
+    assert leaf_roundtrip(partition, partition_no=3) == partition
 
 
 @settings(max_examples=50)
@@ -76,12 +83,12 @@ def test_duplicate_run_spanning_leaf_boundary(key, dups, others, ts0, split):
     partition = others[:len(others) // 2] + run + others[len(others) // 2:]
     cut = min(split, len(partition))
     leaves = [partition[:cut], partition[cut:]]
-    decoded = [r for leaf in leaves for r in decode_leaf(encode_leaf(leaf))]
+    decoded = [r for leaf in leaves for r in leaf_roundtrip(leaf)]
     assert decoded == partition
     # the duplicate run genuinely crosses the boundary for some cut points
     if 0 < cut - len(others) // 2 < dups:
-        assert any(r.key == key for r in decode_leaf(encode_leaf(leaves[0])))
-        assert any(r.key == key for r in decode_leaf(encode_leaf(leaves[1])))
+        assert any(r.key == key for r in leaf_roundtrip(leaves[0]))
+        assert any(r.key == key for r in leaf_roundtrip(leaves[1]))
 
 
 @given(records(), st.integers(min_value=0, max_value=200))
@@ -121,4 +128,4 @@ def test_every_record_type_roundtrips():
                                  (8, RecordID(5, 7), 13, 3)]),
     ]
     assert {r.rtype for r in samples} == set(RecordType)
-    assert decode_leaf(encode_leaf(samples)) == samples
+    assert leaf_roundtrip(samples) == samples

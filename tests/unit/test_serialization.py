@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.records import MVPBTRecord, RecordType
-from repro.core.serialization import (decode_leaf, decode_leaf_batch,
-                                      decode_record, encode_leaf,
+from repro.core.serialization import (decode_leaf_batch, decode_record,
                                       encode_leaf_batch, encode_record)
 from repro.errors import StorageError
 from repro.storage.recordid import RecordID
@@ -89,13 +88,15 @@ class TestLeafRoundtrip:
             MVPBTRecord((7,), 1, 1, RecordType.REGULAR, 2,
                         rid_new=RecordID(0, 9), payload="v"),
         ]
-        decoded = decode_leaf(encode_leaf(records, partition_no=2))
+        batch = decode_leaf_batch(encode_leaf_batch(records, partition_no=2))
+        assert batch.partition_no == 2
+        decoded = batch.to_records()
         assert len(decoded) == 3
         assert [d.rtype for d in decoded] == [r.rtype for r in records]
         assert [d.key for d in decoded] == [r.key for r in records]
 
     def test_empty_leaf(self):
-        assert decode_leaf(encode_leaf([])) == []
+        assert decode_leaf_batch(encode_leaf_batch([])).to_records() == []
 
     def test_corrupt_data_raises(self):
         with pytest.raises(StorageError):
@@ -157,15 +158,15 @@ class TestLeafBatchV2:
             rid_old=RecordID(7, 8)))
         batch = decode_leaf_batch(encode_leaf_batch(records, partition_no=3))
         assert batch.to_records() == records
-        assert batch.to_records() == decode_leaf(
-            encode_leaf(records, partition_no=3))
 
     def test_shared_prefix_nonzero_on_sequential_keys(self):
         records = self._records()
         batch = decode_leaf_batch(encode_leaf_batch(records))
         assert len(batch.prefix) > 0
-        # prefix compression must make the v2 image smaller than v1
-        assert len(encode_leaf_batch(records)) < len(encode_leaf(records))
+        # prefix compression must make the image smaller than the
+        # records' own encodings behind a u16 count
+        assert len(encode_leaf_batch(records)) < 2 + sum(
+            len(encode_record(r)) for r in records)
 
     def test_prefix_correct_on_unsorted_keys(self):
         """The prefix is the common prefix of ALL keys, not just

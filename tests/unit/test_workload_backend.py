@@ -1,16 +1,19 @@
 """Unit tests: the WorkloadBackend abstraction (DESIGN.md §18).
 
-Covers the adapter surface (``as_backend`` over every stack layer), the
-hit-handle DML roundtrip on all three backends (the served router at one
-shard and at four), shard-aware bulk loading,
-the bounded-fanout single-slot routing satellite, the router's scatter
+Covers the adapter surface (``as_backend`` over every stack layer; every
+adapter is one the repo benchmark traces), the hit-handle DML roundtrip
+on both backends (the served router at one shard and at four),
+shard-aware bulk loading, the bounded-fanout single-slot routing satellite, the router's scatter
 reads (shard order, caller's thread, first error wins), and the
 serve-layer hit APIs the backends ride on.
 """
 
 from __future__ import annotations
 
+import inspect
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -20,15 +23,22 @@ from repro.errors import ConfigError, WorkloadError
 from repro.obs.config import ObsConfig
 from repro.serve import ServeConfig, SessionExecutor
 from repro.shard import ShardConfig, ShardedDatabase
-from repro.workloads import (DatabaseBackend, ServerBackend,
-                             ShardServerBackend, WorkloadBackend,
-                             WorkloadHit, as_backend, shard_served_backend)
+from repro.workloads import (DatabaseBackend, ShardServerBackend,
+                             WorkloadBackend, WorkloadHit, WorkloadTxn,
+                             as_backend, shard_served_backend)
+from repro.workloads import backend as backend_module
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from bench.trace import BOUNDARIES  # noqa: E402
 
 pytestmark = pytest.mark.workload
 
 OBS = EngineConfig(obs=ObsConfig(enabled=True))
 
-BACKENDS = ("database", "server", "shard_server_1", "shard_server")
+BACKENDS = ("database", "shard_server_1", "shard_server")
 
 
 def make_backend(kind: str, shards: int = 4,
@@ -38,8 +48,6 @@ def make_backend(kind: str, shards: int = 4,
     config = config or EngineConfig()
     if kind == "database":
         return DatabaseBackend(Database(config))
-    if kind == "server":
-        return ServerBackend(Database(config).serve(serve_config))
     if kind == "shard_server_1":
         shards = 1
     return shard_served_backend(
@@ -63,7 +71,9 @@ class TestAsBackend:
             assert isinstance(served, ShardServerBackend)
             assert served.router is router    # type: ignore[attr-defined]
         with Database(EngineConfig()).serve() as server:
-            assert isinstance(as_backend(server), ServerBackend)
+            # a single node is driven bare, not through its server
+            with pytest.raises(WorkloadError, match="cannot adapt Server"):
+                as_backend(server)  # type: ignore[arg-type]
         with ShardedDatabase(
                 EngineConfig(), ShardConfig(shards=2)).serve() as sserver:
             assert isinstance(as_backend(sserver), ShardServerBackend)
@@ -76,9 +86,23 @@ class TestAsBackend:
         with pytest.raises(WorkloadError, match="cannot adapt"):
             as_backend(object())  # type: ignore[arg-type]
 
+    def test_every_adapter_is_traced(self):
+        """Each concrete backend and per-transaction adapter is a class
+        the repo benchmark's tracer names: no workload path runs
+        untraced."""
+        traced = {cls for _layer, module, cls, _attrs in BOUNDARIES
+                  if module == backend_module.__name__}
+        defined = {name for name, obj in vars(backend_module).items()
+                   if inspect.isclass(obj)
+                   and obj.__module__ == backend_module.__name__
+                   and issubclass(obj, (WorkloadBackend, WorkloadTxn))
+                   and not inspect.isabstract(obj)}
+        assert {"DatabaseBackend", "_DatabaseTxn"} <= defined
+        assert not defined - traced, (
+            f"untraced adapters: {sorted(defined - traced)}")
+
     def test_names_and_shard_counts(self):
         for kind, name, count in (("database", "database", 1),
-                                  ("server", "server", 1),
                                   ("shard_server_1", "shard-server-1", 1),
                                   ("shard_server", "shard-server-4", 4)):
             with make_backend(kind) as backend:
@@ -146,7 +170,7 @@ class TestBackendRoundtrip:
         version-oblivious index as on an index-only one."""
         with make_backend(kind) as backend:
             create_t(backend)
-            if kind in ("database", "server"):
+            if kind == "database":
                 backend.create_index("oblivious_ix", "t", ["id"],
                                      kind="btree")
             else:   # sharded indexes are MV-PBT: ablate its visibility
@@ -504,7 +528,7 @@ class TestServeHitAPIs:
             session.commit()
 
     def test_server_backend_pools_sessions(self):
-        with make_backend("server") as backend:
+        with make_backend("shard_server_1") as backend:
             create_t(backend)
             backend.bulk_insert("t", [(1, "a"), (2, "b")])
             olap = backend.begin()
