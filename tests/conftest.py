@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+from typing import Iterator
+
 import pytest
 
 from repro.buffer.pool import BufferPool
@@ -30,7 +35,16 @@ def pytest_addoption(parser: pytest.Parser) -> None:
              "for a given seed)")
 
 
+#: wall-clock seconds one test call may take before the run ends with
+#: every thread's stack: about ten times the slowest test of any lane
+LIMIT = 120.0
+
+#: a copy of the real stderr, which output capture replaces during a test
+_STDERR = pytest.StashKey[int]()
+
+
 def pytest_configure(config: pytest.Config) -> None:
+    config.stash[_STDERR] = os.dup(sys.stderr.fileno())
     if config.getoption("--fuzz-interleavings"):
         from repro.obs.race import SchedulePerturber
         perturber = SchedulePerturber(int(config.getoption("--fuzz-seed")))
@@ -39,10 +53,22 @@ def pytest_configure(config: pytest.Config) -> None:
 
 
 def pytest_unconfigure(config: pytest.Config) -> None:
+    os.close(config.stash[_STDERR])
     perturber = getattr(config, "_fuzz_perturber", None)
     if perturber is not None:
         perturber.uninstall()
         del config._fuzz_perturber  # type: ignore[attr-defined]
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item: pytest.Item) -> Iterator[None]:
+    """End a hung test with a stack dump instead of a killed job."""
+    faulthandler.dump_traceback_later(LIMIT, exit=True,
+                                      file=item.config.stash[_STDERR])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

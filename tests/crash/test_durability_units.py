@@ -19,10 +19,12 @@ from repro.durability.recovery import read_durable_state
 from repro.durability.wal import (KIND_COMMIT, KIND_RECORD, WriteAheadLog,
                                   parse_entries)
 from repro.engine.database import Database
-from repro.errors import DeviceCrashError, DeviceError, RecoveryError
+from repro.errors import (DeviceCrashError, DeviceError, RecoveryError,
+                          StorageError)
 from repro.sim.clock import SimClock
 from repro.sim.device import SECTOR_BYTES, FaultPlan, SimulatedDevice
 from repro.sim.profiles import UNIT_TEST_PROFILE
+from repro.storage.keycodec import encode_key
 from repro.storage.pagefile import PageFile, TornPage
 from repro.storage.recordid import RecordID
 
@@ -247,6 +249,20 @@ class TestWriteAheadLog:
         lsns = [e.lsn for e in entries]
         assert lsns == list(range(lsns[0], lsns[-1] + 1))
 
+    def test_truncate_at_a_pages_last_lsn_keeps_that_page(
+            self, clock: SimClock) -> None:
+        """Entry ``lsn`` is still needed after ``truncate_below(lsn)``, so
+        the page it ends stays."""
+        device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
+        file = make_file(device)
+        wal = WriteAheadLog(file)
+        for i in range(60):
+            wal.log([("ix", rec(i, i + 1, i))], commit_txid=i + 1)
+        _, first, last = wal._pages[1]
+        assert wal.truncate_below(last) == 1     # page 0 only
+        _, entries = WriteAheadLog.recover(file)
+        assert [e.lsn for e in entries] == list(range(first, wal.end_lsn))
+
     def test_torn_tail_keeps_valid_prefix(self, clock: SimClock) -> None:
         device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
         file = make_file(device)
@@ -338,6 +354,19 @@ def sample_state() -> ManifestState:
                  "empty": IndexManifest("empty", 0, 0, 1, [])})
 
 
+def keyed_state(key_bytes: int) -> ManifestState:
+    """A state whose one partition's ``min_key`` encodes to exactly
+    ``key_bytes`` bytes."""
+    key = ("k" * (key_bytes - 3),)       # tag, the bytes, a 2-byte end
+    assert len(encode_key(key)) == key_bytes
+    part = PartitionMeta(
+        number=1, record_count=1, size_bytes=64, min_ts=1, max_ts=1,
+        page_nos=[2], fences=[(1,)], min_key=key, max_key=(1,))
+    return ManifestState(
+        txid_watermark=2,
+        indexes={"ix": IndexManifest("ix", 1, 1, 1, [part])})
+
+
 def sized_state(watermark: int, pages: int,
                 page_size: int = 512) -> ManifestState:
     """A state whose body fills exactly ``pages`` manifest pages."""
@@ -353,6 +382,15 @@ class TestManifest:
         state = sample_state()
         decoded = decode_state(encode_state(state))
         assert decoded == state
+
+    def test_the_longest_key_round_trips(self) -> None:
+        state = keyed_state(0xFFFE)
+        assert decode_state(encode_state(state)) == state
+
+    def test_a_key_as_long_as_the_absent_marker_is_refused(self) -> None:
+        """A 0xFFFF-byte key would read back as no key at all."""
+        with pytest.raises(StorageError, match="too long"):
+            encode_state(keyed_state(0xFFFF))
 
     def test_decode_rejects_corruption(self) -> None:
         data = bytearray(encode_state(sample_state()))

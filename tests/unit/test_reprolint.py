@@ -7,6 +7,7 @@ clean under ``--strict``, which is the gate CI enforces.
 """
 
 import json
+import re
 import sys
 import textwrap
 from pathlib import Path
@@ -21,6 +22,7 @@ from tools.reprolint import (ALL_RULES, Finding, Linter,  # noqa: E402
                              Project, rule_by_id)
 from tools.reprolint.cli import main  # noqa: E402
 from tools.reprolint.engine import parse_suppressions  # noqa: E402
+from tools.reprolint.rules import r13_tombstones  # noqa: E402
 
 SRC_REPRO = REPO_ROOT / "src" / "repro"
 
@@ -471,13 +473,14 @@ class TestR7TimeDiscipline:
 
 def lint_checkout(tmp_path, files, *, strict=False):
     """Write a little checkout (``src/repro``, ``tests/``, ``bench/``, ...)
-    under ``tmp_path`` and lint its ``src/repro`` with every rule."""
+    under ``tmp_path`` and lint its ``src/repro`` with every rule but R13,
+    whose table describes this repository, not a fixture checkout."""
     for relpath, source in files.items():
         target = tmp_path / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(source))
-    linter = Linter([rule() for rule in ALL_RULES], Project(),
-                    strict=strict)
+    linter = Linter([rule() for rule in ALL_RULES if rule.id != "R13"],
+                    Project(), strict=strict)
     return linter.lint_paths([tmp_path / "src" / "repro"])
 
 
@@ -586,6 +589,140 @@ class TestR12DeadSurface:
         assert linter.lint_paths([target.parent]) == []
 
 
+# ------------------------------------------------------------ R13 tombstones
+
+TOMBSTONES = r13_tombstones.TOMBSTONES
+
+#: one line that each entry's pattern matches, in table order.  Each is
+#: split into adjacent literals, so this file spells no deleted name.
+SAMPLES = (
+    "run_all" ".py",
+    "batch_scan" " = True",
+    "class _Busy" "Guard:",
+    "ordering" "_checks = 1",
+    "class _R" "un:",
+    "def _take" "_below():",
+    "rows = session.scan" "_limit(1)",
+    "_candidates" "_point(key)",
+    "def reset" "_stats():",
+    "bloom" "_fpr = 0.01",
+    "registry.counter" '("device.reads")',
+    "Threaded" "Gather()",
+    "# reprolint: disable-next" "=R10 -- why",
+    "use_prefix" "_bloom=True",
+    "Clock" "Policy()",
+    'cost: "Cost' 'Model | None"',
+    "if clock is" " not None:",
+    "Range" "Partitioner()",
+    "x = 1",
+    "x = 1",
+    "extra" "_committed=()",
+    "engine.pull_index" "_slices(leg)",
+    "batch" "_scan(txn)",
+    "except WriteConflict" "Error:",
+    "Sharded" "Backend",
+    "store.pre" "allocate()",
+    "Server" "Backend",
+)
+
+
+def plant(root, scope, sample, lines):
+    """Write ``lines`` copies of ``sample`` under ``scope``: into the file
+    a file scope names, else into a new file in the directory."""
+    target = root / scope
+    if not Path(scope).suffix:
+        target = target / "planted.txt"
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text((sample + "\n") * lines)
+
+
+def lint_tombstone(tmp_path, monkeypatch, entry):
+    """R13 over the checkout under ``tmp_path``, with ``entry`` its whole
+    table."""
+    init = tmp_path / "src" / "repro" / "__init__.py"
+    init.parent.mkdir(parents=True, exist_ok=True)
+    init.touch()
+    monkeypatch.setattr(r13_tombstones, "TOMBSTONES", (entry,))
+    linter = Linter([rule_by_id("R13")()], Project())
+    return linter.lint_paths([tmp_path / "src" / "repro"])
+
+
+def entries(keep=lambda entry: True):
+    return [pytest.param(entry, sample, id=f"{n}-pr{entry.pr}")
+            for n, (entry, sample) in enumerate(zip(TOMBSTONES, SAMPLES))
+            if keep(entry)]
+
+
+class TestR13Tombstones:
+    def test_each_sample_matches_its_entry(self):
+        assert len(SAMPLES) == len(TOMBSTONES)
+        for entry, sample in zip(TOMBSTONES, SAMPLES):
+            assert re.search(entry.regex, sample), entry.regex
+
+    @pytest.mark.parametrize("entry, sample", entries())
+    def test_a_line_over_budget_fires_where_it_is(self, tmp_path,
+                                                  monkeypatch, entry,
+                                                  sample):
+        plant(tmp_path, entry.scope[0], sample, entry.at_most + 1)
+        findings = lint_tombstone(tmp_path, monkeypatch, entry)
+        assert [(f.rule, f.line) for f in findings] \
+            == [("R13", n) for n in range(1, entry.at_most + 2)]
+        assert Path(findings[0].path).is_relative_to(tmp_path)
+        assert f"PR {entry.pr}: {entry.reason}" in findings[0].message
+
+    @pytest.mark.parametrize("entry, sample",
+                             entries(lambda entry: bool(entry.exclude)))
+    def test_an_excluded_path_stays_silent(self, tmp_path, monkeypatch,
+                                           entry, sample):
+        for path in entry.exclude:
+            plant(tmp_path, path, sample, 1)
+        assert lint_tombstone(tmp_path, monkeypatch, entry) == []
+
+    @pytest.mark.parametrize("entry, sample",
+                             entries(lambda entry: bool(entry.at_most)))
+    def test_a_count_within_budget_is_silent(self, tmp_path, monkeypatch,
+                                             entry, sample):
+        plant(tmp_path, entry.scope[0], sample, entry.at_most)
+        assert lint_tombstone(tmp_path, monkeypatch, entry) == []
+
+    @pytest.mark.parametrize("entry, sample",
+                             entries(lambda entry: bool(entry.at_least)))
+    def test_a_count_under_budget_fires_at_the_entry(self, tmp_path,
+                                                     monkeypatch, entry,
+                                                     sample):
+        plant(tmp_path, entry.scope[0], sample, entry.at_least - 1)
+        findings = lint_tombstone(tmp_path, monkeypatch, entry)
+        assert len(findings) == 1
+        assert findings[0].path == r13_tombstones.__file__
+        table = Path(r13_tombstones.__file__).read_text().splitlines()
+        assert table[findings[0].line - 1].strip() == "Tombstone("
+        assert f"at least {entry.at_least} required" \
+            in findings[0].message
+        assert f"PR {entry.pr}:" in findings[0].message
+
+    @pytest.mark.parametrize("entry, sample",
+                             entries(lambda entry: entry.regex == "^"))
+    def test_an_empty_file_still_exists(self, tmp_path, monkeypatch,
+                                        entry, sample):
+        plant(tmp_path, entry.scope[0], sample, 0)
+        assert len(lint_tombstone(tmp_path, monkeypatch, entry)) == 1
+
+    def test_dot_directories_and_caches_are_not_walked(self, tmp_path,
+                                                       monkeypatch):
+        entry, sample = TOMBSTONES[-1], SAMPLES[-1]
+        for hidden in (".venv", "__pycache__"):
+            plant(tmp_path, f"src/{hidden}", sample, 1)
+        assert lint_tombstone(tmp_path, monkeypatch, entry) == []
+
+    def test_no_repro_package_no_walk(self, tmp_path, monkeypatch):
+        plant(tmp_path, "src", SAMPLES[-1], 1)
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "tools" / "helper.py").write_text("x = 1\n")
+        monkeypatch.setattr(r13_tombstones, "TOMBSTONES", TOMBSTONES[-1:])
+        linter = Linter([rule_by_id("R13")()], Project())
+        assert linter.lint_paths([tmp_path / "tools"]) == []
+
+
 # ------------------------------------------------------ engine & suppressions
 
 class TestSuppressions:
@@ -679,7 +816,7 @@ class TestEngine:
 
     def test_all_rules_have_unique_ids(self):
         ids = [rule.id for rule in ALL_RULES]
-        assert len(ids) == len(set(ids)) == 10
+        assert len(ids) == len(set(ids)) == 11
 
 
 # ----------------------------------------------------------------- CLI gate
@@ -757,7 +894,7 @@ class TestCLI:
         ids = [line.split()[0]
                for line in capsys.readouterr().out.splitlines()]
         assert ids == ["R1", "R2", "R3", "R4", "R5", "R7", "R9", "R10",
-                       "R11", "R12"]
+                       "R11", "R12", "R13"]
 
 
 # ------------------------------------------------------------- the real tree

@@ -40,12 +40,15 @@ R12    dead-surface        every public name of ``repro`` is named by a caller
                            file (``src/``, ``bench/``, ``benchmarks/``,
                            ``examples/``, README python blocks); ``tests/``
                            and ``__init__`` re-exports never count
+R13    tombstones          a name a PR deleted stays deleted: each entry of
+                           ``rules/r13_tombstones.py`` matches within its
+                           line budget under its paths of the checkout
 =====  ==================  ====================================================
 
-R1-R7 are per-file visitor rules; R9-R12 are :class:`ProgramRule`
+R1-R7 are per-file visitor rules; R9-R13 are :class:`ProgramRule`
 passes.  R9-R11 run over a cross-module call graph with per-function
 lock summaries (``callgraph.py`` + ``summaries.py``, DESIGN.md §17);
-R12 reads the caller files around the package.  R6 and R8 are
+R12 and R13 read the checkout around the package.  R6 and R8 are
 retired ids, never reused: ``mypy --strict`` in CI checks annotations,
 and R9's rank on every raw lock covers threading confinement.
 

@@ -481,6 +481,21 @@ class Linter:
         return findings
 
 
+def package_root(path: Path) -> Path | None:
+    """The ``repro`` package directory ``path`` lies in, if any."""
+    parts = path.parts
+    if "repro" not in parts[:-1]:
+        return None
+    return Path(*parts[:parts.index("repro") + 1])
+
+
+def checkout_root(package: Path) -> Path:
+    """The checkout that holds ``package``: the parent of its ``src``
+    directory, or the directory it lies in when there is no ``src``."""
+    src = package.parent
+    return src.parent if src.name == "src" else src
+
+
 def iter_python_files(path: Path) -> Iterator[Path]:
     if path.is_file():
         if path.suffix == ".py":

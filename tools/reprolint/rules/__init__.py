@@ -19,6 +19,7 @@ from .r9_lock_order import LockOrderRule
 from .r10_confinement import SlotConfinementRule
 from .r11_protocol import ProtocolExhaustivenessRule
 from .r12_dead_surface import DeadSurfaceRule
+from .r13_tombstones import TombstoneRule
 
 ALL_RULES: tuple[type[Rule], ...] = (
     DeterminismRule,
@@ -31,6 +32,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     SlotConfinementRule,
     ProtocolExhaustivenessRule,
     DeadSurfaceRule,
+    TombstoneRule,
 )
 
 
@@ -46,4 +48,4 @@ __all__ = ["ALL_RULES", "rule_by_id", "DeterminismRule",
            "RecordExhaustiveRule", "ImmutabilityRule", "StorageBypassRule",
            "ErrorDisciplineRule", "TimeDisciplineRule", "LockOrderRule",
            "SlotConfinementRule", "ProtocolExhaustivenessRule",
-           "DeadSurfaceRule"]
+           "DeadSurfaceRule", "TombstoneRule"]

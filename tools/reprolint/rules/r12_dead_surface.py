@@ -28,21 +28,14 @@ import re
 from pathlib import Path
 from typing import Iterator
 
-from ..engine import FileContext, Finding, ProgramRule, iter_python_files
+from ..engine import (FileContext, Finding, ProgramRule, checkout_root,
+                      iter_python_files, package_root)
 
 #: caller directories under the checkout root, besides the package's own
 #: ``src`` directory
 _CALLER_DIRS = ("bench", "benchmarks", "examples")
 
 _README_BLOCK_RE = re.compile(r"^```python[ \t]*\n(.*?)^```", re.M | re.S)
-
-
-def _package_root(path: Path) -> Path | None:
-    """The ``repro`` package directory ``path`` lies in, if any."""
-    parts = path.parts
-    if "repro" not in parts[:-1]:
-        return None
-    return Path(*parts[:parts.index("repro") + 1])
 
 
 def _names_in(tree: ast.Module, is_init: bool) -> Iterator[str]:
@@ -112,7 +105,7 @@ class DeadSurfaceRule(ProgramRule):
         findings: list[Finding] = []
         called_by_pkg: dict[Path, set[str]] = {}
         for ctx in files:
-            pkg = _package_root(Path(ctx.path).resolve())
+            pkg = package_root(Path(ctx.path).resolve())
             if pkg is None:
                 continue
             if pkg not in called_by_pkg:
@@ -130,7 +123,7 @@ class DeadSurfaceRule(ProgramRule):
     def _called_names(self, pkg: Path, parsed: dict[Path, ast.Module],
                       findings: list[Finding]) -> set[str]:
         src = pkg.parent
-        root = src.parent if src.name == "src" else src
+        root = checkout_root(pkg)
         called: set[str] = set()
         for top in [src] + [root / name for name in _CALLER_DIRS]:
             if not top.is_dir():
