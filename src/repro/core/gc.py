@@ -114,6 +114,7 @@ def reduce_chain(chain: list[MVPBTRecord],
             if pos + 1 < len(kept):
                 record.rid_old = kept[pos + 1].rid_new
             else:
+                # `<=` would do: no victim is kept, and seq is unique per tree
                 below = [v for v in chain_victims
                          if (v.ts, v.seq) < (record.ts, record.seq)]
                 if below:

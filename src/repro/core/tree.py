@@ -909,6 +909,14 @@ class MVPBT:
         (whether or not an eviction has since made it partition-durable)?"""
         return txid in self._wal_pending
 
+    def checkpoint_records(self) -> list[MVPBTRecord]:
+        """The ``P_N`` records a checkpoint images: all but those still in
+        a pending buffer, which their own commit will log."""
+        owed = {record.seq for records in self._wal_pending.values()
+                for record in records}
+        return [record for record in self._mem.iter_records()
+                if record.seq not in owed]
+
     def clear_wal_pending(self) -> None:
         """Empty all pending buffers — the records just became
         partition-durable through an eviction.  The keys stay: their
@@ -991,6 +999,9 @@ class MVPBT:
                        self.manager.active_snapshots(),
                        self.manager.commit_log, obs=self._obs)
         self.partition_buffer.maybe_evict()
+        if self._durability is not None:
+            self._durability.maybe_checkpoint(
+                self.partition_buffer.capacity_bytes)
 
     def _checker(self, txn: Transaction) -> VisibilityChecker:
         """The per-operation checker: Algorithm 3, or the version-oblivious

@@ -19,6 +19,12 @@ hooks:
   WAL pages are truncated.
 - **Merge / bulk load** flip the manifest without moving any floor; merge
   frees its input extents only after the flip (install-before-retire).
+- **Checkpoint**: an index whose ``P_N`` never evicts would keep its floor,
+  and so every log page since it, live.  Once the live sealed log exceeds
+  :data:`CHECKPOINT_BUFFERS` partition buffers, the write path images every
+  tree's ``P_N`` records that no pending commit owes the log into one
+  append, moves every floor to that append's first LSN, flips the manifest
+  and truncates.  ``P_N`` stays in memory: the read path is untouched.
 
 The ordering invariant throughout: *new state fully written → manifest
 flip → old state freed*.  A crash at any I/O lands on one side of the flip
@@ -45,6 +51,10 @@ if TYPE_CHECKING:
 #: a commit whose txid is a multiple of this keeps its COMMIT marker even
 #: when it wrote nothing (the horizon marker, DESIGN.md §11.3)
 HORIZON_STRIDE = 32
+
+#: the live sealed log may hold this many partition buffers' worth of
+#: pages before a checkpoint moves every WAL floor (DESIGN.md §11.3)
+CHECKPOINT_BUFFERS = 8
 
 
 def partition_meta(partition: "PersistedPartition") -> PartitionMeta:
@@ -80,6 +90,7 @@ class DurabilityController:
         self.manager = manager
         self._trees: dict[str, "MVPBT"] = {}
         self._floors: dict[str, int] = {}
+        self.checkpoints = 0
         self._obs = obs
         if obs is not None:
             registry = obs.registry
@@ -113,6 +124,7 @@ class DurabilityController:
                 "wal.bytes_appended": wal.bytes_written,
                 "wal.pad_bytes": wal.pad_bytes,
                 "wal.pages_freed": wal.pages_freed,
+                "wal.checkpoints": self.checkpoints,
                 "manifest.flips": self.manifest.flips}
 
     # ------------------------------------------------------------- txn hooks
@@ -257,6 +269,47 @@ class DurabilityController:
         # the evicted records live in the partition now; replaying them
         # from the WAL as well would duplicate them
         tree.clear_wal_pending()
+        self._truncate()
+
+    def maybe_checkpoint(self, buffer_bytes: int) -> None:
+        """Checkpoint once the live sealed log outgrows
+        :data:`CHECKPOINT_BUFFERS` partition buffers of ``buffer_bytes``.
+
+        Only the write path calls this, right after
+        :meth:`PartitionBuffer.maybe_evict` and inside the engine slot —
+        never a commit hook, a group leader, recovery or a rebalance: a
+        checkpoint between a commit's append and its status flip would
+        list the transaction as active and truncate away its marker.
+        """
+        if self.wal.sealed_bytes > CHECKPOINT_BUFFERS * buffer_bytes:
+            self.checkpoint()
+
+    def checkpoint(self) -> None:
+        """Image every ``P_N`` into the log, move every floor, flip,
+        truncate.
+
+        The image holds each tree's ``P_N`` records that no open
+        transaction still owes the log (its pending records follow with
+        its COMMIT marker), as RECORD entries in one append with no
+        marker.  The flip then records as decided every txid whose marker
+        the truncation drops.  A crash before the flip recovers with the
+        old floors, and replay keeps the first copy of each record it
+        reads twice (:func:`~repro.durability.recovery.read_durable_state`).
+        """
+        entries: list[tuple[str, MVPBTRecord]] = []
+        for name, tree in self._trees.items():
+            entries.extend((name, record)
+                           for record in tree.checkpoint_records())
+        floor = self.wal.end_lsn
+        mark = self._wal_mark()
+        self.wal.log(entries)
+        for name in self._floors:
+            self._floors[name] = floor
+        self.checkpoints += 1
+        if self._obs is not None:
+            self._note_append("wal.checkpoint", mark, floor=floor)
+        self.manifest.write(self.snapshot_state())
+        self._note_flip()
         self._truncate()
 
     def on_reorg(self, tree: "MVPBT") -> None:

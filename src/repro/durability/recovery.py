@@ -49,6 +49,13 @@ def read_durable_state(manifest_file: PageFile, wal_file: PageFile,
     marker was either never acknowledged or committed having written
     nothing (an elided commit, DESIGN.md §11.3) — and a transaction with
     no effects reads the same committed or aborted.
+
+    A crash between a checkpoint's image and its flip leaves a record
+    above the old floor twice; replay keeps one per ``(index, seq)``, the
+    earlier copy.  The image is ``P_N`` after GC, whose purges re-link
+    the records they keep (``core/gc.py``): an imaged copy replayed beside
+    the originals of the versions it no longer points past would leave a
+    superseded version visible.
     """
     store, state = ManifestStore.attach(manifest_file, slot_pages)
     wal, entries = WriteAheadLog.recover(wal_file)
@@ -56,7 +63,7 @@ def read_durable_state(manifest_file: PageFile, wal_file: PageFile,
     floors = ({name: ix.wal_floor for name, ix in state.indexes.items()}
               if state is not None else {})
     committed: set[int] = set()
-    records: dict[str, list[MVPBTRecord]] = {}
+    by_seq: dict[str, dict[int, MVPBTRecord]] = {}
     max_prepared = max_record_ts = 0
     for entry in entries:
         if entry.kind == KIND_COMMIT:
@@ -73,7 +80,8 @@ def read_durable_state(manifest_file: PageFile, wal_file: PageFile,
             # records below the index's floor were made partition-durable
             # by an eviction; replaying them would duplicate state
             if entry.lsn >= floors.get(entry.index_name, 0):
-                records.setdefault(entry.index_name, []).append(record)
+                by_seq.setdefault(entry.index_name, {}).setdefault(
+                    record.seq, record)
 
     if state is not None:
         undecided = set(state.aborted_txids) | set(state.active_txids)
@@ -85,6 +93,8 @@ def read_durable_state(manifest_file: PageFile, wal_file: PageFile,
         max(committed, default=0) + 1,
         max_prepared + 1,
         max_record_ts + 1)
+    records = {name: list(replay.values())
+               for name, replay in by_seq.items()}
     return DurableState(store, state, wal, committed, records, next_txid)
 
 

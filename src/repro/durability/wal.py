@@ -179,6 +179,12 @@ class WriteAheadLog:
         #: divides this by the mean group size (fsyncs/commit < 1)
         self.appends = 0
 
+    @property
+    def sealed_bytes(self) -> int:
+        """Bytes of the live sealed pages — what replay would read, less
+        the tail."""
+        return len(self._pages) * self.file.page_size
+
     # ---------------------------------------------------------------- append
 
     def log(self, records: Iterable[tuple[str, MVPBTRecord]],
@@ -328,21 +334,20 @@ class WriteAheadLog:
     def truncate_below(self, lsn: int) -> int:
         """Free sealed pages whose entries all fall below ``lsn``.
 
-        Called after an eviction advanced the replay floor; returns the
-        number of pages discarded.  Freeing drops the page image (models a
-        TRIM) — no device I/O, so truncation can never be a crash point.
+        Called after an eviction or a checkpoint advanced the replay
+        floor; returns the number of pages discarded.  Freeing drops the
+        page image (models a TRIM) — no device I/O, so truncation can never
+        be a crash point.  Pages are freed highest first, so the file's
+        LIFO free list hands them back in ascending order and the log's
+        write stream stays sequential across the reuse.
         """
-        kept: list[tuple[int, int, int]] = []
-        freed = 0
-        for page_no, first, last in self._pages:
-            if last < lsn:
-                self.file.free_page(page_no)
-                freed += 1
-            else:
-                kept.append((page_no, first, last))
-        self._pages = kept
-        self.pages_freed += freed
-        return freed
+        freed = sorted((page_no for page_no, _first, last in self._pages
+                        if last < lsn), reverse=True)
+        for page_no in freed:
+            self.file.free_page(page_no)
+        self._pages = [page for page in self._pages if page[2] >= lsn]
+        self.pages_freed += len(freed)
+        return len(freed)
 
     # --------------------------------------------------------------- recover
 

@@ -263,6 +263,32 @@ class TestWriteAheadLog:
         _, entries = WriteAheadLog.recover(file)
         assert [e.lsn for e in entries] == list(range(first, wal.end_lsn))
 
+    def test_truncated_pages_come_back_in_ascending_order(
+            self, clock: SimClock) -> None:
+        """The file's free list is LIFO; truncation frees highest first, so
+        the log reuses the freed pages lowest first — consecutive device
+        addresses, a sequential write stream."""
+        device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
+        file = make_file(device)
+        wal = WriteAheadLog(file)
+        for i in range(60):
+            wal.log([("ix", rec(i, i + 1, i))], commit_txid=i + 1)
+        freed = [page_no for page_no, _first, _last in wal._pages[:4]]
+        assert freed == [0, 1, 2, 3]
+        assert wal.truncate_below(wal._pages[3][2] + 1) == 4
+        wal._seal_tail()
+        reused: list[int] = []
+        i = 60
+        while len(reused) < 4:
+            wal.log([("ix", rec(i, i + 1, i))], commit_txid=i + 1)
+            if wal._tail_no not in reused:
+                reused.append(wal._tail_no)
+            i += 1
+        assert reused == freed
+        base = file._addresses[reused[0]]
+        assert [file._addresses[no] for no in reused] == [
+            base + k * file.page_size for k in range(4)]
+
     def test_torn_tail_keeps_valid_prefix(self, clock: SimClock) -> None:
         device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
         file = make_file(device)

@@ -376,6 +376,7 @@ CATALOGUE = {
     "mvpbt.partitions",
     "wal.appends", "wal.entries", "wal.bytes_appended", "wal.pad_bytes",
     "wal.commits_elided", "wal.markers_deferred", "wal.pages_freed",
+    "wal.checkpoints",
     "manifest.flips",
     "recovery.replays", "recovery.wal_records_replayed",
     "sim.clock.seconds",
