@@ -30,6 +30,7 @@ would prune.
 from __future__ import annotations
 
 import heapq
+import sys
 from bisect import bisect_left, bisect_right
 from itertools import chain
 from typing import (TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple,
@@ -430,13 +431,20 @@ class MVPBT:
 
         Partition filters (range keys, minimum timestamp, prefix bloom) are
         applied when the stream starts; each surviving partition is one
-        lazy source, so a consumer that stops early — or a ``limit``, which
-        ends the stream inside the chunk that reaches it — leaves the pages
-        the merge never got to unread.  ``hits_returned`` — and this
-        scan's ``mvpbt.scan.hits`` observation — count what the merge
-        classified visible, before the ``limit`` cut.  The stream borrows
-        the partitions it iterates: consume it before further
-        modifications of this tree (like any unlatched database cursor).
+        lazy source, so a consumer that stops early — or a ``limit`` —
+        leaves the pages the merge never got to unread.  The ``limit``
+        reaches the batch classifier: no record past the ``limit``-th
+        visible hit is classified, so ``hits_returned``,
+        ``records_checked`` and this scan's ``mvpbt.scan.hits``
+        observation book what was classified.  The cut is exact because
+        the §4.4 cascade only reaches forward: a record's visibility
+        depends on the records before it in processing order, so the first
+        ``limit`` hits are final once found.  Records past the cut are not
+        GC-flagged by this scan (§4.6 phase 1 rides only on work a scan
+        does).  The one trim left here is for a REGULAR_SET record that
+        straddles the cut with several hits.  The stream borrows the
+        partitions it iterates: consume it before further modifications
+        of this tree (like any unlatched database cursor).
         """
         stats = self.stats
         stats.scans += 1
@@ -447,16 +455,14 @@ class MVPBT:
             return
         checker = self._checker(txn)
         returned = 0
-        chunks = self._scan_hit_batches(checker, lo, hi, lo_incl, hi_incl)
+        chunks = self._scan_hit_batches(
+            checker, lo, hi, lo_incl, hi_incl,
+            sys.maxsize if limit is None else limit)
         try:
             for chunk in chunks:
                 returned += len(chunk)
-                if limit is not None:
-                    if len(chunk) >= limit:
-                        del chunk[limit:]
-                        yield chunk
-                        return
-                    limit -= len(chunk)
+                if limit is not None and returned > limit:
+                    del chunk[limit - returned:]
                 yield chunk
         finally:
             # runs on exhaustion *and* on early close (GeneratorExit)
@@ -498,7 +504,8 @@ class MVPBT:
 
     def _scan_hit_batches(self, checker: VisibilityChecker,
                           lo: Key | None, hi: Key | None, lo_incl: bool,
-                          hi_incl: bool) -> Iterator[list[SearchHit]]:
+                          hi_incl: bool, want: int
+                          ) -> Iterator[list[SearchHit]]:
         """Page-at-a-time scan: merge whole sorted *segments* and emit hits
         in chunks.
 
@@ -519,6 +526,10 @@ class MVPBT:
         fence key of its next page is that page's first key, so it orders
         the source exactly as the loaded page would, and the page is asked
         of the buffer pool only when the merge pops it.
+
+        ``want`` is the number of hits the scan still needs: each slice is
+        classified only up to it, and the stream ends with the chunk that
+        reaches it, before any further page is asked for.
         """
         stats = self.stats
         snapshot = checker.snapshot
@@ -570,10 +581,14 @@ class MVPBT:
                 while batch is not None:
                     _keys, records, pos, end, leaf, rows = batch
                     if records is not None:     # a promise just loads
-                        chunk = emit(checker, records, pos, end, leaf, rows)
+                        chunk = emit(checker, records, pos, end, leaf, rows,
+                                     want)
                         if chunk:
                             stats.hits_returned += len(chunk)
+                            want -= len(chunk)
                             yield chunk
+                            if want <= 0:
+                                return
                     batch = next(gen, None)
                 return
             _head, neg, sid = heapq.heappop(heap)
@@ -588,10 +603,13 @@ class MVPBT:
                 cut = bisect_right(keys, bound_key, pos, end)
             else:
                 cut = bisect_left(keys, bound_key, pos, end)
-            chunk = emit(checker, records, pos, cut, leaf, rows)
+            chunk = emit(checker, records, pos, cut, leaf, rows, want)
             if chunk:
                 stats.hits_returned += len(chunk)
+                want -= len(chunk)
                 yield chunk
+                if want <= 0:
+                    return
             if cut < end:
                 current[sid] = (keys, records, cut, end, leaf, rows)
                 heapq.heappush(heap, (keys[cut], neg, sid))
@@ -707,37 +725,43 @@ class MVPBT:
 
     def _emit_batch(self, checker: VisibilityChecker,
                     records: list[MVPBTRecord], pos: int, end: int,
-                    leaf: MemLeaf | None,
-                    rows: list[SearchHit] | None) -> list[SearchHit]:
-        """Classify one contiguous segment slice; returns its visible hits.
+                    leaf: MemLeaf | None, rows: list[SearchHit] | None,
+                    want: int) -> list[SearchHit]:
+        """Classify one contiguous segment slice up to its ``want``-th
+        visible hit; returns those hits (more than ``want`` only when a
+        REGULAR_SET record straddles the cut).
 
         Fast slices (``rows`` non-None) hold only committed-visible plain
         REGULAR records (zone purity + the watermark precondition), so
         batch visibility reduces to one anti-matter probe per ready-made
         row — or, with an empty anti-matter map, to one list slice of the
         page's cached rows: no per-record work at all.  The simulated
-        clock is charged the per-record visibility cost in one batched
-        advance, and every record of the slice counts as processed.
+        clock is charged the per-record visibility cost of the records
+        classified in one batched advance, and they count as processed.
         """
-        n = end - pos
-        if n <= 0:
+        if end <= pos:
             return []
         hits: list[SearchHit] = []
         if rows is not None:
-            clock = checker._clock
-            clock.advance(clock.cost.visibility_step * n)
-            checker.records_processed += n
             anti = checker._anti
             if not anti:
-                return rows[pos:end]
-            logical = self.mode is ReferenceMode.LOGICAL
-            probe = anti.get
-            append = hits.append
-            for idx in range(pos, end):
-                r = records[idx]
-                a = probe(r.vid if logical else r.rid_new)
-                if a is None or (r.ts, r.seq) >= a:
-                    append(rows[idx])
+                end = min(end, pos + want)
+                hits = rows[pos:end]
+            else:
+                logical = self.mode is ReferenceMode.LOGICAL
+                probe = anti.get
+                append = hits.append
+                for idx in range(pos, end):
+                    r = records[idx]
+                    a = probe(r.vid if logical else r.rid_new)
+                    if a is None or (r.ts, r.seq) >= a:
+                        append(rows[idx])
+                        if len(hits) == want:
+                            end = idx + 1
+                            break
+            clock = checker._clock
+            clock.advance(clock.cost.visibility_step * (end - pos))
+            checker.records_processed += end - pos
             return hits
         check = checker.check
         visible = Visibility.VISIBLE
@@ -750,12 +774,16 @@ class MVPBT:
                 for vid, rid, ts, _seq in \
                         checker.visible_set_entries(record):
                     hits.append(SearchHit(key, rid, vid, ts, payload))
+                if len(hits) >= want:
+                    break
                 continue
             vis = check(record)
             if vis is visible:
                 hits.append(SearchHit(record.key, record.rid_new,
                                       record.vid, record.ts,
                                       record.payload))
+                if len(hits) == want:
+                    break
             elif vis is garbage and leaf is not None:
                 if not record.is_gc:
                     record.mark_gc()

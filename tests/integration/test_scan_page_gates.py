@@ -8,6 +8,10 @@ Deterministic invariants of the chunked scan pipeline:
 * **served LIMIT scan** — a session sizes its slices by the LIMIT, so
   ten rows cost the table pages of ten rows, not of a full
   ``scan_slice_rows`` slice;
+* **LIMIT classification** — a ``scan_limit(n)`` classifies records only
+  up to its ``n``-th visible hit, on each of the three classifier paths
+  (a zone-pure page slice, the anti-matter probe loop, the per-record
+  check), and charges the simulated clock for those records alone;
 * **abandoned cursor** — a consumer that stops early leaves every
   partition the merge never reached unrequested, and the records it did
   classify are still booked;
@@ -37,7 +41,7 @@ from repro.engine.executor import Executor, RowHit
 from repro.obs.config import ObsConfig
 from repro.serve import ServeConfig
 from repro.shard import ShardConfig, ShardedDatabase
-from repro.sim.clock import SimClock
+from repro.sim.clock import CostModel, SimClock
 from repro.workloads import CHBenchmark, TPCCConfig
 from repro.workloads.backend import (_ShardSessionTxn, as_backend,
                                      shard_served_backend)
@@ -104,6 +108,99 @@ def test_served_limit_scan_fetches_about_limit_rows(loaded: Database,
     assert [row[0] for row in rows] == list(range(lo, lo + 10))
     # a full 256-row slice would span three or four table pages
     assert table_after - table_before <= 2
+
+
+#: a price list that charges visibility steps and nothing else, so the
+#: clock's advance over a scan on warm pages is its classification work
+STEP = 1e-6
+VISIBILITY_ONLY = CostModel(compare=0.0, visibility_step=STEP, hash_op=0.0,
+                            page_cpu=0.0, txn_overhead=0.0,
+                            indirection_lookup=0.0)
+
+
+def priced(keys: list[int], *, evict: bool = True) -> Database:
+    """Rows ``(k, ...)`` for ``keys`` committed in one transaction on a
+    :data:`VISIBILITY_ONLY` clock; evicted to one partition unless not."""
+    db = Database(EngineConfig(cost=VISIBILITY_ONLY))
+    db.create_table("t", [("k", "int"), ("v", "str")])
+    db.create_index("ix", "t", ["k"])
+    txn = db.begin()
+    for k in keys:
+        db.insert(txn, "t", (k, "x" * 40))
+    txn.commit()
+    if evict:
+        db.catalog.index("ix").mvpbt.evict_partition()
+    return db
+
+
+def limit_scan(db: Database, lo: int | None,
+               n: int) -> tuple[list[int], float, int, int]:
+    """(hit keys, visibility steps charged, ``records_checked`` growth,
+    ``hits_returned`` growth) of one ``scan_limit(n)`` from ``lo``, run
+    after a full scan has warmed the pool."""
+    tree = db.catalog.index("ix").mvpbt
+    stats = tree.stats
+    txn = db.begin()
+    tree.range_scan(txn, None, None)
+    before = (db.clock.now, stats.records_checked, stats.hits_returned)
+    hits = tree.scan_limit(txn, None if lo is None else (lo,), n)
+    after = (db.clock.now, stats.records_checked, stats.hits_returned)
+    txn.commit()
+    return ([hit.key[0] for hit in hits], (after[0] - before[0]) / STEP,
+            after[1] - before[1], after[2] - before[2])
+
+
+def test_limit_scan_classifies_n_records_of_a_pure_page() -> None:
+    """The empty-anti-matter path slices ``n`` of the page's cached rows
+    and charges ``n`` steps, not the rest of the page."""
+    db = priced(list(range(0, 600, 2)))
+    part = db.catalog.index("ix").mvpbt.persisted_partitions[0]
+    assert part.zone_map.page_pure[0] and part.run.fence_keys[1] > (400,)
+    keys, steps, checked, returned = limit_scan(db, 101, 5)
+    assert keys == [102, 104, 106, 108, 110]
+    assert steps == pytest.approx(5, rel=1e-9)
+    assert checked == returned == 5
+
+
+def test_limit_scan_stops_the_anti_matter_probe_at_n() -> None:
+    """A row moved into the range from below it: its ``P_N`` replacement
+    is the first hit and registers anti-matter for a version outside the
+    range, so the pure page behind it takes the probe loop — which stops
+    at the ``n``-th kept row."""
+    db = priced(list(range(0, 600, 2)))
+    txn = db.begin()
+    db.update_by_key(txn, "ix", (0,), {"k": 101})
+    txn.commit()
+    keys, steps, checked, returned = limit_scan(db, 101, 5)
+    assert keys == [101, 102, 104, 106, 108]
+    assert steps == pytest.approx(5, rel=1e-9)
+    assert checked == returned == 5
+
+
+def test_limit_scan_in_p_n_checks_n_records() -> None:
+    """A range wholly in ``P_N`` runs the per-record checker, which
+    breaks at the ``n``-th visible hit."""
+    db = priced(list(range(0, 600, 2)), evict=False)
+    keys, steps, checked, returned = limit_scan(db, 101, 5)
+    assert keys == [102, 104, 106, 108, 110]
+    assert steps == pytest.approx(5, rel=1e-9)
+    assert checked == returned == 5
+
+
+def test_limit_cut_trims_a_straddling_set_record() -> None:
+    """Six rows of key 7 reconcile into one REGULAR_SET record at
+    eviction; a cut inside it returns exactly ``n`` hits, and the two
+    plain records before it plus its six entries are all that is
+    classified."""
+    db = priced([1, 2] + [7] * 6 + list(range(8, 30)))
+    tree = db.catalog.index("ix").mvpbt
+    txn = db.begin()
+    full = tree.range_scan(txn, None, None)
+    txn.commit()
+    keys, steps, checked, returned = limit_scan(db, None, 4)
+    assert keys == [1, 2, 7, 7] == [hit.key[0] for hit in full[:4]]
+    assert steps == pytest.approx(8, rel=1e-9)
+    assert checked == returned == 8
 
 
 def test_abandoned_cursor_leaves_later_partitions_unrequested(

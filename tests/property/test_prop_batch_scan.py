@@ -234,7 +234,8 @@ def build_paged_tree(**opts):
 
 def apply_dup_ops(mgr, tree, ops):
     """Like :func:`apply_ops`, but ``insert`` always adds one more tuple
-    under the key, so keys carry runs of duplicates."""
+    under the key, so keys carry runs of duplicates; ``move`` updates a
+    tuple's key to the next key (wrapping round)."""
     live: dict[int, list[tuple[RecordID, int]]] = {k: [] for k in DUP_KEYS}
     next_id = 0
     held = []
@@ -253,11 +254,20 @@ def apply_dup_ops(mgr, tree, ops):
             rid = RecordID(0, next_id)
             tree.update_nonkey(txn, (key,), rid, old_rid, vid)
             live[key].append((rid, vid))
+        elif action == "move" and live[key]:
+            old_rid, vid = live[key].pop(0)
+            next_id += 1
+            rid = RecordID(0, next_id)
+            dest = (key + 1) % len(DUP_KEYS)
+            tree.update_key(txn, (key,), (dest,), rid, old_rid, vid)
+            live[dest].append((rid, vid))
         elif action == "delete" and live[key]:
             old_rid, vid = live[key].pop(0)
             tree.delete(txn, (key,), old_rid, vid)
         elif action == "evict":
             tree.evict_partition()
+        elif action == "merge":
+            tree.merge_partitions()
         txn.commit()
     held.append(mgr.begin())
     return held
@@ -290,6 +300,49 @@ def test_batch_equals_record_path_over_paged_duplicate_runs(
                                          candidates=candidates)
             assert batched == record == full[:limit]
         assert_search_per_key(tree, txn, DUP_KEYS, candidates)
+
+
+limit_operation = st.tuples(
+    st.sampled_from(DUP_KEYS),
+    st.sampled_from(["insert", "insert", "insert", "update", "move",
+                     "delete", "evict", "evict", "merge"]),
+    st.booleans(),                       # hold a snapshot before this op?
+)
+
+
+@STRATEGIES
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(limit_operation, min_size=20, max_size=100),
+       scan=dup_bounds)
+def test_limit_scan_classifies_a_growing_prefix(opts, candidates, ops,
+                                                scan):
+    """Every LIMIT is a prefix of the full scan, and the classifier stops
+    at it: the records a ``scan_limit(n)`` classifies never shrink as
+    ``n`` grows and never outnumber the full scan's.  Duplicate runs
+    reconcile into set records at eviction, so cuts land inside them."""
+    lo, hi, lo_incl, hi_incl = scan
+    lo = (lo,) if lo is not None else None
+    hi = (hi,) if hi is not None else None
+    mgr, tree = build_paged_tree(**opts)
+    held = apply_dup_ops(mgr, tree, ops)
+    stats = tree.stats
+
+    def checked(scan_call):
+        before = stats.records_checked
+        hits = scan_call()
+        return hits, stats.records_checked - before
+
+    for txn in held:
+        full, full_checked = checked(lambda: tree.range_scan(
+            txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl))
+        last = 0
+        for n in range(1, len(full) + 2):
+            hits, now = checked(lambda: tree.scan_limit(
+                txn, lo, n, hi, lo_incl=lo_incl, hi_incl=hi_incl))
+            assert hits == full[:n]
+            assert last <= now <= full_checked
+            last = now
+        assert last == full_checked
 
 
 def test_fence_promises_on_duplicate_runs_and_zone_skipped_pages():

@@ -151,16 +151,23 @@ class TestCursorStats:
         assert ix.stats.scans == before + 1
 
     def test_hits_counted_once(self, env):
-        """Satellite regression: ``scan_limit`` used to double-slice and the
-        stats had to match — hits_returned must grow by exactly the number
-        of hits handed out."""
+        """``hits_returned`` and ``records_checked`` grow by exactly the
+        number of hits handed out: on one page of 60 records the merged
+        slice is longer than the limit, and the classifier stops at it."""
         mgr, make = env
-        ix = build_multi_partition(mgr, make)
+        ix = make()
+        t = mgr.begin()
+        for i in range(60):
+            ix.insert(t, (i,), RecordID(1, i), vid=i + 1)
+        t.commit()
+        ix.evict_partition()
+        assert ix.persisted_partitions[0].run.page_count == 1
         reader = mgr.begin()
-        before = ix.stats.hits_returned
+        before = (ix.stats.hits_returned, ix.stats.records_checked)
         hits = ix.scan_limit(reader, None, 7)
         assert len(hits) == 7
-        assert ix.stats.hits_returned == before + 7
+        assert ix.stats.hits_returned == before[0] + 7
+        assert ix.stats.records_checked == before[1] + 7
 
     def test_abandoned_cursor_records_checked_accounted(self, env):
         mgr, make = env
