@@ -22,7 +22,6 @@ class TableInfo:
     schema: Schema
     store: VersionStore
     file: PageFile
-    storage_kind: str                     #: 'heap' or 'sias'
     #: indirection layer shared by this table's logical-reference indexes
     indirection: IndirectionLayer | None = None
     index_names: list[str] = field(default_factory=list)

@@ -31,13 +31,12 @@ from ..sim.profiles import INTEL_DC_P3600, DeviceProfile
 from ..sim.trace import IOTrace
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
-from ..table.base import TupleVersion
+from ..table.base import Chain, TupleVersion, VersionStore
 from ..table.delta import DeltaTable
 from ..table.heap import HeapTable
 from ..table.indirection import IndirectionLayer
 from ..table.sias import SIASTable
-from ..table.vacuum import (VacuumResult, vacuum_delta, vacuum_heap,
-                            vacuum_sias)
+from ..table.vacuum import VacuumResult
 from ..txn.manager import TransactionManager
 from ..txn.transaction import Transaction
 from .catalog import Catalog, IndexInfo, TableInfo
@@ -106,13 +105,13 @@ class Database:
     def create_table(self, name: str,
                      columns: Sequence[tuple[str, str]],
                      storage: str = "sias") -> TableInfo:
-        """Create a base table with 'heap' (PG/HOT) or 'sias' storage."""
+        """Create a base table with 'heap' (PG/HOT), 'sias' or 'delta'
+        storage."""
         schema = Schema(columns)
         file = PageFile(f"table:{name}", self.device,
                         self.config.page_size, self.config.extent_pages)
         if storage == "heap":
-            store: HeapTable | SIASTable | DeltaTable = HeapTable(
-                name, file, self.pool)
+            store: VersionStore = HeapTable(name, file, self.pool)
         elif storage == "sias":
             store = SIASTable(name, file, self.pool)
         elif storage == "delta":
@@ -122,8 +121,7 @@ class Database:
             store = DeltaTable(name, file, pool_file, self.pool)
         else:
             raise CatalogError(f"unknown storage kind {storage!r}")
-        info = TableInfo(name=name, schema=schema, store=store, file=file,
-                         storage_kind=storage)
+        info = TableInfo(name=name, schema=schema, store=store, file=file)
         self.catalog.add_table(info)
         return info
 
@@ -146,9 +144,6 @@ class Database:
         table_info = self.catalog.table(table)
         positions = table_info.schema.positions(columns)
         mode = ReferenceMode(reference)
-        if mode is ReferenceMode.LOGICAL and table_info.indirection is None:
-            table_info.indirection = IndirectionLayer(self.clock)
-            self._backfill_indirection(table_info)
         file = PageFile(f"index:{name}", self.device,
                         self.config.page_size, self.config.extent_pages)
         if kind == "mvpbt":
@@ -171,17 +166,27 @@ class Database:
                          positions=positions, kind=kind, unique=unique,
                          reference=mode, index=index)
         self.catalog.add_index(info)
-        self._build_index(table_info, info)
+        chains = table_info.store.chains()
+        if mode is ReferenceMode.LOGICAL and table_info.indirection is None:
+            table_info.indirection = IndirectionLayer(self.clock)
+            entry = -1 if table_info.store.entry_moves else 0
+            for chain in chains:
+                table_info.indirection.set(chain[0][1].vid, chain[entry][0])
+        self._build_index(table_info, info, chains)
         return info
 
-    def _build_index(self, table_info: TableInfo, info: IndexInfo) -> None:
-        """Populate a new index from existing table contents.
+    def _build_index(self, table_info: TableInfo, info: IndexInfo,
+                     chains: list[Chain]) -> None:
+        """Populate a new index from the table's chains.
 
         Chains are walked oldest-to-newest so MV-PBT gets a regular record
         for the initial version and replacement records for successors —
         reconstructing the anti-matter exactly as live maintenance would.
+        A version-oblivious index gets the entries live maintenance would
+        have added: one per chain start, key change and (physical) update
+        its predecessor's entries do not reach.
         """
-        chains = self._existing_chains(table_info)
+        physical = info.reference is ReferenceMode.PHYSICAL
         for chain in chains:
             prev_rid: RecordID | None = None
             prev_key: Key | None = None
@@ -209,50 +214,12 @@ class Database:
                         info.mvpbt._add_build_record(
                             key, version.ts_create, "replacement",
                             version.vid, rid_new=rid, rid_old=prev_rid)
-                elif info.reference is ReferenceMode.PHYSICAL:
-                    info.oblivious.insert_entry(key, rid)
-                else:
-                    if prev_key is None or key != prev_key:
-                        info.oblivious.insert_entry(key, version.vid)
+                elif prev_rid is None or key != prev_key or (
+                        physical
+                        and not table_info.store.is_hot(prev_rid, rid)):
+                    info.oblivious.insert_entry(
+                        key, rid if physical else version.vid)
                 prev_rid, prev_key = rid, key
-
-    def _existing_chains(self, table_info: TableInfo
-                         ) -> list[list[tuple[RecordID, TupleVersion]]]:
-        """Version chains of a table, each ordered oldest-to-newest."""
-        store = table_info.store
-        chains: list[list[tuple[RecordID, TupleVersion]]] = []
-        if isinstance(store, SIASTable):
-            for _vid, entry in list(store.chain_entries()):
-                chain: list[tuple[RecordID, TupleVersion]] = []
-                rid: RecordID | None = entry
-                while rid is not None:
-                    version = store.fetch(rid)
-                    chain.append((rid, version))
-                    rid = version.prev_rid
-                chain.reverse()
-                chains.append(chain)
-        else:
-            versions = dict(store.scan_versions())
-            successors = {v.next_rid for v in versions.values()
-                          if v.next_rid is not None}
-            for rid, version in versions.items():
-                if rid in successors:
-                    continue  # not a chain root
-                chain = []  # type: list[tuple[RecordID, TupleVersion]]
-                cur: RecordID | None = rid
-                while cur is not None:
-                    v = versions[cur]
-                    chain.append((cur, v))
-                    cur = v.next_rid
-                chains.append(chain)
-        return chains
-
-    def _backfill_indirection(self, table_info: TableInfo) -> None:
-        """Populate a freshly created indirection layer from existing chains."""
-        store = table_info.store
-        if isinstance(store, SIASTable):
-            for vid, rid in store.chain_entries():
-                table_info.indirection.set(vid, rid)
 
     # --------------------------------------------------------------- serving
 
@@ -309,20 +276,13 @@ class Database:
                 any_key_changed = True
 
         vid = version.vid
-        if isinstance(info.store, HeapTable):
-            new_rid = info.store.update(txn, rid, new_row,
-                                        allow_hot=not any_key_changed)
-            hot = info.store.is_hot(rid, new_rid) and not any_key_changed
-        elif isinstance(info.store, DeltaTable):
-            new_rid = info.store.update(txn, rid, new_row)
-            # main rows never move: version-oblivious indexes stay valid
-            # unless a key changed (the delta design's maintenance saving)
-            hot = not any_key_changed
-        else:
-            new_rid = info.store.update(txn, rid, new_row)
-            hot = False
-            if info.indirection is not None:
-                info.indirection.set(vid, new_rid)
+        store = info.store
+        new_rid = store.update(txn, rid, new_row,
+                               allow_hot=not any_key_changed)
+        # version-oblivious physical entries still reach the successor
+        hot = not any_key_changed and store.is_hot(rid, new_rid)
+        if store.entry_moves and info.indirection is not None:
+            info.indirection.set(vid, new_rid)
 
         for ix, old_key, new_key in key_pairs:
             if ix.is_mvpbt:
@@ -344,8 +304,7 @@ class Database:
         """DELETE the tuple whose visible version is (rid, version)."""
         info = self.catalog.table(table)
         del_rid = info.store.delete(txn, rid)
-        if (info.indirection is not None
-                and isinstance(info.store, SIASTable)):
+        if info.store.entry_moves and info.indirection is not None:
             info.indirection.set(version.vid, del_rid)
         for ix in self.catalog.indexes_of(table):
             if ix.is_mvpbt:
@@ -459,12 +418,7 @@ class Database:
         indexes clean themselves via partition GC and need no help here.
         """
         info = self.catalog.table(table)
-        if isinstance(info.store, HeapTable):
-            result = vacuum_heap(info.store, self.txn)
-        elif isinstance(info.store, DeltaTable):
-            result = vacuum_delta(info.store, self.txn)
-        else:
-            result = vacuum_sias(info.store, self.txn)
+        result = info.store.vacuum(self.txn)
         if info.indirection is not None:
             for vid in result.dropped_vids:
                 info.indirection.remove(vid)
@@ -490,8 +444,7 @@ class Database:
     def flush_all(self) -> None:
         """Write back dirty pages and unflushed table tails."""
         for info in self.catalog.tables:
-            if isinstance(info.store, SIASTable):
-                info.store.flush_tail()
+            info.store.flush_tail()
         self.pool.flush()
 
     # -------------------------------------------------------------- recovery

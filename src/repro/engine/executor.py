@@ -18,21 +18,14 @@ for the hit-addressed DML paths that write through them (DESIGN.md §9.1).
 
 from __future__ import annotations
 
-from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ..core.records import ReferenceMode
 from ..core.tree import SearchHit
-from ..errors import CatalogError
-from ..index.base import key_in_range
+from ..index.base import Ref, key_in_range
 from ..storage.recordid import RecordID
 from ..table.base import TupleVersion
-from ..table.delta import DeltaTable
-from ..table.heap import HeapTable
-from ..table.sias import SIASTable
-from ..table.visibility import (resolve_candidates_heap,
-                                resolve_candidates_sias)
 from ..txn.transaction import Transaction
 from .catalog import IndexInfo, TableInfo
 from ..types import Key, Row
@@ -239,33 +232,19 @@ class Executor:
 
     def _fetch(self, txn: Transaction, table: TableInfo,
                hits: Iterable[SearchHit]) -> Fetched:
-        """Materialise one chunk of index-only hits.
-
-        On materialised stores (heap/SIAS) the hit's recordID *is* the
-        version, and the chunk costs one buffered request per distinct
-        table page (``fetch_many``).  On delta storage a recordID only
-        names the in-place main row, so old snapshots must reconstruct from
-        the delta chain (the §3.6 "tuple reconstruction cost" — the reason
-        the paper pairs MV-PBT with physically materialised versions).
-        """
-        store = table.store
-        rids = list(map(_rid_of, hits))
-        if isinstance(store, DeltaTable):
-            return _unzip([
-                resolved for resolved in
-                map(partial(store.visible_version, txn), rids)
-                if resolved is not None])
-        return rids, store.fetch_many(rids)
+        """Materialise one chunk of index-only hits
+        (:meth:`~repro.table.base.VersionStore.fetch_visible`)."""
+        return table.store.fetch_visible(txn, list(map(_rid_of, hits)))
 
     def _candidates_point(self, txn: Transaction, index_info: IndexInfo,
-                          key: Key) -> list[object]:
+                          key: Key) -> list[Ref]:
         if index_info.is_mvpbt:
             return [h.rid for h in index_info.mvpbt.search(txn, key)]
         return index_info.oblivious.search(key)
 
     def _candidates_range(self, txn: Transaction, index_info: IndexInfo,
                           lo: Key | None, hi: Key | None,
-                          lo_incl: bool, hi_incl: bool) -> list[object]:
+                          lo_incl: bool, hi_incl: bool) -> list[Ref]:
         if index_info.is_mvpbt:
             return [h.rid for h in index_info.mvpbt.range_scan(
                 txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)]
@@ -273,51 +252,12 @@ class Executor:
             lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)]
 
     def _resolve(self, txn: Transaction, table: TableInfo,
-                 index_info: IndexInfo, candidates: list[object]
+                 index_info: IndexInfo, candidates: list[Ref]
                  ) -> list[tuple[RecordID, TupleVersion]]:
         """Base-table visibility check over candidate references."""
-        if index_info.reference is ReferenceMode.LOGICAL:
-            return self._resolve_logical(txn, table, candidates)
-        store = table.store
-        if isinstance(store, HeapTable):
-            resolved = resolve_candidates_heap(txn, store, candidates)
-        elif isinstance(store, SIASTable):
-            resolved = resolve_candidates_sias(txn, store, candidates)
-        elif isinstance(store, DeltaTable):
-            resolved = []
-            seen: set[object] = set()
-            for rid in candidates:
-                if rid in seen:
-                    continue
-                seen.add(rid)
-                hit = store.visible_version(txn, rid)
-                if hit is not None:
-                    resolved.append(hit)
-        else:
-            raise CatalogError(
-                f"table {table.name!r}: unsupported store for resolution")
-        return resolved
-
-    def _resolve_logical(self, txn: Transaction, table: TableInfo,
-                         vids: list[object]
-                         ) -> list[tuple[RecordID, TupleVersion]]:
-        indirection = table.indirection
-        if indirection is None:
-            raise CatalogError(
-                f"table {table.name!r} has no indirection layer")
-        hits: list[tuple[RecordID, TupleVersion]] = []
-        seen: set[object] = set()
-        for vid in vids:
-            if vid in seen:
-                continue
-            seen.add(vid)
-            entry = indirection.try_resolve(vid)  # type: ignore[arg-type]
-            if entry is None:
-                continue
-            resolved = table.store.visible_version(txn, entry)
-            if resolved is not None:
-                hits.append(resolved)
-        return hits
+        logical = index_info.reference is ReferenceMode.LOGICAL
+        return table.store.resolve(
+            txn, candidates, table.indirection if logical else None)
 
 
 def _handles(fetched: Fetched) -> list[RowHit]:

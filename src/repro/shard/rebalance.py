@@ -8,14 +8,12 @@ Historical versions survive: a snapshot held across the rebalance reads
 the same rows before, during and after.
 
 Chain adoption
-    A moved chain is re-materialised on the destination store with a
-    fresh vid (:meth:`allocate_vid` — adopted chains must not collide
-    with native ones in GC's vid-keyed grouping) and fresh rids, but
-    *unchanged* timestamps and tombstone flags: only the physical address
-    is new, the logical history is identical.  Heap chains are adopted
-    newest-to-oldest (``next_rid`` known at placement), SIAS chains
-    oldest-to-newest (``prev_rid`` known) followed by
-    :meth:`register_chain`.
+    A moved chain, as its source store lists it (``chains``), is
+    re-materialised by the destination store (``adopt_chain``) with a
+    fresh vid (adopted chains must not collide with native ones in GC's
+    vid-keyed grouping) and fresh rids, but *unchanged* timestamps and
+    tombstone flags: only the physical address is new, the logical
+    history is identical.
 
 Record classification
     An index record belongs to the chain its recordID references, so
@@ -54,12 +52,10 @@ from ..core.records import MVPBTRecord, RecordType
 from ..errors import IndexError_
 from ..storage.keycodec import encode_key
 from ..storage.recordid import RecordID
-from ..table.base import TupleVersion
-from ..table.sias import SIASTable
+from ..table.base import Chain
 from ..types import JSONDict, Key
 
 if TYPE_CHECKING:
-    from ..engine.catalog import TableInfo
     from .partitioner import HashPartitioner
     from .router import ShardedDatabase
 
@@ -199,8 +195,7 @@ def moved_records(moved: list[tuple[int, MVPBTRecord]]
 # --------------------------------------------------------------- base tables
 
 
-def _chain_shard_key(chain: list[tuple[RecordID, TupleVersion]],
-                     positions: tuple[int, ...]) -> Key | None:
+def _chain_shard_key(chain: Chain, positions: tuple[int, ...]) -> Key | None:
     """The chain's shard-key value (constant across its versions — the
     router turns key-changing updates into delete + insert)."""
     for _rid, version in chain:
@@ -214,8 +209,7 @@ def _adopt_chains(move: _Move, table: str) -> None:
     router = move.router
     positions = router.shard_key_positions(table)
     for s, db in enumerate(router.shards):
-        table_info = db.catalog.table(table)
-        for chain in db._existing_chains(table_info):
+        for chain in db.catalog.table(table).store.chains():
             shard_key = _chain_shard_key(chain, positions)
             if shard_key is None:
                 continue  # pure-tombstone chain: nothing to place
@@ -228,37 +222,14 @@ def _adopt_chains(move: _Move, table: str) -> None:
 
 
 def _adopt_one_chain(move: _Move, src: int, dst: int, table: str,
-                     chain: list[tuple[RecordID, TupleVersion]]) -> None:
-    dst_info: "TableInfo" = move.router.shards[dst].catalog.table(table)
-    store = dst_info.store
-    new_vid = store.allocate_vid()  # type: ignore[attr-defined]
-    old_vid = chain[0][1].vid
-    move.vid_map[(src, table, old_vid)] = new_vid
+                     chain: Chain) -> None:
+    store = move.router.shards[dst].catalog.table(table).store
+    new_vid, adopted = store.adopt_chain(chain)
+    move.vid_map[(src, table, chain[0][1].vid)] = new_vid
     move.chains_moved += 1
-    if isinstance(store, SIASTable):
-        prev_new: RecordID | None = None
-        for old_rid, version in chain:  # oldest first: prev link is known
-            fresh = TupleVersion(
-                vid=new_vid, data=version.data,
-                ts_create=version.ts_create, ts_invalidate=None,
-                prev_rid=prev_new, is_tombstone=version.is_tombstone)
-            prev_new = store.adopt_version(fresh)
-            move.rid_map[(src, table, old_rid)] = (dst, prev_new)
-            move.versions_moved += 1
-        assert prev_new is not None
-        store.register_chain(new_vid, prev_new)
-    else:  # heap: newest first, the next link is known at placement
-        next_new: RecordID | None = None
-        for old_rid, version in reversed(chain):
-            fresh = TupleVersion(
-                vid=new_vid, data=version.data,
-                ts_create=version.ts_create,
-                ts_invalidate=version.ts_invalidate,
-                next_rid=next_new, is_tombstone=version.is_tombstone)
-            next_new = store.adopt_version(  # type: ignore[attr-defined]
-                fresh)
-            move.rid_map[(src, table, old_rid)] = (dst, next_new)
-            move.versions_moved += 1
+    for old_rid, new_rid in adopted.items():
+        move.rid_map[(src, table, old_rid)] = (dst, new_rid)
+    move.versions_moved += len(adopted)
 
 
 # -------------------------------------------------------------- index records

@@ -1,19 +1,21 @@
 """Base-table version stores.
 
-Two designs from the paper's evaluation:
+Three designs behind one :class:`~repro.table.base.VersionStore`
+interface, which owns every storage-layout decision:
 
 * :class:`~repro.table.heap.HeapTable` — PostgreSQL-style heap with HOT
   (heap-only tuples), old-to-new version ordering and two-point invalidation.
 * :class:`~repro.table.sias.SIASTable` — append-only storage (SIAS) with
   physically materialised versions, new-to-old ordering and one-point
   invalidation.
+* :class:`~repro.table.delta.DeltaTable` — in-place main rows with a delta
+  version pool (the alternative §3.6 argues against).
 """
 
 from .base import TupleVersion, VersionStore, row_size
 from .heap import HeapTable
 from .indirection import IndirectionLayer
 from .sias import SIASTable
-from .visibility import resolve_candidates_heap, resolve_candidates_sias
 from .vacuum import vacuum_heap, vacuum_sias
 
 __all__ = [
@@ -23,8 +25,6 @@ __all__ = [
     "HeapTable",
     "SIASTable",
     "IndirectionLayer",
-    "resolve_candidates_heap",
-    "resolve_candidates_sias",
     "vacuum_heap",
     "vacuum_sias",
 ]

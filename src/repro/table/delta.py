@@ -21,6 +21,7 @@ per delta applied during reconstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from ..buffer.pool import BufferPool
@@ -29,9 +30,11 @@ from ..errors import (SlotNotFoundError, TupleNotFoundError,
 from ..storage.page import SlottedPage
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
+from ..txn.manager import TransactionManager
 from ..txn.status import CommitLog
 from ..txn.transaction import Transaction
-from .base import TupleVersion, VersionStore, row_size
+from .base import Chain, TupleVersion, VersionStore, row_size
+from .vacuum import VacuumResult, vacuum_delta
 from ..types import Key
 
 
@@ -48,6 +51,15 @@ class DeltaRecord:
     def accounted_size(self) -> int:
         return 20 + row_size(list(self.old_values.values())) \
             + 4 * len(self.old_values)
+
+
+def _apply(values: list[object], delta: DeltaRecord) -> None:
+    """Roll ``values`` back over ``delta``: put its old column values in
+    place (a deleted row's delta holds its full image)."""
+    for pos, old_value in delta.old_values.items():
+        if pos >= len(values):
+            values.extend([None] * (pos + 1 - len(values)))
+        values[pos] = old_value
 
 
 class DeltaTable(VersionStore):
@@ -81,7 +93,8 @@ class DeltaTable(VersionStore):
         txn.writes += 1
         return vid, rid
 
-    def update(self, txn: Transaction, rid: RecordID, data: Key) -> RecordID:
+    def update(self, txn: Transaction, rid: RecordID, data: Key,
+               allow_hot: bool = True) -> RecordID:
         """In-place update; the displaced version becomes a delta record.
 
         The returned recordID equals ``rid`` — main rows never move, which
@@ -153,12 +166,7 @@ class DeltaTable(VersionStore):
         while delta_rid is not None:
             delta = self._read_delta(delta_rid)
             self.deltas_applied += 1
-            for pos, old_value in delta.old_values.items():
-                if pos < len(values):
-                    values[pos] = old_value
-                else:  # reconstructing a deleted row's full image
-                    values.extend([None] * (pos + 1 - len(values)))
-                    values[pos] = old_value
+            _apply(values, delta)
             tombstone = delta.was_tombstone
             if txn.snapshot.sees_ts(delta.ts_create, commit_log):
                 if tombstone:
@@ -183,6 +191,39 @@ class DeltaTable(VersionStore):
             resolved = self.visible_version(txn, rid)
             if resolved is not None:
                 yield resolved[0], resolved[1].data
+
+    def fetch_visible(self, txn: Transaction, rids: list[RecordID]
+                      ) -> tuple[list[RecordID], list[TupleVersion]]:
+        """A recordID names only the in-place main row, so an old snapshot
+        reconstructs its version from the delta chain (the §3.6 "tuple
+        reconstruction cost"); one that does not reconstruct is left out."""
+        hits = [hit for hit in map(partial(self.visible_version, txn), rids)
+                if hit is not None]
+        return [rid for rid, _ in hits], [version for _, version in hits]
+
+    def chains(self) -> list[Chain]:
+        """Each main row's history rebuilt from the version pool, newest
+        to oldest and then reversed; every version keeps the main row's
+        rid, since that is all an index entry can name."""
+        chains: list[Chain] = []
+        for rid, current in self.scan_versions():
+            chain: Chain = [(rid, current)]
+            values = list(current.data)
+            delta_rid = current.prev_rid
+            while delta_rid is not None:
+                delta = self._read_delta(delta_rid)
+                _apply(values, delta)
+                chain.append((rid, TupleVersion(
+                    vid=current.vid, data=tuple(values),
+                    ts_create=delta.ts_create,
+                    is_tombstone=delta.was_tombstone)))
+                delta_rid = delta.prev
+            chain.reverse()
+            chains.append(chain)
+        return chains
+
+    def vacuum(self, manager: TransactionManager) -> VacuumResult:
+        return vacuum_delta(self, manager)
 
     # --------------------------------------------------------------- helpers
 
@@ -215,10 +256,7 @@ class DeltaTable(VersionStore):
                and current.prev_rid is not None):
             delta = self._read_delta(current.prev_rid)
             values = list(current.data)
-            for pos, old_value in delta.old_values.items():
-                if pos >= len(values):
-                    values.extend([None] * (pos + 1 - len(values)))
-                values[pos] = old_value
+            _apply(values, delta)
             current.data = tuple(values)
             current.ts_create = delta.ts_create
             current.prev_rid = delta.prev

@@ -23,9 +23,11 @@ from ..errors import (SlotNotFoundError, TupleNotFoundError,
 from ..storage.page import SlottedPage
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
+from ..txn.manager import TransactionManager
 from ..txn.status import CommitLog
 from ..txn.transaction import Transaction
-from .base import TupleVersion, VersionStore
+from .base import Chain, TupleVersion, VersionStore
+from .vacuum import VacuumResult, vacuum_heap
 from .visibility import version_visible_heap
 from ..types import Key
 
@@ -101,28 +103,52 @@ class HeapTable(VersionStore):
         txn.writes += 1
         return rid
 
-    # ------------------------------------------------------------- adoption
+    # ------------------------------------------------------------- history
 
-    def adopt_version(self, version: TupleVersion) -> RecordID:
-        """Place a tuple-version copied from another store (shard
-        rebalancing, DESIGN.md §16.4).
+    def chains(self) -> list[Chain]:
+        """Chains from their roots (no version links to them) along
+        ``next_rid``; a delete only stamps its version's ``ts_invalidate``,
+        so a chain that ends invalidated closes with a tombstone at that
+        version's rid (the rid :meth:`delete` returns)."""
+        versions = dict(self.scan_versions())
+        successors = {v.next_rid for v in versions.values()
+                      if v.next_rid is not None}
+        chains: list[Chain] = []
+        for root in versions:
+            if root in successors:
+                continue
+            chain: Chain = []
+            rid: RecordID | None = root
+            while rid is not None:
+                chain.append((rid, versions[rid]))
+                rid = versions[rid].next_rid
+            last_rid, last = chain[-1]
+            if last.ts_invalidate is not None and not last.is_tombstone:
+                chain.append((last_rid, TupleVersion(
+                    vid=last.vid, data=(), ts_create=last.ts_invalidate,
+                    is_tombstone=True)))
+            chains.append(chain)
+        return chains
 
-        The caller passes a *fresh* :class:`TupleVersion` — never an object
-        still live in the source store — with ``vid`` already remapped into
-        this store's id space (:meth:`allocate_vid`) and ``next_rid``
-        already pointing at the successor's adopted rid (chains are adopted
-        newest-to-oldest so the link is known at placement time).
-        Timestamps and the tombstone flag carry over unchanged: the copy
-        keeps its logical history, only its physical address is new.
-        """
-        return self._place(version)
-
-    def allocate_vid(self) -> int:
-        """Reserve a fresh vid (one per adopted chain): adopted chains must
-        not collide with native chains in GC's vid-keyed grouping."""
+    def adopt_chain(self, chain: Chain
+                    ) -> tuple[int, dict[RecordID, RecordID]]:
+        """Place the versions newest first, so each successor's rid is
+        known when its predecessor is placed.  A deleted chain's closing
+        tombstone shares its last version's rid: that version's
+        ``ts_invalidate`` carries the delete."""
         vid = self._next_vid
         self._next_vid += 1
-        return vid
+        if len(chain) > 1 and chain[-1][0] == chain[-2][0]:
+            chain = chain[:-1]
+        adopted: dict[RecordID, RecordID] = {}
+        next_new: RecordID | None = None
+        for old_rid, version in reversed(chain):
+            next_new = self._place(TupleVersion(
+                vid=vid, data=version.data, ts_create=version.ts_create,
+                ts_invalidate=version.ts_invalidate, next_rid=next_new,
+                is_tombstone=version.is_tombstone))
+            adopted[old_rid] = next_new
+        return vid, adopted
 
     # ----------------------------------------------------------------- reads
 
@@ -163,8 +189,12 @@ class HeapTable(VersionStore):
     # --------------------------------------------------------------- helpers
 
     def is_hot(self, old_rid: RecordID, new_rid: RecordID) -> bool:
-        """Did an update stay page-local (no index maintenance required)?"""
+        """Did an update stay page-local?  A HOT chain is walked from its
+        root, so the root's index entries reach the successor."""
         return old_rid.page == new_rid.page
+
+    def vacuum(self, manager: TransactionManager) -> VacuumResult:
+        return vacuum_heap(self, manager)
 
     def note_free_space(self, page_no: int) -> None:
         """Vacuum reports a page with reclaimed space."""

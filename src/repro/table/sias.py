@@ -26,13 +26,17 @@ from ..errors import (PageNotFoundError, SlotNotFoundError,
 from ..storage.page import SlottedPage
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
+from ..txn.manager import TransactionManager
 from ..txn.transaction import Transaction
-from .base import TupleVersion, VersionStore
+from .base import Chain, TupleVersion, VersionStore
+from .vacuum import VacuumResult, vacuum_sias
 from ..types import Key
 
 
 class SIASTable(VersionStore):
     """Append-only version store with new-to-old chains."""
+
+    entry_moves = True
 
     def __init__(self, name: str, file: PageFile, pool: BufferPool,
                  flush_extent_pages: int | None = None) -> None:
@@ -67,7 +71,8 @@ class SIASTable(VersionStore):
         txn.writes += 1
         return vid, rid
 
-    def update(self, txn: Transaction, rid: RecordID, data: Key) -> RecordID:
+    def update(self, txn: Transaction, rid: RecordID, data: Key,
+               allow_hot: bool = True) -> RecordID:
         txn.require_active()
         old = self.fetch(rid)
         self._check_updatable(txn, old, rid)
@@ -91,28 +96,43 @@ class SIASTable(VersionStore):
         txn.writes += 1
         return new_rid
 
-    # ------------------------------------------------------------- adoption
+    # ------------------------------------------------------------- history
 
-    def adopt_version(self, version: TupleVersion) -> RecordID:
-        """Append a tuple-version copied from another store (shard
-        rebalancing, DESIGN.md §16.4).
+    def chains(self) -> list[Chain]:
+        """Each chain walked new-to-old from its entry point, reversed."""
+        chains: list[Chain] = []
+        for _vid, entry in list(self._entry.items()):
+            chain: Chain = []
+            rid: RecordID | None = entry
+            while rid is not None:
+                version = self.fetch(rid)
+                chain.append((rid, version))
+                rid = version.prev_rid
+            chain.reverse()
+            chains.append(chain)
+        return chains
 
-        The caller passes a *fresh* :class:`TupleVersion` with ``vid``
-        remapped via :meth:`allocate_vid` and ``prev_rid`` pointing at the
-        predecessor's adopted rid (chains are adopted oldest-to-newest).
-        After the whole chain is in, :meth:`register_chain` publishes its
-        entry point so visibility walks and index builds see it.
-        """
-        return self._append(version)
-
-    def allocate_vid(self) -> int:
-        """Reserve a fresh vid for one adopted chain."""
+    def adopt_chain(self, chain: Chain
+                    ) -> tuple[int, dict[RecordID, RecordID]]:
+        """Append the versions oldest first, so each predecessor's rid is
+        known when its successor is placed, then publish the entry
+        point."""
         vid = self._next_vid
         self._next_vid += 1
-        return vid
+        adopted: dict[RecordID, RecordID] = {}
+        prev_new: RecordID | None = None
+        for old_rid, version in chain:
+            prev_new = self._append(TupleVersion(
+                vid=vid, data=version.data, ts_create=version.ts_create,
+                prev_rid=prev_new, is_tombstone=version.is_tombstone))
+            adopted[old_rid] = prev_new
+        assert prev_new is not None
+        self._entry[vid] = prev_new
+        return vid, adopted
 
     def register_chain(self, vid: int, newest_rid: RecordID) -> None:
-        """Publish an adopted chain's entry point (vid -> newest rid)."""
+        """Point a chain's entry at ``newest_rid`` (vacuum repoints it
+        past aborted head versions)."""
         self._entry[vid] = newest_rid
 
     # ----------------------------------------------------------------- reads
@@ -120,15 +140,17 @@ class SIASTable(VersionStore):
     def fetch(self, rid: RecordID) -> TupleVersion:
         return self._read_version(self._page(rid.page), rid)
 
-    def entry_point(self, vid: int) -> RecordID:
-        """Newest-version rid of a live chain (internal bookkeeping)."""
-        rid = self._entry.get(vid)
-        if rid is None:
-            raise TupleNotFoundError(f"{self.name}: no chain for vid {vid}")
-        return rid
+    def _candidate_tuple(self, rid: RecordID) -> int | None:
+        """Under one-point invalidation only the chain's entry point tells
+        a version's validity: the candidate is read (a random read) to
+        learn its tuple."""
+        try:
+            return self.fetch(rid).vid
+        except TupleNotFoundError:
+            return None
 
-    def has_chain(self, vid: int) -> bool:
-        return vid in self._entry
+    def _chain_start(self, vid: int) -> RecordID | None:
+        return self._entry.get(vid)
 
     def chain_entries(self) -> Iterator[tuple[int, RecordID]]:
         yield from self._entry.items()
@@ -176,9 +198,10 @@ class SIASTable(VersionStore):
     # --------------------------------------------------------------- helpers
 
     def flush_tail(self) -> int:
-        """Force unflushed tail pages to storage; returns pages flushed."""
-        flushed = self._flush_pages(self._tail_order)
-        return flushed
+        return self._flush_pages(self._tail_order)
+
+    def vacuum(self, manager: TransactionManager) -> VacuumResult:
+        return vacuum_sias(self, manager)
 
     def drop_chain(self, vid: int) -> None:
         """Vacuum removed the whole chain (tombstone below cutoff)."""

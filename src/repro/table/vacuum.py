@@ -10,14 +10,17 @@ corresponding version-oblivious index entries (index-level GC).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..errors import TupleNotFoundError
 from ..storage.recordid import RecordID
 from ..txn.manager import TransactionManager
 from .base import TupleVersion
-from .delta import DeltaTable
-from .heap import HeapTable
-from .sias import SIASTable
+
+if TYPE_CHECKING:
+    from .delta import DeltaTable
+    from .heap import HeapTable
+    from .sias import SIASTable
 
 
 @dataclass

@@ -1,26 +1,15 @@
-"""Base-table visibility checks.
+"""Snapshot predicates shared by the stores and the index.
 
-These are the *expensive* visibility paths the paper's motivation section
-prices: a version-oblivious index scan returns candidate recordIDs, and each
-candidate costs (at least) one random base-table read before the executor
-knows whether it is visible.  MV-PBT's index-only visibility check
-(:mod:`repro.core.visibility`) exists to avoid exactly this code path.
+The version-oblivious path that reads the base table per candidate is
+:meth:`~repro.table.base.VersionStore.resolve`; here are the predicates it
+and MV-PBT's index-only check (:mod:`repro.core.visibility`) rest on.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
-
-from ..errors import TupleNotFoundError
-from ..storage.recordid import RecordID
 from ..txn.snapshot import Snapshot
 from ..txn.status import CommitLog
-from ..txn.transaction import Transaction
 from .base import TupleVersion
-
-if TYPE_CHECKING:
-    from .heap import HeapTable
-    from .sias import SIASTable
 
 
 def all_visible_before(snapshot: Snapshot, commit_log: CommitLog) -> int:
@@ -66,63 +55,3 @@ def version_visible_heap(version: TupleVersion, snapshot: Snapshot,
     if ts_inv is None:
         return True
     return not snapshot.sees_ts(ts_inv, commit_log)
-
-
-def resolve_candidates_heap(
-        txn: Transaction, table: "HeapTable",
-        candidates: Iterable[RecordID]) -> list[tuple[RecordID, TupleVersion]]:
-    """Resolve index candidates against a heap table.
-
-    Each candidate is (typically) a HOT-chain root; the chain is walked
-    old-to-new, charging buffered page I/O per version touched.  Results are
-    deduplicated by logical tuple (several index entries may reach the same
-    chain after cold updates).
-    """
-    seen_vids: set[int] = set()
-    visible: list[tuple[RecordID, TupleVersion]] = []
-    for rid in candidates:
-        resolved = table.visible_version(txn, rid)
-        if resolved is None:
-            continue
-        vis_rid, version = resolved
-        if version.vid in seen_vids:
-            continue
-        seen_vids.add(version.vid)
-        visible.append((vis_rid, version))
-    return visible
-
-
-def resolve_candidates_sias(
-        txn: Transaction, table: "SIASTable",
-        candidates: Iterable[RecordID]) -> list[tuple[RecordID, TupleVersion]]:
-    """Resolve index candidates against a SIAS table (physical references).
-
-    With one-point invalidation a version's validity can only be decided from
-    the chain's *entry point* (its newest version): the candidate is fetched
-    (random I/O) to learn its tuple, then the chain is walked new-to-old from
-    the entry point to the version actually visible to the snapshot — more
-    random I/O the longer the transient-version chain, which is precisely the
-    HTAP degradation of the paper's Figures 3 and 12b.
-
-    The candidate itself is only returned if it *is* the visible version
-    (a candidate for an older/newer version of the same tuple loses; the
-    visible version is accounted to the candidate that matches it).
-    """
-    seen_vids: set[int] = set()
-    visible: list[tuple[RecordID, TupleVersion]] = []
-    for rid in candidates:
-        try:
-            candidate = table.fetch(rid)
-        except TupleNotFoundError:
-            continue
-        if candidate.vid in seen_vids:
-            continue
-        seen_vids.add(candidate.vid)
-        if not table.has_chain(candidate.vid):
-            continue
-        entry = table.entry_point(candidate.vid)
-        resolved = table.visible_version(txn, entry)
-        if resolved is None:
-            continue
-        visible.append(resolved)
-    return visible

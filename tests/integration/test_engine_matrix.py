@@ -1,7 +1,8 @@
 """Integration: the paper's Figure 2/10 scenario on every engine combination.
 
 Every storage kind x index kind x reference mode must produce identical
-query answers; only the costs differ.  Every combination runs with the
+query answers; only the costs differ — also for an index built over a
+table that already holds history.  Every combination runs with the
 observability layer enabled and ends with a registry-vs-engine invariant
 check (``check_invariants``), so the matrix doubles as an accounting
 cross-check: the obs counters must agree exactly with the engine's own
@@ -16,7 +17,7 @@ from repro.obs import ObsConfig, check_invariants
 
 COMBINATIONS = [
     (storage, kind, ref)
-    for storage in ("heap", "sias")
+    for storage in ("heap", "sias", "delta")
     for kind in ("btree", "pbt", "mvpbt")
     for ref in ("physical", "logical")
 ]
@@ -102,3 +103,73 @@ class TestFigure10Matrix:
         assert all_rows == sorted((k, v) for k, v in oracle.items())
         reader.commit()
         assert_metrics_consistent(db)
+
+
+ROWS = [(a, f"r{a}") for a in range(1, 7)]
+#: after a non-key update of a=1, a key change 2 -> 20 and a delete of a=3
+ROWS_AFTER = sorted([(1, "u1"), (20, "r2"), *ROWS[3:]])
+
+
+@pytest.mark.parametrize("storage,kind,ref", COMBINATIONS)
+@pytest.mark.parametrize("late", [False, True], ids=["first", "late"])
+def test_index_over_history(storage, kind, ref, late):
+    """An index built after committed history answers both a snapshot
+    from before that history and one after it exactly as ``seq_scan``
+    does, and as the same index built first.  A B-tree drives the DML,
+    so a late logical index is the one that creates the indirection
+    layer."""
+    db = Database(EngineConfig(buffer_pool_pages=128,
+                               obs=ObsConfig(enabled=True)))
+    db.create_table("r", [("a", "int"), ("z", "str")], storage=storage)
+    db.create_index("drv", "r", ["a"], kind="btree")
+    if not late:
+        db.create_index("idx", "r", ["a"], kind=kind, reference=ref)
+    tx = db.begin()
+    for row in ROWS:
+        db.insert(tx, "r", row)
+    tx.commit()
+    before = db.begin()
+    for change in (lambda t: db.update_by_key(t, "drv", (1,), {"z": "u1"}),
+                   lambda t: db.update_by_key(t, "drv", (2,), {"a": 20}),
+                   lambda t: db.delete_by_key(t, "drv", (3,))):
+        tx = db.begin()
+        assert change(tx) == 1
+        tx.commit()
+    if late:
+        db.create_index("idx", "r", ["a"], kind=kind, reference=ref)
+    after = db.begin()
+    for snapshot, expected in ((before, ROWS), (after, ROWS_AFTER)):
+        assert sorted(db.seq_scan(snapshot, "r")) == expected
+        assert sorted(db.range_select(snapshot, "idx", None, None)) \
+            == expected
+        assert db.count_range(snapshot, "idx", None, None) == len(expected)
+        for a in (*range(1, 7), 20):
+            assert db.select(snapshot, "idx", (a,)) \
+                == [row for row in expected if row[0] == a]
+    before.commit()
+    after.commit()
+    assert_metrics_consistent(db)
+
+
+@pytest.mark.parametrize("storage,kind,ref",
+                         [c for c in COMBINATIONS if c[1] != "mvpbt"])
+def test_late_index_has_the_live_entries(storage, kind, ref):
+    """A version-oblivious index built over history holds the entries
+    live maintenance gave the same index built first: none for a HOT or
+    in-place update, so a late index costs no extra chain walks."""
+    db = Database(EngineConfig(buffer_pool_pages=128))
+    db.create_table("r", [("a", "int"), ("z", "str")], storage=storage)
+    db.create_index("early", "r", ["a"], kind=kind, reference=ref)
+    tx = db.begin()
+    for a in range(50):
+        db.insert(tx, "r", (a, "x"))
+    tx.commit()
+    for round_ in range(4):
+        tx = db.begin()
+        for a in range(50):
+            db.update_by_key(tx, "early", (a,), {"z": f"v{round_}"})
+        tx.commit()
+    db.create_index("late", "r", ["a"], kind=kind, reference=ref)
+    counts = [db.catalog.index(name).oblivious.entry_count()
+              for name in ("early", "late")]
+    assert counts[0] == counts[1]

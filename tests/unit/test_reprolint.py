@@ -623,6 +623,8 @@ SAMPLES = (
     "Sharded" "Backend",
     "store.pre" "allocate()",
     "Server" "Backend",
+    "isinstance(store, SIAS" "Table)",
+    "resolve_candidates" "_heap(txn)",
 )
 
 

@@ -71,7 +71,7 @@ class TestSchema:
 class TestCatalog:
     def _table_info(self, name="t"):
         return TableInfo(name=name, schema=Schema([("a", "int")]),
-                         store=None, file=None, storage_kind="sias")
+                         store=None, file=None)
 
     def test_add_and_get_table(self):
         cat = Catalog()

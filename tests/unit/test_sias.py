@@ -3,7 +3,7 @@
 import pytest
 
 from repro.buffer.pool import BufferPool
-from repro.errors import TupleNotFoundError, WriteConflictError
+from repro.errors import WriteConflictError
 from repro.sim.clock import SimClock
 from repro.sim.device import SimulatedDevice
 from repro.sim.profiles import INTEL_DC_P3600
@@ -37,7 +37,7 @@ class TestAppendBehaviour:
         t = mgr.begin()
         vid, rid = table.insert(t, (1, "a"))
         new_rid = table.update(t, rid, (1, "b"))
-        assert table.entry_point(vid) == new_rid
+        assert dict(table.chain_entries())[vid] == new_rid
 
     def test_tail_flush_is_sequential(self, env):
         mgr, table, dev = env
@@ -72,7 +72,7 @@ class TestChains:
             t = mgr.begin()
             last = table.update(t, last, (1, f"v{i + 1}"))
             t.commit()
-        entry = table.entry_point(vid)
+        entry = dict(table.chain_entries())[vid]
         assert table.visible_version(old_reader, entry)[1].data == (1, "v0")
         fresh = mgr.begin()
         assert table.visible_version(fresh, entry)[1].data == (1, "v5")
@@ -123,7 +123,7 @@ class TestChains:
         t3 = mgr.begin()
         new_rid = table.update(t3, rid, (1, "c"))
         t3.commit()
-        assert table.entry_point(vid) == new_rid
+        assert dict(table.chain_entries())[vid] == new_rid
 
 
 class TestScan:
@@ -144,10 +144,16 @@ class TestScan:
         assert rows[3] == "v1"
         assert 4 not in rows
 
-    def test_missing_vid_raises(self, env):
-        _mgr, table, _dev = env
-        with pytest.raises(TupleNotFoundError):
-            table.entry_point(12345)
+    def test_dropped_chain_resolves_empty(self, env):
+        """A candidate whose chain is gone (vacuum dropped it) names no
+        tuple a snapshot can see."""
+        mgr, table, _dev = env
+        t = mgr.begin()
+        vid, rid = table.insert(t, (1, "a"))
+        t.commit()
+        table.drop_chain(vid)
+        assert vid not in dict(table.chain_entries())
+        assert table.resolve(mgr.begin(), [rid]) == []
 
     def test_foreign_page_is_not_reported_as_bad_rid(self, env):
         """Only a missing slot means "bad rid": a page of the wrong kind

@@ -1,4 +1,6 @@
-"""Unit tests for base-table candidate resolution (the expensive path)."""
+"""Unit tests for base-table candidate resolution (the expensive path):
+one ``VersionStore.resolve`` loop for every store and both reference
+modes."""
 
 import pytest
 
@@ -9,11 +11,11 @@ from repro.sim.device import SimulatedDevice
 from repro.sim.profiles import UNIT_TEST_PROFILE
 from repro.storage.pagefile import PageFile
 from repro.storage.recordid import RecordID
+from repro.table.delta import DeltaTable
 from repro.table.heap import HeapTable
+from repro.table.indirection import IndirectionLayer
 from repro.table.sias import SIASTable
-from repro.table.visibility import (resolve_candidates_heap,
-                                    resolve_candidates_sias,
-                                    version_visible_heap)
+from repro.table.visibility import version_visible_heap
 from repro.table.base import TupleVersion
 from repro.txn.manager import TransactionManager
 from repro.txn.snapshot import Snapshot
@@ -80,7 +82,7 @@ class TestResolveHeap:
         new_rid = table.update(t, rid, (1, "b"), allow_hot=False)
         t.commit()
         reader = mgr.begin()
-        resolved = resolve_candidates_heap(reader, table, [rid, new_rid])
+        resolved = table.resolve(reader, [rid, new_rid])
         assert len(resolved) == 1
         assert resolved[0][1].data == (1, "b")
 
@@ -90,7 +92,17 @@ class TestResolveHeap:
         t = mgr.begin()
         _, rid = table.insert(t, (1, "a"))
         reader = mgr.begin()   # does not see uncommitted insert
-        assert resolve_candidates_heap(reader, table, [rid]) == []
+        assert table.resolve(reader, [rid]) == []
+
+    def test_missing_rid_skipped(self, env):
+        _d, pool, mgr = env
+        table = HeapTable("t", PageFile("t", _d, 8192, 8), pool)
+        t = mgr.begin()
+        _, rid = table.insert(t, (1, "a"))
+        t.commit()
+        resolved = table.resolve(mgr.begin(),
+                                 [RecordID(rid.page, 999), rid])
+        assert [version.data for _rid, version in resolved] == [(1, "a")]
 
 
 class TestResolveSias:
@@ -102,7 +114,7 @@ class TestResolveSias:
         table.update(t, rid0, (1, "v1"))
         t.commit()
         reader = mgr.begin()
-        resolved = resolve_candidates_sias(reader, table, [rid0])
+        resolved = table.resolve(reader, [rid0])
         assert len(resolved) == 1
         assert resolved[0][1].data == (1, "v1")
 
@@ -122,7 +134,7 @@ class TestResolveSias:
         table.flush_tail()
         # resolving for the OLD snapshot must walk the whole chain
         small_pool_requests = pool.total_stats().requests
-        resolved = resolve_candidates_sias(reader_old, table, [rid])
+        resolved = table.resolve(reader_old, [rid])
         walk_requests = pool.total_stats().requests - small_pool_requests
         assert resolved[0][1].data[1].startswith("v0")
         assert walk_requests >= 20   # many version fetches, the paper's cost
@@ -137,7 +149,7 @@ class TestResolveSias:
         table.delete(t2, rid)
         t2.commit()
         reader = mgr.begin()
-        assert resolve_candidates_sias(reader, table, [rid]) == []
+        assert table.resolve(reader, [rid]) == []
 
     def test_duplicate_candidates_deduped(self, env):
         _d, pool, mgr = env
@@ -146,7 +158,7 @@ class TestResolveSias:
         vid, rid = table.insert(t, (1, "a"))
         t.commit()
         reader = mgr.begin()
-        resolved = resolve_candidates_sias(reader, table, [rid, rid])
+        resolved = table.resolve(reader, [rid, rid])
         assert len(resolved) == 1
 
     def test_stale_rid_skipped_but_storage_fault_propagates(
@@ -166,7 +178,7 @@ class TestResolveSias:
         assert vacuum_sias(table, mgr).pages_freed == 1   # dead's page
         reader = mgr.begin()
         stale = [RecordID(rid.page, 999), dead]
-        resolved = resolve_candidates_sias(reader, table, stale + [rid])
+        resolved = table.resolve(reader, stale + [rid])
         assert [version.data for _rid, version in resolved] \
             == [(1, "a" * 7000)]
 
@@ -175,4 +187,84 @@ class TestResolveSias:
 
         monkeypatch.setattr(table, "fetch", fault)
         with pytest.raises(StorageError):
-            resolve_candidates_sias(reader, table, [rid])
+            table.resolve(reader, [rid])
+
+
+class TestResolveDelta:
+    def _table(self, env):
+        device, pool, mgr = env
+        return DeltaTable("d", PageFile("d", device, 8192, 8),
+                          PageFile("d.pool", device, 8192, 8), pool), mgr
+
+    def test_duplicate_candidates_walk_once(self, env):
+        table, mgr = self._table(env)
+        t = mgr.begin()
+        _vid, rid = table.insert(t, (1, "v0"))
+        t.commit()
+        reader = mgr.begin()
+        t = mgr.begin()
+        table.update(t, rid, (1, "v1"))
+        t.commit()
+        resolved = table.resolve(reader, [rid, rid])
+        assert [version.data for _rid, version in resolved] == [(1, "v0")]
+        assert table.reconstructions == 1
+
+
+class TestResolveLogical:
+    def test_duplicate_and_unknown_vids(self, env):
+        _d, pool, mgr = env
+        table = SIASTable("s", PageFile("s", _d, 8192, 8), pool)
+        indirection = IndirectionLayer()
+        t = mgr.begin()
+        vid, rid = table.insert(t, (1, "v0"))
+        indirection.set(vid, table.update(t, rid, (1, "v1")))
+        t.commit()
+        resolved = table.resolve(mgr.begin(), [vid, vid + 1, vid],
+                                 indirection)
+        assert [version.data for _rid, version in resolved] == [(1, "v1")]
+        assert indirection.resolutions == 2     # vid once, vid + 1 once
+
+
+@pytest.mark.parametrize("kind", ["heap", "sias", "delta"])
+def test_chains_list_history_and_adopt(env, kind):
+    """Each store lists a chain oldest first, its delete as a closing
+    tombstone, and a store of the same kind adopts the listing."""
+    device, pool, mgr = env
+
+    def store(name):
+        main = PageFile(name, device, 8192, 8)
+        if kind == "heap":
+            return HeapTable(name, main, pool)
+        if kind == "sias":
+            return SIASTable(name, main, pool)
+        return DeltaTable(name, main, PageFile(name + ".pool", device,
+                                               8192, 8), pool)
+
+    table = store("t")
+    rid = None
+    for write in ("insert", "update", "delete"):
+        t = mgr.begin()
+        if write == "insert":
+            _vid, rid = table.insert(t, (1, "v0"))
+        elif write == "update":
+            rid = table.update(t, rid, (1, "v1"), allow_hot=False)
+        else:
+            table.delete(t, rid)
+        t.commit()
+    [chain] = table.chains()
+    versions = [version for _rid, version in chain]
+    assert [v.data for v in versions[:2]] == [(1, "v0"), (1, "v1")]
+    assert [v.is_tombstone for v in versions] == [False, False, True]
+    assert [v.ts_create for v in versions] \
+        == sorted(v.ts_create for v in versions)
+    assert chain[2][0] == chain[1][0] or kind == "sias"
+    if kind == "delta":
+        assert len({rid for rid, _version in chain}) == 1
+        return
+    copy = store("c")
+    vid, adopted = copy.adopt_chain(chain)
+    assert set(adopted) == {rid for rid, _version in chain}
+    [copied] = copy.chains()
+    assert [(v.vid, v.data, v.ts_create, v.is_tombstone)
+            for _rid, v in copied] \
+        == [(vid, v.data, v.ts_create, v.is_tombstone) for v in versions]

@@ -98,7 +98,7 @@ class TestVacuumSias:
         table.flush_tail()
         result = vacuum_sias(table, mgr)
         assert vid in result.dropped_vids
-        assert not table.has_chain(vid)
+        assert vid not in dict(table.chain_entries())
 
     def test_old_snapshot_blocks_reclamation(self, env):
         mgr, device, pool = env
@@ -112,7 +112,7 @@ class TestVacuumSias:
         t2.commit()
         result = vacuum_sias(table, mgr)
         assert result.versions_removed == 0
-        entry = table.entry_point(vid)
+        entry = dict(table.chain_entries())[vid]
         assert table.visible_version(reader, entry)[1].data == (1, "a")
 
     def test_superseded_below_cutoff_detached(self, env):
@@ -129,7 +129,7 @@ class TestVacuumSias:
         result = vacuum_sias(table, mgr)
         assert result.versions_removed == 4
         # chain anchor no longer links to removed predecessors
-        anchor = table.fetch(table.entry_point(vid))
+        anchor = table.fetch(dict(table.chain_entries())[vid])
         assert anchor.prev_rid is None
 
     def test_aborted_versions_collected(self, env):
@@ -154,7 +154,7 @@ class TestVacuumSias:
         table.register_chain(vid + 1, RecordID(rid.page, 999))
         result = vacuum_sias(table, mgr)
         assert result.versions_removed == 0
-        assert table.has_chain(vid + 1)
+        assert vid + 1 in dict(table.chain_entries())
 
         def fault(_rid):
             raise StorageError("device read failed")
@@ -280,13 +280,13 @@ class TestVacuumStatsPaths:
         vid, rid = table.insert(t, (1, "a"))
         t.commit()
         t = mgr.begin()
-        table.delete(t, table.entry_point(vid))
+        table.delete(t, dict(table.chain_entries())[vid])
         t.commit()
         mgr.begin().commit()  # advance the cutoff past the delete
         result = vacuum_sias(table, mgr)
         assert result.dropped_vids == [vid]
         assert rid in result.removed_rids
-        assert not table.has_chain(vid)
+        assert vid not in dict(table.chain_entries())
 
     def test_vacuum_result_counts_consistent(self, env):
         mgr, device, pool = env
@@ -299,7 +299,7 @@ class TestVacuumStatsPaths:
         t.commit()
         for i in range(0, 10, 2):
             t = mgr.begin()
-            table.update(t, table.entry_point(rids[i]), (i, "b"))
+            table.update(t, dict(table.chain_entries())[rids[i]], (i, "b"))
             t.commit()
         result = vacuum_sias(table, mgr)
         assert result.versions_removed == len(result.removed_rids)
@@ -329,7 +329,7 @@ class TestVacuumStatsPaths:
         assert result.repointed == {vid: rid}
         assert aborted_rid in result.removed_rids
         assert result.pages_freed == 1
-        assert table.entry_point(vid) == rid
+        assert dict(table.chain_entries())[vid] == rid
         reader = mgr.begin()
         assert [row for _rid, row in table.scan_visible(reader)] \
             == [(1, "keep"), (2, "y" * 7000)]
@@ -347,7 +347,7 @@ class TestVacuumStatsPaths:
         table.flush_tail()
         result = vacuum_sias(table, mgr)
         assert result.dropped_vids == [vid] and result.pages_freed == 1
-        assert not table.has_chain(vid)
+        assert vid not in dict(table.chain_entries())
         reader = mgr.begin()
         assert [row for _rid, row in table.scan_visible(reader)] \
             == [(2, "k" * 7000)]

@@ -181,6 +181,21 @@ TOMBSTONES: tuple[Tombstone, ...] = (
         r"\b(ServerBackend|_SessionTxn|QueryTxn|encode_leaf"
         r"|decode_leaf)\b", _USER_FACING, 40,
         "a single node is driven bare, and there is one leaf format"),
+    Tombstone(
+        r"isinstance\(.*\b(HeapTable|SIASTable|DeltaTable)\b",
+        ("src/repro",), 44,
+        "nothing outside table/ branches on a store class: the "
+        "VersionStore interface owns every storage-layout decision",
+        exclude=("src/repro/table",)),
+    Tombstone(
+        r"\bresolve_candidates_(heap|sias)\b|\b_resolve_logical\b"
+        r"|\b_existing_chains\b|\b_backfill_indirection\b"
+        r"|\bstorage_kind\b|\badopt_version\b|\ballocate_vid\b"
+        r"|\.(entry_point|has_chain)\(",
+        _USER_FACING, 44,
+        "each version store resolves, lists and adopts its own chains: "
+        "no per-store resolve function, chain walk or adoption step "
+        "outside it"),
 )
 
 
