@@ -46,7 +46,7 @@ from ..storage.recordid import RecordID
 from ..table.visibility import all_visible_before
 from ..txn.manager import TransactionManager
 from ..txn.snapshot import Snapshot
-from ..txn.transaction import Transaction
+from ..txn.transaction import Transaction, Writer
 from ..types import JSONDict, Key
 from .gc import GCStats, purge_leaf
 from .partition import MemLeaf, MemoryPartition, PersistedPartition
@@ -189,6 +189,9 @@ def tree_metrics(trees: Iterable["MVPBT"]) -> "Metrics":
 class MVPBT:
     """Version-aware partitioned B-tree index."""
 
+    #: candidates are recordIDs: no indirection layer resolves them
+    indirection = None
+
     def __init__(self, name: str, file: PageFile, pool: BufferPool,
                  partition_buffer: PartitionBuffer,
                  manager: TransactionManager, *,
@@ -259,20 +262,21 @@ class MVPBT:
 
     # ------------------------------------------------------------ operations
 
-    def insert(self, txn: Transaction, key: Key, rid_new: RecordID,
+    def insert(self, txn: Writer, key: Key, rid_new: RecordID,
                vid: int, payload: object = None) -> None:
         """INSERT: regular record for the tuple's initial version."""
         txn.require_active()
         key = tuple(key)
-        if self.unique and not self._unique_check_passes(txn, key):
+        if (self.unique and isinstance(txn, Transaction)
+                and not self._unique_check_passes(txn, key)):
             raise UniqueViolationError(
                 f"{self.name}: duplicate key {key}")
         self._add_logged(MVPBTRecord(key, txn.id, self._seq(),
                                      RecordType.REGULAR, vid,
-                                     rid_new=rid_new, payload=payload))
+                                     rid_new=rid_new, payload=payload), txn)
         self.stats.inserts += 1
 
-    def update_nonkey(self, txn: Transaction, key: Key, rid_new: RecordID,
+    def update_nonkey(self, txn: Writer, key: Key, rid_new: RecordID,
                       rid_old: RecordID, vid: int,
                       payload: object = None) -> None:
         """Non-key UPDATE: replacement record (new matter + anti-matter)."""
@@ -280,35 +284,37 @@ class MVPBT:
         self._add_logged(MVPBTRecord(tuple(key), txn.id, self._seq(),
                                      RecordType.REPLACEMENT, vid,
                                      rid_new=rid_new, rid_old=rid_old,
-                                     payload=payload))
+                                     payload=payload), txn)
         self.stats.replacements += 1
 
-    def update_key(self, txn: Transaction, old_key: Key, new_key: Key,
+    def update_key(self, txn: Writer, old_key: Key, new_key: Key,
                    rid_new: RecordID, rid_old: RecordID, vid: int,
                    payload: object = None) -> None:
         """Index-key UPDATE: anti record at the old key plus a replacement
         record at the new key (§4.1 "Anti-Records")."""
         txn.require_active()
         new_key = tuple(new_key)
-        if self.unique and not self._unique_check_passes(txn, new_key):
+        if (self.unique and isinstance(txn, Transaction)
+                and not self._unique_check_passes(txn, new_key)):
             raise UniqueViolationError(
                 f"{self.name}: duplicate key {new_key}")
         self._add_logged(MVPBTRecord(tuple(old_key), txn.id, self._seq(),
-                                     RecordType.ANTI, vid, rid_old=rid_old))
+                                     RecordType.ANTI, vid, rid_old=rid_old),
+                         txn)
         self.stats.anti_records += 1
         self._add_logged(MVPBTRecord(new_key, txn.id, self._seq(),
                                      RecordType.REPLACEMENT, vid,
                                      rid_new=rid_new, rid_old=rid_old,
-                                     payload=payload))
+                                     payload=payload), txn)
         self.stats.replacements += 1
 
-    def delete(self, txn: Transaction, key: Key, rid_old: RecordID,
+    def delete(self, txn: Writer, key: Key, rid_old: RecordID,
                vid: int) -> None:
         """DELETE: tombstone record terminating the whole version chain."""
         txn.require_active()
         self._add_logged(MVPBTRecord(tuple(key), txn.id, self._seq(),
                                      RecordType.TOMBSTONE, vid,
-                                     rid_old=rid_old))
+                                     rid_old=rid_old), txn)
         self.stats.tombstones += 1
 
     def _unique_check_passes(self, txn: Transaction, key: Key) -> bool:
@@ -342,25 +348,6 @@ class MVPBT:
             self.stats.unique_fast_negatives += 1
             return True
         return not self.search(txn, key)
-
-    def _add_build_record(self, key: Key, ts: int, kind: str, vid: int,
-                          rid_new: RecordID | None = None,
-                          rid_old: RecordID | None = None) -> None:
-        """Index-build path: insert a record with a historical timestamp
-        (used by ``CREATE INDEX`` on a table that already has versions)."""
-        rtypes = {"regular": RecordType.REGULAR,
-                  "replacement": RecordType.REPLACEMENT,
-                  "anti": RecordType.ANTI,
-                  "tombstone": RecordType.TOMBSTONE}
-        record = MVPBTRecord(tuple(key), ts, self._seq(), rtypes[kind],
-                             vid, rid_new=rid_new, rid_old=rid_old)
-        if self._durability is not None:
-            # build records carry historical, already-decided timestamps: no
-            # commit will follow, so they are logged right away — before the
-            # insert, whose eviction side effect may advance the WAL floor
-            # past this point (the record would then live in a partition)
-            self._durability.log_records(self, [record])
-        self._add(record)
 
     # ---------------------------------------------------------------- search
 
@@ -501,6 +488,21 @@ class MVPBT:
             txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl, limit=limit)))
 
     # -------------------------------------------------------- scan pipeline
+
+    def point_candidates(self, txn: Transaction,
+                         key: Key) -> list[RecordID]:
+        """The recordIDs of :meth:`search`, to resolve in the table."""
+        return [hit.rid for hit in self.search(txn, key)]
+
+    def range_candidates(self, txn: Transaction, lo: Key | None,
+                         hi: Key | None, *, lo_incl: bool = True,
+                         hi_incl: bool = True) -> list[RecordID]:
+        return [hit.rid for hit in self.range_scan(
+            txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)]
+
+    def purge(self, removed_rids: set[RecordID],
+              dropped_vids: set[int]) -> None:
+        """Nothing after a table vacuum: partition GC (§4.6) does it."""
 
     def _scan_hit_batches(self, checker: VisibilityChecker,
                           lo: Key | None, hi: Key | None, lo_incl: bool,
@@ -1007,15 +1009,22 @@ class MVPBT:
         self._next_seq += 1
         return seq
 
-    def _add_logged(self, record: MVPBTRecord) -> None:
-        """Mutation entry: buffer for the commit-time WAL append, then add.
+    def _add_logged(self, record: MVPBTRecord, txn: Writer) -> None:
+        """Mutation entry: buffer a live transaction's record for its
+        commit-time WAL append, then add.
 
         Buffering happens *first*: the insert below can trigger an eviction,
         which makes every current ``P_N`` record partition-durable and
-        clears the pending buffers — including, correctly, this record.
+        clears the pending buffers — including, correctly, this record.  A
+        replayed record's timestamp is already decided and no commit will
+        follow, so it is logged right away, also before the insert: its
+        eviction may advance the WAL floor past this point.
         """
         if self._durability is not None:
-            self._wal_pending.setdefault(record.ts, []).append(record)
+            if isinstance(txn, Transaction):
+                self._wal_pending.setdefault(record.ts, []).append(record)
+            else:
+                self._durability.log_records(self, [record])
         self._add(record)
 
     def _add(self, record: MVPBTRecord) -> None:

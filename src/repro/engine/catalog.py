@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.records import ReferenceMode
 from ..core.tree import MVPBT
 from ..errors import CatalogError
 from ..index.base import Index
@@ -29,7 +28,13 @@ class TableInfo:
 
 @dataclass
 class IndexInfo:
-    """One index: definition + the index object."""
+    """One index: definition + the index object.
+
+    Both kinds of ``index`` answer the same maintenance calls (insert,
+    non-key update, key update, delete, candidate reads, post-vacuum
+    purge), so the engine writes to and reads candidates from either
+    without asking which kind it holds.
+    """
 
     name: str
     table: str
@@ -37,8 +42,7 @@ class IndexInfo:
     positions: list[int]
     kind: str                             #: 'mvpbt', 'btree' or 'pbt'
     unique: bool
-    reference: ReferenceMode
-    index: object                         #: MVPBT or Index
+    index: MVPBT | Index
 
     @property
     def is_mvpbt(self) -> bool:
@@ -56,11 +60,6 @@ class IndexInfo:
         ablation tree, whose candidates the executor resolves against
         the base table."""
         return self.is_mvpbt and self.mvpbt.index_only_visibility
-
-    @property
-    def oblivious(self) -> Index:
-        assert isinstance(self.index, Index)
-        return self.index
 
 
 class Catalog:

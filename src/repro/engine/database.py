@@ -21,6 +21,7 @@ from ..durability.manifest import ManifestStore
 from ..durability.recovery import DurableState, read_durable_state
 from ..durability.wal import WriteAheadLog
 from ..errors import CatalogError, ConfigError, RecoveryError
+from ..index.base import Index
 from ..index.btree.tree import BPlusTree
 from ..index.pbt import PartitionedBTree
 from ..obs.core import Observability, span_or_null
@@ -38,7 +39,7 @@ from ..table.indirection import IndirectionLayer
 from ..table.sias import SIASTable
 from ..table.vacuum import VacuumResult
 from ..txn.manager import TransactionManager
-from ..txn.transaction import Transaction
+from ..txn.transaction import Replay, Transaction
 from .catalog import Catalog, IndexInfo, TableInfo
 from .executor import Executor, IndexSlice, RowHit, ScanLeg, ScanPlan
 from .schema import Schema
@@ -140,14 +141,21 @@ class Database:
         ``use_bloom``, ``enable_gc``, ``index_only_visibility``,
         ``reconcile``).  With its filters on, an MV-PBT over two or more
         columns also builds prefix bloom filters over all but the last.
+        ``unique`` needs an index-only MV-PBT: no other index can tell a
+        visible duplicate from a dead version.
         """
         table_info = self.catalog.table(table)
         positions = table_info.schema.positions(columns)
+        if unique and not (kind == "mvpbt" and options.get(
+                "index_only_visibility", True)):
+            raise ConfigError(f"{name}: unique=True needs an index-only "
+                              f"MV-PBT")
         mode = ReferenceMode(reference)
+        logical = mode is ReferenceMode.LOGICAL
         file = PageFile(f"index:{name}", self.device,
                         self.config.page_size, self.config.extent_pages)
         if kind == "mvpbt":
-            index: object = MVPBT(
+            index: MVPBT | Index = MVPBT(
                 name, file, self.pool, self.partition_buffer, self.txn,
                 unique=unique, mode=mode, obs=self.obs,
                 **options)  # type: ignore[arg-type]
@@ -164,61 +172,45 @@ class Database:
             raise CatalogError(f"unknown index kind {kind!r}")
         info = IndexInfo(name=name, table=table, columns=list(columns),
                          positions=positions, kind=kind, unique=unique,
-                         reference=mode, index=index)
+                         index=index)
         self.catalog.add_index(info)
         chains = table_info.store.chains()
-        if mode is ReferenceMode.LOGICAL and table_info.indirection is None:
+        if logical and table_info.indirection is None:
             table_info.indirection = IndirectionLayer(self.clock)
             entry = -1 if table_info.store.entry_moves else 0
             for chain in chains:
                 table_info.indirection.set(chain[0][1].vid, chain[entry][0])
+        if isinstance(index, Index):
+            index.store = table_info.store
+            index.indirection = table_info.indirection if logical else None
         self._build_index(table_info, info, chains)
         return info
 
     def _build_index(self, table_info: TableInfo, info: IndexInfo,
                      chains: list[Chain]) -> None:
-        """Populate a new index from the table's chains.
-
-        Chains are walked oldest-to-newest so MV-PBT gets a regular record
-        for the initial version and replacement records for successors —
-        reconstructing the anti-matter exactly as live maintenance would.
-        A version-oblivious index gets the entries live maintenance would
-        have added: one per chain start, key change and (physical) update
-        its predecessor's entries do not reach.
-        """
-        physical = info.reference is ReferenceMode.PHYSICAL
+        """Populate a new index by replaying the table's chains, oldest
+        version first: each step is the call live maintenance makes for
+        it, under the version's own timestamp, so the index holds what
+        the same index built first holds."""
+        index = info.index
         for chain in chains:
             prev_rid: RecordID | None = None
-            prev_key: Key | None = None
+            prev_key: Key = ()
             for rid, version in chain:
+                writer = Replay(version.ts_create)
                 if version.is_tombstone:
-                    if info.is_mvpbt and prev_rid is not None:
-                        info.mvpbt._add_build_record(
-                            prev_key, version.ts_create, "tombstone",
-                            version.vid, rid_old=prev_rid)
+                    if prev_rid is not None:
+                        index.delete(writer, prev_key, prev_rid, version.vid)
                     continue
                 key = table_info.schema.extract(version.data, info.positions)
-                if info.is_mvpbt:
-                    if prev_rid is None:
-                        info.mvpbt._add_build_record(
-                            key, version.ts_create, "regular", version.vid,
-                            rid_new=rid)
-                    elif key == prev_key:
-                        info.mvpbt._add_build_record(
-                            key, version.ts_create, "replacement",
-                            version.vid, rid_new=rid, rid_old=prev_rid)
-                    else:
-                        info.mvpbt._add_build_record(
-                            prev_key, version.ts_create, "anti", version.vid,
-                            rid_old=prev_rid)
-                        info.mvpbt._add_build_record(
-                            key, version.ts_create, "replacement",
-                            version.vid, rid_new=rid, rid_old=prev_rid)
-                elif prev_rid is None or key != prev_key or (
-                        physical
-                        and not table_info.store.is_hot(prev_rid, rid)):
-                    info.oblivious.insert_entry(
-                        key, rid if physical else version.vid)
+                if prev_rid is None:
+                    index.insert(writer, key, rid, version.vid)
+                elif key == prev_key:
+                    index.update_nonkey(writer, key, rid, prev_rid,
+                                        version.vid)
+                else:
+                    index.update_key(writer, prev_key, key, rid, prev_rid,
+                                     version.vid)
                 prev_rid, prev_key = rid, key
 
     # --------------------------------------------------------------- serving
@@ -249,13 +241,8 @@ class Database:
         if info.indirection is not None:
             info.indirection.set(vid, rid)
         for ix in self.catalog.indexes_of(table):
-            key = info.schema.extract(row, ix.positions)
-            if ix.is_mvpbt:
-                ix.mvpbt.insert(txn, key, rid, vid)
-            elif ix.reference is ReferenceMode.PHYSICAL:
-                ix.oblivious.insert_entry(key, rid)
-            else:
-                ix.oblivious.insert_entry(key, vid)
+            ix.index.insert(txn, info.schema.extract(row, ix.positions),
+                            rid, vid)
         return vid, rid
 
     def update_row(self, txn: Transaction, table: str, rid: RecordID,
@@ -265,38 +252,22 @@ class Database:
         info = self.catalog.table(table)
         new_row = info.schema.apply_updates(version.data, updates)
         info.schema.validate_row(new_row)
-        indexes = self.catalog.indexes_of(table)
-        key_pairs = []
-        any_key_changed = False
-        for ix in indexes:
-            old_key = info.schema.extract(version.data, ix.positions)
-            new_key = info.schema.extract(new_row, ix.positions)
-            key_pairs.append((ix, old_key, new_key))
-            if old_key != new_key:
-                any_key_changed = True
-
+        extract = info.schema.extract
+        key_pairs = [(ix, extract(version.data, ix.positions),
+                      extract(new_row, ix.positions))
+                     for ix in self.catalog.indexes_of(table)]
         vid = version.vid
         store = info.store
-        new_rid = store.update(txn, rid, new_row,
-                               allow_hot=not any_key_changed)
-        # version-oblivious physical entries still reach the successor
-        hot = not any_key_changed and store.is_hot(rid, new_rid)
+        new_rid = store.update(txn, rid, new_row, allow_hot=all(
+            old_key == new_key for _ix, old_key, new_key in key_pairs))
         if store.entry_moves and info.indirection is not None:
             info.indirection.set(vid, new_rid)
 
         for ix, old_key, new_key in key_pairs:
-            if ix.is_mvpbt:
-                if old_key == new_key:
-                    ix.mvpbt.update_nonkey(txn, new_key, new_rid, rid, vid)
-                else:
-                    ix.mvpbt.update_key(txn, old_key, new_key,
-                                        new_rid, rid, vid)
-            elif ix.reference is ReferenceMode.PHYSICAL:
-                if not hot:
-                    ix.oblivious.insert_entry(new_key, new_rid)
+            if old_key == new_key:
+                ix.index.update_nonkey(txn, new_key, new_rid, rid, vid)
             else:
-                if old_key != new_key:
-                    ix.oblivious.insert_entry(new_key, vid)
+                ix.index.update_key(txn, old_key, new_key, new_rid, rid, vid)
         return new_rid
 
     def delete_row(self, txn: Transaction, table: str, rid: RecordID,
@@ -307,9 +278,9 @@ class Database:
         if info.store.entry_moves and info.indirection is not None:
             info.indirection.set(version.vid, del_rid)
         for ix in self.catalog.indexes_of(table):
-            if ix.is_mvpbt:
-                key = info.schema.extract(version.data, ix.positions)
-                ix.mvpbt.delete(txn, key, rid, version.vid)
+            ix.index.delete(txn, info.schema.extract(version.data,
+                                                     ix.positions),
+                            rid, version.vid)
         return del_rid
 
     # ----------------------------------------------------------- by-key DML
@@ -410,13 +381,9 @@ class Database:
     # ----------------------------------------------------------- maintenance
 
     def vacuum(self, table: str) -> VacuumResult:
-        """Tuple-level GC; also purges removable version-oblivious entries.
-
-        Physical-reference indexes are cleaned by a bulk pass over their
-        entries (PostgreSQL's ``ambulkdelete``); logical-reference indexes
-        drop the entries of whole dropped chains the same way.  MV-PBT
-        indexes clean themselves via partition GC and need no help here.
-        """
+        """Tuple-level GC; then every index purges what it names of the
+        removed versions and dropped chains (an MV-PBT nothing: partition
+        GC cleans it)."""
         info = self.catalog.table(table)
         result = info.store.vacuum(self.txn)
         if info.indirection is not None:
@@ -429,16 +396,7 @@ class Database:
             removed = set(result.removed_rids)
             dropped_vids = set(result.dropped_vids)
             for ix in self.catalog.indexes_of(table):
-                if ix.is_mvpbt:
-                    continue
-                dead_refs = removed if (
-                    ix.reference is ReferenceMode.PHYSICAL) else dropped_vids
-                if not dead_refs:
-                    continue
-                entries = list(ix.oblivious.range_scan(None, None))
-                for key, ref in entries:
-                    if ref in dead_refs:
-                        ix.oblivious.remove_entry(key, ref)
+                ix.index.purge(removed, dropped_vids)
         return result
 
     def flush_all(self) -> None:
@@ -611,9 +569,9 @@ class Database:
                 "active": len(self.txn.active_transactions),
             },
             "indexes": {
-                ix.name: (ix.mvpbt.describe() if ix.is_mvpbt
+                ix.name: (ix.index.describe() if isinstance(ix.index, MVPBT)
                           else {"name": ix.name, "kind": ix.kind,
-                                "entries": ix.oblivious.entry_count()})
+                                "entries": ix.index.entry_count()})
                 for ix in self.catalog.indexes
             },
         }

@@ -21,9 +21,8 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from ..core.records import ReferenceMode
 from ..core.tree import SearchHit
-from ..index.base import Ref, key_in_range
+from ..index.base import key_in_range
 from ..storage.recordid import RecordID
 from ..table.base import TupleVersion
 from ..txn.transaction import Transaction
@@ -201,10 +200,11 @@ class Executor:
         table = self.db.catalog.table(index_info.table)
         if index_info.index_only:
             return self._fetch(txn, table, index_info.mvpbt.search(txn, key))
-        candidates = self._candidates_point(txn, index_info, key)
+        index = index_info.index
         positions = index_info.positions
         return _unzip([
-            pair for pair in self._resolve(txn, table, index_info, candidates)
+            pair for pair in table.store.resolve(
+                txn, index.point_candidates(txn, key), index.indirection)
             if tuple(pair[1].data[p] for p in positions) == key])
 
     def _scan(self, txn: Transaction, index_info: IndexInfo,
@@ -214,15 +214,16 @@ class Executor:
         if index_info.index_only:
             return self._fetch(txn, table, index_info.mvpbt.range_scan(
                 txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl))
-        candidates = self._candidates_range(txn, index_info, lo, hi,
-                                            lo_incl, hi_incl)
+        index = index_info.index
+        candidates = index.range_candidates(txn, lo, hi, lo_incl=lo_incl,
+                                            hi_incl=hi_incl)
         positions = index_info.positions
 
         def key_of(pair: tuple[RecordID, TupleVersion]) -> Key:
             return tuple(pair[1].data[p] for p in positions)
 
         kept = [pair for pair in
-                self._resolve(txn, table, index_info, candidates)
+                table.store.resolve(txn, candidates, index.indirection)
                 if key_in_range(key_of(pair), lo, hi, lo_incl, hi_incl)]
         # a stale candidate resolves to its tuple's visible version, whose
         # key may differ: put the rows in the index-key order every range
@@ -235,29 +236,6 @@ class Executor:
         """Materialise one chunk of index-only hits
         (:meth:`~repro.table.base.VersionStore.fetch_visible`)."""
         return table.store.fetch_visible(txn, list(map(_rid_of, hits)))
-
-    def _candidates_point(self, txn: Transaction, index_info: IndexInfo,
-                          key: Key) -> list[Ref]:
-        if index_info.is_mvpbt:
-            return [h.rid for h in index_info.mvpbt.search(txn, key)]
-        return index_info.oblivious.search(key)
-
-    def _candidates_range(self, txn: Transaction, index_info: IndexInfo,
-                          lo: Key | None, hi: Key | None,
-                          lo_incl: bool, hi_incl: bool) -> list[Ref]:
-        if index_info.is_mvpbt:
-            return [h.rid for h in index_info.mvpbt.range_scan(
-                txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)]
-        return [ref for _key, ref in index_info.oblivious.range_scan(
-            lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)]
-
-    def _resolve(self, txn: Transaction, table: TableInfo,
-                 index_info: IndexInfo, candidates: list[Ref]
-                 ) -> list[tuple[RecordID, TupleVersion]]:
-        """Base-table visibility check over candidate references."""
-        logical = index_info.reference is ReferenceMode.LOGICAL
-        return table.store.resolve(
-            txn, candidates, table.indirection if logical else None)
 
 
 def _handles(fetched: Fetched) -> list[RowHit]:

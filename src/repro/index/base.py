@@ -8,16 +8,25 @@ the paper).
 
 References are either physical :class:`~repro.storage.recordid.RecordID`
 values or logical VIDs (ints) resolved through an indirection layer.
+:class:`Index` answers the engine's maintenance calls, the ones
+:class:`~repro.core.tree.MVPBT` answers with records, for every oblivious
+kind: the one place that knows which reference an entry holds and when a
+write needs no new entry.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 from ..storage.recordid import RecordID
 from ..types import Key
+
+if TYPE_CHECKING:
+    from ..table.base import VersionStore
+    from ..table.indirection import IndirectionLayer
+    from ..txn.transaction import Transaction, Writer
 
 Ref = Union[RecordID, int]
 
@@ -43,6 +52,57 @@ class Index(ABC):
 
     name: str
     stats: IndexStats
+    #: the table's store: it says whether an update left the entries of
+    #: the predecessor reaching the successor (set at creation)
+    store: "VersionStore"
+    #: the table's indirection layer when entries hold VIDs, else None
+    #: (fixed at creation: the reference mode)
+    indirection: "IndirectionLayer | None" = None
+
+    def insert(self, txn: "Writer", key: Key, rid_new: RecordID,
+               vid: int) -> None:
+        """A first version, or a new key (:meth:`update_key`): an entry."""
+        self.insert_entry(key, rid_new if self.indirection is None else vid)
+
+    def update_nonkey(self, txn: "Writer", key: Key, rid_new: RecordID,
+                      rid_old: RecordID, vid: int) -> None:
+        """A VID entry still names the tuple; a recordID entry needs a
+        successor entry unless the store says the update kept the old
+        one reaching it (HOT, in place)."""
+        if self.indirection is None and not self.store.is_hot(rid_old,
+                                                              rid_new):
+            self.insert_entry(key, rid_new)
+
+    def update_key(self, txn: "Writer", old_key: Key, new_key: Key,
+                   rid_new: RecordID, rid_old: RecordID, vid: int) -> None:
+        self.insert(txn, new_key, rid_new, vid)
+
+    def delete(self, txn: "Writer", key: Key, rid_old: RecordID,
+               vid: int) -> None:
+        """No entry: the base table answers visibility."""
+
+    def point_candidates(self, txn: "Transaction", key: Key) -> list[Ref]:
+        return self.search(key)
+
+    def range_candidates(self, txn: "Transaction", lo: Key | None,
+                         hi: Key | None, *, lo_incl: bool = True,
+                         hi_incl: bool = True) -> list[Ref]:
+        return [ref for _key, ref in self.range_scan(
+            lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)]
+
+    def purge(self, removed_rids: set[RecordID],
+              dropped_vids: set[int]) -> None:
+        """After a table vacuum, drop the entries naming a removed
+        recordID or a dropped chain's VID, in one pass (PostgreSQL's
+        ``ambulkdelete``)."""
+        dead: set[RecordID] | set[int] = (
+            removed_rids if self.indirection is None else dropped_vids)
+        if dead:
+            for key, ref in list(self.range_scan(None, None)):
+                if ref in dead:
+                    self.remove_entry(key, ref)
+
+    # ------------------------------------------------------- entry storage
 
     @abstractmethod
     def insert_entry(self, key: Key, ref: Ref) -> None:

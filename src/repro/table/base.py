@@ -7,13 +7,15 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Hashable, Iterable,
                     Iterator, Sequence, cast)
 
-from ..errors import SlotNotFoundError
+from ..errors import SlotNotFoundError, TupleNotFoundError
 from ..storage.page import SlottedPage
 from ..storage.recordid import RecordID
 from ..txn.transaction import Transaction
 from ..types import Key
 
 if TYPE_CHECKING:
+    from ..buffer.pool import BufferPool
+    from ..storage.pagefile import PageFile
     from ..txn.manager import TransactionManager
     from .indirection import IndirectionLayer
     from .vacuum import VacuumResult
@@ -118,7 +120,9 @@ class VersionStore(ABC):
     def is_hot(self, old_rid: RecordID, new_rid: RecordID) -> bool:
         """Do index entries naming ``old_rid`` still reach its successor
         at ``new_rid``, so a version-oblivious index needs no new entry?
-        True for an update in place."""
+        The one HOT rule, answered from what the update did — live and
+        when an index built late replays the chain.  True for an update
+        in place."""
         return old_rid == new_rid
 
     @abstractmethod
@@ -186,10 +190,16 @@ class VersionStore(ABC):
         """The page holding versions (one buffered page request, or an
         unflushed tail page)."""
 
-    @abstractmethod
     def _read_version(self, page: SlottedPage,
                       rid: RecordID) -> TupleVersion:
         """The version at ``rid`` on its already-fetched ``page``."""
+        try:
+            payload = page.read(rid.slot)
+        except SlotNotFoundError as exc:  # uniform not-found error
+            raise TupleNotFoundError(f"{self.name}: bad rid {rid}") from exc
+        if not isinstance(payload, TupleVersion):
+            raise TupleNotFoundError(f"{self.name}: {rid} is not a version")
+        return payload
 
     @abstractmethod
     def visible_version(self, txn: Transaction,
@@ -278,3 +288,54 @@ class VersionStore(ABC):
     def flush_tail(self) -> int:
         """Force unflushed tail pages to storage; returns pages flushed."""
         return 0
+
+
+class PagedStore(VersionStore):
+    """A store whose versions sit on buffered slotted pages of ``file``
+    (the heap; the delta store's main rows), each placed first-fit on a
+    page believed to have room."""
+
+    file: "PageFile"
+    pool: "BufferPool"
+    #: pages believed to have free space
+    _open_pages: list[int]
+
+    def fetch(self, rid: RecordID) -> TupleVersion:
+        return self._read_version(self._page(rid.page), rid)
+
+    def scan_versions(self) -> Iterator[tuple[RecordID, TupleVersion]]:
+        for page_no in range(self.file.max_page_no):
+            if not self.file.has_contents(page_no) and not self.pool.contains(
+                    self.file, page_no):
+                continue
+            for slot, payload in self._page(page_no).items():
+                if isinstance(payload, TupleVersion):
+                    yield RecordID(page_no, slot), payload
+
+    def note_free_space(self, page_no: int) -> None:
+        """Vacuum reports a page with reclaimed space."""
+        if page_no not in self._open_pages:
+            self._open_pages.append(page_no)
+
+    def _place(self, version: TupleVersion) -> RecordID:
+        size = version.accounted_size()
+        for idx, page_no in enumerate(self._open_pages):
+            page = self._page(page_no)
+            if page.fits(size):
+                slot = page.insert(version, size)
+                self.pool.mark_dirty(self.file, page_no)
+                return RecordID(page_no, slot)
+            del self._open_pages[idx]
+            break
+        page_no = self.file.allocate_page()
+        page = self._page(page_no)
+        slot = page.insert(version, size)
+        self.pool.mark_dirty(self.file, page_no)
+        self._open_pages.append(page_no)
+        return RecordID(page_no, slot)
+
+    def _page(self, page_no: int) -> SlottedPage:
+        page = self.pool.get_or_create(
+            self.file, page_no,
+            lambda: SlottedPage(page_no, self.file.page_size))
+        return page  # type: ignore[return-value]

@@ -33,7 +33,7 @@ from ..storage.recordid import RecordID
 from ..txn.manager import TransactionManager
 from ..txn.status import CommitLog
 from ..txn.transaction import Transaction
-from .base import Chain, TupleVersion, VersionStore, row_size
+from .base import Chain, PagedStore, TupleVersion, row_size
 from .vacuum import VacuumResult, vacuum_delta
 from ..types import Key
 
@@ -62,13 +62,13 @@ def _apply(values: list[object], delta: DeltaRecord) -> None:
         values[pos] = old_value
 
 
-class DeltaTable(VersionStore):
+class DeltaTable(PagedStore):
     """Single in-place version per tuple + append-only delta pool."""
 
     def __init__(self, name: str, main_file: PageFile, pool_file: PageFile,
                  pool: BufferPool) -> None:
         self.name = name
-        self.main_file = main_file
+        self.file = main_file
         self.pool_file = pool_file
         self.pool = pool
         self._next_vid = 1
@@ -88,7 +88,7 @@ class DeltaTable(VersionStore):
         vid = self._next_vid
         self._next_vid += 1
         version = TupleVersion(vid=vid, data=tuple(data), ts_create=txn.id)
-        rid = self._place_main(version)
+        rid = self._place(version)
         self.inserts += 1
         txn.writes += 1
         return vid, rid
@@ -115,7 +115,7 @@ class DeltaTable(VersionStore):
         current.ts_create = txn.id
         current.prev_rid = delta_rid
         page.update(rid.slot, current, current.accounted_size())
-        self.pool.mark_dirty(self.main_file, rid.page)
+        self.pool.mark_dirty(self.file, rid.page)
         self.updates += 1
         txn.writes += 1
         return rid
@@ -133,16 +133,12 @@ class DeltaTable(VersionStore):
         current.prev_rid = delta_rid
         current.is_tombstone = True
         page.update(rid.slot, current, current.accounted_size())
-        self.pool.mark_dirty(self.main_file, rid.page)
+        self.pool.mark_dirty(self.file, rid.page)
         self.deletes += 1
         txn.writes += 1
         return rid
 
     # ----------------------------------------------------------------- reads
-
-    def fetch(self, rid: RecordID) -> TupleVersion:
-        page = self._page(rid.page)
-        return self._read_version(page, rid)
 
     def visible_version(self, txn: Transaction,
                         rid: RecordID) -> tuple[RecordID, TupleVersion] | None:
@@ -175,16 +171,6 @@ class DeltaTable(VersionStore):
                                          ts_create=delta.ts_create)
             delta_rid = delta.prev
         return None
-
-    def scan_versions(self) -> Iterator[tuple[RecordID, TupleVersion]]:
-        for page_no in range(self.main_file.max_page_no):
-            if not self.main_file.has_contents(page_no) and not (
-                    self.pool.contains(self.main_file, page_no)):
-                continue
-            page = self._page(page_no)
-            for slot, payload in page.items():
-                if isinstance(payload, TupleVersion):
-                    yield RecordID(page_no, slot), payload
 
     def scan_visible(self, txn: Transaction) -> Iterator[tuple[RecordID, Key]]:
         for rid, _version in self.scan_versions():
@@ -262,23 +248,6 @@ class DeltaTable(VersionStore):
             current.prev_rid = delta.prev
             current.is_tombstone = delta.was_tombstone
 
-    def _place_main(self, version: TupleVersion) -> RecordID:
-        size = version.accounted_size()
-        for idx, page_no in enumerate(self._open_pages):
-            page = self._page(page_no)
-            if page.fits(size):
-                slot = page.insert(version, size)
-                self.pool.mark_dirty(self.main_file, page_no)
-                return RecordID(page_no, slot)
-            del self._open_pages[idx]
-            break
-        page_no = self.main_file.allocate_page()
-        page = self._page(page_no)
-        slot = page.insert(version, size)
-        self.pool.mark_dirty(self.main_file, page_no)
-        self._open_pages.append(page_no)
-        return RecordID(page_no, slot)
-
     def _append_delta(self, delta: DeltaRecord) -> RecordID:
         size = delta.accounted_size()
         page = self._pool_current
@@ -310,21 +279,6 @@ class DeltaTable(VersionStore):
             raise TupleNotFoundError(f"{self.name}: bad delta {rid}") from exc
         if not isinstance(payload, DeltaRecord):
             raise TupleNotFoundError(f"{self.name}: {rid} is not a delta")
-        return payload
-
-    def _page(self, page_no: int) -> SlottedPage:
-        page = self.pool.get_or_create(
-            self.main_file, page_no,
-            lambda: SlottedPage(page_no, self.main_file.page_size))
-        return page  # type: ignore[return-value]
-
-    def _read_version(self, page: SlottedPage, rid: RecordID) -> TupleVersion:
-        try:
-            payload = page.read(rid.slot)
-        except SlotNotFoundError as exc:
-            raise TupleNotFoundError(f"{self.name}: bad rid {rid}") from exc
-        if not isinstance(payload, TupleVersion):
-            raise TupleNotFoundError(f"{self.name}: {rid} is not a row")
         return payload
 
     def __repr__(self) -> str:

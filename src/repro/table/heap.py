@@ -18,21 +18,19 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..buffer.pool import BufferPool
-from ..errors import (SlotNotFoundError, TupleNotFoundError,
-                      WriteConflictError)
-from ..storage.page import SlottedPage
+from ..errors import TupleNotFoundError, WriteConflictError
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
 from ..txn.manager import TransactionManager
 from ..txn.status import CommitLog
 from ..txn.transaction import Transaction
-from .base import Chain, TupleVersion, VersionStore
+from .base import Chain, PagedStore, TupleVersion
 from .vacuum import VacuumResult, vacuum_heap
 from .visibility import version_visible_heap
 from ..types import Key
 
 
-class HeapTable(VersionStore):
+class HeapTable(PagedStore):
     """Heap of tuple-versions with in-page HOT chains."""
 
     def __init__(self, name: str, file: PageFile, pool: BufferPool) -> None:
@@ -41,6 +39,9 @@ class HeapTable(VersionStore):
         self.pool = pool
         self._next_vid = 1
         self._open_pages: list[int] = []   # pages believed to have free space
+        #: heap-only tuples: versions a HOT update placed, which the index
+        #: entries of their chain's earlier versions reach
+        self._heap_only: set[RecordID] = set()
         self.hot_updates = 0
         self.cold_updates = 0
         self.inserts = 0
@@ -77,6 +78,7 @@ class HeapTable(VersionStore):
             slot = page.insert(successor, size)
             self.pool.mark_dirty(self.file, rid.page)
             new_rid = RecordID(rid.page, slot)
+            self._heap_only.add(new_rid)
             self.hot_updates += 1
         else:
             new_rid = self._place(successor)
@@ -152,10 +154,6 @@ class HeapTable(VersionStore):
 
     # ----------------------------------------------------------------- reads
 
-    def fetch(self, rid: RecordID) -> TupleVersion:
-        page = self._page(rid.page)
-        return self._read_version(page, rid)
-
     def visible_version(self, txn: Transaction,
                         rid: RecordID) -> tuple[RecordID, TupleVersion] | None:
         """Walk the chain old-to-new from ``rid`` to the visible version."""
@@ -171,15 +169,6 @@ class HeapTable(VersionStore):
             current = version.next_rid
         return None
 
-    def scan_versions(self) -> Iterator[tuple[RecordID, TupleVersion]]:
-        for page_no in range(self.file.max_page_no):
-            if not self.file.has_contents(page_no) and not self.pool.contains(
-                    self.file, page_no):
-                continue
-            page = self._page(page_no)
-            for slot, payload in page.items():
-                yield RecordID(page_no, slot), payload  # type: ignore[misc]
-
     def scan_visible(self, txn: Transaction) -> Iterator[tuple[RecordID, Key]]:
         commit_log = self._commit_log(txn)
         for rid, version in self.scan_versions():
@@ -189,17 +178,13 @@ class HeapTable(VersionStore):
     # --------------------------------------------------------------- helpers
 
     def is_hot(self, old_rid: RecordID, new_rid: RecordID) -> bool:
-        """Did an update stay page-local?  A HOT chain is walked from its
-        root, so the root's index entries reach the successor."""
-        return old_rid.page == new_rid.page
+        """Did the update take the HOT branch?  A HOT chain is walked from
+        its root, so the root's index entries reach the successor; a cold
+        update that happens to land on the same page does not count."""
+        return new_rid in self._heap_only
 
     def vacuum(self, manager: TransactionManager) -> VacuumResult:
         return vacuum_heap(self, manager)
-
-    def note_free_space(self, page_no: int) -> None:
-        """Vacuum reports a page with reclaimed space."""
-        if page_no not in self._open_pages:
-            self._open_pages.append(page_no)
 
     def _check_updatable(self, txn: Transaction, version: TupleVersion) -> None:
         if version.is_tombstone:
@@ -215,38 +200,6 @@ class HeapTable(VersionStore):
 
     def _commit_log(self, txn: Transaction) -> CommitLog:
         return txn._manager.commit_log
-
-    def _place(self, version: TupleVersion) -> RecordID:
-        size = version.accounted_size()
-        for idx, page_no in enumerate(self._open_pages):
-            page = self._page(page_no)
-            if page.fits(size):
-                slot = page.insert(version, size)
-                self.pool.mark_dirty(self.file, page_no)
-                return RecordID(page_no, slot)
-            del self._open_pages[idx]
-            break
-        page_no = self.file.allocate_page()
-        page = self._page(page_no)
-        slot = page.insert(version, size)
-        self.pool.mark_dirty(self.file, page_no)
-        self._open_pages.append(page_no)
-        return RecordID(page_no, slot)
-
-    def _page(self, page_no: int) -> SlottedPage:
-        page = self.pool.get_or_create(
-            self.file, page_no,
-            lambda: SlottedPage(page_no, self.file.page_size))
-        return page  # type: ignore[return-value]
-
-    def _read_version(self, page: SlottedPage, rid: RecordID) -> TupleVersion:
-        try:
-            payload = page.read(rid.slot)
-        except SlotNotFoundError as exc:  # uniform not-found error
-            raise TupleNotFoundError(f"{self.name}: bad rid {rid}") from exc
-        if not isinstance(payload, TupleVersion):
-            raise TupleNotFoundError(f"{self.name}: {rid} is not a version")
-        return payload
 
     def __repr__(self) -> str:
         return (f"HeapTable({self.name!r}, inserts={self.inserts}, "

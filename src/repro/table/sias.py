@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..buffer.pool import BufferPool
-from ..errors import (PageNotFoundError, SlotNotFoundError,
-                      TupleNotFoundError, WriteConflictError)
+from ..errors import (PageNotFoundError, TupleNotFoundError,
+                      WriteConflictError)
 from ..storage.page import SlottedPage
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
@@ -272,15 +272,6 @@ class SIASTable(VersionStore):
             # not-found as a missing slot
             raise TupleNotFoundError(
                 f"{self.name}: page {page_no} holds no versions") from exc
-
-    def _read_version(self, page: SlottedPage, rid: RecordID) -> TupleVersion:
-        try:
-            payload = page.read(rid.slot)
-        except SlotNotFoundError as exc:  # uniform not-found error
-            raise TupleNotFoundError(f"{self.name}: bad rid {rid}") from exc
-        if not isinstance(payload, TupleVersion):
-            raise TupleNotFoundError(f"{self.name}: {rid} is not a version")
-        return payload
 
     def __repr__(self) -> str:
         return (f"SIASTable({self.name!r}, inserts={self.inserts}, "

@@ -64,10 +64,9 @@ def vacuum_heap(table: HeapTable, manager: TransactionManager) -> VacuumResult:
     predecessor: dict[RecordID, TupleVersion] = {}
     versions: dict[RecordID, TupleVersion] = {}
     for rid, version in table.scan_versions():
-        if isinstance(version, TupleVersion):
-            versions[rid] = version
-            if version.next_rid is not None:
-                predecessor[version.next_rid] = version
+        versions[rid] = version
+        if version.next_rid is not None:
+            predecessor[version.next_rid] = version
 
     for rid, version in versions.items():
         if not _heap_version_dead(version, cutoff, manager):
@@ -87,6 +86,7 @@ def vacuum_heap(table: HeapTable, manager: TransactionManager) -> VacuumResult:
                 predecessor[version.next_rid] = predecessor[rid]
             page.delete(rid.slot)
             page.compact()
+            table._heap_only.discard(rid)    # the slot may be reused
             result.removed_rids.append(rid)
         result.versions_removed += 1
         table.pool.mark_dirty(table.file, rid.page)
@@ -100,40 +100,50 @@ def vacuum_delta(table: DeltaTable,
 
     Walking each main row's delta chain newest-to-old, the first delta whose
     timestamp lies under the cutoff satisfies every possible reconstruction;
-    everything older is unreachable and is cut off.  Pool pages whose deltas
-    are all unreachable are freed.
+    everything older is unreachable and is cut off.  A main row deleted
+    under the cutoff is seen deleted by every snapshot: it goes with its
+    whole chain, reported like SIAS's dropped chains.  Pool pages whose
+    deltas are all unreachable are freed.
     """
     cutoff = manager.cutoff_txid()
     log = manager.commit_log
     result = VacuumResult()
     reachable: set[RecordID] = set()
 
+    def below(ts: int) -> bool:
+        return log.is_committed(ts) and ts < cutoff
+
     for rid, version in table.scan_versions():
+        if below(version.ts_create):
+            if version.is_tombstone:
+                result.removed_rids.append(rid)
+                result.dropped_vids.append(version.vid)
+            elif version.prev_rid is not None:
+                # the main row itself is old enough: drop its whole chain
+                version.prev_rid = None
+                result.versions_removed += 1
+            continue
         delta_rid = version.prev_rid
-        terminated = (log.is_committed(version.ts_create)
-                      and version.ts_create < cutoff)
-        anchor = None
         while delta_rid is not None:
-            if terminated:
-                break
             try:
                 delta = table._read_delta(delta_rid)
             except TupleNotFoundError:
                 break
             reachable.add(delta_rid)
-            anchor = delta
-            if log.is_committed(delta.ts_create) and delta.ts_create < cutoff:
-                terminated = True
+            if below(delta.ts_create):
+                if delta.prev is not None:
+                    delta.prev = None
+                    result.versions_removed += 1
+                break
             delta_rid = delta.prev
-        if terminated and version.prev_rid is None:
-            continue
-        if terminated and anchor is not None and anchor.prev is not None:
-            anchor.prev = None
-            result.versions_removed += 1
-        elif terminated and anchor is None and version.prev_rid is not None:
-            # the main row itself is old enough: drop its whole chain
-            version.prev_rid = None
-            result.versions_removed += 1
+
+    for rid in result.removed_rids:
+        page = table._page(rid.page)
+        page.delete(rid.slot)
+        page.compact()
+        table.pool.mark_dirty(table.file, rid.page)
+        table.note_free_space(rid.page)
+    result.versions_removed += len(result.removed_rids)
 
     # free pool pages containing no reachable deltas
     current_no = (table._pool_current.page_no

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Union
 
 from ..errors import TransactionStateError
 from .snapshot import Snapshot
@@ -66,3 +66,20 @@ class Transaction:
     def __repr__(self) -> str:
         return f"Txn(id={self.id}, {self.state.value})"
 
+
+class Replay:
+    """The decided writer of a version already in the table, replayed
+    into an index built late: its timestamp as ``id``, and no state,
+    unique check or commit to wait for."""
+
+    __slots__ = ("id",)
+
+    def __init__(self, ts: int) -> None:
+        self.id = ts
+
+    def require_active(self) -> None:
+        pass
+
+
+#: who an index write is for: a live transaction or a replayed writer
+Writer = Union[Transaction, Replay]

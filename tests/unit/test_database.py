@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine import Database
-from repro.errors import CatalogError, UniqueViolationError
+from repro.errors import CatalogError, ConfigError, UniqueViolationError
 
 
 @pytest.fixture
@@ -35,6 +35,22 @@ class TestDDL:
         db.create_table("t", [("a", "int")])
         with pytest.raises(CatalogError):
             db.create_index("i", "t", ["z"])
+
+    @pytest.mark.parametrize("kind, opts", [
+        ("btree", {}), ("pbt", {}),
+        ("mvpbt", {"index_only_visibility": False, "enable_gc": False})],
+        ids=["btree", "pbt", "mvpbt-candidates"])
+    def test_unique_needs_an_index_only_tree(self, db, kind, opts):
+        """Only an index-only MV-PBT tells a visible duplicate from a dead
+        version: a B-tree or PBT accepted a second row with key 1, and
+        the candidate tree's check, which reads unchecked candidates,
+        rejected re-inserting a key whose row was deleted and
+        committed."""
+        db.create_table("t", [("a", "int"), ("b", "int")])
+        with pytest.raises(ConfigError):
+            db.create_index("u", "t", ["a"], kind=kind, unique=True, **opts)
+        with pytest.raises(CatalogError):
+            db.catalog.index("u")
 
     def test_logical_reference_creates_indirection(self, db):
         db.create_table("t", [("a", "int")])
@@ -197,6 +213,29 @@ class TestQueries:
         assert db.select(fresh, "idx_a", (1,)) == [(1, "v1", 0.0)]
 
 
+class TestCandidateTree:
+    @pytest.mark.parametrize("storage", ["heap", "sias", "delta"])
+    def test_logical_candidate_tree_reads(self, db, storage):
+        """An MV-PBT that is not index-only hands out recordIDs, so its
+        candidates resolve without the indirection layer even when its
+        references are logical (the read raised a TypeError)."""
+        setup_table(db, storage=storage, reference="logical",
+                    index_only_visibility=False, enable_gc=False)
+        t = db.begin()
+        db.insert(t, "r", (1, "x", 0.0))
+        db.insert(t, "r", (2, "y", 0.0))
+        t.commit()
+        t = db.begin()
+        db.update_by_key(t, "idx_a", (1,), {"b": "z"})
+        db.update_by_key(t, "idx_a", (2,), {"a": 3})
+        t.commit()
+        r = db.begin()
+        assert db.select(r, "idx_a", (1,)) == [(1, "z", 0.0)]
+        assert db.select(r, "idx_a", (2,)) == []
+        assert db.range_select(r, "idx_a", None, None) \
+            == [(1, "z", 0.0), (3, "y", 0.0)]
+
+
 class TestVacuumIntegration:
     def test_vacuum_sias_purges_index_entries(self, db):
         setup_table(db, kind="btree")
@@ -211,6 +250,32 @@ class TestVacuumIntegration:
         r = db.begin()
         assert db.select(r, "idx_a", (1,)) == []
 
+
+    @pytest.mark.parametrize("reference", ["physical", "logical"])
+    def test_vacuum_delta_drops_deleted_rows(self, db, reference):
+        """A delta row deleted under the cutoff goes with its chain, and
+        the index purges its entries (both stayed forever)."""
+        setup_table(db, storage="delta", kind="btree", reference=reference)
+        for op in ("insert", "delete"):
+            t = db.begin()
+            for i in range(200):
+                if op == "insert":
+                    db.insert(t, "r", (i, "x", 0.0))
+                else:
+                    db.delete_by_key(t, "idx_a", (i,))
+            t.commit()
+        first = db.vacuum("r")
+        assert len(first.removed_rids) == len(first.dropped_vids) == 200
+        db.vacuum("r")
+        assert list(db.catalog.table("r").store.scan_versions()) == []
+        assert db.catalog.index("idx_a").index.entry_count() == 0
+        t = db.begin()
+        db.insert(t, "r", (7, "again", 1.0))
+        t.commit()
+        r = db.begin()
+        assert db.select(r, "idx_a", (7,)) == [(7, "again", 1.0)]
+        assert db.range_select(r, "idx_a", None, None) \
+            == [(7, "again", 1.0)]
 
     def test_vacuum_after_a_rollback_keeps_the_table_readable(self, db):
         """bench/README.md finding 1: an aborted bulk insert, a committed

@@ -184,7 +184,7 @@ class TestEngineIntegration:
         t = db.begin()
         db.insert(t, "r", (1, "x"))
         t.commit()
-        ix = db.catalog.index("ix").oblivious
+        ix = db.catalog.index("ix").index
         entries_before = ix.entry_count()
         for i in range(10):
             t = db.begin()
@@ -267,6 +267,6 @@ def test_foreign_page_is_not_reported_as_bad_rid(env):
                    dirty=False)
     with pytest.raises(AttributeError):
         table._read_delta(delta_rid)
-    table.pool.put(table.main_file, rid.page, RunPage([], []), dirty=False)
+    table.pool.put(table.file, rid.page, RunPage([], []), dirty=False)
     with pytest.raises(AttributeError):
         table.fetch(rid)

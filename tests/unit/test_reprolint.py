@@ -625,6 +625,9 @@ SAMPLES = (
     "Server" "Backend",
     "isinstance(store, SIAS" "Table)",
     "resolve_candidates" "_heap(txn)",
+    "if ix.is_" "mvpbt:",
+    "ReferenceMode" ".LOGICAL",
+    "tree._add_build" "_record(key)",
 )
 
 

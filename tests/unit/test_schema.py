@@ -92,11 +92,7 @@ class TestCatalog:
         cat = Catalog()
         cat.add_table(self._table_info())
         info = IndexInfo(name="i", table="t", columns=["a"], positions=[0],
-                         kind="btree", unique=False,
-                         reference=__import__(
-                             "repro.core.records",
-                             fromlist=["ReferenceMode"]).ReferenceMode.PHYSICAL,
-                         index=None)
+                         kind="btree", unique=False, index=None)
         cat.add_index(info)
         assert [ix.name for ix in cat.indexes_of("t")] == ["i"]
 

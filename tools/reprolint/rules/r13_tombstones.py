@@ -196,6 +196,24 @@ TOMBSTONES: tuple[Tombstone, ...] = (
         "each version store resolves, lists and adopts its own chains: "
         "no per-store resolve function, chain walk or adoption step "
         "outside it"),
+    Tombstone(
+        r"\bis_mvpbt\b", ("src/repro/engine",), 45,
+        "the engine writes, reads candidates and purges through one "
+        "contract; only the catalog, recovery, stats and metrics sources "
+        "tell the index kinds apart",
+        at_most=5),
+    Tombstone(
+        r"ReferenceMode\.(PHYSICAL|LOGICAL)", ("src/repro/engine",), 45,
+        "the reference mode is fixed once, in create_index; the index "
+        "knows rid vs. VID from then on",
+        at_most=1),
+    Tombstone(
+        r"\b_add_build_record\b|\b_candidates_(point|range)\b"
+        r"|\.oblivious\b", _USER_FACING, 45,
+        "an index build replays each chain step through the calls live "
+        "maintenance makes, and every index kind answers the candidate "
+        "reads itself: no second record rule, no executor branch, no "
+        "catalog accessor that picks the oblivious kind"),
 )
 
 
