@@ -32,12 +32,12 @@ from ..sim.profiles import INTEL_DC_P3600, DeviceProfile
 from ..sim.trace import IOTrace
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
-from ..table.base import Chain, TupleVersion, VersionStore
+from ..table.base import (Chain, TupleVersion, VacuumResult, VersionStore,
+                          aborted_run)
 from ..table.delta import DeltaTable
 from ..table.heap import HeapTable
 from ..table.indirection import IndirectionLayer
 from ..table.sias import SIASTable
-from ..table.vacuum import VacuumResult
 from ..txn.manager import TransactionManager
 from ..txn.transaction import Replay, Transaction
 from .catalog import Catalog, IndexInfo, TableInfo
@@ -174,7 +174,9 @@ class Database:
                          positions=positions, kind=kind, unique=unique,
                          index=index)
         self.catalog.add_index(info)
-        chains = table_info.store.chains()
+        log = self.txn.commit_log
+        chains = [chain for chain in table_info.store.chains()
+                  if not aborted_run(chain, log)]
         if logical and table_info.indirection is None:
             table_info.indirection = IndirectionLayer(self.clock)
             entry = -1 if table_info.store.entry_moves else 0

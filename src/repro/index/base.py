@@ -75,7 +75,14 @@ class Index(ABC):
 
     def update_key(self, txn: "Writer", old_key: Key, new_key: Key,
                    rid_new: RecordID, rid_old: RecordID, vid: int) -> None:
-        self.insert(txn, new_key, rid_new, vid)
+        """An entry under ``new_key``, unless the reference did not move
+        (a VID, or a row updated in place) and one already holds it: a
+        key's round trip adds nothing."""
+        ref = rid_new if self.indirection is None else vid
+        if ((self.indirection is not None or rid_new == rid_old)
+                and ref in self.search(new_key)):
+            return
+        self.insert_entry(new_key, ref)
 
     def delete(self, txn: "Writer", key: Key, rid_old: RecordID,
                vid: int) -> None:

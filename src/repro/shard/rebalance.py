@@ -52,7 +52,7 @@ from ..core.records import MVPBTRecord, RecordType
 from ..errors import IndexError_
 from ..storage.keycodec import encode_key
 from ..storage.recordid import RecordID
-from ..table.base import Chain
+from ..table.base import Chain, aborted_run
 from ..types import JSONDict, Key
 
 if TYPE_CHECKING:
@@ -209,7 +209,10 @@ def _adopt_chains(move: _Move, table: str) -> None:
     router = move.router
     positions = router.shard_key_positions(table)
     for s, db in enumerate(router.shards):
+        log = db.txn.commit_log
         for chain in db.catalog.table(table).store.chains():
+            if aborted_run(chain, log):
+                continue
             shard_key = _chain_shard_key(chain, positions)
             if shard_key is None:
                 continue  # pure-tombstone chain: nothing to place

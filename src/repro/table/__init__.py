@@ -10,21 +10,22 @@ interface, which owns every storage-layout decision:
   invalidation.
 * :class:`~repro.table.delta.DeltaTable` — in-place main rows with a delta
   version pool (the alternative §3.6 argues against).
+
+Vacuum has one rule for every store, :meth:`VersionStore.vacuum`, over the
+chains each store lists; a store only reclaims what the rule dropped.
 """
 
-from .base import TupleVersion, VersionStore, row_size
+from .base import TupleVersion, VacuumResult, VersionStore, row_size
 from .heap import HeapTable
 from .indirection import IndirectionLayer
 from .sias import SIASTable
-from .vacuum import vacuum_heap, vacuum_sias
 
 __all__ = [
     "TupleVersion",
+    "VacuumResult",
     "VersionStore",
     "row_size",
     "HeapTable",
     "SIASTable",
     "IndirectionLayer",
-    "vacuum_heap",
-    "vacuum_sias",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Hashable, Iterable,
                     Iterator, Sequence, cast)
 
@@ -17,8 +17,8 @@ if TYPE_CHECKING:
     from ..buffer.pool import BufferPool
     from ..storage.pagefile import PageFile
     from ..txn.manager import TransactionManager
+    from ..txn.status import CommitLog
     from .indirection import IndirectionLayer
-    from .vacuum import VacuumResult
 
 #: Accounted per-version header bytes (PostgreSQL's HeapTupleHeader is 23).
 VERSION_HEADER_BYTES = 24
@@ -85,6 +85,27 @@ def _read_run(page: SlottedPage, slots: list[int],
 
 #: one tuple's history, oldest version first (:meth:`VersionStore.chains`)
 Chain = list[tuple[RecordID, TupleVersion]]
+
+
+def aborted_run(chain: Chain, log: "CommitLog") -> bool:
+    """Did every version of ``chain`` abort?  Such a run (an orphan an
+    update stepped past, or an aborted insert) holds no row: only vacuum
+    has use for it."""
+    return all(log.is_aborted(version.ts_create) for _rid, version in chain)
+
+
+@dataclass
+class VacuumResult:
+    """Outcome of one vacuum pass (:meth:`VersionStore.vacuum`)."""
+
+    versions_removed: int = 0
+    pages_freed: int = 0
+    #: versions gone from every chain: index entries naming them go too
+    removed_rids: list[RecordID] = field(default_factory=list)
+    #: vids none of whose chains kept a version
+    dropped_vids: list[int] = field(default_factory=list)
+    #: vids whose chain entry point moved off an aborted head version
+    repointed: dict[int, RecordID] = field(default_factory=dict)
 
 
 class VersionStore(ABC):
@@ -281,9 +302,55 @@ class VersionStore(ABC):
         fresh vid (DESIGN.md §16.4): ``(vid, {old rid: new rid})``."""
         raise NotImplementedError(f"{self.name}: this store adopts no chains")
 
+    def vacuum(self, manager: "TransactionManager") -> VacuumResult:
+        """Tuple-level GC (paper §3.4): the one rule for which versions
+        are dead, over :meth:`chains`.
+
+        An aborted version is dead at once; a version is dead once a newer
+        one committed below ``manager``'s cutoff, which no snapshot, active
+        or future, sees past (Larson et al.).  So a chain keeps everything
+        from its newest version committed below the cutoff, and nothing
+        when that version is a tombstone or no version is left.  The store
+        then reclaims what its chain lost (:meth:`_reclaim`) and frees the
+        pages left unused (:meth:`_free_pages`).
+        """
+        log = manager.commit_log
+        cutoff = manager.cutoff_txid()
+        result = VacuumResult()
+        survivors: list[Chain] = []
+        emptied: list[int] = []
+        for chain in self.chains():
+            live = [pair for pair in chain
+                    if not log.is_aborted(pair[1].ts_create)]
+            kept = live
+            for at in range(len(live) - 1, -1, -1):
+                ts = live[at][1].ts_create
+                if ts < cutoff and log.is_committed(ts):
+                    kept = [] if live[at][1].is_tombstone else live[at:]
+                    break
+            if len(kept) < len(chain):
+                self._reclaim(chain, kept, result, log)
+            if kept:
+                survivors.append(kept)
+            else:
+                emptied.append(chain[0][1].vid)
+        kept_vids = {kept[0][1].vid for kept in survivors}
+        result.dropped_vids = [vid for vid in dict.fromkeys(emptied)
+                               if vid not in kept_vids]
+        self._free_pages(survivors, result)
+        return result
+
     @abstractmethod
-    def vacuum(self, manager: "TransactionManager") -> "VacuumResult":
-        """Tuple-level GC below ``manager``'s cutoff (:mod:`.vacuum`)."""
+    def _reclaim(self, chain: Chain, kept: Chain, result: VacuumResult,
+                 log: "CommitLog") -> None:
+        """Reclaim the versions of ``chain`` not in ``kept`` (a suffix of
+        its versions that did not abort; empty: the whole chain goes), and
+        book them in ``result``."""
+
+    def _free_pages(self, survivors: list[Chain],
+                    result: VacuumResult) -> None:
+        """Free the pages the reclaim left without a live version, given
+        every chain's survivors; slotted heap pages stay allocated."""
 
     def flush_tail(self) -> int:
         """Force unflushed tail pages to storage; returns pages flushed."""

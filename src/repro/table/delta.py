@@ -30,11 +30,9 @@ from ..errors import (SlotNotFoundError, TupleNotFoundError,
 from ..storage.page import SlottedPage
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
-from ..txn.manager import TransactionManager
 from ..txn.status import CommitLog
 from ..txn.transaction import Transaction
-from .base import Chain, PagedStore, TupleVersion, row_size
-from .vacuum import VacuumResult, vacuum_delta
+from .base import Chain, PagedStore, TupleVersion, VacuumResult, row_size
 from ..types import Key
 
 
@@ -190,26 +188,62 @@ class DeltaTable(PagedStore):
     def chains(self) -> list[Chain]:
         """Each main row's history rebuilt from the version pool, newest
         to oldest and then reversed; every version keeps the main row's
-        rid, since that is all an index entry can name."""
+        rid, since that is all an index entry can name.  A rebuilt
+        version's ``prev_rid`` is, like the main row's, the pool link to
+        the delta holding its predecessor."""
         chains: list[Chain] = []
         for rid, current in self.scan_versions():
             chain: Chain = [(rid, current)]
             values = list(current.data)
-            delta_rid = current.prev_rid
-            while delta_rid is not None:
-                delta = self._read_delta(delta_rid)
+            for _link, delta in self._deltas(current):
                 _apply(values, delta)
                 chain.append((rid, TupleVersion(
                     vid=current.vid, data=tuple(values),
-                    ts_create=delta.ts_create,
+                    ts_create=delta.ts_create, prev_rid=delta.prev,
                     is_tombstone=delta.was_tombstone)))
-                delta_rid = delta.prev
             chain.reverse()
             chains.append(chain)
         return chains
 
-    def vacuum(self, manager: TransactionManager) -> VacuumResult:
-        return vacuum_delta(self, manager)
+    def _free_pages(self, survivors: list[Chain],
+                    result: VacuumResult) -> None:
+        """Free the pool pages no survivor's predecessor link reaches."""
+        reachable = {version.prev_rid.page for kept in survivors
+                     for _rid, version in kept[1:]
+                     if version.prev_rid is not None}
+        current_no = (self._pool_current.page_no
+                      if self._pool_current is not None else None)
+        for page_no in range(self.pool_file.max_page_no):
+            if (page_no == current_no or page_no in reachable
+                    or not self.pool_file.has_contents(page_no)):
+                continue
+            self.pool.discard(self.pool_file, page_no)
+            self.pool_file.free_page(page_no)
+            result.pages_freed += 1
+
+    def _reclaim(self, chain: Chain, kept: Chain, result: VacuumResult,
+                 log: CommitLog) -> None:
+        """Delete the main row, or roll back its aborted in-place change
+        and cut its pool chain below the oldest survivor."""
+        rid, main = chain[-1]
+        page = self._page(rid.page)
+        if not kept:
+            page.delete(rid.slot)
+            page.compact()
+            result.removed_rids.append(rid)
+            self.note_free_space(rid.page)
+        else:
+            self._undo_aborted(main, log)
+            # the main row is the newest survivor; the delta holding the
+            # oldest survivor ends the pool chain
+            link = kept[1][1].prev_rid if len(kept) > 1 else None
+            if link is None:
+                main.prev_rid = None
+            else:
+                self._read_delta(link).prev = None
+            page.update(rid.slot, main, main.accounted_size())
+        self.pool.mark_dirty(self.file, rid.page)
+        result.versions_removed += len(chain) - len(kept)
 
     # --------------------------------------------------------------- helpers
 
@@ -247,6 +281,19 @@ class DeltaTable(PagedStore):
             current.ts_create = delta.ts_create
             current.prev_rid = delta.prev
             current.is_tombstone = delta.was_tombstone
+
+    def _deltas(self, main: TupleVersion
+                ) -> Iterator[tuple[RecordID, DeltaRecord]]:
+        """``main``'s pool chain, newest delta first; it ends at a link
+        that names no delta."""
+        link = main.prev_rid
+        while link is not None:
+            try:
+                delta = self._read_delta(link)
+            except TupleNotFoundError:
+                return
+            yield link, delta
+            link = delta.prev
 
     def _append_delta(self, delta: DeltaRecord) -> RecordID:
         size = delta.accounted_size()

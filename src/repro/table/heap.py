@@ -21,11 +21,9 @@ from ..buffer.pool import BufferPool
 from ..errors import TupleNotFoundError, WriteConflictError
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
-from ..txn.manager import TransactionManager
 from ..txn.status import CommitLog
 from ..txn.transaction import Transaction
-from .base import Chain, PagedStore, TupleVersion
-from .vacuum import VacuumResult, vacuum_heap
+from .base import Chain, PagedStore, TupleVersion, VacuumResult
 from .visibility import version_visible_heap
 from ..types import Key
 
@@ -93,11 +91,15 @@ class HeapTable(PagedStore):
         return new_rid
 
     def delete(self, txn: Transaction, rid: RecordID) -> RecordID:
-        """PostgreSQL-style deletion: invalidate in place, no tombstone record."""
+        """PostgreSQL-style deletion: invalidate in place, no tombstone
+        record.  A successor an aborted update left is unlinked: it is an
+        orphan of its own, and the delete closes this chain."""
         txn.require_active()
         page = self._page(rid.page)
         old = self._read_version(page, rid)
         self._check_updatable(txn, old)
+        if old.ts_invalidate != txn.id:
+            old.next_rid = None
         old.ts_invalidate = txn.id
         page.dirty = True
         self.pool.mark_dirty(self.file, rid.page)
@@ -121,7 +123,7 @@ class HeapTable(PagedStore):
                 continue
             chain: Chain = []
             rid: RecordID | None = root
-            while rid is not None:
+            while rid is not None and rid in versions:
                 chain.append((rid, versions[rid]))
                 rid = versions[rid].next_rid
             last_rid, last = chain[-1]
@@ -183,8 +185,40 @@ class HeapTable(PagedStore):
         update that happens to land on the same page does not count."""
         return new_rid in self._heap_only
 
-    def vacuum(self, manager: TransactionManager) -> VacuumResult:
-        return vacuum_heap(self, manager)
+    def _reclaim(self, chain: Chain, kept: Chain, result: VacuumResult,
+                 log: CommitLog) -> None:
+        """Delete the dead slots.  Index entries name a chain's root, so
+        the dead root of a live chain stays as a redirect stub to the
+        first survivor (PostgreSQL's HOT line-pointer redirect); a
+        survivor whose successors aborted loses its link to them, and the
+        invalidation stamp too when that aborted."""
+        if kept and chain[-1] is not kept[-1]:
+            survivor = kept[-1][1]
+            survivor.next_rid = None
+            stamp = survivor.ts_invalidate
+            if stamp is not None and log.is_aborted(stamp):
+                survivor.ts_invalidate = None
+            self.pool.mark_dirty(self.file, kept[-1][0].page)
+        keep = {rid for rid, _ in kept}
+        root = chain[0][0]
+        # a closing tombstone shares its version's rid: each slot once
+        for rid in dict.fromkeys(rid for rid, _ in chain if rid not in keep):
+            page = self._page(rid.page)
+            if kept and rid == root:
+                stub = chain[0][1]
+                if not stub.is_tombstone:   # not pruned by an earlier pass
+                    result.versions_removed += 1
+                stub.data, stub.is_tombstone = (), True
+                stub.next_rid = kept[0][0]
+                page.update(rid.slot, stub, stub.accounted_size())
+            else:
+                page.delete(rid.slot)
+                page.compact()
+                self._heap_only.discard(rid)    # the slot may be reused
+                result.removed_rids.append(rid)
+                result.versions_removed += 1
+            self.pool.mark_dirty(self.file, rid.page)
+            self.note_free_space(rid.page)
 
     def _check_updatable(self, txn: Transaction, version: TupleVersion) -> None:
         if version.is_tombstone:

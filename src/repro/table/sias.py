@@ -26,10 +26,10 @@ from ..errors import (PageNotFoundError, TupleNotFoundError,
 from ..storage.page import SlottedPage
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
-from ..txn.manager import TransactionManager
+from ..txn.status import CommitLog
 from ..txn.transaction import Transaction
-from .base import Chain, TupleVersion, VersionStore
-from .vacuum import VacuumResult, vacuum_sias
+from .base import Chain, TupleVersion, VacuumResult, VersionStore
+from .vacuum import vacuum_sias
 from ..types import Key
 
 
@@ -53,6 +53,9 @@ class SIASTable(VersionStore):
         self._current: SlottedPage | None = None
         #: chain entry points: vid -> rid of the newest version
         self._entry: dict[int, RecordID] = {}
+        #: aborted runs an update moved an entry past: the run's newest
+        #: version -> the version the run was appended to
+        self._orphans: dict[RecordID, RecordID] = {}
         self.inserts = 0
         self.updates = 0
         self.deletes = 0
@@ -99,18 +102,27 @@ class SIASTable(VersionStore):
     # ------------------------------------------------------------- history
 
     def chains(self) -> list[Chain]:
-        """Each chain walked new-to-old from its entry point, reversed."""
-        chains: list[Chain] = []
-        for _vid, entry in list(self._entry.items()):
-            chain: Chain = []
-            rid: RecordID | None = entry
-            while rid is not None:
+        """Each chain walked new-to-old from its entry point, reversed; a
+        walk ends at a link that names no version.  An aborted run whose
+        entry an update moved past is listed first, as a chain of its own
+        that ends above the version it was appended to."""
+        chains = [self._walk(head, stop)
+                  for head, stop in self._orphans.items()]
+        chains += [self._walk(entry) for entry in list(self._entry.values())]
+        return [chain for chain in chains if chain]
+
+    def _walk(self, rid: RecordID | None,
+              stop: RecordID | None = None) -> Chain:
+        chain: Chain = []
+        while rid is not None and rid != stop:
+            try:
                 version = self.fetch(rid)
-                chain.append((rid, version))
-                rid = version.prev_rid
-            chain.reverse()
-            chains.append(chain)
-        return chains
+            except TupleNotFoundError:
+                break
+            chain.append((rid, version))
+            rid = version.prev_rid
+        chain.reverse()
+        return chain
 
     def adopt_chain(self, chain: Chain
                     ) -> tuple[int, dict[RecordID, RecordID]]:
@@ -130,11 +142,6 @@ class SIASTable(VersionStore):
         self._entry[vid] = prev_new
         return vid, adopted
 
-    def register_chain(self, vid: int, newest_rid: RecordID) -> None:
-        """Point a chain's entry at ``newest_rid`` (vacuum repoints it
-        past aborted head versions)."""
-        self._entry[vid] = newest_rid
-
     # ----------------------------------------------------------------- reads
 
     def fetch(self, rid: RecordID) -> TupleVersion:
@@ -151,9 +158,6 @@ class SIASTable(VersionStore):
 
     def _chain_start(self, vid: int) -> RecordID | None:
         return self._entry.get(vid)
-
-    def chain_entries(self) -> Iterator[tuple[int, RecordID]]:
-        yield from self._entry.items()
 
     def visible_version(self, txn: Transaction,
                         rid: RecordID) -> tuple[RecordID, TupleVersion] | None:
@@ -200,32 +204,53 @@ class SIASTable(VersionStore):
     def flush_tail(self) -> int:
         return self._flush_pages(self._tail_order)
 
-    def vacuum(self, manager: TransactionManager) -> VacuumResult:
-        return vacuum_sias(self, manager)
+    def _free_pages(self, survivors: list[Chain],
+                    result: VacuumResult) -> None:
+        vacuum_sias(self, result)
 
-    def drop_chain(self, vid: int) -> None:
-        """Vacuum removed the whole chain (tombstone below cutoff)."""
-        self._entry.pop(vid, None)
+    def _reclaim(self, chain: Chain, kept: Chain, result: VacuumResult,
+                 log: CommitLog) -> None:
+        """Repoint the entry at the newest survivor and cut the oldest
+        survivor's link to the dead; a chain with no survivor loses its
+        entry, or an orphan run its record.  Dead versions stay on their
+        immutable pages until :func:`~repro.table.vacuum.vacuum_sias`
+        frees a page."""
+        vid, newest = chain[0][1].vid, chain[-1][0]
+        # the vid's live chain, not an orphan run (whose record goes)
+        live = self._orphans.pop(newest, None) is None
+        if kept:
+            kept[0][1].prev_rid = None
+            if live and kept[-1][0] != newest:
+                self._entry[vid] = result.repointed[vid] = kept[-1][0]
+        elif live:
+            del self._entry[vid]
+        keep = {rid for rid, _ in kept}
+        dead = [rid for rid, _ in chain if rid not in keep]
+        result.removed_rids += dead
+        result.versions_removed += len(dead)
 
     def _check_updatable(self, txn: Transaction, version: TupleVersion,
                          rid: RecordID) -> None:
+        """First updater wins: ``rid`` must be the chain's entry point,
+        unless everything appended above it aborted.  Then the entry moves
+        back to ``rid`` and that run is recorded as an orphan."""
         if version.is_tombstone:
             raise TupleNotFoundError("cannot update a tombstone")
-        current_entry = self._entry.get(version.vid)
-        if current_entry is None or current_entry != rid:
-            # someone already appended a successor (first-updater-wins),
-            # unless that successor's creator aborted and we re-point.
-            successor_ok = False
-            if current_entry is not None:
-                successor = self.fetch(current_entry)
-                commit_log = txn._manager.commit_log
-                if commit_log.is_aborted(successor.ts_create):
-                    self._entry[version.vid] = rid
-                    successor_ok = True
-            if not successor_ok:
-                raise WriteConflictError(
-                    f"tuple vid={version.vid}: {rid} is not the chain entry "
-                    f"point (entry is {current_entry})")
+        entry = self._entry.get(version.vid)
+        if entry == rid:
+            return
+        commit_log = txn._manager.commit_log
+        above = entry
+        while above is not None and above != rid:
+            successor = self.fetch(above)
+            above = (successor.prev_rid
+                     if commit_log.is_aborted(successor.ts_create) else None)
+        if entry is None or above is None:
+            raise WriteConflictError(
+                f"tuple vid={version.vid}: {rid} is not the chain entry "
+                f"point (entry is {entry})")
+        self._orphans[entry] = rid
+        self._entry[version.vid] = rid
 
     def _append(self, version: TupleVersion) -> RecordID:
         size = version.accounted_size()

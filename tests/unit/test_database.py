@@ -66,6 +66,28 @@ class TestDDL:
         txn2 = db.begin()
         assert db.select(txn2, "i", (1,)) == [(1,)]
 
+    @pytest.mark.parametrize("storage", ["heap", "sias", "delta"])
+    def test_backfill_skips_an_aborted_run(self, db, storage):
+        """An update past an aborted one leaves the aborted version as a
+        chain of its own; a late logical index must not point the row's
+        indirection slot at it (on heap the row read as gone)."""
+        db.create_table("t", [("a", "int"), ("b", "str")], storage=storage)
+        txn = db.begin()
+        db.insert(txn, "t", (1, "x"))
+        txn.commit()
+        for value, commit in (("bad", False), ("good", True)):
+            txn = db.begin()
+            [(rid, version)] = [
+                (rid, db.catalog.table("t").store.fetch(rid))
+                for rid, _row in db.catalog.table("t").store.scan_visible(txn)]
+            db.update_row(txn, "t", rid, version, {"b": value})
+            if commit:
+                txn.commit()
+            else:
+                txn.abort()
+        db.create_index("i", "t", ["a"], kind="btree", reference="logical")
+        assert db.select(db.begin(), "i", (1,)) == [(1, "good")]
+
 
 class TestDML:
     def test_insert_select(self, db):
@@ -299,6 +321,71 @@ class TestVacuumIntegration:
         assert sorted(rows) == [(10_000 + i, "kept", 1.0) for i in range(100)]
         assert db.select(r, "idx_a", (10_050,)) == [(10_050, "kept", 1.0)]
         assert db.select(r, "idx_a", (5,)) == []
+
+    @pytest.mark.parametrize("reference", ["physical", "logical"])
+    @pytest.mark.parametrize("storage", ["heap", "sias", "delta"])
+    def test_vacuum_leaves_entries_only_for_live_versions(self, db, storage,
+                                                          reference):
+        """A B-tree on ``a`` beside an MV-PBT key: after two vacuum passes
+        an aborted insert and a committed delete leave no entry, a key's
+        round trip holds no (key, ref) twice, and every read equals the
+        committed rows."""
+        db.create_table("r", [("k", "int"), ("a", "int"), ("b", "str")],
+                        storage=storage)
+        db.create_index("pk", "r", ["k"])
+        db.create_index("ix", "r", ["a"], kind="btree", reference=reference)
+        store = db.catalog.table("r").store
+        index = db.catalog.index("ix").index
+
+        def vacuum_twice():
+            db.vacuum("r")
+            db.vacuum("r")
+
+        def pairs():
+            return list(index.range_scan(None, None))
+
+        t = db.begin()
+        for k in range(20):
+            db.insert(t, "r", (k, k, "gone"))
+        t.abort()
+        vacuum_twice()
+        assert store.chains() == [] and index.entry_count() == 0
+
+        model = {k: (k, k, "x") for k in range(10)}
+        t = db.begin()
+        for row in model.values():
+            db.insert(t, "r", row)
+        t.commit()
+        t = db.begin()
+        for k in range(5, 10):
+            db.delete_by_key(t, "pk", (k,))
+            del model[k]
+        t.commit()
+        for a in (100, 0, 100, 0):      # row 0's a: 0 -> 100 -> 0 -> ...
+            t = db.begin()
+            db.update_by_key(t, "pk", (0,), {"a": a})
+            t.commit()
+        for a in range(200, 210):       # row 1: ten aborted key updates
+            t = db.begin()
+            db.update_by_key(t, "pk", (1,), {"a": a})
+            t.abort()
+        assert len(pairs()) == len(set(pairs()))
+        vacuum_twice()
+        keys = [key for key, _ref in pairs()]
+        assert len(pairs()) == len(set(pairs()))
+        assert not {(k,) for k in range(5, 10)} & set(keys)
+        if reference == "physical" and storage != "delta":
+            # each aborted update moved the ref: its entry went with it
+            assert max(keys) < (200,)
+        else:
+            # the ref stayed put: one entry per key row 0 held
+            assert keys.count((0,)) == keys.count((100,)) == 1
+        r = db.begin()
+        assert sorted(db.seq_scan(r, "r")) == sorted(model.values())
+        assert db.range_select(r, "ix", None, None) \
+            == sorted(model.values(), key=lambda row: row[1])
+        for k, row in model.items():
+            assert db.select(r, "ix", (row[1],)) == [row]
 
     def test_vacuum_repoints_indirection_past_an_aborted_update(self, db):
         setup_table(db, kind="btree", reference="logical")

@@ -11,7 +11,6 @@ from repro.sim.device import SimulatedDevice
 from repro.sim.profiles import UNIT_TEST_PROFILE
 from repro.storage.pagefile import PageFile
 from repro.table.delta import DeltaTable
-from repro.table.vacuum import vacuum_delta
 from repro.txn.manager import TransactionManager
 
 
@@ -130,7 +129,7 @@ class TestVacuumDelta:
             t = mgr.begin()
             table.update(t, rid, (1, f"v{i + 1}"))
             t.commit()
-        result = vacuum_delta(table, mgr)
+        result = table.vacuum(mgr)
         assert result.versions_removed >= 1
         main = table.fetch(rid)
         assert main.prev_rid is None     # chain fully trimmed (no readers)
@@ -147,7 +146,7 @@ class TestVacuumDelta:
             t = mgr.begin()
             table.update(t, rid, (1, f"v{i + 1}"))
             t.commit()
-        vacuum_delta(table, mgr)
+        table.vacuum(mgr)
         assert table.visible_version(reader, rid)[1].data == (1, "v0")
 
 

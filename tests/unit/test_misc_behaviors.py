@@ -140,7 +140,6 @@ class TestMVPBTBounds:
 class TestHeapFreeSpaceReuse:
     def test_vacuumed_pages_accept_new_rows(self):
         from repro.table.heap import HeapTable
-        from repro.table.vacuum import vacuum_heap
         clock, device = env()
         pool = BufferPool(64)
         table = HeapTable("t", PageFile("t", device, 8192, 8), pool)
@@ -152,7 +151,7 @@ class TestHeapFreeSpaceReuse:
         for rid in rids[:25]:
             table.delete(t2, rid)
         t2.commit()
-        vacuum_heap(table, mgr)
+        table.vacuum(mgr)
         pages_before = table.file.allocated_pages
         t3 = mgr.begin()
         for i in range(10):

@@ -628,6 +628,7 @@ SAMPLES = (
     "if ix.is_" "mvpbt:",
     "ReferenceMode" ".LOGICAL",
     "tree._add_build" "_record(key)",
+    "vacuum" "_heap(table, mgr)",
 )
 
 

@@ -477,6 +477,25 @@ class TestRebalance:
         assert len(sdb.range_select(txn, "ix", None, None)) == 20
         txn.abort()
 
+    def test_rebalance_moves_no_aborted_run(self):
+        """Each update past an aborted one leaves the aborted version as
+        a chain of its own; a rebalance places the row once, not them."""
+        sdb = make_router(2)
+        fill(sdb, [4])
+        for value in ("bad", "worse", "worst"):
+            txn = sdb.begin()
+            sdb.update_by_key(txn, "ix", (4,), {"val": value})
+            txn.abort()
+        owner = sdb.partitioner.shard_of((4,))
+        summary = sdb.move_slot(sdb.partitioner.slot_of((4,)), 1 - owner)
+        assert summary["chains_moved"] == 1
+        dst = sdb.shards[1 - owner].catalog.table("t").store
+        assert [[v.data for _rid, v in chain] for chain in dst.chains()] \
+            == [[(4, "v4"), (4, "worst")]]
+        txn = sdb.begin()
+        assert sdb.range_select(txn, "ix", None, None) == [(4, "v4")]
+        txn.abort()
+
     def test_rebalance_rejects_another_shard_count(self):
         sdb = make_router(2)
         with pytest.raises(IndexError_):

@@ -163,7 +163,6 @@ class TestResolveSias:
 
     def test_stale_rid_skipped_but_storage_fault_propagates(
             self, env, monkeypatch):
-        from repro.table.vacuum import vacuum_sias
         _d, pool, mgr = env
         table = SIASTable("s", PageFile("s", _d, 8192, 8), pool,
                           flush_extent_pages=1)
@@ -175,7 +174,7 @@ class TestResolveSias:
         _vid, rid = table.insert(t, (1, "a" * 7000))    # the next page
         t.commit()
         table.flush_tail()
-        assert vacuum_sias(table, mgr).pages_freed == 1   # dead's page
+        assert table.vacuum(mgr).pages_freed == 1   # dead's page
         reader = mgr.begin()
         stale = [RecordID(rid.page, 999), dead]
         resolved = table.resolve(reader, stale + [rid])

@@ -150,7 +150,9 @@ class TestRun:
 
 
 class TestVacuumUnderRollbacks:
-    def test_consistency_holds_with_vacuum_on(self):
+    @pytest.mark.parametrize("storage, kind", [
+        ("sias", "mvpbt"), ("heap", "btree"), ("delta", "btree")])
+    def test_consistency_holds_with_vacuum_on(self, storage, kind):
         """TPC-C rolls 1 % of new-orders back; with vacuum running every
         25 commits the run must stay C1-C4 consistent (it failed C4, or
         raised PageNotFoundError, while vacuum freed pages that aborted
@@ -159,7 +161,7 @@ class TestVacuumUnderRollbacks:
         # is what makes them freeable
         db = Database(EngineConfig(buffer_pool_pages=256, page_size=2048))
         runner = TPCCRunner(db, small_config(vacuum_every=25, seed=7),
-                            index_kind="mvpbt")
+                            index_kind=kind, storage=storage)
         runner.load()
         result = runner.run(600)
         assert result.aborted > 0, "the run must include rollbacks"

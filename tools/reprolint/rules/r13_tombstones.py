@@ -214,6 +214,11 @@ TOMBSTONES: tuple[Tombstone, ...] = (
         "maintenance makes, and every index kind answers the candidate "
         "reads itself: no second record rule, no executor branch, no "
         "catalog accessor that picks the oblivious kind"),
+    Tombstone(
+        r"\bvacuum_heap\b|\bvacuum_delta\b|\b_heap_version_dead\b",
+        _USER_FACING, 46,
+        "one vacuum rule decides which versions are dead, over every "
+        "store's chains; a store only reclaims what it dropped"),
 )
 
 
