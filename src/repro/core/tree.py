@@ -189,8 +189,8 @@ def tree_metrics(trees: Iterable["MVPBT"]) -> "Metrics":
 class MVPBT:
     """Version-aware partitioned B-tree index."""
 
-    #: candidates are recordIDs: no indirection layer resolves them
-    indirection = None
+    #: candidates are recordIDs, never VIDs the table's map resolves
+    indirection = False
 
     def __init__(self, name: str, file: PageFile, pool: BufferPool,
                  partition_buffer: PartitionBuffer,

@@ -9,7 +9,6 @@ from ..errors import CatalogError
 from ..index.base import Index
 from ..storage.pagefile import PageFile
 from ..table.base import VersionStore
-from ..table.indirection import IndirectionLayer
 from .schema import Schema
 
 
@@ -21,8 +20,6 @@ class TableInfo:
     schema: Schema
     store: VersionStore
     file: PageFile
-    #: indirection layer shared by this table's logical-reference indexes
-    indirection: IndirectionLayer | None = None
     index_names: list[str] = field(default_factory=list)
 
 

@@ -36,7 +36,6 @@ from ..table.base import (Chain, TupleVersion, VacuumResult, VersionStore,
                           aborted_run)
 from ..table.delta import DeltaTable
 from ..table.heap import HeapTable
-from ..table.indirection import IndirectionLayer
 from ..table.sias import SIASTable
 from ..txn.manager import TransactionManager
 from ..txn.transaction import Replay, Transaction
@@ -136,7 +135,7 @@ class Database:
 
         ``kind``: 'mvpbt' (the contribution), 'btree' or 'pbt'.
         ``reference``: 'physical' recordIDs or 'logical' VIDs through the
-        table's indirection layer.
+        table's VID map (kept by its store).
         ``options`` are forwarded to the index constructor (e.g. for MV-PBT:
         ``use_bloom``, ``enable_gc``, ``index_only_visibility``,
         ``reconcile``).  With its filters on, an MV-PBT over two or more
@@ -177,14 +176,11 @@ class Database:
         log = self.txn.commit_log
         chains = [chain for chain in table_info.store.chains()
                   if not aborted_run(chain, log)]
-        if logical and table_info.indirection is None:
-            table_info.indirection = IndirectionLayer(self.clock)
-            entry = -1 if table_info.store.entry_moves else 0
-            for chain in chains:
-                table_info.indirection.set(chain[0][1].vid, chain[entry][0])
+        if logical:
+            table_info.store.charge_vid_map(self.clock, len(chains))
         if isinstance(index, Index):
             index.store = table_info.store
-            index.indirection = table_info.indirection if logical else None
+            index.indirection = logical
         self._build_index(table_info, info, chains)
         return info
 
@@ -240,8 +236,6 @@ class Database:
         info = self.catalog.table(table)
         row = info.schema.validate_row(row)
         vid, rid = info.store.insert(txn, row)
-        if info.indirection is not None:
-            info.indirection.set(vid, rid)
         for ix in self.catalog.indexes_of(table):
             ix.index.insert(txn, info.schema.extract(row, ix.positions),
                             rid, vid)
@@ -259,12 +253,8 @@ class Database:
                       extract(new_row, ix.positions))
                      for ix in self.catalog.indexes_of(table)]
         vid = version.vid
-        store = info.store
-        new_rid = store.update(txn, rid, new_row, allow_hot=all(
+        new_rid = info.store.update(txn, rid, new_row, allow_hot=all(
             old_key == new_key for _ix, old_key, new_key in key_pairs))
-        if store.entry_moves and info.indirection is not None:
-            info.indirection.set(vid, new_rid)
-
         for ix, old_key, new_key in key_pairs:
             if old_key == new_key:
                 ix.index.update_nonkey(txn, new_key, new_rid, rid, vid)
@@ -277,8 +267,6 @@ class Database:
         """DELETE the tuple whose visible version is (rid, version)."""
         info = self.catalog.table(table)
         del_rid = info.store.delete(txn, rid)
-        if info.store.entry_moves and info.indirection is not None:
-            info.indirection.set(version.vid, del_rid)
         for ix in self.catalog.indexes_of(table):
             ix.index.delete(txn, info.schema.extract(version.data,
                                                      ix.positions),
@@ -388,12 +376,6 @@ class Database:
         GC cleans it)."""
         info = self.catalog.table(table)
         result = info.store.vacuum(self.txn)
-        if info.indirection is not None:
-            for vid in result.dropped_vids:
-                info.indirection.remove(vid)
-            for vid, rid in result.repointed.items():
-                info.indirection.set(vid, rid)
-
         if result.removed_rids or result.dropped_vids:
             removed = set(result.removed_rids)
             dropped_vids = set(result.dropped_vids)

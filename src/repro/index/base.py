@@ -7,7 +7,7 @@ must resolve visibility against the base table (the costly path motivating
 the paper).
 
 References are either physical :class:`~repro.storage.recordid.RecordID`
-values or logical VIDs (ints) resolved through an indirection layer.
+values or logical VIDs (ints) resolved through the table store's VID map.
 :class:`Index` answers the engine's maintenance calls, the ones
 :class:`~repro.core.tree.MVPBT` answers with records, for every oblivious
 kind: the one place that knows which reference an entry holds and when a
@@ -25,7 +25,6 @@ from ..types import Key
 
 if TYPE_CHECKING:
     from ..table.base import VersionStore
-    from ..table.indirection import IndirectionLayer
     from ..txn.transaction import Transaction, Writer
 
 Ref = Union[RecordID, int]
@@ -55,22 +54,21 @@ class Index(ABC):
     #: the table's store: it says whether an update left the entries of
     #: the predecessor reaching the successor (set at creation)
     store: "VersionStore"
-    #: the table's indirection layer when entries hold VIDs, else None
-    #: (fixed at creation: the reference mode)
-    indirection: "IndirectionLayer | None" = None
+    #: entries hold VIDs, not recordIDs (fixed at creation: the reference
+    #: mode)
+    indirection = False
 
     def insert(self, txn: "Writer", key: Key, rid_new: RecordID,
                vid: int) -> None:
         """A first version, or a new key (:meth:`update_key`): an entry."""
-        self.insert_entry(key, rid_new if self.indirection is None else vid)
+        self.insert_entry(key, vid if self.indirection else rid_new)
 
     def update_nonkey(self, txn: "Writer", key: Key, rid_new: RecordID,
                       rid_old: RecordID, vid: int) -> None:
         """A VID entry still names the tuple; a recordID entry needs a
         successor entry unless the store says the update kept the old
         one reaching it (HOT, in place)."""
-        if self.indirection is None and not self.store.is_hot(rid_old,
-                                                              rid_new):
+        if not self.indirection and not self.store.is_hot(rid_old, rid_new):
             self.insert_entry(key, rid_new)
 
     def update_key(self, txn: "Writer", old_key: Key, new_key: Key,
@@ -78,8 +76,8 @@ class Index(ABC):
         """An entry under ``new_key``, unless the reference did not move
         (a VID, or a row updated in place) and one already holds it: a
         key's round trip adds nothing."""
-        ref = rid_new if self.indirection is None else vid
-        if ((self.indirection is not None or rid_new == rid_old)
+        ref = vid if self.indirection else rid_new
+        if ((self.indirection or rid_new == rid_old)
                 and ref in self.search(new_key)):
             return
         self.insert_entry(new_key, ref)
@@ -103,7 +101,7 @@ class Index(ABC):
         recordID or a dropped chain's VID, in one pass (PostgreSQL's
         ``ambulkdelete``)."""
         dead: set[RecordID] | set[int] = (
-            removed_rids if self.indirection is None else dropped_vids)
+            dropped_vids if self.indirection else removed_rids)
         if dead:
             for key, ref in list(self.range_scan(None, None)):
                 if ref in dead:

@@ -12,12 +12,14 @@ interface, which owns every storage-layout decision:
   version pool (the alternative §3.6 argues against).
 
 Vacuum has one rule for every store, :meth:`VersionStore.vacuum`, over the
-chains each store lists; a store only reclaims what the rule dropped.
+chains each store lists; a store only reclaims what the rule dropped.  A
+write has one rule too, first-updater-wins, and each store keeps the
+table's one VID map (paper §3.5) that logical index references resolve
+through.
 """
 
 from .base import TupleVersion, VacuumResult, VersionStore, row_size
 from .heap import HeapTable
-from .indirection import IndirectionLayer
 from .sias import SIASTable
 
 __all__ = [
@@ -27,5 +29,4 @@ __all__ = [
     "row_size",
     "HeapTable",
     "SIASTable",
-    "IndirectionLayer",
 ]

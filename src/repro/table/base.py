@@ -7,7 +7,9 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Hashable, Iterable,
                     Iterator, Sequence, cast)
 
-from ..errors import SlotNotFoundError, TupleNotFoundError
+from ..errors import (SlotNotFoundError, TupleNotFoundError,
+                      WriteConflictError)
+from ..sim.clock import SimClock
 from ..storage.page import SlottedPage
 from ..storage.recordid import RecordID
 from ..txn.transaction import Transaction
@@ -18,7 +20,6 @@ if TYPE_CHECKING:
     from ..storage.pagefile import PageFile
     from ..txn.manager import TransactionManager
     from ..txn.status import CommitLog
-    from .indirection import IndirectionLayer
 
 #: Accounted per-version header bytes (PostgreSQL's HeapTupleHeader is 23).
 VERSION_HEADER_BYTES = 24
@@ -104,8 +105,6 @@ class VacuumResult:
     removed_rids: list[RecordID] = field(default_factory=list)
     #: vids none of whose chains kept a version
     dropped_vids: list[int] = field(default_factory=list)
-    #: vids whose chain entry point moved off an aborted head version
-    repointed: dict[int, RecordID] = field(default_factory=dict)
 
 
 class VersionStore(ABC):
@@ -114,15 +113,24 @@ class VersionStore(ABC):
     Every storage-layout decision lives behind it: how an index candidate
     reaches its chain (:meth:`resolve`), what an index-only hit's recordID
     names (:meth:`fetch_visible`), which history the store holds
-    (:meth:`chains`, :meth:`adopt_chain`), and what a write does to index
-    entries (:meth:`is_hot`, :attr:`entry_moves`).
+    (:meth:`chains`, :meth:`adopt_chain`), whether a write may go ahead
+    (:meth:`_first_updater_wins`), and what a write does to index entries
+    (:meth:`is_hot`).
+
+    The store keeps the table's one VID map (paper §3.5), ``_entry``: vid
+    → the rid its chain is entered at (SIAS: the newest version; heap:
+    the chain root; delta: the main row).  Each write and vacuum pass
+    keeps it current, and a logical index resolves its VIDs through it.
     """
 
-    name: str
-    #: a chain's entry point is its newest version (new-to-old order), so
-    #: a logical reference moves with every update and delete; otherwise
-    #: it names a version that stays put
-    entry_moves = False
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._next_vid = 1
+        self._entry: dict[int, RecordID] = {}
+        #: the clock map writes and VID resolves charge
+        #: ``indirection_lookup``: a private one until the table has a
+        #: logical index (:meth:`charge_vid_map`)
+        self._vid_clock = SimClock()
 
     @abstractmethod
     def insert(self, txn: Transaction, data: Key) -> tuple[int, RecordID]:
@@ -153,6 +161,60 @@ class VersionStore(ABC):
         Returns the rid of the tombstone version (SIAS) or of the invalidated
         version itself (heap, which has no physical tombstone record).
         """
+
+    def _first_updater_wins(self, txn: Transaction, rid: RecordID,
+                            version: TupleVersion) -> None:
+        """The one write rule (snapshot isolation's first updater wins,
+        Larson et al.): a write naming ``version`` at ``rid`` goes ahead
+        only if no newer version survives (one whose writer aborted does
+        not count) and ``txn`` sees ``version``, its own write or one
+        committed before its snapshot.  Otherwise it raises
+        :class:`WriteConflictError`; only then does a tombstone raise
+        :class:`TupleNotFoundError`."""
+        log = txn._manager.commit_log
+        writer = self._newer_writer(rid, version, log)
+        if writer is not None:
+            raise WriteConflictError(
+                f"{self.name}: vid={version.vid} at {rid} was superseded "
+                f"by txn {writer}")
+        if not txn.snapshot.sees_ts(version.ts_create, log):
+            raise WriteConflictError(
+                f"{self.name}: vid={version.vid} at {rid} was written by "
+                f"txn {version.ts_create}, which txn {txn.id} does not see")
+        if version.is_tombstone:
+            raise TupleNotFoundError(f"{self.name}: {rid} is deleted")
+
+    @abstractmethod
+    def _newer_writer(self, rid: RecordID, version: TupleVersion,
+                      log: "CommitLog") -> int | None:
+        """Who wrote the newest version above ``version`` (at ``rid``)
+        whose writer did not abort?  None: no newer version survives."""
+
+    def _map_vid(self, vid: int, rid: RecordID) -> None:
+        """Point ``vid``'s map entry at ``rid``: one charged map write."""
+        self._entry[vid] = rid
+        self._charge_vids(1)
+
+    def _charge_vids(self, count: int) -> None:
+        """``count`` map operations, one clock advance each: the clock
+        sums exactly what per-operation charges sum."""
+        clock = self._vid_clock
+        for _ in range(count):
+            clock.advance(clock.cost.indirection_lookup)
+
+    def _vid_start(self, vid: int) -> RecordID | None:
+        """A VID's chain start, one charged map read (None: dropped)."""
+        self._charge_vids(1)
+        return self._entry.get(vid)
+
+    def charge_vid_map(self, clock: SimClock, chains: int) -> None:
+        """Charge map writes and VID resolves to ``clock`` from now on: a
+        logical index reads the map.  The first call pays one write per
+        listed chain (``chains``), what building the map costs; the map
+        itself is kept all along."""
+        if clock is not self._vid_clock:
+            self._vid_clock = clock
+            self._charge_vids(chains)
 
     @abstractmethod
     def fetch(self, rid: RecordID) -> TupleVersion:
@@ -240,11 +302,11 @@ class VersionStore(ABC):
 
     def resolve(self, txn: Transaction,
                 candidates: Iterable[RecordID | int],
-                indirection: "IndirectionLayer | None" = None
+                vids: bool = False
                 ) -> list[tuple[RecordID, TupleVersion]]:
         """Base-table visibility check over version-oblivious index
-        candidates (recordIDs, or VIDs through ``indirection``): each
-        tuple's version visible to ``txn``, once, in candidate order.
+        candidates (recordIDs, or with ``vids`` VIDs through the map):
+        each tuple's version visible to ``txn``, once, in candidate order.
 
         A candidate names a tuple and a chain start, and
         :meth:`visible_version` walks the chain from there — the random
@@ -254,8 +316,8 @@ class VersionStore(ABC):
         """
         tuple_of: Callable[[Any], Hashable | None] = self._candidate_tuple
         start_of: Callable[[Any], RecordID | None] = self._chain_start
-        if indirection is not None:  # a VID is its own tuple
-            tuple_of, start_of = int, indirection.try_resolve
+        if vids:  # a VID is its own tuple
+            tuple_of, start_of = int, self._vid_start
         walked: set[Hashable] = set()
         vids: set[int] = set()
         visible: list[tuple[RecordID, TupleVersion]] = []
@@ -293,8 +355,8 @@ class VersionStore(ABC):
     @abstractmethod
     def chains(self) -> list[Chain]:
         """Every stored tuple's history, oldest version first, a deletion
-        listed as a closing tombstone: what an index built late, a new
-        indirection layer and a rebalance start from (charges the reads)."""
+        listed as a closing tombstone: what an index built late, vacuum
+        and a rebalance start from (charges the reads)."""
 
     def adopt_chain(self, chain: Chain
                     ) -> tuple[int, dict[RecordID, RecordID]]:
@@ -312,13 +374,16 @@ class VersionStore(ABC):
         from its newest version committed below the cutoff, and nothing
         when that version is a tombstone or no version is left.  The store
         then reclaims what its chain lost (:meth:`_reclaim`) and frees the
-        pages left unused (:meth:`_free_pages`).
+        pages left unused (:meth:`_free_pages`); a vid no chain kept
+        leaves the map.  The map's drops, then its moves, are charged
+        after the pass.
         """
         log = manager.commit_log
         cutoff = manager.cutoff_txid()
         result = VacuumResult()
         survivors: list[Chain] = []
         emptied: list[int] = []
+        moved = 0
         for chain in self.chains():
             live = [pair for pair in chain
                     if not log.is_aborted(pair[1].ts_create)]
@@ -328,8 +393,9 @@ class VersionStore(ABC):
                 if ts < cutoff and log.is_committed(ts):
                     kept = [] if live[at][1].is_tombstone else live[at:]
                     break
-            if len(kept) < len(chain):
-                self._reclaim(chain, kept, result, log)
+            if len(kept) < len(chain) and self._reclaim(chain, kept,
+                                                        result, log):
+                moved += 1
             if kept:
                 survivors.append(kept)
             else:
@@ -338,14 +404,17 @@ class VersionStore(ABC):
         result.dropped_vids = [vid for vid in dict.fromkeys(emptied)
                                if vid not in kept_vids]
         self._free_pages(survivors, result)
+        for vid in result.dropped_vids:
+            del self._entry[vid]
+        self._charge_vids(len(result.dropped_vids) + moved)
         return result
 
     @abstractmethod
     def _reclaim(self, chain: Chain, kept: Chain, result: VacuumResult,
-                 log: "CommitLog") -> None:
+                 log: "CommitLog") -> bool:
         """Reclaim the versions of ``chain`` not in ``kept`` (a suffix of
         its versions that did not abort; empty: the whole chain goes), and
-        book them in ``result``."""
+        book them in ``result``.  True if the chain's map entry moved."""
 
     def _free_pages(self, survivors: list[Chain],
                     result: VacuumResult) -> None:
@@ -360,12 +429,23 @@ class VersionStore(ABC):
 class PagedStore(VersionStore):
     """A store whose versions sit on buffered slotted pages of ``file``
     (the heap; the delta store's main rows), each placed first-fit on a
-    page believed to have room."""
+    page believed to have room.  A tuple's first version stays where it
+    is placed, so its rid is the tuple's map entry."""
 
     file: "PageFile"
     pool: "BufferPool"
     #: pages believed to have free space
     _open_pages: list[int]
+
+    def insert(self, txn: Transaction, data: Key) -> tuple[int, RecordID]:
+        txn.require_active()
+        vid = self._next_vid
+        self._next_vid += 1
+        rid = self._place(TupleVersion(vid=vid, data=tuple(data),
+                                       ts_create=txn.id))
+        self._map_vid(vid, rid)
+        txn.writes += 1
+        return vid, rid
 
     def fetch(self, rid: RecordID) -> TupleVersion:
         return self._read_version(self._page(rid.page), rid)

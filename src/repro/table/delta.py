@@ -25,8 +25,7 @@ from functools import partial
 from typing import Iterator
 
 from ..buffer.pool import BufferPool
-from ..errors import (SlotNotFoundError, TupleNotFoundError,
-                      WriteConflictError)
+from ..errors import SlotNotFoundError, TupleNotFoundError
 from ..storage.page import SlottedPage
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
@@ -65,31 +64,17 @@ class DeltaTable(PagedStore):
 
     def __init__(self, name: str, main_file: PageFile, pool_file: PageFile,
                  pool: BufferPool) -> None:
-        self.name = name
+        super().__init__(name)
         self.file = main_file
         self.pool_file = pool_file
         self.pool = pool
-        self._next_vid = 1
         self._open_pages: list[int] = []
         self._pool_current: SlottedPage | None = None
-        self.inserts = 0
-        self.updates = 0
-        self.deletes = 0
         self.deltas_written = 0
         self.reconstructions = 0
         self.deltas_applied = 0
 
     # ------------------------------------------------------------------- DML
-
-    def insert(self, txn: Transaction, data: Key) -> tuple[int, RecordID]:
-        txn.require_active()
-        vid = self._next_vid
-        self._next_vid += 1
-        version = TupleVersion(vid=vid, data=tuple(data), ts_create=txn.id)
-        rid = self._place(version)
-        self.inserts += 1
-        txn.writes += 1
-        return vid, rid
 
     def update(self, txn: Transaction, rid: RecordID, data: Key,
                allow_hot: bool = True) -> RecordID:
@@ -102,7 +87,7 @@ class DeltaTable(PagedStore):
         txn.require_active()
         page = self._page(rid.page)
         current = self._read_version(page, rid)
-        self._check_updatable(txn, current, rid)
+        self._first_updater_wins(txn, rid, current)
         data = tuple(data)
         old_values = {pos: old for pos, (old, new)
                       in enumerate(zip(current.data, data)) if old != new}
@@ -114,7 +99,6 @@ class DeltaTable(PagedStore):
         current.prev_rid = delta_rid
         page.update(rid.slot, current, current.accounted_size())
         self.pool.mark_dirty(self.file, rid.page)
-        self.updates += 1
         txn.writes += 1
         return rid
 
@@ -122,7 +106,7 @@ class DeltaTable(PagedStore):
         txn.require_active()
         page = self._page(rid.page)
         current = self._read_version(page, rid)
-        self._check_updatable(txn, current, rid)
+        self._first_updater_wins(txn, rid, current)
         delta_rid = self._append_delta(DeltaRecord(
             vid=current.vid, ts_create=current.ts_create,
             old_values={pos: value for pos, value in enumerate(current.data)},
@@ -132,7 +116,6 @@ class DeltaTable(PagedStore):
         current.is_tombstone = True
         page.update(rid.slot, current, current.accounted_size())
         self.pool.mark_dirty(self.file, rid.page)
-        self.deletes += 1
         txn.writes += 1
         return rid
 
@@ -222,7 +205,7 @@ class DeltaTable(PagedStore):
             result.pages_freed += 1
 
     def _reclaim(self, chain: Chain, kept: Chain, result: VacuumResult,
-                 log: CommitLog) -> None:
+                 log: CommitLog) -> bool:
         """Delete the main row, or roll back its aborted in-place change
         and cut its pool chain below the oldest survivor."""
         rid, main = chain[-1]
@@ -244,24 +227,16 @@ class DeltaTable(PagedStore):
             page.update(rid.slot, main, main.accounted_size())
         self.pool.mark_dirty(self.file, rid.page)
         result.versions_removed += len(chain) - len(kept)
+        return False
 
     # --------------------------------------------------------------- helpers
 
-    def _check_updatable(self, txn: Transaction, current: TupleVersion,
-                         rid: RecordID) -> None:
-        commit_log = txn._manager.commit_log
-        self._undo_aborted(current, commit_log)
-        if current.is_tombstone:
-            raise TupleNotFoundError(f"{self.name}: {rid} is deleted")
-        ts = current.ts_create
-        if ts == txn.id:
-            return
-        if not commit_log.is_committed(ts):
-            raise WriteConflictError(
-                f"tuple vid={current.vid}: uncommitted writer {ts}")
-        if not txn.snapshot.sees_ts(ts, commit_log):
-            raise WriteConflictError(
-                f"tuple vid={current.vid}: updated by concurrent txn {ts}")
+    def _newer_writer(self, rid: RecordID, version: TupleVersion,
+                      log: CommitLog) -> int | None:
+        """The main row is the tuple's newest version once an aborted
+        in-place change is rolled back: nothing is above it."""
+        self._undo_aborted(version, log)
+        return None
 
     def _undo_aborted(self, current: TupleVersion,
                       commit_log: CommitLog) -> None:
@@ -329,5 +304,5 @@ class DeltaTable(PagedStore):
         return payload
 
     def __repr__(self) -> str:
-        return (f"DeltaTable({self.name!r}, inserts={self.inserts}, "
-                f"updates={self.updates}, deltas={self.deltas_written})")
+        return (f"DeltaTable({self.name!r}, tuples={len(self._entry)}, "
+                f"deltas={self.deltas_written})")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..buffer.pool import BufferPool
-from ..errors import TupleNotFoundError, WriteConflictError
+from ..errors import TupleNotFoundError
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
 from ..txn.status import CommitLog
@@ -32,30 +32,17 @@ class HeapTable(PagedStore):
     """Heap of tuple-versions with in-page HOT chains."""
 
     def __init__(self, name: str, file: PageFile, pool: BufferPool) -> None:
-        self.name = name
+        super().__init__(name)
         self.file = file
         self.pool = pool
-        self._next_vid = 1
         self._open_pages: list[int] = []   # pages believed to have free space
         #: heap-only tuples: versions a HOT update placed, which the index
         #: entries of their chain's earlier versions reach
         self._heap_only: set[RecordID] = set()
         self.hot_updates = 0
         self.cold_updates = 0
-        self.inserts = 0
-        self.deletes = 0
 
     # ------------------------------------------------------------------- DML
-
-    def insert(self, txn: Transaction, data: Key) -> tuple[int, RecordID]:
-        txn.require_active()
-        vid = self._next_vid
-        self._next_vid += 1
-        version = TupleVersion(vid=vid, data=tuple(data), ts_create=txn.id)
-        rid = self._place(version)
-        self.inserts += 1
-        txn.writes += 1
-        return vid, rid
 
     def update(self, txn: Transaction, rid: RecordID, data: Key,
                allow_hot: bool = True) -> RecordID:
@@ -67,7 +54,7 @@ class HeapTable(PagedStore):
         txn.require_active()
         page = self._page(rid.page)
         old = self._read_version(page, rid)
-        self._check_updatable(txn, old)
+        self._first_updater_wins(txn, rid, old)
 
         successor = TupleVersion(vid=old.vid, data=tuple(data),
                                  ts_create=txn.id)
@@ -97,13 +84,11 @@ class HeapTable(PagedStore):
         txn.require_active()
         page = self._page(rid.page)
         old = self._read_version(page, rid)
-        self._check_updatable(txn, old)
-        if old.ts_invalidate != txn.id:
-            old.next_rid = None
+        self._first_updater_wins(txn, rid, old)
+        old.next_rid = None
         old.ts_invalidate = txn.id
         page.dirty = True
         self.pool.mark_dirty(self.file, rid.page)
-        self.deletes += 1
         txn.writes += 1
         return rid
 
@@ -152,6 +137,8 @@ class HeapTable(PagedStore):
                 ts_invalidate=version.ts_invalidate, next_rid=next_new,
                 is_tombstone=version.is_tombstone))
             adopted[old_rid] = next_new
+        assert next_new is not None
+        self._entry[vid] = next_new
         return vid, adopted
 
     # ----------------------------------------------------------------- reads
@@ -166,13 +153,13 @@ class HeapTable(PagedStore):
             except TupleNotFoundError:
                 return None
             if version_visible_heap(version, txn.snapshot,
-                                    self._commit_log(txn)):
+                                    txn._manager.commit_log):
                 return current, version
             current = version.next_rid
         return None
 
     def scan_visible(self, txn: Transaction) -> Iterator[tuple[RecordID, Key]]:
-        commit_log = self._commit_log(txn)
+        commit_log = txn._manager.commit_log
         for rid, version in self.scan_versions():
             if version_visible_heap(version, txn.snapshot, commit_log):
                 yield rid, version.data
@@ -185,13 +172,22 @@ class HeapTable(PagedStore):
         update that happens to land on the same page does not count."""
         return new_rid in self._heap_only
 
+    def _newer_writer(self, rid: RecordID, version: TupleVersion,
+                      log: CommitLog) -> int | None:
+        """Two-point invalidation stamps the successor's writer (or the
+        deleter) on the version itself."""
+        stamp = version.ts_invalidate
+        if stamp is None or log.is_aborted(stamp):
+            return None
+        return stamp
+
     def _reclaim(self, chain: Chain, kept: Chain, result: VacuumResult,
-                 log: CommitLog) -> None:
-        """Delete the dead slots.  Index entries name a chain's root, so
-        the dead root of a live chain stays as a redirect stub to the
-        first survivor (PostgreSQL's HOT line-pointer redirect); a
-        survivor whose successors aborted loses its link to them, and the
-        invalidation stamp too when that aborted."""
+                 log: CommitLog) -> bool:
+        """Delete the dead slots.  Index entries and the map name a
+        chain's root, so the dead root of a live chain stays as a redirect
+        stub to the first survivor (PostgreSQL's HOT line-pointer
+        redirect); a survivor whose successors aborted loses its link to
+        them, and the invalidation stamp too when that aborted."""
         if kept and chain[-1] is not kept[-1]:
             survivor = kept[-1][1]
             survivor.next_rid = None
@@ -219,22 +215,8 @@ class HeapTable(PagedStore):
                 result.versions_removed += 1
             self.pool.mark_dirty(self.file, rid.page)
             self.note_free_space(rid.page)
-
-    def _check_updatable(self, txn: Transaction, version: TupleVersion) -> None:
-        if version.is_tombstone:
-            raise TupleNotFoundError("cannot update a tombstone")
-        ts_inv = version.ts_invalidate
-        if ts_inv is None or ts_inv == txn.id:
-            return
-        commit_log = self._commit_log(txn)
-        if commit_log.is_aborted(ts_inv):
-            return
-        raise WriteConflictError(
-            f"tuple vid={version.vid} already invalidated by txn {ts_inv}")
-
-    def _commit_log(self, txn: Transaction) -> CommitLog:
-        return txn._manager.commit_log
+        return False
 
     def __repr__(self) -> str:
-        return (f"HeapTable({self.name!r}, inserts={self.inserts}, "
+        return (f"HeapTable({self.name!r}, tuples={len(self._entry)}, "
                 f"hot={self.hot_updates}, cold={self.cold_updates})")

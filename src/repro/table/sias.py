@@ -12,8 +12,8 @@ Design decisions modelled:
 
 The table maintains the chain entry points (vid → newest rid) as in-memory
 bookkeeping (the SIAS-chains papers keep equivalent per-tuple entry points);
-index structures may reference versions physically (one entry per version) or
-logically through :class:`~repro.table.indirection.IndirectionLayer`.
+that map is the table's VID map, so index structures may reference versions
+physically (one entry per version) or logically by VID.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..buffer.pool import BufferPool
-from ..errors import (PageNotFoundError, TupleNotFoundError,
-                      WriteConflictError)
+from ..errors import PageNotFoundError, TupleNotFoundError
 from ..storage.page import SlottedPage
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
@@ -36,29 +35,21 @@ from ..types import Key
 class SIASTable(VersionStore):
     """Append-only version store with new-to-old chains."""
 
-    entry_moves = True
-
     def __init__(self, name: str, file: PageFile, pool: BufferPool,
                  flush_extent_pages: int | None = None) -> None:
-        self.name = name
+        super().__init__(name)
         self.file = file
         self.pool = pool
         self.flush_extent_pages = (flush_extent_pages
                                    if flush_extent_pages is not None
                                    else file.extent_pages)
-        self._next_vid = 1
         #: unflushed tail pages: page_no -> SlottedPage (outside the pool)
         self._tail: dict[int, SlottedPage] = {}
         self._tail_order: list[int] = []
         self._current: SlottedPage | None = None
-        #: chain entry points: vid -> rid of the newest version
-        self._entry: dict[int, RecordID] = {}
         #: aborted runs an update moved an entry past: the run's newest
         #: version -> the version the run was appended to
         self._orphans: dict[RecordID, RecordID] = {}
-        self.inserts = 0
-        self.updates = 0
-        self.deletes = 0
         self.tail_flushes = 0
 
     # ------------------------------------------------------------------- DML
@@ -69,8 +60,7 @@ class SIASTable(VersionStore):
         self._next_vid += 1
         version = TupleVersion(vid=vid, data=tuple(data), ts_create=txn.id)
         rid = self._append(version)
-        self._entry[vid] = rid
-        self.inserts += 1
+        self._map_vid(vid, rid)
         txn.writes += 1
         return vid, rid
 
@@ -78,24 +68,22 @@ class SIASTable(VersionStore):
                allow_hot: bool = True) -> RecordID:
         txn.require_active()
         old = self.fetch(rid)
-        self._check_updatable(txn, old, rid)
+        self._first_updater_wins(txn, rid, old)
         successor = TupleVersion(vid=old.vid, data=tuple(data),
                                  ts_create=txn.id, prev_rid=rid)
         new_rid = self._append(successor)
-        self._entry[old.vid] = new_rid
-        self.updates += 1
+        self._map_vid(old.vid, new_rid)
         txn.writes += 1
         return new_rid
 
     def delete(self, txn: Transaction, rid: RecordID) -> RecordID:
         txn.require_active()
         old = self.fetch(rid)
-        self._check_updatable(txn, old, rid)
+        self._first_updater_wins(txn, rid, old)
         tombstone = TupleVersion(vid=old.vid, data=(), ts_create=txn.id,
                                  prev_rid=rid, is_tombstone=True)
         new_rid = self._append(tombstone)
-        self._entry[old.vid] = new_rid
-        self.deletes += 1
+        self._map_vid(old.vid, new_rid)
         txn.writes += 1
         return new_rid
 
@@ -206,51 +194,51 @@ class SIASTable(VersionStore):
 
     def _free_pages(self, survivors: list[Chain],
                     result: VacuumResult) -> None:
-        vacuum_sias(self, result)
+        vacuum_sias(self, survivors, result)
 
     def _reclaim(self, chain: Chain, kept: Chain, result: VacuumResult,
-                 log: CommitLog) -> None:
+                 log: CommitLog) -> bool:
         """Repoint the entry at the newest survivor and cut the oldest
-        survivor's link to the dead; a chain with no survivor loses its
-        entry, or an orphan run its record.  Dead versions stay on their
-        immutable pages until :func:`~repro.table.vacuum.vacuum_sias`
-        frees a page."""
-        vid, newest = chain[0][1].vid, chain[-1][0]
+        survivor's link to the dead; an orphan run loses its record.
+        Dead versions stay on their immutable pages until
+        :func:`~repro.table.vacuum.vacuum_sias` frees a page."""
+        newest = chain[-1][0]
         # the vid's live chain, not an orphan run (whose record goes)
         live = self._orphans.pop(newest, None) is None
+        moved = live and bool(kept) and kept[-1][0] != newest
         if kept:
             kept[0][1].prev_rid = None
-            if live and kept[-1][0] != newest:
-                self._entry[vid] = result.repointed[vid] = kept[-1][0]
-        elif live:
-            del self._entry[vid]
+        if moved:
+            self._entry[chain[0][1].vid] = kept[-1][0]
         keep = {rid for rid, _ in kept}
         dead = [rid for rid, _ in chain if rid not in keep]
         result.removed_rids += dead
         result.versions_removed += len(dead)
+        return moved
 
-    def _check_updatable(self, txn: Transaction, version: TupleVersion,
-                         rid: RecordID) -> None:
-        """First updater wins: ``rid`` must be the chain's entry point,
-        unless everything appended above it aborted.  Then the entry moves
-        back to ``rid`` and that run is recorded as an orphan."""
-        if version.is_tombstone:
-            raise TupleNotFoundError("cannot update a tombstone")
-        entry = self._entry.get(version.vid)
+    def _newer_writer(self, rid: RecordID, version: TupleVersion,
+                      log: CommitLog) -> int | None:
+        """Walk down from the entry point to ``rid``: the first version on
+        the way whose writer did not abort is the newer one.  A run that
+        all aborted is stepped past: the entry moves back to ``rid`` and
+        the run is recorded as an orphan.  A version the walk never meets
+        is off the tuple's chain (vacuum dropped it)."""
+        vid = version.vid
+        entry = self._entry.get(vid)
         if entry == rid:
-            return
-        commit_log = txn._manager.commit_log
+            return None
         above = entry
         while above is not None and above != rid:
-            successor = self.fetch(above)
-            above = (successor.prev_rid
-                     if commit_log.is_aborted(successor.ts_create) else None)
-        if entry is None or above is None:
-            raise WriteConflictError(
-                f"tuple vid={version.vid}: {rid} is not the chain entry "
-                f"point (entry is {entry})")
+            newer = self.fetch(above)
+            if not log.is_aborted(newer.ts_create):
+                return newer.ts_create
+            above = newer.prev_rid
+        if above is None:
+            raise TupleNotFoundError(
+                f"{self.name}: {rid} is not on vid {vid}'s chain")
         self._orphans[entry] = rid
-        self._entry[version.vid] = rid
+        self._entry[vid] = rid
+        return None
 
     def _append(self, version: TupleVersion) -> RecordID:
         size = version.accounted_size()
@@ -299,5 +287,5 @@ class SIASTable(VersionStore):
                 f"{self.name}: page {page_no} holds no versions") from exc
 
     def __repr__(self) -> str:
-        return (f"SIASTable({self.name!r}, inserts={self.inserts}, "
-                f"updates={self.updates}, deletes={self.deletes})")
+        return (f"SIASTable({self.name!r}, tuples={len(self._entry)}, "
+                f"flushes={self.tail_flushes})")

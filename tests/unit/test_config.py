@@ -16,7 +16,6 @@ from repro.obs import ObsConfig
 from repro.serve import ServeConfig
 from repro.shard import ShardConfig
 from repro.sim.clock import SimClock
-from repro.table.indirection import IndirectionLayer
 from repro.txn.manager import TransactionManager
 from repro.txn.snapshot import Snapshot
 from repro.txn.status import CommitLog
@@ -61,7 +60,6 @@ class TestEngineConfig:
     @pytest.mark.parametrize("build", [
         lambda: TransactionManager(cost=CostModel()),
         lambda: BufferPool(8, cost=CostModel()),
-        lambda: IndirectionLayer(cost=CostModel()),
         lambda: PartitionedBTree("p", None, None, None, cost=CostModel()),
         lambda: LSMTree("l", None, None, cost=CostModel()),
         lambda: VisibilityChecker(Snapshot(owner=1, xmax=1), CommitLog(),
@@ -70,7 +68,7 @@ class TestEngineConfig:
         lambda: Database(clock=SimClock()),
         lambda: VisibilityChecker(Snapshot(owner=1, xmax=1), CommitLog(),
                                   ReferenceMode.PHYSICAL, cutoff=5),
-    ], ids=["manager-cost", "pool-cost", "indirection-cost", "pbt-cost",
+    ], ids=["manager-cost", "pool-cost", "pbt-cost",
             "lsm-cost", "checker-cost", "pool-policy", "database-clock",
             "checker-cutoff"])
     def test_components_take_no_price_list(self, build):

@@ -4,7 +4,8 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine import Database
-from repro.errors import CatalogError, ConfigError, UniqueViolationError
+from repro.errors import (CatalogError, ConfigError, UniqueViolationError,
+                          WriteConflictError)
 
 
 @pytest.fixture
@@ -54,8 +55,10 @@ class TestDDL:
 
     def test_logical_reference_creates_indirection(self, db):
         db.create_table("t", [("a", "int")])
+        store = db.catalog.table("t").store
+        assert store._vid_clock is not db.clock
         db.create_index("i", "t", ["a"], kind="btree", reference="logical")
-        assert db.catalog.table("t").indirection is not None
+        assert store._vid_clock is db.clock
 
     def test_indirection_backfilled_for_existing_rows(self, db):
         db.create_table("t", [("a", "int")])
@@ -158,6 +161,50 @@ class TestDML:
         db.insert(t, "r", (1, "x", 0.0))
         with pytest.raises(UniqueViolationError):
             db.insert(t, "r", (1, "y", 0.0))
+
+
+@pytest.mark.parametrize("storage", ["heap", "sias", "delta"])
+class TestWriteRule:
+    """First updater wins, decided once for every store."""
+
+    def _row(self, db, storage):
+        db.create_table("t", [("a", "int"), ("b", "str")], storage=storage)
+        t = db.begin()
+        _vid, rid = db.insert(t, "t", (1, "a"))
+        t.commit()
+        return rid, db.catalog.table("t").store.fetch(rid)
+
+    def test_update_over_an_uncommitted_delete_conflicts(self, db,
+                                                         storage):
+        """The deleter may still abort, so the writer may not act on the
+        delete (delta said the row was gone); once it aborts, the row is
+        there to update."""
+        rid, version = self._row(db, storage)
+        writer = db.begin()
+        deleter = db.begin()
+        db.delete_row(deleter, "t", rid, version)
+        with pytest.raises(WriteConflictError):
+            db.update_row(writer, "t", rid, version, {"b": "lost"})
+        deleter.abort()
+        db.update_row(writer, "t", rid, version, {"b": "kept"})
+        writer.commit()
+        assert db.seq_scan(db.begin(), "t") == [(1, "kept")]
+
+    def test_a_second_write_through_a_superseded_handle(self, db, storage):
+        """The handle's version already has the writer's own successor:
+        a second successor would fork the chain (the heap's did), so only
+        delta, whose handle names the main row itself, goes in place."""
+        rid, version = self._row(db, storage)
+        t = db.begin()
+        db.update_row(t, "t", rid, version, {"b": "b"})
+        if storage == "delta":
+            db.update_row(t, "t", rid, version, {"b": "c"})
+        else:
+            with pytest.raises(WriteConflictError):
+                db.update_row(t, "t", rid, version, {"b": "c"})
+        t.commit()
+        assert db.seq_scan(db.begin(), "t") \
+            == [(1, "c" if storage == "delta" else "b")]
 
 
 class TestQueries:
@@ -390,7 +437,7 @@ class TestVacuumIntegration:
     def test_vacuum_repoints_indirection_past_an_aborted_update(self, db):
         setup_table(db, kind="btree", reference="logical")
         t = db.begin()
-        db.insert(t, "r", (1, "v" * 4000, 0.0))
+        vid, rid = db.insert(t, "r", (1, "v" * 4000, 0.0))
         t.commit()
         t2 = db.begin()
         db.update_by_key(t2, "idx_a", (1,), {"b": "x" * 7000})  # own page
@@ -399,10 +446,35 @@ class TestVacuumIntegration:
         db.insert(t3, "r", (2, "y" * 7000, 0.0))
         t3.commit()
         db.flush_all()
+        store = db.catalog.table("r").store
+        assert store._entry[vid] != rid
         result = db.vacuum("r")
-        assert result.repointed and result.pages_freed == 1
+        assert store._entry[vid] == rid and result.pages_freed == 1
         r = db.begin()
         assert db.select(r, "idx_a", (1,)) == [(1, "v" * 4000, 0.0)]
+
+
+    def test_vacuum_frees_pages_whose_versions_died_earlier(self, db):
+        """A flushed SIAS page is freed once no survivor lives on it, even
+        when its versions died in different passes."""
+        db.create_table("t", [("k", "int"), ("s", "str")])
+        db.create_index("ix", "t", ["k"], kind="btree")
+        t = db.begin()
+        for k in range(40):
+            db.insert(t, "t", (k, "x" * 300))
+        t.commit()
+        for first in (0, 1):
+            t = db.begin()
+            for k in range(first, 40, 2):
+                db.delete_by_key(t, "ix", (k,))
+            t.commit()
+            db.flush_all()
+            db.vacuum("t")
+        db.vacuum("t")
+        store = db.catalog.table("t").store
+        assert store.chains() == []
+        assert [page for page in range(store.file.max_page_no)
+                if store.file.has_contents(page)] == []
 
 
 class TestIntrospection:

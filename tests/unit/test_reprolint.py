@@ -629,6 +629,7 @@ SAMPLES = (
     "ReferenceMode" ".LOGICAL",
     "tree._add_build" "_record(key)",
     "vacuum" "_heap(table, mgr)",
+    "layer = Indirection" "Layer(clock)",
 )
 
 

@@ -5,6 +5,7 @@ modes."""
 import pytest
 
 from repro.buffer.pool import BufferPool
+from repro.config import CostModel
 from repro.errors import StorageError
 from repro.sim.clock import SimClock
 from repro.sim.device import SimulatedDevice
@@ -13,7 +14,6 @@ from repro.storage.pagefile import PageFile
 from repro.storage.recordid import RecordID
 from repro.table.delta import DeltaTable
 from repro.table.heap import HeapTable
-from repro.table.indirection import IndirectionLayer
 from repro.table.sias import SIASTable
 from repro.table.visibility import version_visible_heap
 from repro.table.base import TupleVersion
@@ -213,15 +213,16 @@ class TestResolveLogical:
     def test_duplicate_and_unknown_vids(self, env):
         _d, pool, mgr = env
         table = SIASTable("s", PageFile("s", _d, 8192, 8), pool)
-        indirection = IndirectionLayer()
         t = mgr.begin()
         vid, rid = table.insert(t, (1, "v0"))
-        indirection.set(vid, table.update(t, rid, (1, "v1")))
+        new_rid = table.update(t, rid, (1, "v1"))
         t.commit()
-        resolved = table.resolve(mgr.begin(), [vid, vid + 1, vid],
-                                 indirection)
+        assert table._entry == {vid: new_rid}
+        clock = SimClock(cost=CostModel(indirection_lookup=1.0))
+        table.charge_vid_map(clock, 0)
+        resolved = table.resolve(mgr.begin(), [vid, vid + 1, vid], True)
         assert [version.data for _rid, version in resolved] == [(1, "v1")]
-        assert indirection.resolutions == 2     # vid once, vid + 1 once
+        assert clock.now == 2.0     # one map read each: vid, vid + 1
 
 
 @pytest.mark.parametrize("kind", ["heap", "sias", "delta"])

@@ -120,7 +120,7 @@ class TestOneRule:
         store.update(t2, rid, (1, "bad"))
         t2.abort()
         t3 = mgr.begin()
-        store.delete(t3, current(store, vid) if kind != "sias" else rid)
+        store.delete(t3, rid)
         t3.abort()
         result = store.vacuum(mgr)
         assert result.versions_removed >= 1 and result.dropped_vids == []
@@ -167,8 +167,7 @@ class TestOneRule:
         store.delete(deleter, rid)
         store.vacuum(mgr)
         writer = mgr.begin()
-        # delta's in-place main row already reads as deleted
-        with pytest.raises((WriteConflictError, TupleNotFoundError)):
+        with pytest.raises(WriteConflictError):
             store.update(writer, rid, (1, "lost"))
         writer.abort()
         deleter.commit()
@@ -267,9 +266,10 @@ class TestVacuumSias:
             t = mgr.begin()
             aborted.append(table.update(t, rid, (i + 1, "a")))
             t.abort()
+        assert table._entry == {vid: aborted[-1]}
         result = table.vacuum(mgr)
         assert sorted(result.removed_rids) == sorted(aborted)
-        assert result.repointed == {vid: rid} and result.dropped_vids == []
+        assert table._entry == {vid: rid} and result.dropped_vids == []
         assert table.chains() == [[(rid, table.fetch(rid))]]
 
     def test_no_update_past_a_run_that_holds_a_committed_version(
@@ -287,13 +287,14 @@ class TestVacuumSias:
         v1 = table.update(c, v0, (1, "c"))
         c.commit()
         a = mgr.begin()
-        table.update(a, v1, (1, "bad"))
+        v2 = table.update(a, v1, (1, "bad"))
         a.abort()
         with pytest.raises(WriteConflictError):
             table.update(b, v0, (1, "b"))
         b.abort()
-        result = table.vacuum(mgr)
-        assert result.repointed == {vid: v1}
+        assert table._entry == {vid: v2}
+        table.vacuum(mgr)
+        assert table._entry == {vid: v1}
         assert rows(table) == [[(1, "c")]]
         assert table._orphans == {}
 
@@ -401,8 +402,9 @@ class TestVacuumStatsPaths:
         t3.commit()
         table.flush_tail()
 
+        assert table._entry[vid] == aborted_rid
         result = table.vacuum(mgr)
-        assert result.repointed == {vid: rid}
+        assert table._entry[vid] == rid
         assert aborted_rid in result.removed_rids
         assert result.pages_freed == 1
         assert entries(table)[vid] == rid

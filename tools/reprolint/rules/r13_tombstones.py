@@ -219,6 +219,13 @@ TOMBSTONES: tuple[Tombstone, ...] = (
         _USER_FACING, 46,
         "one vacuum rule decides which versions are dead, over every "
         "store's chains; a store only reclaims what it dropped"),
+    Tombstone(
+        r"\bIndirectionLayer\b|\btable\.indirection\b"
+        r"|\b_check_updatable\b|\.repointed\b",
+        _USER_FACING, 47,
+        "one write rule, first updater wins, for every store, and each "
+        "store's entry map is the table's one VID map: no per-store "
+        "update check, no indirection layer the engine keeps in step"),
 )
 
 
