@@ -58,6 +58,7 @@ if TYPE_CHECKING:
     from ..durability.manifest import IndexManifest
     from ..obs.core import Observability
     from ..obs.registry import Metrics
+    from ..table.base import VacuumResult
 
 #: one batch-scan segment: ``(keys, records, pos, end, leaf, rows)`` — a
 #: contiguous already-sorted slice ``[pos, end)`` of one partition (a whole
@@ -500,8 +501,8 @@ class MVPBT:
         return [hit.rid for hit in self.range_scan(
             txn, lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)]
 
-    def purge(self, removed_rids: set[RecordID],
-              dropped_vids: set[int]) -> None:
+    def purge(self, result: "VacuumResult",
+              positions: Sequence[int]) -> None:
         """Nothing after a table vacuum: partition GC (§4.6) does it."""
 
     def _scan_hit_batches(self, checker: VisibilityChecker,

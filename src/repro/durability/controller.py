@@ -12,7 +12,10 @@ hooks:
   transaction invisible.  A commit that wrote nothing
   (:meth:`DurabilityController.wrote_nothing`) has nothing to make durable
   and issues no I/O at all — but for every :data:`HORIZON_STRIDE`-th
-  txid, which keeps its marker.  **Abort** just drops the pending buffers.
+  txid, which keeps its marker, and the last touched shard of a
+  cross-shard commit, whose marker is the decision
+  (:meth:`DurabilityController.append_commit`).  **Abort** just drops the
+  pending buffers.
 - **Eviction** makes the evicted records partition-durable, so the tree's
   WAL floor advances to ``end_lsn``, the manifest flips, pending buffers
   for records now living in the partition are dropped, and fully-covered
@@ -153,6 +156,14 @@ class DurabilityController:
             if self._obs is not None:
                 self._m_commits_elided.inc()
             return
+        self.append_commit(txn)
+
+    def append_commit(self, txn: "Transaction") -> None:
+        """Drain one transaction's pending records and append them with its
+        COMMIT marker in one durable write — the commit hook's append once
+        :meth:`wrote_nothing` has said no, and a multi-shard commit's
+        decision, which is never elided (the last agent, DESIGN.md §16.3).
+        """
         records = self.drain_commit_records(txn)
         mark = self._wal_mark()
         self.wal.log(records, commit_txid=txn.id)
@@ -219,8 +230,8 @@ class DurabilityController:
         DESIGN.md §16.3).  Returns the number of records drained.
 
         The transaction stays ACTIVE and undecided: recovery treats a
-        PREPARE without a commit decision (local marker or coordinator
-        decision) as aborted.
+        PREPARE without a commit decision (this shard's marker, or the last
+        agent's on another shard) as aborted.
         """
         records = self.drain_commit_records(txn)
         mark = self._wal_mark()
@@ -232,11 +243,11 @@ class DurabilityController:
     def append_commit_marker(self, txid: int) -> None:
         """Shard-commit phase two: stage a COMMIT marker, no I/O.
 
-        The coordinator's decision append already made the outcome
-        durable, and sharded recovery unions that never-truncated log
-        with every shard's markers (DESIGN.md §16.5) — so the local
-        marker is a convenience that rides on this shard's next durable
-        append instead of costing an fsync of its own."""
+        The last agent's commit append already made the outcome durable,
+        and sharded recovery unions every shard's commit evidence
+        (DESIGN.md §16.5) — so the local marker is a convenience that
+        rides on this shard's next durable append instead of costing an
+        fsync of its own."""
         self.wal.stage_commit_marker(txid)
         if self._obs is not None:
             self._m_markers_deferred.inc()

@@ -70,8 +70,9 @@ def read_durable_state(manifest_file: PageFile, wal_file: PageFile,
             committed.add(entry.txid)
         elif entry.kind == KIND_PREPARE:
             # durable but undecided: records replay (visibility is gated
-            # by commit status), the outcome comes from the coordinator —
-            # but the id was issued, so it is never handed out again
+            # by commit status), the outcome comes from the last touched
+            # shard's marker — but the id was issued, so it is never
+            # handed out again
             max_prepared = max(max_prepared, entry.txid)
         elif entry.kind == KIND_RECORD:
             record = entry.record

@@ -37,11 +37,12 @@ marker, DESIGN.md §11.3).
 
 Two marker kinds serve the sharding layer (DESIGN.md §16): a PREPARE
 marker (u64 txid, like COMMIT) makes one shard's slice of a cross-shard
-transaction durable *without* deciding it — the decision lives in the
-coordinator's log — and a NOTE entry carries an opaque payload (the
-coordinator's durable shard-layout snapshots).  Single-node recovery
-treats a prepared-but-undecided transaction exactly like a missing
-COMMIT marker: aborted.
+transaction durable *without* deciding it — the decision is the COMMIT
+marker of the last touched shard's commit append, in that shard's log —
+and a NOTE entry carries an opaque payload (the coordinator's durable
+shard-layout snapshots).  Single-node recovery treats a
+prepared-but-undecided transaction exactly like a missing COMMIT marker:
+aborted.
 
 Replay reads the log file's live pages in page-number order, one device
 request per run of contiguous pages within an extent
@@ -232,7 +233,7 @@ class WriteAheadLog:
         The shard-commit first phase (DESIGN.md §16.3): the transaction's
         slice on this shard becomes durable, but remains *undecided* — a
         recovery that finds the PREPARE without a matching COMMIT (here or
-        in the coordinator's decision log) aborts the transaction.
+        in the last touched shard's log) aborts the transaction.
         """
         entries = [_record_entry(name, record) for name, record in records]
         entries.append(_marker_entry(KIND_PREPARE, txid))
@@ -246,9 +247,9 @@ class WriteAheadLog:
         """Queue a COMMIT marker to ride on the next durable append.
 
         No device I/O: for an outcome that is already durable elsewhere
-        (shard-commit phase two — the coordinator's decision log is the
-        authority, DESIGN.md §16.3).  A crash before the next append
-        loses the marker, never the outcome.
+        (shard-commit phase two — the last touched shard's COMMIT marker
+        is the authority, DESIGN.md §16.3).  A crash before the next
+        append loses the marker, never the outcome.
         """
         self._staged.append(txid)
 

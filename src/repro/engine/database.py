@@ -371,16 +371,14 @@ class Database:
     # ----------------------------------------------------------- maintenance
 
     def vacuum(self, table: str) -> VacuumResult:
-        """Tuple-level GC; then every index purges what it names of the
-        removed versions and dropped chains (an MV-PBT nothing: partition
-        GC cleans it)."""
+        """Tuple-level GC; then every index purges its entries that no
+        surviving version backs (an MV-PBT nothing: partition GC cleans
+        it)."""
         info = self.catalog.table(table)
         result = info.store.vacuum(self.txn)
-        if result.removed_rids or result.dropped_vids:
-            removed = set(result.removed_rids)
-            dropped_vids = set(result.dropped_vids)
+        if result.versions_removed or result.dropped_vids:
             for ix in self.catalog.indexes_of(table):
-                ix.index.purge(removed, dropped_vids)
+                ix.index.purge(result, ix.positions)
         return result
 
     def flush_all(self) -> None:

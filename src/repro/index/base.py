@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from ..storage.recordid import RecordID
 from ..types import Key
 
 if TYPE_CHECKING:
-    from ..table.base import VersionStore
+    from ..table.base import VacuumResult, VersionStore
     from ..txn.transaction import Transaction, Writer
 
 Ref = Union[RecordID, int]
@@ -95,17 +95,26 @@ class Index(ABC):
         return [ref for _key, ref in self.range_scan(
             lo, hi, lo_incl=lo_incl, hi_incl=hi_incl)]
 
-    def purge(self, removed_rids: set[RecordID],
-              dropped_vids: set[int]) -> None:
-        """After a table vacuum, drop the entries naming a removed
-        recordID or a dropped chain's VID, in one pass (PostgreSQL's
-        ``ambulkdelete``)."""
-        dead: set[RecordID] | set[int] = (
-            dropped_vids if self.indirection else removed_rids)
-        if dead:
-            for key, ref in list(self.range_scan(None, None)):
-                if ref in dead:
-                    self.remove_entry(key, ref)
+    def purge(self, result: "VacuumResult",
+              positions: Sequence[int]) -> None:
+        """After a table vacuum, drop in one pass (PostgreSQL's
+        ``ambulkdelete``) each entry whose reference is gone — a removed
+        recordID, a dropped chain's VID — or whose key no version its
+        chain kept carries: what an aborted or superseded key update left
+        behind.  Index keys are the row's values at ``positions``."""
+        dead = set(result.dropped_vids if self.indirection
+                   else result.removed_rids)
+        held: dict[Ref, set[Key]] = {}
+        for chain, kept in result.survivors:
+            keys = {tuple(version.data[p] for p in positions)
+                    for _rid, version in kept if not version.is_tombstone}
+            refs = ([kept[0][1].vid] if self.indirection
+                    else [rid for rid, _version in chain])
+            for ref in refs:
+                held.setdefault(ref, set()).update(keys)
+        for key, ref in list(self.range_scan(None, None)):
+            if ref in dead or key not in held.get(ref, (key,)):
+                self.remove_entry(key, ref)
 
     # ------------------------------------------------------- entry storage
 

@@ -4,7 +4,7 @@
 Public surface:
 
 * :class:`ShardedDatabase` / :class:`ShardConfig` — the router facade
-* :class:`ShardCoordinator` — global txid/snapshot authority + decision log
+* :class:`ShardCoordinator` — global txids/snapshots, commit point, layouts
 * :class:`ShardTransaction` — one distributed transaction bundle
 * :class:`HashPartitioner` — the keyspace layout (CRC32 hash slots)
 """

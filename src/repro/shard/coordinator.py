@@ -8,19 +8,15 @@ with every shard's transaction manager
 cross-shard read observes one consistent cut — the same txid is either
 visible on every shard or on none.
 
-When the router is durable the coordinator keeps its own device + WAL
-holding exactly two kinds of entries:
-
-* **COMMIT decision markers** — appended *between* the shards' PREPARE
-  and COMMIT phases of a multi-shard commit; the append is the atomic
-  commit point of the whole distributed transaction.
-* **NOTE layout snapshots** — the serialized partitioner state
-  (deterministic JSON, sorted keys), appended whenever a rebalance flips
-  the shard layout.  Recovery restores the newest one.
-
-The coordinator performs no I/O on single-shard commits (the touched
-shard's own WAL marker decides those) and none at all on read-only
-transactions.
+The commit point of a multi-shard transaction is :meth:`log_decision`,
+called *between* the shards' PREPARE and COMMIT phases: it runs the last
+touched shard's commit append (its records plus a COMMIT marker, in one
+write), so the decision lives in that shard's log — the last-agent
+optimisation of Samaras et al.  The coordinator therefore writes no
+commit I/O at all.  When the router is durable it keeps its own device +
+WAL for **NOTE layout snapshots** only: the serialized partitioner state
+(deterministic JSON, sorted keys), appended whenever a rebalance flips
+the shard layout.  Recovery restores the newest one.
 """
 
 from __future__ import annotations
@@ -28,19 +24,22 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from ..durability.wal import KIND_COMMIT, KIND_NOTE, WriteAheadLog
+from ..durability.wal import KIND_NOTE, WriteAheadLog
 from ..errors import RecoveryError
 from ..sim.clock import SimClock
 from ..txn.snapshot import Snapshot
 from .partitioner import HashPartitioner
 
 if TYPE_CHECKING:
+    from ..durability.controller import DurabilityController
     from ..obs.core import Observability
     from ..storage.pagefile import PageFile
+    from ..txn.transaction import Transaction
 
 
 class ShardCoordinator:
-    """Global txid allocation, snapshot capture and the decision log."""
+    """Global txid allocation, snapshot capture, the commit point and the
+    layout log."""
 
     def __init__(self, partitioner: HashPartitioner, *,
                  clock: SimClock | None = None,
@@ -53,7 +52,8 @@ class ShardCoordinator:
         self._next_txid = 1
         #: global active set: txid -> its snapshot
         self._active: dict[int, Snapshot] = {}
-        #: in-memory mirror of the durable COMMIT decisions
+        #: txids this coordinator decided committed (multi-shard commits);
+        #: the durable decisions are the last agents' COMMIT markers
         self.decisions: set[int] = set()
         if log_file is not None:
             self.log = WriteAheadLog(log_file)
@@ -73,14 +73,20 @@ class ShardCoordinator:
         self._active[txid] = snapshot
         return txid, snapshot
 
-    def log_decision(self, txid: int) -> None:
+    def log_decision(self, agent: "DurabilityController",
+                     txn: "Transaction") -> None:
         """Durably decide a multi-shard transaction COMMITTED — the atomic
-        commit point between the shards' PREPARE and COMMIT phases."""
-        if self.log is not None:
-            self.log.log([], commit_txid=txid)
-        self.decisions.add(txid)
+        commit point between the shards' PREPARE and COMMIT phases.
+
+        ``agent`` is the last touched shard's durability controller and
+        ``txn`` that shard's member transaction: the decision is its commit
+        append (records + COMMIT marker in one write).  The append is never
+        elided, even for a member that wrote nothing — the other shards'
+        PREPAREs hold effects only this marker can commit."""
+        agent.append_commit(txn)
+        self.decisions.add(txn.id)
         if self._obs is not None:
-            self._obs.tracer.emit("shard.decision", txid=txid)
+            self._obs.tracer.emit("shard.decision", txid=txn.id)
 
     def finish(self, txid: int) -> None:
         """Remove a decided (committed or aborted) txid from the global
@@ -118,19 +124,16 @@ class ShardCoordinator:
                 next_floor: int = 0) -> "ShardCoordinator":
         """Rebuild the coordinator from its surviving log.
 
-        COMMIT entries become the decision set; the newest NOTE entry
-        restores the partitioner.  ``next_floor`` carries the crashed
-        in-memory allocator position (host-recovered, like the shards'
-        allocators): an id handed out but never made durable anywhere must
-        still never be reissued.
+        The newest NOTE entry restores the partitioner; commit evidence
+        lives in the shards' logs, not here.  ``next_floor`` carries the
+        crashed in-memory allocator position (host-recovered, like the
+        shards' allocators): an id handed out but never made durable
+        anywhere must still never be reissued.
         """
         wal, entries = WriteAheadLog.recover(log_file)
-        decisions: set[int] = set()
         layout: bytes | None = None
         for entry in entries:
-            if entry.kind == KIND_COMMIT:
-                decisions.add(entry.txid)
-            elif entry.kind == KIND_NOTE:
+            if entry.kind == KIND_NOTE:
                 layout = entry.note
         if layout is None:
             raise RecoveryError(
@@ -142,9 +145,9 @@ class ShardCoordinator:
         coord.clock = clock if clock is not None else SimClock()
         coord._obs = obs
         coord.log = wal
-        coord._next_txid = max(max(decisions, default=0) + 1, next_floor, 1)
+        coord._next_txid = max(next_floor, 1)
         coord._active = {}
-        coord.decisions = decisions
+        coord.decisions = set()
         return coord
 
     def __repr__(self) -> str:

@@ -4,7 +4,7 @@ A :class:`ShardedDatabase` owns N fully independent
 :class:`~repro.engine.database.Database` shards — each with its own
 simulated device, buffer pool, partition buffer, WAL, manifest and
 durability controller — plus one :class:`ShardCoordinator` (the global
-txid authority, with its own durable decision/layout log).  The router:
+txid authority, with its own durable layout log).  The router:
 
 * sends a read or keyed DML statement only to shards that can own a
   matching row (:meth:`ShardedDatabase.plan_scan`): an index whose key
@@ -15,9 +15,10 @@ txid authority, with its own durable decision/layout log).  The router:
   order;
 * commits with a single-shard fast path (the touched shard's ordinary
   commit appends records + COMMIT marker in one fsync) or a two-phase
-  flow for multi-shard writes (per-shard PREPARE appends, one coordinator
-  decision append — the atomic commit point — then per-shard COMMIT
-  markers, staged in memory to ride on each shard's next append);
+  flow for multi-shard writes (a PREPARE append on every touched shard
+  but the last, then the last one's commit append — the atomic commit
+  point — then COMMIT markers on the prepared shards, staged in memory
+  to ride on each shard's next append);
 * drops **residue** — a copy a rebalance left on a shard that no
   longer owns its shard key — through the ownership filter, which makes
   every rebalance crash window read-consistent.  Table stores keep the
@@ -261,8 +262,8 @@ class ShardedDatabase:
     def commit(self, txn: ShardTransaction) -> None:
         """Commit everywhere: read-only and single-shard transactions take
         the ordinary one-fsync path; multi-shard writes run the two-phase
-        marker flow with the coordinator's decision append as the atomic
-        commit point (DESIGN.md §16.3)."""
+        marker flow with the last touched shard's commit append as the
+        atomic commit point (DESIGN.md §16.3)."""
         if not txn.is_active:
             raise TransactionStateError(
                 f"transaction {txn.id} is not active")
@@ -279,24 +280,27 @@ class ShardedDatabase:
             if self.obs is not None:
                 self._m_commit_single.inc()
         elif touched and durable:
-            # phase one: every touched shard makes its slice durable,
-            # undecided (records + PREPARE, one append per shard)
-            for k in touched:
+            # phase one: every touched shard but the last makes its slice
+            # durable, undecided (records + PREPARE, one append per shard)
+            *prepared, last = touched
+            for k in prepared:
                 durability = self.shards[k].durability
                 assert durability is not None
                 durability.append_prepare(txn.on(k))
                 if self.obs is not None:
                     self._m_prepares.inc()
-            # the commit point: one coordinator decision append — before
-            # it the transaction recovers aborted on every shard, after it
-            # committed on every shard
-            self.coordinator.log_decision(txn.id)
+            # the commit point: the last shard's commit append (records +
+            # COMMIT marker) — before it the transaction recovers aborted
+            # on every shard, after it committed on every shard
+            agent = self.shards[last].durability
+            assert agent is not None
+            self.coordinator.log_decision(agent, txn.on(last))
             if self.obs is not None:
                 self._m_decisions.inc()
-            # phase two: local COMMIT markers, staged without I/O — the
-            # decision above already made the outcome durable, and
-            # recovery unions that log with every shard's markers
-            for k in touched:
+            # phase two: the prepared shards' COMMIT markers, staged
+            # without I/O — the last shard's marker already made the
+            # outcome durable, and recovery unions every shard's markers
+            for k in prepared:
                 durability = self.shards[k].durability
                 assert durability is not None
                 durability.append_commit_marker(txn.id)
@@ -686,11 +690,11 @@ class ShardedDatabase:
     def recover(cls, crashed: "ShardedDatabase") -> "ShardedDatabase":
         """Restart the whole topology after a crash of any subset of it.
 
-        The coordinator recovers first (decisions + layout), then every
-        shard's durable state is read once; the *union* of all commit
-        evidence — any shard's COMMIT marker or manifest inference, or a
-        coordinator decision — and one shared txid floor are folded into
-        each state before it is handed to :meth:`Database.recover`.  A
+        The coordinator recovers first (the layout), then every shard's
+        durable state is read once; the *union* of all commit evidence —
+        any shard's COMMIT marker or manifest inference, the last agent's
+        marker included — and one shared txid floor are folded into each
+        state before it is handed to :meth:`Database.recover`.  A
         cross-shard transaction is therefore visible on all shards or on
         none, at every historical snapshot (§16.5).
         """
@@ -706,8 +710,7 @@ class ShardedDatabase:
             next_floor=crashed.coordinator.next_txid)
 
         states = [db.reboot_and_read() for db in crashed.shards]
-        committed = set(coordinator.decisions).union(
-            *(durable.committed for durable in states))
+        committed = {txid for durable in states for txid in durable.committed}
         floor = max([coordinator.next_txid]
                     + [durable.next_txid for durable in states])
 

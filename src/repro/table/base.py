@@ -105,6 +105,10 @@ class VacuumResult:
     removed_rids: list[RecordID] = field(default_factory=list)
     #: vids none of whose chains kept a version
     dropped_vids: list[int] = field(default_factory=list)
+    #: each chain that kept a version, beside what it kept: the keys an
+    #: index entry naming the chain may still hold
+    survivors: list[tuple[Chain, Chain]] = field(default_factory=list,
+                                                 repr=False)
 
 
 class VersionStore(ABC):
@@ -398,6 +402,7 @@ class VersionStore(ABC):
                 moved += 1
             if kept:
                 survivors.append(kept)
+                result.survivors.append((chain, kept))
             else:
                 emptied.append(chain[0][1].vid)
         kept_vids = {kept[0][1].vid for kept in survivors}

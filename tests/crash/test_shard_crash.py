@@ -4,10 +4,12 @@ assert all-shards-or-no-shards visibility (DESIGN.md §16.5).
 The scripted harness workload (same ops as the single-node sweep) runs
 through a :class:`ShardedDatabase`, so transactions routinely touch
 several shards — every ``move`` and most multi-insert transactions are
-cross-shard and take the two-phase marker flow.  A
-:class:`~repro.sim.device.FaultPlan` kills one shard's device (or the
-coordinator's) at a chosen I/O index; the sweep then recovers ALL shards
-plus the coordinator and asserts:
+cross-shard and take the two-phase marker flow, whose commit point is the
+last touched shard's commit append.  A
+:class:`~repro.sim.device.FaultPlan` kills one shard's device at a chosen
+I/O index (the coordinator's device writes nothing while the workload
+runs); the sweep then recovers ALL shards plus the coordinator and
+asserts:
 
 * **atomicity** — every transaction recovers with the SAME status on
   every shard (a cross-shard commit is visible everywhere or nowhere);
@@ -28,7 +30,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine.database import Database
-from repro.errors import DeviceCrashError
+from repro.errors import DeviceCrashError, WriteConflictError
 from repro.shard import (HashPartitioner, ShardConfig, ShardedDatabase,
                          ShardTransaction)
 from repro.sim.device import FaultPlan
@@ -242,15 +244,21 @@ def recover_and_check_sharded(run: ShardedRun,
 
 # ------------------------------------------------------------------ sweeps
 
+def _coordinator_io(sdb: ShardedDatabase) -> int:
+    assert sdb.coordinator_device is not None
+    return sdb.coordinator_device.io_count
+
+
 @pytest.fixture(scope="module")
 def clean_counts() -> dict[str, int]:
-    """Per-device I/O counts of one fault-free sharded run."""
+    """Per-device I/O counts of one fault-free sharded run (the
+    coordinator's without the layout NOTE its construction writes)."""
     run = run_sharded()
     assert not run.crashed
     counts = {f"shard{k}": db.device.io_count
               for k, db in enumerate(run.sdb.shards)}
-    assert run.sdb.coordinator_device is not None
-    counts["coord"] = run.sdb.coordinator_device.io_count
+    counts["coord"] = (_coordinator_io(run.sdb)
+                       - _coordinator_io(make_sharded()))
     return counts
 
 
@@ -268,10 +276,11 @@ def test_workload_is_cross_shard(clean_counts: dict[str, int]) -> None:
         "script produced too few cross-shard commits")
     for k in range(SHARDS):
         assert clean_counts[f"shard{k}"] > 10, "a shard sat idle"
-    assert clean_counts["coord"] >= len(run.sdb.coordinator.decisions)
+    # the decisions are the last agents' commit appends, on the shards
+    assert clean_counts["coord"] == 0, "the coordinator wrote a decision"
 
 
-@pytest.mark.parametrize("target", ["shard0", "shard1", "coord"])
+@pytest.mark.parametrize("target", ["shard0", "shard1"])
 def test_shard_crash_sweep(target: str, clean_counts: dict[str, int],
                            run_crash_sweep: bool) -> None:
     """Kill one device at I/O index k; recover; assert atomicity."""
@@ -283,6 +292,17 @@ def test_shard_crash_sweep(target: str, clean_counts: dict[str, int],
         crashes += 1
         recover_and_check_sharded(run, context=f"{target} k={k}")
     assert crashes > 0
+
+
+def test_coordinator_is_silent_during_the_workload() -> None:
+    """A coordinator device armed to die at its next I/O never fires: no
+    commit, single- or multi-shard, writes to it, and the run recovers."""
+    armed = _coordinator_io(make_sharded())
+    run = run_sharded("coord", FaultPlan(fail_at=armed))
+    assert not run.crashed
+    assert len(run.sdb.coordinator.decisions) >= 5
+    assert _coordinator_io(run.sdb) == armed
+    recover_and_check_sharded(run, context="coordinator silent")
 
 
 def test_torn_shard_writes_recover(clean_counts: dict[str, int]) -> None:
@@ -325,12 +345,13 @@ def test_recovered_router_keeps_working(
     assert_sharded_state(recovered, txn.id, state, context="post-recovery")
 
 
-# --------------------------------------------- staged phase-two markers
+# ------------------------------------------ the last agent's commit point
 
-def _cross_shard_commit(sdb: ShardedDatabase) -> tuple[int, OracleState]:
+def _cross_shard_commit(sdb: ShardedDatabase,
+                        rows: int = 12) -> tuple[int, OracleState]:
     txn = sdb.begin()
     state: OracleState = {}
-    for i in range(12):
+    for i in range(rows):
         sdb.insert(txn, TABLE, (i, f"v{i}"))
         state[i] = f"v{i}"
     txn.commit()
@@ -338,36 +359,48 @@ def _cross_shard_commit(sdb: ShardedDatabase) -> tuple[int, OracleState]:
     return txn.id, state
 
 
+def _owned_by(sdb: ShardedDatabase, shard: int, keys: range) -> int:
+    return next(k for k in keys if sdb.partitioner.shard_of((k,)) == shard)
+
+
 def test_cross_shard_commit_is_prepares_plus_one_decision() -> None:
-    """Phase two costs no I/O: the markers are staged, and ride on each
-    shard's next durable append."""
+    """A 2PC commit costs one append per touched shard: a PREPARE on every
+    shard but the last, and the last one's commit append, which carries
+    the decision as its COMMIT marker.  The coordinator writes nothing,
+    and the prepared shard's marker is staged to ride on its next append."""
     sdb = make_sharded()
     assert sdb.coordinator.log is not None
-    shard_appends = [db.durability.wal.appends for db in sdb.shards]
+    wals = [db.durability.wal for db in sdb.shards]
+    appends = [wal.appends for wal in wals]
+    markers = [wal.commit_markers for wal in wals]
     coord_appends = sdb.coordinator.log.appends
     txid, _state = _cross_shard_commit(sdb)
-    assert [db.durability.wal.appends - before
-            for db, before in zip(sdb.shards, shard_appends)] == [1] * SHARDS
-    assert sdb.coordinator.log.appends == coord_appends + 1
-    assert all(db.durability.wal._staged == [txid] for db in sdb.shards)
+    assert txid in sdb.coordinator.decisions
+    assert [wal.appends - before
+            for wal, before in zip(wals, appends)] == [1] * SHARDS
+    assert sdb.coordinator.log.appends == coord_appends
+    # shard 1, the last touched, wrote the decision; shard 0 prepared
+    assert [wal.commit_markers - before
+            for wal, before in zip(wals, markers)] == [0, 1]
+    assert [wal._staged for wal in wals] == [[txid], []]
 
     follow = sdb.begin()
-    sdb.insert(follow, TABLE, (50, "w"))
+    sdb.insert(follow, TABLE, (_owned_by(sdb, 0, range(50, 100)), "w"))
     follow.commit()
-    (k,) = follow.touched
-    wal = sdb.shards[k].durability.wal
-    assert wal._staged == [] and wal.appends == shard_appends[k] + 2
-    assert sdb.shards[1 - k].durability.wal._staged == [txid]
+    assert follow.touched == {0}
+    assert wals[0]._staged == [] and wals[0].appends == appends[0] + 2
+    assert wals[0].commit_markers == markers[0] + 2
 
 
 @pytest.mark.parametrize("target", ["shard0", "shard1", "coord"])
 def test_kill_after_decision_before_marker_rides(target: str) -> None:
-    """The decision append returned, every phase-two marker is still in
-    memory, one device dies at its next I/O: the coordinator's log alone
-    must recover the transaction committed on every shard."""
+    """The last agent's append returned, the prepared shard's phase-two
+    marker is still in memory, one device dies at its next I/O (the
+    coordinator's never does): the last agent's marker alone must recover
+    the transaction committed on every shard."""
     sdb = make_sharded()
     txid, state = _cross_shard_commit(sdb)
-    assert txid in sdb.coordinator.decisions
+    assert sdb.shards[0].durability.wal._staged == [txid]
     device = (sdb.coordinator_device if target == "coord"
               else sdb.shards[int(target.removeprefix("shard"))].device)
     assert device is not None
@@ -393,16 +426,84 @@ def test_kill_after_decision_before_marker_rides(target: str) -> None:
                for db in recovered.shards)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_kill_at_the_last_agents_append_aborts_everywhere(k: int) -> None:
+    """Shard 0 prepared; shard 1's commit append is two page writes.  A
+    kill at its first (k=0: after the last PREPARE, before the decision)
+    or at its second (k=1: a torn append whose first page, records only,
+    is durable and whose COMMIT marker is not) leaves no decision on any
+    shard: the transaction recovers aborted everywhere, the durable
+    prepared slice included."""
+    twin = make_sharded()
+    io = twin.shards[1].device.io_count
+    _cross_shard_commit(twin, rows=24)
+    assert twin.shards[1].device.io_count - io == 2
+
+    sdb = make_sharded()
+    txn = sdb.begin()
+    for i in range(24):
+        sdb.insert(txn, TABLE, (i, f"v{i}"))
+    assert txn.touched == {0, 1}
+    prepares = sdb.shards[0].durability.wal.appends
+    device = sdb.shards[1].device
+    device.set_fault_plan(FaultPlan(fail_at=device.io_count + k))
+    with pytest.raises(DeviceCrashError):
+        txn.commit()
+    assert sdb.shards[0].durability.wal.appends == prepares + 1
+    run = ShardedRun(sdb, [], {}, True, txn.id, None)
+    recovered = recover_and_check_sharded(run, context=f"agent k={k}")
+    assert all(db.txn.status_of(txn.id) is TxnStatus.ABORTED
+               for db in recovered.shards)
+
+
+def test_last_agent_that_wrote_nothing_still_decides() -> None:
+    """The last touched shard's statement raised after ``txn.touch`` and
+    before writing (a write conflict), so its member wrote nothing — an
+    ordinary commit would elide its append.  As the last agent it still
+    appends its COMMIT marker, the decision for shard 0's PREPARE, and the
+    transaction recovers committed on every shard."""
+    sdb = make_sharded()
+    key0 = _owned_by(sdb, 0, range(100))
+    key1 = _owned_by(sdb, 1, range(100))
+    setup = sdb.begin()
+    sdb.insert(setup, TABLE, (key1, "a"))
+    setup.commit()
+    txn = sdb.begin()
+    [(shard, hit)] = sdb.select_hits_tagged(txn, INDEX, (key1,))
+    rival = sdb.begin()
+    sdb.update_by_key(rival, INDEX, (key1,), {"val": "b"})
+    rival.commit()
+    with pytest.raises(WriteConflictError):
+        sdb.update_hit(txn, TABLE, shard, hit, {"val": "c"})
+    sdb.insert(txn, TABLE, (key0, "x"))
+    assert txn.touched == {0, 1}
+    agent = sdb.shards[1].durability
+    assert agent is not None and agent.wrote_nothing(txn.on(1))
+    markers = agent.wal.commit_markers
+    txn.commit()
+    assert agent.wal.commit_markers == markers + 1
+    final = {key1: "b", key0: "x"}
+    # a horizon is a txid cut-off: txn (older id) is seen before rival
+    history = [(setup.id, {key1: "a"}), (txn.id, {key1: "a", key0: "x"}),
+               (rival.id, dict(final))]
+    run = ShardedRun(sdb, history, final, True, None, None)
+    recover_and_check_sharded(run, context="agent wrote nothing")
+
+
 def test_single_shard_recovery_needs_the_decision() -> None:
-    """A shard recovered on its own sees PREPARE without COMMIT: the
-    outcome is the coordinator's to give (folded into ``durable``)."""
+    """The prepared shard recovered on its own sees PREPARE without
+    COMMIT: the outcome is the last agent's to give (folded into
+    ``durable``), and that shard alone recovers it committed."""
     sdb = make_sharded()
     txid, _state = _cross_shard_commit(sdb)
     alone = Database.recover(sdb.shards[0])
     assert alone.txn.status_of(txid) is TxnStatus.ABORTED
+    agent = Database.recover(sdb.shards[1])
+    assert agent.txn.status_of(txid) is TxnStatus.COMMITTED
     durable = sdb.shards[0].reboot_and_read()
+    decided = sdb.shards[1].reboot_and_read().committed
     told = Database.recover(sdb.shards[0], durable=durable._replace(
-        committed=durable.committed | sdb.coordinator.decisions))
+        committed=durable.committed | decided))
     assert told.txn.status_of(txid) is TxnStatus.COMMITTED
     whole = ShardedDatabase.recover(sdb)
     assert whole.shards[0].txn.status_of(txid) is TxnStatus.COMMITTED

@@ -9,6 +9,10 @@ key/value workload; here the SAME fault plans hit a served, durable
 crash point lands inside — or between — 2PC commits that touch district,
 orders, new_order, order_line and REMOTE stock rows at once.
 
+The commit point of each of those commits is the last touched shard's
+commit append, so the coordinator's device stays silent through the run
+and only the shard devices are swept.
+
 After recovery we assert three things:
 
 * **status atomicity** — every transaction id issued during the run has
@@ -39,7 +43,8 @@ from repro.workloads import (ShardServerBackend, TPCCConfig, TPCCResult,
 pytestmark = [pytest.mark.crash, pytest.mark.shard, pytest.mark.workload]
 
 SHARDS = 2
-TARGETS = ("shard0", "shard1", "coord")
+SHARD_TARGETS = ("shard0", "shard1")
+TARGETS = SHARD_TARGETS + ("coord",)
 
 #: the load deals two of the four warehouses to each shard (asserted in
 #: ``test_workload_reaches_both_shards``), so a remote order line regularly
@@ -195,8 +200,8 @@ def test_workload_reaches_both_shards(clean_run: dict[str, object]) -> None:
     assert result.committed + result.aborted == N_TXNS
     assert result.committed >= N_TXNS - 5
     assert result.by_type == {"new_order": result.committed}
-    # forced remote order lines -> durable cross-shard commits logged 2PC
-    # decisions with the coordinator
+    # forced remote order lines -> durable cross-shard commits, each
+    # decided by its last touched shard's commit append
     assert clean_run["decisions"] > 5, (
         "new-orders did not take the durable 2PC path")
     # the load dealt two warehouses to each shard
@@ -204,13 +209,14 @@ def test_workload_reaches_both_shards(clean_run: dict[str, object]) -> None:
     owned = [owner((w,)) for w in range(1, CRASH_CFG.warehouses + 1)]
     assert sorted(owned.count(k) for k in range(SHARDS)) == [2, 2], owned
     run_io = clean_run["run_io"]
-    for target in TARGETS:
+    for target in SHARD_TARGETS:
         assert run_io[target] > 0, f"{target} sat idle during the run"
+    assert run_io["coord"] == 0, "the coordinator wrote during the run"
     assert_tpcc_consistent(clean_run["backend"], context="clean run")
     assert_stock_ledger_balanced(clean_run["backend"], "clean run")
 
 
-@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("target", SHARD_TARGETS)
 def test_new_order_crash_sweep(target: str, clean_run: dict[str, object],
                                run_crash_sweep: bool) -> None:
     """Kill one device k I/Os into the run; recover; assert atomicity."""
@@ -222,6 +228,18 @@ def test_new_order_crash_sweep(target: str, clean_run: dict[str, object],
         crashes += 1
         recover_and_check(run, context=f"{target} k={k}").close()
     assert crashes > 0
+
+
+def test_coordinator_is_silent_during_new_orders(
+        clean_run: dict[str, object]) -> None:
+    """A coordinator device armed at its next I/O never fires through the
+    cross-shard new-orders, and the run matches the clean one."""
+    run = run_new_orders("coord", 0)
+    assert not run.crashed
+    assert run.result is not None
+    assert run.result.committed == clean_run["result"].committed
+    run.backend.close()
+    recover_and_check(run, context="coordinator silent").close()
 
 
 def test_torn_new_order_write_recovers(
@@ -250,8 +268,10 @@ def test_crash_beyond_run_never_fires(
 def test_recovered_cluster_accepts_cross_shard_txns(
         clean_run: dict[str, object]) -> None:
     """Post-recovery the cluster still runs 2PC payments and stays
-    consistent — recovery returns a working router, not a read replica."""
-    run = run_new_orders("coord", clean_run["run_io"]["coord"] // 2)
+    consistent — recovery returns a working router, not a read replica.
+    The crash hits shard 1, the last touched shard of every cross-shard
+    commit here, halfway through the run."""
+    run = run_new_orders("shard1", clean_run["run_io"]["shard1"] // 2)
     assert run.crashed
     backend = recover_and_check(run, context="resume")
     decisions_before = len(backend.router.coordinator.decisions)

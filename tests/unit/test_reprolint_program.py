@@ -534,6 +534,22 @@ class TestR11Protocol:
         assert "P, M, D" in hits[0].message
         assert "not an accepted decision order" in hits[0].message
 
+    def test_decision_before_prepares_fires(self, tmp_path):
+        """The commit point must follow every PREPARE: a decision taken
+        first would commit slices that are not yet durable."""
+        prepares = ("                for k in touched:\n"
+                    "                    self.shards[k].durability"
+                    ".append_prepare(txn)\n")
+        decision = "                self.coordinator.log_decision(txn.id)\n"
+        bad = _GOOD_ROUTER.replace(prepares + decision, decision + prepares)
+        assert bad != _GOOD_ROUTER      # the rewrite really swapped them
+        findings, _ = lint_tree(
+            tmp_path, {"repro/shard/router.py": bad}, ["R11"])
+        hits = fired(findings, "R11")
+        assert len(hits) == 1
+        assert "D, P, M, F, E" in hits[0].message
+        assert "not an accepted decision order" in hits[0].message
+
     def test_missing_decision_fires(self, tmp_path):
         bad = _GOOD_ROUTER.replace(
             "                self.coordinator.log_decision(txn.id)\n", "")

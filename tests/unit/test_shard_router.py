@@ -1,7 +1,7 @@
 """Unit tests: shard router building blocks + regression pins.
 
-Covers the hash partitioner, the coordinator's allocation/decision/
-layout log, router validation and routing behavior, the ``shard.*``
+Covers the hash partitioner, the coordinator's allocation and layout
+log, router validation and routing behavior, the ``shard.*``
 metrics and explain plans — plus regression tests for the single-node
 assumptions the sharding work uncovered:
 ``TransactionManager.begin_adopted`` and
@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 from repro.config import EngineConfig
+from repro.durability.wal import KIND_NOTE, WriteAheadLog
 from repro.engine.database import Database
 from repro.errors import (ConfigError, IndexError_,
                           TransactionStateError, UniqueViolationError,
@@ -167,18 +168,19 @@ class TestCoordinator:
         device = SimulatedDevice(UNIT_TEST_PROFILE, clock)
         return PageFile("coord", device, 512, 4)
 
-    def test_decision_and_layout_recover(self):
+    def test_layout_recovers_from_a_notes_only_log(self):
         f = self._coord_file()
         c = ShardCoordinator(HashPartitioner(2, slots=4), log_file=f)
         c.begin()
-        c.log_decision(1)
         key = (15,)
         moved = 1 - c.partitioner.shard_of(key)
         c.partitioner = c.partitioner.move_slot(
             c.partitioner.slot_of(key), moved)
         c.log_layout()
+        _wal, entries = WriteAheadLog.recover(f)
+        assert [e.kind for e in entries] == [KIND_NOTE, KIND_NOTE]
         r = ShardCoordinator.recover(f, next_floor=c.next_txid)
-        assert r.decisions == {1}
+        assert r.decisions == set()     # commit evidence is the shards'
         assert r.partitioner.shard_of(key) == moved
         assert r.partitioner.to_state() == c.partitioner.to_state()
         assert r.next_txid >= c.next_txid
@@ -305,12 +307,14 @@ class TestRouterBehavior:
         assert reg.counter_value("shard.txn.commits.cross_shard") == 1
         assert reg.counter_value("shard.txn.commits.single_shard") == 1
         assert reg.counter_value("shard.2pc.decisions") == 1
-        assert reg.counter_value("shard.2pc.prepares") == 4
+        # every touched shard but the last prepares; the last one's
+        # commit append is the decision
+        assert reg.counter_value("shard.2pc.prepares") == 3
         assert len(sdb.coordinator.decisions) == 1
-        # phase two wrote nothing: four markers staged, four prepare
-        # appends plus the single-shard commit's one on the shards
+        # phase two wrote nothing: three markers staged; three prepare
+        # appends, the decision and the single-shard commit on the shards
         shard_cv = [db.obs.registry.counter_value for db in sdb.shards]
-        assert sum(cv("wal.markers_deferred") for cv in shard_cv) == 4
+        assert sum(cv("wal.markers_deferred") for cv in shard_cv) == 3
         assert sum(cv("wal.appends") for cv in shard_cv) == 5
 
     def test_cross_shard_move_changes_owner(self):
