@@ -17,6 +17,10 @@ frozen partition's records (version chains are implicit in the record order
 3. the new :class:`~repro.core.partition.PersistedPartition` is published
    and a fresh ``P_N`` started.
 
+A durable tree's build ends its run with the *filter block*: the bloom,
+prefix bloom and zone map encoded once, as trailing pages of the last
+extent append, so the manifest only points at them (DESIGN.md §9.3).
+
 No stage materialises the record set: peak transient memory is one leaf
 page, one extent of packed pages, the current reconciliation key group and
 the filter digest arrays (one pair of 32-bit ints per record for the bloom
@@ -37,7 +41,8 @@ from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..index.filters import (BLOOM_FPR, PREFIX_BLOOM_FPR, BloomFilter,
-                             PrefixBloomFilter, ZoneMapBuilder, digest)
+                             PartitionFilters, PrefixBloomFilter,
+                             ZoneMapBuilder, digest, filter_block_pages)
 from ..index.runs import PersistedRun
 from ..obs.core import span_or_null
 from ..storage.keycodec import encode_key, encode_key_with_prefix
@@ -120,8 +125,9 @@ def build_partition(tree: "MVPBT", records: Iterable[MVPBTRecord],
 
     Consumes an already §4.3-ordered record stream once: optional §4.7
     reconciliation, fused filter/timestamp accounting, incremental page
-    packing with extent-sized sequential appends.  Returns the
-    publish-ready partition, or None when the stream turns out empty.
+    packing with extent-sized sequential appends — on a durable tree the
+    last one carries the filter block.  Returns the publish-ready
+    partition, or None when the stream turns out empty.
     """
     if tree.reconcile:
         records = reconcile_stream(records)
@@ -145,22 +151,32 @@ def build_partition(tree: "MVPBT", records: Iterable[MVPBTRecord],
                 pure = False
         zone.add_page(lo, hi, pure, used)
 
+    filters: PartitionFilters | None = None
+
+    def seal() -> list[bytes]:
+        # the stream has ended, so the filters are complete
+        nonlocal filters
+        filters = PartitionFilters(*meta.build_filters(), zone.build())
+        if tree._durability is None:
+            return []
+        return filter_block_pages(filters, tree.file.page_size)
+
     run = PersistedRun(
         tree.file, tree.pool, meta.observe(records),
         key_of=lambda r: r.key,
         size_of=lambda r: record_size(r, tree.mode),
         fill_factor=1.0,
-        page_hook=zone_page)
+        page_hook=zone_page,
+        trailer=seal)
     if run.record_count == 0:
         return None
 
     clock = tree.manager.clock
     clock.advance(clock.cost.hash_op * run.record_count)
-    bloom, prefix_bloom = meta.build_filters()
     tree.stats.bytes_written += run.size_bytes
     return PersistedPartition(
-        number=number, run=run, bloom=bloom, prefix_bloom=prefix_bloom,
-        min_ts=meta.min_ts, max_ts=meta.max_ts, zone_map=zone.build())
+        number=number, run=run, min_ts=meta.min_ts, max_ts=meta.max_ts,
+        filters=filters)
 
 
 class PartitionMetaBuilder:

@@ -7,17 +7,20 @@
   newer records precede older ones within a key).
 * :class:`PersistedPartition` — an immutable, dense-packed partition on
   storage: a :class:`~repro.index.runs.PersistedRun` plus partition metadata
-  (range keys, minimum transaction timestamp, bloom / prefix-bloom filters)
-  used to skip partitions during search and scan (§4.2, §4.7).
+  (range keys, minimum transaction timestamp, bloom / prefix-bloom filters,
+  zone map) used to skip partitions during search and scan (§4.2, §4.7).
+  On a durable tree the filters and zone map are the run's trailing filter
+  block; a restored partition reads it on first use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterator
 
-from ..index.filters import BloomFilter, PrefixBloomFilter, ZoneMap
+from ..errors import FilterBlockError, PageNotFoundError
+from ..index.filters import (BloomFilter, PartitionFilters, PrefixBloomFilter,
+                             ZoneMap, decode_filter_block)
 from ..index.runs import PersistedRun
 from ..storage.page import PAGE_HEADER_BYTES
 from ..txn.snapshot import Snapshot
@@ -252,19 +255,59 @@ class MemoryPartition:
                 f"bytes={self.bytes_used}, leaves={self.leaf_count})")
 
 
-@dataclass
 class PersistedPartition:
-    """One immutable on-storage partition with its metadata."""
+    """One immutable on-storage partition with its metadata.
 
-    number: int
-    run: PersistedRun[MVPBTRecord]
-    bloom: BloomFilter | None
-    prefix_bloom: PrefixBloomFilter | None
-    min_ts: int
-    max_ts: int
-    #: per-page pruning metadata (None on partitions built/restored before
-    #: zone maps existed — batch scans then treat every page as impure)
-    zone_map: ZoneMap | None = None
+    ``filters`` is what the build computed; None on a restored partition,
+    which reads them from its run's trailer — the filter block — on the
+    first use of :attr:`bloom`, :attr:`prefix_bloom` or :attr:`zone_map`
+    (one buffer-pool request per block page) and keeps them.  A run
+    without a trailer has no filters: every probe passes and every page
+    counts as impure.
+    """
+
+    __slots__ = ("number", "run", "min_ts", "max_ts", "_filters")
+
+    def __init__(self, number: int, run: PersistedRun[MVPBTRecord],
+                 min_ts: int, max_ts: int,
+                 filters: PartitionFilters | None = None) -> None:
+        self.number = number
+        self.run = run
+        self.min_ts = min_ts
+        self.max_ts = max_ts
+        self._filters = filters
+
+    @property
+    def filters(self) -> PartitionFilters:
+        """The partition's filters, read from its filter block on first
+        use."""
+        return self._filters or self._load_filters()
+
+    def _load_filters(self) -> PartitionFilters:
+        run = self.run
+        if not run.trailer_page_nos:
+            filters = PartitionFilters(None, None, None)
+        else:
+            try:
+                filters = decode_filter_block(run.read_trailer())
+            except (FilterBlockError, PageNotFoundError) as exc:
+                raise FilterBlockError(
+                    f"{run.file.name}: P{self.number} filter block "
+                    f"(pages {run.trailer_page_nos}): {exc}") from exc
+        self._filters = filters
+        return filters
+
+    @property
+    def bloom(self) -> BloomFilter | None:
+        return self.filters.bloom
+
+    @property
+    def prefix_bloom(self) -> PrefixBloomFilter | None:
+        return self.filters.prefix_bloom
+
+    @property
+    def zone_map(self) -> ZoneMap | None:
+        return self.filters.zone_map
 
     @property
     def record_count(self) -> int:

@@ -61,7 +61,8 @@ CHECKPOINT_BUFFERS = 8
 
 
 def partition_meta(partition: "PersistedPartition") -> PartitionMeta:
-    """Snapshot one live partition's manifest record."""
+    """Snapshot one live partition's manifest record: pointers only, its
+    filters stay in its filter block."""
     run = partition.run
     return PartitionMeta(
         number=partition.number,
@@ -73,12 +74,7 @@ def partition_meta(partition: "PersistedPartition") -> PartitionMeta:
         fences=list(run._fences),
         min_key=run.min_key,
         max_key=run.max_key,
-        bloom_state=(partition.bloom.to_state()
-                     if partition.bloom is not None else None),
-        prefix_state=(partition.prefix_bloom.to_state()
-                      if partition.prefix_bloom is not None else None),
-        zone_state=(partition.zone_map.to_state()
-                    if partition.zone_map is not None else None))
+        filter_pages=list(run.trailer_page_nos))
 
 
 class DurabilityController:

@@ -2,8 +2,9 @@
 
 One durable record of the index forest's persisted state: for every MV-PBT,
 the live persisted partitions (page numbers, fence keys, key range, record
-counts, timestamp range, serialised bloom / prefix-bloom filters), the
-``P_N`` successor number, the tree-wide sequence counter and the WAL replay
+counts, timestamp range, and the page numbers of the partition's filter
+block — the filters themselves live beside the leaves), the ``P_N``
+successor number, the tree-wide sequence counter and the WAL replay
 floor; globally, the transaction-id watermark at the time of the flip.
 
 Storage is a classic **double-buffered superblock**: two slots of at most
@@ -37,10 +38,9 @@ from ..storage.keycodec import decode_key, encode_key
 from ..storage.pagefile import PageFile
 from ..types import Key
 
-MAGIC = b"MVPBTMF1"
+MAGIC = b"MVPBTMF2"
 
 _PAGE_HEAD = struct.Struct("<IQHHI")  # crc, epoch, page idx, page count, len
-_U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -59,11 +59,9 @@ class PartitionMeta:
     fences: list[Key]
     min_key: Key | None
     max_key: Key | None
-    bloom_state: tuple[int, int, int, bytes] | None = None
-    prefix_state: tuple[int, tuple[int, int, int, bytes]] | None = None
-    #: per-page zone map (min ts, max ts, purity, bytes) — None on
-    #: manifests written before zone maps existed
-    zone_state: tuple[list[int], list[int], bytes, list[int]] | None = None
+    #: the run's trailing filter block (bloom, prefix bloom, zone map),
+    #: read on first use — never by recovery
+    filter_pages: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -114,70 +112,6 @@ def _unpack_key(data: bytes, pos: int) -> tuple[Key | None, int]:
     return decode_key(bytes(data[pos:pos + length])), pos + length
 
 
-def _pack_bloom(state: tuple[int, int, int, bytes] | None) -> bytes:
-    if state is None:
-        return _U8.pack(0)
-    nbits, nhashes, items, bits = state
-    return (_U8.pack(1) + _U32.pack(nbits) + _U8.pack(nhashes)
-            + _U32.pack(items) + _U32.pack(len(bits)) + bits)
-
-
-def _unpack_bloom(data: bytes, pos: int
-                  ) -> tuple[tuple[int, int, int, bytes] | None, int]:
-    present = data[pos]
-    pos += 1
-    if not present:
-        return None, pos
-    (nbits,) = _U32.unpack_from(data, pos)
-    nhashes = data[pos + 4]
-    (items,) = _U32.unpack_from(data, pos + 5)
-    (blen,) = _U32.unpack_from(data, pos + 9)
-    pos += 13
-    return (nbits, nhashes, items, bytes(data[pos:pos + blen])), pos + blen
-
-
-def _pack_zone(state: tuple[list[int], list[int], bytes, list[int]] | None
-               ) -> bytes:
-    if state is None:
-        return _U8.pack(0)
-    min_ts, max_ts, pure, nbytes = state
-    out = bytearray(_U8.pack(1))
-    out += _U32.pack(len(min_ts))
-    for lo, hi in zip(min_ts, max_ts):
-        out += _U64.pack(lo)
-        out += _U64.pack(hi)
-    out += bytes(pure)
-    for used in nbytes:
-        out += _U32.pack(used)
-    return bytes(out)
-
-
-def _unpack_zone(data: bytes, pos: int
-                 ) -> tuple[tuple[list[int], list[int], bytes,
-                                  list[int]] | None, int]:
-    present = data[pos]
-    pos += 1
-    if not present:
-        return None, pos
-    (count,) = _U32.unpack_from(data, pos)
-    pos += 4
-    min_ts: list[int] = []
-    max_ts: list[int] = []
-    for _ in range(count):
-        (lo,) = _U64.unpack_from(data, pos)
-        (hi,) = _U64.unpack_from(data, pos + 8)
-        min_ts.append(lo)
-        max_ts.append(hi)
-        pos += 16
-    pure = bytes(data[pos:pos + count])
-    if len(pure) != count:
-        raise StorageError("truncated zone-map purity bytes")
-    pos += count
-    nbytes = [_U32.unpack_from(data, pos + 4 * i)[0] for i in range(count)]
-    pos += 4 * count
-    return (min_ts, max_ts, pure, nbytes), pos
-
-
 def encode_state(state: ManifestState) -> bytes:
     out = bytearray(MAGIC)
     out += _U64.pack(state.txid_watermark)
@@ -208,14 +142,9 @@ def encode_state(state: ManifestState) -> bytes:
                 out += _pack_key(fence)
             out += _pack_key(part.min_key)
             out += _pack_key(part.max_key)
-            out += _pack_bloom(part.bloom_state)
-            if part.prefix_state is None:
-                out += _U8.pack(0)
-            else:
-                prefix_columns, bloom_state = part.prefix_state
-                out += _U8.pack(prefix_columns)
-                out += _pack_bloom(bloom_state)
-            out += _pack_zone(part.zone_state)
+            out += _U32.pack(len(part.filter_pages))
+            for page_no in part.filter_pages:
+                out += _U32.pack(page_no)
     return bytes(out)
 
 
@@ -270,19 +199,14 @@ def decode_state(data: bytes) -> ManifestState:
                     fences.append(fence)
                 min_key, pos = _unpack_key(data, pos)
                 max_key, pos = _unpack_key(data, pos)
-                bloom_state, pos = _unpack_bloom(data, pos)
-                prefix_columns = data[pos]
-                pos += 1
-                prefix_state = None
-                if prefix_columns:
-                    prefix_bloom, pos = _unpack_bloom(data, pos)
-                    if prefix_bloom is not None:
-                        prefix_state = (prefix_columns, prefix_bloom)
-                zone_state, pos = _unpack_zone(data, pos)
+                (n_filter,) = _U32.unpack_from(data, pos)
+                pos += 4
+                filter_pages = [_U32.unpack_from(data, pos + 4 * i)[0]
+                                for i in range(n_filter)]
+                pos += 4 * n_filter
                 ix.partitions.append(PartitionMeta(
                     number, record_count, size_bytes, min_ts, max_ts,
-                    page_nos, fences, min_key, max_key,
-                    bloom_state, prefix_state, zone_state))
+                    page_nos, fences, min_key, max_key, filter_pages))
             state.indexes[name] = ix
         return state
     except (struct.error, IndexError, ValueError, StorageError,

@@ -4,10 +4,11 @@ The whole durable state is read with two sequential passes — the manifest
 (the first page of both slots, then the rest of the newer slot), then the
 WAL file's surviving pages in page order — each reading contiguous pages
 as one request per run.
-Partition *leaves* are never read: every navigation structure (fences, key
-bounds, filters, counts) comes out of the manifest, so the recovered tree
-answers its first query through the buffer pool exactly like a warm one
-would, just with cold leaves.
+Partition pages are never read: fences, key bounds, counts and the page
+numbers of each partition's filter block come out of the manifest, so the
+recovered tree answers its first query through the buffer pool like a warm
+one would, with cold leaves and cold filters — a partition reads its
+filter block the first time a query reaches one of its filters.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from ..core.records import MVPBTRecord
-from ..index.filters import BloomFilter, PrefixBloomFilter, ZoneMap
 from ..index.runs import PersistedRun
 from ..storage.pagefile import PageFile
 from .manifest import ManifestState, ManifestStore, PartitionMeta
@@ -99,28 +99,15 @@ def read_durable_state(manifest_file: PageFile, wal_file: PageFile,
     return DurableState(store, state, wal, committed, records, next_txid)
 
 
-def restore_bloom(state: tuple[int, int, int, bytes] | None
-                  ) -> BloomFilter | None:
-    return None if state is None else BloomFilter.from_state(*state)
-
-
-def restore_prefix_bloom(state: tuple[int, tuple[int, int, int, bytes]] | None
-                         ) -> PrefixBloomFilter | None:
-    return None if state is None else PrefixBloomFilter.from_state(*state)
-
-
 def restore_partition(meta: PartitionMeta, file: PageFile,
                       pool: "BufferPool") -> "PersistedPartition":
-    """Re-attach one persisted partition from its manifest record."""
+    """Re-attach one persisted partition from its manifest record,
+    reading none of its pages (its filter block loads on first use)."""
     from ..core.partition import PersistedPartition
     run: PersistedRun[MVPBTRecord] = PersistedRun.restore(
         file, pool, page_nos=meta.page_nos, fences=meta.fences,
         record_count=meta.record_count, size_bytes=meta.size_bytes,
-        min_key=meta.min_key, max_key=meta.max_key)
-    return PersistedPartition(
-        number=meta.number, run=run,
-        bloom=restore_bloom(meta.bloom_state),
-        prefix_bloom=restore_prefix_bloom(meta.prefix_state),
-        min_ts=meta.min_ts, max_ts=meta.max_ts,
-        zone_map=(ZoneMap.from_state(*meta.zone_state)
-                  if meta.zone_state is not None else None))
+        min_key=meta.min_key, max_key=meta.max_key,
+        trailer_page_nos=meta.filter_pages)
+    return PersistedPartition(number=meta.number, run=run,
+                              min_ts=meta.min_ts, max_ts=meta.max_ts)

@@ -55,6 +55,11 @@ class RecoveryError(StorageError):
     """Crash recovery could not reconstruct a consistent durable state."""
 
 
+class FilterBlockError(StorageError):
+    """A persisted partition's filter block does not decode (corrupt,
+    torn or missing pages)."""
+
+
 class BufferError_(ReproError):
     """Buffer-pool failure (e.g. all frames pinned)."""
 

@@ -13,16 +13,22 @@ filter sizes involved.  The digest pair of a key is exposed separately
 builds can hash each key once while records flow past and materialise the
 filter — bit-identical to sequential ``add`` calls — only when the final
 record count is known.  Effectiveness counters back the paper's Figure 13.
+
+A durable MV-PBT partition writes its filters and zone map once, as the
+*filter block* trailing its leaves (:func:`filter_block_pages` /
+:func:`decode_filter_block`, DESIGN.md §9.3).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import zlib
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
-from ..errors import ConfigError, KeyCodecError
+from ..errors import ConfigError, FilterBlockError, KeyCodecError
 from ..storage.keycodec import encode_key
 from ..types import Key
 
@@ -245,14 +251,14 @@ class PrefixBloomFilter:
 
     @classmethod
     def from_state(cls, prefix_columns: int,
-                   bloom_state: tuple[int, int, int, bytes]
+                   state: tuple[int, int, int, bytes]
                    ) -> "PrefixBloomFilter":
         if prefix_columns < 1:
             raise ConfigError(
                 f"prefix_columns must be >= 1: {prefix_columns}")
         obj = object.__new__(cls)
         obj.prefix_columns = prefix_columns
-        obj._bloom = BloomFilter.from_state(*bloom_state)
+        obj._bloom = BloomFilter.from_state(*state)
         return obj
 
 
@@ -354,3 +360,141 @@ class ZoneMapBuilder:
 
     def build(self) -> ZoneMap:
         return ZoneMap(self._min_ts, self._max_ts, self._pure, self._bytes)
+
+
+class PartitionFilters(NamedTuple):
+    """Everything a persisted MV-PBT partition prunes with besides its
+    fences and timestamp range — the contents of its filter block."""
+
+    bloom: BloomFilter | None
+    prefix_bloom: PrefixBloomFilter | None
+    zone_map: ZoneMap | None
+
+
+# ------------------------------------------------------------- filter block
+
+_BLOCK_MAGIC = b"MVPBTFB1"
+
+_BLOCK_HEAD = struct.Struct("<8sII")   # magic, crc32 of the body, body length
+_U8 = struct.Struct("<B")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+
+
+def _pack_bloom(state: tuple[int, int, int, bytes] | None) -> bytes:
+    if state is None:
+        return _U8.pack(0)
+    nbits, nhashes, items, bits = state
+    return (_U8.pack(1) + _U32.pack(nbits) + _U8.pack(nhashes)
+            + _U32.pack(items) + _U32.pack(len(bits)) + bits)
+
+
+def _unpack_bloom(data: bytes, pos: int
+                  ) -> tuple[tuple[int, int, int, bytes] | None, int]:
+    present = data[pos]
+    pos += 1
+    if not present:
+        return None, pos
+    (nbits,) = _U32.unpack_from(data, pos)
+    nhashes = data[pos + 4]
+    (items,) = _U32.unpack_from(data, pos + 5)
+    (blen,) = _U32.unpack_from(data, pos + 9)
+    pos += 13
+    return (nbits, nhashes, items, bytes(data[pos:pos + blen])), pos + blen
+
+
+def _pack_zone(state: tuple[list[int], list[int], bytes, list[int]] | None
+               ) -> bytes:
+    if state is None:
+        return _U8.pack(0)
+    min_ts, max_ts, pure, nbytes = state
+    out = bytearray(_U8.pack(1))
+    out += _U32.pack(len(min_ts))
+    for lo, hi in zip(min_ts, max_ts):
+        out += _U64.pack(lo)
+        out += _U64.pack(hi)
+    out += bytes(pure)
+    for used in nbytes:
+        out += _U32.pack(used)
+    return bytes(out)
+
+
+def _unpack_zone(data: bytes, pos: int
+                 ) -> tuple[tuple[list[int], list[int], bytes,
+                                  list[int]] | None, int]:
+    present = data[pos]
+    pos += 1
+    if not present:
+        return None, pos
+    (count,) = _U32.unpack_from(data, pos)
+    pos += 4
+    min_ts: list[int] = []
+    max_ts: list[int] = []
+    for _ in range(count):
+        (lo,) = _U64.unpack_from(data, pos)
+        (hi,) = _U64.unpack_from(data, pos + 8)
+        min_ts.append(lo)
+        max_ts.append(hi)
+        pos += 16
+    pure = bytes(data[pos:pos + count])
+    if len(pure) != count:
+        raise FilterBlockError("truncated zone-map purity bytes")
+    pos += count
+    nbytes = [_U32.unpack_from(data, pos + 4 * i)[0] for i in range(count)]
+    pos += 4 * count
+    return (min_ts, max_ts, pure, nbytes), pos
+
+
+def filter_block_pages(filters: PartitionFilters,
+                       page_size: int) -> list[bytes]:
+    """Encode ``filters`` as a filter block cut into page images.
+
+    The block is a 16-byte head (magic, CRC32 of the body, body length)
+    and a body of the bloom, the prefix bloom (its width first, 0 for
+    none) and the zone map; it spans as many pages as it needs and
+    carries one checksum over all of them.
+    """
+    prefix = filters.prefix_bloom
+    body = bytearray(_pack_bloom(filters.bloom.to_state()
+                                 if filters.bloom is not None else None))
+    if prefix is None:
+        body += _U8.pack(0)
+    else:
+        body += _U8.pack(prefix.prefix_columns)
+        body += _pack_bloom(prefix.to_state()[1])
+    body += _pack_zone(filters.zone_map.to_state()
+                       if filters.zone_map is not None else None)
+    block = _BLOCK_HEAD.pack(_BLOCK_MAGIC,
+                             zlib.crc32(body) & 0xFFFFFFFF,
+                             len(body)) + bytes(body)
+    return [block[i:i + page_size] for i in range(0, len(block), page_size)]
+
+
+def decode_filter_block(pages: Sequence[object]) -> PartitionFilters:
+    """Decode the page images :func:`filter_block_pages` wrote; raises
+    :class:`FilterBlockError` unless they form one intact block."""
+    if not all(isinstance(page, (bytes, bytearray)) for page in pages):
+        raise FilterBlockError("filter block page is not a byte image")
+    block = b"".join(pages)  # type: ignore[arg-type]
+    try:
+        magic, crc, length = _BLOCK_HEAD.unpack_from(block, 0)
+        body = block[_BLOCK_HEAD.size:]
+        if magic != _BLOCK_MAGIC:
+            raise FilterBlockError("bad filter block magic")
+        if len(body) != length or zlib.crc32(body) & 0xFFFFFFFF != crc:
+            raise FilterBlockError("filter block checksum mismatch")
+        bloom, pos = _unpack_bloom(body, 0)
+        prefix_columns = body[pos]
+        prefix, pos = (_unpack_bloom(body, pos + 1) if prefix_columns
+                       else (None, pos + 1))
+        zone, pos = _unpack_zone(body, pos)
+        if pos != length:
+            raise FilterBlockError(
+                f"filter block has {length - pos} trailing bytes")
+        return PartitionFilters(
+            BloomFilter.from_state(*bloom) if bloom is not None else None,
+            PrefixBloomFilter.from_state(prefix_columns, prefix)
+            if prefix is not None else None,
+            ZoneMap.from_state(*zone) if zone is not None else None)
+    except (struct.error, IndexError, ValueError, ConfigError) as exc:
+        raise FilterBlockError(f"undecodable filter block: {exc}") from exc

@@ -16,12 +16,19 @@ partitions run in bounded builder memory.
 Fence keys (the first key of each leaf) are kept in memory, modelling the
 paper's observation that the higher levels of the tree structure are
 "commonly buffered" (§4.2); only leaf accesses are charged I/O.
+
+A builder may close a run with *trailer* pages — opaque payloads written
+after the last leaf in the same final append (an MV-PBT partition's filter
+block).  They are not leaves: no fence, no record, read only on request
+(:meth:`PersistedRun.read_trailer`) and freed with the run.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Generic, Iterable, Iterator, TypeVar
+from itertools import chain
+from typing import (Any, Callable, Generic, Iterable, Iterator, Sequence,
+                    TypeVar)
 
 from ..buffer.pool import BufferPool
 from ..errors import StorageError
@@ -69,6 +76,11 @@ class PersistedRun(Generic[R]):
     streaming pass and pages are appended to the file extent by extent as
     they fill (identical write pattern and page numbering to packing a
     materialised list, without ever holding the whole run).
+
+    ``trailer``, called once the stream has ended (and only if it held a
+    record), returns the run's trailer pages; they ride in the last
+    append, spilling into a fresh extent, sized to them, only when the last
+    one is full.
     """
 
     def __init__(self, file: PageFile, pool: BufferPool,
@@ -77,7 +89,9 @@ class PersistedRun(Generic[R]):
                  size_of: Callable[[R], int],
                  fill_factor: float = 1.0,
                  page_hook: Callable[[list[Key], list[R], int], None]
-                 | None = None) -> None:
+                 | None = None,
+                 trailer: Callable[[], Sequence[object]] | None = None
+                 ) -> None:
         if not 0.0 < fill_factor <= 1.0:
             raise StorageError(f"bad fill factor: {fill_factor}")
         self.file = file
@@ -88,10 +102,11 @@ class PersistedRun(Generic[R]):
         self.max_key: Key | None = None
         self._fences: list[Key] = []
         self.page_nos: list[int] = []
+        self.trailer_page_nos: list[int] = []
 
         capacity = int((file.page_size - PAGE_HEADER_BYTES) * fill_factor)
         extent_pages = file.extent_pages
-        pending: list[RunPage[R]] = []     # finished pages of the open extent
+        pending: list[object] = []         # finished pages of the open extent
         cur_keys: list[Key] = []
         cur_records: list[R] = []
         used = 0
@@ -122,21 +137,27 @@ class PersistedRun(Generic[R]):
             self._fences.append(cur_keys[0])
             if page_hook is not None:
                 page_hook(cur_keys, cur_records, used)
+        leaves = len(pending)
+        if trailer is not None and self.record_count:
+            pending.extend(trailer())
         if pending:
-            self.page_nos += file.append_extents(pending)
+            page_nos = file.append_extents(pending, len(pending) - leaves)
+            self.page_nos += page_nos[:leaves]
+            self.trailer_page_nos = page_nos[leaves:]
 
     @classmethod
     def restore(cls, file: PageFile, pool: BufferPool, *,
                 page_nos: list[int], fences: list[Key],
                 record_count: int, size_bytes: int,
-                min_key: Key | None, max_key: Key | None
+                min_key: Key | None, max_key: Key | None,
+                trailer_page_nos: Sequence[int] = ()
                 ) -> "PersistedRun[R]":
         """Re-attach a run to pages that already exist on the device.
 
         The crash-recovery path: all navigation metadata (fences, key range,
-        counts) comes from the durable partition manifest, so re-attaching
-        reads **zero** partition pages — leaves are only touched again by
-        queries, through the buffer pool, exactly like before the crash.
+        counts, trailer page numbers) comes from the durable partition
+        manifest, so re-attaching reads **zero** partition pages — leaves
+        and trailer are only touched again on use, through the buffer pool.
         """
         if len(page_nos) != len(fences):
             raise StorageError(
@@ -151,6 +172,7 @@ class PersistedRun(Generic[R]):
         run.max_key = max_key
         run._fences = list(fences)
         run.page_nos = list(page_nos)
+        run.trailer_page_nos = list(trailer_page_nos)
         return run
 
     # ---------------------------------------------------------------- access
@@ -251,12 +273,26 @@ class PersistedRun(Generic[R]):
                 yield from page.records  # type: ignore[union-attr]
 
     def free(self) -> None:
-        """Release all pages of the run (after compaction/merge)."""
-        for page_no in self.page_nos:
+        """Release all pages of the run, trailer included (after
+        compaction/merge)."""
+        for page_no in chain(self.page_nos, self.trailer_page_nos):
             self.pool.discard(self.file, page_no)
             self.file.free_page(page_no)
         self.page_nos = []
+        self.trailer_page_nos = []
         self._fences = []
+
+    def read_trailer(self) -> list[object]:
+        """The trailer pages' contents, one buffer-pool request each.
+
+        The caller decodes them once and keeps what it decoded, so the
+        pages leave the pool again instead of holding frames.
+        """
+        pool, file = self.pool, self.file
+        pages = [pool.get(file, page_no) for page_no in self.trailer_page_nos]
+        for page_no in self.trailer_page_nos:
+            pool.discard(file, page_no)
+        return pages
 
     @property
     def fence_keys(self) -> list[Key]:

@@ -199,12 +199,19 @@ class PageFile:
         self._require_allocated(page_no)
         self._contents[page_no] = payload
 
-    def append_extents(self, payloads: Sequence[object]) -> list[int]:
+    def append_extents(self, payloads: Sequence[object],
+                       trailer: int = 0) -> list[int]:
         """Append pages with sequential extent-granularity writes.
 
         Allocates fresh extents and issues one 64 KiB (extent-sized) write per
         extent — the paper's "append partition to storage" / SIAS tail-flush
         pattern.  Returns the new page numbers.
+
+        The last ``trailer`` payloads are a run's trailer pages, byte
+        images: an extent that would hold only trailer pages — the run's
+        last extent was full — is allocated at their size, not a whole
+        extent's, and the last trailer page is written up to its last
+        sector, like a log tail.
         """
         if not payloads:
             return []
@@ -212,7 +219,9 @@ class PageFile:
         idx = 0
         while idx < len(payloads):
             chunk = payloads[idx:idx + self.extent_pages]
-            base = self.device.allocate(self.page_size * self.extent_pages)
+            pages = (len(chunk) if idx >= len(payloads) - trailer
+                     else self.extent_pages)
+            base = self.device.allocate(self.page_size * pages)
             self._extent_starts.add(base)
             chunk_nos: list[int] = []
             for offset, _payload in enumerate(chunk):
@@ -220,8 +229,12 @@ class PageFile:
                 self._next_page_no += 1
                 self._addresses[page_no] = base + offset * self.page_size
                 chunk_nos.append(page_no)
+            nbytes = self.page_size * len(chunk)
+            if trailer and idx + len(chunk) == len(payloads):
+                last = len(chunk[-1])  # type: ignore[arg-type]
+                nbytes -= self.page_size - -(-last // SECTOR_BYTES) * SECTOR_BYTES
             try:
-                self.device.write(base, self.page_size * len(chunk))
+                self.device.write(base, nbytes)
             except DeviceCrashError as exc:
                 self._install_extent_prefix(chunk_nos, chunk,
                                             exc.bytes_persisted)

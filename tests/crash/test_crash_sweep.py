@@ -66,11 +66,18 @@ def test_crash_point_sweep(mode: str, sweep_domain: int,
     assert crashes > 0
 
 
+#: the harness script behind 32 aborted read-only transactions: the
+#: manifest lists every aborted txid (8 bytes each), which carries the
+#: later flips past one 492-byte slot page — the filters live in each
+#: partition's filter block, not in the manifest
+GROWN_SCRIPT = [("abort", [("read", 0)])] * 32 + SCRIPT
+
+
 def _grown_slot_flip_ios() -> tuple[int, list[int]]:
     """Of a fault-free run with one-page extents: its I/O count, and the
     I/O indices of every write of each manifest flip that reaches a
     slot's second extent."""
-    run = run_workload(extent_pages=1, trace=True)
+    run = run_workload(extent_pages=1, trace=True, script=GROWN_SCRIPT)
     entries = run.db.trace.entries()
     assert len(entries) == run.db.device.io_count   # index == I/O index
     page_at = {address // SECTOR_BYTES: page_no for page_no, address
@@ -100,7 +107,8 @@ def test_crash_sweep_through_grown_manifest_extents(
     if run_crash_sweep:
         targets = list(range(domain))
     for k in targets:
-        run = run_workload(FaultPlan(fail_at=k, mode=mode), extent_pages=1)
+        run = run_workload(FaultPlan(fail_at=k, mode=mode), extent_pages=1,
+                           script=GROWN_SCRIPT)
         assert run.crashed, f"fail_at={k} < clean I/O count must crash"
         recover_and_check(run, context=f"1-page extents mode={mode} k={k}")
 

@@ -368,9 +368,7 @@ def sample_state() -> ManifestState:
     part = PartitionMeta(
         number=3, record_count=120, size_bytes=4096, min_ts=5, max_ts=44,
         page_nos=[4, 5, 6], fences=[(10,), (20,), (999,)],
-        min_key=(1,), max_key=(999,),
-        bloom_state=(256, 3, 120, bytes(32)),
-        prefix_state=(1, (128, 2, 120, bytes(16))))
+        min_key=(1,), max_key=(999,), filter_pages=[7, 8])
     bare = PartitionMeta(
         number=4, record_count=1, size_bytes=64, min_ts=50, max_ts=50,
         page_nos=[9], fences=[(7, "b")], min_key=None, max_key=None)

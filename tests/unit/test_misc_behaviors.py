@@ -63,8 +63,7 @@ class TestMinTsFilter:
         from repro.index.runs import PersistedRun
         run = PersistedRun(file, pool, [], key_of=lambda r: r,
                            size_of=lambda r: 8)
-        return PersistedPartition(number=0, run=run, bloom=None,
-                                  prefix_bloom=None, min_ts=min_ts,
+        return PersistedPartition(number=0, run=run, min_ts=min_ts,
                                   max_ts=max_ts)
 
     def test_old_snapshot_skips_new_partition(self):

@@ -630,6 +630,7 @@ SAMPLES = (
     "tree._add_build" "_record(key)",
     "vacuum" "_heap(table, mgr)",
     "layer = Indirection" "Layer(clock)",
+    "meta.bloom" "_state",
 )
 
 

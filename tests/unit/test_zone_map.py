@@ -3,8 +3,8 @@
 Covers the PR's pruning contract end to end: selective range scans skip
 persisted partitions whose fence-key range is disjoint from the scan
 bounds (``partitions_skipped_range`` nonzero), page-level timestamp zones
-skip pages invisible to the snapshot, the zone map survives manifest
-state round-trips and crash recovery, and the new counters surface in
+skip pages invisible to the snapshot, the zone map survives filter-block
+round-trips and crash recovery, and the new counters surface in
 ``describe()`` / ``explain_scan``.
 """
 
@@ -14,12 +14,11 @@ from repro.buffer.partition_buffer import PartitionBuffer
 from repro.buffer.pool import BufferPool
 from repro.config import EngineConfig
 from repro.core.tree import MVPBT
-from repro.durability.manifest import (IndexManifest, ManifestState,
-                                       PartitionMeta, decode_state,
-                                       encode_state)
+from repro.durability.manifest import PartitionMeta
 from repro.durability.recovery import restore_partition
 from repro.engine.database import Database
-from repro.index.filters import ZoneMap, ZoneMapBuilder
+from repro.index.filters import (PartitionFilters, ZoneMap, ZoneMapBuilder,
+                                 decode_filter_block, filter_block_pages)
 from repro.obs import ObsConfig, check_invariants
 from repro.sim.clock import SimClock
 from repro.sim.device import SimulatedDevice
@@ -141,22 +140,16 @@ class TestZoneMapState:
         assert bytes(again.page_pure) == b"\x01\x00"
         assert list(again.page_bytes) == [4096, 1024]
 
-    def test_manifest_roundtrip(self):
+    def test_filter_block_roundtrip(self):
         builder = ZoneMapBuilder()
         builder.add_page(3, 7, True, 512)
-        meta = PartitionMeta(0, 10, 512, 3, 7, [0], [("a",)], ("a",),
-                             ("z",), zone_state=builder.build().to_state())
-        state = ManifestState(
-            txid_watermark=9,
-            indexes={"ix": IndexManifest("ix", 1, 10, 0, [meta])})
-        back = decode_state(encode_state(state)).indexes["ix"].partitions[0]
-        assert back.zone_state == meta.zone_state
-        # absent zone maps (older manifests) stay absent
-        meta_old = PartitionMeta(0, 10, 512, 3, 7, [0], [("a",)], ("a",),
-                                 ("z",))
-        state.indexes["ix"].partitions[0] = meta_old
-        back = decode_state(encode_state(state)).indexes["ix"].partitions[0]
-        assert back.zone_state is None
+        zone = builder.build()
+        pages = filter_block_pages(PartitionFilters(None, None, zone), 512)
+        back = decode_filter_block(pages).zone_map
+        assert back is not None and back.to_state() == zone.to_state()
+        # an absent zone map stays absent
+        pages = filter_block_pages(PartitionFilters(None, None, None), 512)
+        assert decode_filter_block(pages).zone_map is None
 
     def test_restored_partition_prunes_like_the_original(self, env):
         """After crash recovery the zone map keeps pruning: selective
@@ -164,13 +157,13 @@ class TestZoneMapState:
         mgr, make = env
         ix = build_disjoint_partitions(mgr, make)
         part = ix.persisted_partitions[0]
+        block = ix.file.append_extents(filter_block_pages(part.filters, 8192))
         meta = PartitionMeta(
             number=part.number, record_count=part.record_count,
             size_bytes=part.size_bytes, min_ts=part.min_ts,
             max_ts=part.max_ts, page_nos=list(part.run.page_nos),
             fences=list(part.run.fence_keys), min_key=part.run.min_key,
-            max_key=part.run.max_key,
-            zone_state=part.zone_map.to_state())
+            max_key=part.run.max_key, filter_pages=block)
         restored = restore_partition(meta, ix.file, ix.pool)
         assert restored.zone_map is not None
         assert restored.zone_map.to_state() == part.zone_map.to_state()

@@ -226,6 +226,12 @@ TOMBSTONES: tuple[Tombstone, ...] = (
         "one write rule, first updater wins, for every store, and each "
         "store's entry map is the table's one VID map: no per-store "
         "update check, no indirection layer the engine keeps in step"),
+    Tombstone(
+        r"\b(bloom_state|prefix_state|zone_state|restore_bloom"
+        r"|restore_prefix_bloom)\b", _USER_FACING, 49,
+        "a partition's filters live in its own filter block, written "
+        "once beside its leaves: the manifest keeps only the block's "
+        "page numbers, and recovery decodes no filter"),
 )
 
 
