@@ -331,10 +331,14 @@ class DurabilityController:
 
     def snapshot_state(self) -> ManifestState:
         manager = self.manager
+        # on a shard, the cluster's active set and watermark: an id
+        # active globally but not yet joined here is still undecided, and
+        # inferring it committed would commit its later PREPAREd records
         state = ManifestState(
-            txid_watermark=manager.next_txid,
+            txid_watermark=manager.watermark(),
             aborted_txids=sorted(manager.commit_log.aborted_ids),
-            active_txids=sorted(t.id for t in manager.active_transactions))
+            active_txids=sorted(snap.owner
+                                for snap in manager.active_snapshots()))
         for name, tree in self._trees.items():
             state.indexes[name] = IndexManifest(
                 name=name,

@@ -283,16 +283,15 @@ class PersistedRun(Generic[R]):
         self._fences = []
 
     def read_trailer(self) -> list[object]:
-        """The trailer pages' contents, one buffer-pool request each.
+        """The trailer pages' contents, read past the buffer pool as one
+        sequential request per run of contiguous pages — one request
+        for a block inside one extent
+        (:meth:`~repro.storage.pagefile.PageFile.read_pages_sequential`).
 
         The caller decodes them once and keeps what it decoded, so the
-        pages leave the pool again instead of holding frames.
+        pages never hold pool frames.
         """
-        pool, file = self.pool, self.file
-        pages = [pool.get(file, page_no) for page_no in self.trailer_page_nos]
-        for page_no in self.trailer_page_nos:
-            pool.discard(file, page_no)
-        return pages
+        return self.file.read_pages_sequential(self.trailer_page_nos)
 
     @property
     def fence_keys(self) -> list[Key]:

@@ -2,11 +2,20 @@
 
 One :class:`ShardCoordinator` per :class:`~repro.shard.router.ShardedDatabase`
 is the single allocator of **global** transaction ids and snapshots: every
-router transaction gets one (txid, snapshot) pair here and registers it
-with every shard's transaction manager
-(:meth:`~repro.txn.manager.TransactionManager.begin_adopted`), so a
-cross-shard read observes one consistent cut — the same txid is either
+router transaction gets one (txid, snapshot) pair here, and joins a shard
+on first touch — the first statement the router sends it
+(:meth:`~repro.txn.manager.TransactionManager.begin_adopted`) — so a
+cross-shard read observes one consistent cut: the same txid is either
 visible on every shard or on none.
+
+Whatever a shard must know of transactions that have not joined it lives
+here.  Every shard's manager reads its horizon from the global active set
+(:attr:`active`, :attr:`next_txid`): GC, vacuum and manifest flips keep
+what a snapshot that has not reached the shard yet still needs, and a
+flip never infers an undecided id committed.  When a transaction is
+decided, :meth:`finish` records its outcome, with no effect, on every
+shard it never joined, so each shard's commit log stays gapless and a
+flip's aborted ids stay complete.
 
 The commit point of a multi-shard transaction is :meth:`log_decision`,
 called *between* the shards' PREPARE and COMMIT phases: it runs the last
@@ -22,7 +31,7 @@ the shard layout.  Recovery restores the newest one.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from ..durability.wal import KIND_NOTE, WriteAheadLog
 from ..errors import RecoveryError
@@ -34,6 +43,7 @@ if TYPE_CHECKING:
     from ..durability.controller import DurabilityController
     from ..obs.core import Observability
     from ..storage.pagefile import PageFile
+    from ..txn.manager import TransactionManager
     from ..txn.transaction import Transaction
 
 
@@ -50,8 +60,10 @@ class ShardCoordinator:
         self._obs = obs
         self.log: WriteAheadLog | None = None
         self._next_txid = 1
-        #: global active set: txid -> its snapshot
+        #: global active set: txid -> its snapshot, in begin order
         self._active: dict[int, Snapshot] = {}
+        #: the shards' managers (:meth:`enlist`)
+        self._members: list["TransactionManager"] = []
         #: txids this coordinator decided committed (multi-shard commits);
         #: the durable decisions are the last agents' COMMIT markers
         self.decisions: set[int] = set()
@@ -88,10 +100,21 @@ class ShardCoordinator:
         if self._obs is not None:
             self._obs.tracer.emit("shard.decision", txid=txn.id)
 
-    def finish(self, txid: int) -> None:
+    def enlist(self, managers: "list[TransactionManager]") -> None:
+        """Make these shard managers read their horizon here and learn
+        the outcome of every transaction that never joined them."""
+        self._members = managers
+        for manager in managers:
+            manager.horizon = self
+
+    def finish(self, txid: int, committed: bool) -> None:
         """Remove a decided (committed or aborted) txid from the global
-        active set; later snapshots stop carrying it."""
+        active set — later snapshots and horizons stop carrying it — and
+        decide it with no effect on every shard it never joined
+        (:meth:`~repro.txn.manager.TransactionManager.settle`)."""
         self._active.pop(txid, None)
+        for manager in self._members:
+            manager.settle(txid, committed)
 
     # ----------------------------------------------------------------- layout
 
@@ -110,6 +133,11 @@ class ShardCoordinator:
     @property
     def next_txid(self) -> int:
         return self._next_txid
+
+    @property
+    def active(self) -> Mapping[int, Snapshot]:
+        """The global active set: txid -> snapshot, in begin order."""
+        return self._active
 
     @property
     def active_count(self) -> int:
@@ -147,6 +175,7 @@ class ShardCoordinator:
         coord.log = wal
         coord._next_txid = max(next_floor, 1)
         coord._active = {}
+        coord._members = []
         coord.decisions = set()
         return coord
 

@@ -13,6 +13,9 @@ txid authority, with its own durable layout log).  The router:
   owner; everything else scatters to every shard and merges the
   already-ordered per-shard hits on the ``(index key tuple, shard)``
   order;
+* opens a global transaction at the coordinator alone: it joins a
+  shard on first touch (:meth:`ShardTransaction.on`), so begin and
+  finish are charged only on the shards it reaches (DESIGN.md §16.2);
 * commits with a single-shard fast path (the touched shard's ordinary
   commit appends records + COMMIT marker in one fsync) or a two-phase
   flow for multi-shard writes (a PREPARE append on every touched shard
@@ -67,6 +70,7 @@ from ..sim.profiles import INTEL_DC_P3600, DeviceProfile
 from ..sim.trace import IOTrace
 from ..storage.pagefile import PageFile
 from ..storage.recordid import RecordID
+from ..txn.transaction import TxnState
 from ..types import JSONDict, Key, Row
 from .coordinator import ShardCoordinator
 from .partitioner import HashPartitioner
@@ -129,6 +133,7 @@ class ShardedDatabase:
             log_file = self.coordinator_file
         self.coordinator = ShardCoordinator(partitioner, clock=self.clock,
                                             log_file=log_file, obs=self.obs)
+        self.coordinator.enlist([db.txn for db in self.shards])
         #: table -> shard-key column positions
         self._tables: dict[str, tuple[int, ...]] = {}
         #: index -> offset of each shard-key column inside the index key
@@ -251,32 +256,35 @@ class ShardedDatabase:
 
     def begin(self) -> ShardTransaction:
         """Open one global transaction: the coordinator allocates the txid
-        and snapshot, every shard's manager adopts it."""
+        and snapshot; a shard's member opens when a statement first
+        reaches it (:meth:`ShardTransaction.on`)."""
         txid, snapshot = self.coordinator.begin()
-        parts = tuple(db.txn.begin_adopted(txid, snapshot)
-                      for db in self.shards)
         if self.obs is not None:
             self._m_begins.inc()
-        return ShardTransaction(txid, snapshot, self, parts)
+        return ShardTransaction(txid, snapshot, self)
 
     def commit(self, txn: ShardTransaction) -> None:
-        """Commit everywhere: read-only and single-shard transactions take
-        the ordinary one-fsync path; multi-shard writes run the two-phase
-        marker flow with the last touched shard's commit append as the
-        atomic commit point (DESIGN.md §16.3)."""
+        """Commit on the joined shards: read-only and single-shard
+        transactions take the ordinary one-fsync path; multi-shard writes
+        run the two-phase marker flow with the last touched shard's commit
+        append as the atomic commit point (DESIGN.md §16.3).  Shards the
+        transaction never joined learn the outcome from the coordinator,
+        uncharged."""
         if not txn.is_active:
             raise TransactionStateError(
                 f"transaction {txn.id} is not active")
         touched = sorted(txn.touched)
+        members = txn.members
         durable = self.config.durability
         if len(touched) == 1:
             # fast path: one shard's normal commit = records + COMMIT
-            # marker in one append; other shards flip status only (no I/O)
+            # marker in one append; other joined shards flip status only
+            # (no I/O)
             k = touched[0]
             self.shards[k].txn.commit(txn.on(k))
-            for j, db in enumerate(self.shards):
+            for j, member in members.items():
                 if j != k:
-                    db.txn.finish_commit(txn.on(j))
+                    self.shards[j].txn.finish_commit(member)
             if self.obs is not None:
                 self._m_commit_single.inc()
         elif touched and durable:
@@ -304,27 +312,32 @@ class ShardedDatabase:
                 durability = self.shards[k].durability
                 assert durability is not None
                 durability.append_commit_marker(txn.id)
-            for j, db in enumerate(self.shards):
-                db.txn.finish_commit(txn.on(j))
+            for j, member in members.items():
+                self.shards[j].txn.finish_commit(member)
             if self.obs is not None:
                 self._m_commit_cross.inc()
         else:
             # read-only, or multi-shard without durability: status flips
             # only.  (Non-durable trees buffer nothing in _wal_pending, so
             # skipping the hook phase loses no records.)
-            for j, db in enumerate(self.shards):
-                db.txn.finish_commit(txn.on(j))
+            for j, member in members.items():
+                self.shards[j].txn.finish_commit(member)
             if self.obs is not None:
                 if touched:
                     self._m_commit_cross.inc()
                 else:
                     self._m_commit_readonly.inc()
-        self.coordinator.finish(txn.id)
+        self.coordinator.finish(txn.id, committed=True)
+        txn.state = TxnState.COMMITTED
 
     def abort(self, txn: ShardTransaction) -> None:
-        for k, db in enumerate(self.shards):
-            db.txn.abort(txn.on(k))
-        self.coordinator.finish(txn.id)
+        if not txn.is_active:
+            raise TransactionStateError(
+                f"transaction {txn.id} is not active")
+        for k, member in txn.members.items():
+            self.shards[k].txn.abort(member)
+        self.coordinator.finish(txn.id, committed=False)
+        txn.state = TxnState.ABORTED
         if self.obs is not None:
             self._m_aborts.inc()
 
@@ -727,6 +740,7 @@ class ShardedDatabase:
             Database.recover(db, durable=durable._replace(
                 committed=committed, next_txid=floor))
             for db, durable in zip(crashed.shards, states)]
+        coordinator.enlist([db.txn for db in router.shards])
         router._tables = dict(crashed._tables)
         router._key_offsets = dict(crashed._key_offsets)
         router._slot_rows = list(crashed._slot_rows)

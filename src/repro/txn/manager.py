@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping, Protocol
 
 from ..errors import TransactionStateError
 from ..sim.clock import SimClock
@@ -43,6 +43,18 @@ from .transaction import Transaction, TxnState
 if TYPE_CHECKING:
     from ..obs.core import Observability
     from ..obs.registry import Metrics
+
+
+class Horizon(Protocol):
+    """The cluster's transaction horizon a shard's manager reads: the
+    global active set (txid -> snapshot, in begin order) and the next
+    global txid (:class:`~repro.shard.coordinator.ShardCoordinator`)."""
+
+    @property
+    def active(self) -> Mapping[int, Snapshot]: ...
+
+    @property
+    def next_txid(self) -> int: ...
 
 
 class TransactionManager:
@@ -75,6 +87,10 @@ class TransactionManager:
         #: not-yet-acknowledged semantics recovery assumes
         self._commit_hooks: list[TxnHook] = []
         self._abort_hooks: list[TxnHook] = []
+        #: a shard's manager reads its horizon from the cluster: a global
+        #: transaction is active here from its global begin, whether or
+        #: not it has joined this shard yet (None: a single node)
+        self.horizon: Horizon | None = None
 
     def add_commit_hook(self, hook: TxnHook) -> None:
         """Register ``hook(txn)`` to run at every commit, pre-status-flip."""
@@ -107,12 +123,13 @@ class TransactionManager:
         """Open a transaction under an externally allocated global txid.
 
         The sharding coordinator (:mod:`repro.shard`) allocates one global
-        txid + snapshot per distributed transaction and registers it with
-        *every* shard's manager through this entry point — even shards the
-        transaction never touches.  That keeps each shard's commit log
-        gapless (an unknown txid would report IN_PROGRESS forever and
-        stall the committed floor) and keeps manifest commit inference
-        valid for ids a shard saw no DML from.  The local allocator is
+        txid + snapshot per distributed transaction; it joins a shard
+        through this entry point on first touch — the first statement
+        the router sends that shard — so begin and finish are charged
+        only where the transaction acts.  What a shard it never joined
+        must still know comes from the cluster: its snapshot holds this
+        manager's horizon (:attr:`horizon`), and its outcome is recorded
+        here with no effect (:meth:`settle`).  The local allocator is
         bumped past the adopted id so a plain :meth:`begin` can never
         collide with a coordinator-issued id.
         """
@@ -135,6 +152,26 @@ class TransactionManager:
             self._begin_at[txid] = self.clock.now
             self._obs.tracer.emit("txn.begin", txid=txid, adopted=True)
         return txn
+
+    def settle(self, txid: int, committed: bool) -> None:
+        """Record the outcome of a global transaction that never joined
+        this shard: no record here carries ``txid``, so it is decided with
+        no effect — no :class:`Transaction`, no charge — and the commit
+        log stays gapless (its committed floor and the aborted ids a
+        manifest flip persists read as if the id had been registered).
+        An id that joined here was decided by its member and is left as
+        it is."""
+        with self._lock:
+            if txid in self._active:
+                raise TransactionStateError(
+                    f"transaction {txid} joined here and is still active")
+            self._next_txid = max(self._next_txid, txid + 1)
+            if self.commit_log.status(txid) is not TxnStatus.IN_PROGRESS:
+                return
+            if committed:
+                self.commit_log.set_committed(txid)
+            else:
+                self.commit_log.set_aborted(txid)
 
     def commit(self, txn: Transaction) -> None:
         """Single-caller commit: durability hooks, then the status flip.
@@ -234,17 +271,33 @@ class TransactionManager:
 
         Versions superseded by a change with timestamp < cutoff are invisible
         to all current and future snapshots and can be garbage collected.
-        With no active transactions the cutoff is the next transaction id.
+        With no active transactions the cutoff is the next transaction id
+        (:meth:`watermark`).
         """
-        with self._lock:
-            if not self._active:
-                return self._next_txid
-            return min(txn.snapshot.xmin for txn in self._active.values())
+        snapshots = self.active_snapshots()
+        if not snapshots:
+            return self.watermark()
+        return min(snapshot.xmin for snapshot in snapshots)
 
     def active_snapshots(self) -> list[Snapshot]:
-        """Snapshots of all currently active transactions (interval GC)."""
+        """Snapshots of all currently active transactions (interval GC):
+        on a shard, every global transaction's — joined here or not —
+        then any of this manager's own."""
         with self._lock:
-            return [txn.snapshot for txn in self._active.values()]
+            local = [txn.snapshot for txn in self._active.values()]
+        horizon = self.horizon
+        if horizon is None:
+            return local
+        shared = horizon.active
+        return [*shared.values(),
+                *(snap for snap in local if snap.owner not in shared)]
+
+    def watermark(self) -> int:
+        """The next transaction id anyone may issue: this manager's, or
+        the cluster's when it is higher (a manifest flip's watermark)."""
+        if self.horizon is None:
+            return self._next_txid
+        return max(self._next_txid, self.horizon.next_txid)
 
     def status_of(self, txid: int) -> TxnStatus:  # reprolint: disable=R12 -- tests/crash/harness.py checks commit status after recovery
         return self.commit_log.status(txid)

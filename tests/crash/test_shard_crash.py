@@ -141,8 +141,10 @@ def horizon_stxn(sdb: ShardedDatabase, horizon_txid: int
     """A synthetic read-only global transaction at one snapshot horizon."""
     snap = Snapshot(owner=0, xmax=horizon_txid + 1, active=frozenset(),
                     xmin=horizon_txid + 1)
-    parts = tuple(Transaction(0, snap, db.txn) for db in sdb.shards)
-    return ShardTransaction(0, snap, sdb, parts)
+    txn = ShardTransaction(0, snap, sdb)
+    txn.members.update((k, Transaction(0, snap, db.txn))
+                       for k, db in enumerate(sdb.shards))
+    return txn
 
 
 def assert_sharded_state(sdb: ShardedDatabase, horizon_txid: int,

@@ -3,8 +3,8 @@
 The build writes the bloom, prefix bloom and zone map once, as trailing
 pages of the run's last extent append; the manifest keeps only their page
 numbers; recovery reads none of them, and a restored partition reads its
-block through the buffer pool the first time a query reaches one of its
-filters.  Pinned here: what a flip now holds (a 70 000-key index fits the
+block past the buffer pool, one sequential request per run of contiguous
+pages, the first time a query reaches one of its filters.  Pinned here: what a flip now holds (a 70 000-key index fits the
 default slot), where the block goes, the exact requests its first use
 makes, and the typed error a damaged block raises.
 """
@@ -156,9 +156,10 @@ class TestFirstUse:
             assert part.run.trailer_page_nos
 
     def test_a_lookup_loads_the_block_once(self) -> None:
-        """The first lookup that reaches a restored partition's bloom asks
-        the pool once per block page (each a device read); the second
-        asks nothing."""
+        """The first lookup that reaches a restored partition's bloom reads
+        its block — two pages or more, inside one extent — with one
+        sequential device read and no pool request; the second reads
+        nothing."""
         db = small_db()
         key = absent_key(db)
         recovered = Database.recover(db)
@@ -169,9 +170,10 @@ class TestFirstUse:
 
         requests, reads = stats.requests, tree.file.physical_reads
         txn = recovered.begin()
+        assert block >= 2
         assert recovered.select(txn, "ix", key) == []
-        assert stats.requests - requests == block
-        assert tree.file.physical_reads - reads == block
+        assert stats.requests - requests == 0
+        assert tree.file.physical_reads - reads == 1
         # only the partition the lookup reached loaded its block
         assert [p._filters is not None
                 for p in tree.persisted_partitions] == [True, False, False]
@@ -207,11 +209,34 @@ class TestFirstUse:
         assert len(rows) == PER_PARTITION
         assert decoded == [len(part.run.trailer_page_nos)]
         assert part.zone_map is not None
-        assert stats.requests - requests \
-            == len(part.run.trailer_page_nos) + part.run.page_count
+        assert stats.requests - requests == part.run.page_count
         recovered.range_select(txn, "ix", (1, 0), (1, 10 ** 6))
         txn.commit()
         assert len(decoded) == 1
+
+
+    def test_a_spilled_block_costs_one_read_per_run(self) -> None:
+        """With one-page extents every block page opens its own extent:
+        the first use reads one request per page, each sequential."""
+        db = Database(EngineConfig(durability=True, page_size=512,
+                                   extent_pages=1,
+                                   partition_buffer_bytes=1 << 20))
+        db.create_table("t", [("a", "int"), ("b", "int"), ("v", "str")],
+                        "sias")
+        db.create_index("ix", "t", ["a", "b"], kind="mvpbt")
+        txn = db.begin()
+        for b in range(0, 2 * PER_PARTITION, 2):
+            db.insert(txn, "t", (0, b, "x"))
+        txn.commit()
+        tree_of(db).evict_partition()
+        recovered = Database.recover(db)
+        tree = tree_of(recovered)
+        part = tree.persisted_partitions[0]
+        block = part.run.trailer_page_nos
+        assert len(block) >= 2
+        reads = tree.file.physical_reads
+        assert part.bloom is not None
+        assert tree.file.physical_reads - reads == len(block)
 
 
 class TestDamage:

@@ -159,7 +159,7 @@ class TestCoordinator:
         assert (t1, t2) == (1, 2)
         assert s1.active == frozenset()
         assert s2.active == frozenset({1})
-        c.finish(t1)
+        c.finish(t1, committed=True)
         _, s3 = c.begin()
         assert 1 not in s3.active and 2 in s3.active
 
