@@ -21,9 +21,10 @@ Three cooperative phases:
 
 Chain reduction: per VID, keep the newest committed record (what future
 snapshots see) plus, per active snapshot, the record its visibility window
-lands on; re-link the kept records so every dropped record's invalidation
-reach is preserved; chains terminated by a tombstone whose origin lies in
-this partition vanish entirely.
+lands on; re-link every surviving record whose anti-matter names a victim
+to that victim's own target, so each dropped record's invalidation reach
+stays at the key it acted on; chains terminated by a tombstone whose
+origin lies in this partition vanish entirely.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import TYPE_CHECKING, Iterable
 from ..txn.snapshot import Snapshot
 from ..txn.status import CommitLog
 from .partition import MemLeaf, MemoryPartition
+from ..storage.recordid import RecordID
 from .records import MVPBTRecord, RecordType, ReferenceMode, record_size
 
 if TYPE_CHECKING:
@@ -57,10 +59,10 @@ def reduce_chain(chain: list[MVPBTRecord],
                  mode: ReferenceMode) -> list[MVPBTRecord]:
     """Compute the victims of one chain (records of one VID, any order).
 
-    Returns the records that no active or future snapshot needs.  Kept
-    records are re-linked in place (physical mode) so invalidation still
+    Returns the records that no active or future snapshot needs.  The
+    survivors are re-linked in place (physical mode) so invalidation still
     reaches both dropped records' predecessors in older partitions and
-    other kept records.
+    other kept records, at every key the chain visited.
     """
     if len(chain) == 1:
         # dominant case on eviction/merge: a single-record chain never has
@@ -106,23 +108,25 @@ def reduce_chain(chain: list[MVPBTRecord],
     if not chain_victims:
         return victims
 
-    # re-link kept records so invalidation reach is preserved
-    if mode is ReferenceMode.PHYSICAL:
-        for pos, record in enumerate(kept):
-            if not record.has_antimatter:
-                continue
-            if pos + 1 < len(kept):
-                record.rid_old = kept[pos + 1].rid_new
-            else:
-                # `<=` would do: no victim is kept, and seq is unique per tree
-                below = [v for v in chain_victims
-                         if (v.ts, v.seq) < (record.ts, record.seq)]
-                if below:
-                    oldest = min(below, key=lambda r: (r.ts, r.seq))
-                    if oldest.rtype is not RecordType.REGULAR:
-                        record.rid_old = oldest.rid_old
-
     victims.extend(chain_victims)
+    # re-link, oldest first: a survivor whose anti-matter names a victim
+    # takes over the victim's (already re-linked) target — the nearest
+    # survivor, an older partition's record, or None for a run rooted here.
+    # An ANTI is re-linked too: a point lookup sees only its own key's
+    # anti-matter.  A rid names the newest matter below it (an in-place
+    # store reuses rids)
+    if mode is ReferenceMode.PHYSICAL:
+        dead = {v.seq for v in victims}
+        reach: dict[RecordID, RecordID | None] = {}
+        for record in reversed(chain):
+            old = reach.get(record.rid_old, record.rid_old)
+            if record.seq in dead:
+                if record.rid_new is not None:
+                    reach[record.rid_new] = old
+                continue
+            if record.has_antimatter and old is not None:
+                record.rid_old = old
+            reach.pop(record.rid_new, None)
     return victims
 
 

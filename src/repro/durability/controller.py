@@ -335,7 +335,7 @@ class DurabilityController:
         # active globally but not yet joined here is still undecided, and
         # inferring it committed would commit its later PREPAREd records
         state = ManifestState(
-            txid_watermark=manager.watermark(),
+            txid_watermark=manager.next_txid,
             aborted_txids=sorted(manager.commit_log.aborted_ids),
             active_txids=sorted(snap.owner
                                 for snap in manager.active_snapshots()))

@@ -1,21 +1,21 @@
 """The cross-shard txid authority (DESIGN.md §16.2).
 
 One :class:`ShardCoordinator` per :class:`~repro.shard.router.ShardedDatabase`
-is the single allocator of **global** transaction ids and snapshots: every
-router transaction gets one (txid, snapshot) pair here, and joins a shard
-on first touch — the first statement the router sends it
+is the cluster's only allocator of transaction ids and owns its one
+:class:`~repro.txn.status.CommitLog`: every router transaction gets one
+(txid, snapshot) pair here, and joins a shard on first touch — the first
+statement the router sends it
 (:meth:`~repro.txn.manager.TransactionManager.begin_adopted`) — so a
 cross-shard read observes one consistent cut: the same txid is either
 visible on every shard or on none.
 
 Whatever a shard must know of transactions that have not joined it lives
-here.  Every shard's manager reads its horizon from the global active set
-(:attr:`active`, :attr:`next_txid`): GC, vacuum and manifest flips keep
-what a snapshot that has not reached the shard yet still needs, and a
-flip never infers an undecided id committed.  When a transaction is
-decided, :meth:`finish` records its outcome, with no effect, on every
-shard it never joined, so each shard's commit log stays gapless and a
-flip's aborted ids stay complete.
+here.  :meth:`enlist` hands every shard's manager this commit log and
+makes it read its horizon from the global active set (:attr:`active`,
+:attr:`next_txid`): GC, vacuum and manifest flips keep what a snapshot
+that has not reached the shard yet still needs, and a flip never infers
+an undecided id committed.  :meth:`begin` registers an id in the log and
+:meth:`finish` records its outcome there, once for every shard.
 
 The commit point of a multi-shard transaction is :meth:`log_decision`,
 called *between* the shards' PREPARE and COMMIT phases: it runs the last
@@ -37,6 +37,7 @@ from ..durability.wal import KIND_NOTE, WriteAheadLog
 from ..errors import RecoveryError
 from ..sim.clock import SimClock
 from ..txn.snapshot import Snapshot
+from ..txn.status import CommitLog
 from .partitioner import HashPartitioner
 
 if TYPE_CHECKING:
@@ -48,8 +49,8 @@ if TYPE_CHECKING:
 
 
 class ShardCoordinator:
-    """Global txid allocation, snapshot capture, the commit point and the
-    layout log."""
+    """Global txid allocation, the commit log, snapshot capture, the commit
+    point and the layout log."""
 
     def __init__(self, partitioner: HashPartitioner, *,
                  clock: SimClock | None = None,
@@ -62,8 +63,8 @@ class ShardCoordinator:
         self._next_txid = 1
         #: global active set: txid -> its snapshot, in begin order
         self._active: dict[int, Snapshot] = {}
-        #: the shards' managers (:meth:`enlist`)
-        self._members: list["TransactionManager"] = []
+        #: the cluster's one commit log, shared by every shard's manager
+        self.commit_log = CommitLog()
         #: txids this coordinator decided committed (multi-shard commits);
         #: the durable decisions are the last agents' COMMIT markers
         self.decisions: set[int] = set()
@@ -83,6 +84,7 @@ class ShardCoordinator:
         snapshot = Snapshot(owner=txid, xmax=txid, active=active,
                             xmin=min(active) if active else txid)
         self._active[txid] = snapshot
+        self.commit_log.register(txid)
         return txid, snapshot
 
     def log_decision(self, agent: "DurabilityController",
@@ -101,20 +103,21 @@ class ShardCoordinator:
             self._obs.tracer.emit("shard.decision", txid=txn.id)
 
     def enlist(self, managers: "list[TransactionManager]") -> None:
-        """Make these shard managers read their horizon here and learn
-        the outcome of every transaction that never joined them."""
-        self._members = managers
+        """Make these shard managers read their horizon and every
+        transaction's status here."""
         for manager in managers:
             manager.horizon = self
+            manager.commit_log = self.commit_log
 
     def finish(self, txid: int, committed: bool) -> None:
         """Remove a decided (committed or aborted) txid from the global
         active set — later snapshots and horizons stop carrying it — and
-        decide it with no effect on every shard it never joined
-        (:meth:`~repro.txn.manager.TransactionManager.settle`)."""
+        record its outcome, for every shard, joined or not."""
         self._active.pop(txid, None)
-        for manager in self._members:
-            manager.settle(txid, committed)
+        if committed:
+            self.commit_log.set_committed(txid)
+        else:
+            self.commit_log.set_aborted(txid)
 
     # ----------------------------------------------------------------- layout
 
@@ -153,10 +156,11 @@ class ShardCoordinator:
         """Rebuild the coordinator from its surviving log.
 
         The newest NOTE entry restores the partitioner; commit evidence
-        lives in the shards' logs, not here.  ``next_floor`` carries the
-        crashed in-memory allocator position (host-recovered, like the
-        shards' allocators): an id handed out but never made durable
-        anywhere must still never be reissued.
+        lives in the shards' logs, not here, so the caller restores
+        :attr:`commit_log` from their union.  ``next_floor`` carries the
+        crashed in-memory allocator position (host-recovered): an id
+        handed out but never made durable anywhere must still never be
+        reissued.
         """
         wal, entries = WriteAheadLog.recover(log_file)
         layout: bytes | None = None
@@ -168,15 +172,9 @@ class ShardCoordinator:
                 "coordinator log holds no shard layout snapshot")
         partitioner = HashPartitioner.from_state(
             json.loads(layout.decode("utf-8")))
-        coord = cls.__new__(cls)
-        coord.partitioner = partitioner
-        coord.clock = clock if clock is not None else SimClock()
-        coord._obs = obs
+        coord = cls(partitioner, clock=clock, obs=obs)
         coord.log = wal
         coord._next_txid = max(next_floor, 1)
-        coord._active = {}
-        coord._members = []
-        coord.decisions = set()
         return coord
 
     def __repr__(self) -> str:

@@ -37,9 +37,11 @@ txid authority, with its own durable layout log).  The router:
 **Time model:** each shard keeps its own :class:`SimClock`, modelling
 shards that progress in parallel on independent hardware;
 :attr:`sim_now` — the router-level simulated time — is the *maximum*
-over all clocks (the wall-clock of the slowest shard), so scatter-gather
-work costs max-of-shards, not sum-of-shards.  That parallelism is the
-entire scaling story the benchmarks measure, and it lives on the
+over all clocks.  That max is the busiest clock's own summed work, not a
+critical path: no clock ever waits for another, so a served op's legs,
+and one client's successive ops, overlap for free, and served
+throughput reads above what one closed-loop client could reach
+(DESIGN.md §16.2; ROADMAP Fact 3).  The parallelism lives on the
 simulated clock only: a scatter read visits its shards one after another
 on the caller's thread.
 
@@ -703,13 +705,15 @@ class ShardedDatabase:
     def recover(cls, crashed: "ShardedDatabase") -> "ShardedDatabase":
         """Restart the whole topology after a crash of any subset of it.
 
-        The coordinator recovers first (the layout), then every shard's
-        durable state is read once; the *union* of all commit evidence —
-        any shard's COMMIT marker or manifest inference, the last agent's
-        marker included — and one shared txid floor are folded into each
-        state before it is handed to :meth:`Database.recover`.  A
-        cross-shard transaction is therefore visible on all shards or on
-        none, at every historical snapshot (§16.5).
+        Every shard's durable state is read once; the *union* of all
+        commit evidence — any shard's COMMIT marker or manifest inference,
+        the last agent's marker included — and one txid floor restore the
+        coordinator's commit log (its layout comes from its own log) and
+        are folded into each state before it is handed to
+        :meth:`Database.recover`.  :meth:`ShardCoordinator.enlist` then
+        hands that one log to every shard, so a cross-shard transaction
+        is visible on all shards or on none, at every historical snapshot
+        (§16.5).
         """
         if not crashed.config.durability:
             raise RecoveryError(
@@ -717,15 +721,15 @@ class ShardedDatabase:
                 "durability=False")
         assert crashed.coordinator_file is not None
         assert crashed.coordinator_device is not None
+        states = [db.reboot_and_read() for db in crashed.shards]
+        committed = {txid for durable in states for txid in durable.committed}
         crashed.coordinator_device.reboot()
         coordinator = ShardCoordinator.recover(
             crashed.coordinator_file, clock=crashed.clock, obs=crashed.obs,
-            next_floor=crashed.coordinator.next_txid)
-
-        states = [db.reboot_and_read() for db in crashed.shards]
-        committed = {txid for durable in states for txid in durable.committed}
-        floor = max([coordinator.next_txid]
-                    + [durable.next_txid for durable in states])
+            next_floor=max([crashed.coordinator.next_txid]
+                           + [durable.next_txid for durable in states]))
+        floor = coordinator.next_txid
+        coordinator.commit_log.restore(floor, committed)
 
         router = cls.__new__(cls)
         router.config = crashed.config

@@ -25,6 +25,13 @@ can interpose between them:
 A transaction is only ever driven by one session thread; the mutex
 serializes *different* transactions' lifecycle transitions against each
 other and against snapshot capture in :meth:`begin`.
+
+A shard's manager (one with a :attr:`~TransactionManager.horizon`)
+allocates no id and keeps no commit log of its own: the cluster's
+coordinator owns both (DESIGN.md §16.2).  It opens members under the
+coordinator's ids (:meth:`~TransactionManager.begin_adopted`), reads its
+active set and watermark from the horizon, and refuses a local
+:meth:`~TransactionManager.begin`.
 """
 
 from __future__ import annotations
@@ -89,7 +96,8 @@ class TransactionManager:
         self._abort_hooks: list[TxnHook] = []
         #: a shard's manager reads its horizon from the cluster: a global
         #: transaction is active here from its global begin, whether or
-        #: not it has joined this shard yet (None: a single node)
+        #: not it has joined this shard yet (None: a single node).  With
+        #: it the coordinator's commit log replaces :attr:`commit_log`
         self.horizon: Horizon | None = None
 
     def add_commit_hook(self, hook: TxnHook) -> None:
@@ -102,6 +110,9 @@ class TransactionManager:
     # ------------------------------------------------------------- lifecycle
 
     def begin(self) -> Transaction:
+        if self.horizon is not None:
+            raise TransactionStateError(
+                "a shard allocates no transaction id: begin at the router")
         with self._lock:
             txid = self._next_txid
             self._next_txid += 1
@@ -126,24 +137,21 @@ class TransactionManager:
         txid + snapshot per distributed transaction; it joins a shard
         through this entry point on first touch — the first statement
         the router sends that shard — so begin and finish are charged
-        only where the transaction acts.  What a shard it never joined
-        must still know comes from the cluster: its snapshot holds this
-        manager's horizon (:attr:`horizon`), and its outcome is recorded
-        here with no effect (:meth:`settle`).  The local allocator is
-        bumped past the adopted id so a plain :meth:`begin` can never
-        collide with a coordinator-issued id.
+        only where the transaction acts.  The id was registered, and its
+        outcome is recorded, in the one commit log the coordinator shares
+        with every shard, so a shard the transaction never joins still
+        reads it in progress until it is decided.  The local allocator
+        only moves past the id: a manager without a horizon that also
+        begins locally never reissues it.
         """
         with self._lock:
             if txid in self._active:
                 raise TransactionStateError(
                     f"transaction {txid} is already active")
-            if (txid < self._next_txid
-                    and self.commit_log.status(txid)
-                    is not TxnStatus.IN_PROGRESS):
+            if self.commit_log.status(txid) is not TxnStatus.IN_PROGRESS:
                 raise TransactionStateError(
                     f"transaction {txid} was already decided")
             self._next_txid = max(self._next_txid, txid + 1)
-            self.commit_log.register(txid)
             txn = Transaction(txid, snapshot, self)
             self._active[txid] = txn
             self.begun += 1
@@ -152,26 +160,6 @@ class TransactionManager:
             self._begin_at[txid] = self.clock.now
             self._obs.tracer.emit("txn.begin", txid=txid, adopted=True)
         return txn
-
-    def settle(self, txid: int, committed: bool) -> None:
-        """Record the outcome of a global transaction that never joined
-        this shard: no record here carries ``txid``, so it is decided with
-        no effect — no :class:`Transaction`, no charge — and the commit
-        log stays gapless (its committed floor and the aborted ids a
-        manifest flip persists read as if the id had been registered).
-        An id that joined here was decided by its member and is left as
-        it is."""
-        with self._lock:
-            if txid in self._active:
-                raise TransactionStateError(
-                    f"transaction {txid} joined here and is still active")
-            self._next_txid = max(self._next_txid, txid + 1)
-            if self.commit_log.status(txid) is not TxnStatus.IN_PROGRESS:
-                return
-            if committed:
-                self.commit_log.set_committed(txid)
-            else:
-                self.commit_log.set_aborted(txid)
 
     def commit(self, txn: Transaction) -> None:
         """Single-caller commit: durability hooks, then the status flip.
@@ -259,7 +247,10 @@ class TransactionManager:
 
     @property
     def next_txid(self) -> int:
-        return self._next_txid
+        """The next transaction id anyone may issue: this manager's, or
+        on a shard the cluster's (a manifest flip's watermark)."""
+        horizon = self.horizon
+        return self._next_txid if horizon is None else horizon.next_txid
 
     @property
     def active_transactions(self) -> list[Transaction]:
@@ -272,32 +263,22 @@ class TransactionManager:
         Versions superseded by a change with timestamp < cutoff are invisible
         to all current and future snapshots and can be garbage collected.
         With no active transactions the cutoff is the next transaction id
-        (:meth:`watermark`).
+        (:attr:`next_txid`).
         """
         snapshots = self.active_snapshots()
         if not snapshots:
-            return self.watermark()
+            return self.next_txid
         return min(snapshot.xmin for snapshot in snapshots)
 
     def active_snapshots(self) -> list[Snapshot]:
         """Snapshots of all currently active transactions (interval GC):
-        on a shard, every global transaction's — joined here or not —
-        then any of this manager's own."""
-        with self._lock:
-            local = [txn.snapshot for txn in self._active.values()]
+        on a shard, every global transaction's, joined here or not —
+        every member here is one of them."""
         horizon = self.horizon
-        if horizon is None:
-            return local
-        shared = horizon.active
-        return [*shared.values(),
-                *(snap for snap in local if snap.owner not in shared)]
-
-    def watermark(self) -> int:
-        """The next transaction id anyone may issue: this manager's, or
-        the cluster's when it is higher (a manifest flip's watermark)."""
-        if self.horizon is None:
-            return self._next_txid
-        return max(self._next_txid, self.horizon.next_txid)
+        if horizon is not None:
+            return list(horizon.active.values())
+        with self._lock:
+            return [txn.snapshot for txn in self._active.values()]
 
     def status_of(self, txid: int) -> TxnStatus:  # reprolint: disable=R12 -- tests/crash/harness.py checks commit status after recovery
         return self.commit_log.status(txid)

@@ -4,9 +4,11 @@ import pytest
 
 from repro.buffer.partition_buffer import PartitionBuffer
 from repro.buffer.pool import BufferPool
+from repro.config import EngineConfig
 from repro.core.tree import MVPBT
 from repro.core.gc import GCStats, collect_for_eviction
 from repro.core.records import MVPBTRecord, RecordType, ReferenceMode
+from repro.engine.database import Database
 from repro.sim.clock import SimClock
 from repro.sim.device import SimulatedDevice
 from repro.sim.profiles import INTEL_DC_P3600
@@ -197,6 +199,57 @@ class TestPhase3:
         t.abort()
         part = ix.evict_partition()
         assert part is None
+
+
+class TestKeyChangeChain:
+    """A chain that changed index key is reduced per VID, but a point
+    lookup sees only its own key's records: the ANTI left at the old key
+    must still reach the version it shadows after the versions between
+    them are purged."""
+
+    @staticmethod
+    def moved_row(storage):
+        """Row 1 updated, moved to key 0, then both key-0 rows updated,
+        while a snapshot from before holds row 1's first version."""
+        db = Database(EngineConfig(buffer_pool_pages=128))
+        db.create_table("r", [("a", "int"), ("b", "str")], storage=storage)
+        db.create_index("ix", "r", ["a"])
+        t = db.begin()
+        db.insert(t, "r", (0, "v0"))
+        db.insert(t, "r", (1, "v1"))
+        t.commit()
+        held = db.begin()
+        t = db.begin()
+        db.update_by_key(t, "ix", (1,), {"b": "x"})
+        db.update_by_key(t, "ix", (1,), {"a": 0})
+        db.update_by_key(t, "ix", (0,), {"b": "y"})
+        t.commit()
+        return db, held
+
+    @pytest.mark.parametrize("storage", ["sias", "heap"])
+    def test_phase2_purge_keeps_the_old_key_dead(self, storage):
+        db, held = self.moved_row(storage)
+        t = db.begin()                   # its insert purges the flagged chain
+        db.update_by_key(t, "ix", (0,), {"b": "z"})
+        t.abort()
+        fresh = db.begin()
+        assert db.select(fresh, "ix", (1,)) == []
+        assert db.select(fresh, "ix", (0,)) == [(0, "y"), (0, "y")]
+        assert db.select(held, "ix", (1,)) == [(1, "v1")]
+        assert db.select(held, "ix", (0,)) == [(0, "v0")]
+        assert db.catalog.index("ix").mvpbt.gc_stats.purged_page_level
+
+    @pytest.mark.parametrize("storage", ["sias", "heap"])
+    def test_eviction_keeps_the_old_key_dead(self, storage):
+        db, held = self.moved_row(storage)
+        tree = db.catalog.index("ix").mvpbt
+        tree.evict_partition()
+        assert tree.gc_stats.purged_eviction
+        fresh = db.begin()
+        assert db.select(fresh, "ix", (1,)) == []
+        assert db.select(held, "ix", (1,)) == [(1, "v1")]
+        assert db.range_select(fresh, "ix", None, None) == [(0, "y"),
+                                                            (0, "y")]
 
 
 class TestCollectForEviction:

@@ -631,6 +631,7 @@ SAMPLES = (
     "vacuum" "_heap(table, mgr)",
     "layer = Indirection" "Layer(clock)",
     "meta.bloom" "_state",
+    "manager.sett" "le(txid, True)",
 )
 
 
@@ -666,6 +667,16 @@ class TestR13Tombstones:
         assert len(SAMPLES) == len(TOMBSTONES)
         for entry, sample in zip(TOMBSTONES, SAMPLES):
             assert re.search(entry.regex, sample), entry.regex
+
+    def test_the_one_log_entry_spares_other_settles(self):
+        """The one-log entry names the deleted method only, not a word
+        or name that merely starts like it."""
+        (entry,) = [e for e in TOMBSTONES if "sett" "le" in e.regex]
+        for line in ("def sett" "le_final(run, status_of) -> State:",
+                     "final = settle" "_final(run, txn.status_of)",
+                     "order the test harness would otherwise settle into.",
+                     "    settled: int | None = None"):
+            assert re.search(entry.regex, line) is None, line
 
     @pytest.mark.parametrize("entry, sample", entries())
     def test_a_line_over_budget_fires_where_it_is(self, tmp_path,

@@ -4,9 +4,10 @@
 snapshot); :meth:`ShardTransaction.on` opens a shard's member the first
 time a statement reaches that shard.  Pinned here: what a transaction
 that never reaches a shard costs there (nothing), that the shard's commit
-log still learns its outcome (the committed floor never stalls), that a
-shard's GC keeps what a snapshot that has not reached it yet still needs,
-and the transaction's own state.
+log still learns its outcome (the committed floor never stalls), that
+every shard reads the coordinator's one commit log and allocates no id,
+that a shard's GC keeps what a snapshot that has not reached it yet still
+needs, and the transaction's own state.
 """
 
 from __future__ import annotations
@@ -90,6 +91,66 @@ class TestExactCharge:
         held.commit()
         assert manager.active_snapshots() == []
         assert manager.cutoff_txid() == sdb.coordinator.next_txid
+
+
+class TestOneCommitLog:
+    """The coordinator owns the cluster's one commit log; every shard's
+    manager reads it, and no shard allocates an id."""
+
+    def test_every_shard_reads_the_coordinators_log(self) -> None:
+        sdb = make(3, EngineConfig(durability=True))
+        log = sdb.coordinator.commit_log
+        assert all(db.txn.commit_log is log for db in sdb.shards)
+        keys = owned_by(sdb, 0, 1) + owned_by(sdb, 2, 1)
+        txn = sdb.begin()
+        for key in keys:
+            sdb.insert(txn, "t", (key, "v"))
+        txn.commit()
+        lost = sdb.begin()
+        sdb.insert(lost, "t", (owned_by(sdb, 1, 1)[0], "x"))
+        recovered = ShardedDatabase.recover(sdb)
+        log = recovered.coordinator.commit_log
+        assert log is not sdb.coordinator.commit_log
+        assert all(db.txn.commit_log is log for db in recovered.shards)
+        assert log.status(txn.id) is TxnStatus.COMMITTED
+        assert log.status(lost.id) is TxnStatus.ABORTED
+        assert log.committed_floor == lost.id
+        reader = recovered.begin()
+        assert sorted(recovered.range_select(reader, "ix", None, None)) \
+            == sorted((key, "v") for key in keys)
+
+    @pytest.mark.parametrize("committed", [True, False])
+    def test_a_begun_id_is_in_progress_everywhere_until_decided(
+            self, committed: bool) -> None:
+        sdb = make(3)
+        txn = sdb.begin()
+        assert [db.txn.status_of(txn.id) for db in sdb.shards] \
+            == [TxnStatus.IN_PROGRESS] * 3
+        sdb.insert(txn, "t", (owned_by(sdb, 0, 1)[0], "v"))
+        assert list(txn.members) == [0]
+        assert [db.txn.status_of(txn.id) for db in sdb.shards] \
+            == [TxnStatus.IN_PROGRESS] * 3
+        if committed:
+            txn.commit()
+        else:
+            txn.abort()
+        decided = (TxnStatus.COMMITTED if committed
+                   else TxnStatus.ABORTED)
+        assert [db.txn.status_of(txn.id) for db in sdb.shards] \
+            == [decided] * 3
+
+    def test_a_shard_refuses_a_local_begin(self) -> None:
+        """A shard-local id would collide with one the coordinator issues
+        later: the shard refuses it, and the router's next transaction
+        acts on that shard as usual."""
+        sdb = make(2)
+        with pytest.raises(TransactionStateError, match="at the router"):
+            sdb.shards[0].begin()
+        txn = sdb.begin()
+        key = owned_by(sdb, 0, 1)[0]
+        sdb.insert(txn, "t", (key, "v"))
+        txn.commit()
+        assert sdb.select(sdb.begin(), "ix", (key,)) == [(key, "v")]
 
 
 class TestUnjoinedSnapshotGC:

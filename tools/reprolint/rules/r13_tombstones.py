@@ -232,6 +232,11 @@ TOMBSTONES: tuple[Tombstone, ...] = (
         "a partition's filters live in its own filter block, written "
         "once beside its leaves: the manifest keeps only the block's "
         "page numbers, and recovery decodes no filter"),
+    Tombstone(
+        r"def settle\(|\.settle\(", _SRC_TESTS, 52,
+        "the coordinator owns the cluster's one commit log and records "
+        "each outcome there once: no shard copies the outcome of a "
+        "transaction it never joined"),
 )
 
 
