@@ -37,7 +37,7 @@ from ..table.base import (Chain, TupleVersion, VacuumResult, VersionStore,
 from ..table.delta import DeltaTable
 from ..table.heap import HeapTable
 from ..table.sias import SIASTable
-from ..txn.manager import TransactionManager
+from ..txn.manager import Horizon, TransactionManager
 from ..txn.transaction import Replay, Transaction
 from .catalog import Catalog, IndexInfo, TableInfo
 from .executor import Executor, IndexSlice, RowHit, ScanLeg, ScanPlan
@@ -403,14 +403,17 @@ class Database:
 
     @classmethod
     def recover(cls, crashed: "Database", *,
-                durable: DurableState | None = None) -> "Database":
+                durable: DurableState | None = None,
+                horizon: Horizon | None = None) -> "Database":
         """Restart after a crash (injected or clean) on the same device.
 
         ``durable`` is the state to restart from, when the caller has
         already read it with :meth:`reboot_and_read`; otherwise recovery
-        reads it itself.  The sharded router hands over each shard's state
-        with the commit union and txid floor of the whole topology folded
-        in (DESIGN.md §16.5), so every shard is read once.
+        reads it itself.  ``horizon`` is the sharded router's, already
+        restored from the commit union and txid floor of the whole
+        topology (DESIGN.md §16.5), so every shard is read once and the
+        history restored once; without it recovery restores the
+        transaction history into a horizon of its own.
 
         The host-DBMS side of the simulation (base tables, catalog,
         version-oblivious indexes) is assumed recovered by the host's own
@@ -440,7 +443,8 @@ class Database:
         db.pool = crashed.pool
         db.partition_buffer = PartitionBuffer(
             db.config.partition_buffer_bytes)
-        db.txn = TransactionManager(db.clock, obs=db.obs)
+        own = horizon or Horizon()
+        db.txn = TransactionManager(db.clock, obs=db.obs, horizon=own)
         db.catalog = crashed.catalog
         db.executor = Executor(db)
         db.manifest_file = crashed.manifest_file
@@ -459,8 +463,10 @@ class Database:
             # status authority stays with the durable state — a txn without
             # a durable COMMIT marker or manifest commit bit recovers as
             # aborted everywhere, tables included
-            db.txn.restore(max(durable.next_txid, crashed.txn.next_txid),
-                           durable.committed)
+            if own is not horizon:
+                own.restore(max(durable.next_txid, crashed.txn.next_txid),
+                            durable.committed)
+            db.txn.committed_count = len(durable.committed)
             db.durability = DurabilityController(durable.store, durable.wal,
                                                  db.txn, obs=db.obs)
 

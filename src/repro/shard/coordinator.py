@@ -1,21 +1,21 @@
 """The cross-shard txid authority (DESIGN.md §16.2).
 
 One :class:`ShardCoordinator` per :class:`~repro.shard.router.ShardedDatabase`
-is the cluster's only allocator of transaction ids and owns its one
-:class:`~repro.txn.status.CommitLog`: every router transaction gets one
-(txid, snapshot) pair here, and joins a shard on first touch — the first
-statement the router sends it
+holds the cluster's one :class:`~repro.txn.manager.Horizon` — its txid
+allocator, active set, snapshot capture and commit log — and
+:meth:`enlist` gives it to every shard's manager.  Every router
+transaction gets one (txid, snapshot) pair from it, and joins a shard on
+first touch — the first statement the router sends it
 (:meth:`~repro.txn.manager.TransactionManager.begin_adopted`) — so a
 cross-shard read observes one consistent cut: the same txid is either
 visible on every shard or on none.
 
-Whatever a shard must know of transactions that have not joined it lives
-here.  :meth:`enlist` hands every shard's manager this commit log and
-makes it read its horizon from the global active set (:attr:`active`,
-:attr:`next_txid`): GC, vacuum and manifest flips keep what a snapshot
-that has not reached the shard yet still needs, and a flip never infers
-an undecided id committed.  :meth:`begin` registers an id in the log and
-:meth:`finish` records its outcome there, once for every shard.
+Whatever a shard must know of transactions that have not joined it is
+therefore its own horizon: GC, vacuum and manifest flips keep what a
+snapshot that has not reached the shard yet still needs, and a flip never
+infers an undecided id committed.  A member's finish on any shard records
+the outcome once for every shard; :meth:`finish` records it for an id
+that joined none.
 
 The commit point of a multi-shard transaction is :meth:`log_decision`,
 called *between* the shards' PREPARE and COMMIT phases: it runs the last
@@ -31,13 +31,13 @@ the shard layout.  Recovery restores the newest one.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from ..durability.wal import KIND_NOTE, WriteAheadLog
 from ..errors import RecoveryError
 from ..sim.clock import SimClock
+from ..txn.manager import Horizon
 from ..txn.snapshot import Snapshot
-from ..txn.status import CommitLog
 from .partitioner import HashPartitioner
 
 if TYPE_CHECKING:
@@ -49,8 +49,7 @@ if TYPE_CHECKING:
 
 
 class ShardCoordinator:
-    """Global txid allocation, the commit log, snapshot capture, the commit
-    point and the layout log."""
+    """The cluster's horizon, the commit point and the layout log."""
 
     def __init__(self, partitioner: HashPartitioner, *,
                  clock: SimClock | None = None,
@@ -60,11 +59,9 @@ class ShardCoordinator:
         self.clock = clock if clock is not None else SimClock()
         self._obs = obs
         self.log: WriteAheadLog | None = None
-        self._next_txid = 1
-        #: global active set: txid -> its snapshot, in begin order
-        self._active: dict[int, Snapshot] = {}
-        #: the cluster's one commit log, shared by every shard's manager
-        self.commit_log = CommitLog()
+        #: the cluster's one horizon, shared by every shard's manager
+        self.horizon = Horizon()
+        self.commit_log = self.horizon.commit_log
         #: txids this coordinator decided committed (multi-shard commits);
         #: the durable decisions are the last agents' COMMIT markers
         self.decisions: set[int] = set()
@@ -78,14 +75,7 @@ class ShardCoordinator:
 
     def begin(self) -> tuple[int, Snapshot]:
         """Allocate a global txid and capture the global snapshot."""
-        txid = self._next_txid
-        self._next_txid += 1
-        active = frozenset(self._active)
-        snapshot = Snapshot(owner=txid, xmax=txid, active=active,
-                            xmin=min(active) if active else txid)
-        self._active[txid] = snapshot
-        self.commit_log.register(txid)
-        return txid, snapshot
+        return self.horizon.begin()
 
     def log_decision(self, agent: "DurabilityController",
                      txn: "Transaction") -> None:
@@ -103,21 +93,15 @@ class ShardCoordinator:
             self._obs.tracer.emit("shard.decision", txid=txn.id)
 
     def enlist(self, managers: "list[TransactionManager]") -> None:
-        """Make these shard managers read their horizon and every
-        transaction's status here."""
+        """Give these shard managers the cluster's horizon."""
         for manager in managers:
-            manager.horizon = self
+            manager.horizon = self.horizon
             manager.commit_log = self.commit_log
 
     def finish(self, txid: int, committed: bool) -> None:
-        """Remove a decided (committed or aborted) txid from the global
-        active set — later snapshots and horizons stop carrying it — and
-        record its outcome, for every shard, joined or not."""
-        self._active.pop(txid, None)
-        if committed:
-            self.commit_log.set_committed(txid)
-        else:
-            self.commit_log.set_aborted(txid)
+        """Decide ``txid`` for every shard: a no-op once a joined member's
+        finish has, the only record for an id that joined no shard."""
+        self.horizon.finish(txid, committed)
 
     # ----------------------------------------------------------------- layout
 
@@ -135,16 +119,11 @@ class ShardCoordinator:
 
     @property
     def next_txid(self) -> int:
-        return self._next_txid
-
-    @property
-    def active(self) -> Mapping[int, Snapshot]:
-        """The global active set: txid -> snapshot, in begin order."""
-        return self._active
+        return self.horizon.next_txid
 
     @property
     def active_count(self) -> int:
-        return len(self._active)
+        return len(self.horizon.active)
 
     # --------------------------------------------------------------- recovery
 
@@ -155,12 +134,13 @@ class ShardCoordinator:
                 next_floor: int = 0) -> "ShardCoordinator":
         """Rebuild the coordinator from its surviving log.
 
-        The newest NOTE entry restores the partitioner; commit evidence
-        lives in the shards' logs, not here, so the caller restores
-        :attr:`commit_log` from their union.  ``next_floor`` carries the
-        crashed in-memory allocator position (host-recovered): an id
-        handed out but never made durable anywhere must still never be
-        reissued.
+        The newest NOTE entry restores the partitioner.  Commit evidence
+        lives in the shards' logs, not here: the router restores
+        :attr:`horizon` once from their union and its own txid floor.
+        Given ``next_floor`` instead — the crashed in-memory allocator
+        position (host-recovered) — this restores the horizon with no
+        commit evidence: an id handed out but never made durable anywhere
+        is never reissued, and reads aborted.
         """
         wal, entries = WriteAheadLog.recover(log_file)
         layout: bytes | None = None
@@ -174,10 +154,11 @@ class ShardCoordinator:
             json.loads(layout.decode("utf-8")))
         coord = cls(partitioner, clock=clock, obs=obs)
         coord.log = wal
-        coord._next_txid = max(next_floor, 1)
+        if next_floor:
+            coord.horizon.restore(next_floor, set())
         return coord
 
     def __repr__(self) -> str:
-        return (f"ShardCoordinator(next={self._next_txid}, "
-                f"active={len(self._active)}, "
+        return (f"ShardCoordinator(next={self.next_txid}, "
+                f"active={self.active_count}, "
                 f"decisions={len(self.decisions)})")

@@ -708,12 +708,10 @@ class ShardedDatabase:
         Every shard's durable state is read once; the *union* of all
         commit evidence — any shard's COMMIT marker or manifest inference,
         the last agent's marker included — and one txid floor restore the
-        coordinator's commit log (its layout comes from its own log) and
-        are folded into each state before it is handed to
-        :meth:`Database.recover`.  :meth:`ShardCoordinator.enlist` then
-        hands that one log to every shard, so a cross-shard transaction
-        is visible on all shards or on none, at every historical snapshot
-        (§16.5).
+        coordinator's horizon, once (its layout comes from its own log).
+        Each shard recovers from its own state around that one horizon,
+        so a cross-shard transaction is visible on all shards or on none,
+        at every historical snapshot (§16.5).
         """
         if not crashed.config.durability:
             raise RecoveryError(
@@ -725,11 +723,10 @@ class ShardedDatabase:
         committed = {txid for durable in states for txid in durable.committed}
         crashed.coordinator_device.reboot()
         coordinator = ShardCoordinator.recover(
-            crashed.coordinator_file, clock=crashed.clock, obs=crashed.obs,
-            next_floor=max([crashed.coordinator.next_txid]
-                           + [durable.next_txid for durable in states]))
-        floor = coordinator.next_txid
-        coordinator.commit_log.restore(floor, committed)
+            crashed.coordinator_file, clock=crashed.clock, obs=crashed.obs)
+        coordinator.horizon.restore(
+            max([crashed.coordinator.next_txid]
+                + [durable.next_txid for durable in states]), committed)
 
         router = cls.__new__(cls)
         router.config = crashed.config
@@ -741,10 +738,9 @@ class ShardedDatabase:
         router.coordinator_device = crashed.coordinator_device
         router.coordinator_file = crashed.coordinator_file
         router.shards = [
-            Database.recover(db, durable=durable._replace(
-                committed=committed, next_txid=floor))
+            Database.recover(db, durable=durable,
+                             horizon=coordinator.horizon)
             for db, durable in zip(crashed.shards, states)]
-        coordinator.enlist([db.txn for db in router.shards])
         router._tables = dict(crashed._tables)
         router._key_offsets = dict(crashed._key_offsets)
         router._slot_rows = list(crashed._slot_rows)

@@ -6,19 +6,19 @@ superseded before the cutoff is invisible to every active and future
 transaction and may be purged.
 
 Thread safety (DESIGN.md §15.2): the manager is one of the explicitly
-synchronized transaction components behind the serve layer.  Its mutable
-state — the txid allocator, the active-transaction set and the commit/abort
-counters — is guarded by one re-entrant mutex (rank TXN_MANAGER in the
-serve lock order, acquired before the commit log's internal mutex and
-after the engine slot).  Commit is split in two phases so WAL group commit
-can interpose between them:
+synchronized transaction components behind the serve layer.  One
+re-entrant mutex (rank TXN_MANAGER in the serve lock order, acquired
+before the commit log's internal mutex and after the engine slot) guards
+its member set and counters and every call it makes into its horizon.
+Commit is split in two phases so WAL group commit can interpose between
+them:
 
 * the **hook phase** (:meth:`commit`) runs the registered durability hooks
   while the transaction is still ACTIVE — single-caller path, one WAL
   append per commit that wrote something (the durability hook does no
   I/O for one that did not, DESIGN.md §11.3);
-* the **flip phase** (:meth:`finish_commit`) removes the transaction from
-  the active set and publishes COMMITTED in the commit log.  The serve
+* the **flip phase** (:meth:`finish_commit`) publishes COMMITTED in the
+  commit log and removes the transaction from the active set.  The serve
   layer's group-commit leader calls it directly for every transaction of a
   group *after* the one batched WAL append made the whole group durable.
 
@@ -26,19 +26,22 @@ A transaction is only ever driven by one session thread; the mutex
 serializes *different* transactions' lifecycle transitions against each
 other and against snapshot capture in :meth:`begin`.
 
-A shard's manager (one with a :attr:`~TransactionManager.horizon`)
-allocates no id and keeps no commit log of its own: the cluster's
-coordinator owns both (DESIGN.md §16.2).  It opens members under the
-coordinator's ids (:meth:`~TransactionManager.begin_adopted`), reads its
-active set and watermark from the horizon, and refuses a local
-:meth:`~TransactionManager.begin`.
+Ids, snapshots and outcomes are decided in one place, the
+:class:`Horizon`: it allocates each txid, captures its snapshot, keeps the
+active set and owns the :class:`~repro.txn.status.CommitLog`.  A single
+node's manager holds its own; a router's coordinator holds the cluster's
+and gives it to every shard's manager (DESIGN.md §16.2), so a shard-local
+:meth:`~TransactionManager.begin` draws the cluster's next id and a
+member's finish decides the id for every shard.  The manager keeps only
+what is its own: its member transactions, its hooks, its counters and the
+``txn_overhead`` charge.
 """
 
 from __future__ import annotations
 
 import threading
 
-from typing import TYPE_CHECKING, Mapping, Protocol
+from typing import TYPE_CHECKING
 
 from ..errors import TransactionStateError
 from ..sim.clock import SimClock
@@ -52,29 +55,81 @@ if TYPE_CHECKING:
     from ..obs.registry import Metrics
 
 
-class Horizon(Protocol):
-    """The cluster's transaction horizon a shard's manager reads: the
-    global active set (txid -> snapshot, in begin order) and the next
-    global txid (:class:`~repro.shard.coordinator.ShardCoordinator`)."""
+class Horizon:
+    """The one authority over transaction ids: it issues each id with
+    its snapshot, keeps the active set (txid -> snapshot, in begin order)
+    and records every outcome in its :class:`CommitLog`.  It charges no
+    clock.  Its callers serialize it: a single node's manager under its
+    lock, a router's coordinator and shard managers under the serve slot
+    (DESIGN.md §15.2)."""
+
+    def __init__(self) -> None:
+        self._next_txid = 1
+        self.active: dict[int, Snapshot] = {}
+        self.commit_log = CommitLog()
+
+    def begin(self) -> tuple[int, Snapshot]:
+        """Allocate the next txid and capture its snapshot."""
+        txid = self._next_txid
+        self._next_txid = txid + 1
+        active = frozenset(self.active)
+        snapshot = Snapshot(owner=txid, xmax=txid, active=active,
+                            xmin=min(active) if active else txid)
+        self.active[txid] = snapshot
+        self.commit_log.register(txid)
+        return txid, snapshot
+
+    def finish(self, txid: int, committed: bool) -> None:
+        """Record ``txid``'s outcome, then drop it from the active set —
+        a snapshot taken in between still lists it active.  A second
+        finish of the same id finds it already decided."""
+        log = self.commit_log
+        if log.status(txid) is not TxnStatus.IN_PROGRESS:
+            return
+        if committed:
+            log.set_committed(txid)
+        else:
+            log.set_aborted(txid)
+        self.active.pop(txid, None)
+
+    def restore(self, next_txid: int, committed: set[int]) -> None:
+        """Recovery entry point: adopt the durable transaction history.
+
+        ``next_txid`` must exceed every txid whose effects may exist
+        anywhere durable; ``committed`` lists the durably-committed ids.
+        All other below-``next_txid`` ids become aborted.
+        """
+        if self.active:
+            raise TransactionStateError(
+                f"cannot restore with {len(self.active)} active "
+                f"transactions")
+        self._next_txid = max(next_txid, 1)
+        self.commit_log.restore(self.next_txid, committed)
 
     @property
-    def active(self) -> Mapping[int, Snapshot]: ...
-
-    @property
-    def next_txid(self) -> int: ...
+    def next_txid(self) -> int:
+        """The next id this horizon issues (a manifest flip's
+        watermark)."""
+        return self._next_txid
 
 
 class TransactionManager:
-    """Hands out monotonically increasing transaction ids and snapshots."""
+    """Opens, commits and aborts the transactions of one node or shard
+    under the ids and snapshots its horizon issues."""
 
     def __init__(self, clock: SimClock | None = None,
-                 obs: "Observability | None" = None) -> None:
+                 obs: "Observability | None" = None, *,
+                 horizon: Horizon | None = None) -> None:
         self.clock = clock or SimClock()
-        self.commit_log = CommitLog()
+        #: issues ids and snapshots and records outcomes: this node's own,
+        #: or on a shard the cluster's, shared with every shard
+        self.horizon = horizon or Horizon()
+        #: the horizon's log, read on the visibility hot path
+        self.commit_log = self.horizon.commit_log
         #: rank TXN_MANAGER (§15.2), re-entrant
         # reprolint: lock-rank=TXN_MANAGER, reentrant
         self._lock = threading.RLock()
-        self._next_txid = 1
+        #: member transactions opened here, by txid
         self._active: dict[int, Transaction] = {}
         #: transactions opened here, :meth:`begin_adopted` included
         self.begun = 0
@@ -94,11 +149,6 @@ class TransactionManager:
         #: not-yet-acknowledged semantics recovery assumes
         self._commit_hooks: list[TxnHook] = []
         self._abort_hooks: list[TxnHook] = []
-        #: a shard's manager reads its horizon from the cluster: a global
-        #: transaction is active here from its global begin, whether or
-        #: not it has joined this shard yet (None: a single node).  With
-        #: it the coordinator's commit log replaces :attr:`commit_log`
-        self.horizon: Horizon | None = None
 
     def add_commit_hook(self, hook: TxnHook) -> None:
         """Register ``hook(txn)`` to run at every commit, pre-status-flip."""
@@ -110,17 +160,8 @@ class TransactionManager:
     # ------------------------------------------------------------- lifecycle
 
     def begin(self) -> Transaction:
-        if self.horizon is not None:
-            raise TransactionStateError(
-                "a shard allocates no transaction id: begin at the router")
         with self._lock:
-            txid = self._next_txid
-            self._next_txid += 1
-            active_ids = frozenset(self._active)
-            xmin = min(active_ids) if active_ids else txid
-            snapshot = Snapshot(owner=txid, xmax=txid, active=active_ids,
-                                xmin=xmin)
-            self.commit_log.register(txid)
+            txid, snapshot = self.horizon.begin()
             txn = Transaction(txid, snapshot, self)
             self._active[txid] = txn
             self.begun += 1
@@ -134,15 +175,12 @@ class TransactionManager:
         """Open a transaction under an externally allocated global txid.
 
         The sharding coordinator (:mod:`repro.shard`) allocates one global
-        txid + snapshot per distributed transaction; it joins a shard
-        through this entry point on first touch — the first statement
-        the router sends that shard — so begin and finish are charged
-        only where the transaction acts.  The id was registered, and its
-        outcome is recorded, in the one commit log the coordinator shares
-        with every shard, so a shard the transaction never joins still
-        reads it in progress until it is decided.  The local allocator
-        only moves past the id: a manager without a horizon that also
-        begins locally never reissues it.
+        txid + snapshot per distributed transaction from the horizon it
+        shares with every shard; the transaction joins a shard through
+        this entry point on first touch — the first statement the router
+        sends that shard — so begin and finish are charged only where it
+        acts.  A shard it never joins reads it in progress until it is
+        decided.
         """
         with self._lock:
             if txid in self._active:
@@ -151,7 +189,6 @@ class TransactionManager:
             if self.commit_log.status(txid) is not TxnStatus.IN_PROGRESS:
                 raise TransactionStateError(
                     f"transaction {txid} was already decided")
-            self._next_txid = max(self._next_txid, txid + 1)
             txn = Transaction(txid, snapshot, self)
             self._active[txid] = txn
             self.begun += 1
@@ -182,12 +219,11 @@ class TransactionManager:
 
         Callers must have made the commit durable first (either via the
         registered hooks or via one group WAL append covering it); this
-        method only removes the transaction from the active set and flips
-        its commit-log status — after it returns, every *new* snapshot
-        sees the transaction's effects.
+        method only flips its commit-log status and removes it from the
+        active set — after it returns, every *new* snapshot sees the
+        transaction's effects.
         """
         self._finish(txn, TxnState.COMMITTED)
-        self.commit_log.set_committed(txn.id)
         with self._lock:
             self.committed_count += 1
         if self._obs is not None:
@@ -203,7 +239,6 @@ class TransactionManager:
         for hook in self._abort_hooks:
             hook(txn)
         self._finish(txn, TxnState.ABORTED)
-        self.commit_log.set_aborted(txn.id)
         with self._lock:
             self.aborted_count += 1
         if self._obs is not None:
@@ -217,25 +252,8 @@ class TransactionManager:
                     f"transaction {txn.id} already {txn.state.value}")
             txn.state = state
             del self._active[txn.id]
+            self.horizon.finish(txn.id, state is TxnState.COMMITTED)
         self._charge_overhead()
-
-    def restore(self, next_txid: int, committed: set[int]) -> None:
-        """Recovery entry point: adopt the durable transaction history.
-
-        ``next_txid`` must exceed every txid whose effects may exist
-        anywhere durable; ``committed`` lists the durably-committed ids.
-        All other below-``next_txid`` ids become aborted.
-        """
-        with self._lock:
-            if self._active:
-                raise TransactionStateError(
-                    f"cannot restore with {len(self._active)} active "
-                    f"transactions")
-            self._next_txid = max(next_txid, 1)
-            self.commit_log.restore(self._next_txid, committed)
-            self.committed_count = len(committed)
-            if self._obs is not None:
-                self._begin_at.clear()
 
     # ------------------------------------------------------------ inspection
 
@@ -247,10 +265,9 @@ class TransactionManager:
 
     @property
     def next_txid(self) -> int:
-        """The next transaction id anyone may issue: this manager's, or
-        on a shard the cluster's (a manifest flip's watermark)."""
-        horizon = self.horizon
-        return self._next_txid if horizon is None else horizon.next_txid
+        """The next transaction id the horizon issues (a manifest flip's
+        watermark)."""
+        return self.horizon.next_txid
 
     @property
     def active_transactions(self) -> list[Transaction]:
@@ -272,13 +289,10 @@ class TransactionManager:
 
     def active_snapshots(self) -> list[Snapshot]:
         """Snapshots of all currently active transactions (interval GC):
-        on a shard, every global transaction's, joined here or not —
-        every member here is one of them."""
-        horizon = self.horizon
-        if horizon is not None:
-            return list(horizon.active.values())
+        the horizon's, so on a shard every global transaction's, joined
+        here or not."""
         with self._lock:
-            return [txn.snapshot for txn in self._active.values()]
+            return list(self.horizon.active.values())
 
     def status_of(self, txid: int) -> TxnStatus:  # reprolint: disable=R12 -- tests/crash/harness.py checks commit status after recovery
         return self.commit_log.status(txid)
@@ -290,5 +304,5 @@ class TransactionManager:
         clock.advance(clock.cost.txn_overhead)
 
     def __repr__(self) -> str:
-        return (f"TransactionManager(next={self._next_txid}, "
+        return (f"TransactionManager(next={self.next_txid}, "
                 f"active={len(self._active)})")

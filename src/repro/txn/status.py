@@ -63,12 +63,10 @@ class CommitLog:
     them as invisible.
     """
 
-    __slots__ = ("_status", "_known", "_committed_floor", "_aborted_ids",
-                 "_lock")
+    __slots__ = ("_status", "_committed_floor", "_aborted_ids", "_lock")
 
     def __init__(self) -> None:
         self._status = bytearray(1)      # index 0 unused; txids start at 1
-        self._known: set[int] = set()    # registered ids (only for __len__)
         self._committed_floor = 1
         #: all ids ever aborted — the durability manifest persists this set
         #: (compact pg_xact model: aborts are rare, commits are the default)
@@ -109,13 +107,11 @@ class CommitLog:
         with self._lock:
             self._ensure(txid)
             self._status[txid] = _IN_PROGRESS
-            self._known.add(txid)
 
     def set_committed(self, txid: int) -> None:
         with self._lock:
             self._ensure(txid)
             self._status[txid] = _COMMITTED
-            self._known.add(txid)
             if txid == self._committed_floor:
                 self._advance_committed_floor()
 
@@ -123,7 +119,6 @@ class CommitLog:
         with self._lock:
             self._ensure(txid)
             self._status[txid] = _ABORTED
-            self._known.add(txid)
             self._aborted_ids.add(txid)
 
     @property
@@ -142,21 +137,21 @@ class CommitLog:
         """
         with self._lock:
             size = max(next_txid, 1)
-            status = bytearray(size)
-            known: set[int] = set()
-            aborted: set[int] = set()
-            for txid in range(1, size):
-                if txid in committed:
+            status = bytearray((_ABORTED,)) * size
+            status[0] = _IN_PROGRESS
+            for txid in committed:
+                if 0 < txid < size:
                     status[txid] = _COMMITTED
-                else:
-                    status[txid] = _ABORTED
-                    aborted.add(txid)
-                known.add(txid)
+            # aborts are rare: find them in C rather than walk every id
+            aborted: set[int] = set()
+            txid = status.find(_ABORTED)
+            floor = size if txid < 0 else txid
+            while txid >= 0:
+                aborted.add(txid)
+                txid = status.find(_ABORTED, txid + 1)
             self._status = status
-            self._known = known
             self._aborted_ids = aborted
-            self._committed_floor = 1
-            self._advance_committed_floor()
+            self._committed_floor = floor
 
     def status(self, txid: int) -> TxnStatus:
         if 0 <= txid < len(self._status):
@@ -170,6 +165,3 @@ class CommitLog:
     def is_aborted(self, txid: int) -> bool:
         return (0 <= txid < len(self._status)
                 and self._status[txid] == _ABORTED)
-
-    def __len__(self) -> int:
-        return len(self._known)

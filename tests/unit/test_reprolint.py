@@ -632,6 +632,8 @@ SAMPLES = (
     "layer = Indirection" "Layer(clock)",
     "meta.bloom" "_state",
     "manager.sett" "le(txid, True)",
+    "self._next" "_txid = 1",
+    "if self.horizon is" " None:",
 )
 
 
@@ -677,6 +679,16 @@ class TestR13Tombstones:
                      "order the test harness would otherwise settle into.",
                      "    settled: int | None = None"):
             assert re.search(entry.regex, line) is None, line
+
+    def test_the_allocator_entry_spares_longer_names(self):
+        """The one-allocator entry counts the private field only, not a
+        name that ends in it, and the no-mode entry also names the old
+        protocol."""
+        entry, no_mode = [e for e in TOMBSTONES if e.pr == 53]
+        for line in ('out["coordinator' '_next_txid"] = 1',
+                     "floor = coordinator.next" "_txid"):
+            assert re.search(entry.regex, line) is None, line
+        assert re.search(no_mode.regex, "class Horizon" "(Protocol):")
 
     @pytest.mark.parametrize("entry, sample", entries())
     def test_a_line_over_budget_fires_where_it_is(self, tmp_path,

@@ -5,7 +5,8 @@ snapshot); :meth:`ShardTransaction.on` opens a shard's member the first
 time a statement reaches that shard.  Pinned here: what a transaction
 that never reaches a shard costs there (nothing), that the shard's commit
 log still learns its outcome (the committed floor never stalls), that
-every shard reads the coordinator's one commit log and allocates no id,
+every shard reads the coordinator's one horizon — ids drawn on a shard or
+at the router never collide, and a sharded restart restores it once —
 that a shard's GC keeps what a snapshot that has not reached it yet still
 needs, and the transaction's own state.
 """
@@ -18,7 +19,7 @@ from repro.config import EngineConfig
 from repro.engine.database import Database
 from repro.errors import TransactionStateError
 from repro.shard import ShardConfig, ShardedDatabase
-from repro.txn.status import TxnStatus
+from repro.txn.status import CommitLog, TxnStatus
 
 pytestmark = pytest.mark.shard
 
@@ -139,18 +140,59 @@ class TestOneCommitLog:
         assert [db.txn.status_of(txn.id) for db in sdb.shards] \
             == [decided] * 3
 
-    def test_a_shard_refuses_a_local_begin(self) -> None:
-        """A shard-local id would collide with one the coordinator issues
-        later: the shard refuses it, and the router's next transaction
+    def test_a_shard_local_begin_never_collides_with_the_router(
+            self) -> None:
+        """A shard-local begin() draws the cluster's next id, so neither
+        it nor a router begin() ever reissues the other's; its outcome
+        reads the same on every shard, and the router's next transaction
         acts on that shard as usual."""
         sdb = make(2)
-        with pytest.raises(TransactionStateError, match="at the router"):
-            sdb.shards[0].begin()
+        before = sdb.begin()
+        local = sdb.shards[0].begin()
+        local_key, key = owned_by(sdb, 0, 2)
+        sdb.shards[0].insert(local, "t", (local_key, "local"))
+        assert [db.txn.status_of(local.id) for db in sdb.shards] \
+            == [TxnStatus.IN_PROGRESS] * 2
+        local.commit()
+        assert [db.txn.status_of(local.id) for db in sdb.shards] \
+            == [TxnStatus.COMMITTED] * 2
         txn = sdb.begin()
-        key = owned_by(sdb, 0, 1)[0]
+        assert len({before.id, local.id, txn.id}) == 3
         sdb.insert(txn, "t", (key, "v"))
         txn.commit()
-        assert sdb.select(sdb.begin(), "ix", (key,)) == [(key, "v")]
+        before.commit()
+        assert sorted(sdb.range_select(sdb.begin(), "ix", None, None)) \
+            == sorted([(local_key, "local"), (key, "v")])
+
+    def test_a_sharded_recovery_restores_one_horizon(
+            self, monkeypatch: pytest.MonkeyPatch) -> None:
+        """A 4-shard restart restores the cluster's commit log once and
+        hands that horizon to every shard; a single node restores its
+        own once."""
+        restored: list[CommitLog] = []
+        restore = CommitLog.restore
+
+        def spy(log: CommitLog, next_txid: int, committed: set[int]) -> None:
+            restored.append(log)
+            restore(log, next_txid, committed)
+
+        monkeypatch.setattr(CommitLog, "restore", spy)
+        sdb = make(4, EngineConfig(durability=True))
+        txn = sdb.begin()
+        for shard in range(4):
+            sdb.insert(txn, "t", (owned_by(sdb, shard, 1)[0], "v"))
+        txn.commit()
+        recovered = ShardedDatabase.recover(sdb)
+        horizon = recovered.coordinator.horizon
+        assert restored == [horizon.commit_log]
+        assert all(db.txn.horizon is horizon for db in recovered.shards)
+        assert recovered.shards[2].txn.status_of(txn.id) \
+            is TxnStatus.COMMITTED
+        restored.clear()
+        db = Database(EngineConfig(durability=True))
+        db.begin().commit()
+        assert Database.recover(db).txn.commit_log is restored[0]
+        assert len(restored) == 1
 
 
 class TestUnjoinedSnapshotGC:

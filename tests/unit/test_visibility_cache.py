@@ -33,13 +33,6 @@ class TestWatermark:
         assert log.status(4) is TxnStatus.ABORTED
         assert log.status(99) is TxnStatus.IN_PROGRESS
 
-    def test_len_counts_registered(self):
-        log = CommitLog()
-        log.register(1)
-        log.register(2)
-        log.set_committed(1)
-        assert len(log) == 2
-
 
 class TestSnapshotFastPath:
     def test_below_xmin_resolves_by_commit_bit(self):

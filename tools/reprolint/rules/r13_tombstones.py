@@ -237,6 +237,15 @@ TOMBSTONES: tuple[Tombstone, ...] = (
         "the coordinator owns the cluster's one commit log and records "
         "each outcome there once: no shard copies the outcome of a "
         "transaction it never joined"),
+    Tombstone(
+        r"\b_next_txid\b", ("src",), 53,
+        "one txid allocator, inside the one Horizon: a manager or "
+        "coordinator draws its ids from a horizon",
+        at_least=5, at_most=5),
+    Tombstone(
+        r"horizon is (not )?None|class Horizon\(Protocol\)", ("src",), 53,
+        "the Horizon is one concrete class every manager holds: no "
+        "single-node mode beside a shard mode"),
 )
 
 
